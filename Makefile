@@ -1,6 +1,6 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet test race bench experiments examples clean
+.PHONY: all build vet test bench-test bench-smoke race race-ownership bench experiments examples clean
 
 all: build vet test
 
@@ -10,11 +10,27 @@ build:
 vet:
 	go vet ./...
 
-test:
+test: bench-test
 	go test ./... 2>&1 | tee test_output.txt
+
+# bench/ is a Go module of its own (the repository benchmark); the root
+# module's ./... does not reach its tests.
+bench-test:
+	cd bench && go vet ./... && go test ./...
+
+# One short benchmark run; fails unless its last line (the JSON summary)
+# reports every job's output correct.
+bench-smoke:
+	bash bench/run.sh --workload groupby-bulk --seconds 3 --trace 0 > bench_output.txt
+	tail -n 1 bench_output.txt | grep -q '"correct":true'
 
 race:
 	go test -race -short ./...
+
+# The buffer-ownership rules of the by-reference data path.
+race-ownership:
+	go test -race -count=2 -run 'TestPool|TestFetchedBlocksSurviveChurn|TestFetchOwnership|TestCollectiveResultsSurviveEarlyRelease|TestFaultConformanceCorruptFetchLeavesStoreIntact|TestWireFormEquivalence|TestFrameCodecTwoPart' \
+		./internal/bytebuf/ ./internal/netty/ ./internal/ucr/ ./internal/collective/ ./internal/spark/rpc/ ./internal/spark/shuffle/ ./internal/spark/shuffleservice/
 
 bench:
 	go test -bench=. -benchmem -benchtime=3x ./... 2>&1 | tee bench_output.txt

@@ -27,7 +27,10 @@ type Buf struct {
 	data []byte
 	r    int
 	w    int
-	pool *Pool // nil when unpooled
+	pool *Pool // owner while checked out of a pool; nil when unpooled or released
+	// recycled marks a buffer that has been through a pool at least once,
+	// so Get can tell a reuse from a fresh allocation.
+	recycled bool
 }
 
 // New returns an unpooled buffer with the given initial capacity.

@@ -3,6 +3,8 @@ package bytebuf
 import (
 	"bytes"
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -256,4 +258,75 @@ func TestResetRetainsCapacity(t *testing.T) {
 	if b.Capacity() != capBefore || b.ReadableBytes() != 0 {
 		t.Fatalf("Reset: cap=%d readable=%d", b.Capacity(), b.ReadableBytes())
 	}
+}
+
+// TestPoolReleaseIdempotent: a buffer released twice is filed once, so two
+// later Gets never share a backing array.
+func TestPoolReleaseIdempotent(t *testing.T) {
+	p := NewPool(nil)
+	b := p.Get(1000)
+	b.Release()
+	b.Release()
+	p.Release(b)
+	x, y := p.Get(1000), p.Get(1000)
+	if x == y {
+		t.Fatal("double release filed one buffer twice: two Gets returned it")
+	}
+	x.WriteBytes([]byte("x"))
+	y.WriteBytes([]byte("y"))
+	if &x.Readable()[0] == &y.Readable()[0] {
+		t.Fatal("two live buffers share a backing array")
+	}
+	if gets, hits := p.Stats(); gets != 3 || hits > 1 {
+		t.Fatalf("gets=%d hits=%d, want 3 gets and at most the one reuse", gets, hits)
+	}
+}
+
+// TestPoolGrownBufferKeepsItsPromise: a buffer that grew only part of the
+// way to the next class is not filed under it, where a Get would receive
+// less capacity than it asked for.
+func TestPoolGrownBufferKeepsItsPromise(t *testing.T) {
+	p := NewPool(nil)
+	b := p.Get(200)                  // class 256
+	b.WriteBytes(make([]byte, 5000)) // grows past 4 KiB, short of 16 KiB
+	p.Release(b)
+	for _, n := range []int{200, 4 << 10, 16 << 10} {
+		if c := p.Get(n); c.Capacity() < n {
+			t.Fatalf("Get(%d) returned capacity %d", n, c.Capacity())
+		}
+	}
+}
+
+// TestPoolChurnEveryClass hammers every size class from several
+// goroutines. Each stamps its buffer and checks the stamp before handing it
+// back: a buffer handed to two owners at once fails the check (and trips
+// the race detector).
+func TestPoolChurnEveryClass(t *testing.T) {
+	p := NewPool(nil)
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			stamp := bytes.Repeat([]byte{byte(w + 1)}, 64)
+			for r := 0; r < rounds; r++ {
+				for _, class := range DefaultClasses {
+					b := p.Get(class)
+					if b.Capacity() < class {
+						t.Errorf("Get(%d) returned capacity %d", class, b.Capacity())
+						return
+					}
+					b.WriteBytes(stamp)
+					runtime.Gosched()
+					if !bytes.Equal(b.Readable(), stamp) {
+						t.Errorf("worker %d: class %d buffer scribbled by another owner", w, class)
+						return
+					}
+					b.Release()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

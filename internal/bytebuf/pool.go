@@ -52,7 +52,7 @@ func (p *Pool) Get(n int) *Buf {
 		return New(n)
 	}
 	b := p.pools[ci].Get().(*Buf)
-	if b.pool != nil {
+	if b.recycled {
 		p.hits.Add(1)
 	}
 	b.Reset()
@@ -61,21 +61,25 @@ func (p *Pool) Get(n int) *Buf {
 }
 
 // Release returns a buffer to its pool. Releasing an unpooled buffer is a
-// no-op. The buffer must not be used after Release.
+// no-op, and so is releasing a buffer twice: Get sets the owner and Release
+// clears it, so a second Release cannot file the buffer again and let two
+// later Gets share its memory. The buffer must not be used after Release.
 func (p *Pool) Release(b *Buf) {
 	if b == nil || b.pool != p {
 		return
 	}
-	ci := p.classFor(len(b.data))
+	b.pool = nil
+	b.recycled = true
+	// File under the largest class the capacity covers, so a Get never
+	// receives less than it asked for: a buffer that grew mid-use moves up,
+	// one that grew only part of the way to the next class stays put.
+	ci := -1
+	for i, c := range p.classes {
+		if c <= len(b.data) {
+			ci = i
+		}
+	}
 	if ci < 0 {
-		return
-	}
-	// If the buffer grew past its class boundary, file it under the class
-	// that fits its new capacity so capacity is never lied about.
-	for ci < len(p.classes) && p.classes[ci] < len(b.data) {
-		ci++
-	}
-	if ci >= len(p.classes) {
 		return
 	}
 	b.Reset()

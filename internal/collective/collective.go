@@ -39,8 +39,8 @@ const (
 // top bit separates the broadcast phase of a small allreduce from its
 // reduce phase.
 const (
-	tagChunkBits         = 20
-	bcastTagBit   uint32 = 1 << 31
+	tagChunkBits        = 20
+	bcastTagBit  uint32 = 1 << 31
 )
 
 // Config tunes a Group.
@@ -356,8 +356,10 @@ type ctrNames struct{ ops, bytes, chunks string }
 // at or below SmallLimit travel a binomial tree as one message per edge;
 // larger ones stream down a pipelined chain in ChunkBytes pieces, so the
 // root's link carries the payload once — O(B), not O(E·B). The returned
-// slice is root's own data at root and a pooled copy elsewhere (release
-// it once consumed, and only after every rank of the op completed).
+// slice is root's own data at root and a pooled copy elsewhere; release it
+// once consumed (nothing on the wire aliases it, so a rank need not wait
+// for its siblings). Root's data must not be modified until every rank has
+// completed: it reaches them by reference.
 func (g *Group) Bcast(op int64, rank, root int, data []byte, at vtime.Stamp) ([]byte, func(), vtime.Stamp, error) {
 	out, release, vt, err := g.bcast(op, rank, root, data, 0, metrics.GetCounter(bcastCtrs.chunks), at)
 	if err != nil {
@@ -413,10 +415,10 @@ func (g *Group) bcast(op int64, rank, root int, data []byte, tagBit uint32, chun
 
 	if total <= g.cfg.SmallLimit {
 		// Binomial: the first (only) chunk is the whole payload; forward
-		// it to this rank's subtree. The forward sends the delivery's own
-		// private copy, never the pooled reassembly buffer: on the MPI
-		// body path the wire aliases the sender's slice, and the pool may
-		// hand a released buffer to another rank of the same op.
+		// it to this rank's subtree. The forward sends the delivery (the
+		// root's slice, by reference), never the pooled reassembly buffer:
+		// the wire aliases what is sent, and the pool may hand a released
+		// buffer to another rank of the same op.
 		buf.WriteBytes(d0.data)
 		payload := buf.Readable()
 		_, children := binomial(vr, n)
@@ -538,8 +540,8 @@ func segBounds(L, n, align, i int) (lo, hi int) {
 // length. Small payloads ride binomial reduce-then-broadcast; large ones
 // run the bandwidth-optimal chunked ring (reduce-scatter + allgather),
 // which moves 2·B·(n-1)/n bytes over each rank's link regardless of n.
-// The returned slice is pooled — release it once consumed, and only after
-// every rank of the op completed.
+// The returned slice is pooled — release it once consumed; no sibling
+// reads it, so a rank need not wait for the others.
 func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtime.Stamp) ([]byte, func(), vtime.Stamp, error) {
 	n := g.Size()
 	chunks := metrics.GetCounter(allreduceCtrs.chunks)
@@ -586,10 +588,11 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 	mod := func(x int) int { return ((x % n) + n) % n }
 
 	// Each step sends a private copy of the outgoing window, never a
-	// subslice of the pooled work buffer: the MPI body path keeps the
+	// subslice of the pooled work buffer: every transport keeps the
 	// sender's slice aliased at the receiver, and the same segment is
-	// rewritten by a later step (and the buffer itself may be repooled
-	// by an early-releasing caller while peers still read it).
+	// rewritten by a later step (and the buffer itself is repooled by the
+	// caller's release while the right neighbour may still be reading
+	// the last segment it was sent).
 	for s := 0; s < n-1; s++ {
 		tagBase := uint32(s) << tagChunkBits
 		sendSeg := mod(rank - s)

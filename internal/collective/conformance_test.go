@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/collective"
 	"mpi4spark/internal/core"
 	"mpi4spark/internal/fabric"
@@ -203,6 +204,84 @@ func TestReduceConformance(t *testing.T) {
 			reference = root
 		} else if !bytes.Equal(root, reference) {
 			t.Fatalf("%s: reduce result differs from %s", tr, conformanceTransports[0])
+		}
+	}
+}
+
+// TestCollectiveResultsSurviveEarlyRelease is the by-reference audit of the
+// pooled senders: chunk bodies cross every transport as the sender's own
+// slice, so a rank that returns its pooled result the moment its call
+// returns — while neighbours may still be reading what it sent them — must
+// not be able to disturb them. Every rank releases at once, re-Gets the
+// same pool classes and scribbles over them; every rank's result must still
+// be the right one.
+func TestCollectiveResultsSurviveEarlyRelease(t *testing.T) {
+	cfg := collective.Config{ChunkBytes: 16 << 10, SmallLimit: 1 << 10}
+	const n = 4
+	scribble := func(size int) {
+		for i := 0; i < 4; i++ {
+			b := bytebuf.Get(size)
+			b.WriteBytes(bytes.Repeat([]byte{0xEE}, size))
+			b.Release()
+		}
+	}
+	for _, tr := range conformanceTransports {
+		fx := buildTransport(t, tr, n, cfg)
+		for _, vecLen := range []int{16, 5000} { // binomial, then ring and chain
+			inputs := make([][]byte, n)
+			want := make([]float64, vecLen)
+			for r := range inputs {
+				v := make([]float64, vecLen)
+				for i := range v {
+					v[i] = float64(r + 1 + i)
+					want[i] += v[i]
+				}
+				inputs[r] = collective.EncodeFloat64s(v)
+			}
+
+			op := collective.NextOpID()
+			sums := make([][]byte, n)
+			err := fx.group.Run(op, "allreduce", len(inputs[0]), func(rank int) error {
+				out, release, _, err := fx.group.Allreduce(op, rank, inputs[rank], collective.Float64Sum, 0)
+				if err != nil {
+					return err
+				}
+				sums[rank] = append([]byte(nil), out...)
+				release()
+				scribble(len(inputs[rank]))
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s len=%d allreduce: %v", tr, vecLen, err)
+			}
+			for r, got := range sums {
+				if !bytes.Equal(got, collective.EncodeFloat64s(want)) {
+					t.Fatalf("%s len=%d: rank %d's allreduce result was disturbed by an early release", tr, vecLen, r)
+				}
+			}
+
+			op = collective.NextOpID()
+			copies := make([][]byte, n)
+			err = fx.group.Run(op, "bcast", len(inputs[0]), func(rank int) error {
+				out, release, _, err := fx.group.Bcast(op, rank, 0, inputs[0], 0)
+				if err != nil {
+					return err
+				}
+				copies[rank] = append([]byte(nil), out...)
+				release()
+				if rank != 0 {
+					scribble(len(inputs[0]))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s len=%d bcast: %v", tr, vecLen, err)
+			}
+			for r, got := range copies {
+				if !bytes.Equal(got, inputs[0]) {
+					t.Fatalf("%s len=%d: rank %d's broadcast copy was disturbed by an early release", tr, vecLen, r)
+				}
+			}
 		}
 	}
 }

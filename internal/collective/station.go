@@ -90,9 +90,11 @@ func (st *Station) Env() *rpc.Env { return st.env }
 // Addr returns the station's wire address.
 func (st *Station) Addr() fabric.Addr { return st.env.Addr() }
 
-// onChunk sinks one inbound chunk. The body is copied: on the MPI data
-// path the inbound slice aliases the sender's buffer, and forwarding ranks
-// hold deliveries across further sends.
+// onChunk sinks one inbound chunk. The body is kept by reference: on every
+// transport it is the very slice the sending rank passed to sendChunk,
+// which the algorithms never modify once sent (a rank that goes on
+// rewriting its work buffer sends a private copy of the window), so a
+// delivery may be held across further sends and forwarded as is.
 func (st *Station) onChunk(m *rpc.CollectiveChunk, vt vtime.Stamp) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -103,15 +105,11 @@ func (st *Station) onChunk(m *rpc.CollectiveChunk, vt vtime.Stamp) {
 		return
 	}
 	s := st.slotLocked(slotKey{op: m.OpID, tag: m.Tag})
-	var data []byte
-	if len(m.Body) > 0 {
-		data = append([]byte(nil), m.Body...)
-	}
 	s.ds = append(s.ds, delivery{
 		src:    int(m.Src),
 		total:  int(m.Total),
 		offset: int(m.Offset),
-		data:   data,
+		data:   m.Body,
 		vt:     vt,
 	})
 	select {

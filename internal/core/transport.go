@@ -49,8 +49,8 @@ type mpiChannel struct {
 }
 
 type pendingWrite struct {
-	data []byte
-	vt   vtime.Stamp
+	head, body []byte
+	vt         vtime.Stamp
 }
 
 func (mc *mpiChannel) snapshotRoute() (route, int, int, bool) {
@@ -152,7 +152,7 @@ func (st *EnvState) markReady(mc *mpiChannel, peerKind byte, peerRank, sendTag, 
 	mc.pending = nil
 	mc.mu.Unlock()
 	for _, w := range pending {
-		r.h.Isend(r.rank, sendTag, w.data, vtime.Max(w.vt, vt))
+		r.h.IsendGather(r.rank, sendTag, w.head, w.body, vtime.Max(w.vt, vt))
 	}
 	return nil
 }
@@ -178,10 +178,10 @@ func (st *EnvState) Poll() bool {
 			if !ok {
 				break
 			}
-			data, status := r.h.Recv(r.rank, recvTag, 0)
+			head, body, status := r.h.RecvGather(r.rank, recvTag, 0)
 			did = true
 			_, vt := st.pollEngine.Occupy(status.VT, st.PollRecvCost)
-			mc.ch.Pipeline().FireChannelRead(bytebuf.Wrap(data), vt)
+			mc.ch.Pipeline().FireChannelRead(netty.WrapInbound(head, body), vt)
 		}
 	}
 	return did
@@ -211,7 +211,8 @@ func (st *EnvState) BasicTransportFactory() netty.TransportFactory {
 	}
 }
 
-// basicTransport sends whole frames as MPI point-to-point messages.
+// basicTransport sends whole frames as MPI point-to-point messages, head
+// and body gathered into one message by reference.
 type basicTransport struct {
 	st   *EnvState
 	mc   *mpiChannel
@@ -220,19 +221,12 @@ type basicTransport struct {
 
 // WriteMsg implements netty.Transport.
 func (t *basicTransport) WriteMsg(msg any, vt vtime.Stamp) vtime.Stamp {
-	var data []byte
-	switch m := msg.(type) {
-	case *bytebuf.Buf:
-		data = m.Bytes()
-	case []byte:
-		data = m
-	default:
-		panic("core: basic transport expects framed bytes")
-	}
+	frame, body := netty.Parts(msg)
+	head := frame.Readable()
 	mc := t.mc
 	mc.mu.Lock()
 	if !mc.ready {
-		mc.pending = append(mc.pending, pendingWrite{data: data, vt: vt})
+		mc.pending = append(mc.pending, pendingWrite{head: head, body: body, vt: vt})
 		mc.mu.Unlock()
 		return vt
 	}
@@ -248,7 +242,7 @@ func (t *basicTransport) WriteMsg(msg any, vt vtime.Stamp) vtime.Stamp {
 	// Isend without waiting: the MPI progress engine owns rendezvous
 	// completion, so a blocked peer selector cannot deadlock two servers
 	// writing large frames to each other.
-	r.h.Isend(r.rank, tag, data, vt)
+	r.h.IsendGather(r.rank, tag, head, body, vt)
 	return vt
 }
 
@@ -289,7 +283,7 @@ func (h *handshakeHandler) writeHandshake(ch *netty.Channel, sendTag, recvTag in
 	framed.WriteUint32(uint32(body.ReadableBytes()))
 	framed.WriteBytes(body.Readable())
 	if conn := ch.Conn(); conn != nil {
-		conn.Send(framed.Bytes(), vt)
+		conn.Send(framed.Readable(), vt)
 	}
 }
 

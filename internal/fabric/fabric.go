@@ -19,9 +19,12 @@ type Addr struct {
 func (a Addr) String() string { return a.Node + ":" + a.Port }
 
 // Message is one transfer unit on a connection: a payload plus the virtual
-// time at which the last byte is available at the receiver.
+// time at which the last byte is available at the receiver. The payload is
+// Data followed by Body; Body is nil unless the sender used SendGather.
+// Both alias the sender's slices.
 type Message struct {
 	Data []byte
+	Body []byte
 	VT   vtime.Stamp
 }
 
@@ -330,17 +333,25 @@ func (c *Conn) Protocol() Protocol { return c.proto }
 // virtual arrival time of its last byte. The payload is not copied: callers
 // must not mutate it after Send.
 func (c *Conn) Send(data []byte, at vtime.Stamp) (cpuFree vtime.Stamp, err error) {
-	return c.sendProto(data, at, c.proto)
+	return c.sendProto(data, nil, at, c.proto)
+}
+
+// SendGather is Send for a payload in two parts, a header and a body that
+// follows it (writev): one message, one transfer of len(head)+len(body)
+// bytes, neither part copied. The receiver gets them back as
+// Message.Data and Message.Body.
+func (c *Conn) SendGather(head, body []byte, at vtime.Stamp) (cpuFree vtime.Stamp, err error) {
+	return c.sendProto(head, body, at, c.proto)
 }
 
 // SendProto is like Send but overrides the protocol for this one message.
 // The MPI transports use it to mix eager and rendezvous traffic on one
 // logical connection.
 func (c *Conn) SendProto(data []byte, at vtime.Stamp, proto Protocol) (cpuFree vtime.Stamp, err error) {
-	return c.sendProto(data, at, proto)
+	return c.sendProto(data, nil, at, proto)
 }
 
-func (c *Conn) sendProto(data []byte, at vtime.Stamp, proto Protocol) (vtime.Stamp, error) {
+func (c *Conn) sendProto(data, body []byte, at vtime.Stamp, proto Protocol) (vtime.Stamp, error) {
 	if c.closed.Load() {
 		return at, ErrClosed
 	}
@@ -354,8 +365,8 @@ func (c *Conn) sendProto(data []byte, at vtime.Stamp, proto Protocol) (vtime.Sta
 		c.Close()
 		return at, ErrClosed
 	}
-	cpuFree, deliver := f.Transfer(c.local, c.remote, proto, len(data), at)
-	c.out.push(Message{Data: data, VT: deliver})
+	cpuFree, deliver := f.Transfer(c.local, c.remote, proto, len(data)+len(body), at)
+	c.out.push(Message{Data: data, Body: body, VT: deliver})
 	return cpuFree, nil
 }
 

@@ -456,3 +456,44 @@ func TestFailNode(t *testing.T) {
 	}
 	f.FailNode("unknown") // no-op
 }
+
+// TestSendGatherIsOneTransferByReference: the two parts of a gathered send
+// arrive as the sender's own slices, and the fabric sees one message of
+// their combined length, stamped exactly as a contiguous send of that
+// length would be.
+func TestSendGatherIsOneTransferByReference(t *testing.T) {
+	head, body := []byte("header"), make([]byte, 100<<10)
+	f := testFabric(t, NewIBHDRModel(), "a", "b")
+	dc, ac := dialPair(t, f, "a", "b", TCP)
+	free, err := dc.SendGather(head, body, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ac.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &m.Data[0] != &head[0] || &m.Body[0] != &body[0] || len(m.Data) != len(head) || len(m.Body) != len(body) {
+		t.Fatal("gathered parts were copied or resliced on the way")
+	}
+	if s := f.Stats(); s.MessagesFor(TCP) != 1 || s.BytesFor(TCP) != int64(len(head)+len(body)) {
+		t.Fatalf("fabric saw %d messages, %d bytes", s.MessagesFor(TCP), s.BytesFor(TCP))
+	}
+
+	g := testFabric(t, NewIBHDRModel(), "a", "b")
+	dc2, ac2 := dialPair(t, g, "a", "b", TCP)
+	free2, err := dc2.Send(make([]byte, len(head)+len(body)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := ac2.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free != free2 || m.VT != m2.VT {
+		t.Fatalf("gathered send stamped (%v, %v), contiguous (%v, %v)", free, m.VT, free2, m2.VT)
+	}
+	if m2.Body != nil {
+		t.Fatal("plain Send delivered a body")
+	}
+}

@@ -18,12 +18,17 @@ type message struct {
 	comm int64
 	src  int // source rank, in the receiver's addressing
 	tag  int
-	data []byte
+	// data is the payload; body, when non-nil, is a second part that
+	// follows it (IsendGather).
+	data, body []byte
 	// vt is the virtual time the payload is available (eager) or the RTS
 	// envelope arrived (rendezvous, until completed).
 	vt   vtime.Stamp
 	rndv *rndvState
 }
+
+// size is the message's payload length in bytes.
+func (m *message) size() int { return len(m.data) + len(m.body) }
 
 // rndvState tracks an incomplete rendezvous transfer.
 type rndvState struct {
@@ -144,11 +149,7 @@ func (e *engine) iprobe(comm int64, src, tag int, at vtime.Stamp) (bool, Status)
 	probe := &postedRecv{comm: comm, src: src, tag: tag}
 	for _, m := range e.unexpected {
 		if probe.matches(m) {
-			size := len(m.data)
-			if m.rndv != nil {
-				size = m.rndv.size
-			}
-			return true, Status{Source: m.src, Tag: m.tag, Count: size, VT: vtime.Max(at, m.vt)}
+			return true, Status{Source: m.src, Tag: m.tag, Count: m.size(), VT: vtime.Max(at, m.vt)}
 		}
 	}
 	return false, Status{}
@@ -162,11 +163,7 @@ func (e *engine) probe(comm int64, src, tag int, at vtime.Stamp) Status {
 	for {
 		for _, m := range e.unexpected {
 			if probeKey.matches(m) {
-				size := len(m.data)
-				if m.rndv != nil {
-					size = m.rndv.size
-				}
-				return Status{Source: m.src, Tag: m.tag, Count: size, VT: vtime.Max(at, m.vt)}
+				return Status{Source: m.src, Tag: m.tag, Count: m.size(), VT: vtime.Max(at, m.vt)}
 			}
 		}
 		e.cond.Wait()

@@ -691,3 +691,46 @@ func TestReduceScatterBlock(t *testing.T) {
 		}
 	})
 }
+
+// TestIsendGather: a gathered message picks its protocol on the combined
+// length, reaches RecvGather as the sender's two slices, and is joined for
+// a receiver that asks for one.
+func TestIsendGather(t *testing.T) {
+	c := newTestComm(t, 2, fabric.NewIBHDRModel())
+	head := []byte("frame-header")
+	eagerBody := make([]byte, 1<<10)
+	rndvBody := make([]byte, DefaultEagerThreshold) // head pushes the total past the threshold
+	for i := range rndvBody {
+		rndvBody[i] = byte(i)
+	}
+	spmd(t, c, func(h *Handle) {
+		switch h.Rank() {
+		case 0:
+			eager := h.IsendGather(1, 1, head, eagerBody, 0)
+			if !eager.Test() {
+				t.Error("a gathered message under the threshold did not go eager")
+			}
+			h.IsendGather(1, 2, head, rndvBody, 0).Wait(0)
+			h.IsendGather(1, 3, head, rndvBody, 0).Wait(0)
+		case 1:
+			gh, gb, st := h.RecvGather(0, 1, 0)
+			if &gh[0] != &head[0] || &gb[0] != &eagerBody[0] || st.Count != len(head)+len(eagerBody) {
+				t.Errorf("eager gather: parts copied, or count %d", st.Count)
+			}
+			if ok, probed := h.Iprobe(0, 2, 0); !ok || probed.Count != len(head)+len(rndvBody) {
+				t.Errorf("probe of a gathered rendezvous message: %v, count %d", ok, probed.Count)
+			}
+			gh, gb, st = h.RecvGather(0, 2, 0)
+			if &gh[0] != &head[0] || &gb[0] != &rndvBody[0] || st.Count != len(head)+len(rndvBody) {
+				t.Errorf("rendezvous gather: parts copied, or count %d", st.Count)
+			}
+			joined, st := h.Recv(0, 3, 0)
+			if want := append(append([]byte(nil), head...), rndvBody...); !bytes.Equal(joined, want) || st.Count != len(want) {
+				t.Errorf("plain Recv of a gathered message returned %d bytes, count %d", len(joined), st.Count)
+			}
+		}
+	})
+	if got := c.world.fabric.Stats().MessagesFor(fabric.MPIRendezvous); got != 2 {
+		t.Fatalf("%d rendezvous transfers, want 2: the protocol must be chosen on head+body", got)
+	}
+}

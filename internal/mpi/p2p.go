@@ -20,12 +20,21 @@ func (h *Handle) Send(dest, tag int, data []byte, at vtime.Stamp) vtime.Stamp {
 
 // Isend starts a non-blocking send and returns immediately.
 func (h *Handle) Isend(dest, tag int, data []byte, at vtime.Stamp) *SendRequest {
+	return h.IsendGather(dest, tag, data, nil, at)
+}
+
+// IsendGather is Isend for a payload in two parts, a header and the body
+// that follows it (the analogue of a two-block MPI datatype). The parts
+// travel as one message: the protocol is chosen on, and the fabric charged
+// for, their combined length, and neither is copied. RecvGather hands them
+// back separately; a plain Recv joins them.
+func (h *Handle) IsendGather(dest, tag int, head, body []byte, at vtime.Stamp) *SendRequest {
 	w := h.comm.world
 	src := h.Proc()
 	dst := h.comm.peer(dest)
-	m := &message{comm: h.comm.id, src: h.rank, tag: tag, data: data}
-	if len(data) <= w.EagerThreshold {
-		cpuFree, deliver := w.fabric.Transfer(src.node, dst.node, fabric.MPIEager, len(data), at)
+	m := &message{comm: h.comm.id, src: h.rank, tag: tag, data: head, body: body}
+	if m.size() <= w.EagerThreshold {
+		cpuFree, deliver := w.fabric.Transfer(src.node, dst.node, fabric.MPIEager, m.size(), at)
 		m.vt = deliver
 		dst.engine.deliver(m)
 		return &SendRequest{cpuFree: cpuFree, completed: true}
@@ -37,7 +46,7 @@ func (h *Handle) Isend(dest, tag int, data []byte, at vtime.Stamp) *SendRequest 
 		fab:         w.fabric,
 		from:        src.node,
 		to:          dst.node,
-		size:        len(data),
+		size:        m.size(),
 		senderReady: cpuFree,
 		done:        done,
 	}
@@ -85,6 +94,14 @@ func (h *Handle) Recv(source, tag int, at vtime.Stamp) ([]byte, Status) {
 	return req.Wait(at)
 }
 
+// RecvGather is Recv for a message that may have been sent with
+// IsendGather: it returns the two parts as sent (body is nil for a plain
+// send), both aliasing the sender's slices.
+func (h *Handle) RecvGather(source, tag int, at vtime.Stamp) (head, body []byte, st Status) {
+	req := h.Irecv(source, tag, at)
+	return req.WaitGather(at)
+}
+
 // Irecv posts a non-blocking receive.
 func (h *Handle) Irecv(source, tag int, at vtime.Stamp) *RecvRequest {
 	p := h.Proc()
@@ -103,13 +120,24 @@ type RecvRequest struct {
 }
 
 // Wait blocks until the receive completes. It returns the payload and the
-// status; Status.VT is the completion time, never earlier than `at`.
+// status; Status.VT is the completion time, never earlier than `at`. A
+// two-part message is joined into one fresh slice; receivers that expect
+// one use WaitGather.
 func (r *RecvRequest) Wait(at vtime.Stamp) ([]byte, Status) {
+	head, body, st := r.WaitGather(at)
+	if len(body) == 0 {
+		return head, st
+	}
+	return append(append(make([]byte, 0, st.Count), head...), body...), st
+}
+
+// WaitGather is Wait returning the message's two parts as sent.
+func (r *RecvRequest) WaitGather(at vtime.Stamp) (head, body []byte, st Status) {
 	if r.msg == nil {
 		r.msg = <-r.pr.done
 	}
 	m := r.msg
-	return m.data, Status{Source: m.src, Tag: m.tag, Count: len(m.data), VT: vtime.Max(at, m.vt)}
+	return m.data, m.body, Status{Source: m.src, Tag: m.tag, Count: m.size(), VT: vtime.Max(at, m.vt)}
 }
 
 // Test reports whether the receive has completed, without blocking.

@@ -25,8 +25,8 @@ func nextChannelID() ChannelID {
 // MPI point-to-point communication.
 type Transport interface {
 	// WriteMsg ships an outbound message that has reached the pipeline
-	// head. msg is normally a *bytebuf.Buf holding one frame. It returns
-	// the virtual time at which the caller's CPU is free.
+	// head: a *bytebuf.Buf or *Frame holding one frame (see Parts). It
+	// returns the virtual time at which the caller's CPU is free.
 	WriteMsg(msg any, vt vtime.Stamp) vtime.Stamp
 	// Close tears the transport down.
 	Close() error

@@ -8,8 +8,36 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
+// Frame is one wire frame in two parts: Head holds the framed header bytes
+// and Body the payload that follows them, carried by reference and never
+// copied into Head (Netty's CompositeByteBuf, Spark's MessageWithHeader).
+// A frame with no body travels the pipeline as a plain *bytebuf.Buf.
+//
+// Body aliases the sender's slice all the way to the receiving handler:
+// whoever writes a Frame must not modify Body afterwards.
+type Frame struct {
+	Head *bytebuf.Buf
+	Body []byte
+}
+
+// Parts returns the head and body of a pipeline message that is a frame:
+// a *bytebuf.Buf (no body) or a *Frame. The frame codec and the transports
+// accept exactly these; anything else is a pipeline wired wrongly.
+func Parts(msg any) (head *bytebuf.Buf, body []byte) {
+	switch m := msg.(type) {
+	case *bytebuf.Buf:
+		return m, nil
+	case *Frame:
+		return m.Head, m.Body
+	}
+	panic(fmt.Sprintf("netty: a frame is a *bytebuf.Buf or a *Frame, got %T", msg))
+}
+
 // FrameEncoder is an outbound handler that prepends a big-endian uint32
-// length field to each frame body, Netty's LengthFieldPrepender.
+// length field to each frame, Netty's LengthFieldPrepender. The length
+// covers head and body; only the head is rewritten, into a fresh buffer the
+// receiver may keep, so the writer can recycle its own head buffer as soon
+// as Write returns.
 type FrameEncoder struct {
 	// EncodeNsPerByte models the CPU cost of framing/copying per byte.
 	EncodeNsPerByte float64
@@ -17,27 +45,27 @@ type FrameEncoder struct {
 
 // Write implements OutboundHandler.
 func (e *FrameEncoder) Write(ctx *Context, msg any) {
-	body, ok := msg.(*bytebuf.Buf)
-	if !ok {
-		panic(fmt.Sprintf("netty: FrameEncoder expects *bytebuf.Buf, got %T", msg))
-	}
-	n := body.ReadableBytes()
-	framed := bytebuf.Get(4 + n)
+	head, body := Parts(msg)
+	n := head.ReadableBytes() + len(body)
+	framed := bytebuf.New(4 + head.ReadableBytes())
 	framed.WriteUint32(uint32(n))
-	framed.WriteBytes(body.Readable())
+	framed.WriteBytes(head.Readable())
 	if e.EncodeNsPerByte > 0 {
 		ctx.Advance(vtimeNs(e.EncodeNsPerByte * float64(n)))
 	}
-	ctx.Write(framed)
-	// Transports copy on WriteMsg, so the pooled frame goes straight back.
-	framed.Release()
+	if body == nil {
+		ctx.Write(framed)
+		return
+	}
+	ctx.Write(&Frame{Head: framed, Body: body})
 }
 
 // FrameDecoder is an inbound handler that validates and strips the uint32
 // length field, Netty's LengthFieldBasedFrameDecoder. Because the fabric
-// preserves message boundaries, each inbound buffer holds exactly one
+// preserves message boundaries, each inbound message holds exactly one
 // frame; a length mismatch indicates corruption and the frame is dropped
-// (reported through OnError if set).
+// (reported through OnError if set). What it forwards has the shape of
+// what arrived: a *bytebuf.Buf, or a *Frame whose body was never touched.
 type FrameDecoder struct {
 	DecodeNsPerByte float64
 	OnError         func(error)
@@ -45,23 +73,20 @@ type FrameDecoder struct {
 
 // ChannelRead implements InboundHandler.
 func (d *FrameDecoder) ChannelRead(ctx *Context, msg any) {
-	buf, ok := msg.(*bytebuf.Buf)
-	if !ok {
-		panic(fmt.Sprintf("netty: FrameDecoder expects *bytebuf.Buf, got %T", msg))
-	}
-	n, err := buf.ReadUint32()
+	head, body := Parts(msg)
+	n, err := head.ReadUint32()
 	if err != nil {
 		d.fail(fmt.Errorf("netty: truncated frame header: %w", err))
 		return
 	}
-	if int(n) != buf.ReadableBytes() {
-		d.fail(fmt.Errorf("netty: frame length %d does not match %d readable bytes", n, buf.ReadableBytes()))
+	if got := head.ReadableBytes() + len(body); int(n) != got {
+		d.fail(fmt.Errorf("netty: frame length %d does not match %d readable bytes", n, got))
 		return
 	}
 	if d.DecodeNsPerByte > 0 {
 		ctx.Advance(vtimeNs(d.DecodeNsPerByte * float64(n)))
 	}
-	ctx.FireChannelRead(buf)
+	ctx.FireChannelRead(msg)
 }
 
 func (d *FrameDecoder) fail(err error) {

@@ -197,7 +197,7 @@ func (l *EventLoop) drainChannels() bool {
 			}
 			did = true
 			vt := m.VT.Add(l.cfg.ReadEventCost)
-			ch.pipeline.FireChannelRead(wrapInbound(m.Data), vt)
+			ch.pipeline.FireChannelRead(WrapInbound(m.Data, m.Body), vt)
 		}
 		if conn.Pending() {
 			l.wakeup()

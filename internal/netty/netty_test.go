@@ -405,3 +405,47 @@ func TestPipelineAddBeforeMissingAnchorPanics(t *testing.T) {
 	}()
 	ch.Pipeline().AddBefore("nope", "x", &tagger{})
 }
+
+// TestFrameCodecTwoPart: a Frame's body passes the length-field codec by
+// reference in both directions; only the head is rewritten, and the length
+// field covers both parts.
+func TestFrameCodecTwoPart(t *testing.T) {
+	ch := NewChannel()
+	sink := &sinkTransport{}
+	ch.SetTransport(sink)
+	rec := newRecorder()
+	var decodeErr error
+	ch.Pipeline().AddLast("dec", &FrameDecoder{OnError: func(err error) { decodeErr = err }})
+	ch.Pipeline().AddLast("enc", &FrameEncoder{})
+	ch.Pipeline().AddLast("rec", rec)
+
+	head, body := bytebuf.Wrap([]byte("hdr")), []byte("a large body")
+	ch.Write(&Frame{Head: head, Body: body}, 0)
+	framed, ok := sink.msgs[0].(*Frame)
+	if !ok {
+		t.Fatalf("encoder emitted %T for a two-part frame", sink.msgs[0])
+	}
+	if n, _ := framed.Head.PeekUint32(); int(n) != 3+len(body) || framed.Head.ReadableBytes() != 4+3 {
+		t.Fatalf("length field %d over a %d-byte head", n, framed.Head.ReadableBytes())
+	}
+	if &framed.Body[0] != &body[0] {
+		t.Fatal("encoder copied the body")
+	}
+	if string(framed.Head.Readable()[4:]) != "hdr" {
+		t.Fatalf("framed head %q", framed.Head.Readable())
+	}
+
+	// Feed the two wire parts back inbound, as an event loop does.
+	ch.Pipeline().FireChannelRead(WrapInbound(framed.Head.Bytes(), framed.Body), 0)
+	msgs, _ := rec.snapshot()
+	got, ok := msgs[0].(*Frame)
+	if !ok || string(got.Head.Readable()) != "hdr" || &got.Body[0] != &body[0] {
+		t.Fatalf("decoded %#v", msgs[0])
+	}
+
+	// A length field that disagrees with head + body drops the frame.
+	ch.Pipeline().FireChannelRead(WrapInbound(framed.Head.Bytes(), body[:5]), 0)
+	if msgs, _ := rec.snapshot(); decodeErr == nil || len(msgs) != 1 {
+		t.Fatalf("short body: err=%v, %d messages forwarded", decodeErr, len(msgs))
+	}
+}

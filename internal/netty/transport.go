@@ -1,16 +1,20 @@
 package netty
 
 import (
-	"fmt"
-
 	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/vtime"
 )
 
-// wrapInbound converts raw transport bytes into the pipeline's inbound
-// representation: a ByteBuf whose readable bytes are the frame.
-func wrapInbound(data []byte) *bytebuf.Buf { return bytebuf.Wrap(data) }
+// WrapInbound converts the two parts of a received wire message into the
+// pipeline's inbound representation: a ByteBuf over head when there is no
+// body, a Frame otherwise. Nothing is copied.
+func WrapInbound(head, body []byte) any {
+	if body == nil {
+		return bytebuf.Wrap(head)
+	}
+	return &Frame{Head: bytebuf.Wrap(head), Body: body}
+}
 
 // NIOTransport is the default transport: framed messages over the fabric's
 // TCP path, the analogue of Netty's NIO socket transport used by Vanilla
@@ -24,18 +28,11 @@ func NewNIOTransport(conn *fabric.Conn) *NIOTransport {
 	return &NIOTransport{conn: conn}
 }
 
-// WriteMsg ships one frame. It accepts a *bytebuf.Buf or a raw []byte.
+// WriteMsg ships one frame by reference: the bytes of msg must not change
+// once written.
 func (t *NIOTransport) WriteMsg(msg any, vt vtime.Stamp) vtime.Stamp {
-	var data []byte
-	switch m := msg.(type) {
-	case *bytebuf.Buf:
-		data = m.Bytes()
-	case []byte:
-		data = m
-	default:
-		panic(fmt.Sprintf("netty: NIO transport cannot write %T", msg))
-	}
-	free, err := t.conn.Send(data, vt)
+	head, body := Parts(msg)
+	free, err := t.conn.SendGather(head.Readable(), body, vt)
 	if err != nil {
 		return vt
 	}

@@ -66,8 +66,11 @@ func (mr *MemoryRegion) Len() int { return len(mr.buf) }
 type Completion struct {
 	// Op is "send" or "recv".
 	Op string
-	// Data is the received payload for recv completions.
+	// Data is the received payload for recv completions; Body, when
+	// non-nil, is the second part of a PostSendGather that follows it.
+	// Both alias the sender's slices.
 	Data []byte
+	Body []byte
 	// VT is the virtual completion time.
 	VT vtime.Stamp
 }
@@ -174,6 +177,13 @@ func (qp *QueuePair) nodeFailed() bool {
 // in the peer CQ as a recv completion; the local CQ receives a send
 // completion. It returns the time the caller's CPU is free.
 func (qp *QueuePair) PostSend(data []byte, at vtime.Stamp) (vtime.Stamp, error) {
+	return qp.PostSendGather(data, nil, at)
+}
+
+// PostSendGather is PostSend with a two-entry scatter/gather list: head and
+// body travel as one SEND of len(head)+len(body) bytes, neither copied, and
+// surface as Data and Body of the peer's recv completion.
+func (qp *QueuePair) PostSendGather(head, body []byte, at vtime.Stamp) (vtime.Stamp, error) {
 	qp.mu.Lock()
 	closed := qp.closed
 	qp.mu.Unlock()
@@ -186,9 +196,9 @@ func (qp *QueuePair) PostSend(data []byte, at vtime.Stamp) (vtime.Stamp, error) 
 		qp.Close()
 		return at, fmt.Errorf("rdma: post to failed node %s: %w", qp.remote.node.Name(), ErrClosed)
 	}
-	cpuFree, deliver := qp.local.fab.Transfer(qp.local.node, qp.remote.node, fabric.RDMA, len(data), at)
+	cpuFree, deliver := qp.local.fab.Transfer(qp.local.node, qp.remote.node, fabric.RDMA, len(head)+len(body), at)
 	qp.cq.push(Completion{Op: "send", VT: cpuFree})
-	qp.peer.cq.push(Completion{Op: "recv", Data: data, VT: deliver})
+	qp.peer.cq.push(Completion{Op: "recv", Data: head, Body: body, VT: deliver})
 	return cpuFree, nil
 }
 

@@ -153,3 +153,23 @@ func TestManyQPsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestPostSendGather: header and payload travel as one SEND, by reference.
+func TestPostSendGather(t *testing.T) {
+	a, b, f := twoDevices(t)
+	qpA, qpB, ready := ConnectQP(a, b, 0)
+	head, body := []byte("chunk-header"), make([]byte, 64<<10)
+	if _, err := qpA.PostSendGather(head, body, ready); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := qpB.CQ().Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Op != "recv" || &rc.Data[0] != &head[0] || &rc.Body[0] != &body[0] {
+		t.Fatalf("recv completion copied its parts: %d + %d bytes", len(rc.Data), len(rc.Body))
+	}
+	if s := f.Stats(); s.MessagesFor(fabric.RDMA) != 1 || s.BytesFor(fabric.RDMA) != int64(len(head)+len(body)) {
+		t.Fatalf("fabric saw %d messages, %d bytes", s.MessagesFor(fabric.RDMA), s.BytesFor(fabric.RDMA))
+	}
+}

@@ -10,6 +10,7 @@
 package spark
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -192,12 +193,29 @@ func DecodePairs[K, V any](codec PairCodec[K, V], data []byte) ([]Pair[K, V], er
 	if len(data) == 0 {
 		return nil, nil
 	}
+	return appendPairs(codec, make([]Pair[K, V], 0, batchCount(data)), data)
+}
+
+// batchCount returns the record count an encoded batch announces in its
+// first four bytes (0 for an empty or truncated batch).
+func batchCount(data []byte) int {
+	if len(data) < 4 {
+		return 0
+	}
+	return int(binary.BigEndian.Uint32(data))
+}
+
+// appendPairs decodes a record batch produced by EncodePairs onto out, so
+// a reader of many batches can size one slice for all of them.
+func appendPairs[K, V any](codec PairCodec[K, V], out []Pair[K, V], data []byte) ([]Pair[K, V], error) {
+	if len(data) == 0 {
+		return out, nil
+	}
 	buf := bytebuf.Wrap(data)
 	n, err := buf.ReadUint32()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Pair[K, V], 0, n)
 	for i := uint32(0); i < n; i++ {
 		p, err := codec.Decode(buf)
 		if err != nil {

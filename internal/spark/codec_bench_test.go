@@ -74,3 +74,32 @@ func TestEncodePairsPooledFewerAllocs(t *testing.T) {
 		t.Fatal("pooled encoding differs from baseline")
 	}
 }
+
+// TestAppendPairsFillsPresizedSlice pins fetchDecode's single allocation: a
+// slice sized from the batches' announced counts is filled in place, batch
+// after batch, without regrowth.
+func TestAppendPairsFillsPresizedSlice(t *testing.T) {
+	codec := PairCodec[string, []byte]{Key: StringCodec{}, Val: BytesCodec{}}
+	batches := [][]byte{EncodePairs(codec, benchPairs(300)), nil, EncodePairs(codec, benchPairs(700))}
+	n := 0
+	for _, b := range batches {
+		n += batchCount(b)
+	}
+	if n != 1000 {
+		t.Fatalf("batch counts sum to %d", n)
+	}
+	out := make([]Pair[string, []byte], 0, n)
+	base := &out[:1][0]
+	for _, b := range batches {
+		var err error
+		if out, err = appendPairs(codec, out, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(out) != n || cap(out) != n || &out[0] != base {
+		t.Fatalf("decoded %d pairs into cap %d (presized %d), moved=%v", len(out), cap(out), n, &out[0] != base)
+	}
+	if out[300].K != "key-000000" || out[999].K != "key-000699" {
+		t.Fatalf("batches decoded out of order: %q, %q", out[300].K, out[999].K)
+	}
+}

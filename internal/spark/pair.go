@@ -2,6 +2,7 @@ package spark
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,18 +19,38 @@ type ShuffleConf[K, V any] struct {
 // pairs with the partitioner, optionally pre-combine, and serialize each
 // bucket.
 func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine func(tc *TaskContext, bucket []Pair[K, V]) []Pair[K, V]) func(any, *TaskContext) [][]byte {
+	// Encoded bytes per record, learned from the last bucket any task of
+	// this shuffle serialized (last writer wins), so that only the buckets
+	// encoded before the shuffle's first one is done — not the first bucket
+	// of every map task — go into a guessed-size workspace.
+	var learned atomic.Int64
 	return func(data any, tc *TaskContext) [][]byte {
 		pairs := data.([]Pair[K, V])
 		n := p.NumPartitions()
-		buckets := make([][]Pair[K, V], n)
-		for _, pr := range pairs {
+		// Count, then carve: one partitioner call per record, one slice for
+		// all the buckets, each bucket exactly its own size.
+		part := make([]int32, len(pairs))
+		counts := make([]int, n)
+		for j, pr := range pairs {
 			i := p.PartitionFor(pr.K)
+			part[j] = int32(i)
+			counts[i]++
+		}
+		buckets := make([][]Pair[K, V], n)
+		store := make([]Pair[K, V], len(pairs))
+		off := 0
+		for i, c := range counts {
+			buckets[i] = store[off : off : off+c]
+			off += c
+		}
+		for j, pr := range pairs {
+			i := part[j]
 			buckets[i] = append(buckets[i], pr)
 		}
 		tc.ChargeRecords(len(pairs), 0)
 		out := make([][]byte, n)
 		var bytes int
-		perRec := 0 // encoded bytes per record, learned from the previous bucket
+		perRec := int(learned.Load())
 		for i, b := range buckets {
 			if combine != nil {
 				b = combine(tc, b)
@@ -44,6 +65,7 @@ func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine 
 			out[i] = EncodePairsHint(conf.Codec, b, hint)
 			bytes += len(out[i])
 			perRec = len(out[i]) / len(b)
+			learned.Store(int64(perRec))
 		}
 		// Serialization cost for the written shuffle data.
 		tc.Charge(time.Duration(tc.cpu.NsPerByte * float64(bytes)))
@@ -51,26 +73,28 @@ func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine 
 	}
 }
 
-// fetchDecode reads and deserializes all batches for a reduce partition,
-// returning fetched pooled buffers once every batch has been decoded.
+// fetchDecode reads and deserializes all batches for a reduce partition
+// into one slice sized from the batches' record counts, returning fetched
+// pooled buffers once every batch has been decoded.
 func fetchDecode[K, V any](conf ShuffleConf[K, V], dep *ShuffleDep, reduceID int, tc *TaskContext) ([]Pair[K, V], error) {
 	blocks, release, err := tc.FetchShuffle(dep.shuffleID, reduceID)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	var out []Pair[K, V]
-	var bytes int
+	var records, bytes int
 	for _, b := range blocks {
-		if len(b) == 0 {
-			continue
-		}
-		pairs, err := DecodePairs(conf.Codec, b)
-		if err != nil {
+		records += batchCount(b)
+		bytes += len(b)
+	}
+	if records > bytes {
+		records = bytes // a count no batch of this size can hold: let append grow instead
+	}
+	out := make([]Pair[K, V], 0, records)
+	for _, b := range blocks {
+		if out, err = appendPairs(conf.Codec, out, b); err != nil {
 			return nil, err
 		}
-		out = append(out, pairs...)
-		bytes += len(b)
 	}
 	tc.ChargeRecords(len(out), bytes)
 	return out, nil
@@ -98,15 +122,36 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		if err != nil {
 			return nil, err
 		}
-		groups := make(map[K][]V)
-		for _, p := range pairs {
-			groups[p.K] = append(groups[p.K], p.V)
+		// Count, then carve: number the keys in first-appearance order and
+		// count their values, then cut every group out of one value slice,
+		// instead of growing a slice per key.
+		index := make(map[K]int32)
+		group := make([]int32, len(pairs))
+		var sizes []int32
+		for j, p := range pairs {
+			g, ok := index[p.K]
+			if !ok {
+				g = int32(len(sizes))
+				index[p.K] = g
+				sizes = append(sizes, 0)
+			}
+			group[j] = g
+			sizes[g]++
+		}
+		out := make([]Pair[K, []V], len(sizes))
+		vals := make([]V, len(pairs))
+		off := 0
+		for g, n := range sizes {
+			end := off + int(n)
+			out[g].V = vals[off:off:end]
+			off = end
+		}
+		for j, p := range pairs {
+			o := &out[group[j]]
+			o.K = p.K
+			o.V = append(o.V, p.V)
 		}
 		tc.ChargeRecords(len(pairs), 0)
-		out := make([]Pair[K, []V], 0, len(groups))
-		for k, vs := range groups {
-			out = append(out, Pair[K, []V]{K: k, V: vs})
-		}
 		return out, nil
 	})
 	// Split sub-tasks each group their map-range slice; concatenating the

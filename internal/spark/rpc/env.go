@@ -119,6 +119,13 @@ type clientConn struct {
 // Env is a process's RPC environment (Spark's RpcEnv): a netty server, a
 // set of named endpoints, outbound connections, and the block/stream
 // transfer service surface.
+//
+// Bodies cross the wire by reference on every transport, as mpi.Send
+// documents for MPI: a payload handed to Ask, Send, Call.Reply, PushBlock
+// or SendCollective, and a block returned by a registered resolver, must
+// not be modified afterwards — the receiving handler reads (and may keep)
+// that very slice. Likewise a received payload, reply or fetched block is
+// read-only: it may alias memory the sender still serves to others.
 type Env struct {
 	name string
 	node *fabric.Node
@@ -264,7 +271,10 @@ func chanPeers(ch *netty.Channel) (local, remote string) {
 	return
 }
 
-// messageEncoder turns typed Messages into framed byte buffers.
+// messageEncoder turns typed Messages into wire frames: the header fields
+// in a small buffer, the body attached by reference (Spark's
+// MessageWithHeader). The body crosses the wire as the very slice the caller
+// passed in.
 type messageEncoder struct{}
 
 func (h *messageEncoder) Write(ctx *netty.Context, msg any) {
@@ -274,30 +284,38 @@ func (h *messageEncoder) Write(ctx *netty.Context, msg any) {
 		ctx.Write(msg)
 		return
 	}
-	buf := EncodeToBuf(m)
-	ctx.Write(buf)
-	// The write path is synchronous and every transport copies before
-	// returning, so the pooled encode buffer can go straight back.
-	buf.Release()
+	head, body := encodeFrame(m)
+	if body == nil {
+		ctx.Write(head)
+	} else {
+		ctx.Write(&netty.Frame{Head: head, Body: body})
+	}
+	// The frame encoder rewrites the head behind its length field before
+	// the write returns, so the pooled header buffer can go straight back.
+	head.Release()
 }
 
-// messageDecoder parses frame bodies back into typed Messages.
+// messageDecoder parses frames back into typed Messages. A decoded body
+// aliases the frame — the attached body of a two-part frame, else the
+// frame's own bytes — which nothing recycles, so handlers may keep it.
 type messageDecoder struct{}
 
 func (h *messageDecoder) ChannelRead(ctx *netty.Context, msg any) {
-	buf, ok := msg.(*bytebuf.Buf)
-	if !ok {
+	var m Message
+	var err error
+	switch f := msg.(type) {
+	case *bytebuf.Buf:
+		m, err = Decode(f)
+	case *netty.Frame:
+		m, err = DecodeFrame(f.Head, f.Body)
+	default:
 		ctx.FireChannelRead(msg)
 		return
 	}
-	m, err := Decode(buf)
 	if err != nil {
 		return // corrupt frame: drop, as Spark's TransportChannelHandler logs-and-drops
 	}
 	ctx.FireChannelRead(m)
-	// Decode copies everything it keeps, so a pooled frame buffer can be
-	// recycled once dispatch returns (unpooled inbound wraps are a no-op).
-	buf.Release()
 }
 
 // dispatchHandler is the pipeline tail: it routes typed messages to
@@ -655,7 +673,12 @@ func (e *Env) serveNextChunk(b *batchServe) bool {
 
 // batchBlock is the client-side reassembly state of one block in a batch.
 type batchBlock struct {
-	buf   *bytebuf.Buf // pooled; nil until the first chunk lands
+	// data is the block once done. A block that arrives as one chunk is
+	// adopted: data is that chunk's body, by reference, and buf stays nil.
+	// A multi-chunk block is reassembled in buf (pooled; nil until its
+	// first chunk lands).
+	data  []byte
+	buf   *bytebuf.Buf
 	got   uint64
 	total uint64
 	vt    vtime.Stamp
@@ -739,11 +762,16 @@ func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string
 		e.mu.Unlock()
 		return dup
 	} else {
-		if blk.buf == nil {
-			blk.buf = bytebuf.Get(int(m.Total))
-			blk.total = m.Total
+		if m.Offset == 0 && uint64(len(m.Body)) == m.Total {
+			blk.data = m.Body
+		} else {
+			if blk.buf == nil {
+				blk.buf = bytebuf.Get(int(m.Total))
+			}
+			blk.buf.WriteBytes(m.Body)
+			blk.data = blk.buf.Readable()
 		}
-		blk.buf.WriteBytes(m.Body)
+		blk.total = m.Total
 		blk.got += uint64(len(m.Body))
 		blk.vt = vtime.Max(blk.vt, vt)
 		if blk.got >= blk.total {
@@ -763,8 +791,11 @@ func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string
 }
 
 // BatchBlockResult is one block's outcome within a batched fetch: its
-// bytes (carved from the pool), the virtual time its last chunk arrived,
-// or a per-block error.
+// bytes, the virtual time its last chunk arrived, or a per-block error.
+// Data is read-only: a block that arrived as a single chunk is that chunk's
+// body by reference — it aliases the bytes the serving environment's
+// resolver returned — and a multi-chunk block sits in a pooled reassembly
+// buffer until Release.
 type BatchBlockResult struct {
 	Data []byte
 	VT   vtime.Stamp
@@ -772,8 +803,9 @@ type BatchBlockResult struct {
 	buf  *bytebuf.Buf
 }
 
-// Release returns the block's pooled reassembly buffer. Data must not be
-// used afterwards. Safe to call on failed or already-released results.
+// Release returns the block's pooled reassembly buffer, if it has one.
+// Data must not be used afterwards. Safe to call on failed, adopted or
+// already-released results.
 func (r *BatchBlockResult) Release() {
 	if r.buf != nil {
 		b := r.buf
@@ -834,9 +866,8 @@ func (e *Env) FetchBlockBatchRange(peer fabric.Addr, blockIDs []string, chunkByt
 	for i := range b.blocks {
 		blk := &b.blocks[i]
 		r := BatchBlockResult{VT: vtime.Max(blk.vt, at), Err: blk.err}
-		if blk.err == nil && blk.buf != nil {
-			r.Data = blk.buf.Readable()
-			r.buf = blk.buf
+		if blk.err == nil {
+			r.Data, r.buf = blk.data, blk.buf
 		}
 		if r.VT > maxVT {
 			maxVT = r.VT

@@ -84,7 +84,8 @@ func (t MsgType) String() string {
 type Message interface {
 	// Type returns the message's wire tag.
 	Type() MsgType
-	// Encode appends the message (tag included) to buf.
+	// Encode appends the message (tag included) to buf in its contiguous
+	// wire form.
 	Encode(buf *bytebuf.Buf)
 	// WireSize estimates the encoded size in bytes (used for modeling
 	// before encoding).
@@ -109,13 +110,15 @@ func (m *RpcRequest) WireSize() int {
 }
 
 // Encode implements Message.
-func (m *RpcRequest) Encode(buf *bytebuf.Buf) {
+func (m *RpcRequest) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *RpcRequest) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeRpcRequest))
 	buf.WriteInt64(m.ReqID)
 	buf.WriteString(m.Endpoint)
 	buf.WriteString(m.From)
 	buf.WriteUint32(uint32(len(m.Payload)))
-	buf.WriteBytes(m.Payload)
+	return m.Payload
 }
 
 // RpcResponse answers an RpcRequest.
@@ -131,11 +134,13 @@ func (m *RpcResponse) Type() MsgType { return TypeRpcResponse }
 func (m *RpcResponse) WireSize() int { return 1 + 8 + len(m.Payload) }
 
 // Encode implements Message.
-func (m *RpcResponse) Encode(buf *bytebuf.Buf) {
+func (m *RpcResponse) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *RpcResponse) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeRpcResponse))
 	buf.WriteInt64(m.ReqID)
 	buf.WriteUint32(uint32(len(m.Payload)))
-	buf.WriteBytes(m.Payload)
+	return m.Payload
 }
 
 // RpcFailure reports an RPC error back to the caller.
@@ -171,12 +176,14 @@ func (m *OneWayMessage) Type() MsgType { return TypeOneWayMessage }
 func (m *OneWayMessage) WireSize() int { return 1 + 8 + len(m.Endpoint) + len(m.From) + len(m.Payload) }
 
 // Encode implements Message.
-func (m *OneWayMessage) Encode(buf *bytebuf.Buf) {
+func (m *OneWayMessage) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *OneWayMessage) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeOneWayMessage))
 	buf.WriteString(m.Endpoint)
 	buf.WriteString(m.From)
 	buf.WriteUint32(uint32(len(m.Payload)))
-	buf.WriteBytes(m.Payload)
+	return m.Payload
 }
 
 // ChunkFetchRequest asks for one chunk of a stream; Spark identifies it by
@@ -226,19 +233,13 @@ func (m *ChunkFetchSuccess) WireSize() int {
 }
 
 // Encode implements Message.
-func (m *ChunkFetchSuccess) Encode(buf *bytebuf.Buf) {
+func (m *ChunkFetchSuccess) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *ChunkFetchSuccess) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeChunkFetchSuccess))
 	buf.WriteInt64(m.FetchID)
 	buf.WriteString(m.BlockID)
-	if m.BodyViaMPI {
-		buf.WriteByte(1)
-		buf.WriteUint64(uint64(m.BodySize))
-		buf.WriteInt64(int64(m.BodyTag))
-	} else {
-		buf.WriteByte(0)
-		buf.WriteUint64(uint64(len(m.Body)))
-		buf.WriteBytes(m.Body)
-	}
+	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
 }
 
 // FetchBlocksRequest asks the peer's block resolver for a batch of blocks
@@ -317,7 +318,9 @@ func (m *BlockBatchChunk) WireSize() int {
 }
 
 // Encode implements Message.
-func (m *BlockBatchChunk) Encode(buf *bytebuf.Buf) {
+func (m *BlockBatchChunk) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *BlockBatchChunk) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeBlockBatchChunk))
 	buf.WriteInt64(m.BatchID)
 	buf.WriteUint32(m.Index)
@@ -328,15 +331,7 @@ func (m *BlockBatchChunk) Encode(buf *bytebuf.Buf) {
 	}
 	buf.WriteUint64(m.Total)
 	buf.WriteUint64(m.Offset)
-	if m.BodyViaMPI {
-		buf.WriteByte(1)
-		buf.WriteUint64(uint64(m.BodySize))
-		buf.WriteInt64(int64(m.BodyTag))
-	} else {
-		buf.WriteByte(0)
-		buf.WriteUint64(uint64(len(m.Body)))
-		buf.WriteBytes(m.Body)
-	}
+	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
 }
 
 // CollectiveChunk carries one bounded-size piece of one rank's collective
@@ -373,22 +368,16 @@ func (m *CollectiveChunk) WireSize() int {
 }
 
 // Encode implements Message.
-func (m *CollectiveChunk) Encode(buf *bytebuf.Buf) {
+func (m *CollectiveChunk) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *CollectiveChunk) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeCollectiveChunk))
 	buf.WriteInt64(m.OpID)
 	buf.WriteUint32(m.Tag)
 	buf.WriteUint32(m.Src)
 	buf.WriteUint64(m.Total)
 	buf.WriteUint64(m.Offset)
-	if m.BodyViaMPI {
-		buf.WriteByte(1)
-		buf.WriteUint64(uint64(m.BodySize))
-		buf.WriteInt64(int64(m.BodyTag))
-	} else {
-		buf.WriteByte(0)
-		buf.WriteUint64(uint64(len(m.Body)))
-		buf.WriteBytes(m.Body)
-	}
+	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
 }
 
 // PushBlockRequest pushes one committed shuffle block from a map task to
@@ -424,22 +413,16 @@ func (m *PushBlockRequest) WireSize() int {
 }
 
 // Encode implements Message.
-func (m *PushBlockRequest) Encode(buf *bytebuf.Buf) {
+func (m *PushBlockRequest) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *PushBlockRequest) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypePushBlock))
 	buf.WriteInt64(m.PushID)
 	buf.WriteUint32(uint32(m.ShuffleID))
 	buf.WriteUint32(uint32(m.MapID))
 	buf.WriteUint32(uint32(m.ReduceID))
 	buf.WriteUint32(m.Sum)
-	if m.BodyViaMPI {
-		buf.WriteByte(1)
-		buf.WriteUint64(uint64(m.BodySize))
-		buf.WriteInt64(int64(m.BodyTag))
-	} else {
-		buf.WriteByte(0)
-		buf.WriteUint64(uint64(len(m.Body)))
-		buf.WriteBytes(m.Body)
-	}
+	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
 }
 
 // StreamRequest opens a stream (jar/file distribution in Spark).
@@ -481,23 +464,73 @@ func (m *StreamResponse) WireSize() int {
 }
 
 // Encode implements Message.
-func (m *StreamResponse) Encode(buf *bytebuf.Buf) {
+func (m *StreamResponse) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
+
+func (m *StreamResponse) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeStreamResponse))
 	buf.WriteString(m.StreamID)
-	if m.BodyViaMPI {
-		buf.WriteByte(1)
-		buf.WriteUint64(uint64(m.BodySize))
-		buf.WriteInt64(int64(m.BodyTag))
-	} else {
-		buf.WriteByte(0)
-		buf.WriteUint64(uint64(len(m.Body)))
-		buf.WriteBytes(m.Body)
-	}
+	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
 }
 
-// Decode parses one message from buf (which must hold exactly one frame
-// body, tag first).
-func Decode(buf *bytebuf.Buf) (Message, error) {
+// headBody is implemented by the body-carrying messages (Spark's
+// MessageWithHeader): encodeHead appends everything Encode would up to and
+// including the body-length field and returns the body that follows it on
+// the wire (nil when the body travels over MPI), so head ‖ body is the
+// contiguous form byte for byte.
+type headBody interface {
+	encodeHead(buf *bytebuf.Buf) (body []byte)
+}
+
+// encodeBodyHead writes the body descriptor shared by the block-transfer
+// messages: a flag, then either (size, MPI tag) for a body shipped over MPI
+// or the length of the body that follows, which it returns.
+func encodeBodyHead(buf *bytebuf.Buf, body []byte, viaMPI bool, size, tag int) []byte {
+	if viaMPI {
+		buf.WriteByte(1)
+		buf.WriteUint64(uint64(size))
+		buf.WriteInt64(int64(tag))
+		return nil
+	}
+	buf.WriteByte(0)
+	buf.WriteUint64(uint64(len(body)))
+	return body
+}
+
+// Decode parses one message from buf, which holds one contiguous frame
+// (tag first). A decoded body aliases buf: it stays valid for as long as
+// buf's bytes do.
+func Decode(buf *bytebuf.Buf) (Message, error) { return DecodeFrame(buf, nil) }
+
+// DecodeFrame parses one message from a frame in two parts: head holds the
+// header fields and body, when non-nil, is the payload the header's length
+// field announces, attached by reference. The decoded message's body is
+// that very slice — nothing is copied.
+func DecodeFrame(head *bytebuf.Buf, body []byte) (Message, error) {
+	m, err := decode(head, body)
+	if err == nil && body != nil {
+		if _, ok := m.(headBody); !ok {
+			return nil, fmt.Errorf("rpc: %s frame carries a %d-byte body", m.Type(), len(body))
+		}
+	}
+	return m, err
+}
+
+// readBody returns the n-byte body of the message being decoded: the
+// attached slice of a two-part frame (which must be exactly the n bytes the
+// header announced, with nothing left in the head), else the next n bytes
+// of buf, aliased.
+func readBody(buf *bytebuf.Buf, attached []byte, n int) ([]byte, error) {
+	if attached == nil {
+		return buf.ReadSlice(n)
+	}
+	if buf.ReadableBytes() != 0 || len(attached) != n {
+		return nil, fmt.Errorf("rpc: header announces a %d-byte body, frame attaches %d after %d stray head bytes",
+			n, len(attached), buf.ReadableBytes())
+	}
+	return attached, nil
+}
+
+func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 	tb, err := buf.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("rpc: empty frame: %w", err)
@@ -518,7 +551,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		if m.Payload, err = buf.ReadBytes(int(n)); err != nil {
+		if m.Payload, err = readBody(buf, attached, int(n)); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -531,7 +564,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		if m.Payload, err = buf.ReadBytes(int(n)); err != nil {
+		if m.Payload, err = readBody(buf, attached, int(n)); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -556,7 +589,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		if m.Payload, err = buf.ReadBytes(int(n)); err != nil {
+		if m.Payload, err = readBody(buf, attached, int(n)); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -577,7 +610,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if m.BlockID, err = buf.ReadString(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -630,7 +663,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if m.Offset, err = buf.ReadUint64(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -651,7 +684,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if m.Offset, err = buf.ReadUint64(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -676,7 +709,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if m.Sum, err = buf.ReadUint32(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -691,7 +724,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 		if m.StreamID, err = buf.ReadString(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -700,7 +733,7 @@ func Decode(buf *bytebuf.Buf) (Message, error) {
 	}
 }
 
-func decodeBody(buf *bytebuf.Buf, body *[]byte, viaMPI *bool, size *int, tag *int) error {
+func decodeBody(buf *bytebuf.Buf, attached []byte, body *[]byte, viaMPI *bool, size *int, tag *int) error {
 	flag, err := buf.ReadByte()
 	if err != nil {
 		return err
@@ -710,6 +743,9 @@ func decodeBody(buf *bytebuf.Buf, body *[]byte, viaMPI *bool, size *int, tag *in
 		return err
 	}
 	if flag == 1 {
+		if attached != nil {
+			return fmt.Errorf("rpc: body announced over MPI, frame attaches %d bytes", len(attached))
+		}
 		*viaMPI = true
 		*size = int(n)
 		t, err := buf.ReadInt64()
@@ -720,16 +756,29 @@ func decodeBody(buf *bytebuf.Buf, body *[]byte, viaMPI *bool, size *int, tag *in
 		return nil
 	}
 	*size = int(n)
-	*body, err = buf.ReadBytes(int(n))
+	*body, err = readBody(buf, attached, int(n))
 	return err
 }
 
-// EncodeToBuf encodes m into a buffer carved from the default pool. The
-// caller owns the buffer and may Release it once the bytes have been
-// copied onward (the transports copy on write, so the message encoder
-// releases after the write completes).
+// EncodeToBuf encodes m in its contiguous wire form into a buffer carved
+// from the default pool. The caller owns the buffer.
 func EncodeToBuf(m Message) *bytebuf.Buf {
 	buf := bytebuf.Get(m.WireSize())
 	m.Encode(buf)
 	return buf
+}
+
+// encodeFrame encodes m for the wire in two parts: its header in a buffer
+// carved from the default pool, which the caller owns, and its body by
+// reference (nil for a header-only message or an empty body).
+func encodeFrame(m Message) (head *bytebuf.Buf, body []byte) {
+	hb, ok := m.(headBody)
+	if !ok {
+		return EncodeToBuf(m), nil
+	}
+	head = bytebuf.Get(0) // smallest class: headers are tens of bytes, and the buffer grows
+	if body = hb.encodeHead(head); len(body) == 0 {
+		body = nil
+	}
+	return head, body
 }

@@ -1,0 +1,181 @@
+// Buffer-ownership tests for the by-reference data path, on all four
+// transports: what a fetch returns stays valid whatever the server and the
+// buffer pools do afterwards, and the allocation the zero-copy path saves
+// stays saved.
+package shuffle_test
+
+import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"mpi4spark/internal/bytebuf"
+	"mpi4spark/internal/spark/rpc"
+	"mpi4spark/internal/spark/shuffle"
+	"mpi4spark/internal/spark/storage"
+	"mpi4spark/internal/vtime"
+)
+
+// churnPools cycles scribbled buffers through every class of the default
+// pool, so memory a fetched block wrongly shares with the pool is
+// overwritten.
+func churnPools() {
+	for round := 0; round < 4; round++ {
+		var held []*bytebuf.Buf
+		for _, class := range bytebuf.DefaultClasses {
+			for i := 0; i < 8; i++ {
+				b := bytebuf.Get(class)
+				b.WriteBytes(bytes.Repeat([]byte{0xA5}, class))
+				held = append(held, b)
+			}
+		}
+		for _, b := range held {
+			b.Release()
+		}
+	}
+}
+
+// TestFetchedBlocksSurviveChurn fetches blocks that cross the wire as one
+// chunk (adopted by reference) and as several (reassembled in a pooled
+// buffer), then replaces the served block ids in the server's block
+// manager and churns every pool class: until Release, the fetched bytes
+// and their CRC32C must still be those that were written.
+func TestFetchedBlocksSurviveChurn(t *testing.T) {
+	const shuffleID, nMaps = 11, 6
+	shapes := []struct {
+		name      string
+		blockSize int
+	}{
+		{"single-chunk", 48 << 10},
+		{"multi-chunk", 300 << 10}, // 64 KiB rpc chunks below; 128 KiB UCR chunks
+	}
+	forEachTransport(t, func(t *testing.T, transport string) {
+		for _, shape := range shapes {
+			shape := shape
+			t.Run(shape.name, func(t *testing.T) {
+				cl := newConfCluster(t, transport, 2)
+				reducer, server := cl.peers[0], cl.peers[1]
+				reducer.sm.ChunkBytes = 64 << 10
+				rng := rand.New(rand.NewSource(int64(shape.blockSize)))
+				want := make([][]byte, nMaps)
+				statuses := make([]*shuffle.MapStatus, nMaps)
+				for m := range statuses {
+					block := make([]byte, shape.blockSize+m)
+					rng.Read(block)
+					want[m] = append([]byte(nil), block...)
+					statuses[m] = server.sm.WriteMapOutput(shuffleID, m, [][]byte{block}, server.loc)
+				}
+
+				results, _, err := fetchGuarded(t, reducer, shuffleID, 0, statuses, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for m := range statuses {
+					server.bm.Put(storage.ShuffleBlockID(shuffleID, m, 0), bytes.Repeat([]byte{0x5A}, shape.blockSize+m))
+				}
+				churnPools()
+
+				for m, r := range results {
+					if !bytes.Equal(r.Data, want[m]) {
+						t.Fatalf("map %d: fetched bytes changed after the server overwrote the block and the pools churned", m)
+					}
+					if got, sum := shuffle.Checksum(r.Data), statuses[m].Sums[0]; got != sum {
+						t.Fatalf("map %d: CRC32C %08x, written %08x", m, got, sum)
+					}
+				}
+				for _, r := range results {
+					if r.Release != nil {
+						r.Release()
+					}
+				}
+			})
+		}
+	})
+}
+
+// allocPerCall returns the bytes the process allocates per call of fn,
+// measured over 20 calls after 2 warm-ups.
+func allocPerCall(fn func()) float64 {
+	const warm, calls = 2, 20
+	for i := 0; i < warm; i++ {
+		fn()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / calls
+}
+
+// TestFetchAllocationBudget holds the shuffle read path to a quarter of the
+// payload in allocation on every transport: a reducer fetching 8 blocks of
+// 64 KiB from one peer. (Before bodies crossed the wire by reference this
+// was 2.1-2.3x on nio, ucr and mpi-basic.)
+func TestFetchAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	const shuffleID, nMaps, blockSize = 12, 8, 64 << 10
+	forEachTransport(t, func(t *testing.T, transport string) {
+		cl := newConfCluster(t, transport, 2)
+		reducer, server := cl.peers[0], cl.peers[1]
+		statuses := make([]*shuffle.MapStatus, nMaps)
+		for m := range statuses {
+			statuses[m] = server.sm.WriteMapOutput(shuffleID, m, [][]byte{confBlock(m, 0, blockSize)}, server.loc)
+		}
+		var at vtime.Stamp
+		perCall := allocPerCall(func() {
+			results, vt, err := reducer.sm.FetchShuffleParts(shuffleID, 0, statuses, reducer.id, reducer.bts, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range results {
+				if len(r.Data) != blockSize {
+					t.Fatalf("fetched %d bytes of map %d", len(r.Data), r.MapID)
+				}
+				if r.Release != nil {
+					r.Release()
+				}
+			}
+			at = vt
+		})
+		if x := perCall / (nMaps * blockSize); x > 0.25 {
+			t.Fatalf("FetchShuffleParts allocates %.2fx its payload, budget 0.25x", x)
+		}
+	})
+}
+
+// TestAskAllocationBudget holds a 4 MiB Env.Ask echo to one payload's worth
+// of allocation on the three rpc transports (it was 12x; ROADMAP item 2
+// asked for under 3x).
+func TestAskAllocationBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets are measured without the race detector")
+	}
+	const size = 4 << 20
+	for _, transport := range []string{"nio", "mpi-basic", "mpi-opt"} {
+		transport := transport
+		t.Run(transport, func(t *testing.T) {
+			cl := newConfCluster(t, transport, 2)
+			client, server := cl.peers[0].env, cl.peers[1].env
+			if err := server.RegisterEndpoint("echo", func(c *rpc.Call) { c.Reply(c.Payload, c.VT) }); err != nil {
+				t.Fatal(err)
+			}
+			payload := bytes.Repeat([]byte{7}, size)
+			var at vtime.Stamp
+			perCall := allocPerCall(func() {
+				reply, vt, err := client.Ask(server.Addr(), "echo", payload, at)
+				if err != nil || len(reply) != size {
+					t.Fatalf("echo: %d bytes, %v", len(reply), err)
+				}
+				at = vt
+			})
+			if x := perCall / size; x > 1 {
+				t.Fatalf("a 4 MiB Ask echo allocates %.2fx its payload, budget 1x", x)
+			}
+		})
+	}
+}

@@ -32,8 +32,10 @@ type BlockTransferService interface {
 
 // BatchResult is one block's outcome within a batched fetch.
 type BatchResult struct {
-	// Data is the block's bytes. It may alias pooled memory; call Release
-	// once the data has been consumed.
+	// Data is the block's bytes, read-only: it may alias pooled memory
+	// (call Release once the data has been consumed) or, for a block that
+	// crossed the wire as a single chunk, the serving executor's stored
+	// block itself.
 	Data []byte
 	// VT is the virtual time the block's last chunk arrived.
 	VT vtime.Stamp
@@ -83,7 +85,8 @@ func (b *NettyBTS) Fetch(loc Location, blockID storage.BlockID, at vtime.Stamp) 
 
 // FetchBatch implements BlockTransferService via the environment's
 // FetchBlocksRequest/BlockBatchChunk pair — one round-trip, chunked and
-// pipelined reply, pooled reassembly buffers.
+// pipelined reply; single-chunk blocks adopted by reference, multi-chunk
+// blocks reassembled in pooled buffers.
 func (b *NettyBTS) FetchBatch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
 	return b.FetchBatchRange(loc, blockIDs, chunkBytes, 0, 0, at)
 }
@@ -201,8 +204,9 @@ func (b *UCRBTS) FetchBatchRange(loc Location, blockIDs []storage.BlockID, chunk
 		return nil, maxVT, err
 	}
 	out := make([]BatchResult, len(rs))
-	for i, r := range rs {
-		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err}
+	for i := range rs {
+		r := &rs[i]
+		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err, Release: r.Release}
 	}
 	return out, maxVT, nil
 }

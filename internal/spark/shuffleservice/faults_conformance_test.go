@@ -16,6 +16,7 @@ import (
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/spark/shuffle"
 	"mpi4spark/internal/spark/shuffleservice"
+	"mpi4spark/internal/spark/storage"
 	"mpi4spark/internal/vtime"
 )
 
@@ -155,6 +156,51 @@ func TestFaultConformancePartitionHeal(t *testing.T) {
 		}
 		if endVT < window.End {
 			t.Fatalf("fetch completed at %v, inside the partition window (ends %v)", endVT, window.End)
+		}
+	})
+}
+
+// TestFaultConformanceCorruptFetchLeavesStoreIntact fetches across a link
+// that corrupts every served body and duplicates every frame. Bodies cross
+// the wire by reference, so the damage must land on a copy: the fetch
+// fails its integrity checks, the block the service stores is untouched,
+// and once the link heals a refetch returns the stored bytes exactly —
+// for a block served as one chunk (adopted by the reducer as it arrives)
+// and for a multi-chunk one (replayed chunks dropped during reassembly).
+func TestFaultConformanceCorruptFetchLeavesStoreIntact(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, transport string) {
+		for _, size := range []int{2048, 300 << 10} {
+			cl := newSvcCluster(t, transport, 2)
+			src, dst := cl.peers[0], cl.peers[1]
+			const shuffleID, mapID = 4, 0
+			parts := [][]byte{svcBlock(mapID, 0, size)}
+			// Pushed over a clean link; the faults start with the fetch.
+			statuses := []*shuffle.MapStatus{pushMapOutputTo(t, src, dst, shuffleID, mapID, parts)}
+
+			cl.fab.SetFaultPlane(faults.NewPlane(faults.Plan{
+				Seed:  7,
+				Rules: []faults.LinkRule{{CorruptRate: 1, DupRate: 1}},
+			}))
+			snap := metrics.Snapshot()
+			if _, _, err := fetchGuarded(t, src, shuffleID, 0, statuses, 0); err == nil {
+				t.Fatalf("%d-byte block: fetch across an always-corrupting link succeeded", size)
+			}
+			if injected, detected := planeCounters(t, cl).Corrupts, snap.DeltaValue(shuffle.CounterCorruptDetected); injected == 0 || detected != injected {
+				t.Fatalf("%d-byte block: injected %d corruptions, detected %d", size, injected, detected)
+			}
+			stored, ok := dst.svc.BlockManager().Get(storage.ShuffleBlockID(shuffleID, mapID, 0))
+			if !ok || !bytes.Equal(stored, parts[0]) {
+				t.Fatalf("%d-byte block: in-flight corruption reached the service's stored block", size)
+			}
+
+			cl.fab.SetFaultPlane(nil)
+			results, _, err := fetchGuarded(t, src, shuffleID, 0, statuses, 0)
+			if err != nil {
+				t.Fatalf("%d-byte block: refetch over the healed link: %v", size, err)
+			}
+			if !bytes.Equal(results[mapID].Data, stored) {
+				t.Fatalf("%d-byte block: refetch differs from the stored bytes", size)
+			}
 		}
 	})
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/rdma"
 	"mpi4spark/internal/vtime"
@@ -225,8 +226,10 @@ func (s *Server) serve(sc *serverConn) {
 			cost := s.cfg.PerChunkOverhead + time.Duration(s.cfg.EngineNsPerByte*float64(end-off))
 			_, vt = s.engine.Occupy(vt, cost)
 			served += cost
-			payload := append(encodeChunkHeader(total, uint64(off), uint32(end-off)), data[off:end]...)
-			cpuFree, err := sc.qp.PostSend(payload, vt)
+			// Header and chunk go out as one gathered SEND; the chunk is a
+			// window onto the resolver's bytes, never copied.
+			hdr, chunk := encodeChunkHeader(total, uint64(off), uint32(end-off)), data[off:end]
+			cpuFree, err := sc.qp.PostSendGather(hdr, chunk, vt)
 			if err != nil {
 				return
 			}
@@ -237,7 +240,7 @@ func (s *Server) serve(sc *serverConn) {
 			// indistinguishable from the next block's first chunk.
 			if bf != nil && end < len(data) {
 				if bf.DupDeliver(from, to, fmt.Sprintf("%s@%d", blockID, off), vt) {
-					if _, err := sc.qp.PostSend(payload, vt); err != nil {
+					if _, err := sc.qp.PostSendGather(hdr, chunk, vt); err != nil {
 						return
 					}
 				}
@@ -286,55 +289,39 @@ type Client struct {
 }
 
 // FetchBlock retrieves a whole block by id, returning its bytes and the
-// virtual time the final chunk arrived.
+// virtual time the final chunk arrived. It is FetchBlocks of one, except
+// that the caller may keep the returned slice: a block that arrived as one
+// chunk is that chunk by reference (it aliases the bytes the server's
+// resolver returned, so it is read-only), a multi-chunk block is
+// reassembled in a slice allocated once and never pooled.
 func (c *Client) FetchBlock(blockID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.qp.PostSend([]byte(blockID), at); err != nil {
-		return nil, at, err
-	}
-	var out []byte
-	var got uint64
-	vt := at
-	for {
-		comp, err := c.qp.CQ().Wait()
-		if err != nil {
-			return nil, vt, err
-		}
-		if comp.Op != "recv" {
-			continue
-		}
-		total, off, n, err := decodeChunkHeader(comp.Data)
-		if err != nil {
-			return nil, vt, err
-		}
-		if total == ^uint64(0) {
-			return nil, vtime.Max(vt, comp.VT), fmt.Errorf("%w: %s", ErrNotFound, blockID)
-		}
-		if chunkHeaderLen+int(n) > len(comp.Data) || off+uint64(n) > total {
-			return nil, vt, fmt.Errorf("ucr: malformed chunk for %s: off %d + n %d vs total %d, frame %d",
-				blockID, off, n, total, len(comp.Data))
-		}
-		vt = vtime.Max(vt, comp.VT)
-		if off != got {
-			continue // replayed chunk: reassembly appends at got, bytes already folded
-		}
-		if out == nil {
-			out = make([]byte, total)
-		}
-		copy(out[off:], comp.Data[chunkHeaderLen:chunkHeaderLen+int(n)])
-		got += uint64(n)
-		if got >= total {
-			return out, vt, nil
-		}
-	}
+	rs, _, _ := c.fetch([]string{blockID}, at, false)
+	return rs[0].Data, rs[0].VT, rs[0].Err
 }
 
-// BlockResult is one block's outcome within a batched fetch.
+// BlockResult is one block's outcome within a batched fetch. Data is
+// read-only: a single-chunk block is adopted by reference and aliases the
+// bytes the server's resolver returned; a multi-chunk block sits in a
+// pooled reassembly buffer until Release.
 type BlockResult struct {
 	Data []byte
 	VT   vtime.Stamp
 	Err  error
+	buf  *bytebuf.Buf
+}
+
+// Release returns the block's pooled reassembly buffer, if it has one.
+// Data must not be used afterwards. Safe to call on failed, adopted or
+// already-released results.
+func (r *BlockResult) Release() {
+	if r.buf != nil {
+		b := r.buf
+		r.buf = nil
+		r.Data = nil
+		b.Release()
+	}
 }
 
 // FetchBlocks retrieves a batch of blocks over one connection round-trip:
@@ -346,8 +333,18 @@ type BlockResult struct {
 func (c *Client) FetchBlocks(blockIDs []string, at vtime.Stamp) ([]BlockResult, vtime.Stamp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	results := make([]BlockResult, len(blockIDs))
-	maxVT := at
+	results, maxVT, chunks := c.fetch(blockIDs, at, true)
+	metrics.GetCounter("shuffle.fetch.chunks").Add(chunks)
+	return results, maxVT, nil
+}
+
+// fetch posts one request per block id and drains the reply streams in
+// order. It returns the per-block results, the latest arrival time and the
+// number of chunks received. A multi-chunk block is reassembled in a pooled
+// buffer when pooled is set, else in a fresh slice. Caller holds c.mu.
+func (c *Client) fetch(blockIDs []string, at vtime.Stamp, pooled bool) (results []BlockResult, maxVT vtime.Stamp, chunks int64) {
+	results = make([]BlockResult, len(blockIDs))
+	maxVT = at
 	posted := 0
 	for _, id := range blockIDs {
 		if _, err := c.qp.PostSend([]byte(id), at); err != nil {
@@ -361,7 +358,7 @@ func (c *Client) FetchBlocks(blockIDs []string, at vtime.Stamp) ([]BlockResult, 
 		posted++
 	}
 	for i := 0; i < posted; i++ {
-		var out []byte
+		r := &results[i]
 		var got uint64
 		vt := at
 		for {
@@ -372,43 +369,55 @@ func (c *Client) FetchBlocks(blockIDs []string, at vtime.Stamp) ([]BlockResult, 
 				for j := i; j < posted; j++ {
 					results[j] = BlockResult{VT: vt, Err: err}
 				}
-				return results, vtime.Max(maxVT, vt), nil
+				return results, vtime.Max(maxVT, vt), chunks
 			}
 			if comp.Op != "recv" {
 				continue
 			}
-			metrics.GetCounter("shuffle.fetch.chunks").Inc()
+			chunks++
 			total, off, n, err := decodeChunkHeader(comp.Data)
 			if err != nil {
-				results[i] = BlockResult{VT: vt, Err: err}
+				*r = BlockResult{VT: vt, Err: err}
 				break
 			}
 			vt = vtime.Max(vt, comp.VT)
 			if total == ^uint64(0) {
-				results[i] = BlockResult{VT: vt, Err: fmt.Errorf("%w: %s", ErrNotFound, blockIDs[i])}
+				*r = BlockResult{VT: vt, Err: fmt.Errorf("%w: %s", ErrNotFound, blockIDs[i])}
 				break
 			}
-			if chunkHeaderLen+int(n) > len(comp.Data) || off+uint64(n) > total {
-				results[i] = BlockResult{VT: vt, Err: fmt.Errorf("ucr: malformed chunk for %s: off %d + n %d vs total %d, frame %d",
-					blockIDs[i], off, n, total, len(comp.Data))}
+			if int(n) > len(comp.Body) || off+uint64(n) > total {
+				*r = BlockResult{VT: vt, Err: fmt.Errorf("ucr: malformed chunk for %s: off %d + n %d vs total %d, chunk %d",
+					blockIDs[i], off, n, total, len(comp.Body))}
 				break
 			}
 			if off != got {
 				continue // replayed chunk: reassembly appends at got, bytes already folded
 			}
-			if out == nil {
-				out = make([]byte, total)
+			chunk := comp.Body[:n]
+			switch {
+			case off == 0 && uint64(n) == total:
+				r.Data = chunk // the whole block in one chunk: adopt it
+			case pooled:
+				if r.buf == nil {
+					r.buf = bytebuf.Get(int(total))
+				}
+				r.buf.WriteBytes(chunk)
+				r.Data = r.buf.Readable()
+			default:
+				if r.Data == nil {
+					r.Data = make([]byte, 0, total)
+				}
+				r.Data = append(r.Data, chunk...)
 			}
-			copy(out[off:], comp.Data[chunkHeaderLen:chunkHeaderLen+int(n)])
 			got += uint64(n)
 			if got >= total {
-				results[i] = BlockResult{Data: out, VT: vt}
+				r.VT = vt
 				break
 			}
 		}
 		maxVT = vtime.Max(maxVT, vt)
 	}
-	return results, maxVT, nil
+	return results, maxVT, chunks
 }
 
 // Close tears down the client's connection.

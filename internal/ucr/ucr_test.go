@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/rdma"
 )
@@ -162,5 +163,56 @@ func TestConnectAfterClose(t *testing.T) {
 	srv.Close()
 	if _, _, err := srv.Connect(cdev, 0); err == nil {
 		t.Fatal("Connect after Close succeeded")
+	}
+}
+
+// TestFetchOwnership: a block that crosses as one chunk is adopted by
+// reference on both fetch paths; a multi-chunk block is the caller's to keep
+// from FetchBlock (never pooled) and pooled until Release from FetchBlocks.
+func TestFetchOwnership(t *testing.T) {
+	small := bytes.Repeat([]byte{1}, 4<<10)
+	big := bytes.Repeat([]byte{2}, 300<<10) // three 128 KiB chunks
+	c, _ := newServerClient(t, map[string][]byte{"small": small, "big": big}, DefaultConfig())
+	churn := func() {
+		for i := 0; i < 8; i++ {
+			b := bytebuf.Get(len(big))
+			b.WriteBytes(bytes.Repeat([]byte{0xEE}, len(big)))
+			b.Release()
+		}
+	}
+
+	data, _, err := c.FetchBlock("small", 0)
+	if err != nil || &data[0] != &small[0] {
+		t.Fatalf("single-chunk FetchBlock copied the block (err %v)", err)
+	}
+	kept, _, err := c.FetchBlock("big", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn()
+	if !bytes.Equal(kept, big) {
+		t.Fatal("multi-chunk FetchBlock result shares memory with the pool")
+	}
+
+	rs, _, err := c.FetchBlocks([]string{"small", "big", "missing"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rs[0].Data[0] != &small[0] {
+		t.Fatal("single-chunk FetchBlocks result was not adopted")
+	}
+	churn()
+	if !bytes.Equal(rs[1].Data, big) {
+		t.Fatal("multi-chunk FetchBlocks result changed before Release")
+	}
+	if !errors.Is(rs[2].Err, ErrNotFound) {
+		t.Fatalf("missing block: %v", rs[2].Err)
+	}
+	for i := range rs {
+		rs[i].Release()
+		rs[i].Release() // idempotent, and a no-op for adopted and failed blocks
+	}
+	if rs[1].Data != nil || !bytes.Equal(rs[0].Data, small) {
+		t.Fatal("Release must drop pooled data and leave adopted data alone")
 	}
 }
