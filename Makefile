@@ -1,6 +1,6 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet test bench-test bench-smoke race race-ownership bench experiments examples clean
+.PHONY: all build vet test bench-test bench-smoke race race-ownership flake bench experiments examples clean
 
 all: build vet test
 
@@ -18,19 +18,27 @@ test: bench-test
 bench-test:
 	cd bench && go vet ./... && go test ./...
 
-# One short benchmark run; fails unless its last line (the JSON summary)
-# reports every job's output correct.
+# Two short benchmark runs, the clean data path and the faulted one (shuffle
+# service, ranged reads, refetches); each fails unless its last line (the
+# JSON summary) reports every job's output correct.
 bench-smoke:
-	bash bench/run.sh --workload groupby-bulk --seconds 3 --trace 0 > bench_output.txt
-	tail -n 1 bench_output.txt | grep -q '"correct":true'
+	for w in groupby-bulk groupby-faulty; do \
+		bash bench/run.sh --workload $$w --seconds 3 --trace 0 > bench_output.txt && \
+		tail -n 1 bench_output.txt | grep -q '"correct":true' || exit 1; \
+	done
 
 race:
 	go test -race -short ./...
 
 # The buffer-ownership rules of the by-reference data path.
 race-ownership:
-	go test -race -count=2 -run 'TestPool|TestFetchedBlocksSurviveChurn|TestFetchOwnership|TestCollectiveResultsSurviveEarlyRelease|TestFaultConformanceCorruptFetchLeavesStoreIntact|TestWireFormEquivalence|TestFrameCodecTwoPart' \
-		./internal/bytebuf/ ./internal/netty/ ./internal/ucr/ ./internal/collective/ ./internal/spark/rpc/ ./internal/spark/shuffle/ ./internal/spark/shuffleservice/
+	go test -race -count=2 -run 'TestPool|TestFetchedBlocksSurviveChurn|TestFetchOwnership|TestCollectiveResultsSurviveEarlyRelease|TestFaultConformanceCorruptFetchLeavesStoreIntact|TestWireFormEquivalence|TestFrameCodecTwoPart|TestDecodedValues|TestServiceRangedReadsReconcile' \
+		./internal/bytebuf/ ./internal/netty/ ./internal/ucr/ ./internal/collective/ ./internal/spark/rpc/ ./internal/spark/shuffle/ ./internal/spark/shuffleservice/ ./internal/spark/ ./internal/harness/
+
+# Tests that were order-dependent once (the MPI launcher's executor order):
+# thirty consecutive passes each.
+flake:
+	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder' ./internal/streaming/ ./internal/harness/
 
 bench:
 	go test -bench=. -benchmem -benchtime=3x ./... 2>&1 | tee bench_output.txt

@@ -335,10 +335,16 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 				id.Inter = inter
 				observeLaunch(spawnVT)
 
-				// Collect executors and build the SparkContext.
-				execs := make([]*spark.Executor, 0, numExec)
+				// Collect executors and build the SparkContext. They arrive
+				// in goroutine order; placing each at its DPM seat index
+				// makes Executors()[i] exec-i on every run, so round-robin
+				// task placement does not change from launch to launch.
+				execs := make([]*spark.Executor, numExec)
 				for i := 0; i < numExec; i++ {
-					execs = append(execs, <-execCh)
+					e := <-execCh
+					cluster.mu.Lock()
+					execs[cluster.seats[e.ID()].idx] = e
+					cluster.mu.Unlock()
 				}
 				sctx, err := spark.NewContext(cfg.Spark, env, execs)
 				if err != nil {

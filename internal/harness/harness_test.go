@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,6 +34,28 @@ func TestBuildClusterAllBackends(t *testing.T) {
 			t.Fatalf("%v: count = %d, %v", b, n, err)
 		}
 		cl.Close()
+	}
+}
+
+// TestMPIExecutorOrderIsSeatOrder: the MPI launcher's executors come up in
+// goroutine-arrival order, but the context must list them by DPM seat:
+// Executors()[i] is exec-i on worker i on every launch. (Collected in
+// arrival order, [0] was exec-1 on w1 in about half the launches, which
+// moved round-robin placement and any test anchored on Executors()[0].)
+func TestMPIExecutorOrderIsSeatOrder(t *testing.T) {
+	for _, b := range []spark.Backend{spark.BackendMPIBasic, spark.BackendMPIOpt} {
+		for run := 0; run < 20; run++ {
+			cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: 3, Backend: b, SlotsPerWorker: 2})
+			if err != nil {
+				t.Fatalf("%v: %v", b, err)
+			}
+			for i, e := range cl.Ctx.Executors() {
+				if id, node := fmt.Sprintf("exec-%d", i), fmt.Sprintf("w%d", i); e.ID() != id || e.Node().Name() != node {
+					t.Errorf("%v run %d: Executors()[%d] is %s on %s, want %s on %s", b, run, i, e.ID(), e.Node().Name(), id, node)
+				}
+			}
+			cl.Close()
+		}
 	}
 }
 

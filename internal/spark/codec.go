@@ -19,6 +19,12 @@ import (
 )
 
 // Codec serializes values of type T into shuffle blocks and back.
+//
+// An encoded batch is immutable once written. Decode may return a value
+// that aliases the buffer it read from (BytesCodec does): decoded values
+// are read-only and may pin their block, that is, a value kept after the
+// task keeps the whole fetched block it points into reachable (the Go
+// sub-slice rule). A consumer that needs to modify a value copies it first.
 type Codec[T any] interface {
 	Encode(buf *bytebuf.Buf, v T)
 	Decode(buf *bytebuf.Buf) (T, error)
@@ -56,7 +62,8 @@ func (StringCodec) Encode(buf *bytebuf.Buf, v string) { buf.WriteString(v) }
 // Decode implements Codec.
 func (StringCodec) Decode(buf *bytebuf.Buf) (string, error) { return buf.ReadString() }
 
-// BytesCodec encodes byte slices length-prefixed.
+// BytesCodec encodes byte slices length-prefixed. Decode is by reference:
+// decoded values are read-only and may pin their block (see Codec).
 type BytesCodec struct{}
 
 // Encode implements Codec.
@@ -65,13 +72,15 @@ func (BytesCodec) Encode(buf *bytebuf.Buf, v []byte) {
 	buf.WriteBytes(v)
 }
 
-// Decode implements Codec.
+// Decode implements Codec. The value is a sub-slice of buf's bytes whose
+// capacity ends at the value, so an append to it reallocates instead of
+// writing into the next record.
 func (BytesCodec) Decode(buf *bytebuf.Buf) ([]byte, error) {
 	n, err := buf.ReadUint32()
 	if err != nil {
 		return nil, err
 	}
-	return buf.ReadBytes(int(n))
+	return buf.ReadSlice(int(n))
 }
 
 // Float64SliceCodec encodes []float64 (feature vectors in the ML
@@ -188,7 +197,8 @@ func EncodePairsHint[K, V any](codec PairCodec[K, V], pairs []Pair[K, V], hint i
 	return out
 }
 
-// DecodePairs parses a record batch produced by EncodePairs.
+// DecodePairs parses a record batch produced by EncodePairs. data is
+// immutable from here on: the decoded values may alias it (see Codec).
 func DecodePairs[K, V any](codec PairCodec[K, V], data []byte) ([]Pair[K, V], error) {
 	if len(data) == 0 {
 		return nil, nil
@@ -206,7 +216,8 @@ func batchCount(data []byte) int {
 }
 
 // appendPairs decodes a record batch produced by EncodePairs onto out, so
-// a reader of many batches can size one slice for all of them.
+// a reader of many batches can size one slice for all of them. The decoded
+// values may alias data, as with DecodePairs.
 func appendPairs[K, V any](codec PairCodec[K, V], out []Pair[K, V], data []byte) ([]Pair[K, V], error) {
 	if len(data) == 0 {
 		return out, nil

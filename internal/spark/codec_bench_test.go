@@ -1,6 +1,7 @@
 package spark
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -101,5 +102,34 @@ func TestAppendPairsFillsPresizedSlice(t *testing.T) {
 	}
 	if out[300].K != "key-000000" || out[999].K != "key-000699" {
 		t.Fatalf("batches decoded out of order: %q, %q", out[300].K, out[999].K)
+	}
+}
+
+// TestDecodedValuesAliasBatchAppendSafe pins the by-reference decode and its
+// one safety net: a decoded []byte value is a window onto the encoded batch,
+// not a copy, and its capacity ends where it does — so a consumer appending
+// to a value reallocates instead of writing into the next record.
+func TestDecodedValuesAliasBatchAppendSafe(t *testing.T) {
+	codec := PairCodec[int64, []byte]{Key: Int64Codec{}, Val: BytesCodec{}}
+	in := []Pair[int64, []byte]{{K: 1, V: []byte("first")}, {K: 2, V: []byte("second")}, {K: 3, V: nil}}
+	batch := EncodePairs(codec, in)
+	pristine := append([]byte(nil), batch...)
+	out, err := DecodePairs(codec, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := out[0].V
+	if off := bytes.Index(batch, []byte("first")); &v[0] != &batch[off] {
+		t.Fatal("decoded value is a copy, not a window onto the batch")
+	}
+	if cap(v) != len(v) {
+		t.Fatalf("decoded value has capacity %d beyond its %d bytes", cap(v), len(v))
+	}
+	grown := append(v, 0xFF)
+	if !bytes.Equal(batch, pristine) {
+		t.Fatal("append to a decoded value wrote into the batch")
+	}
+	if string(grown[:5]) != "first" || out[1].K != 2 || string(out[1].V) != "second" || len(out[2].V) != 0 {
+		t.Fatalf("records after the appended-to value changed: %+v", out)
 	}
 }

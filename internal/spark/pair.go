@@ -74,14 +74,13 @@ func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine 
 }
 
 // fetchDecode reads and deserializes all batches for a reduce partition
-// into one slice sized from the batches' record counts, returning fetched
-// pooled buffers once every batch has been decoded.
+// into one slice sized from the batches' record counts. The decoded values
+// may alias the fetched blocks (see Codec).
 func fetchDecode[K, V any](conf ShuffleConf[K, V], dep *ShuffleDep, reduceID int, tc *TaskContext) ([]Pair[K, V], error) {
-	blocks, release, err := tc.FetchShuffle(dep.shuffleID, reduceID)
+	blocks, err := tc.FetchShuffle(dep.shuffleID, reduceID)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
 	var records, bytes int
 	for _, b := range blocks {
 		records += batchCount(b)
@@ -111,7 +110,9 @@ func newShuffleStage[K, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V], p Pa
 }
 
 // GroupByKey groups all values sharing a key into one sequence — the OHB
-// GroupBy benchmark's core transformation. K must be comparable.
+// GroupBy benchmark's core transformation. K must be comparable. Decoded
+// values are read-only and may pin their block (see Codec): the groups hold
+// the values as decoded, not copies.
 func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]) *RDD[Pair[K, []V]] {
 	if conf.Parts < 1 {
 		conf.Parts = in.nParts
@@ -158,18 +159,36 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 	// per-key value lists in map-range order rebuilds the full groups with
 	// values in the same per-map order an unsplit task would see.
 	out.partialMerge = func(tc *TaskContext, parts [][]Pair[K, []V]) []Pair[K, []V] {
+		// Count, then carve, as above: size every key's merged group first,
+		// then cut the groups out of one value slice.
 		idx := make(map[K]int)
 		var merged []Pair[K, []V]
-		n := 0
+		var sizes []int
+		n, total := 0, 0
 		for _, sub := range parts {
 			n += len(sub)
 			for _, pr := range sub {
-				if i, ok := idx[pr.K]; ok {
-					merged[i].V = append(merged[i].V, pr.V...)
-				} else {
-					idx[pr.K] = len(merged)
-					merged = append(merged, pr)
+				i, ok := idx[pr.K]
+				if !ok {
+					i = len(merged)
+					idx[pr.K] = i
+					merged = append(merged, Pair[K, []V]{K: pr.K})
+					sizes = append(sizes, 0)
 				}
+				sizes[i] += len(pr.V)
+				total += len(pr.V)
+			}
+		}
+		vals := make([]V, total)
+		off := 0
+		for i, c := range sizes {
+			merged[i].V = vals[off : off : off+c]
+			off += c
+		}
+		for _, sub := range parts {
+			for _, pr := range sub {
+				m := &merged[idx[pr.K]]
+				m.V = append(m.V, pr.V...)
 			}
 		}
 		tc.ChargeRecords(n, 0)
@@ -250,7 +269,8 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 // SortByKey returns an RDD whose partitions are globally ordered: a range
 // partitioner (built from the provided key sample) routes keys, and each
 // reduce partition sorts locally — the OHB SortBy and TeraSort pattern.
-// Use SampleKeys to obtain the sample.
+// Use SampleKeys to obtain the sample. Decoded values are read-only and may
+// pin their block (see Codec): sorting moves the records, never their bytes.
 func SortByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V], sample []K) *RDD[Pair[K, V]] {
 	if conf.Parts < 1 {
 		conf.Parts = in.nParts

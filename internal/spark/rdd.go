@@ -121,15 +121,15 @@ func (tc *TaskContext) BytesShuffled() int64 { return tc.bytesShuffled }
 
 // FetchShuffle retrieves every map output block destined for reduceID in
 // the given shuffle, advancing the task clock to the arrival of the last
-// block. It returns the raw serialized batches in map-id order plus a
-// release function returning any pooled buffers backing them; the caller
-// must invoke it (once) after consuming the data and must not touch the
-// blocks afterwards. release is never nil.
-func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([][]byte, func(), error) {
+// block. It returns the raw serialized batches in map-id order. The blocks
+// are immutable, garbage-collected slices, valid for as long as they are
+// referenced; values decoded from them are read-only and may pin their
+// block (see Codec).
+func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([][]byte, error) {
 	e := tc.exec
 	statuses, vt, err := e.tracker.GetOutputs(shuffleID, tc.vt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tc.Observe(vt)
 	start := tc.vt
@@ -139,13 +139,12 @@ func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([][]byte, func(), 
 	}
 	results, vt2, err := e.sm.FetchShuffleRange(shuffleID, reduceID, statuses, e.id, e.bts, tc.vt, lo, hi)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tc.Observe(vt2)
 	tc.shuffleReadVT = tc.vt
 	tc.shuffleWaitDur += tc.vt - start
 	out := make([][]byte, len(results))
-	var releases []func()
 	for i, r := range results {
 		out[i] = r.Data
 		tc.bytesShuffled += int64(len(r.Data))
@@ -154,16 +153,8 @@ func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([][]byte, func(), 
 		} else {
 			tc.bytesRemote += int64(len(r.Data))
 		}
-		if r.Release != nil {
-			releases = append(releases, r.Release)
-		}
 	}
-	release := func() {
-		for _, f := range releases {
-			f()
-		}
-	}
-	return out, release, nil
+	return out, nil
 }
 
 // Dependency is an edge in the RDD lineage graph.

@@ -674,11 +674,10 @@ func (e *Env) serveNextChunk(b *batchServe) bool {
 // batchBlock is the client-side reassembly state of one block in a batch.
 type batchBlock struct {
 	// data is the block once done. A block that arrives as one chunk is
-	// adopted: data is that chunk's body, by reference, and buf stays nil.
-	// A multi-chunk block is reassembled in buf (pooled; nil until its
-	// first chunk lands).
+	// adopted: data is that chunk's body, by reference. A multi-chunk block
+	// is reassembled in a buffer of exactly Total bytes, allocated when its
+	// first chunk lands (never pooled: the block outlives the fetch).
 	data  []byte
-	buf   *bytebuf.Buf
 	got   uint64
 	total uint64
 	vt    vtime.Stamp
@@ -765,11 +764,10 @@ func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string
 		if m.Offset == 0 && uint64(len(m.Body)) == m.Total {
 			blk.data = m.Body
 		} else {
-			if blk.buf == nil {
-				blk.buf = bytebuf.Get(int(m.Total))
+			if blk.data == nil {
+				blk.data = make([]byte, 0, m.Total)
 			}
-			blk.buf.WriteBytes(m.Body)
-			blk.data = blk.buf.Readable()
+			blk.data = append(blk.data, m.Body...)
 		}
 		blk.total = m.Total
 		blk.got += uint64(len(m.Body))
@@ -792,28 +790,19 @@ func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string
 
 // BatchBlockResult is one block's outcome within a batched fetch: its
 // bytes, the virtual time its last chunk arrived, or a per-block error.
-// Data is read-only: a block that arrived as a single chunk is that chunk's
-// body by reference — it aliases the bytes the serving environment's
-// resolver returned — and a multi-chunk block sits in a pooled reassembly
-// buffer until Release.
+// Data is an immutable garbage-collected slice, valid for as long as it is
+// referenced: a block that arrived as a single chunk is that chunk's body by
+// reference — it aliases the bytes the serving environment's resolver
+// returned — and a multi-chunk block is reassembled once, at its exact size.
 type BatchBlockResult struct {
 	Data []byte
 	VT   vtime.Stamp
 	Err  error
-	buf  *bytebuf.Buf
 }
 
-// Release returns the block's pooled reassembly buffer, if it has one.
-// Data must not be used afterwards. Safe to call on failed, adopted or
-// already-released results.
-func (r *BatchBlockResult) Release() {
-	if r.buf != nil {
-		b := r.buf
-		r.buf = nil
-		r.Data = nil
-		b.Release()
-	}
-}
+// Release does nothing; it exists for bench/ and a later benchmark PR may
+// drop it.
+func (BatchBlockResult) Release() {}
 
 // FetchBlockBatch fetches a batch of blocks from the peer's resolver in
 // one round-trip using the FetchBlocksRequest/BlockBatchChunk pair. It
@@ -867,7 +856,7 @@ func (e *Env) FetchBlockBatchRange(peer fabric.Addr, blockIDs []string, chunkByt
 		blk := &b.blocks[i]
 		r := BatchBlockResult{VT: vtime.Max(blk.vt, at), Err: blk.err}
 		if blk.err == nil {
-			r.Data, r.buf = blk.data, blk.buf
+			r.Data = blk.data
 		}
 		if r.VT > maxVT {
 			maxVT = r.VT

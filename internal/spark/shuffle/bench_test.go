@@ -25,14 +25,8 @@ func BenchmarkShuffleFetchBatched(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, _, err := reducer.sm.FetchShuffleParts(shuffleID, 0, statuses, reducer.id, reducer.bts, 0)
-				if err != nil {
+				if _, _, err := reducer.sm.FetchShuffleParts(shuffleID, 0, statuses, reducer.id, reducer.bts, 0); err != nil {
 					b.Fatal(err)
-				}
-				for _, r := range results {
-					if r.Release != nil {
-						r.Release()
-					}
 				}
 			}
 		})

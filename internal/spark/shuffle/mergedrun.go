@@ -79,7 +79,8 @@ type MergedEntry struct {
 // EncodeMergedRun frames a locality-sorted merged run: an entry count
 // followed by (mapID, sum, length, bytes) quads in the order given. The
 // service sorts entries by map id before encoding so reducers consume one
-// sequential run instead of per-map random reads.
+// sequential run instead of per-map random reads. The run is allocated
+// once, at its exact size.
 func EncodeMergedRun(entries []MergedEntry) []byte {
 	n := 4
 	for _, e := range entries {
@@ -93,11 +94,12 @@ func EncodeMergedRun(entries []MergedEntry) []byte {
 		buf.WriteUint64(uint64(len(e.Data)))
 		buf.WriteBytes(e.Data)
 	}
-	return buf.Bytes()
+	return buf.Readable() // exactly n bytes were written: the buffer never grew
 }
 
-// DecodeMergedRun parses a merged-run frame. Entry data is copied out of
-// the frame, so the caller may release pooled backing memory immediately.
+// DecodeMergedRun parses a merged-run frame. Entry data aliases the frame
+// (each entry cap-limited to itself): the frame is immutable from here on
+// and an entry kept by the caller pins it.
 func DecodeMergedRun(data []byte) ([]MergedEntry, error) {
 	buf := bytebuf.Wrap(data)
 	count, err := buf.ReadUint32()
@@ -124,7 +126,7 @@ func DecodeMergedRun(data []byte) ([]MergedEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.Data, err = buf.ReadBytes(int(n)); err != nil {
+		if e.Data, err = buf.ReadSlice(int(n)); err != nil {
 			return nil, err
 		}
 		entries = append(entries, e)

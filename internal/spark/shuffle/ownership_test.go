@@ -37,10 +37,11 @@ func churnPools() {
 }
 
 // TestFetchedBlocksSurviveChurn fetches blocks that cross the wire as one
-// chunk (adopted by reference) and as several (reassembled in a pooled
-// buffer), then replaces the served block ids in the server's block
-// manager and churns every pool class: until Release, the fetched bytes
-// and their CRC32C must still be those that were written.
+// chunk (adopted by reference) and as several (reassembled in an exact-size
+// buffer that never came from a pool), then replaces the served block ids in
+// the server's block manager, collects garbage and churns every pool class:
+// there is nothing to release, so for as long as a fetched block is
+// referenced its bytes and their CRC32C must be those that were written.
 func TestFetchedBlocksSurviveChurn(t *testing.T) {
 	const shuffleID, nMaps = 11, 6
 	shapes := []struct {
@@ -74,19 +75,18 @@ func TestFetchedBlocksSurviveChurn(t *testing.T) {
 				for m := range statuses {
 					server.bm.Put(storage.ShuffleBlockID(shuffleID, m, 0), bytes.Repeat([]byte{0x5A}, shape.blockSize+m))
 				}
+				runtime.GC()
 				churnPools()
 
 				for m, r := range results {
+					if r.Release != nil {
+						t.Fatalf("map %d: fetched block carries a release function", m)
+					}
 					if !bytes.Equal(r.Data, want[m]) {
 						t.Fatalf("map %d: fetched bytes changed after the server overwrote the block and the pools churned", m)
 					}
 					if got, sum := shuffle.Checksum(r.Data), statuses[m].Sums[0]; got != sum {
 						t.Fatalf("map %d: CRC32C %08x, written %08x", m, got, sum)
-					}
-				}
-				for _, r := range results {
-					if r.Release != nil {
-						r.Release()
 					}
 				}
 			})
@@ -110,40 +110,52 @@ func allocPerCall(fn func()) float64 {
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / calls
 }
 
-// TestFetchAllocationBudget holds the shuffle read path to a quarter of the
-// payload in allocation on every transport: a reducer fetching 8 blocks of
-// 64 KiB from one peer. (Before bodies crossed the wire by reference this
-// was 2.1-2.3x on nio, ucr and mpi-basic.)
+// TestFetchAllocationBudget holds the shuffle read path, a reducer fetching
+// 8 blocks from one peer, to a quarter of the payload in allocation on every
+// transport for blocks that cross as one chunk (adopted), and to that plus
+// one exact-size reassembly buffer per block for multi-chunk blocks.
+// (Before bodies crossed the wire by reference the single-chunk case was
+// 2.1-2.3x on nio, ucr and mpi-basic; a pooled reassembly buffer rounds a
+// 300 KiB block up to the 1 MiB class whenever the pool misses.)
 func TestFetchAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
-	const shuffleID, nMaps, blockSize = 12, 8, 64 << 10
+	const shuffleID, nMaps = 12, 8
+	shapes := []struct {
+		name       string
+		blockSize  int
+		chunkBytes int // rpc reply chunk; UCR always chunks at 128 KiB
+		budget     float64
+	}{
+		{"single-chunk", 64 << 10, shuffle.DefaultChunkBytes, 0.25},
+		{"multi-chunk", 300 << 10, 64 << 10, 1.1},
+	}
 	forEachTransport(t, func(t *testing.T, transport string) {
-		cl := newConfCluster(t, transport, 2)
-		reducer, server := cl.peers[0], cl.peers[1]
-		statuses := make([]*shuffle.MapStatus, nMaps)
-		for m := range statuses {
-			statuses[m] = server.sm.WriteMapOutput(shuffleID, m, [][]byte{confBlock(m, 0, blockSize)}, server.loc)
-		}
-		var at vtime.Stamp
-		perCall := allocPerCall(func() {
-			results, vt, err := reducer.sm.FetchShuffleParts(shuffleID, 0, statuses, reducer.id, reducer.bts, at)
-			if err != nil {
-				t.Fatal(err)
+		for _, shape := range shapes {
+			cl := newConfCluster(t, transport, 2)
+			reducer, server := cl.peers[0], cl.peers[1]
+			reducer.sm.ChunkBytes = shape.chunkBytes
+			statuses := make([]*shuffle.MapStatus, nMaps)
+			for m := range statuses {
+				statuses[m] = server.sm.WriteMapOutput(shuffleID, m, [][]byte{confBlock(m, 0, shape.blockSize)}, server.loc)
 			}
-			for _, r := range results {
-				if len(r.Data) != blockSize {
-					t.Fatalf("fetched %d bytes of map %d", len(r.Data), r.MapID)
+			var at vtime.Stamp
+			perCall := allocPerCall(func() {
+				results, vt, err := reducer.sm.FetchShuffleParts(shuffleID, 0, statuses, reducer.id, reducer.bts, at)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if r.Release != nil {
-					r.Release()
+				for _, r := range results {
+					if len(r.Data) != shape.blockSize {
+						t.Fatalf("fetched %d bytes of map %d", len(r.Data), r.MapID)
+					}
 				}
+				at = vt
+			})
+			if x := perCall / float64(nMaps*shape.blockSize); x > shape.budget {
+				t.Fatalf("%s: FetchShuffleParts allocates %.2fx its payload, budget %.2fx", shape.name, x, shape.budget)
 			}
-			at = vt
-		})
-		if x := perCall / (nMaps * blockSize); x > 0.25 {
-			t.Fatalf("FetchShuffleParts allocates %.2fx its payload, budget 0.25x", x)
 		}
 	})
 }

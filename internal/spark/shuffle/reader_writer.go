@@ -105,8 +105,9 @@ type FetchResult struct {
 	// shuffle.fetch.bytes_{local,remote} counter split so per-task byte
 	// accounting matches the counters exactly.
 	Local bool
-	// Release returns pooled memory backing Data (nil when the block is
-	// local or its transport does not pool). Data must not be used after.
+	// Release is always nil: Data is an immutable garbage-collected slice,
+	// valid for as long as it is referenced. The field exists for bench/,
+	// which nil-checks it; a later benchmark PR may drop it.
 	Release func()
 }
 
@@ -361,25 +362,16 @@ func (m *Manager) fetchBatch(
 		if r.Err == nil {
 			if verr := m.verifyBlock(shuffleID, reduceID, blk, r.Data, r.VT); verr != nil {
 				metrics.GetCounter(CounterIntegrityRefetches).Inc()
-				if r.Release != nil {
-					r.Release()
-				}
 				r = BatchResult{VT: r.VT, Err: verr}
 			}
 		}
 		if abortedNow() {
-			if r.Err == nil && r.Release != nil {
-				r.Release()
-			}
 			return
 		}
 		if r.Err == nil && m.Retry.FetchDeadline > 0 && r.VT > at.Add(m.Retry.FetchDeadline) {
 			// The block arrived past the attempt's budget: the real
 			// fetcher would have timed the request out and retried.
 			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-			if r.Release != nil {
-				r.Release()
-			}
 			r = BatchResult{
 				VT:  at.Add(m.Retry.FetchDeadline),
 				Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.blockID, blk.loc.ExecID, m.Retry.FetchDeadline),
@@ -389,7 +381,7 @@ func (m *Manager) fetchBatch(
 			m.breakerSuccess(blk.loc.ExecID)
 			observe(r.VT)
 			metrics.GetCounter("shuffle.fetch.bytes_remote").Add(int64(len(r.Data)))
-			results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data, Release: r.Release}
+			results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data}
 			continue
 		}
 		// Per-block fallback: the batch attempt counts as attempt zero, so
@@ -469,24 +461,14 @@ func (m *Manager) fetchMergedRun(
 	}
 	r := rs[0]
 	if r.Err != nil {
-		if r.Release != nil {
-			r.Release()
-		}
 		return false
 	}
 	if m.Retry.FetchDeadline > 0 && r.VT > at.Add(m.Retry.FetchDeadline) {
 		metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-		if r.Release != nil {
-			r.Release()
-		}
 		return false
 	}
+	// The entries alias the fetched run, which the results below keep alive.
 	entries, derr := DecodeMergedRun(r.Data)
-	// DecodeMergedRun copies entry bytes out of the frame, so pooled
-	// backing memory goes back before the results are consumed.
-	if r.Release != nil {
-		r.Release()
-	}
 	// With write-time sums for the whole group, every anomaly in a landed
 	// run — a frame that no longer decodes, a requested map id that went
 	// missing (a flipped id field), a sum header or payload that disagrees

@@ -32,17 +32,14 @@ type BlockTransferService interface {
 
 // BatchResult is one block's outcome within a batched fetch.
 type BatchResult struct {
-	// Data is the block's bytes, read-only: it may alias pooled memory
-	// (call Release once the data has been consumed) or, for a block that
-	// crossed the wire as a single chunk, the serving executor's stored
-	// block itself.
+	// Data is the block's bytes, an immutable garbage-collected slice valid
+	// for as long as it is referenced. A block that crossed the wire as a
+	// single chunk may be the serving executor's stored block itself.
 	Data []byte
 	// VT is the virtual time the block's last chunk arrived.
 	VT vtime.Stamp
 	// Err is the block's failure, if any.
 	Err error
-	// Release returns pooled memory backing Data (nil when unpooled).
-	Release func()
 }
 
 // RangeFetcher is the optional BlockTransferService extension for ranged
@@ -86,7 +83,7 @@ func (b *NettyBTS) Fetch(loc Location, blockID storage.BlockID, at vtime.Stamp) 
 // FetchBatch implements BlockTransferService via the environment's
 // FetchBlocksRequest/BlockBatchChunk pair — one round-trip, chunked and
 // pipelined reply; single-chunk blocks adopted by reference, multi-chunk
-// blocks reassembled in pooled buffers.
+// blocks reassembled in exact-size buffers.
 func (b *NettyBTS) FetchBatch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
 	return b.FetchBatchRange(loc, blockIDs, chunkBytes, 0, 0, at)
 }
@@ -104,9 +101,8 @@ func (b *NettyBTS) FetchBatchRange(loc Location, blockIDs []storage.BlockID, chu
 		return nil, vt, err
 	}
 	out := make([]BatchResult, len(rs))
-	for i := range rs {
-		r := &rs[i]
-		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err, Release: r.Release}
+	for i, r := range rs {
+		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err}
 	}
 	return out, vt, nil
 }
@@ -204,9 +200,8 @@ func (b *UCRBTS) FetchBatchRange(loc Location, blockIDs []storage.BlockID, chunk
 		return nil, maxVT, err
 	}
 	out := make([]BatchResult, len(rs))
-	for i := range rs {
-		r := &rs[i]
-		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err, Release: r.Release}
+	for i, r := range rs {
+		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err}
 	}
 	return out, maxVT, nil
 }

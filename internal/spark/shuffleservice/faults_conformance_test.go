@@ -14,6 +14,7 @@ import (
 
 	"mpi4spark/internal/faults"
 	"mpi4spark/internal/metrics"
+	"mpi4spark/internal/spark"
 	"mpi4spark/internal/spark/shuffle"
 	"mpi4spark/internal/spark/shuffleservice"
 	"mpi4spark/internal/spark/storage"
@@ -167,13 +168,21 @@ func TestFaultConformancePartitionHeal(t *testing.T) {
 // and once the link heals a refetch returns the stored bytes exactly —
 // for a block served as one chunk (adopted by the reducer as it arrives)
 // and for a multi-chunk one (replayed chunks dropped during reassembly).
+// The block is a record batch: the values decoded, by reference, from the
+// refetched block must be bit-identical to those of a clean decode.
 func TestFaultConformanceCorruptFetchLeavesStoreIntact(t *testing.T) {
+	codec := spark.PairCodec[int64, []byte]{Key: spark.Int64Codec{}, Val: spark.BytesCodec{}}
 	forEachTransport(t, func(t *testing.T, transport string) {
 		for _, size := range []int{2048, 300 << 10} {
 			cl := newSvcCluster(t, transport, 2)
 			src, dst := cl.peers[0], cl.peers[1]
+			src.sm.ChunkBytes = 64 << 10 // the large block is multi-chunk on every transport
 			const shuffleID, mapID = 4, 0
-			parts := [][]byte{svcBlock(mapID, 0, size)}
+			pairs := make([]spark.Pair[int64, []byte], 16)
+			for i := range pairs {
+				pairs[i] = spark.Pair[int64, []byte]{K: int64(i), V: svcBlock(mapID, i, size/len(pairs))}
+			}
+			parts := [][]byte{spark.EncodePairs(codec, pairs)}
 			// Pushed over a clean link; the faults start with the fetch.
 			statuses := []*shuffle.MapStatus{pushMapOutputTo(t, src, dst, shuffleID, mapID, parts)}
 
@@ -200,6 +209,15 @@ func TestFaultConformanceCorruptFetchLeavesStoreIntact(t *testing.T) {
 			}
 			if !bytes.Equal(results[mapID].Data, stored) {
 				t.Fatalf("%d-byte block: refetch differs from the stored bytes", size)
+			}
+			got, err := spark.DecodePairs(codec, results[mapID].Data)
+			if err != nil || len(got) != len(pairs) {
+				t.Fatalf("%d-byte block: refetch decodes to %d records, %v", size, len(got), err)
+			}
+			for i, p := range got {
+				if p.K != pairs[i].K || !bytes.Equal(p.V, pairs[i].V) {
+					t.Fatalf("%d-byte block: record %d decoded from the refetch differs from the one written", size, i)
+				}
 			}
 		}
 	})

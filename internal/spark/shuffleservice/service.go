@@ -9,6 +9,7 @@ package shuffleservice
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,10 +57,27 @@ type mergeKey struct {
 type mergeState struct {
 	entries map[int][]byte // mapID -> block bytes
 	sums    map[int]uint32 // mapID -> ingest-verified CRC32C
-	run     []byte         // cached encoded run; nil until first merge
-	payload int            // payload bytes inside run
-	counted int            // payload bytes already counted as merged
-	dirty   bool           // a push landed since run was built
+	run     []byte         // cached encoded full run; nil until a whole-partition read and after every push
+	pushed  int            // payload bytes pushed (the payload of a full run)
+	counted int            // of those, already counted as merged
+}
+
+// slice returns the pushed blocks with map ids in [mapLo, mapHi) as run
+// entries in map-id order, and their payload bytes. Caller holds s.mu.
+func (ms *mergeState) slice(mapLo, mapHi int) (entries []shuffle.MergedEntry, payload int) {
+	mapIDs := make([]int, 0, len(ms.entries))
+	for id := range ms.entries {
+		if id >= mapLo && id < mapHi {
+			mapIDs = append(mapIDs, id)
+		}
+	}
+	sort.Ints(mapIDs)
+	entries = make([]shuffle.MergedEntry, len(mapIDs))
+	for i, id := range mapIDs {
+		entries[i] = shuffle.MergedEntry{MapID: id, Sum: ms.sums[id], Data: ms.entries[id]}
+		payload += len(ms.entries[id])
+	}
+	return entries, payload
 }
 
 // Service is one worker node's external shuffle service: a block store fed
@@ -172,7 +190,8 @@ func (s *Service) Push(shuffleID, mapID, reduceID int, body []byte, sum uint32, 
 	}
 	ms.entries[mapID] = body
 	ms.sums[mapID] = sum
-	ms.dirty = true
+	ms.pushed += len(body)
+	ms.run = nil
 	s.mu.Unlock()
 	metrics.GetCounter(CounterPushedBytes).Add(int64(len(body)))
 	s.bus.Load().Emit(obs.Event{
@@ -231,40 +250,24 @@ func (s *Service) Resolve(blockID string) ([]byte, bool) {
 	return data, true
 }
 
-// mergedRun returns the encoded merged run for one reduce partition,
-// (re)building it if pushes landed since the last build. The returned
-// payload is the sum of entry bytes inside the run (frame overhead
-// excluded), which is what the serve counter accounts.
-func (s *Service) mergedRun(shuffleID, reduceID int) (run []byte, payload int, ok bool) {
-	key := mergeKey{shuffle: shuffleID, reduce: reduceID}
+// readMerged is what every merged read of one reduce partition shares:
+// under the lock, encode picks the bytes to serve and their payload (the
+// sum of entry bytes, frame overhead excluded, which is what the serve
+// counter accounts); then the bytes pushed since the partition's last read
+// are counted as merged. Merge accounting is thus a delta of pushed bytes,
+// independent of which runs get encoded: it happens exactly once per
+// pushed byte no matter how many full or ranged reads follow, so
+// merged_bytes reconciles with pushed_bytes instead of multiplying.
+func (s *Service) readMerged(shuffleID, reduceID int, encode func(*mergeState) ([]byte, int)) (run []byte, payload int, ok bool) {
 	s.mu.Lock()
-	ms := s.merges[key]
+	ms := s.merges[mergeKey{shuffle: shuffleID, reduce: reduceID}]
 	if ms == nil || len(ms.entries) == 0 {
 		s.mu.Unlock()
 		return nil, 0, false
 	}
-	var delta int
-	if ms.dirty || ms.run == nil {
-		mapIDs := make([]int, 0, len(ms.entries))
-		for id := range ms.entries {
-			mapIDs = append(mapIDs, id)
-		}
-		sort.Ints(mapIDs)
-		entries := make([]shuffle.MergedEntry, len(mapIDs))
-		total := 0
-		for i, id := range mapIDs {
-			entries[i] = shuffle.MergedEntry{MapID: id, Sum: ms.sums[id], Data: ms.entries[id]}
-			total += len(ms.entries[id])
-		}
-		ms.run = shuffle.EncodeMergedRun(entries)
-		ms.payload = total
-		// Re-merges after late pushes count only newly folded bytes, so
-		// merged_bytes reconciles with pushed_bytes instead of multiplying.
-		delta = total - ms.counted
-		ms.counted = total
-		ms.dirty = false
-	}
-	run, payload = ms.run, ms.payload
+	run, payload = encode(ms)
+	delta := ms.pushed - ms.counted
+	ms.counted = ms.pushed
 	s.mu.Unlock()
 	if delta > 0 {
 		metrics.GetCounter(CounterMergedBytes).Add(int64(delta))
@@ -277,36 +280,28 @@ func (s *Service) mergedRun(shuffleID, reduceID int) (run []byte, payload int, o
 	return run, payload, true
 }
 
-// rangedRun encodes the [mapLo, mapHi) slice of one reduce partition's
-// merged run. The full run is built (or refreshed) first so merged-byte
-// accounting happens exactly once no matter how many ranged slices are
-// served from it; the slice itself is encoded on demand and never cached —
-// split fan-out makes each range typically fetched once.
-func (s *Service) rangedRun(shuffleID, reduceID, mapLo, mapHi int) (run []byte, payload int, ok bool) {
-	if _, _, ok := s.mergedRun(shuffleID, reduceID); !ok {
-		return nil, 0, false
-	}
-	key := mergeKey{shuffle: shuffleID, reduce: reduceID}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ms := s.merges[key]
-	if ms == nil {
-		return nil, 0, false
-	}
-	mapIDs := make([]int, 0, len(ms.entries))
-	for id := range ms.entries {
-		if id >= mapLo && id < mapHi {
-			mapIDs = append(mapIDs, id)
+// mergedRun returns the encoded merged run for one reduce partition,
+// (re)building it if pushes landed since the last build.
+func (s *Service) mergedRun(shuffleID, reduceID int) (run []byte, payload int, ok bool) {
+	return s.readMerged(shuffleID, reduceID, func(ms *mergeState) ([]byte, int) {
+		if ms.run == nil {
+			entries, _ := ms.slice(0, math.MaxInt)
+			ms.run = shuffle.EncodeMergedRun(entries)
 		}
-	}
-	sort.Ints(mapIDs)
-	entries := make([]shuffle.MergedEntry, len(mapIDs))
-	total := 0
-	for i, id := range mapIDs {
-		entries[i] = shuffle.MergedEntry{MapID: id, Sum: ms.sums[id], Data: ms.entries[id]}
-		total += len(ms.entries[id])
-	}
-	return shuffle.EncodeMergedRun(entries), total, true
+		return ms.run, ms.pushed
+	})
+}
+
+// rangedRun encodes the [mapLo, mapHi) slice of one reduce partition's
+// merged run. The slice is encoded on demand and never cached — split
+// fan-out makes each range typically fetched once — and the full run is
+// not built for it: a partition only ever read in ranges never
+// materializes one.
+func (s *Service) rangedRun(shuffleID, reduceID, mapLo, mapHi int) (run []byte, payload int, ok bool) {
+	return s.readMerged(shuffleID, reduceID, func(ms *mergeState) ([]byte, int) {
+		entries, payload := ms.slice(mapLo, mapHi)
+		return shuffle.EncodeMergedRun(entries), payload
+	})
 }
 
 // RemoveShuffle evicts a completed shuffle's pushed blocks and merged runs.

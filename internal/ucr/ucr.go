@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/rdma"
 	"mpi4spark/internal/vtime"
@@ -289,39 +288,25 @@ type Client struct {
 }
 
 // FetchBlock retrieves a whole block by id, returning its bytes and the
-// virtual time the final chunk arrived. It is FetchBlocks of one, except
-// that the caller may keep the returned slice: a block that arrived as one
-// chunk is that chunk by reference (it aliases the bytes the server's
-// resolver returned, so it is read-only), a multi-chunk block is
-// reassembled in a slice allocated once and never pooled.
+// virtual time the final chunk arrived. It is FetchBlocks of one (without
+// the chunk counter); the caller may keep the returned slice (see
+// BlockResult).
 func (c *Client) FetchBlock(blockID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs, _, _ := c.fetch([]string{blockID}, at, false)
+	rs, _, _ := c.fetch([]string{blockID}, at)
 	return rs[0].Data, rs[0].VT, rs[0].Err
 }
 
-// BlockResult is one block's outcome within a batched fetch. Data is
-// read-only: a single-chunk block is adopted by reference and aliases the
-// bytes the server's resolver returned; a multi-chunk block sits in a
-// pooled reassembly buffer until Release.
+// BlockResult is one block's outcome within a batched fetch. Data is an
+// immutable garbage-collected slice, valid for as long as it is referenced:
+// a single-chunk block is adopted by reference and aliases the bytes the
+// server's resolver returned; a multi-chunk block is reassembled once, in a
+// slice of exactly its size.
 type BlockResult struct {
 	Data []byte
 	VT   vtime.Stamp
 	Err  error
-	buf  *bytebuf.Buf
-}
-
-// Release returns the block's pooled reassembly buffer, if it has one.
-// Data must not be used afterwards. Safe to call on failed, adopted or
-// already-released results.
-func (r *BlockResult) Release() {
-	if r.buf != nil {
-		b := r.buf
-		r.buf = nil
-		r.Data = nil
-		b.Release()
-	}
 }
 
 // FetchBlocks retrieves a batch of blocks over one connection round-trip:
@@ -333,16 +318,15 @@ func (r *BlockResult) Release() {
 func (c *Client) FetchBlocks(blockIDs []string, at vtime.Stamp) ([]BlockResult, vtime.Stamp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	results, maxVT, chunks := c.fetch(blockIDs, at, true)
+	results, maxVT, chunks := c.fetch(blockIDs, at)
 	metrics.GetCounter("shuffle.fetch.chunks").Add(chunks)
 	return results, maxVT, nil
 }
 
 // fetch posts one request per block id and drains the reply streams in
 // order. It returns the per-block results, the latest arrival time and the
-// number of chunks received. A multi-chunk block is reassembled in a pooled
-// buffer when pooled is set, else in a fresh slice. Caller holds c.mu.
-func (c *Client) fetch(blockIDs []string, at vtime.Stamp, pooled bool) (results []BlockResult, maxVT vtime.Stamp, chunks int64) {
+// number of chunks received. Caller holds c.mu.
+func (c *Client) fetch(blockIDs []string, at vtime.Stamp) (results []BlockResult, maxVT vtime.Stamp, chunks int64) {
 	results = make([]BlockResult, len(blockIDs))
 	maxVT = at
 	posted := 0
@@ -394,16 +378,9 @@ func (c *Client) fetch(blockIDs []string, at vtime.Stamp, pooled bool) (results 
 				continue // replayed chunk: reassembly appends at got, bytes already folded
 			}
 			chunk := comp.Body[:n]
-			switch {
-			case off == 0 && uint64(n) == total:
+			if off == 0 && uint64(n) == total {
 				r.Data = chunk // the whole block in one chunk: adopt it
-			case pooled:
-				if r.buf == nil {
-					r.buf = bytebuf.Get(int(total))
-				}
-				r.buf.WriteBytes(chunk)
-				r.Data = r.buf.Readable()
-			default:
+			} else {
 				if r.Data == nil {
 					r.Data = make([]byte, 0, total)
 				}

@@ -16,6 +16,7 @@ package vtime
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,12 +134,16 @@ func (r *Resource) Occupy(ready Stamp, d time.Duration) (start, end Stamp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	// Find the first idle gap at or after `ready` that fits `need`.
+	// Find the first idle gap at or after `ready` that fits `need`. The
+	// busy list is sorted and disjoint, so the scan starts at the first
+	// interval ending at or after ready, found by binary search: an earlier
+	// one neither bounds a gap the request could use nor pushes its start.
+	first := sort.Search(len(r.busy), func(i int) bool { return r.busy[i].end >= ready })
 	insert := len(r.busy)
 	start = ready
-	for i, iv := range r.busy {
-		gapEnd := iv.start
-		if start+need <= gapEnd {
+	for i := first; i < len(r.busy); i++ {
+		iv := r.busy[i]
+		if start+need <= iv.start {
 			insert = i
 			break
 		}

@@ -1,6 +1,8 @@
 package vtime
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -253,6 +255,59 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// occupyLinear is the reference Occupy: it scans the busy list for the
+// first fitting gap from the front, where Occupy starts from a binary
+// search.
+func occupyLinear(r *Resource, ready Stamp, d time.Duration) (start, end Stamp) {
+	need := Stamp(d.Nanoseconds())
+	insert := len(r.busy)
+	start = ready
+	for i, iv := range r.busy {
+		if start+need <= iv.start {
+			insert = i
+			break
+		}
+		if iv.end > start {
+			start = iv.end
+		}
+	}
+	end = start + need
+	r.busy = append(r.busy, interval{})
+	copy(r.busy[insert+1:], r.busy[insert:])
+	r.busy[insert] = interval{start: start, end: end}
+	r.coalesce(insert)
+	return start, end
+}
+
+// Property: on random (ready, d) sequences — zero durations, ready stamps
+// on interval edges and enough requests to hit the length bound included —
+// Occupy grants what the linear reference grants and leaves the same busy
+// list.
+func TestResourceOccupyMatchesLinearReference(t *testing.T) {
+	f := func(seed int64, n uint16) bool {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewResource(), NewResource()
+		for i := 0; i < int(n)%1500; i++ {
+			ready := Stamp(rng.Intn(20000))  // wide enough for 256 disjoint intervals
+			d := time.Duration(rng.Intn(12)) // 0 often: zero-length grants sit on edges
+			if rng.Intn(8) == 0 && len(want.busy) > 0 {
+				iv := want.busy[rng.Intn(len(want.busy))]
+				ready = []Stamp{iv.start, iv.end}[rng.Intn(2)]
+			}
+			gs, ge := got.Occupy(ready, d)
+			ws, we := occupyLinear(want, ready, d)
+			if gs != ws || ge != we || !slices.Equal(got.busy, want.busy) {
+				t.Logf("request %d (ready %d, d %d): granted [%d,%d), reference [%d,%d)", i, ready, d, gs, ge, ws, we)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
