@@ -18,11 +18,12 @@ test: bench-test
 bench-test:
 	cd bench && go vet ./... && go test ./...
 
-# Two short benchmark runs, the clean data path and the faulted one (shuffle
-# service, ranged reads, refetches); each fails unless its last line (the
-# JSON summary) reports every job's output correct.
+# Three short benchmark runs: the clean data path, the faulted one (shuffle
+# service, ranged reads, refetches) and the short back-to-back jobs whose
+# wall_ms a perf claim rests on; each fails unless its last line (the JSON
+# summary) reports every job's output correct.
 bench-smoke:
-	for w in groupby-bulk groupby-faulty; do \
+	for w in groupby-bulk groupby-faulty stream-microbatch; do \
 		bash bench/run.sh --workload $$w --seconds 3 --trace 0 > bench_output.txt && \
 		tail -n 1 bench_output.txt | grep -q '"correct":true' || exit 1; \
 	done

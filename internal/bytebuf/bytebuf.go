@@ -230,8 +230,11 @@ func (b *Buf) Readable() []byte { return b.data[b.r:b.w] }
 
 // Bytes copies out the unread bytes.
 func (b *Buf) Bytes() []byte {
-	out := make([]byte, b.ReadableBytes())
-	copy(out, b.data[b.r:b.w])
+	// make(len(src)) then copy(out, src): the form the compiler allocates
+	// without clearing first.
+	src := b.data[b.r:b.w]
+	out := make([]byte, len(src))
+	copy(out, src)
 	return out
 }
 

@@ -275,11 +275,7 @@ func TestLaunchClusterBasic(t *testing.T) {
 		t.Fatal("basic cluster moved nothing over MPI")
 	}
 	// Polling must have run.
-	var polls int64
-	for _, s := range cl.States() {
-		polls += s.Polls()
-	}
-	if polls == 0 {
+	if totalPolls(cl) == 0 {
 		t.Fatal("no Iprobe polls recorded in the Basic design")
 	}
 }

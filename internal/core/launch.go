@@ -147,7 +147,6 @@ func NewMPIEnv(name string, node *fabric.Node, port string, id *Identity, design
 	cfg.Hooks = st
 	if design == DesignBasic {
 		cfg.TransportFactory = st.BasicTransportFactory()
-		cfg.NonBlockingSelect = true
 	}
 	env, err := rpc.NewEnv(name, node, port, cfg)
 	if err != nil {

@@ -66,7 +66,9 @@ type EnvState struct {
 	id     *Identity
 	design Design
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// chans is copy-on-write (channelState appends to a fresh slice), so
+	// Poll walks the current one without copying it.
 	chans []*mpiChannel
 
 	// pollEngine serializes the Basic design's message reception: a single
@@ -82,7 +84,9 @@ type EnvState struct {
 	// (Iprobe scans across channels plus the blocking receive).
 	PollRecvCost time.Duration
 
-	// polls counts Iprobe poll iterations (diagnostics/ablation).
+	// polls counts the selector wake-ups that ran Poll: one per MPI arrival,
+	// socket event or loop task, none while the environment is idle
+	// (diagnostics/ablation).
 	polls int64
 }
 
@@ -132,7 +136,7 @@ func (st *EnvState) channelState(ch *netty.Channel) *mpiChannel {
 	mc := &mpiChannel{ch: ch}
 	ch.SetAttr(attrRoute, mc)
 	st.mu.Lock()
-	st.chans = append(st.chans, mc)
+	st.chans = append(st.chans[:len(st.chans):len(st.chans)], mc)
 	st.mu.Unlock()
 	return mc
 }
@@ -164,7 +168,7 @@ func (st *EnvState) markReady(mc *mpiChannel, peerKind byte, peerRank, sendTag, 
 func (st *EnvState) Poll() bool {
 	st.mu.Lock()
 	st.polls++
-	chans := append([]*mpiChannel(nil), st.chans...)
+	chans := st.chans
 	st.mu.Unlock()
 
 	did := false
@@ -187,7 +191,8 @@ func (st *EnvState) Poll() bool {
 	return did
 }
 
-// Polls returns the number of poll iterations performed so far.
+// Polls returns the number of selector wake-ups that polled so far; it
+// stands still while no message, socket event or task reaches the loops.
 func (st *EnvState) Polls() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -195,11 +200,20 @@ func (st *EnvState) Polls() int64 {
 }
 
 // AttachPolling installs the Iprobe poll on every event loop of the
-// environment (Basic design).
+// environment (Basic design) and has the process's MPI engine wake those
+// loops when a message is queued for it: the selector parks between
+// arrivals in host time, while every scan it makes costs what it did in
+// virtual time.
 func (st *EnvState) AttachPolling(env *rpc.Env) {
-	for _, l := range env.Group().Loops() {
+	loops := env.Group().Loops()
+	for _, l := range loops {
 		l.SetAuxPoll(st.Poll)
 	}
+	st.id.World.NotifyArrival(func() {
+		for _, l := range loops {
+			l.Wakeup()
+		}
+	})
 }
 
 // BasicTransportFactory returns the netty transport factory for the Basic

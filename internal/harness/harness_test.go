@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/ohb"
@@ -83,6 +84,54 @@ func TestFig8Shape(t *testing.T) {
 	last := points[len(points)-1]
 	if last.Speedup < 4 || last.Speedup > 18 {
 		t.Errorf("4MB speedup = %.2f, want within [4,18] (paper ~9x)", last.Speedup)
+	}
+	// The echo is one goroutine per side and repeats to the nanosecond, so
+	// the modelled latencies are pinned: a change to how the selector waits
+	// in host time (or to anything else that is not the cost model) must
+	// leave them bit-equal. Re-pin only with a change that means to move
+	// modelled time.
+	pinned := []struct{ nio, mpi time.Duration }{
+		{58072, 9507}, {110164, 22745}, {3395228, 377908},
+	}
+	for i, p := range points {
+		if p.NIO != pinned[i].nio || p.MPI != pinned[i].mpi {
+			t.Errorf("size %d: modelled half round trip nio=%dns mpi=%dns, pinned %dns / %dns",
+				p.Size, p.NIO, p.MPI, pinned[i].nio, pinned[i].mpi)
+		}
+	}
+}
+
+// TestBasicGroupByFabricTrafficPinned: what a Basic GroupBy job puts on the
+// fabric (messages and bytes per protocol: establishment frames on TCP,
+// frames on MPI eager and rendezvous) does not depend on how its selectors
+// wait. One slot per worker keeps task placement, and with it the
+// local/remote split, the same on every run.
+func TestBasicGroupByFabricTrafficPinned(t *testing.T) {
+	cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: 3, Backend: spark.BackendMPIBasic, SlotsPerWorker: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Fabric.ResetStats()
+	res, err := ohb.RunGroupByTest(cl.Ctx, ohb.Config{Mappers: 3, Reducers: 3, PairsPerMapper: 4000, ValueBytes: 256, KeyRange: 500, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Output != 500 {
+		t.Fatalf("groups = %d, want 500", res.Output)
+	}
+	st := cl.Fabric.Stats()
+	for _, want := range []struct {
+		proto       fabric.Protocol
+		msgs, bytes int64
+	}{
+		{fabric.TCP, 24, 624},
+		{fabric.MPIEager, 42, 11778},
+		{fabric.MPIRendezvous, 6, 2121502},
+	} {
+		if m, b := st.MessagesFor(want.proto), st.BytesFor(want.proto); m != want.msgs || b != want.bytes {
+			t.Errorf("%v: %d messages / %d bytes, pinned %d / %d", want.proto, m, b, want.msgs, want.bytes)
+		}
 	}
 }
 

@@ -80,6 +80,9 @@ type engine struct {
 	cond       *sync.Cond
 	unexpected []*message
 	posted     []*postedRecv
+	// notifiers are called, outside the lock, each time a message joins
+	// the unexpected queue (Handle.NotifyArrival). Append-only.
+	notifiers []func()
 }
 
 func newEngine() *engine {
@@ -92,6 +95,8 @@ func newEngine() *engine {
 // compatible posted receive, or queues the message as unexpected.
 // Rendezvous completion for a matched posted receive happens here, using
 // the receive's post time — the progress-engine behaviour of a real MPI.
+// Only a queued message is announced to the notifiers: a matched receive's
+// waiter is already blocked on it.
 func (e *engine) deliver(m *message) {
 	e.mu.Lock()
 	for i, pr := range e.posted {
@@ -105,7 +110,11 @@ func (e *engine) deliver(m *message) {
 	}
 	e.unexpected = append(e.unexpected, m)
 	e.cond.Broadcast()
+	notifiers := e.notifiers
 	e.mu.Unlock()
+	for _, fn := range notifiers {
+		fn()
+	}
 }
 
 // matchUnexpected removes and returns the oldest unexpected message

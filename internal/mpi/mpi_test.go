@@ -734,3 +734,44 @@ func TestIsendGather(t *testing.T) {
 		t.Fatalf("%d rendezvous transfers, want 2: the protocol must be chosen on head+body", got)
 	}
 }
+
+// TestNotifyArrival: a notifier fires once at registration, once per
+// message queued as unexpected (eager or rendezvous envelope), never for a
+// message that a posted receive takes, and registrations add up.
+func TestNotifyArrival(t *testing.T) {
+	c := newTestComm(t, 2, fabric.NewIBHDRModel())
+	sender, receiver := c.Handle(0), c.Handle(1)
+	receiver.Isend(0, 9, []byte("the other way"), 0) // queued at rank 0: not rank 1's business
+
+	var first, second int
+	receiver.NotifyArrival(func() { first++ })
+	if first != 1 {
+		t.Fatalf("registration fired the notifier %d times, want 1", first)
+	}
+	sender.Isend(1, 1, []byte("eager"), 0)
+	if first != 2 {
+		t.Fatalf("after an unexpected eager message: %d, want 2", first)
+	}
+	sender.Isend(1, 2, make([]byte, DefaultEagerThreshold+1), 0)
+	if first != 3 {
+		t.Fatalf("after an unexpected rendezvous envelope: %d, want 3", first)
+	}
+
+	req := receiver.Irecv(0, 3, 0)
+	sender.Isend(1, 3, []byte("expected"), 0)
+	if data, _ := req.Wait(0); string(data) != "expected" {
+		t.Fatalf("posted receive got %q", data)
+	}
+	if first != 3 {
+		t.Fatalf("a message matched by a posted receive fired the notifier (%d)", first)
+	}
+
+	receiver.NotifyArrival(func() { second++ })
+	sender.Isend(1, 4, []byte("both"), 0)
+	if first != 4 || second != 2 {
+		t.Fatalf("two notifiers after one more arrival: %d and %d, want 4 and 2", first, second)
+	}
+	if n := receiver.UnexpectedMessages(); n != 3 {
+		t.Fatalf("unexpected queue holds %d messages, want 3", n)
+	}
+}

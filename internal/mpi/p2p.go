@@ -166,6 +166,21 @@ func (h *Handle) Iprobe(source, tag int, at vtime.Stamp) (bool, Status) {
 	return h.Proc().engine.iprobe(h.comm.id, source, tag, at)
 }
 
+// NotifyArrival registers fn to run whenever a message is queued at this
+// process without a posted receive to take it, on any of the process's
+// communicators: the arrival interrupt an event-driven selector parks on
+// between Iprobe scans. Registration is additive (environments sharing one
+// rank each register) and calls fn once straight away, so messages queued
+// earlier are not missed. fn runs on the sender's goroutine and must not
+// block.
+func (h *Handle) NotifyArrival(fn func()) {
+	e := h.Proc().engine
+	e.mu.Lock()
+	e.notifiers = append(e.notifiers, fn)
+	e.mu.Unlock()
+	fn()
+}
+
 // UnexpectedMessages reports the number of unmatched messages queued at
 // this process (diagnostics).
 func (h *Handle) UnexpectedMessages() int {

@@ -2,6 +2,7 @@ package netty
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,23 +287,135 @@ func TestEventLoopExecute(t *testing.T) {
 	}
 }
 
+// TestEventLoopAuxPoll: the hook runs on every wake-up and never on an
+// idle loop (the selector is event-driven, it does not spin).
 func TestEventLoopAuxPoll(t *testing.T) {
-	l := NewEventLoop(LoopConfig{SpinYield: time.Millisecond})
+	l := NewEventLoop(LoopConfig{})
 	defer l.Shutdown()
-	var mu sync.Mutex
-	polls := 0
+	var polls atomic.Int64
+	ran := make(chan struct{}, 1)
 	l.SetAuxPoll(func() bool {
-		mu.Lock()
-		polls++
-		mu.Unlock()
+		polls.Add(1)
+		select {
+		case ran <- struct{}{}:
+		default:
+		}
 		return false
 	})
-	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	got := polls
-	mu.Unlock()
-	if got < 2 {
-		t.Fatalf("aux poll ran %d times, want >= 2", got)
+	awaitPoll := func(what string) {
+		t.Helper()
+		select {
+		case <-ran:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("aux poll did not run after %s", what)
+		}
+	}
+	awaitPoll("SetAuxPoll")
+	// Let the loop park, then watch it stay parked.
+	time.Sleep(5 * time.Millisecond)
+	idle := polls.Load()
+	time.Sleep(20 * time.Millisecond)
+	if got := polls.Load(); got != idle {
+		t.Fatalf("idle loop polled: %d -> %d over 20ms", idle, got)
+	}
+	for i := 0; i < 3; i++ {
+		before := polls.Load()
+		l.Wakeup()
+		awaitPoll("Wakeup")
+		if got := polls.Load(); got <= before {
+			t.Fatalf("wake-up %d: polls %d -> %d", i, before, got)
+		}
+	}
+}
+
+// TestEventLoopWakeupDuringScanIsKept: the lost-wake-up case, made
+// deterministic. Work arrives, with its Wakeup, after the scan has looked
+// for it and before the loop blocks; the token must survive to start another
+// scan, which is why the loop takes it before scanning.
+func TestEventLoopWakeupDuringScanIsKept(t *testing.T) {
+	l := NewEventLoop(LoopConfig{})
+	defer l.Shutdown()
+	var queued atomic.Bool
+	scanned := make(chan struct{})
+	arrived := make(chan struct{})
+	found := make(chan struct{})
+	first := true
+	l.SetAuxPoll(func() bool {
+		if queued.CompareAndSwap(true, false) {
+			close(found)
+			return true
+		}
+		if first {
+			first = false
+			close(scanned) // looked, found nothing ...
+			<-arrived      // ... and the work lands before the scan ends
+		}
+		return false
+	})
+	<-scanned
+	queued.Store(true)
+	l.Wakeup()
+	close(arrived)
+	select {
+	case <-found:
+	case <-time.After(2 * time.Second):
+		t.Fatal("wake-up raised during a scan was lost: the loop parked on queued work")
+	}
+}
+
+// TestRegisterClosedConnOnBusyLoop: a channel whose connection is already
+// dead is drained and closed by a loop that is mid-iteration the moment
+// Register lists it. By then ch.loop must be set (Close deregisters through
+// it, and reads it while Register may still be running) and the channel must
+// have had its activation, or it ends up listed forever or active after its
+// close.
+func TestRegisterClosedConnOnBusyLoop(t *testing.T) {
+	f := fabric.New(fabric.NewIBHDRModel())
+	a, b := f.AddNode("a"), f.AddNode("b")
+	ln, err := b.Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	l := NewEventLoop(LoopConfig{})
+	defer l.Shutdown()
+	// Keep the loop iterating without pause while channels are registered.
+	l.SetAuxPoll(func() bool { return true })
+
+	const n = 2000
+	chans := make([]*Channel, n)
+	for i := range chans {
+		conn, _, err := a.Dial(ln.Addr(), fabric.TCP, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ln.Accept(); err != nil { // keep the backlog empty
+			t.Fatal(err)
+		}
+		conn.Close()
+		ch := NewChannel()
+		ch.conn = conn
+		ch.SetTransport(&sinkTransport{})
+		chans[i] = ch
+		l.Register(ch, 0)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		l.mu.Lock()
+		left := len(l.channels)
+		l.mu.Unlock()
+		if left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d dead channels still registered", left, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, ch := range chans {
+		if ch.Active() {
+			t.Fatalf("channel %d is active after the loop closed it", i)
+		}
 	}
 }
 

@@ -55,7 +55,9 @@ type entry struct {
 // events flow from the first handler to the last; outbound writes flow from
 // the last handler to the first and finally into the transport.
 type Pipeline struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// entries is copy-on-write: every mutator publishes a fresh slice, so a
+	// traversal reads the one it started with, uncopied and unlocked.
 	entries []entry
 	channel *Channel
 }
@@ -69,7 +71,7 @@ func (p *Pipeline) AddLast(name string, h any) *Pipeline {
 			panic(fmt.Sprintf("netty: duplicate handler %q", name))
 		}
 	}
-	p.entries = append(p.entries, entry{name: name, handler: h})
+	p.entries = append(p.entries[:len(p.entries):len(p.entries)], entry{name: name, handler: h})
 	return p
 }
 
@@ -103,9 +105,8 @@ func (p *Pipeline) AddBefore(anchor, name string, h any) *Pipeline {
 	if idx < 0 {
 		panic(fmt.Sprintf("netty: no handler %q to insert before", anchor))
 	}
-	p.entries = append(p.entries, entry{})
-	copy(p.entries[idx+1:], p.entries[idx:])
-	p.entries[idx] = entry{name: name, handler: h}
+	fresh := append(p.entries[:idx:idx], entry{name: name, handler: h})
+	p.entries = append(fresh, p.entries[idx:]...)
 	return p
 }
 
@@ -115,7 +116,7 @@ func (p *Pipeline) Remove(name string) bool {
 	defer p.mu.Unlock()
 	for i, e := range p.entries {
 		if e.name == name {
-			p.entries = append(p.entries[:i], p.entries[i+1:]...)
+			p.entries = append(p.entries[:i:i], p.entries[i+1:]...)
 			return true
 		}
 	}
@@ -133,14 +134,12 @@ func (p *Pipeline) Names() []string {
 	return out
 }
 
-// snapshot copies the entries under the read lock so traversal does not
-// hold the lock across handler calls.
+// snapshot returns the current entries, so traversal does not hold the
+// lock across handler calls.
 func (p *Pipeline) snapshot() []entry {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	out := make([]entry, len(p.entries))
-	copy(out, p.entries)
-	return out
+	return p.entries
 }
 
 // FireChannelRead injects an inbound message at the head of the pipeline

@@ -77,9 +77,6 @@ type EnvConfig struct {
 	Protocol fabric.Protocol
 	// EventLoops is the number of event loops (default 1).
 	EventLoops int
-	// NonBlockingSelect switches the loops to non-blocking select mode
-	// (MPI4Spark-Basic).
-	NonBlockingSelect bool
 	// TransportFactory overrides the channel transport (MPI designs).
 	TransportFactory netty.TransportFactory
 	// Hooks install extra pipeline handlers (MPI designs).
@@ -181,10 +178,7 @@ func NewEnv(name string, node *fabric.Node, port string, cfg EnvConfig) (*Env, e
 		pending:   make(map[int64]*pendingAsk),
 		batches:   make(map[int64]*pendingBatch),
 	}
-	e.group = netty.NewEventLoopGroup(cfg.EventLoops, netty.LoopConfig{
-		ReadEventCost:     cfg.ReadEventCost,
-		NonBlockingSelect: cfg.NonBlockingSelect,
-	})
+	e.group = netty.NewEventLoopGroup(cfg.EventLoops, netty.LoopConfig{ReadEventCost: cfg.ReadEventCost})
 	sb := &netty.ServerBootstrap{
 		Group:   e.group,
 		Factory: cfg.TransportFactory,
@@ -673,11 +667,10 @@ func (e *Env) serveNextChunk(b *batchServe) bool {
 
 // batchBlock is the client-side reassembly state of one block in a batch.
 type batchBlock struct {
-	// data is the block once done. A block that arrives as one chunk is
-	// adopted: data is that chunk's body, by reference. A multi-chunk block
-	// is reassembled in a buffer of exactly Total bytes, allocated when its
-	// first chunk lands (never pooled: the block outlives the fetch).
-	data  []byte
+	// data is the block once done: its chunk bodies by reference where they
+	// are consecutive windows of the served block, as all chunks of an
+	// undisturbed transfer are (never pooled: the block outlives the fetch).
+	data  bytebuf.Reassembly
 	got   uint64
 	total uint64
 	vt    vtime.Stamp
@@ -761,14 +754,7 @@ func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string
 		e.mu.Unlock()
 		return dup
 	} else {
-		if m.Offset == 0 && uint64(len(m.Body)) == m.Total {
-			blk.data = m.Body
-		} else {
-			if blk.data == nil {
-				blk.data = make([]byte, 0, m.Total)
-			}
-			blk.data = append(blk.data, m.Body...)
-		}
+		blk.data.Add(m.Body, m.Total)
 		blk.total = m.Total
 		blk.got += uint64(len(m.Body))
 		blk.vt = vtime.Max(blk.vt, vt)
@@ -791,9 +777,9 @@ func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string
 // BatchBlockResult is one block's outcome within a batched fetch: its
 // bytes, the virtual time its last chunk arrived, or a per-block error.
 // Data is an immutable garbage-collected slice, valid for as long as it is
-// referenced: a block that arrived as a single chunk is that chunk's body by
-// reference — it aliases the bytes the serving environment's resolver
-// returned — and a multi-chunk block is reassembled once, at its exact size.
+// referenced: its chunk bodies by reference, aliasing the bytes the serving
+// environment's resolver returned (bytebuf.Reassembly); only a block with a
+// chunk that was copied on the way is reassembled, once, at its exact size.
 type BatchBlockResult struct {
 	Data []byte
 	VT   vtime.Stamp
@@ -856,7 +842,7 @@ func (e *Env) FetchBlockBatchRange(peer fabric.Addr, blockIDs []string, chunkByt
 		blk := &b.blocks[i]
 		r := BatchBlockResult{VT: vtime.Max(blk.vt, at), Err: blk.err}
 		if blk.err == nil {
-			r.Data = blk.data
+			r.Data = blk.data.Bytes()
 		}
 		if r.VT > maxVT {
 			maxVT = r.VT

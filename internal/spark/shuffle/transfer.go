@@ -82,8 +82,7 @@ func (b *NettyBTS) Fetch(loc Location, blockID storage.BlockID, at vtime.Stamp) 
 
 // FetchBatch implements BlockTransferService via the environment's
 // FetchBlocksRequest/BlockBatchChunk pair — one round-trip, chunked and
-// pipelined reply; single-chunk blocks adopted by reference, multi-chunk
-// blocks reassembled in exact-size buffers.
+// pipelined reply; blocks adopted by reference, chunk by chunk.
 func (b *NettyBTS) FetchBatch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
 	return b.FetchBatchRange(loc, blockIDs, chunkBytes, 0, 0, at)
 }

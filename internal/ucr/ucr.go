@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/rdma"
 	"mpi4spark/internal/vtime"
@@ -300,9 +301,9 @@ func (c *Client) FetchBlock(blockID string, at vtime.Stamp) ([]byte, vtime.Stamp
 
 // BlockResult is one block's outcome within a batched fetch. Data is an
 // immutable garbage-collected slice, valid for as long as it is referenced:
-// a single-chunk block is adopted by reference and aliases the bytes the
-// server's resolver returned; a multi-chunk block is reassembled once, in a
-// slice of exactly its size.
+// its chunks by reference, aliasing the bytes the server's resolver returned
+// (bytebuf.Reassembly); only a block with a chunk that was copied on the way
+// is reassembled, once, in a slice of exactly its size.
 type BlockResult struct {
 	Data []byte
 	VT   vtime.Stamp
@@ -344,6 +345,7 @@ func (c *Client) fetch(blockIDs []string, at vtime.Stamp) (results []BlockResult
 	for i := 0; i < posted; i++ {
 		r := &results[i]
 		var got uint64
+		var asm bytebuf.Reassembly
 		vt := at
 		for {
 			comp, err := c.qp.CQ().Wait()
@@ -377,15 +379,8 @@ func (c *Client) fetch(blockIDs []string, at vtime.Stamp) (results []BlockResult
 			if off != got {
 				continue // replayed chunk: reassembly appends at got, bytes already folded
 			}
-			chunk := comp.Body[:n]
-			if off == 0 && uint64(n) == total {
-				r.Data = chunk // the whole block in one chunk: adopt it
-			} else {
-				if r.Data == nil {
-					r.Data = make([]byte, 0, total)
-				}
-				r.Data = append(r.Data, chunk...)
-			}
+			asm.Add(comp.Body[:n], total)
+			r.Data = asm.Bytes()
 			got += uint64(n)
 			if got >= total {
 				r.VT = vt

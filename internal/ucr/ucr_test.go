@@ -166,10 +166,11 @@ func TestConnectAfterClose(t *testing.T) {
 	}
 }
 
-// TestFetchOwnership: a block that crosses as one chunk is adopted by
-// reference on both fetch paths; a multi-chunk block is reassembled once in
-// a slice of exactly its size that never shares memory with the pool, so it
-// is the caller's to keep on both paths for as long as it is referenced.
+// TestFetchOwnership: a block is adopted by reference on both fetch paths,
+// whether it crosses as one chunk or as several (consecutive windows of the
+// served block); it never shares memory with the pool and has no capacity
+// beyond its size, so it is the caller's to keep on both paths for as long
+// as it is referenced.
 func TestFetchOwnership(t *testing.T) {
 	small := bytes.Repeat([]byte{1}, 4<<10)
 	big := bytes.Repeat([]byte{2}, 300<<10) // three 128 KiB chunks
@@ -204,6 +205,9 @@ func TestFetchOwnership(t *testing.T) {
 	for name, got := range map[string][]byte{"FetchBlock": kept, "FetchBlocks": rs[1].Data} {
 		if !bytes.Equal(got, big) {
 			t.Fatalf("multi-chunk %s result shares memory with the pool", name)
+		}
+		if &got[0] != &big[0] {
+			t.Fatalf("multi-chunk %s result was not adopted", name)
 		}
 		if cap(got) != len(big) {
 			t.Fatalf("multi-chunk %s result has capacity %d for a %d-byte block", name, cap(got), len(big))
