@@ -1,14 +1,17 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet test bench-test bench-smoke race race-ownership flake bench experiments examples clean
+.PHONY: all build vet fmt-check test bench-test bench-smoke race race-datapath race-ownership flake bench experiments examples clean
 
-all: build vet test
+all: build vet fmt-check test
 
 build:
 	go build ./...
 
 vet:
 	go vet ./...
+
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 test: bench-test
 	go test ./... 2>&1 | tee test_output.txt
@@ -31,10 +34,19 @@ bench-smoke:
 race:
 	go test -race -short ./...
 
-# The buffer-ownership rules of the by-reference data path.
+# The data path from buffer to shuffle service, whole packages under the race
+# detector: pool and reassembly, frame codec, both MPI designs, UCR, rpc, the
+# shuffle manager (fault conformance, breaker, budget gate) and the service
+# (concurrent pushers, ranged reads). Packages, not test names: a renamed
+# test cannot drop out of it.
+race-datapath:
+	go test -race -count=2 ./internal/bytebuf/ ./internal/netty/ ./internal/core/ ./internal/ucr/ ./internal/spark/rpc/ ./internal/spark/shuffle/ ./internal/spark/shuffleservice/
+
+# The buffer-ownership rules of the by-reference data path above those
+# packages: collective results, decoded record values.
 race-ownership:
-	go test -race -count=2 -run 'TestPool|TestFetchedBlocksSurviveChurn|TestFetchOwnership|TestCollectiveResultsSurviveEarlyRelease|TestFaultConformanceCorruptFetchLeavesStoreIntact|TestWireFormEquivalence|TestFrameCodecTwoPart|TestDecodedValues|TestServiceRangedReadsReconcile' \
-		./internal/bytebuf/ ./internal/netty/ ./internal/ucr/ ./internal/collective/ ./internal/spark/rpc/ ./internal/spark/shuffle/ ./internal/spark/shuffleservice/ ./internal/spark/ ./internal/harness/
+	go test -race -count=2 -run 'TestCollectiveResultsSurviveEarlyRelease|TestDecodedValues' \
+		./internal/collective/ ./internal/spark/ ./internal/harness/
 
 # Tests that were order-dependent once (the MPI launcher's executor order):
 # thirty consecutive passes each.

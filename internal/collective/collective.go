@@ -258,7 +258,8 @@ func (g *Group) sendChunk(rank, dst int, op int64, tag uint32, total, offset int
 	svt := st.sendClock.ObserveAndAdvance(at, g.cfg.SendCost)
 	m := &rpc.CollectiveChunk{
 		OpID: op, Tag: tag, Src: uint32(rank),
-		Total: uint64(total), Offset: uint64(offset), Body: body,
+		Total: uint64(total), Offset: uint64(offset),
+		BodyRef: rpc.BodyRef{Body: body},
 	}
 	if _, err := st.env.SendCollective(g.addrs[dst], m, svt); err != nil {
 		return svt, fmt.Errorf("collective: rank %d send to %d: %w", rank, dst, err)

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/mpi"
+	"mpi4spark/internal/netty"
 	"mpi4spark/internal/spark"
 	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/vtime"
@@ -89,6 +91,15 @@ func twoProcEnvs(t *testing.T, design Design) (*rpc.Env, *rpc.Env, *fabric.Fabri
 	return e0, e1, f
 }
 
+// fetchOne fetches a single block as what it is on the wire, a batch of one.
+func fetchOne(from, to *rpc.Env, blockID string) ([]byte, vtime.Stamp, error) {
+	rs, vt, err := from.FetchBlockBatch(to.Addr(), []string{blockID}, 0, 0)
+	if err != nil {
+		return nil, vt, err
+	}
+	return rs[0].Data, rs[0].VT, rs[0].Err
+}
+
 func TestBasicDesignRPC(t *testing.T) {
 	e0, e1, f := twoProcEnvs(t, DesignBasic)
 	if err := e1.RegisterEndpoint("Echo", func(c *rpc.Call) {
@@ -122,7 +133,7 @@ func TestBasicDesignLargeFrameUsesRendezvous(t *testing.T) {
 	big := make([]byte, 512<<10)
 	e1.RegisterChunkResolver(func(id string) ([]byte, bool) { return big, true })
 	f.ResetStats()
-	data, _, err := e0.FetchChunk(e1.Addr(), "blk", 0)
+	data, _, err := fetchOne(e0, e1, "blk")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +153,7 @@ func TestOptimizedDesignSplitsHeaderAndBody(t *testing.T) {
 	}
 	e1.RegisterChunkResolver(func(id string) ([]byte, bool) { return body, true })
 	f.ResetStats()
-	data, vt, err := e0.FetchChunk(e1.Addr(), "shuffle_0_0_0", 0)
+	data, vt, err := fetchOne(e0, e1, "shuffle_0_0_0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +359,7 @@ func TestOptimizedSmallBodyStillViaMPI(t *testing.T) {
 	e0, e1, f := twoProcEnvs(t, DesignOptimized)
 	e1.RegisterChunkResolver(func(id string) ([]byte, bool) { return []byte("tiny"), true })
 	f.ResetStats()
-	data, _, err := e0.FetchChunk(e1.Addr(), "b", 0)
+	data, _, err := fetchOne(e0, e1, "b")
 	if err != nil || string(data) != "tiny" {
 		t.Fatalf("fetch = %q, %v", data, err)
 	}
@@ -374,7 +385,7 @@ func TestManyConcurrentFetchesOptimized(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("b%d", i)
-			data, _, err := e0.FetchChunk(e1.Addr(), id, 0)
+			data, _, err := fetchOne(e0, e1, id)
 			if err != nil {
 				errs <- err
 				return
@@ -388,5 +399,89 @@ func TestManyConcurrentFetchesOptimized(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// captureInbound takes every body-carrying message that reaches it and hands
+// it to the test: installed ahead of the dispatcher, it sees what optInbound
+// rebuilt.
+type captureInbound chan rpc.BodyMessage
+
+func (c captureInbound) ChannelRead(ctx *netty.Context, msg any) {
+	if m, ok := msg.(rpc.BodyMessage); ok {
+		c <- m
+		return
+	}
+	ctx.FireChannelRead(msg)
+}
+
+// TestBodyMessageRoundTripOptimized sends every rpc.BodyMessage type, at body
+// sizes on both sides of the eager threshold, through optOutbound and
+// optInbound over a real two-process MPI-Optimized pair. The message must
+// arrive equal to the one sent (every header field, the body's bytes), its
+// body counted on MPI and not on the socket; a zero-length body is
+// header-only and puts nothing on MPI.
+func TestBodyMessageRoundTripOptimized(t *testing.T) {
+	e0, e1, f := twoProcEnvs(t, DesignOptimized)
+	var client *netty.Channel
+	e0.OnChannelActive = func(ch *netty.Channel, server bool) { client = ch }
+	arrived := make(captureInbound, 1)
+	e1.OnChannelActive = func(ch *netty.Channel, server bool) {
+		ch.Pipeline().AddBefore("dispatcher", "capture", arrived)
+	}
+	if err := e1.RegisterEndpoint("E", func(c *rpc.Call) { c.Reply(nil, c.VT) }); err != nil {
+		t.Fatal(err)
+	}
+	// One ask dials the channel and sees the rank handshake through on both
+	// sides: its reply follows the server's handshake frame on the socket.
+	if _, _, err := e0.Ask(e1.Addr(), "E", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	const thr = mpi.DefaultEagerThreshold
+	msgs := []rpc.BodyMessage{
+		&rpc.ChunkFetchSuccess{FetchID: 7, Index: 3, Missing: true, Total: 1 << 40, Offset: 5},
+		&rpc.StreamResponse{StreamID: "jar:app.jar"},
+		&rpc.CollectiveChunk{OpID: 9, Tag: 1<<20 | 3, Src: 2, Total: 99, Offset: 11},
+		&rpc.PushBlockRequest{PushID: 5, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef},
+	}
+	for _, proto := range msgs {
+		for _, size := range []int{0, 1, thr, thr + 1, 4*thr + 3} {
+			var body []byte
+			if size > 0 {
+				body = make([]byte, size)
+				for i := range body {
+					body[i] = byte(i * 7)
+				}
+			}
+			sent := proto.WithBody(rpc.BodyRef{Body: body, BodySize: size})
+			f.ResetStats()
+			client.Write(sent, 0)
+			var got rpc.BodyMessage
+			select {
+			case got = <-arrived:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s with a %d-byte body never arrived", proto.Type(), size)
+			}
+			if ref := *got.Ref(); len(ref.Body) == 0 {
+				ref.Body = nil // an empty body decodes as an empty slice
+				got = got.WithBody(ref)
+			}
+			if !reflect.DeepEqual(got, sent) {
+				t.Fatalf("%s, %d-byte body: arrived as\n %+v\nsent\n %+v", proto.Type(), size, got, sent)
+			}
+			st := f.Stats()
+			mpiMsgs := st.MessagesFor(fabric.MPIEager) + st.MessagesFor(fabric.MPIRendezvous)
+			mpiBytes := st.BytesFor(fabric.MPIEager) + st.BytesFor(fabric.MPIRendezvous)
+			if size == 0 && mpiMsgs != 0 {
+				t.Fatalf("%s: empty body put %d messages on MPI", proto.Type(), mpiMsgs)
+			}
+			if mpiBytes < int64(size) {
+				t.Fatalf("%s, %d-byte body: MPI carried %d bytes", proto.Type(), size, mpiBytes)
+			}
+			if tcp := st.BytesFor(fabric.TCP); tcp > 128 {
+				t.Fatalf("%s, %d-byte body: the socket carried %d bytes, more than a header", proto.Type(), size, tcp)
+			}
+		}
 	}
 }

@@ -337,9 +337,35 @@ func (h *handshakeHandler) ChannelRead(ctx *netty.Context, msg any) {
 	h.writeHandshake(ctx.Channel(), int(peerRecv), int(peerSend), ctx.VT())
 }
 
-// optOutbound diverts shuffle bodies (ChunkFetchSuccess, StreamResponse)
-// to MPI, leaving the header on the socket — the Optimized design's
-// MessageWithHeader split (Fig. 6).
+// pieced is the Optimized design's body policy, and the only place it knows
+// one body-carrying message from another: whether the body goes out after
+// its header as eager-sized pieces on one tag, or ahead of it as one MPI
+// message.
+func pieced(m rpc.BodyMessage) bool {
+	switch m.(type) {
+	case *rpc.CollectiveChunk, *rpc.PushBlockRequest:
+		// Header first, so the tiny socket frame claims the NIC before the
+		// body occupies it and its latency hides behind the transfer; then
+		// the body in eager-sized pieces, which pipeline at wire bandwidth
+		// with no RTS/CTS stall above the eager threshold. MPI's
+		// non-overtaking order lets the receiver reassemble them by issuing
+		// the same number of receives.
+		return true
+	default:
+		// Fetch and stream replies (ChunkFetchSuccess, StreamResponse) go
+		// body first as one eager or rendezvous message, the header
+		// following on the socket to trigger the matching MPI_Recv (§IV-E,
+		// Fig. 6). This is the shuffle read the paper measures; sending it
+		// pieced as well would move MPI-Opt's modelled time, which makes it
+		// an experiment and not a cleanup.
+		return false
+	}
+}
+
+// optOutbound diverts the body of every MessageWithHeader to MPI, leaving
+// the header on the socket — the Optimized design's split (Fig. 6). Control
+// messages, which are no rpc.BodyMessage, stay on the socket whole, and so
+// does a message with nothing to divert: a zero-length body is header-only.
 type optOutbound struct {
 	mc *mpiChannel
 }
@@ -347,101 +373,24 @@ type optOutbound struct {
 // Write implements netty.OutboundHandler.
 func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 	r, _, _, ready := h.mc.snapshotRoute()
-	if !ready {
+	m, ok := msg.(rpc.BodyMessage)
+	if !ready || !ok || m.Ref().BodyViaMPI || len(m.Ref().Body) == 0 {
 		ctx.Write(msg)
 		return
 	}
-	switch m := msg.(type) {
-	case *rpc.ChunkFetchSuccess:
-		if !m.BodyViaMPI {
-			tag := mpi.AllocTag()
-			r.h.Isend(r.rank, tag, m.Body, ctx.VT())
-			ctx.Write(&rpc.ChunkFetchSuccess{
-				FetchID: m.FetchID, BlockID: m.BlockID,
-				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
-			})
-			return
-		}
-	case *rpc.StreamResponse:
-		if !m.BodyViaMPI {
-			tag := mpi.AllocTag()
-			r.h.Isend(r.rank, tag, m.Body, ctx.VT())
-			ctx.Write(&rpc.StreamResponse{
-				StreamID: m.StreamID, BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
-			})
-			return
-		}
-	case *rpc.BlockBatchChunk:
-		// Each batch chunk body becomes exactly one eager/rendezvous MPI
-		// message (§IV-E); the chunk header stays on the socket and
-		// triggers the matching MPI_Recv on the other side. Missing/empty
-		// chunks are header-only and skip the MPI path.
-		if !m.BodyViaMPI && !m.Missing && len(m.Body) > 0 {
-			tag := mpi.AllocTag()
-			r.h.Isend(r.rank, tag, m.Body, ctx.VT())
-			ctx.Write(&rpc.BlockBatchChunk{
-				BatchID: m.BatchID, Index: m.Index,
-				Total: m.Total, Offset: m.Offset,
-				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
-			})
-			return
-		}
-	case *rpc.CollectiveChunk:
-		// Collective chunk bodies ride MPI with the header on the socket,
-		// like batched shuffle chunks, with one refinement: a body larger
-		// than the eager threshold is split into eager-sized pieces on a
-		// single tag instead of going out as one rendezvous message. The
-		// pieces pipeline at full wire bandwidth with no RTS/CTS stall,
-		// and MPI's non-overtaking order lets the receiver reassemble them
-		// by issuing the same number of receives. Empty chunks (size
-		// announcements, zero-byte payloads) are header-only.
-		if !m.BodyViaMPI && len(m.Body) > 0 {
-			tag := mpi.AllocTag()
-			thr := r.h.EagerThreshold()
-			vt := ctx.VT()
-			// Header first: the tiny socket frame claims the NIC before
-			// the body occupies it, so its wire latency hides behind the
-			// body transfer instead of queueing after it.
-			ctx.Write(&rpc.CollectiveChunk{
-				OpID: m.OpID, Tag: m.Tag, Src: m.Src,
-				Total: m.Total, Offset: m.Offset,
-				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
-			})
-			for off := 0; off < len(m.Body); off += thr {
-				end := off + thr
-				if end > len(m.Body) {
-					end = len(m.Body)
-				}
-				vt = r.h.Isend(r.rank, tag, m.Body[off:end], vt).Wait(vt)
-			}
-			return
-		}
-	case *rpc.PushBlockRequest:
-		// Pushed map-output blocks are shuffle data: the body rides MPI in
-		// eager-sized pieces on one tag (the CollectiveChunk refinement —
-		// no RTS/CTS stall for blocks above the eager threshold), with the
-		// push header on the socket triggering the receives. Empty blocks
-		// are header-only.
-		if !m.BodyViaMPI && len(m.Body) > 0 {
-			tag := mpi.AllocTag()
-			thr := r.h.EagerThreshold()
-			vt := ctx.VT()
-			ctx.Write(&rpc.PushBlockRequest{
-				PushID: m.PushID, ShuffleID: m.ShuffleID,
-				MapID: m.MapID, ReduceID: m.ReduceID, Sum: m.Sum,
-				BodyViaMPI: true, BodySize: len(m.Body), BodyTag: tag,
-			})
-			for off := 0; off < len(m.Body); off += thr {
-				end := off + thr
-				if end > len(m.Body) {
-					end = len(m.Body)
-				}
-				vt = r.h.Isend(r.rank, tag, m.Body[off:end], vt).Wait(vt)
-			}
-			return
-		}
+	body, tag := m.Ref().Body, mpi.AllocTag()
+	head := m.WithBody(rpc.BodyRef{BodyViaMPI: true, BodySize: len(body), BodyTag: tag})
+	if !pieced(m) {
+		r.h.Isend(r.rank, tag, body, ctx.VT())
+		ctx.Write(head)
+		return
 	}
-	ctx.Write(msg)
+	vt := ctx.VT() // before the header goes out: ctx.Write advances it
+	ctx.Write(head)
+	thr := r.h.EagerThreshold()
+	for off := 0; off < len(body); off += thr {
+		vt = r.h.Isend(r.rank, tag, body[off:min(off+thr, len(body))], vt).Wait(vt)
+	}
 }
 
 // optInbound parses headers and triggers the matching MPI_Recv for bodies
@@ -453,87 +402,29 @@ type optInbound struct {
 // ChannelRead implements netty.InboundHandler.
 func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 	r, _, _, ready := h.mc.snapshotRoute()
-	switch m := msg.(type) {
-	case *rpc.ChunkFetchSuccess:
-		if m.BodyViaMPI && ready {
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			ctx.SetVT(vtime.Max(ctx.VT(), status.VT))
-			ctx.FireChannelRead(&rpc.ChunkFetchSuccess{
-				FetchID: m.FetchID, BlockID: m.BlockID, Body: data, BodySize: len(data),
-			})
-			return
-		}
-	case *rpc.StreamResponse:
-		if m.BodyViaMPI && ready {
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			ctx.SetVT(vtime.Max(ctx.VT(), status.VT))
-			ctx.FireChannelRead(&rpc.StreamResponse{
-				StreamID: m.StreamID, Body: data, BodySize: len(data),
-			})
-			return
-		}
-	case *rpc.BlockBatchChunk:
-		if m.BodyViaMPI && ready {
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			ctx.SetVT(vtime.Max(ctx.VT(), status.VT))
-			ctx.FireChannelRead(&rpc.BlockBatchChunk{
-				BatchID: m.BatchID, Index: m.Index,
-				Total: m.Total, Offset: m.Offset,
-				Body: data, BodySize: len(data),
-			})
-			return
-		}
-	case *rpc.CollectiveChunk:
-		if m.BodyViaMPI && ready {
-			// The sender split the body into eager-sized pieces on one
-			// tag; receive them all and reassemble in non-overtaking
-			// order.
-			thr := r.h.EagerThreshold()
-			pieces := (m.BodySize + thr - 1) / thr
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			vt := status.VT
-			if pieces > 1 {
-				buf := make([]byte, 0, m.BodySize)
-				buf = append(buf, data...)
-				for i := 1; i < pieces; i++ {
-					piece, st := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-					buf = append(buf, piece...)
-					vt = vtime.Max(vt, st.VT)
-				}
-				data = buf
-			}
-			ctx.SetVT(vtime.Max(ctx.VT(), vt))
-			ctx.FireChannelRead(&rpc.CollectiveChunk{
-				OpID: m.OpID, Tag: m.Tag, Src: m.Src,
-				Total: m.Total, Offset: m.Offset,
-				Body: data, BodySize: len(data),
-			})
-			return
-		}
-	case *rpc.PushBlockRequest:
-		if m.BodyViaMPI && ready {
-			thr := r.h.EagerThreshold()
-			pieces := (m.BodySize + thr - 1) / thr
-			data, status := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-			vt := status.VT
-			if pieces > 1 {
-				buf := make([]byte, 0, m.BodySize)
-				buf = append(buf, data...)
-				for i := 1; i < pieces; i++ {
-					piece, st := r.h.Recv(r.rank, m.BodyTag, ctx.VT())
-					buf = append(buf, piece...)
-					vt = vtime.Max(vt, st.VT)
-				}
-				data = buf
-			}
-			ctx.SetVT(vtime.Max(ctx.VT(), vt))
-			ctx.FireChannelRead(&rpc.PushBlockRequest{
-				PushID: m.PushID, ShuffleID: m.ShuffleID,
-				MapID: m.MapID, ReduceID: m.ReduceID, Sum: m.Sum,
-				Body: data, BodySize: len(data),
-			})
-			return
+	m, ok := msg.(rpc.BodyMessage)
+	if !ready || !ok || !m.Ref().BodyViaMPI {
+		ctx.FireChannelRead(msg)
+		return
+	}
+	size, tag := m.Ref().BodySize, m.Ref().BodyTag
+	pieces := 1
+	if pieced(m) {
+		thr := r.h.EagerThreshold()
+		pieces = (size + thr - 1) / thr
+	}
+	// A body that arrives as one message is handed on as received; pieces are
+	// reassembled in the order they were sent.
+	data, status := r.h.Recv(r.rank, tag, ctx.VT())
+	vt := status.VT
+	if pieces > 1 {
+		data = append(make([]byte, 0, size), data...)
+		for i := 1; i < pieces; i++ {
+			piece, st := r.h.Recv(r.rank, tag, ctx.VT())
+			data = append(data, piece...)
+			vt = vtime.Max(vt, st.VT)
 		}
 	}
-	ctx.FireChannelRead(msg)
+	ctx.SetVT(vtime.Max(ctx.VT(), vt))
+	ctx.FireChannelRead(m.WithBody(rpc.BodyRef{Body: data, BodySize: len(data)}))
 }

@@ -478,13 +478,27 @@ func (f *Fabric) SetFaultPlane(p FaultPlane) {
 	f.hookMu.Unlock()
 }
 
-// FaultPlane returns the installed fault plane, or nil. Endpoint layers
-// (rpc serve paths, UCR) fetch it here and probe structurally for
-// payload-fault verdicts beyond the transfer-level interface.
+// FaultPlane returns the installed fault plane, or nil.
 func (f *Fabric) FaultPlane() FaultPlane {
 	f.hookMu.RLock()
 	defer f.hookMu.RUnlock()
 	return f.plane
+}
+
+// BodyFaults is the payload-level half of a fault plane, which the endpoint
+// layers (rpc serve paths, UCR) consult per served block: in-flight
+// corruption and duplicate delivery. A plane that only models delays does
+// not implement it.
+type BodyFaults interface {
+	CorruptBody(from, to, key string, body []byte, at vtime.Stamp) ([]byte, bool)
+	DupDeliver(from, to, key string, at vtime.Stamp) bool
+}
+
+// BodyFaults returns the installed fault plane when it injects body faults,
+// else nil.
+func (f *Fabric) BodyFaults() BodyFaults {
+	bf, _ := f.FaultPlane().(BodyFaults)
+	return bf
 }
 
 // FailNode injects a node failure: every connection touching the node is

@@ -10,10 +10,10 @@
 // what lets recovery converge.
 //
 // The Plane implements fabric.FaultPlane (delay + link-down verdicts
-// consulted inside every Transfer/Dial/Send) and, structurally, the
-// payload-fault interface the rpc and UCR serve paths probe for
-// (corruption and duplicate-delivery verdicts at per-block granularity,
-// so injected corruption counts reconcile exactly against detections).
+// consulted inside every Transfer/Dial/Send) and fabric.BodyFaults, which
+// the rpc and UCR serve paths consult (corruption and duplicate-delivery
+// verdicts at per-block granularity, so injected corruption counts
+// reconcile exactly against detections).
 package faults
 
 import (
@@ -281,8 +281,7 @@ func (p *Plane) TransferDelay(from, to string, n int, at vtime.Stamp) time.Durat
 // CorruptBody decides whether the block payload identified by key, served
 // from→to at `at`, gets one bit flipped. On a hit it returns a corrupted
 // copy (the caller's buffer — typically the server's stored block — is
-// never modified) and true. The rpc and UCR serve paths probe for this
-// method structurally.
+// never modified) and true. It is half of fabric.BodyFaults.
 func (p *Plane) CorruptBody(from, to, key string, body []byte, at vtime.Stamp) ([]byte, bool) {
 	if len(body) == 0 || from == to {
 		return nil, false
@@ -308,7 +307,7 @@ func (p *Plane) CorruptBody(from, to, key string, body []byte, at vtime.Stamp) (
 
 // DupDeliver decides whether the frame identified by key, received on the
 // from→to link at `at`, should be delivered twice to the endpoint layer.
-// The rpc dispatch and UCR client paths probe for this method structurally.
+// It is the other half of fabric.BodyFaults.
 func (p *Plane) DupDeliver(from, to, key string, at vtime.Stamp) bool {
 	if from == to {
 		return false

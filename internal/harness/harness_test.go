@@ -126,7 +126,7 @@ func TestBasicGroupByFabricTrafficPinned(t *testing.T) {
 		msgs, bytes int64
 	}{
 		{fabric.TCP, 24, 624},
-		{fabric.MPIEager, 42, 11778},
+		{fabric.MPIEager, 42, 11730},
 		{fabric.MPIRendezvous, 6, 2121502},
 	} {
 		if m, b := st.MessagesFor(want.proto), st.BytesFor(want.proto); m != want.msgs || b != want.bytes {

@@ -98,10 +98,10 @@ func raggedTable() *Table {
 		Title:   "Ragged",
 		Columns: []string{"A", "B", "C"},
 	}
-	t.AddRow("short")                          // 1 cell: pad to 3
-	t.AddRow("long", 1, 2, "EXTRA")            // 4 cells: truncate to 3
-	t.Rows = append(t.Rows, []string{"raw"})   // bypass AddRow: normalized at render
-	t.AddRow("exact", "x", "y")                // already 3
+	t.AddRow("short")                        // 1 cell: pad to 3
+	t.AddRow("long", 1, 2, "EXTRA")          // 4 cells: truncate to 3
+	t.Rows = append(t.Rows, []string{"raw"}) // bypass AddRow: normalized at render
+	t.AddRow("exact", "x", "y")              // already 3
 	return t
 }
 

@@ -51,10 +51,6 @@ type Config struct {
 	// 1 MiB). On the MPI designs each chunk maps to one eager or
 	// rendezvous MPI message.
 	ShuffleChunkBytes int
-	// ShuffleMaxBytesInFlight bounds the declared bytes of outstanding
-	// batched fetch requests per reduce task
-	// (spark.reducer.maxBytesInFlight; default 48 MiB).
-	ShuffleMaxBytesInFlight int64
 	// ShuffleRetryJitter spreads fetch retry backoffs: each retry waits an
 	// extra uniform duration in [0, jitter*backoff), drawn
 	// deterministically from the block id and attempt number, so reducers
@@ -171,7 +167,6 @@ func DefaultConfig() Config {
 		ShuffleRetryJitter:   retry.JitterFrac,
 
 		ShuffleChunkBytes:       shuffle.DefaultChunkBytes,
-		ShuffleMaxBytesInFlight: shuffle.DefaultMaxBytesInFlight,
 		ShuffleBreakerThreshold: shuffle.DefaultBreakerThreshold,
 		ShuffleRetryBudget:      shuffle.DefaultRetryBudget,
 	}
@@ -347,9 +342,6 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor) (*Context, e
 	}
 	if cfg.ShuffleChunkBytes <= 0 {
 		cfg.ShuffleChunkBytes = shuffle.DefaultChunkBytes
-	}
-	if cfg.ShuffleMaxBytesInFlight <= 0 {
-		cfg.ShuffleMaxBytesInFlight = shuffle.DefaultMaxBytesInFlight
 	}
 	if cfg.HeartbeatInterval > 0 && cfg.ExecutorTimeout <= 0 {
 		cfg.ExecutorTimeout = 6 * cfg.HeartbeatInterval

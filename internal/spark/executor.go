@@ -213,7 +213,6 @@ func (e *Executor) Attach(ctx *Context) error {
 	e.tracker = shuffle.NewTrackerClient(e.env, ctx.driver.Addr())
 	e.sm.Retry = ctx.shuffleRetryPolicy()
 	e.sm.ChunkBytes = ctx.cfg.ShuffleChunkBytes
-	e.sm.MaxBytesInFlight = ctx.cfg.ShuffleMaxBytesInFlight
 	e.sm.BreakerThreshold = ctx.cfg.ShuffleBreakerThreshold
 	e.sm.RetryBudget = ctx.cfg.ShuffleRetryBudget
 	e.sm.BreakerCooldown = ctx.cfg.ShuffleBreakerCooldown

@@ -9,14 +9,9 @@ import (
 
 	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/fabric"
-	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/netty"
 	"mpi4spark/internal/vtime"
 )
-
-// DefaultBatchChunkBytes bounds a BlockBatchChunk body when the requester
-// does not specify a chunk size.
-const DefaultBatchChunkBytes = 1 << 20
 
 // ErrShutdown is returned for operations on a stopped environment.
 var ErrShutdown = errors.New("rpc: environment shut down")
@@ -152,7 +147,6 @@ type Env struct {
 	// later stamp past its own virtual time.
 	chunkEngine    vtime.Resource
 	chunkResolver  func(blockID string) ([]byte, bool)
-	rangeRewriter  func(blockID string, mapLo, mapHi int) string
 	streamResolver func(streamID string) ([]byte, bool)
 	collectiveSink func(m *CollectiveChunk, vt vtime.Stamp)
 	pushHandler    func(m *PushBlockRequest, vt vtime.Stamp) ([]byte, error)
@@ -230,41 +224,6 @@ func (e *Env) initPipeline(ch *netty.Channel, server bool) {
 	}
 }
 
-// bodyFaults is the slice of an installed fault plane the rpc layer
-// consults for payload-level faults: in-flight corruption and duplicate
-// delivery. The fabric owns the plane (fabric.SetFaultPlane); probing it
-// structurally keeps the rpc layer free of a faults dependency, and an
-// installed plane that only models delays simply doesn't match.
-type bodyFaults interface {
-	CorruptBody(from, to, key string, body []byte, at vtime.Stamp) ([]byte, bool)
-	DupDeliver(from, to, key string, at vtime.Stamp) bool
-}
-
-// bodyFaultPlane returns the fabric's fault plane when it injects body
-// faults, else nil.
-func (e *Env) bodyFaultPlane() bodyFaults {
-	if p := e.node.Fabric().FaultPlane(); p != nil {
-		if bf, ok := p.(bodyFaults); ok {
-			return bf
-		}
-	}
-	return nil
-}
-
-// chanPeers returns the local and remote node names of ch's connection,
-// for fault-plane link matching ("" when unknown).
-func chanPeers(ch *netty.Channel) (local, remote string) {
-	if conn := ch.Conn(); conn != nil {
-		if n := conn.LocalNode(); n != nil {
-			local = n.Name()
-		}
-		if n := conn.RemoteNode(); n != nil {
-			remote = n.Name()
-		}
-	}
-	return
-}
-
 // messageEncoder turns typed Messages into wire frames: the header fields
 // in a small buffer, the body attached by reference (Spark's
 // MessageWithHeader). The body crosses the wire as the very slice the caller
@@ -313,7 +272,7 @@ func (h *messageDecoder) ChannelRead(ctx *netty.Context, msg any) {
 }
 
 // dispatchHandler is the pipeline tail: it routes typed messages to
-// endpoints, pending asks, and the chunk/stream managers.
+// endpoints, pending asks, and the block server.
 type dispatchHandler struct{ env *Env }
 
 func (h *dispatchHandler) ChannelRead(ctx *netty.Context, msg any) {
@@ -337,12 +296,8 @@ func (h *dispatchHandler) ChannelRead(ctx *netty.Context, msg any) {
 	case *RpcFailure:
 		e.resolveAsk(m.ReqID, askReply{err: errors.New(m.Error), vt: vt})
 	case *ChunkFetchRequest:
-		e.serveChunk(ch, m, vt)
-	case *ChunkFetchSuccess:
-		e.resolveAsk(m.FetchID, askReply{data: m.Body, vt: vt})
-	case *FetchBlocksRequest:
 		e.serveBatch(ch, m, vt)
-	case *BlockBatchChunk:
+	case *ChunkFetchSuccess:
 		local, remote := chanPeers(ch)
 		e.resolveBatchChunk(m, vt, remote, local)
 	case *CollectiveChunk:
@@ -353,17 +308,7 @@ func (h *dispatchHandler) ChannelRead(ctx *netty.Context, msg any) {
 			sink(m, vt)
 		}
 	case *PushBlockRequest:
-		e.servePush(ch, m, vt)
-		// Duplicate delivery of a push (a retransmitted request whose
-		// original also landed) exercises the service's idempotent ingest:
-		// the replay acks AckDuplicate and merges nothing.
-		if bf := e.bodyFaultPlane(); bf != nil {
-			local, remote := chanPeers(ch)
-			key := fmt.Sprintf("push_%d_%d_%d", m.ShuffleID, m.MapID, m.ReduceID)
-			if bf.DupDeliver(remote, local, key, vt) {
-				e.servePush(ch, m, vt)
-			}
-		}
+		e.deliverPush(ch, m, vt)
 	case *StreamRequest:
 		e.serveStream(ch, m, vt)
 	case *StreamResponse:
@@ -449,18 +394,6 @@ func (e *Env) failChannel(ch *netty.Channel) {
 	}
 }
 
-// registerAsk records an outstanding request on ch. It returns false when
-// the environment is shut down.
-func (e *Env) registerAsk(id int64, p *pendingAsk) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return false
-	}
-	e.pending[id] = p
-	return true
-}
-
 // checkChannelAlive fails the channel's pending asks if its connection
 // already died — closing the race where the connection closes between
 // connTo and the registration of a pending entry (ChannelInactive has
@@ -468,412 +401,6 @@ func (e *Env) registerAsk(id int64, p *pendingAsk) bool {
 func (e *Env) checkChannelAlive(ch *netty.Channel) {
 	if conn := ch.Conn(); conn != nil && conn.Closed() {
 		e.failChannel(ch)
-	}
-}
-
-// servePush hands one pushed block to the registered push handler and acks
-// with an RpcResponse (or RpcFailure) correlated by PushID. Like chunk
-// serving it is charged on the stream-manager clock.
-func (e *Env) servePush(ch *netty.Channel, m *PushBlockRequest, vt vtime.Stamp) {
-	e.mu.Lock()
-	handler := e.pushHandler
-	e.mu.Unlock()
-	_, svt := e.chunkEngine.Occupy(vt, e.cfg.ChunkServeCost)
-	if handler == nil {
-		ch.Write(&RpcFailure{ReqID: m.PushID, Error: "no push handler"}, svt)
-		return
-	}
-	// In-flight corruption of the pushed body, drawn per block. The damaged
-	// copy stays local to this delivery (a duplicate delivery of the same
-	// request re-corrupts from the original, drawing the same verdict), and
-	// the carried CRC32C is what lets the service reject it at ingest.
-	if bf := e.bodyFaultPlane(); bf != nil {
-		local, remote := chanPeers(ch)
-		key := fmt.Sprintf("push_%d_%d_%d", m.ShuffleID, m.MapID, m.ReduceID)
-		if nb, ok := bf.CorruptBody(remote, local, key, m.Body, vt); ok {
-			dm := *m
-			dm.Body = nb
-			m = &dm
-		}
-	}
-	ack, err := handler(m, svt)
-	if err != nil {
-		ch.Write(&RpcFailure{ReqID: m.PushID, Error: err.Error()}, svt)
-		return
-	}
-	ch.Write(&RpcResponse{ReqID: m.PushID, Payload: ack}, svt)
-}
-
-// serveChunk answers a ChunkFetchRequest from the registered resolver.
-// Serving is serialized on the environment's stream-manager clock.
-func (e *Env) serveChunk(ch *netty.Channel, m *ChunkFetchRequest, vt vtime.Stamp) {
-	e.mu.Lock()
-	resolver := e.chunkResolver
-	e.mu.Unlock()
-	_, svt := e.chunkEngine.Occupy(vt, e.cfg.ChunkServeCost)
-	if resolver == nil {
-		ch.Write(&RpcFailure{ReqID: m.FetchID, Error: "no chunk resolver"}, svt)
-		return
-	}
-	body, ok := resolver(m.BlockID)
-	if !ok {
-		ch.Write(&RpcFailure{ReqID: m.FetchID, Error: fmt.Sprintf("block not found: %s", m.BlockID)}, svt)
-		return
-	}
-	// In-flight corruption of the served block. CorruptBody returns a
-	// damaged copy, so the resolver's stored bytes stay good and a refetch
-	// at a later stamp can draw a clean verdict.
-	if bf := e.bodyFaultPlane(); bf != nil {
-		local, remote := chanPeers(ch)
-		if nb, ok := bf.CorruptBody(local, remote, m.BlockID, body, vt); ok {
-			body = nb
-		}
-	}
-	ch.Write(&ChunkFetchSuccess{FetchID: m.FetchID, BlockID: m.BlockID, Body: body}, svt)
-}
-
-// batchServe is the server-side streaming state of one FetchBlocksRequest:
-// the resolved block bodies plus a cursor marking the next chunk to emit.
-type batchServe struct {
-	ch         *netty.Channel
-	id         int64
-	chunkBytes int
-	bodies     [][]byte
-	found      []bool
-	cur        int // next block index
-	off        int // offset within the current block
-	vt         vtime.Stamp
-}
-
-// serveBatch answers a FetchBlocksRequest by streaming every requested
-// block back as bounded-size BlockBatchChunk messages. Blocks are resolved
-// at dispatch time, then the batch joins the environment's serve queue:
-// a single pump goroutine emits one chunk per queue turn, round-robin
-// across all active batches, so concurrent reducers' streams interleave on
-// the stream manager (as Netty's chunked streams interleave on the event
-// loop) instead of one batch monopolizing the NIC until done — burst-
-// serving whole batches FIFO starves whichever reducer is served last and
-// its straggling fetch bounds the stage. Each chunk is charged one
-// ChunkServeCost on the stream-manager clock; on the MPI designs each
-// chunk becomes one eager/rendezvous MPI message. A block the resolver
-// cannot find is reported as a single Missing chunk, failing only that
-// block.
-func (e *Env) serveBatch(ch *netty.Channel, m *FetchBlocksRequest, vt vtime.Stamp) {
-	e.mu.Lock()
-	resolver := e.chunkResolver
-	rewriter := e.rangeRewriter
-	e.mu.Unlock()
-	chunkBytes := int(m.ChunkBytes)
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultBatchChunkBytes
-	}
-	b := &batchServe{
-		ch: ch, id: m.BatchID, chunkBytes: chunkBytes,
-		bodies: make([][]byte, len(m.BlockIDs)),
-		found:  make([]bool, len(m.BlockIDs)),
-		vt:     vt,
-	}
-	bf := e.bodyFaultPlane()
-	var local, remote string
-	if bf != nil {
-		local, remote = chanPeers(ch)
-	}
-	for i, id := range m.BlockIDs {
-		if m.MapHi > m.MapLo && rewriter != nil {
-			id = rewriter(id, int(m.MapLo), int(m.MapHi))
-		}
-		if resolver != nil {
-			b.bodies[i], b.found[i] = resolver(id)
-		}
-		// In-flight corruption, one verdict per served block (a merged run
-		// is one block: any flipped bit in it is one detectable anomaly).
-		// The damaged copy never touches the resolver's stored bytes.
-		if b.found[i] && bf != nil {
-			if nb, ok := bf.CorruptBody(local, remote, id, b.bodies[i], vt); ok {
-				b.bodies[i] = nb
-			}
-		}
-	}
-	if len(b.bodies) == 0 {
-		return
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.serveQ = append(e.serveQ, b)
-	start := !e.pumping
-	if start {
-		e.pumping = true
-	}
-	e.mu.Unlock()
-	if start {
-		go e.servePump()
-	}
-}
-
-// servePump drains the serve queue one chunk at a time, re-queueing
-// batches that still have chunks left. It exits when the queue is empty;
-// the next serveBatch restarts it.
-func (e *Env) servePump() {
-	for {
-		e.mu.Lock()
-		if len(e.serveQ) == 0 {
-			e.pumping = false
-			e.mu.Unlock()
-			return
-		}
-		b := e.serveQ[0]
-		e.serveQ = e.serveQ[1:]
-		e.mu.Unlock()
-		if e.serveNextChunk(b) {
-			e.mu.Lock()
-			e.serveQ = append(e.serveQ, b)
-			e.mu.Unlock()
-		}
-	}
-}
-
-// serveNextChunk emits batch b's next chunk and reports whether the batch
-// has more to send.
-func (e *Env) serveNextChunk(b *batchServe) bool {
-	i := b.cur
-	_, svt := e.chunkEngine.Occupy(b.vt, e.cfg.ChunkServeCost)
-	if !b.found[i] {
-		b.ch.Write(&BlockBatchChunk{BatchID: b.id, Index: uint32(i), Missing: true}, svt)
-		b.cur++
-		b.off = 0
-		return b.cur < len(b.bodies)
-	}
-	body := b.bodies[i]
-	total := len(body)
-	end := b.off + b.chunkBytes
-	if end > total {
-		end = total
-	}
-	b.ch.Write(&BlockBatchChunk{
-		BatchID: b.id, Index: uint32(i),
-		Total: uint64(total), Offset: uint64(b.off),
-		Body: body[b.off:end],
-	}, svt)
-	b.off = end
-	if b.off >= total {
-		b.cur++
-		b.off = 0
-	}
-	return b.cur < len(b.bodies)
-}
-
-// batchBlock is the client-side reassembly state of one block in a batch.
-type batchBlock struct {
-	// data is the block once done: its chunk bodies by reference where they
-	// are consecutive windows of the served block, as all chunks of an
-	// undisturbed transfer are (never pooled: the block outlives the fetch).
-	data  bytebuf.Reassembly
-	got   uint64
-	total uint64
-	vt    vtime.Stamp
-	err   error
-	done  bool
-}
-
-// pendingBatch tracks one outstanding FetchBlocksRequest: the channel it
-// rides (so a channel death fails exactly its in-flight blocks) and the
-// per-block reassembly state.
-type pendingBatch struct {
-	ch        *netty.Channel
-	ids       []string
-	blocks    []batchBlock
-	remaining int
-	done      chan struct{}
-}
-
-// failRemaining marks every not-yet-landed block failed. Caller holds
-// e.mu and closes b.done after unlocking.
-func (b *pendingBatch) failRemaining(err error) {
-	for i := range b.blocks {
-		blk := &b.blocks[i]
-		if !blk.done {
-			blk.err = err
-			blk.done = true
-			b.remaining--
-		}
-	}
-}
-
-// resolveBatchChunk folds one inbound chunk into its batch, then — under an
-// installed fault plane — may fold the same chunk again, modeling a
-// retransmitted frame whose original also landed. The replay must be (and
-// is) rejected by the reassembly offset guard, so duplicate delivery is
-// idempotent end to end. from/to name the sending and receiving nodes for
-// fault-plane link matching.
-func (e *Env) resolveBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string) {
-	if e.foldBatchChunk(m, vt, from, to, true) {
-		e.foldBatchChunk(m, vt, from, to, false)
-	}
-}
-
-// foldBatchChunk folds one chunk into its batch's reassembly state and
-// reports whether a duplicate delivery of this chunk should be folded too
-// (verdicts are only drawn when allowDup — the replay itself must not draw
-// another). Chunks of one batch arrive in order on the batch's channel (the
-// MPI-Optimized design recvs each diverted body before firing the header
-// onward), so reassembly appends at blk.got; a chunk whose Offset is not
-// the append cursor is a replay (or corruption) and is dropped rather than
-// appended — appending it blindly would double-count duplicated bytes and
-// mark the block complete with garbage layout.
-func (e *Env) foldBatchChunk(m *BlockBatchChunk, vt vtime.Stamp, from, to string, allowDup bool) (dup bool) {
-	metrics.GetCounter("shuffle.fetch.chunks").Inc()
-	var doneCh chan struct{}
-	e.mu.Lock()
-	b := e.batches[m.BatchID]
-	if b == nil || int(m.Index) >= len(b.blocks) {
-		e.mu.Unlock()
-		return false // stale chunk of an aborted batch
-	}
-	if allowDup {
-		if bf := e.bodyFaultPlane(); bf != nil {
-			key := fmt.Sprintf("%s@%d", b.ids[m.Index], m.Offset)
-			dup = bf.DupDeliver(from, to, key, vt)
-		}
-	}
-	blk := &b.blocks[m.Index]
-	if blk.done {
-		e.mu.Unlock()
-		return dup
-	}
-	if m.Missing {
-		blk.err = fmt.Errorf("block not found: %s", b.ids[m.Index])
-		blk.vt = vtime.Max(blk.vt, vt)
-		blk.done = true
-		b.remaining--
-	} else if m.Offset != blk.got {
-		// Replayed (or reordered) chunk: the append cursor has moved past
-		// its offset, so its bytes are already folded. Drop it.
-		e.mu.Unlock()
-		return dup
-	} else {
-		blk.data.Add(m.Body, m.Total)
-		blk.total = m.Total
-		blk.got += uint64(len(m.Body))
-		blk.vt = vtime.Max(blk.vt, vt)
-		if blk.got >= blk.total {
-			blk.done = true
-			b.remaining--
-		}
-	}
-	if b.remaining == 0 {
-		delete(e.batches, m.BatchID)
-		doneCh = b.done
-	}
-	e.mu.Unlock()
-	if doneCh != nil {
-		close(doneCh)
-	}
-	return dup
-}
-
-// BatchBlockResult is one block's outcome within a batched fetch: its
-// bytes, the virtual time its last chunk arrived, or a per-block error.
-// Data is an immutable garbage-collected slice, valid for as long as it is
-// referenced: its chunk bodies by reference, aliasing the bytes the serving
-// environment's resolver returned (bytebuf.Reassembly); only a block with a
-// chunk that was copied on the way is reassembled, once, at its exact size.
-type BatchBlockResult struct {
-	Data []byte
-	VT   vtime.Stamp
-	Err  error
-}
-
-// Release does nothing; it exists for bench/ and a later benchmark PR may
-// drop it.
-func (BatchBlockResult) Release() {}
-
-// FetchBlockBatch fetches a batch of blocks from the peer's resolver in
-// one round-trip using the FetchBlocksRequest/BlockBatchChunk pair. It
-// blocks until every block has landed or failed and returns per-block
-// results (index-aligned with blockIDs) plus the batch completion time.
-// The top-level error covers only request-side failures (shutdown,
-// connect); per-block failures — missing blocks, a peer dying mid-batch —
-// are reported in the results so landed siblings survive.
-func (e *Env) FetchBlockBatch(peer fabric.Addr, blockIDs []string, chunkBytes int, at vtime.Stamp) ([]BatchBlockResult, vtime.Stamp, error) {
-	return e.FetchBlockBatchRange(peer, blockIDs, chunkBytes, 0, 0, at)
-}
-
-// FetchBlockBatchRange is FetchBlockBatch with a map-id range restriction:
-// merged-run block ids in the batch are served as their [mapLo, mapHi)
-// slice via the peer's registered range rewriter. mapHi == 0 means
-// unrestricted. Non-merged block ids are unaffected.
-func (e *Env) FetchBlockBatchRange(peer fabric.Addr, blockIDs []string, chunkBytes, mapLo, mapHi int, at vtime.Stamp) ([]BatchBlockResult, vtime.Stamp, error) {
-	if len(blockIDs) == 0 {
-		return nil, at, nil
-	}
-	ch, vt, err := e.connTo(peer, at)
-	if err != nil {
-		return nil, at, err
-	}
-	id := e.reqSeq.Add(1)
-	b := &pendingBatch{
-		ch:        ch,
-		ids:       blockIDs,
-		blocks:    make([]batchBlock, len(blockIDs)),
-		remaining: len(blockIDs),
-		done:      make(chan struct{}),
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, at, ErrShutdown
-	}
-	e.batches[id] = b
-	e.mu.Unlock()
-	ch.Write(&FetchBlocksRequest{
-		BatchID: id, ChunkBytes: uint32(chunkBytes),
-		MapLo: uint32(mapLo), MapHi: uint32(mapHi),
-		BlockIDs: blockIDs,
-	}, vt)
-	e.checkChannelAlive(ch)
-	<-b.done
-	// After done closes the batch is unregistered: no goroutine mutates it.
-	out := make([]BatchBlockResult, len(blockIDs))
-	maxVT := at
-	for i := range b.blocks {
-		blk := &b.blocks[i]
-		r := BatchBlockResult{VT: vtime.Max(blk.vt, at), Err: blk.err}
-		if blk.err == nil {
-			r.Data = blk.data.Bytes()
-		}
-		if r.VT > maxVT {
-			maxVT = r.VT
-		}
-		out[i] = r
-	}
-	return out, maxVT, nil
-}
-
-func (e *Env) serveStream(ch *netty.Channel, m *StreamRequest, vt vtime.Stamp) {
-	e.mu.Lock()
-	resolver := e.streamResolver
-	e.mu.Unlock()
-	_, svt := e.chunkEngine.Occupy(vt, e.cfg.ChunkServeCost)
-	if resolver == nil {
-		return
-	}
-	if body, ok := resolver(m.StreamID); ok {
-		ch.Write(&StreamResponse{StreamID: m.StreamID, Body: body}, svt)
-	}
-}
-
-func (e *Env) resolveStream(m *StreamResponse, vt vtime.Stamp) {
-	e.mu.Lock()
-	waiters := e.streamPending[m.StreamID]
-	delete(e.streamPending, m.StreamID)
-	e.mu.Unlock()
-	// Every concurrent fetcher of the stream resolves from one response
-	// (duplicate requests for the same stream are folded together).
-	for _, w := range waiters {
-		w.reply <- askReply{data: m.Body, vt: vt}
 	}
 }
 
@@ -950,42 +477,6 @@ func (e *Env) RegisterEndpoint(name string, h Handler) error {
 	return nil
 }
 
-// RegisterChunkResolver installs the block resolver behind ChunkFetch
-// requests (the BlockTransferService server side).
-func (e *Env) RegisterChunkResolver(fn func(blockID string) ([]byte, bool)) {
-	e.mu.Lock()
-	e.chunkResolver = fn
-	e.mu.Unlock()
-}
-
-// RegisterRangeRewriter installs the hook that maps a block id to its
-// ranged form when a FetchBlocksRequest carries a map-id restriction. The
-// rpc layer knows nothing about shuffle block naming — the external
-// shuffle service registers a rewriter that turns merged-run ids into
-// ranged merged-run ids and leaves everything else untouched.
-func (e *Env) RegisterRangeRewriter(fn func(blockID string, mapLo, mapHi int) string) {
-	e.mu.Lock()
-	e.rangeRewriter = fn
-	e.mu.Unlock()
-}
-
-// RegisterStreamResolver installs the resolver behind StreamRequests.
-func (e *Env) RegisterStreamResolver(fn func(streamID string) ([]byte, bool)) {
-	e.mu.Lock()
-	e.streamResolver = fn
-	e.mu.Unlock()
-}
-
-// RegisterPushHandler installs the receiver for inbound PushBlockRequest
-// messages (the external shuffle service's ingest side). The handler's
-// returned bytes become the RpcResponse ack payload; an error becomes an
-// RpcFailure.
-func (e *Env) RegisterPushHandler(fn func(m *PushBlockRequest, vt vtime.Stamp) ([]byte, error)) {
-	e.mu.Lock()
-	e.pushHandler = fn
-	e.mu.Unlock()
-}
-
 // RegisterCollectiveSink installs the receiver for inbound CollectiveChunk
 // messages (the collective layer's station). The sink runs on the channel's
 // dispatch path and must not block.
@@ -1051,23 +542,35 @@ func (e *Env) connTo(addr fabric.Addr, at vtime.Stamp) (*netty.Channel, vtime.St
 	return ch, ready, nil
 }
 
-// Ask performs a request/response RPC against the named endpoint at peer.
-// It blocks until the reply arrives and returns the payload plus the
-// virtual completion time.
-func (e *Env) Ask(peer fabric.Addr, endpointName string, payload []byte, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
+// roundTrip sends one request that an RpcResponse or RpcFailure carrying id
+// answers, and blocks for it: register the pending reply on the channel to
+// peer, write, fail at once if the channel died before the registration
+// (checkChannelAlive), wait.
+func (e *Env) roundTrip(peer fabric.Addr, id int64, req Message, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
 	ch, vt, err := e.connTo(peer, at)
 	if err != nil {
 		return nil, at, err
 	}
-	id := e.reqSeq.Add(1)
 	reply := make(chan askReply, 1)
-	if !e.registerAsk(id, &pendingAsk{ch: ch, reply: reply}) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
 		return nil, at, ErrShutdown
 	}
-	ch.Write(&RpcRequest{ReqID: id, Endpoint: endpointName, From: e.name, Payload: payload}, vt)
+	e.pending[id] = &pendingAsk{ch: ch, reply: reply}
+	e.mu.Unlock()
+	ch.Write(req, vt)
 	e.checkChannelAlive(ch)
 	r := <-reply
 	return r.data, vtime.Max(r.vt, at), r.err
+}
+
+// Ask performs a request/response RPC against the named endpoint at peer.
+// It blocks until the reply arrives and returns the payload plus the
+// virtual completion time.
+func (e *Env) Ask(peer fabric.Addr, endpointName string, payload []byte, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
+	id := e.reqSeq.Add(1)
+	return e.roundTrip(peer, id, &RpcRequest{ReqID: id, Endpoint: endpointName, From: e.name, Payload: payload}, at)
 }
 
 // Send delivers a one-way message to the named endpoint at peer. It
@@ -1079,69 +582,6 @@ func (e *Env) Send(peer fabric.Addr, endpointName string, payload []byte, at vti
 	}
 	free := ch.Write(&OneWayMessage{Endpoint: endpointName, From: e.name, Payload: payload}, vt)
 	return free, nil
-}
-
-// FetchChunk fetches a block from the peer's chunk resolver using the
-// ChunkFetchRequest/Success message pair — the shuffle data path.
-func (e *Env) FetchChunk(peer fabric.Addr, blockID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	ch, vt, err := e.connTo(peer, at)
-	if err != nil {
-		return nil, at, err
-	}
-	id := e.reqSeq.Add(1)
-	reply := make(chan askReply, 1)
-	if !e.registerAsk(id, &pendingAsk{ch: ch, reply: reply}) {
-		return nil, at, ErrShutdown
-	}
-	ch.Write(&ChunkFetchRequest{FetchID: id, BlockID: blockID}, vt)
-	e.checkChannelAlive(ch)
-	r := <-reply
-	return r.data, vtime.Max(r.vt, at), r.err
-}
-
-// PushBlock pushes one committed shuffle block to the external shuffle
-// service at peer and blocks for the ack — map tasks only report success
-// once the service owns the block. sum is the block's write-time CRC32C,
-// which the service verifies at ingest (0 disables verification, for
-// hand-built test pushes). It returns the service's ack payload and the
-// virtual completion time.
-func (e *Env) PushBlock(peer fabric.Addr, shuffleID, mapID, reduceID int, body []byte, sum uint32, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	ch, vt, err := e.connTo(peer, at)
-	if err != nil {
-		return nil, at, err
-	}
-	id := e.reqSeq.Add(1)
-	reply := make(chan askReply, 1)
-	if !e.registerAsk(id, &pendingAsk{ch: ch, reply: reply}) {
-		return nil, at, ErrShutdown
-	}
-	ch.Write(&PushBlockRequest{PushID: id, ShuffleID: shuffleID, MapID: mapID, ReduceID: reduceID, Body: body, Sum: sum}, vt)
-	e.checkChannelAlive(ch)
-	r := <-reply
-	return r.data, vtime.Max(r.vt, at), r.err
-}
-
-// FetchStream opens a stream from the peer (jar/file distribution).
-func (e *Env) FetchStream(peer fabric.Addr, streamID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	ch, vt, err := e.connTo(peer, at)
-	if err != nil {
-		return nil, at, err
-	}
-	reply := make(chan askReply, 1)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, at, ErrShutdown
-	}
-	if e.streamPending == nil {
-		e.streamPending = make(map[string][]*pendingAsk)
-	}
-	e.streamPending[streamID] = append(e.streamPending[streamID], &pendingAsk{ch: ch, reply: reply})
-	e.mu.Unlock()
-	ch.Write(&StreamRequest{StreamID: streamID}, vt)
-	e.checkChannelAlive(ch)
-	r := <-reply
-	return r.data, vtime.Max(r.vt, at), r.err
 }
 
 // Shutdown stops the environment: the server, all connections, all

@@ -16,14 +16,18 @@ func fuzzSeeds() [][]byte {
 		&RpcResponse{ReqID: 7, Payload: []byte("ok")},
 		&RpcFailure{ReqID: 7, Error: "endpoint missing"},
 		&OneWayMessage{Endpoint: "TaskScheduler", From: "exec-0", Payload: []byte("status")},
-		&ChunkFetchRequest{FetchID: 9, BlockID: "shuffle_1_2_3"},
-		&ChunkFetchSuccess{FetchID: 9, BlockID: "shuffle_1_2_3", Body: []byte("block-bytes")},
-		&ChunkFetchSuccess{FetchID: 9, BlockID: "shuffle_1_2_3", BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 42},
+		&ChunkFetchRequest{FetchID: 9, ChunkBytes: 1 << 20, BlockIDs: []string{"shuffle_1_2_3"}},
+		&ChunkFetchRequest{FetchID: 9, BlockIDs: []string{"shuffle_1_0_3", "shuffle_1_1_3", "shuffleMergedRange_1_3_0_2"}},
+		&ChunkFetchSuccess{FetchID: 9, Index: 1, Total: 32, Offset: 16, BodyRef: BodyRef{Body: []byte("block-bytes")}},
+		&ChunkFetchSuccess{FetchID: 9, Index: 2, Missing: true},
+		&ChunkFetchSuccess{FetchID: 9, Total: 1 << 21, Offset: 1 << 20, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 42}},
 		&StreamRequest{StreamID: "jar/app.jar"},
-		&StreamResponse{StreamID: "jar/app.jar", Body: []byte("jar-bytes")},
-		&StreamResponse{StreamID: "jar/app.jar", BodyViaMPI: true, BodySize: 4096, BodyTag: 3},
-		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Body: []byte("pushed-bytes")},
-		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, BodyViaMPI: true, BodySize: 1 << 16, BodyTag: 5},
+		&StreamResponse{StreamID: "jar/app.jar", BodyRef: BodyRef{Body: []byte("jar-bytes")}},
+		&StreamResponse{StreamID: "jar/app.jar", BodyRef: BodyRef{BodyViaMPI: true, BodySize: 4096, BodyTag: 3}},
+		&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, BodyRef: BodyRef{Body: []byte("collective")}},
+		&CollectiveChunk{OpID: 77, Tag: 3, Src: 1, Total: 1 << 22, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 7}},
+		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, BodyRef: BodyRef{Body: []byte("pushed-bytes")}},
+		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 16, BodyTag: 5}},
 	}
 	out := make([][]byte, len(msgs))
 	for i, m := range msgs {
@@ -126,18 +130,10 @@ func normalizeMsg(m Message) Message {
 		c := *t
 		c.Payload = normBytes(c.Payload)
 		return &c
-	case *ChunkFetchSuccess:
-		c := *t
-		c.Body = normBytes(c.Body)
-		return &c
-	case *StreamResponse:
-		c := *t
-		c.Body = normBytes(c.Body)
-		return &c
-	case *PushBlockRequest:
-		c := *t
-		c.Body = normBytes(c.Body)
-		return &c
+	case BodyMessage:
+		ref := *t.Ref()
+		ref.Body = normBytes(ref.Body)
+		return t.WithBody(ref)
 	default:
 		return m
 	}

@@ -13,7 +13,9 @@ import (
 // MsgType identifies a wire message, mirroring Spark's message tagging.
 type MsgType byte
 
-// The message types of Table II.
+// The message types of Table II, plus the two this repo adds. The codes are
+// wire format: 9 and 10 belonged to a second fetch pair that the Table II
+// pair replaced and stay retired, so the last two are pinned.
 const (
 	// TypeRpcRequest is a request to perform a generic RPC.
 	TypeRpcRequest MsgType = iota + 1
@@ -21,10 +23,11 @@ const (
 	TypeRpcResponse
 	// TypeOneWayMessage is an RPC that does not expect a reply.
 	TypeOneWayMessage
-	// TypeChunkFetchRequest is a request to fetch a single chunk of a stream.
+	// TypeChunkFetchRequest is a request to fetch blocks as a stream of
+	// chunks.
 	TypeChunkFetchRequest
-	// TypeChunkFetchSuccess is the response to a ChunkFetchRequest when the
-	// chunk exists and has been successfully fetched.
+	// TypeChunkFetchSuccess is one successfully fetched chunk of a
+	// ChunkFetchRequest's reply.
 	TypeChunkFetchSuccess
 	// TypeStreamRequest is a request to stream data from the remote end.
 	TypeStreamRequest
@@ -33,19 +36,13 @@ const (
 	TypeStreamResponse
 	// TypeRpcFailure reports a failed RPC (Spark's RpcFailure).
 	TypeRpcFailure
-	// TypeFetchBlocksRequest asks for a batch of blocks in one round-trip
-	// (Spark's OpenBlocks/FetchShuffleBlocks coalescing).
-	TypeFetchBlocksRequest
-	// TypeBlockBatchChunk is one bounded-size piece of a batched block
-	// reply. A batch streams as a sequence of these.
-	TypeBlockBatchChunk
 	// TypeCollectiveChunk is one bounded-size piece of a collective
 	// operation (tree broadcast, binomial reduce, ring allreduce) flowing
 	// rank-to-rank through the collective layer.
-	TypeCollectiveChunk
+	TypeCollectiveChunk MsgType = 11
 	// TypePushBlock pushes one committed map-output block to an external
 	// shuffle service (the Magnet-style push-merge data path).
-	TypePushBlock
+	TypePushBlock MsgType = 12
 )
 
 // String names the message type.
@@ -67,10 +64,6 @@ func (t MsgType) String() string {
 		return "StreamResponse"
 	case TypeRpcFailure:
 		return "RpcFailure"
-	case TypeFetchBlocksRequest:
-		return "FetchBlocksRequest"
-	case TypeBlockBatchChunk:
-		return "BlockBatchChunk"
 	case TypeCollectiveChunk:
 		return "CollectiveChunk"
 	case TypePushBlock:
@@ -186,50 +179,142 @@ func (m *OneWayMessage) encodeHead(buf *bytebuf.Buf) []byte {
 	return m.Payload
 }
 
-// ChunkFetchRequest asks for one chunk of a stream; Spark identifies it by
-// StreamChunkId. Here the stream id is the block id and FetchID correlates
-// the response.
-type ChunkFetchRequest struct {
-	FetchID int64
-	BlockID string
-}
-
-// Type implements Message.
-func (m *ChunkFetchRequest) Type() MsgType { return TypeChunkFetchRequest }
-
-// WireSize implements Message.
-func (m *ChunkFetchRequest) WireSize() int { return 1 + 8 + 4 + len(m.BlockID) }
-
-// Encode implements Message.
-func (m *ChunkFetchRequest) Encode(buf *bytebuf.Buf) {
-	buf.WriteByte(byte(TypeChunkFetchRequest))
-	buf.WriteInt64(m.FetchID)
-	buf.WriteString(m.BlockID)
-}
-
-// ChunkFetchSuccess returns a fetched chunk. It is a MessageWithHeader in
-// Spark: a small header (type, ids, body size) and a large body. The
-// MPI4Spark-Optimized design ships exactly this body over MPI while the
-// header stays on the socket; BodyViaMPI marks that encoding, and BodyTag
-// carries the MPI tag the receiver must use for the matching MPI_Recv.
-type ChunkFetchSuccess struct {
-	FetchID    int64
-	BlockID    string
+// BodyRef is the body of a MessageWithHeader: a small header (type, ids,
+// body size) followed by a large body. The MPI4Spark-Optimized design ships
+// exactly this body over MPI while the header stays on the socket (§IV-E,
+// Fig. 6): BodyViaMPI marks that encoding, BodySize announces the body's
+// length and BodyTag carries the MPI tag the receiver must use for the
+// matching MPI_Recv. The four messages that embed it are the BodyMessage set.
+type BodyRef struct {
 	Body       []byte
 	BodyViaMPI bool
 	BodySize   int
 	BodyTag    int
 }
 
+// Ref returns the message's body descriptor.
+func (b *BodyRef) Ref() *BodyRef { return b }
+
+// bodyWireSize is the descriptor's share of Message.WireSize.
+func (b *BodyRef) bodyWireSize() int {
+	if b.BodyViaMPI {
+		return 1 + 8 + 8
+	}
+	return 1 + 8 + len(b.Body)
+}
+
+// encodeBodyHead writes the body descriptor: a flag, then either (size, MPI
+// tag) for a body shipped over MPI or the length of the body that follows,
+// which it returns.
+func (b *BodyRef) encodeBodyHead(buf *bytebuf.Buf) []byte {
+	if b.BodyViaMPI {
+		buf.WriteByte(1)
+		buf.WriteUint64(uint64(b.BodySize))
+		buf.WriteInt64(int64(b.BodyTag))
+		return nil
+	}
+	buf.WriteByte(0)
+	buf.WriteUint64(uint64(len(b.Body)))
+	return b.Body
+}
+
+// decodeBody reads what encodeBodyHead wrote, taking the body from the attached
+// slice of a two-part frame when there is one (see readBody).
+func (b *BodyRef) decodeBody(buf *bytebuf.Buf, attached []byte) error {
+	flag, err := buf.ReadByte()
+	if err != nil {
+		return err
+	}
+	n, err := buf.ReadUint64()
+	if err != nil {
+		return err
+	}
+	b.BodySize = int(n)
+	if flag != 1 {
+		b.Body, err = readBody(buf, attached, int(n))
+		return err
+	}
+	if attached != nil {
+		return fmt.Errorf("rpc: body announced over MPI, frame attaches %d bytes", len(attached))
+	}
+	b.BodyViaMPI = true
+	t, err := buf.ReadInt64()
+	b.BodyTag = int(t)
+	return err
+}
+
+// BodyMessage is a MessageWithHeader: the four messages whose body a
+// transport may move apart from the header. WithBody returns a copy of the
+// message with its body descriptor replaced and every header field kept, so
+// a transport that diverts bodies needs to know no message's fields.
+type BodyMessage interface {
+	Message
+	Ref() *BodyRef
+	WithBody(BodyRef) BodyMessage
+}
+
+// ChunkFetchRequest asks the peer's block resolver for a batch of blocks in
+// one round-trip (Table II's request, carrying Spark's
+// OpenBlocks/FetchShuffleBlocks coalescing: a single block is a batch of
+// one). The reply streams back as ChunkFetchSuccess messages of at most
+// ChunkBytes each, so serve cost, wire time and reassembly pipeline instead
+// of serializing on one monolithic frame per block. FetchID correlates the
+// reply's chunks.
+type ChunkFetchRequest struct {
+	FetchID    int64
+	ChunkBytes uint32
+	BlockIDs   []string
+}
+
+// Type implements Message.
+func (m *ChunkFetchRequest) Type() MsgType { return TypeChunkFetchRequest }
+
+// WireSize implements Message.
+func (m *ChunkFetchRequest) WireSize() int {
+	n := 1 + 8 + 4 + 4
+	for _, id := range m.BlockIDs {
+		n += 4 + len(id)
+	}
+	return n
+}
+
+// Encode implements Message.
+func (m *ChunkFetchRequest) Encode(buf *bytebuf.Buf) {
+	buf.WriteByte(byte(TypeChunkFetchRequest))
+	buf.WriteInt64(m.FetchID)
+	buf.WriteUint32(m.ChunkBytes)
+	buf.WriteUint32(uint32(len(m.BlockIDs)))
+	for _, id := range m.BlockIDs {
+		buf.WriteString(id)
+	}
+}
+
+// ChunkFetchSuccess carries one bounded-size piece of one block of a
+// ChunkFetchRequest's reply. Index addresses the block within the request's
+// BlockIDs; Offset and Total let the receiver reassemble. Missing marks a
+// block the server could not resolve (failing only that block, not its batch
+// siblings). On the Optimized design each chunk body is one eager or
+// rendezvous MPI message.
+type ChunkFetchSuccess struct {
+	FetchID int64
+	Index   uint32
+	Missing bool
+	Total   uint64
+	Offset  uint64
+	BodyRef
+}
+
 // Type implements Message.
 func (m *ChunkFetchSuccess) Type() MsgType { return TypeChunkFetchSuccess }
 
 // WireSize implements Message.
-func (m *ChunkFetchSuccess) WireSize() int {
-	if m.BodyViaMPI {
-		return 1 + 8 + 4 + len(m.BlockID) + 1 + 8 + 8
-	}
-	return 1 + 8 + 4 + len(m.BlockID) + 1 + 8 + len(m.Body)
+func (m *ChunkFetchSuccess) WireSize() int { return 1 + 8 + 4 + 1 + 8 + 8 + m.bodyWireSize() }
+
+// WithBody implements BodyMessage.
+func (m *ChunkFetchSuccess) WithBody(b BodyRef) BodyMessage {
+	c := *m
+	c.BodyRef = b
+	return &c
 }
 
 // Encode implements Message.
@@ -238,91 +323,6 @@ func (m *ChunkFetchSuccess) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHe
 func (m *ChunkFetchSuccess) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeChunkFetchSuccess))
 	buf.WriteInt64(m.FetchID)
-	buf.WriteString(m.BlockID)
-	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
-}
-
-// FetchBlocksRequest asks the peer's block resolver for a batch of blocks
-// in one round-trip, the request-count collapse of Spark's
-// OpenBlocks/FetchShuffleBlocks coalescing. The reply streams back as
-// BlockBatchChunk messages of at most ChunkBytes each, so serve cost, wire
-// time, and reassembly pipeline instead of serializing on one monolithic
-// frame per block.
-type FetchBlocksRequest struct {
-	BatchID    int64
-	ChunkBytes uint32
-	// MapLo/MapHi restrict merged-run block ids in this batch to map ids
-	// in the half-open range [MapLo, MapHi). MapHi == 0 (with MapLo == 0)
-	// means unrestricted — the full partition. The server applies the
-	// range via its registered range rewriter before resolution, so split
-	// sub-tasks fetch disjoint slices of the same merged run.
-	MapLo    uint32
-	MapHi    uint32
-	BlockIDs []string
-}
-
-// Type implements Message.
-func (m *FetchBlocksRequest) Type() MsgType { return TypeFetchBlocksRequest }
-
-// WireSize implements Message.
-func (m *FetchBlocksRequest) WireSize() int {
-	n := 1 + 8 + 4 + 4 + 4 + 4
-	for _, id := range m.BlockIDs {
-		n += 4 + len(id)
-	}
-	return n
-}
-
-// Encode implements Message.
-func (m *FetchBlocksRequest) Encode(buf *bytebuf.Buf) {
-	buf.WriteByte(byte(TypeFetchBlocksRequest))
-	buf.WriteInt64(m.BatchID)
-	buf.WriteUint32(m.ChunkBytes)
-	buf.WriteUint32(m.MapLo)
-	buf.WriteUint32(m.MapHi)
-	buf.WriteUint32(uint32(len(m.BlockIDs)))
-	for _, id := range m.BlockIDs {
-		buf.WriteString(id)
-	}
-}
-
-// BlockBatchChunk carries one bounded-size piece of one block of a batched
-// reply. Index addresses the block within the request's BlockIDs; Offset
-// and Total let the receiver reassemble. Missing marks a block the server
-// could not resolve (failing only that block, not its batch siblings).
-// Like ChunkFetchSuccess it is a MessageWithHeader: the Optimized design
-// ships the body as one eager/rendezvous MPI message per chunk, with the
-// header staying on the socket (BodyViaMPI/BodySize/BodyTag).
-type BlockBatchChunk struct {
-	BatchID    int64
-	Index      uint32
-	Missing    bool
-	Total      uint64
-	Offset     uint64
-	Body       []byte
-	BodyViaMPI bool
-	BodySize   int
-	BodyTag    int
-}
-
-// Type implements Message.
-func (m *BlockBatchChunk) Type() MsgType { return TypeBlockBatchChunk }
-
-// WireSize implements Message.
-func (m *BlockBatchChunk) WireSize() int {
-	n := 1 + 8 + 4 + 1 + 8 + 8
-	if m.BodyViaMPI {
-		return n + 1 + 8 + 8
-	}
-	return n + 1 + 8 + len(m.Body)
-}
-
-// Encode implements Message.
-func (m *BlockBatchChunk) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
-
-func (m *BlockBatchChunk) encodeHead(buf *bytebuf.Buf) []byte {
-	buf.WriteByte(byte(TypeBlockBatchChunk))
-	buf.WriteInt64(m.BatchID)
 	buf.WriteUint32(m.Index)
 	if m.Missing {
 		buf.WriteByte(1)
@@ -331,7 +331,7 @@ func (m *BlockBatchChunk) encodeHead(buf *bytebuf.Buf) []byte {
 	}
 	buf.WriteUint64(m.Total)
 	buf.WriteUint64(m.Offset)
-	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
+	return m.encodeBodyHead(buf)
 }
 
 // CollectiveChunk carries one bounded-size piece of one rank's collective
@@ -339,32 +339,27 @@ func (m *BlockBatchChunk) encodeHead(buf *bytebuf.Buf) []byte {
 // (chunk index, tree level, or ring step — the algorithms assign tags so
 // that at most one in-flight transfer per (OpID, Tag) targets a given
 // rank), and Src the sending rank. Offset and Total let the receiver
-// reassemble multi-chunk transfers. Like the shuffle's BlockBatchChunk it
-// is a MessageWithHeader on the Optimized design: the body ships as one
-// eager/rendezvous MPI message and the header stays on the socket
-// (BodyViaMPI/BodySize/BodyTag).
+// reassemble multi-chunk transfers.
 type CollectiveChunk struct {
-	OpID       int64
-	Tag        uint32
-	Src        uint32
-	Total      uint64
-	Offset     uint64
-	Body       []byte
-	BodyViaMPI bool
-	BodySize   int
-	BodyTag    int
+	OpID   int64
+	Tag    uint32
+	Src    uint32
+	Total  uint64
+	Offset uint64
+	BodyRef
 }
 
 // Type implements Message.
 func (m *CollectiveChunk) Type() MsgType { return TypeCollectiveChunk }
 
 // WireSize implements Message.
-func (m *CollectiveChunk) WireSize() int {
-	n := 1 + 8 + 4 + 4 + 8 + 8
-	if m.BodyViaMPI {
-		return n + 1 + 8 + 8
-	}
-	return n + 1 + 8 + len(m.Body)
+func (m *CollectiveChunk) WireSize() int { return 1 + 8 + 4 + 4 + 8 + 8 + m.bodyWireSize() }
+
+// WithBody implements BodyMessage.
+func (m *CollectiveChunk) WithBody(b BodyRef) BodyMessage {
+	c := *m
+	c.BodyRef = b
+	return &c
 }
 
 // Encode implements Message.
@@ -377,39 +372,34 @@ func (m *CollectiveChunk) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteUint32(m.Src)
 	buf.WriteUint64(m.Total)
 	buf.WriteUint64(m.Offset)
-	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
+	return m.encodeBodyHead(buf)
 }
 
 // PushBlockRequest pushes one committed shuffle block from a map task to
 // its node-local external shuffle service. PushID correlates the service's
 // RpcResponse/RpcFailure ack. Sum is the block's write-time CRC32C; the
 // service verifies the body against it at ingest, so a push corrupted in
-// flight is rejected before it can poison a merged run. Like
-// ChunkFetchSuccess it is a MessageWithHeader: on the MPI4Spark-Optimized
-// design the block body ships over MPI in eager-threshold pieces while the
-// header stays on the socket (BodyViaMPI/BodySize/BodyTag).
+// flight is rejected before it can poison a merged run.
 type PushBlockRequest struct {
-	PushID     int64
-	ShuffleID  int
-	MapID      int
-	ReduceID   int
-	Sum        uint32
-	Body       []byte
-	BodyViaMPI bool
-	BodySize   int
-	BodyTag    int
+	PushID    int64
+	ShuffleID int
+	MapID     int
+	ReduceID  int
+	Sum       uint32
+	BodyRef
 }
 
 // Type implements Message.
 func (m *PushBlockRequest) Type() MsgType { return TypePushBlock }
 
 // WireSize implements Message.
-func (m *PushBlockRequest) WireSize() int {
-	n := 1 + 8 + 4 + 4 + 4 + 4
-	if m.BodyViaMPI {
-		return n + 1 + 8 + 8
-	}
-	return n + 1 + 8 + len(m.Body)
+func (m *PushBlockRequest) WireSize() int { return 1 + 8 + 4 + 4 + 4 + 4 + m.bodyWireSize() }
+
+// WithBody implements BodyMessage.
+func (m *PushBlockRequest) WithBody(b BodyRef) BodyMessage {
+	c := *m
+	c.BodyRef = b
+	return &c
 }
 
 // Encode implements Message.
@@ -422,7 +412,7 @@ func (m *PushBlockRequest) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteUint32(uint32(m.MapID))
 	buf.WriteUint32(uint32(m.ReduceID))
 	buf.WriteUint32(m.Sum)
-	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
+	return m.encodeBodyHead(buf)
 }
 
 // StreamRequest opens a stream (jar/file distribution in Spark).
@@ -442,25 +432,23 @@ func (m *StreamRequest) Encode(buf *bytebuf.Buf) {
 	buf.WriteString(m.StreamID)
 }
 
-// StreamResponse carries stream data; like ChunkFetchSuccess its body may
-// travel over MPI in the optimized design.
+// StreamResponse carries stream data.
 type StreamResponse struct {
-	StreamID   string
-	Body       []byte
-	BodyViaMPI bool
-	BodySize   int
-	BodyTag    int
+	StreamID string
+	BodyRef
 }
 
 // Type implements Message.
 func (m *StreamResponse) Type() MsgType { return TypeStreamResponse }
 
 // WireSize implements Message.
-func (m *StreamResponse) WireSize() int {
-	if m.BodyViaMPI {
-		return 1 + 4 + len(m.StreamID) + 1 + 8 + 8
-	}
-	return 1 + 4 + len(m.StreamID) + 1 + 8 + len(m.Body)
+func (m *StreamResponse) WireSize() int { return 1 + 4 + len(m.StreamID) + m.bodyWireSize() }
+
+// WithBody implements BodyMessage.
+func (m *StreamResponse) WithBody(b BodyRef) BodyMessage {
+	c := *m
+	c.BodyRef = b
+	return &c
 }
 
 // Encode implements Message.
@@ -469,31 +457,17 @@ func (m *StreamResponse) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(
 func (m *StreamResponse) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteByte(byte(TypeStreamResponse))
 	buf.WriteString(m.StreamID)
-	return encodeBodyHead(buf, m.Body, m.BodyViaMPI, m.BodySize, m.BodyTag)
+	return m.encodeBodyHead(buf)
 }
 
-// headBody is implemented by the body-carrying messages (Spark's
-// MessageWithHeader): encodeHead appends everything Encode would up to and
-// including the body-length field and returns the body that follows it on
-// the wire (nil when the body travels over MPI), so head ‖ body is the
-// contiguous form byte for byte.
+// headBody is implemented by every message that crosses the wire as a
+// two-part frame, the BodyMessage set plus the three rpc messages with a
+// payload: encodeHead appends everything Encode would up to and including
+// the body-length field and returns the body that follows it on the wire
+// (nil when the body travels over MPI), so head ‖ body is the contiguous
+// form byte for byte.
 type headBody interface {
 	encodeHead(buf *bytebuf.Buf) (body []byte)
-}
-
-// encodeBodyHead writes the body descriptor shared by the block-transfer
-// messages: a flag, then either (size, MPI tag) for a body shipped over MPI
-// or the length of the body that follows, which it returns.
-func encodeBodyHead(buf *bytebuf.Buf, body []byte, viaMPI bool, size, tag int) []byte {
-	if viaMPI {
-		buf.WriteByte(1)
-		buf.WriteUint64(uint64(size))
-		buf.WriteInt64(int64(tag))
-		return nil
-	}
-	buf.WriteByte(0)
-	buf.WriteUint64(uint64(len(body)))
-	return body
 }
 
 // Decode parses one message from buf, which holds one contiguous frame
@@ -598,34 +572,7 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		if m.FetchID, err = buf.ReadInt64(); err != nil {
 			return nil, err
 		}
-		if m.BlockID, err = buf.ReadString(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeChunkFetchSuccess:
-		m := &ChunkFetchSuccess{}
-		if m.FetchID, err = buf.ReadInt64(); err != nil {
-			return nil, err
-		}
-		if m.BlockID, err = buf.ReadString(); err != nil {
-			return nil, err
-		}
-		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeFetchBlocksRequest:
-		m := &FetchBlocksRequest{}
-		if m.BatchID, err = buf.ReadInt64(); err != nil {
-			return nil, err
-		}
 		if m.ChunkBytes, err = buf.ReadUint32(); err != nil {
-			return nil, err
-		}
-		if m.MapLo, err = buf.ReadUint32(); err != nil {
-			return nil, err
-		}
-		if m.MapHi, err = buf.ReadUint32(); err != nil {
 			return nil, err
 		}
 		n, err := buf.ReadUint32()
@@ -644,9 +591,9 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 			m.BlockIDs = append(m.BlockIDs, id)
 		}
 		return m, nil
-	case TypeBlockBatchChunk:
-		m := &BlockBatchChunk{}
-		if m.BatchID, err = buf.ReadInt64(); err != nil {
+	case TypeChunkFetchSuccess:
+		m := &ChunkFetchSuccess{}
+		if m.FetchID, err = buf.ReadInt64(); err != nil {
 			return nil, err
 		}
 		if m.Index, err = buf.ReadUint32(); err != nil {
@@ -663,7 +610,7 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		if m.Offset, err = buf.ReadUint64(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := m.decodeBody(buf, attached); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -684,7 +631,7 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		if m.Offset, err = buf.ReadUint64(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := m.decodeBody(buf, attached); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -709,7 +656,7 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		if m.Sum, err = buf.ReadUint32(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := m.decodeBody(buf, attached); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -724,40 +671,13 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		if m.StreamID, err = buf.ReadString(); err != nil {
 			return nil, err
 		}
-		if err := decodeBody(buf, attached, &m.Body, &m.BodyViaMPI, &m.BodySize, &m.BodyTag); err != nil {
+		if err := m.decodeBody(buf, attached); err != nil {
 			return nil, err
 		}
 		return m, nil
 	default:
 		return nil, fmt.Errorf("rpc: unknown message type %d", tb)
 	}
-}
-
-func decodeBody(buf *bytebuf.Buf, attached []byte, body *[]byte, viaMPI *bool, size *int, tag *int) error {
-	flag, err := buf.ReadByte()
-	if err != nil {
-		return err
-	}
-	n, err := buf.ReadUint64()
-	if err != nil {
-		return err
-	}
-	if flag == 1 {
-		if attached != nil {
-			return fmt.Errorf("rpc: body announced over MPI, frame attaches %d bytes", len(attached))
-		}
-		*viaMPI = true
-		*size = int(n)
-		t, err := buf.ReadInt64()
-		if err != nil {
-			return err
-		}
-		*tag = int(t)
-		return nil
-	}
-	*size = int(n)
-	*body, err = readBody(buf, attached, int(n))
-	return err
 }
 
 // EncodeToBuf encodes m in its contiguous wire form into a buffer carved

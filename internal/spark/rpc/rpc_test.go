@@ -11,6 +11,7 @@ import (
 
 	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/fabric"
+	"mpi4spark/internal/netty"
 	"mpi4spark/internal/vtime"
 )
 
@@ -20,12 +21,18 @@ func TestMessageRoundTrips(t *testing.T) {
 		&RpcResponse{ReqID: 42, Payload: []byte("ok")},
 		&RpcFailure{ReqID: 7, Error: "boom"},
 		&OneWayMessage{Endpoint: "Executor", From: "driver", Payload: []byte("launch")},
-		&ChunkFetchRequest{FetchID: 9, BlockID: "shuffle_0_1_2"},
-		&ChunkFetchSuccess{FetchID: 9, BlockID: "shuffle_0_1_2", Body: []byte("blockdata"), BodySize: 9},
-		&ChunkFetchSuccess{FetchID: 10, BlockID: "shuffle_0_1_3", BodyViaMPI: true, BodySize: 4096, BodyTag: 77},
+		&ChunkFetchRequest{FetchID: 9, ChunkBytes: 1 << 20, BlockIDs: []string{"shuffle_0_1_2"}},
+		&ChunkFetchRequest{FetchID: 10, BlockIDs: []string{"shuffle_0_1_2", "shuffleMergedRange_0_2_4_8", ""}},
+		&ChunkFetchSuccess{FetchID: 9, Index: 2, Total: 20, Offset: 8, BodyRef: BodyRef{Body: []byte("blockdata"), BodySize: 9}},
+		&ChunkFetchSuccess{FetchID: 9, Index: 1, Missing: true, BodyRef: BodyRef{Body: []byte{}}},
+		&ChunkFetchSuccess{FetchID: 10, Total: 1 << 20, Offset: 4096, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 4096, BodyTag: 77}},
 		&StreamRequest{StreamID: "jar:app.jar"},
-		&StreamResponse{StreamID: "jar:app.jar", Body: []byte("jarbytes"), BodySize: 8},
-		&StreamResponse{StreamID: "jar:big.jar", BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 3},
+		&StreamResponse{StreamID: "jar:app.jar", BodyRef: BodyRef{Body: []byte("jarbytes"), BodySize: 8}},
+		&StreamResponse{StreamID: "jar:big.jar", BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 3}},
+		&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, BodyRef: BodyRef{Body: []byte("collective"), BodySize: 10}},
+		&CollectiveChunk{OpID: 78, Tag: 3, Src: 1, Total: 1 << 22, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 5}},
+		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, BodyRef: BodyRef{Body: []byte("pushed"), BodySize: 6}},
+		&PushBlockRequest{PushID: 12, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 7, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 16, BodyTag: 9}},
 	}
 	for _, m := range msgs {
 		buf := EncodeToBuf(m)
@@ -187,7 +194,15 @@ func TestChunkFetch(t *testing.T) {
 		d, ok := blocks[id]
 		return d, ok
 	})
-	data, vt, err := a.FetchChunk(b.Addr(), "shuffle_0_0_1", 0)
+	// A single block is a batch of one.
+	fetch := func(id string) ([]byte, vtime.Stamp, error) {
+		rs, vt, err := a.FetchBlockBatch(b.Addr(), []string{id}, 0, 0)
+		if err != nil {
+			return nil, vt, err
+		}
+		return rs[0].Data, rs[0].VT, rs[0].Err
+	}
+	data, vt, err := fetch("shuffle_0_0_1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +213,80 @@ func TestChunkFetch(t *testing.T) {
 		t.Fatalf("vt = %v", vt)
 	}
 	// Missing block is an error, not a hang.
-	if _, _, err := a.FetchChunk(b.Addr(), "shuffle_9_9_9", 0); err == nil {
+	if _, _, err := fetch("shuffle_9_9_9"); err == nil {
 		t.Fatal("missing block fetch succeeded")
 	}
 	if !strings.Contains(fmt.Sprint(err), "") {
 		t.Fatal("unreachable")
+	}
+}
+
+// rewriteChunks is an outbound handler at the tail of a serving channel's
+// pipeline that edits every ChunkFetchSuccess on its way out: a peer that
+// lies in its chunk headers.
+type rewriteChunks func(m *ChunkFetchSuccess)
+
+func (h rewriteChunks) Write(ctx *netty.Context, msg any) {
+	if m, ok := msg.(*ChunkFetchSuccess); ok {
+		c := *m
+		h(&c)
+		msg = &c
+	}
+	ctx.Write(msg)
+}
+
+// TestFetchRejectsMalformedChunks: Total and Offset of a chunk are wire data.
+// A chunk that overruns the block it announces, or announces another size
+// than the block's first chunk did, fails that block with an error; its
+// batch sibling still lands, nothing panics and the environment still shuts
+// down (the reassembly ran under Env.mu).
+func TestFetchRejectsMalformedChunks(t *testing.T) {
+	cases := map[string]rewriteChunks{
+		"chunk overruns its announced total": func(m *ChunkFetchSuccess) {
+			if m.Index == 0 && m.Offset == 0 {
+				m.Total = 10
+			}
+		},
+		"offset past the total": func(m *ChunkFetchSuccess) {
+			if m.Index == 0 && m.Offset == 0 {
+				m.Offset, m.Total = 1<<63, 100
+			}
+		},
+		"total changes after the first chunk": func(m *ChunkFetchSuccess) {
+			if m.Index == 0 && m.Offset > 0 {
+				// Not a window of the served block either, so the reassembly
+				// would size a buffer of its own from the announced total.
+				m.Total, m.Body = 1<<62, bytes.Clone(m.Body)
+			}
+		},
+	}
+	for name, rewrite := range cases {
+		t.Run(name, func(t *testing.T) {
+			a, b := twoEnvs(t)
+			b.OnChannelActive = func(ch *netty.Channel, server bool) {
+				if server {
+					ch.Pipeline().AddLast("rewriteChunks", rewrite)
+				}
+			}
+			blocks := map[string][]byte{
+				"bad":  bytes.Repeat([]byte{1}, 200),
+				"good": bytes.Repeat([]byte{2}, 150),
+			}
+			b.RegisterChunkResolver(func(id string) ([]byte, bool) {
+				d, ok := blocks[id]
+				return d, ok
+			})
+			rs, _, err := a.FetchBlockBatch(b.Addr(), []string{"bad", "good"}, 100, 0)
+			if err != nil {
+				t.Fatalf("request-level error %v, want a per-block one", err)
+			}
+			if rs[0].Err == nil || rs[0].Data != nil {
+				t.Fatalf("malformed block landed: %d bytes, err %v", len(rs[0].Data), rs[0].Err)
+			}
+			if rs[1].Err != nil || !bytes.Equal(rs[1].Data, blocks["good"]) {
+				t.Fatalf("sibling did not land: %d bytes, err %v", len(rs[1].Data), rs[1].Err)
+			}
+		})
 	}
 }
 
@@ -328,6 +412,8 @@ func TestMsgTypeStrings(t *testing.T) {
 		{TypeOneWayMessage, "OneWayMessage"}, {TypeChunkFetchRequest, "ChunkFetchRequest"},
 		{TypeChunkFetchSuccess, "ChunkFetchSuccess"}, {TypeStreamRequest, "StreamRequest"},
 		{TypeStreamResponse, "StreamResponse"}, {TypeRpcFailure, "RpcFailure"},
+		{TypeCollectiveChunk, "CollectiveChunk"}, {TypePushBlock, "PushBlock"},
+		{MsgType(9), "MsgType(9)"}, {MsgType(10), "MsgType(10)"},
 	} {
 		if tt.ty.String() != tt.want {
 			t.Errorf("%d.String() = %q, want %q", tt.ty, tt.ty.String(), tt.want)

@@ -11,7 +11,9 @@ import (
 
 // wireGolden pairs each body-carrying message with the bytes Encode
 // produced for it before the header/body split (the contiguous Table II
-// form, captured from the copying encoder).
+// form, captured from the copying encoder). ChunkFetchSuccess's are the
+// ones captured for the chunk of the batched pair it took over, under its
+// own type code.
 var wireGolden = []struct {
 	msg  Message
 	wire string
@@ -22,15 +24,13 @@ var wireGolden = []struct {
 		"02000000000000002a000000026f6b"},
 	{&OneWayMessage{Endpoint: "Executor", From: "driver", Payload: []byte("launch")},
 		"03000000084578656375746f7200000006647269766572000000066c61756e6368"},
-	{&ChunkFetchSuccess{FetchID: 9, BlockID: "shuffle_0_1_2", Body: []byte("blockdata")},
-		"0500000000000000090000000d73687566666c655f305f315f32000000000000000009626c6f636b64617461"},
-	{&BlockBatchChunk{BatchID: 5, Index: 3, Total: 20, Offset: 8, Body: []byte("batchchunk")},
-		"0a000000000000000500000003000000000000000014000000000000000800000000000000000a62617463686368756e6b"},
-	{&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, Body: []byte("pushed-bytes")},
+	{&ChunkFetchSuccess{FetchID: 5, Index: 3, Total: 20, Offset: 8, BodyRef: BodyRef{Body: []byte("batchchunk")}},
+		"05000000000000000500000003000000000000000014000000000000000800000000000000000a62617463686368756e6b"},
+	{&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, BodyRef: BodyRef{Body: []byte("pushed-bytes")}},
 		"0c000000000000000b000000010000000200000003deadbeef00000000000000000c7075736865642d6279746573"},
-	{&StreamResponse{StreamID: "jar:app.jar", Body: []byte("jarbytes")},
+	{&StreamResponse{StreamID: "jar:app.jar", BodyRef: BodyRef{Body: []byte("jarbytes")}},
 		"070000000b6a61723a6170702e6a61720000000000000000086a61726279746573"},
-	{&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, Body: []byte("collective")},
+	{&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, BodyRef: BodyRef{Body: []byte("collective")}},
 		"0b000000000000004d00100000000000020000000000000010000000000000000400000000000000000a636f6c6c656374697665"},
 }
 
@@ -85,17 +85,17 @@ func TestDecodeFrameRejectsMisattachedBody(t *testing.T) {
 		head, _ := encodeFrame(m)
 		return head
 	}
-	chunk := &ChunkFetchSuccess{FetchID: 1, BlockID: "b", Body: []byte("four")}
+	chunk := &ChunkFetchSuccess{FetchID: 1, Total: 4, BodyRef: BodyRef{Body: []byte("four")}}
 	cases := map[string]struct {
 		head *bytebuf.Buf
 		body []byte
 	}{
-		"header-only message": {headOf(&ChunkFetchRequest{FetchID: 1, BlockID: "b"}), []byte("x")},
+		"header-only message": {headOf(&ChunkFetchRequest{FetchID: 1, BlockIDs: []string{"b"}}), []byte("x")},
 		"short body":          {headOf(chunk), []byte("fou")},
 		"long body":           {headOf(chunk), []byte("fours")},
 		"stray head bytes":    {EncodeToBuf(chunk), []byte("four")},
 		"body announced over MPI": {
-			headOf(&ChunkFetchSuccess{FetchID: 1, BlockID: "b", BodyViaMPI: true, BodySize: 4, BodyTag: 9}), []byte("four")},
+			headOf(chunk.WithBody(BodyRef{BodyViaMPI: true, BodySize: 4, BodyTag: 9})), []byte("four")},
 	}
 	for name, c := range cases {
 		if m, err := DecodeFrame(c.head, c.body); err == nil {
@@ -113,16 +113,8 @@ func messageBody(m Message) []byte {
 		return m.Payload
 	case *OneWayMessage:
 		return m.Payload
-	case *ChunkFetchSuccess:
-		return m.Body
-	case *BlockBatchChunk:
-		return m.Body
-	case *PushBlockRequest:
-		return m.Body
-	case *StreamResponse:
-		return m.Body
-	case *CollectiveChunk:
-		return m.Body
+	case BodyMessage:
+		return m.Ref().Body
 	}
 	return nil
 }

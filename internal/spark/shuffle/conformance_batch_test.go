@@ -1,4 +1,4 @@
-// Batched-fetch conformance cases: the grouped FetchBlocksRequest path
+// Batched-fetch conformance cases: the grouped ChunkFetchRequest path
 // (one request per peer, chunked reply) exercised across the same four
 // transports as the base suite — request-count accounting, batches
 // spanning local and remote blocks, chunk-boundary block sizes, and a

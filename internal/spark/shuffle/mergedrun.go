@@ -53,22 +53,10 @@ func ParseRangedMergedBlockID(id string) (shuffleID, reduceID, mapLo, mapHi int,
 	return s, r, lo, hi, true
 }
 
-// RewriteMergedRange maps a merged-run block id to its ranged form for
-// the given [mapLo, mapHi) map range; any other id passes through
-// unchanged. The external shuffle service registers this as the rpc range
-// rewriter, and the UCR client path applies it before sending (ranged ids
-// travel as strings there).
-func RewriteMergedRange(id string, mapLo, mapHi int) string {
-	if s, r, ok := ParseMergedBlockID(id); ok {
-		return string(RangedMergedBlockID(s, r, mapLo, mapHi))
-	}
-	return id
-}
-
 // MergedEntry is one map task's contribution inside a merged run. Sum is
 // the CRC32C of Data, verified at push time and carried in the run header
-// so reducers can verify each entry — including entries of a
-// RewriteMergedRange slice, whose re-encoded subset keeps the per-entry
+// so reducers can verify each entry — including entries of a ranged
+// slice (RangedMergedBlockID), whose re-encoded subset keeps the per-entry
 // sums — without a second tracker round trip.
 type MergedEntry struct {
 	MapID int

@@ -37,7 +37,8 @@ type Manager struct {
 	ChunkBytes int
 	// MaxBytesInFlight bounds the declared bytes of outstanding batched
 	// requests per reduce task (a single batch larger than the budget is
-	// still allowed to fly alone).
+	// still allowed to fly alone). Nothing configures it; it is a field so
+	// that a test can make the gate bind (TestBytesInFlightGate).
 	MaxBytesInFlight int64
 	// BreakerThreshold trips the per-peer circuit breaker after that many
 	// consecutive failed attempts against one peer (0 disables the
@@ -153,9 +154,8 @@ func (m *Manager) FetchShuffleParts(
 // skew splitting, where each sub-task of an oversized reduce partition
 // fetches a disjoint map-range slice. Results stay indexed by global map
 // id; entries outside the range are zero (empty Data), which downstream
-// decoding already skips. Service groups are fetched as ranged merged
-// runs when the transport supports it; the per-block path is inherently
-// ranged.
+// decoding already skips. A service group's merged run is asked for by the
+// id that names this range of it; the per-block path is inherently ranged.
 func (m *Manager) FetchShuffleRange(
 	shuffleID, reduceID int,
 	statuses []*MapStatus,
@@ -170,7 +170,12 @@ func (m *Manager) FetchShuffleRange(
 	if mapHi > len(statuses) {
 		mapHi = len(statuses)
 	}
-	ranged := mapLo > 0 || mapHi < len(statuses)
+	// The merged run a service group asks for first: the whole partition, or
+	// for a sub-task the block that is its map range of it.
+	merged := MergedBlockID(shuffleID, reduceID)
+	if mapLo > 0 || mapHi < len(statuses) {
+		merged = RangedMergedBlockID(shuffleID, reduceID, mapLo, mapHi)
+	}
 	// Validate the metadata upfront: a nil status means the tracker's
 	// view is already missing this map output, which is a fetch failure
 	// in its own right (zero Loc — nothing to unregister). Only the
@@ -294,7 +299,7 @@ func (m *Manager) FetchShuffleRange(
 				mu.Unlock()
 				budCond.Broadcast()
 			}()
-			m.fetchBatch(shuffleID, reduceID, blocks, bts, at, results, observe, fail, abortedNow, ranged, mapLo, mapHi)
+			m.fetchBatch(shuffleID, reduceID, merged, blocks, bts, at, results, observe, fail, abortedNow)
 		}(blocks, batchBytes)
 	}
 	wg.Wait()
@@ -304,11 +309,30 @@ func (m *Manager) FetchShuffleRange(
 	return results, maxVT, nil
 }
 
-// fetchBatch issues one peer's batched request and lands its blocks into
-// results, falling back to individually retried fetches for blocks the
-// batch lost.
+// fetchBatch is one peer's share of a reduce task's fetch, and the whole of
+// the remote data path: request, settle, retry as a batch of one. The first
+// attempt asks for every block in one request; each block of the reply is
+// settled, and one that did not land is asked for again on its own, up to
+// Retry.MaxRetries times. Backoff and deadline accounting advance the
+// attempt's virtual-time stamp only (no wall-clock sleeping), so the
+// schedule is deterministic; each backoff carries deterministic jitter so
+// sibling reducers retrying one peer after a flap decorrelate instead of
+// stampeding. A refetch at a later stamp draws fresh network verdicts. Once a
+// sibling fetch has declared a block lost (abortedNow) the remaining retries
+// are skipped. A block out of retries, or refused by the peer's open breaker
+// on a retry, fails the task onto the degradation chain (FetchFailedError,
+// service blacklist, map-stage recompute).
+//
+// Breaker accounting, per attempt: a request that fails as a whole (connect,
+// shutdown) charges the peer once, however many blocks it carried; a block
+// that fails inside the first, batched attempt does not charge it (its
+// siblings may have landed from the same healthy peer), the same failure on
+// a retry does; every landed block resets it. An open breaker refuses the
+// first attempt without traffic and leaves its blocks to their retries, whose
+// backoff may outlast the cooldown.
 func (m *Manager) fetchBatch(
 	shuffleID, reduceID int,
+	merged storage.BlockID,
 	blocks []remoteBlock,
 	bts BlockTransferService,
 	at vtime.Stamp,
@@ -316,22 +340,18 @@ func (m *Manager) fetchBatch(
 	observe func(vtime.Stamp),
 	fail func(error),
 	abortedNow func() bool,
-	ranged bool,
-	mapLo, mapHi int,
 ) {
 	if abortedNow() {
 		return
 	}
+	loc := blocks[0].loc
 	// A group served by an external shuffle service is first tried as a
 	// single merged-run fetch — one sequential read replaces the per-map
 	// block batch. A miss (merging disabled, incomplete run, undecodable
-	// frame, or a ranged read on a transport without ranged support) falls
-	// through to the ordinary per-block path, which the service also
-	// serves.
-	if blocks[0].loc.Service {
-		if m.fetchMergedRun(shuffleID, reduceID, blocks, bts, at, results, observe, ranged, mapLo, mapHi) {
-			return
-		}
+	// frame) falls through to the ordinary per-block path, which the service
+	// also serves.
+	if loc.Service && m.fetchMergedRun(shuffleID, reduceID, merged, blocks, bts, at, results, observe) {
+		return
 	}
 	ids := make([]storage.BlockID, len(blocks))
 	for i, b := range blocks {
@@ -340,66 +360,81 @@ func (m *Manager) fetchBatch(
 	metrics.GetCounter("shuffle.fetch.requests").Inc()
 	metrics.GetCounter("shuffle.fetch.batched_blocks").Add(int64(len(blocks)))
 	var rs []BatchResult
-	var err error
-	if err = m.breakerAllow(blocks[0].loc.ExecID, at); err == nil {
-		rs, _, err = bts.FetchBatch(blocks[0].loc, ids, m.ChunkBytes, at)
-		if err != nil {
-			m.breakerFailure(blocks[0].loc.ExecID, at)
-		}
-	}
-	if err != nil {
-		// Request never flew: every block takes the individual retry path.
-		rs = make([]BatchResult, len(blocks))
-		for i := range rs {
-			rs[i] = BatchResult{VT: at, Err: err}
+	err := m.breakerAllow(loc.ExecID, at)
+	if err == nil {
+		if rs, _, err = bts.Fetch(loc, ids, m.ChunkBytes, at); err != nil {
+			m.breakerFailure(loc.ExecID, at)
 		}
 	}
 	for i, blk := range blocks {
-		r := rs[i]
-		// Integrity first, before the deadline can discard the body: a
-		// corrupt block that also arrived late must still be counted as a
-		// detected corruption, or injected and detected counts diverge.
-		if r.Err == nil {
-			if verr := m.verifyBlock(shuffleID, reduceID, blk, r.Data, r.VT); verr != nil {
-				metrics.GetCounter(CounterIntegrityRefetches).Inc()
-				r = BatchResult{VT: r.VT, Err: verr}
-			}
+		r := BatchResult{VT: at, Err: err} // the request never flew
+		if err == nil {
+			r = rs[i]
 		}
+		r = m.settle(shuffleID, reduceID, blk, r, at, false)
 		if abortedNow() {
 			return
 		}
-		if r.Err == nil && m.Retry.FetchDeadline > 0 && r.VT > at.Add(m.Retry.FetchDeadline) {
-			// The block arrived past the attempt's budget: the real
-			// fetcher would have timed the request out and retried.
-			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-			r = BatchResult{
-				VT:  at.Add(m.Retry.FetchDeadline),
-				Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.blockID, blk.loc.ExecID, m.Retry.FetchDeadline),
+		attemptAt := at
+		for attempt := 1; r.Err != nil && attempt <= m.Retry.MaxRetries && !abortedNow(); attempt++ {
+			wait := m.Retry.backoff(attempt)
+			if j := m.Retry.jitter(string(blk.blockID), attempt); j > 0 {
+				metrics.GetCounter(CounterRetryJitterVT).Add(int64(j))
+				wait += j
 			}
+			attemptAt = vtime.Max(attemptAt, r.VT).Add(wait)
+			metrics.GetCounter("shuffle.fetch.retries").Inc()
+			if berr := m.breakerAllow(loc.ExecID, attemptAt); berr != nil {
+				r.Err = berr
+				break
+			}
+			metrics.GetCounter("shuffle.fetch.requests").Inc()
+			one, _, ferr := bts.Fetch(loc, ids[i:i+1], m.ChunkBytes, attemptAt)
+			r = BatchResult{VT: attemptAt, Err: ferr}
+			if ferr == nil {
+				r = one[0]
+			}
+			r = m.settle(shuffleID, reduceID, blk, r, attemptAt, true)
 		}
-		if r.Err == nil {
-			m.breakerSuccess(blk.loc.ExecID)
-			observe(r.VT)
-			metrics.GetCounter("shuffle.fetch.bytes_remote").Add(int64(len(r.Data)))
-			results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data}
-			continue
-		}
-		// Per-block fallback: the batch attempt counts as attempt zero, so
-		// the retry budget and backoff schedule match the unbatched path.
-		data, vt, err := m.fetchWithRetry(bts, blk.loc, blk.blockID, vtime.Max(at, r.VT), abortedNow, r.Err,
-			func(d []byte, vt vtime.Stamp) error { return m.verifyBlock(shuffleID, reduceID, blk, d, vt) })
-		if err != nil {
+		if r.Err != nil {
 			metrics.GetCounter("shuffle.fetch.failures").Inc()
 			fail(&FetchFailedError{
 				ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID, Loc: blk.loc,
-				Err: err,
+				Err: r.Err,
 			})
 			return
 		}
-		observe(vt)
-		metrics.GetCounter("shuffle.fetch.bytes_remote").Add(int64(len(data)))
-		results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: data}
+		observe(r.VT)
+		metrics.GetCounter("shuffle.fetch.bytes_remote").Add(int64(len(r.Data)))
+		results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data}
 	}
+}
+
+// settle judges what one attempt, issued at `at`, brought for blk, and does
+// the attempt's accounting: integrity first, before the deadline can discard
+// the body (a corrupt block that also arrived late must still be counted as
+// a detected corruption, or injected and detected counts diverge); then the
+// per-attempt deadline (the real fetcher would have timed the request out);
+// then the peer's breaker, which a failure charges only when charge is set
+// (see fetchBatch). A failed attempt comes back with its error and the stamp
+// the next attempt's backoff starts from.
+func (m *Manager) settle(shuffleID, reduceID int, blk remoteBlock, r BatchResult, at vtime.Stamp, charge bool) BatchResult {
+	if r.Err == nil {
+		if err := m.verifyBlock(shuffleID, reduceID, blk, r.Data, r.VT); err != nil {
+			metrics.GetCounter(CounterIntegrityRefetches).Inc()
+			r = BatchResult{VT: r.VT, Err: err}
+		} else if d := m.Retry.FetchDeadline; d > 0 && r.VT > at.Add(d) {
+			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
+			r = BatchResult{VT: at.Add(d), Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.blockID, blk.loc.ExecID, d)}
+		}
+	}
+	switch {
+	case r.Err == nil:
+		m.breakerSuccess(blk.loc.ExecID)
+	case charge:
+		m.breakerFailure(blk.loc.ExecID, at)
+	}
+	return r
 }
 
 // verifyBlock checks a landed remote block against the CRC32C its map task
@@ -428,34 +463,23 @@ func (m *Manager) verifyBlock(shuffleID, reduceID int, blk remoteBlock, data []b
 	return err
 }
 
-// fetchMergedRun fetches the service-side merged run covering every block
-// of one service group and reports whether it satisfied the group. The
-// decoded entries must cover every requested map id; a partial run fills
-// nothing, so the caller's per-block fallback owns the whole group.
+// fetchMergedRun fetches the service-side merged run id, which covers every
+// block of one service group, and reports whether it satisfied the group.
+// The decoded entries must cover every requested map id; a partial run fills
+// nothing, so the caller's per-block path owns the whole group. It is an
+// opportunistic read that the per-block path backs, so it neither consults
+// nor charges the peer's breaker.
 func (m *Manager) fetchMergedRun(
 	shuffleID, reduceID int,
+	id storage.BlockID,
 	blocks []remoteBlock,
 	bts BlockTransferService,
 	at vtime.Stamp,
 	results []FetchResult,
 	observe func(vtime.Stamp),
-	ranged bool,
-	mapLo, mapHi int,
 ) bool {
-	id := MergedBlockID(shuffleID, reduceID)
-	var rs []BatchResult
-	var err error
-	if ranged {
-		rf, ok := bts.(RangeFetcher)
-		if !ok {
-			return false
-		}
-		metrics.GetCounter("shuffle.fetch.requests").Inc()
-		rs, _, err = rf.FetchBatchRange(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, mapLo, mapHi, at)
-	} else {
-		metrics.GetCounter("shuffle.fetch.requests").Inc()
-		rs, _, err = bts.FetchBatch(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, at)
-	}
+	metrics.GetCounter("shuffle.fetch.requests").Inc()
+	rs, _, err := bts.Fetch(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, at)
 	if err != nil || len(rs) != 1 {
 		return false
 	}
@@ -532,88 +556,4 @@ func (m *Manager) fetchMergedRun(
 	metrics.GetCounter("shuffle.fetch.bytes_remote").Add(bytes)
 	metrics.GetCounter("shuffle.fetch.merged_runs").Inc()
 	return true
-}
-
-// fetchWithRetry runs one block fetch under the manager's RetryPolicy.
-// Backoff and deadline accounting advance the attempt's virtual-time
-// stamp only — no wall-clock sleeping — so the schedule is deterministic;
-// each backoff carries deterministic jitter so sibling reducers retrying
-// one peer after a flap decorrelate instead of stampeding. A non-nil
-// prevErr records an attempt that already failed (the batched request), so
-// retrying starts at attempt one with its backoff. giveUp short-circuits
-// remaining retries once a sibling fetch has already declared a block
-// lost. verify (nil = none) checks a landed body — before the deadline
-// check, so a late corrupt block still counts as detected — and its error
-// is retried like any other failure: a refetch at a later stamp draws
-// fresh network verdicts. Every attempt passes the per-peer circuit
-// breaker; a tripped breaker fails the fetch fast onto the degradation
-// chain (FetchFailedError, service blacklist, map-stage recompute).
-func (m *Manager) fetchWithRetry(
-	bts BlockTransferService,
-	loc Location,
-	blockID storage.BlockID,
-	at vtime.Stamp,
-	giveUp func() bool,
-	prevErr error,
-	verify func([]byte, vtime.Stamp) error,
-) ([]byte, vtime.Stamp, error) {
-	p := m.Retry
-	attemptAt := at
-	lastErr := prevErr
-	first := 0
-	if prevErr != nil {
-		first = 1
-	}
-	for attempt := first; ; attempt++ {
-		if attempt > 0 {
-			if attempt > p.MaxRetries || giveUp() {
-				break
-			}
-			// Exponential backoff in virtual time, plus deterministic
-			// anti-stampede jitter.
-			wait := p.backoff(attempt)
-			if j := p.jitter(string(blockID), attempt); j > 0 {
-				metrics.GetCounter(CounterRetryJitterVT).Add(int64(j))
-				wait += j
-			}
-			attemptAt = attemptAt.Add(wait)
-			metrics.GetCounter("shuffle.fetch.retries").Inc()
-		}
-		if berr := m.breakerAllow(loc.ExecID, attemptAt); berr != nil {
-			lastErr = berr
-			break
-		}
-		metrics.GetCounter("shuffle.fetch.requests").Inc()
-		data, vt, err := bts.Fetch(loc, blockID, attemptAt)
-		if err != nil {
-			m.breakerFailure(loc.ExecID, attemptAt)
-			lastErr = err
-			attemptAt = vtime.Max(attemptAt, vt)
-			continue
-		}
-		if verify != nil {
-			if verr := verify(data, vt); verr != nil {
-				metrics.GetCounter(CounterIntegrityRefetches).Inc()
-				m.breakerFailure(loc.ExecID, attemptAt)
-				lastErr = verr
-				attemptAt = vtime.Max(attemptAt, vt)
-				continue
-			}
-		}
-		if p.FetchDeadline > 0 && vt > attemptAt.Add(p.FetchDeadline) {
-			// The block arrived past the attempt's budget: the real
-			// fetcher would have timed the request out and retried.
-			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-			m.breakerFailure(loc.ExecID, attemptAt)
-			lastErr = fmt.Errorf("fetch %s from %s exceeded deadline %v", blockID, loc.ExecID, p.FetchDeadline)
-			attemptAt = attemptAt.Add(p.FetchDeadline)
-			continue
-		}
-		m.breakerSuccess(loc.ExecID)
-		return data, vt, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("fetch %s from %s aborted", blockID, loc.ExecID)
-	}
-	return nil, attemptAt, lastErr
 }

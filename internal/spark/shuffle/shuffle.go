@@ -1,9 +1,9 @@
 // Package shuffle implements Spark's shuffle machinery: the sort-based
 // shuffle manager's block layout, the map-output tracker, the
 // ShuffleBlockFetcherIterator's local/remote fetch logic, and the
-// BlockTransferService abstraction with its three implementations —
-// Netty-based (Vanilla Spark and, via transport substitution, MPI4Spark)
-// and UCR-based (RDMA-Spark).
+// BlockTransferService abstraction with its two implementations —
+// Netty-based (Vanilla Spark and, via transport substitution, both
+// MPI4Spark designs) and UCR-based (RDMA-Spark).
 package shuffle
 
 import (

@@ -3,13 +3,16 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/rdma"
 	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/spark/storage"
 	"mpi4spark/internal/ucr"
+	"mpi4spark/internal/vtime"
 )
 
 func TestMapStatusRoundTrip(t *testing.T) {
@@ -293,5 +296,75 @@ func TestFetchLocalMissingBlock(t *testing.T) {
 	st := &MapStatus{Loc: Location{ExecID: "e"}, Sizes: []int64{5}}
 	if _, _, err := m.FetchShuffleParts(0, 0, []*MapStatus{st}, "e", nil, 0); err == nil {
 		t.Fatal("missing local block fetch succeeded")
+	}
+}
+
+// gateBTS is a BlockTransferService whose every request lands one block of
+// size bytes. It holds its replies until `want` requests have been in flight
+// at once, so that reaching the expected peak never depends on timing, then
+// dwells a moment in which a gate that admits too much would overshoot it.
+type gateBTS struct {
+	size, want int
+
+	mu                       sync.Mutex
+	cond                     *sync.Cond
+	inFlight, peak, requests int
+}
+
+func (g *gateBTS) Fetch(loc Location, ids []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
+	g.mu.Lock()
+	g.requests++
+	g.inFlight++
+	if g.inFlight > g.peak {
+		g.peak = g.inFlight
+		g.cond.Broadcast()
+	}
+	for g.peak < g.want {
+		g.cond.Wait()
+	}
+	g.mu.Unlock()
+	time.Sleep(2 * time.Millisecond)
+	g.mu.Lock()
+	g.inFlight--
+	g.mu.Unlock()
+	rs := make([]BatchResult, len(ids))
+	for i := range rs {
+		rs[i] = BatchResult{Data: make([]byte, g.size), VT: at}
+	}
+	return rs, at, nil
+}
+
+func (g *gateBTS) Close() {}
+
+// TestBytesInFlightGate pins the reducer's byte budget: requests launch while
+// their declared bytes fit in MaxBytesInFlight, and one larger than the whole
+// budget flies alone once nothing else does.
+func TestBytesInFlightGate(t *testing.T) {
+	const peers, block = 6, 1000
+	statuses := make([]*MapStatus, peers)
+	for i := range statuses {
+		statuses[i] = &MapStatus{Loc: Location{ExecID: fmt.Sprintf("exec-%d", i)}, Sizes: []int64{block}}
+	}
+	for _, c := range []struct {
+		budget int64
+		peak   int
+	}{{block / 2, 1}, {block, 1}, {2 * block, 2}, {100 * block, peers}} {
+		bts := &gateBTS{size: block, want: c.peak}
+		bts.cond = sync.NewCond(&bts.mu)
+		m := NewManager(storage.NewBlockManager("self"))
+		m.MaxBytesInFlight = c.budget
+		results, _, err := m.FetchShuffleParts(0, 0, statuses, "self", bts, 0)
+		if err != nil {
+			t.Fatalf("budget %d: %v", c.budget, err)
+		}
+		if bts.peak != c.peak || bts.requests != peers {
+			t.Errorf("budget %d: %d requests, at most %d in flight; want %d and %d",
+				c.budget, bts.requests, bts.peak, peers, c.peak)
+		}
+		for i, r := range results {
+			if len(r.Data) != block {
+				t.Errorf("budget %d: block %d landed %d bytes", c.budget, i, len(r.Data))
+			}
+		}
 	}
 }

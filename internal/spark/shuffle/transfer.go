@@ -16,21 +16,21 @@ import (
 // MPI4Spark deliberately does NOT substitute this layer — it swaps the
 // transport underneath Netty, which is the paper's core design point.
 type BlockTransferService interface {
-	// Fetch retrieves blockID from the remote executor at loc.
-	Fetch(loc Location, blockID storage.BlockID, at vtime.Stamp) ([]byte, vtime.Stamp, error)
-	// FetchBatch retrieves a batch of blocks from one executor in a
-	// single request, streaming the reply in chunks of at most chunkBytes
-	// (transports with their own chunking, like UCR, may ignore the
-	// hint). Results are index-aligned with blockIDs; failures are per
-	// block so one lost block does not void its landed siblings. The
-	// returned error covers only request-level failures. Implementations
-	// without a native batch path can delegate to FetchBatchSerial.
-	FetchBatch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error)
+	// Fetch retrieves a batch of blocks from the executor or shuffle
+	// service at loc in a single request, streaming the reply in chunks of
+	// at most chunkBytes (transports with their own chunking, like UCR,
+	// ignore the hint). It is the only fetch there is: a single block is a
+	// batch of one, and a map-range slice of a merged run is a block with
+	// an id of its own (RangedMergedBlockID). Results are index-aligned
+	// with blockIDs; failures are per block so one lost block does not void
+	// its landed siblings. The returned error covers only request-level
+	// failures.
+	Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error)
 	// Close releases connections.
 	Close()
 }
 
-// BatchResult is one block's outcome within a batched fetch.
+// BatchResult is one block's outcome within a fetch.
 type BatchResult struct {
 	// Data is the block's bytes, an immutable garbage-collected slice valid
 	// for as long as it is referenced. A block that crossed the wire as a
@@ -42,32 +42,19 @@ type BatchResult struct {
 	Err error
 }
 
-// RangeFetcher is the optional BlockTransferService extension for ranged
-// merged-run fetches: merged-run block ids in the batch are served as
-// their [mapLo, mapHi) map-id slice. Transports that do not implement it
-// simply never serve ranged merged runs — the manager's per-block path
-// (which is naturally ranged, block ids being per-map) covers the range.
-type RangeFetcher interface {
-	FetchBatchRange(loc Location, blockIDs []storage.BlockID, chunkBytes, mapLo, mapHi int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error)
-}
-
-// FetchBatchSerial is the default FetchBatch shim: one Fetch round-trip
-// per block, preserving pre-batching behavior for transports whose native
-// batch path has not landed.
-func FetchBatchSerial(bts BlockTransferService, loc Location, blockIDs []storage.BlockID, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
-	results := make([]BatchResult, len(blockIDs))
-	maxVT := at
+// blockIDStrings is the wire form of a batch's ids.
+func blockIDStrings(blockIDs []storage.BlockID) []string {
+	ids := make([]string, len(blockIDs))
 	for i, id := range blockIDs {
-		data, vt, err := bts.Fetch(loc, id, at)
-		results[i] = BatchResult{Data: data, VT: vt, Err: err}
-		maxVT = vtime.Max(maxVT, vt)
+		ids[i] = string(id)
 	}
-	return results, maxVT, nil
+	return ids
 }
 
-// NettyBTS fetches blocks with ChunkFetchRequest/Success messages over the
-// executor's RPC environment — Spark's NettyBlockTransferService. Whether
-// those frames ride TCP or MPI is decided by the environment's transport.
+// NettyBTS fetches blocks with ChunkFetchRequest/ChunkFetchSuccess messages
+// over the executor's RPC environment — Spark's NettyBlockTransferService.
+// Whether those frames ride TCP or MPI is decided by the environment's
+// transport.
 type NettyBTS struct {
 	env *rpc.Env
 }
@@ -75,33 +62,16 @@ type NettyBTS struct {
 // NewNettyBTS wraps an RPC environment.
 func NewNettyBTS(env *rpc.Env) *NettyBTS { return &NettyBTS{env: env} }
 
-// Fetch implements BlockTransferService.
-func (b *NettyBTS) Fetch(loc Location, blockID storage.BlockID, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	return b.env.FetchChunk(loc.Addr, string(blockID), at)
-}
-
-// FetchBatch implements BlockTransferService via the environment's
-// FetchBlocksRequest/BlockBatchChunk pair — one round-trip, chunked and
+// Fetch implements BlockTransferService: one round-trip, chunked and
 // pipelined reply; blocks adopted by reference, chunk by chunk.
-func (b *NettyBTS) FetchBatch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
-	return b.FetchBatchRange(loc, blockIDs, chunkBytes, 0, 0, at)
-}
-
-// FetchBatchRange implements RangeFetcher: the [mapLo, mapHi) restriction
-// rides the FetchBlocksRequest wire fields and is applied by the server's
-// registered range rewriter before resolution.
-func (b *NettyBTS) FetchBatchRange(loc Location, blockIDs []storage.BlockID, chunkBytes, mapLo, mapHi int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
-	ids := make([]string, len(blockIDs))
-	for i, id := range blockIDs {
-		ids[i] = string(id)
-	}
-	rs, vt, err := b.env.FetchBlockBatchRange(loc.Addr, ids, chunkBytes, mapLo, mapHi, at)
+func (b *NettyBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
+	rs, vt, err := b.env.FetchBlockBatch(loc.Addr, blockIDStrings(blockIDs), chunkBytes, at)
 	if err != nil {
 		return nil, vt, err
 	}
 	out := make([]BatchResult, len(rs))
 	for i, r := range rs {
-		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err}
+		out[i] = BatchResult(r)
 	}
 	return out, vt, nil
 }
@@ -161,46 +131,22 @@ func (b *UCRBTS) client(loc Location, at vtime.Stamp) (*ucr.Client, vtime.Stamp,
 	return client, vt, nil
 }
 
-// Fetch implements BlockTransferService.
-func (b *UCRBTS) Fetch(loc Location, blockID storage.BlockID, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
+// Fetch implements BlockTransferService natively: all block requests are
+// posted on the connection up front and the reply streams drained in order,
+// pipelining the server's chunked service across the batch. The chunkBytes
+// hint is ignored — UCR chunks at its configured ChunkSize.
+func (b *UCRBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
 	client, vt, err := b.client(loc, at)
 	if err != nil {
 		return nil, at, err
 	}
-	return client.FetchBlock(string(blockID), vt)
-}
-
-// FetchBatch implements BlockTransferService natively: all block requests
-// are posted on the connection up front and the reply streams drained in
-// order, pipelining the server's chunked service across the batch. The
-// chunkBytes hint is ignored — UCR chunks at its configured ChunkSize.
-func (b *UCRBTS) FetchBatch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
-	return b.FetchBatchRange(loc, blockIDs, chunkBytes, 0, 0, at)
-}
-
-// FetchBatchRange implements RangeFetcher. UCR carries block ids as
-// opaque strings end to end, so the range restriction is applied here by
-// rewriting merged-run ids into their ranged form before the request is
-// posted; the serving side resolves ranged ids directly.
-func (b *UCRBTS) FetchBatchRange(loc Location, blockIDs []storage.BlockID, chunkBytes, mapLo, mapHi int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
-	client, vt, err := b.client(loc, at)
-	if err != nil {
-		return nil, at, err
-	}
-	ids := make([]string, len(blockIDs))
-	for i, id := range blockIDs {
-		ids[i] = string(id)
-		if mapHi > mapLo {
-			ids[i] = RewriteMergedRange(ids[i], mapLo, mapHi)
-		}
-	}
-	rs, maxVT, err := client.FetchBlocks(ids, vt)
+	rs, maxVT, err := client.FetchBlocks(blockIDStrings(blockIDs), vt)
 	if err != nil {
 		return nil, maxVT, err
 	}
 	out := make([]BatchResult, len(rs))
 	for i, r := range rs {
-		out[i] = BatchResult{Data: r.Data, VT: r.VT, Err: r.Err}
+		out[i] = BatchResult(r)
 	}
 	return out, maxVT, nil
 }

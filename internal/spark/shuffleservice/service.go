@@ -115,15 +115,13 @@ func New(id string, env *rpc.Env) *Service {
 	return s
 }
 
-// Attach registers the service's push handler, block resolver, and
-// merged-run range rewriter on env. The rewriter is how a ranged
-// FetchBlocksRequest turns into a ranged merged-run lookup without the
-// rpc layer knowing shuffle block naming.
+// Attach registers the service's push handler and block resolver on env.
+// A ranged read needs no hook of its own: the reducer asks for the range by
+// block id (shuffle.RangedMergedBlockID) and Resolve serves it.
 func (s *Service) Attach(env *rpc.Env) {
 	s.env = env
 	env.RegisterPushHandler(s.HandlePush)
 	env.RegisterChunkResolver(s.Resolve)
-	env.RegisterRangeRewriter(shuffle.RewriteMergedRange)
 }
 
 // ID returns the service's identity (the ExecID of its locations).

@@ -58,25 +58,6 @@ func DefaultConfig() Config {
 // Resolver maps a block id to its bytes.
 type Resolver func(blockID string) ([]byte, bool)
 
-// bodyFaults is the slice of an installed fabric fault plane UCR consults
-// for payload-level faults, probed structurally so the package carries no
-// faults dependency.
-type bodyFaults interface {
-	CorruptBody(from, to, key string, body []byte, at vtime.Stamp) ([]byte, bool)
-	DupDeliver(from, to, key string, at vtime.Stamp) bool
-}
-
-// bodyFaultPlane returns the server fabric's fault plane when it injects
-// body faults, else nil.
-func (s *Server) bodyFaultPlane() bodyFaults {
-	if p := s.dev.Node().Fabric().FaultPlane(); p != nil {
-		if bf, ok := p.(bodyFaults); ok {
-			return bf
-		}
-	}
-	return nil
-}
-
 // Server serves block fetches over UCR.
 type Server struct {
 	dev     *rdma.Device
@@ -200,7 +181,7 @@ func (s *Server) serve(sc *serverConn) {
 		// In-flight corruption, one verdict per served block. CorruptBody
 		// returns a damaged copy, so the resolver's stored bytes stay good
 		// and a refetch at a later stamp draws a fresh verdict.
-		bf := s.bodyFaultPlane()
+		bf := s.dev.Node().Fabric().BodyFaults()
 		from, to := s.dev.Node().Name(), sc.qp.RemoteNode().Name()
 		if bf != nil {
 			if nb, c := bf.CorruptBody(from, to, blockID, data, vt); c {
