@@ -21,14 +21,17 @@ test: bench-test
 bench-test:
 	cd bench && go vet ./... && go test ./...
 
-# Three short benchmark runs: the clean data path, the faulted one (shuffle
+# Four short benchmark runs: the clean data path in bulk, the same job as
+# small blocks (the fixed cost of a message), the faulted path (shuffle
 # service, ranged reads, refetches) and the short back-to-back jobs whose
-# wall_ms a perf claim rests on; each fails unless its last line (the JSON
-# summary) reports every job's output correct.
+# wall_ms a perf claim rests on. Each fails unless its last line (the JSON
+# summary) reports every job's output correct, then prints its allocation
+# metrics from that line, so a CI log shows their trajectory.
 bench-smoke:
-	for w in groupby-bulk groupby-faulty stream-microbatch; do \
+	for w in groupby-bulk groupby-small groupby-faulty stream-microbatch; do \
 		bash bench/run.sh --workload $$w --seconds 3 --trace 0 > bench_output.txt && \
 		tail -n 1 bench_output.txt | grep -q '"correct":true' || exit 1; \
+		echo "$$w:" $$(tail -n 1 bench_output.txt | grep -o '"alloc[a-z_]*":{"value":[0-9.e+-]*' | sed 's/"//g; s/:{value:/=/'); \
 	done
 
 race:

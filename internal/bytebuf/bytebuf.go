@@ -47,6 +47,12 @@ func Wrap(b []byte) *Buf {
 	return &Buf{data: b, w: len(b)}
 }
 
+// SetBytes makes b what Wrap(p) returns, in place: a buffer whose readable
+// bytes are exactly p, uncopied. It is for a Buf that lives inside another
+// object or is re-pointed at one input after another; b must not be checked
+// out of a pool.
+func (b *Buf) SetBytes(p []byte) { *b = Buf{data: p, w: len(p)} }
+
 // ReadableBytes returns the number of unread bytes.
 func (b *Buf) ReadableBytes() int { return b.w - b.r }
 

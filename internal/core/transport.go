@@ -426,5 +426,7 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 		}
 	}
 	ctx.SetVT(vtime.Max(ctx.VT(), vt))
-	ctx.FireChannelRead(m.WithBody(rpc.BodyRef{Body: data, BodySize: len(data)}))
+	// In place: the message was decoded for this traversal and is nobody else's.
+	*m.Ref() = rpc.BodyRef{Body: data, BodySize: len(data)}
+	ctx.FireChannelRead(m)
 }

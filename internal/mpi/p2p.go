@@ -20,7 +20,9 @@ func (h *Handle) Send(dest, tag int, data []byte, at vtime.Stamp) vtime.Stamp {
 
 // Isend starts a non-blocking send and returns immediately.
 func (h *Handle) Isend(dest, tag int, data []byte, at vtime.Stamp) *SendRequest {
-	return h.IsendGather(dest, tag, data, nil, at)
+	req := &SendRequest{} // not via IsendGather: one call deeper no longer inlines
+	h.isend(req, dest, tag, data, nil, at)
+	return req
 }
 
 // IsendGather is Isend for a payload in two parts, a header and the body
@@ -28,7 +30,17 @@ func (h *Handle) Isend(dest, tag int, data []byte, at vtime.Stamp) *SendRequest 
 // travel as one message: the protocol is chosen on, and the fabric charged
 // for, their combined length, and neither is copied. RecvGather hands them
 // back separately; a plain Recv joins them.
+//
+// The request is made here and filled in by isend so that this wrapper
+// inlines: a caller that waits on the request at once, or drops it, keeps it
+// on its stack (Irecv likewise).
 func (h *Handle) IsendGather(dest, tag int, head, body []byte, at vtime.Stamp) *SendRequest {
+	req := &SendRequest{}
+	h.isend(req, dest, tag, head, body, at)
+	return req
+}
+
+func (h *Handle) isend(req *SendRequest, dest, tag int, head, body []byte, at vtime.Stamp) {
 	w := h.comm.world
 	src := h.Proc()
 	dst := h.comm.peer(dest)
@@ -37,7 +49,8 @@ func (h *Handle) IsendGather(dest, tag int, head, body []byte, at vtime.Stamp) *
 		cpuFree, deliver := w.fabric.Transfer(src.node, dst.node, fabric.MPIEager, m.size(), at)
 		m.vt = deliver
 		dst.engine.deliver(m)
-		return &SendRequest{cpuFree: cpuFree, completed: true}
+		req.cpuFree, req.completed = cpuFree, true
+		return
 	}
 	done := make(chan vtime.Stamp, 1)
 	cpuFree, rtsArrive := w.fabric.Transfer(src.node, dst.node, fabric.MPIEager, rtsBytes, at)
@@ -51,7 +64,7 @@ func (h *Handle) IsendGather(dest, tag int, head, body []byte, at vtime.Stamp) *
 		done:        done,
 	}
 	dst.engine.deliver(m)
-	return &SendRequest{done: done}
+	req.done = done
 }
 
 // SendRequest tracks a non-blocking send.
@@ -104,13 +117,15 @@ func (h *Handle) RecvGather(source, tag int, at vtime.Stamp) (head, body []byte,
 
 // Irecv posts a non-blocking receive.
 func (h *Handle) Irecv(source, tag int, at vtime.Stamp) *RecvRequest {
-	p := h.Proc()
-	m, pr := p.engine.postOrMatch(h.comm.id, source, tag, at)
-	if m != nil {
-		m.complete(at)
-		return &RecvRequest{msg: m}
+	req := &RecvRequest{}
+	h.irecv(req, source, tag, at)
+	return req
+}
+
+func (h *Handle) irecv(req *RecvRequest, source, tag int, at vtime.Stamp) {
+	if req.msg, req.pr = h.Proc().engine.postOrMatch(h.comm.id, source, tag, at); req.msg != nil {
+		req.msg.complete(at)
 	}
-	return &RecvRequest{pr: pr}
 }
 
 // RecvRequest tracks a non-blocking receive.

@@ -1,6 +1,7 @@
 package netty
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -33,11 +34,27 @@ func Parts(msg any) (head *bytebuf.Buf, body []byte) {
 	panic(fmt.Sprintf("netty: a frame is a *bytebuf.Buf or a *Frame, got %T", msg))
 }
 
+// ownedFrame is a frame with its head buffer inside it, one object where a
+// Frame and a Buf would be two: what WrapInbound builds around a received
+// message with a body.
+type ownedFrame struct {
+	Frame
+	head bytebuf.Buf
+}
+
+// inlineFrame is what the frame encoder emits: an ownedFrame with room for the
+// framed head's bytes too, which every rpc header fits but that of a fetch
+// request naming several blocks.
+type inlineFrame struct {
+	ownedFrame
+	inline [64]byte
+}
+
 // FrameEncoder is an outbound handler that prepends a big-endian uint32
 // length field to each frame, Netty's LengthFieldPrepender. The length
-// covers head and body; only the head is rewritten, into a fresh buffer the
-// receiver may keep, so the writer can recycle its own head buffer as soon
-// as Write returns.
+// covers head and body; only the head is rewritten, into a fresh frame the
+// receiver may keep (frames are never pooled: receivers alias the head), so
+// the writer can recycle its own head buffer as soon as Write returns.
 type FrameEncoder struct {
 	// EncodeNsPerByte models the CPU cost of framing/copying per byte.
 	EncodeNsPerByte float64
@@ -47,17 +64,23 @@ type FrameEncoder struct {
 func (e *FrameEncoder) Write(ctx *Context, msg any) {
 	head, body := Parts(msg)
 	n := head.ReadableBytes() + len(body)
-	framed := bytebuf.New(4 + head.ReadableBytes())
-	framed.WriteUint32(uint32(n))
-	framed.WriteBytes(head.Readable())
+	f := &inlineFrame{}
+	framed := f.inline[:0]
+	if size := 4 + head.ReadableBytes(); size > len(f.inline) {
+		// Exact size: append's growth would round a 4 MiB head up a class.
+		framed = make([]byte, 0, size)
+	}
+	framed = binary.BigEndian.AppendUint32(framed, uint32(n))
+	f.head.SetBytes(append(framed, head.Readable()...))
 	if e.EncodeNsPerByte > 0 {
 		ctx.Advance(vtimeNs(e.EncodeNsPerByte * float64(n)))
 	}
 	if body == nil {
-		ctx.Write(framed)
+		ctx.Write(&f.head)
 		return
 	}
-	ctx.Write(&Frame{Head: framed, Body: body})
+	f.Head, f.Body = &f.head, body
+	ctx.Write(&f.Frame)
 }
 
 // FrameDecoder is an inbound handler that validates and strips the uint32

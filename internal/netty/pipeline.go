@@ -21,7 +21,8 @@ import (
 // towards the application (tail of the pipeline).
 type InboundHandler interface {
 	// ChannelRead is invoked for every inbound message. Implementations
-	// forward with ctx.FireChannelRead unless they consume the message.
+	// forward with ctx.FireChannelRead unless they consume the message. ctx
+	// is valid only until ChannelRead returns (see Context).
 	ChannelRead(ctx *Context, msg any)
 }
 
@@ -29,7 +30,8 @@ type InboundHandler interface {
 // the transport (head of the pipeline).
 type OutboundHandler interface {
 	// Write is invoked for every outbound message. Implementations forward
-	// with ctx.Write unless they consume the message.
+	// with ctx.Write unless they consume the message. ctx is valid only
+	// until Write returns (see Context).
 	Write(ctx *Context, msg any)
 }
 
@@ -146,8 +148,10 @@ func (p *Pipeline) snapshot() []entry {
 // with the given virtual timestamp (normally the delivery time reported by
 // the transport).
 func (p *Pipeline) FireChannelRead(msg any, vt vtime.Stamp) {
-	ctx := &Context{pipeline: p, entries: p.snapshot(), idx: -1, vt: vt}
+	ctx := contexts.Get().(*Context)
+	*ctx = Context{pipeline: p, entries: p.snapshot(), idx: -1, vt: vt}
 	ctx.FireChannelRead(msg)
+	ctx.recycle()
 }
 
 // FireChannelActive delivers the activation event to every handler that
@@ -175,19 +179,45 @@ func (p *Pipeline) FireChannelInactive(vt vtime.Stamp) {
 // write reaches the head it is handed to the channel's transport. It
 // returns the virtual time at which the writer's CPU is free.
 func (p *Pipeline) Write(msg any, vt vtime.Stamp) vtime.Stamp {
-	entries := p.snapshot()
-	ctx := &Context{pipeline: p, entries: entries, idx: len(entries), vt: vt}
+	ctx := contexts.Get().(*Context)
+	*ctx = Context{pipeline: p, entries: p.snapshot(), vt: vt}
+	ctx.idx = len(ctx.entries)
 	ctx.Write(msg)
-	return ctx.vt
+	vt = ctx.vt
+	ctx.recycle()
+	return vt
 }
 
 // Context carries one event through the pipeline. It records the event's
 // virtual timestamp, which handlers advance as they model processing cost.
+//
+// One context serves the event's whole traversal: it is a cursor that moves
+// from handler to handler and goes back to a pool when the traversal returns.
+// So a context is valid only during the handler call it was passed to, and
+// handlers are synchronous: whatever a handler does with ctx it does before
+// it returns, and what must outlive the call (the channel, a stamp) it reads
+// out first. A handler may start further traversals from inside the call
+// (write a reply, fire twice, fire into another pipeline); each
+// Pipeline.FireChannelRead and Pipeline.Write carries a context of its own.
 type Context struct {
 	pipeline *Pipeline
 	entries  []entry
 	idx      int
 	vt       vtime.Stamp
+}
+
+// contexts recycles the per-event contexts: one allocation per message and
+// direction otherwise, a fifth of a small-block shuffle's (EXPERIMENTS.md
+// "The fixed cost of a message").
+var contexts = sync.Pool{New: func() any { return new(Context) }}
+
+// recycle hands a context whose traversal has returned back to the pool,
+// zeroed: a handler that kept it finds no pipeline, no handlers and no stamp.
+// Only the normal path gets here; a traversal that panicked leaves its
+// half-moved context to the collector.
+func (c *Context) recycle() {
+	*c = Context{}
+	contexts.Put(c)
 }
 
 // Channel returns the channel this pipeline belongs to.
@@ -207,9 +237,10 @@ func (c *Context) Advance(d vtime.Stamp) { c.vt += d }
 func (c *Context) FireChannelRead(msg any) {
 	for i := c.idx + 1; i < len(c.entries); i++ {
 		if h, ok := c.entries[i].handler.(InboundHandler); ok {
-			next := &Context{pipeline: c.pipeline, entries: c.entries, idx: i, vt: c.vt}
-			h.ChannelRead(next, msg)
-			c.vt = next.vt
+			at := c.idx
+			c.idx = i
+			h.ChannelRead(c, msg)
+			c.idx = at
 			return
 		}
 	}
@@ -220,9 +251,10 @@ func (c *Context) FireChannelRead(msg any) {
 func (c *Context) Write(msg any) {
 	for i := c.idx - 1; i >= 0; i-- {
 		if h, ok := c.entries[i].handler.(OutboundHandler); ok {
-			next := &Context{pipeline: c.pipeline, entries: c.entries, idx: i, vt: c.vt}
-			h.Write(next, msg)
-			c.vt = next.vt
+			at := c.idx
+			c.idx = i
+			h.Write(c, msg)
+			c.idx = at
 			return
 		}
 	}

@@ -8,12 +8,16 @@ import (
 
 // WrapInbound converts the two parts of a received wire message into the
 // pipeline's inbound representation: a ByteBuf over head when there is no
-// body, a Frame otherwise. Nothing is copied.
+// body, a Frame otherwise (one object, its head buffer inside it). Nothing
+// is copied.
 func WrapInbound(head, body []byte) any {
 	if body == nil {
 		return bytebuf.Wrap(head)
 	}
-	return &Frame{Head: bytebuf.Wrap(head), Body: body}
+	f := &ownedFrame{}
+	f.head.SetBytes(head)
+	f.Head, f.Body = &f.head, body
+	return &f.Frame
 }
 
 // NIOTransport is the default transport: framed messages over the fabric's

@@ -219,10 +219,16 @@ func batchCount(data []byte) int {
 // a reader of many batches can size one slice for all of them. The decoded
 // values may alias data, as with DecodePairs.
 func appendPairs[K, V any](codec PairCodec[K, V], out []Pair[K, V], data []byte) ([]Pair[K, V], error) {
+	return appendPairsFrom(codec, out, new(bytebuf.Buf), data)
+}
+
+// appendPairsFrom is appendPairs reading through buf, which it re-points at
+// data: a reader of many batches brings one reader for all of them.
+func appendPairsFrom[K, V any](codec PairCodec[K, V], out []Pair[K, V], buf *bytebuf.Buf, data []byte) ([]Pair[K, V], error) {
 	if len(data) == 0 {
 		return out, nil
 	}
-	buf := bytebuf.Wrap(data)
+	buf.SetBytes(data)
 	n, err := buf.ReadUint32()
 	if err != nil {
 		return nil, err

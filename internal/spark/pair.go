@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"mpi4spark/internal/bytebuf"
 )
 
 // ShuffleConf bundles what a wide transformation needs to move pairs across
@@ -90,8 +92,9 @@ func fetchDecode[K, V any](conf ShuffleConf[K, V], dep *ShuffleDep, reduceID int
 		records = bytes // a count no batch of this size can hold: let append grow instead
 	}
 	out := make([]Pair[K, V], 0, records)
+	var reader bytebuf.Buf // one for all blocks, not one per block
 	for _, b := range blocks {
-		if out, err = appendPairs(conf.Codec, out, b); err != nil {
+		if out, err = appendPairsFrom(conf.Codec, out, &reader, b); err != nil {
 			return nil, err
 		}
 	}

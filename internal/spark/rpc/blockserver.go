@@ -15,6 +15,11 @@ import (
 // behind FetchBlockBatch, pushed blocks, and streams. All of it is charged
 // on the environment's stream-manager occupancy (Env.chunkEngine).
 
+// fetchChunks counts every chunk folded into a fetch, one per ChunkFetchSuccess:
+// a handle, so the per-message path neither locks the registry nor hashes
+// the name.
+var fetchChunks = metrics.GetCounter("shuffle.fetch.chunks")
+
 // DefaultBatchChunkBytes bounds a ChunkFetchSuccess body when the requester
 // does not specify a chunk size.
 const DefaultBatchChunkBytes = 1 << 20
@@ -229,7 +234,7 @@ func (e *Env) resolveBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to s
 // appended — appending it blindly would double-count duplicated bytes and
 // mark the block complete with garbage layout.
 func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to string, allowDup bool) (dup bool) {
-	metrics.GetCounter("shuffle.fetch.chunks").Inc()
+	fetchChunks.Inc()
 	var doneCh chan struct{}
 	e.mu.Lock()
 	b := e.batches[m.FetchID]

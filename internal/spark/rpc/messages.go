@@ -582,13 +582,20 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		if int(n) > buf.ReadableBytes() {
 			return nil, fmt.Errorf("rpc: batch of %d block ids in %d readable bytes", n, buf.ReadableBytes())
 		}
+		// One string for the rest of the frame, of which every id is a
+		// sub-slice: a request costs one allocation for its ids, not one each.
+		rest, base := string(buf.Readable()), buf.ReaderIndex()
 		m.BlockIDs = make([]string, 0, n)
 		for i := uint32(0); i < n; i++ {
-			id, err := buf.ReadString()
+			l, err := buf.ReadUint32()
+			if err == nil {
+				err = buf.Skip(int(l))
+			}
 			if err != nil {
 				return nil, err
 			}
-			m.BlockIDs = append(m.BlockIDs, id)
+			end := buf.ReaderIndex() - base
+			m.BlockIDs = append(m.BlockIDs, rest[end-int(l):end])
 		}
 		return m, nil
 	case TypeChunkFetchSuccess:

@@ -20,6 +20,18 @@ const DefaultChunkBytes = 1 << 20
 // spark.reducer.maxBytesInFlight default of 48 MiB.
 const DefaultMaxBytesInFlight = 48 << 20
 
+// The counters every fetched block bumps, as handles: looked up by name they
+// cost the registry's lock and a hash per block. The failure, retry and
+// breaker paths look theirs up where they count.
+var (
+	fetchBytesLocal    = metrics.GetCounter("shuffle.fetch.bytes_local")
+	fetchBytesRemote   = metrics.GetCounter("shuffle.fetch.bytes_remote")
+	fetchRequests      = metrics.GetCounter("shuffle.fetch.requests")
+	fetchBatchedBlocks = metrics.GetCounter("shuffle.fetch.batched_blocks")
+	fetchMergedRuns    = metrics.GetCounter("shuffle.fetch.merged_runs")
+	integrityChecked   = metrics.GetCounter(CounterIntegrityChecked)
+)
+
 // Manager is the executor-side sort-shuffle manager: it writes map outputs
 // as per-reduce-partition blocks into the local block manager and reads
 // reduce inputs through the fetcher.
@@ -254,7 +266,7 @@ func (m *Manager) FetchShuffleRange(
 			}
 			cost := m.LocalReadCost + time.Duration(m.LocalReadNsPerByte*float64(len(data)))
 			observe(at.Add(cost))
-			metrics.GetCounter("shuffle.fetch.bytes_local").Add(int64(len(data)))
+			fetchBytesLocal.Add(int64(len(data)))
 			results[mapID] = FetchResult{MapID: mapID, Data: data, Local: true}
 			continue
 		}
@@ -357,8 +369,8 @@ func (m *Manager) fetchBatch(
 	for i, b := range blocks {
 		ids[i] = b.blockID
 	}
-	metrics.GetCounter("shuffle.fetch.requests").Inc()
-	metrics.GetCounter("shuffle.fetch.batched_blocks").Add(int64(len(blocks)))
+	fetchRequests.Inc()
+	fetchBatchedBlocks.Add(int64(len(blocks)))
 	var rs []BatchResult
 	err := m.breakerAllow(loc.ExecID, at)
 	if err == nil {
@@ -388,7 +400,7 @@ func (m *Manager) fetchBatch(
 				r.Err = berr
 				break
 			}
-			metrics.GetCounter("shuffle.fetch.requests").Inc()
+			fetchRequests.Inc()
 			one, _, ferr := bts.Fetch(loc, ids[i:i+1], m.ChunkBytes, attemptAt)
 			r = BatchResult{VT: attemptAt, Err: ferr}
 			if ferr == nil {
@@ -405,7 +417,7 @@ func (m *Manager) fetchBatch(
 			return
 		}
 		observe(r.VT)
-		metrics.GetCounter("shuffle.fetch.bytes_remote").Add(int64(len(r.Data)))
+		fetchBytesRemote.Add(int64(len(r.Data)))
 		results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data}
 	}
 }
@@ -445,7 +457,7 @@ func (m *Manager) verifyBlock(shuffleID, reduceID int, blk remoteBlock, data []b
 	if !blk.hasSum {
 		return nil
 	}
-	metrics.GetCounter(CounterIntegrityChecked).Inc()
+	integrityChecked.Inc()
 	got := Checksum(data)
 	if got == blk.sum {
 		return nil
@@ -478,7 +490,7 @@ func (m *Manager) fetchMergedRun(
 	results []FetchResult,
 	observe func(vtime.Stamp),
 ) bool {
-	metrics.GetCounter("shuffle.fetch.requests").Inc()
+	fetchRequests.Inc()
 	rs, _, err := bts.Fetch(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, at)
 	if err != nil || len(rs) != 1 {
 		return false
@@ -536,7 +548,7 @@ func (m *Manager) fetchMergedRun(
 			return false
 		}
 		if blk.hasSum {
-			metrics.GetCounter(CounterIntegrityChecked).Inc()
+			integrityChecked.Inc()
 			if e.Sum != blk.sum || Checksum(e.Data) != blk.sum {
 				anomaly(&CorruptBlockError{
 					ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID,
@@ -553,7 +565,7 @@ func (m *Manager) fetchMergedRun(
 		bytes += int64(len(data))
 	}
 	observe(r.VT)
-	metrics.GetCounter("shuffle.fetch.bytes_remote").Add(bytes)
-	metrics.GetCounter("shuffle.fetch.merged_runs").Inc()
+	fetchBytesRemote.Add(bytes)
+	fetchMergedRuns.Inc()
 	return true
 }

@@ -9,6 +9,10 @@ func TestShuffleBlockIDFormat(t *testing.T) {
 	if got := ShuffleBlockID(1, 2, 3); got != "shuffle_1_2_3" {
 		t.Fatalf("ShuffleBlockID = %q", got)
 	}
+	// The widest ids there are still fit the array the name is built in.
+	if got, want := ShuffleBlockID(-1<<63, 1<<63-1, -1), BlockID("shuffle_-9223372036854775808_9223372036854775807_-1"); got != want {
+		t.Fatalf("ShuffleBlockID = %q, want %q", got, want)
+	}
 	if got := RDDBlockID(4, 5); got != "rdd_4_5" {
 		t.Fatalf("RDDBlockID = %q", got)
 	}

@@ -114,8 +114,13 @@ const maxIntervals = 256
 // it. Without backfill, pipelined components that run ahead in virtual time
 // would artificially serialize unrelated traffic.
 type Resource struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// busy is sorted and disjoint. At the length bound it loses its oldest
+	// interval with every one it gains, so it is a window that slides along
+	// arr, its whole backing array, and moves back to the front when it
+	// reaches the end: a full list allocates nothing.
 	busy []interval
+	arr  []interval
 }
 
 // NewResource returns a resource that is free at the epoch.
@@ -152,7 +157,13 @@ func (r *Resource) Occupy(ready Stamp, d time.Duration) (start, end Stamp) {
 		}
 	}
 	end = start + need
+	if len(r.busy) == cap(r.busy) && len(r.arr) > cap(r.busy) {
+		r.busy = r.arr[:copy(r.arr, r.busy)] // at the end of the array: back to its front
+	}
 	r.busy = append(r.busy, interval{})
+	if cap(r.busy) > len(r.arr) {
+		r.arr = r.busy[:cap(r.busy)] // append moved the list to a larger array
+	}
 	copy(r.busy[insert+1:], r.busy[insert:])
 	r.busy[insert] = interval{start: start, end: end}
 	r.coalesce(insert)
@@ -173,10 +184,11 @@ func (r *Resource) coalesce(idx int) {
 		r.busy[idx].end = Max(r.busy[idx].end, r.busy[idx+1].end)
 		r.busy = append(r.busy[:idx+1], r.busy[idx+2:]...)
 	}
-	// Bound memory: surrender the oldest idle gaps.
+	// Bound memory: surrender the oldest idle gaps. The first interval is
+	// merged into the second and dropped from the front, which moves nothing.
 	for len(r.busy) > maxIntervals {
-		r.busy[0].end = r.busy[1].end
-		r.busy = append(r.busy[:1], r.busy[2:]...)
+		r.busy[1].start = r.busy[0].start
+		r.busy = r.busy[1:]
 	}
 }
 
@@ -195,5 +207,5 @@ func (r *Resource) FreeAt() Stamp {
 func (r *Resource) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.busy = nil
+	r.busy, r.arr = nil, nil
 }

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -309,6 +310,57 @@ func TestResourceOccupyMatchesLinearReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A resource that stays at the length bound, as every NIC of a long run does,
+// sheds its oldest interval on each call: 10 000 calls past the bound grant
+// what the linear reference grants, leave the same list, and allocate nothing.
+func TestResourceAtTheBoundMatchesReferenceWithoutAllocating(t *testing.T) {
+	const warm, calls = 2 * maxIntervals, 2*maxIntervals + 10000 // the list fills, and grows its array a last time, in the warm-up
+	rng := rand.New(rand.NewSource(7))
+	readies, durs := make([]Stamp, calls), make([]time.Duration, calls)
+	for i := range readies {
+		// Mostly fresh, disjoint intervals at the far end, so the list stays
+		// full; one request in eight backfills a gap further back.
+		readies[i] = Stamp(i*24 + rng.Intn(12))
+		if rng.Intn(8) == 0 {
+			readies[i] = Max(0, readies[i]-Stamp(rng.Intn(3000)))
+		}
+		durs[i] = time.Duration(rng.Intn(10))
+	}
+	got, want := NewResource(), NewResource()
+	for i := range readies {
+		gs, ge := got.Occupy(readies[i], durs[i])
+		ws, we := occupyLinear(want, readies[i], durs[i])
+		if gs != ws || ge != we || !slices.Equal(got.busy, want.busy) {
+			t.Fatalf("call %d (ready %d, d %d): granted [%d,%d), reference [%d,%d)", i, readies[i], durs[i], gs, ge, ws, we)
+		}
+	}
+	if len(got.busy) != maxIntervals {
+		t.Fatalf("busy list holds %d intervals, the schedule was meant to keep it at the bound of %d", len(got.busy), maxIntervals)
+	}
+	// The same calls again, alone: the reference allocates, Occupy must not.
+	// Counted over the whole stretch, not averaged per call, where one
+	// reallocation of the list in 256 calls would round to nothing; the
+	// quietest of three stretches, since the runtime allocates now and then
+	// behind any test's back.
+	again := NewResource()
+	for i := 0; i < warm; i++ {
+		again.Occupy(readies[i], durs[i])
+	}
+	fewest := ^uint64(0)
+	for try := 0; try < 3; try++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := warm; i < calls; i++ {
+			again.Occupy(readies[i]+Stamp(try*calls*24), durs[i])
+		}
+		runtime.ReadMemStats(&m1)
+		fewest = min(fewest, m1.Mallocs-m0.Mallocs)
+	}
+	if fewest != 0 {
+		t.Fatalf("%d allocations in %d calls at the bound, want none", fewest, calls-warm)
 	}
 }
 
