@@ -45,6 +45,14 @@ func (tc *testCluster) close() {
 // `workers` worker nodes, one executor per worker.
 func newTestCluster(t *testing.T, workers, slots int, backend Backend) *testCluster {
 	t.Helper()
+	cfg := DefaultConfig()
+	cfg.DefaultParallelism = workers * slots
+	return newTestClusterWith(t, workers, slots, backend, cfg)
+}
+
+// newTestClusterWith is newTestCluster under the caller's Config.
+func newTestClusterWith(t *testing.T, workers, slots int, backend Backend, cfg Config) *testCluster {
+	t.Helper()
 	f := fabric.New(fabric.NewIBHDRModel())
 	driverNode := f.AddNode("driver-node")
 	driverEnv, err := rpc.NewEnv("driver", driverNode, "rpc", rpc.DefaultEnvConfig())
@@ -79,8 +87,6 @@ func newTestCluster(t *testing.T, workers, slots int, backend Backend) *testClus
 		execs = append(execs, e)
 	}
 	tc.execs = execs
-	cfg := DefaultConfig()
-	cfg.DefaultParallelism = workers * slots
 	ctx, err := NewContext(cfg, driverEnv, execs)
 	if err != nil {
 		t.Fatal(err)
