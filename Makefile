@@ -1,6 +1,6 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet fmt-check test bench-test bench-smoke race race-datapath race-ownership flake bench experiments examples clean
+.PHONY: all build vet fmt-check test bench-test bench-smoke race-all flake bench experiments examples clean
 
 all: build vet fmt-check test
 
@@ -34,22 +34,14 @@ bench-smoke:
 		echo "$$w:" $$(tail -n 1 bench_output.txt | grep -o '"alloc[a-z_]*":{"value":[0-9.e+-]*' | sed 's/"//g; s/:{value:/=/'); \
 	done
 
-race:
-	go test -race -short ./...
-
-# The data path from buffer to shuffle service, whole packages under the race
-# detector: pool and reassembly, frame codec, both MPI designs, UCR, rpc, the
-# shuffle manager (fault conformance, breaker, budget gate) and the service
-# (concurrent pushers, ranged reads). Packages, not test names: a renamed
-# test cannot drop out of it.
-race-datapath:
-	go test -race -count=2 ./internal/bytebuf/ ./internal/netty/ ./internal/core/ ./internal/ucr/ ./internal/spark/rpc/ ./internal/spark/shuffle/ ./internal/spark/shuffleservice/
-
-# The buffer-ownership rules of the by-reference data path above those
-# packages: collective results, decoded record values.
-race-ownership:
-	go test -race -count=2 -run 'TestCollectiveResultsSurviveEarlyRelease|TestDecodedValues' \
-		./internal/collective/ ./internal/spark/ ./internal/harness/
+# The whole suite, twice in one process, under the race detector: packages,
+# not test names, so a renamed test cannot drop out of it, and -count=2 so a
+# test that leans on process-global state (the metrics registry, a pool)
+# shows it. Allocation budgets run here too, with the slack their comments
+# give for the detector; the one that cannot (harness) skips on a race build
+# tag.
+race-all:
+	go test -race -count=2 ./...
 
 # Tests that were order-dependent once (the MPI launcher's executor order):
 # thirty consecutive passes each.

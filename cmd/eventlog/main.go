@@ -1,6 +1,6 @@
 // Command eventlog replays a JSONL lifecycle event log (recorded via
-// spark.Config.EventLogPath or the -eventlog flag of cmd/ohb and
-// cmd/hibench) into the paper-style analyses: a stage timeline, the
+// spark.Config.EventLogPath or the -eventlog flag of cmd/experiments
+// -exp ohb|hibench) into the paper-style analyses: a stage timeline, the
 // per-stage shuffle-wait vs. compute breakdown, and a critical-path
 // summary.
 //

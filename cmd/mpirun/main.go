@@ -35,9 +35,15 @@ func main() {
 	}
 	workers := *np - 2
 
-	d := core.DesignOptimized
-	if *design == "basic" {
+	var d core.Design
+	switch *design {
+	case "optimized":
+		d = core.DesignOptimized
+	case "basic":
 		d = core.DesignBasic
+	default:
+		fmt.Fprintf(os.Stderr, "mpirun: unknown -design %q (optimized|basic)\n", *design)
+		os.Exit(1)
 	}
 
 	f := fabric.New(fabric.NewIBHDRModel())
@@ -64,7 +70,6 @@ func main() {
 		DriverNode:     driverNode,
 		SlotsPerWorker: *slots,
 		Design:         d,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          sparkCfg,
 	})
 	if err != nil {

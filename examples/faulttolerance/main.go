@@ -29,8 +29,8 @@ func main() {
 	// Turn executor liveness supervision on: each executor heartbeats the
 	// driver every 2ms of virtual time, and an executor silent for 30ms is
 	// declared lost and replaced through the worker's launch path.
-	cfg.HeartbeatInterval = 2 * time.Millisecond
-	cfg.ExecutorTimeout = 30 * time.Millisecond
+	cfg.HeartbeatInterval = spark.DefaultHeartbeatInterval
+	cfg.ExecutorTimeout = spark.DefaultExecutorTimeout
 	cl, err := deploy.StartCluster(deploy.Config{
 		Fabric:         f,
 		WorkerNodes:    workers,
@@ -38,7 +38,6 @@ func main() {
 		DriverNode:     f.AddNode("driver"),
 		SlotsPerWorker: 2,
 		Backend:        spark.BackendVanilla,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          cfg,
 	})
 	if err != nil {

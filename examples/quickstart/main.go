@@ -33,7 +33,6 @@ func main() {
 		DriverNode:     driver,
 		SlotsPerWorker: 2,
 		Design:         core.DesignOptimized,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          spark.DefaultConfig(),
 	})
 	if err != nil {

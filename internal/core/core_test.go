@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mpi4spark/internal/fabric"
+	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/mpi"
 	"mpi4spark/internal/netty"
 	"mpi4spark/internal/spark"
@@ -37,7 +38,6 @@ func launch(t *testing.T, workers, slots int, design Design) (*MPICluster, *fabr
 		DriverNode:     dn,
 		SlotsPerWorker: slots,
 		Design:         design,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          sparkCfg,
 	})
 	if err != nil {
@@ -291,6 +291,65 @@ func TestLaunchClusterBasic(t *testing.T) {
 	}
 }
 
+// TestShuffleChunkFollowsDesign: with ShuffleChunkBytes left zero the
+// launcher gives the Optimized design eager-sized fetch chunks (a 256 KiB
+// block crosses as eager messages only, §IV-E) and leaves the Basic design
+// its 1 MiB chunks (the block is one rendezvous message); an explicit value
+// wins on both.
+func TestShuffleChunkFollowsDesign(t *testing.T) {
+	const blockBytes = 256 << 10
+	for _, tc := range []struct {
+		design     Design
+		chunkBytes int
+		rendezvous bool // every fetch chunk is one rendezvous message
+	}{
+		{DesignOptimized, 0, false},
+		{DesignOptimized, 1 << 20, true},
+		{DesignBasic, 0, true},
+		{DesignBasic, 16 << 10, false},
+	} {
+		f, wn, mn, dn := newClusterFabric(2)
+		sparkCfg := spark.DefaultConfig()
+		sparkCfg.ShuffleChunkBytes = tc.chunkBytes
+		cl, err := LaunchMPICluster(ClusterConfig{
+			Fabric: f, WorkerNodes: wn, MasterNode: mn, DriverNode: dn,
+			SlotsPerWorker: 1, Design: tc.design, Spark: sparkCfg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two mappers, two reducers, one of each per executor: each reducer
+		// fetches one remote block of blockBytes and change.
+		pairs := spark.Generate(cl.Ctx, 2, func(part int, tc *spark.TaskContext) []spark.Pair[int64, []byte] {
+			return []spark.Pair[int64, []byte]{
+				{K: 0, V: make([]byte, blockBytes)},
+				{K: 1, V: make([]byte, blockBytes)},
+			}
+		})
+		conf := spark.ShuffleConf[int64, []byte]{
+			Codec: spark.PairCodec[int64, []byte]{Key: spark.Int64Codec{}, Val: spark.BytesCodec{}},
+			Ops:   spark.Int64Key{},
+			Parts: 2,
+		}
+		before, snap := f.Stats().MessagesFor(fabric.MPIRendezvous), metrics.Snapshot()
+		n, err := spark.Count(spark.GroupByKey(pairs, conf))
+		cl.Close()
+		if err != nil || n != 2 {
+			t.Fatalf("%v chunk=%d: groups = %d, %v", tc.design, tc.chunkBytes, n, err)
+		}
+		rndv := f.Stats().MessagesFor(fabric.MPIRendezvous) - before
+		chunks := snap.DeltaValue("shuffle.fetch.chunks")
+		switch {
+		case tc.rendezvous && (chunks != 2 || rndv != chunks):
+			t.Errorf("%v chunk=%d: %d chunks as %d rendezvous messages, want 2 as 2",
+				tc.design, tc.chunkBytes, chunks, rndv)
+		case !tc.rendezvous && (chunks <= 2 || rndv != 0):
+			t.Errorf("%v chunk=%d: %d chunks, %d rendezvous messages, want eager-sized chunks and no rendezvous",
+				tc.design, tc.chunkBytes, chunks, rndv)
+		}
+	}
+}
+
 func TestBasicInflationSlowsCompute(t *testing.T) {
 	run := func(design Design) vtime.Stamp {
 		f, wn, mn, dn := newClusterFabric(2)
@@ -298,7 +357,7 @@ func TestBasicInflationSlowsCompute(t *testing.T) {
 		cl, err := LaunchMPICluster(ClusterConfig{
 			Fabric: f, WorkerNodes: wn, MasterNode: mn, DriverNode: dn,
 			SlotsPerWorker: 1, Design: design,
-			CPU: spark.DefaultCPUModel(), Spark: sparkCfg,
+			Spark:                 sparkCfg,
 			BasicComputeInflation: 3.0,
 		})
 		if err != nil {

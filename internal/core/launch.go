@@ -26,19 +26,15 @@ type ClusterConfig struct {
 	MasterNode, DriverNode *fabric.Node
 	// SlotsPerWorker is the executor core count (spark_executor_cores).
 	SlotsPerWorker int
-	// ExecutorsPerWorker is the number of executors spawned per worker.
-	ExecutorsPerWorker int
 	// Design selects Basic or Optimized.
 	Design Design
-	// CPU is the compute model for tasks.
-	CPU spark.CPUModel
-	// Spark is the SparkContext configuration.
+	// Spark is the SparkContext configuration; its CPU is the executors'
+	// compute model. A zero ShuffleChunkBytes under the Optimized design
+	// becomes the MPI eager threshold (see LaunchMPICluster).
 	Spark spark.Config
 	// BasicComputeInflation scales task compute cost under the Basic
 	// design, modeling selector-poll CPU starvation (>1; default 2.5).
 	BasicComputeInflation float64
-	// Env is the base RPC configuration (zero value selects defaults).
-	Env rpc.EnvConfig
 }
 
 // MPICluster is a launched MPI4Spark cluster.
@@ -68,7 +64,6 @@ type execSeat struct {
 	idx     int
 	node    *fabric.Node
 	id      *Identity
-	slots   int
 	inflate func() float64
 	svc     *shuffleservice.Service
 	attempt int
@@ -169,14 +164,22 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 	if w == 0 {
 		return nil, fmt.Errorf("core: no worker nodes")
 	}
-	if cfg.ExecutorsPerWorker < 1 {
-		cfg.ExecutorsPerWorker = 1
-	}
 	if cfg.SlotsPerWorker < 1 {
 		cfg.SlotsPerWorker = 1
 	}
 	if cfg.BasicComputeInflation <= 0 {
 		cfg.BasicComputeInflation = 2.5
+	}
+	if cfg.Design == DesignOptimized && cfg.Spark.ShuffleChunkBytes == 0 {
+		// Batched-fetch reply chunks map one-to-one onto MPI messages
+		// (§IV-E). Eager chunks fly without the rendezvous RTS/CTS
+		// handshake that would otherwise stall each block until the
+		// receiver matches its Recv. The Basic design keeps large chunks:
+		// its Iprobe-polling selector pays per-message overhead, so fewer,
+		// bigger messages win even with the handshake. Collective chunks
+		// stay large on both: the Optimized transport itself splits each
+		// chunk body into eager-sized MPI pieces.
+		cfg.Spark.ShuffleChunkBytes = mpi.DefaultEagerThreshold
 	}
 
 	world := mpi.NewWorld(cfg.Fabric)
@@ -194,20 +197,19 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 		}
 		launchMu.Unlock()
 	}
-	numExec := w * cfg.ExecutorsPerWorker
-	execCh := make(chan *spark.Executor, numExec)
+	execCh := make(chan *spark.Executor, w)
 	masterReady := make(chan *rpc.Env, 1)
 	errCh := make(chan error, w+2)
 
 	// executorMain is the program DPM spawns (Fig. 3 Step C).
 	executorMain := func(child *mpi.ChildContext) {
+		// One executor per worker: executor rank i runs on worker i.
 		execIdx := child.World.Rank()
-		workerIdx := execIdx / cfg.ExecutorsPerWorker
-		node := cfg.WorkerNodes[workerIdx]
+		node := cfg.WorkerNodes[execIdx]
 		id := &Identity{Kind: KindChild, World: child.World, Inter: child.Parent}
 		env, st, err := NewMPIEnv(
 			fmt.Sprintf("exec-%d", execIdx), node,
-			fmt.Sprintf("exec-rpc-%d", execIdx), id, cfg.Design, cfg.Env)
+			fmt.Sprintf("exec-rpc-%d", execIdx), id, cfg.Design, rpc.DefaultEnvConfig())
 		if err != nil {
 			errCh <- fmt.Errorf("core: executor %d env: %w", execIdx, err)
 			return
@@ -218,19 +220,18 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 			f := cfg.BasicComputeInflation
 			inflate = func() float64 { return f }
 		}
-		slots := cfg.SlotsPerWorker / cfg.ExecutorsPerWorker
-		svc := cluster.serviceFor(workerIdx)
+		svc := cluster.serviceFor(execIdx)
 		e := spark.NewExecutor(spark.ExecutorConfig{
 			ID:             fmt.Sprintf("exec-%d", execIdx),
 			Node:           node,
 			Env:            env,
-			Slots:          slots,
-			CPU:            cfg.CPU,
+			Slots:          cfg.SlotsPerWorker,
+			CPU:            cfg.Spark.CPU,
 			Inflate:        inflate,
 			ShuffleService: svc,
 		})
 		cluster.mu.Lock()
-		cluster.seats[e.ID()] = &execSeat{idx: execIdx, node: node, id: id, slots: slots, inflate: inflate, svc: svc}
+		cluster.seats[e.ID()] = &execSeat{idx: execIdx, node: node, id: id, inflate: inflate, svc: svc}
 		cluster.mu.Unlock()
 		execCh <- e
 	}
@@ -252,7 +253,7 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 			case rank < w: // worker
 				env, st, err := NewMPIEnv(
 					fmt.Sprintf("worker-%d", rank), cfg.WorkerNodes[rank],
-					"worker-rpc", id, cfg.Design, cfg.Env)
+					"worker-rpc", id, cfg.Design, rpc.DefaultEnvConfig())
 				if err != nil {
 					errCh <- err
 					return
@@ -266,7 +267,7 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 				if cfg.Spark.ExternalShuffleService {
 					sEnv, sSt, err := NewMPIEnv(
 						fmt.Sprintf("shuffle-svc-%d", rank), cfg.WorkerNodes[rank],
-						"shuffle-svc-rpc", id, cfg.Design, cfg.Env)
+						"shuffle-svc-rpc", id, cfg.Design, rpc.DefaultEnvConfig())
 					if err != nil {
 						errCh <- fmt.Errorf("core: worker %d shuffle service env: %w", rank, err)
 						return
@@ -281,7 +282,7 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 				for wi, wn := range cfg.WorkerNodes {
 					specs = append(specs, mpi.SpawnSpec{
 						Node:  wn,
-						Count: cfg.ExecutorsPerWorker,
+						Count: 1,
 						Args:  []byte(fmt.Sprintf("worker=%d;slots=%d", wi, cfg.SlotsPerWorker)),
 						Main:  executorMain,
 					})
@@ -301,7 +302,7 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 				}
 				observeLaunch(regVT)
 			case rank == masterRank:
-				env, st, err := NewMPIEnv("master", cfg.MasterNode, "master-rpc", id, cfg.Design, cfg.Env)
+				env, st, err := NewMPIEnv("master", cfg.MasterNode, "master-rpc", id, cfg.Design, rpc.DefaultEnvConfig())
 				if err != nil {
 					errCh <- err
 					return
@@ -323,7 +324,7 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 				inter, _ := h.SpawnMultiple(nil, 0, vt)
 				id.Inter = inter
 			case rank == driverRank:
-				env, st, err := NewMPIEnv("driver", cfg.DriverNode, "driver-rpc", id, cfg.Design, cfg.Env)
+				env, st, err := NewMPIEnv("driver", cfg.DriverNode, "driver-rpc", id, cfg.Design, rpc.DefaultEnvConfig())
 				if err != nil {
 					errCh <- err
 					return
@@ -338,8 +339,8 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 				// in goroutine order; placing each at its DPM seat index
 				// makes Executors()[i] exec-i on every run, so round-robin
 				// task placement does not change from launch to launch.
-				execs := make([]*spark.Executor, numExec)
-				for i := 0; i < numExec; i++ {
+				execs := make([]*spark.Executor, w)
+				for i := 0; i < w; i++ {
 					e := <-execCh
 					cluster.mu.Lock()
 					execs[cluster.seats[e.ID()].idx] = e
@@ -399,7 +400,7 @@ func (c *MPICluster) respawnReplacer(cfg ClusterConfig) spark.ExecutorReplacer {
 		name := fmt.Sprintf("exec-%d.%d", seat.idx, attempt)
 		startVT := at.Add(mpi.DefaultSpawnLatency)
 		env, st, err := NewMPIEnv(name, seat.node,
-			fmt.Sprintf("exec-rpc-%d.%d", seat.idx, attempt), seat.id, cfg.Design, cfg.Env)
+			fmt.Sprintf("exec-rpc-%d.%d", seat.idx, attempt), seat.id, cfg.Design, rpc.DefaultEnvConfig())
 		if err != nil {
 			return nil, at, fmt.Errorf("core: respawning %s: %w", lost.ID(), err)
 		}
@@ -408,8 +409,8 @@ func (c *MPICluster) respawnReplacer(cfg ClusterConfig) spark.ExecutorReplacer {
 			ID:             name,
 			Node:           seat.node,
 			Env:            env,
-			Slots:          seat.slots,
-			CPU:            cfg.CPU,
+			Slots:          cfg.SlotsPerWorker,
+			CPU:            cfg.Spark.CPU,
 			Inflate:        seat.inflate,
 			StartVT:        startVT,
 			ShuffleService: seat.svc,

@@ -103,6 +103,76 @@ func runOHB(spec ClusterSpec, cfg ohb.Config, bench string) (*ohb.Result, error)
 	}
 }
 
+// runWeakPoint runs one OHB benchmark at one weak-scaling point:
+// BytesPerWorker on each of `workers` workers. Figure 9 and the headline
+// are made of these and RunOHB is a single one, so a single run and the
+// figure that contains it are the same job.
+func runWeakPoint(o Options, sys System, workers int, b spark.Backend, bench, eventLog string) (*ohb.Result, error) {
+	cfg := ohbConfig(o, workers, o.SlotsPerWorker, o.BytesPerWorker*int64(workers))
+	spec := ClusterSpec{System: sys, Workers: workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker, EventLogPath: eventLog}
+	return runOHB(spec, cfg, bench)
+}
+
+// singleRunTitle heads the table of one run of one benchmark.
+func singleRunTitle(suite, name string, o Options, sys System, b spark.Backend) string {
+	return fmt.Sprintf("%s %s: %s, %d workers x %d slots, %s backend",
+		suite, name, sys.Name, o.Workers, o.SlotsPerWorker, b)
+}
+
+// RunOHB runs GroupByTest or SortByTest once, on one system and backend at
+// the weak-scaling point (o.Workers, o.BytesPerWorker), and renders the
+// paper-style stage breakdown. eventLog, when non-empty, records the run's
+// lifecycle events for cmd/eventlog.
+func RunOHB(o Options, sys System, b spark.Backend, bench, eventLog string) (*ohb.Result, *metrics.Table, error) {
+	o.defaults()
+	res, err := runWeakPoint(o, sys, o.Workers, b, bench, eventLog)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := &metrics.Table{
+		Title:   singleRunTitle("OHB", res.Name, o, sys, b),
+		Columns: []string{"Stage", "Duration", "Tasks", "Records", "ShuffleBytes"},
+		Notes:   []string{fmt.Sprintf("action output: %d", res.Output)},
+	}
+	for _, s := range res.Stages {
+		t.AddRow(s.Name, s.Duration(), s.Tasks, s.Records, s.ShuffleBytes)
+	}
+	t.AddRow("TOTAL", res.Total, "", "", "")
+	return res, t, nil
+}
+
+// RunOSU runs the OSU-style latency sweep of one collective (Bcast or
+// Allreduce, iters timed iterations per message size) on one system and
+// backend; eventLog as in RunOHB.
+func RunOSU(o Options, sys System, b spark.Backend, bench string, iters int, eventLog string) (*metrics.Table, error) {
+	o.defaults()
+	sweep := ohb.RunOSUBcast
+	switch bench {
+	case "Bcast":
+	case "Allreduce":
+		sweep = ohb.RunOSUAllreduce
+	default:
+		return nil, fmt.Errorf("harness: unknown OSU collective %q", bench)
+	}
+	cl, err := BuildCluster(ClusterSpec{System: sys, Workers: o.Workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker, EventLogPath: eventLog})
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	res, err := sweep(cl.Ctx, ohb.DefaultOSUSizes(), iters)
+	if err != nil {
+		return nil, err
+	}
+	t := &metrics.Table{
+		Title:   singleRunTitle("OSU", res.Name, o, sys, b),
+		Columns: []string{"Size", "Latency"},
+	}
+	for _, p := range res.Points {
+		t.AddRow(p.Bytes, p.Latency)
+	}
+	return t, nil
+}
+
 // PingPongPoint is one Fig 8 measurement.
 type PingPongPoint struct {
 	Size    int
@@ -230,9 +300,8 @@ func RunFig9(o Options) (*metrics.Table, error) {
 			if workers < 1 {
 				workers = 1
 			}
-			cfg := ohbConfig(o, workers, o.SlotsPerWorker, o.BytesPerWorker*int64(workers))
 			for _, b := range backends {
-				res, err := runOHB(ClusterSpec{System: Frontera, Workers: workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker}, cfg, bench)
+				res, err := runWeakPoint(o, Frontera, workers, b, bench, "")
 				if err != nil {
 					return nil, err
 				}
@@ -383,6 +452,43 @@ func hibenchWorkloads(o Options, workers, slots int) map[string]func(*spark.Cont
 	}
 }
 
+// runHiBench runs one HiBench workload on a fresh cluster, sized by
+// hibenchWorkloads at (o.Workers, o.BytesPerWorker). Figure 12 is made of
+// these and RunHiBench is a single one.
+func runHiBench(o Options, sys System, b spark.Backend, workload, eventLog string) (*hibench.Result, error) {
+	runner, ok := hibenchWorkloads(o, o.Workers, o.SlotsPerWorker)[workload]
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown workload %q", workload)
+	}
+	cl, err := BuildCluster(ClusterSpec{System: sys, Workers: o.Workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker, EventLogPath: eventLog})
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	return runner(cl.Ctx)
+}
+
+// RunHiBench runs one HiBench workload once, on one system and backend,
+// and renders its stage table. eventLog, when non-empty, records the run's
+// lifecycle events for cmd/eventlog.
+func RunHiBench(o Options, sys System, b spark.Backend, workload, eventLog string) (*metrics.Table, error) {
+	o.defaults()
+	res, err := runHiBench(o, sys, b, workload, eventLog)
+	if err != nil {
+		return nil, err
+	}
+	t := &metrics.Table{
+		Title:   singleRunTitle("HiBench", res.Name, o, sys, b),
+		Columns: []string{"Stage", "Duration", "ShuffleBytes"},
+		Notes:   []string{fmt.Sprintf("workload metric: %g", res.Metric)},
+	}
+	for _, s := range res.Stages {
+		t.AddRow(s.Name, s.Duration(), s.ShuffleBytes)
+	}
+	t.AddRow("TOTAL", res.Total, "")
+	return t, nil
+}
+
 // RunFig12 reproduces the HiBench comparison for one system profile:
 // Figure 12(a,b) on Frontera (with RDMA-Spark), Figure 12(c) on Stampede2
 // (no RDMA baseline there).
@@ -398,20 +504,10 @@ func RunFig12(o Options, sys System, workloads []string) ([]HiBenchRow, *metrics
 		Title:   fmt.Sprintf("Figure 12: Intel HiBench on %s profile (%d workers)", sys.Name, o.Workers),
 		Columns: []string{"Workload", "Backend", "Total"},
 	}
-	runners := hibenchWorkloads(o, o.Workers, o.SlotsPerWorker)
 	var rows []HiBenchRow
 	for _, wl := range workloads {
-		runner, ok := runners[wl]
-		if !ok {
-			return nil, nil, fmt.Errorf("harness: unknown workload %q", wl)
-		}
 		for _, b := range backends {
-			cl, err := BuildCluster(ClusterSpec{System: sys, Workers: o.Workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker})
-			if err != nil {
-				return nil, nil, err
-			}
-			res, err := runner(cl.Ctx)
-			cl.Close()
+			res, err := runHiBench(o, sys, b, wl, "")
 			if err != nil {
 				return nil, nil, err
 			}
@@ -442,9 +538,8 @@ type HeadlineResult struct {
 func RunHeadline(o Options) (*HeadlineResult, *metrics.Table, error) {
 	o.defaults()
 	workers := 8
-	cfg := ohbConfig(o, workers, o.SlotsPerWorker, o.BytesPerWorker*int64(workers))
 	run := func(b spark.Backend) (*ohb.Result, error) {
-		return runOHB(ClusterSpec{System: Frontera, Workers: workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker}, cfg, "GroupBy")
+		return runWeakPoint(o, Frontera, workers, b, "GroupBy", "")
 	}
 	v, err := run(spark.BackendVanilla)
 	if err != nil {
@@ -506,15 +601,13 @@ func RunChaosKill(o Options, backend spark.Backend, service bool, eventLog strin
 	o.defaults()
 	const workers = 3
 	spec := ClusterSpec{
-		System:            Frontera,
-		Workers:           workers,
-		Backend:           backend,
-		SlotsPerWorker:    o.SlotsPerWorker,
-		Supervise:         true,
-		HeartbeatInterval: 2 * time.Millisecond,
-		ExecutorTimeout:   30 * time.Millisecond,
-		ShuffleService:    service,
-		EventLogPath:      eventLog,
+		System:         Frontera,
+		Workers:        workers,
+		Backend:        backend,
+		SlotsPerWorker: o.SlotsPerWorker,
+		Supervise:      true,
+		ShuffleService: service,
+		EventLogPath:   eventLog,
 	}
 	cl, err := BuildCluster(spec)
 	if err != nil {

@@ -24,17 +24,52 @@ func TestSystemsProfiles(t *testing.T) {
 	}
 }
 
+// TestBuildClusterAllBackends: every backend comes up from a bare spec, and
+// each feature switch works alone (Adaptive needs no byte target beside it,
+// Supervise no periods).
 func TestBuildClusterAllBackends(t *testing.T) {
 	for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt} {
-		cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: 2, Backend: b})
+		for name, spec := range map[string]ClusterSpec{
+			"bare":      {},
+			"adaptive":  {Adaptive: true},
+			"supervise": {Supervise: true},
+		} {
+			spec.System, spec.Workers, spec.Backend = Frontera, 2, b
+			cl, err := BuildCluster(spec)
+			if err != nil {
+				t.Fatalf("%v %s: %v", b, name, err)
+			}
+			r := spark.Parallelize(cl.Ctx, []int64{1, 2, 3}, 2)
+			if n, err := spark.Count(r); err != nil || n != 3 {
+				t.Fatalf("%v %s: count = %d, %v", b, name, n, err)
+			}
+			cl.Close()
+		}
+	}
+}
+
+// TestSingleRunIsTheFigureJob: the job a single `-exp ohb` run executes is
+// the one the figures and the headline derive for the same (workers, slots,
+// bytes, seed): a key space of a quarter of the records plus one, and never
+// fewer than ten pairs per mapper.
+func TestSingleRunIsTheFigureJob(t *testing.T) {
+	for _, tc := range []struct {
+		bytesPerWorker int64
+		want           ohb.Config
+	}{
+		{64 << 10, ohb.Config{Mappers: 16, Reducers: 16, PairsPerMapper: 303, ValueBytes: 100, KeyRange: 16*303/4 + 1, Seed: 7}},
+		{1 << 10, ohb.Config{Mappers: 16, Reducers: 16, PairsPerMapper: 10, ValueBytes: 100, KeyRange: 16*10/4 + 1, Seed: 7}},
+	} {
+		o := Options{Workers: 8, SlotsPerWorker: 2, BytesPerWorker: tc.bytesPerWorker, Seed: 7}
+		res, _, err := RunOHB(o, Frontera, spark.BackendMPIOpt, "GroupBy", "")
 		if err != nil {
-			t.Fatalf("%v: %v", b, err)
+			t.Fatal(err)
 		}
-		r := spark.Parallelize(cl.Ctx, []int64{1, 2, 3}, 2)
-		if n, err := spark.Count(r); err != nil || n != 3 {
-			t.Fatalf("%v: count = %d, %v", b, n, err)
+		o.defaults()
+		if headline := ohbConfig(o, 8, o.SlotsPerWorker, o.BytesPerWorker*8); res.Config != headline || res.Config != tc.want {
+			t.Errorf("%d B/worker: single run %+v, headline derivation %+v, want %+v",
+				tc.bytesPerWorker, res.Config, headline, tc.want)
 		}
-		cl.Close()
 	}
 }
 

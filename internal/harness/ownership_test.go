@@ -137,7 +137,7 @@ func TestDecodedValuesOutliveTheirTask(t *testing.T) {
 // 0.10-0.19 and 3.0x measured. (Copying each value out of its block on
 // decode cost a malloc per record: 1.11-1.19 per record, 4.0-4.1x.)
 func TestGroupByAllocationBudget(t *testing.T) {
-	if testing.Short() {
+	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	const parts, valueBytes, payload = 16, 100, 8 << 20

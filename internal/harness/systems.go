@@ -10,15 +10,13 @@ package harness
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
 	"mpi4spark/internal/core"
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/faults"
-	"mpi4spark/internal/mpi"
 	"mpi4spark/internal/spark"
 	"mpi4spark/internal/spark/deploy"
-	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/ucr"
 )
 
@@ -69,6 +67,18 @@ var (
 // Systems lists the profiles for discovery commands.
 func Systems() []System { return []System{Frontera, Stampede2, InternalCluster} }
 
+// SystemByName returns the profile with the given name.
+func SystemByName(name string) (System, error) {
+	var names []string
+	for _, s := range Systems() {
+		if s.Name == name {
+			return s, nil
+		}
+		names = append(names, s.Name)
+	}
+	return System{}, fmt.Errorf("harness: unknown system %q (%s)", name, strings.Join(names, "|"))
+}
+
 // Cluster is a unified handle over standalone and MPI-launched clusters.
 type Cluster struct {
 	Ctx     *spark.Context
@@ -98,14 +108,11 @@ type ClusterSpec struct {
 	// BasicComputeInflation overrides the Basic design's starvation factor.
 	BasicComputeInflation float64
 	// Supervise enables executor liveness supervision (heartbeats,
-	// ExecutorLost recovery, replacement) with the spark.Default* knobs.
-	// Benchmarks leave it off: heartbeat volume depends on wall-clock
-	// progress, which would perturb the deterministic timings.
+	// ExecutorLost recovery, replacement) at spark.DefaultHeartbeatInterval
+	// and spark.DefaultExecutorTimeout. Benchmarks leave it off: heartbeat
+	// volume depends on wall-clock progress, which would perturb the
+	// deterministic timings.
 	Supervise bool
-	// HeartbeatInterval / ExecutorTimeout override the supervision knobs
-	// when Supervise is set (zero keeps the defaults).
-	HeartbeatInterval time.Duration
-	ExecutorTimeout   time.Duration
 	// EventLogPath records the run's lifecycle events as JSONL
 	// (spark.Config.EventLogPath), replayable with cmd/eventlog.
 	EventLogPath string
@@ -114,16 +121,8 @@ type ClusterSpec struct {
 	// served from a node-local service endpoint that survives executor loss.
 	ShuffleService bool
 	// Adaptive enables skew-aware reduce planning
-	// (spark.Config.AdaptiveExecution); the threshold/target knobs keep
-	// the spark defaults when zero.
-	Adaptive              bool
-	AdaptiveSkewThreshold float64
-	AdaptiveTargetBytes   int64
-	// Speculation enables straggler re-launch
-	// (spark.Config.Speculation); the multiplier keeps the spark default
-	// when zero.
-	Speculation           bool
-	SpeculationMultiplier float64
+	// (spark.Config.AdaptiveExecution) at the spark default byte target.
+	Adaptive bool
 	// Faults installs a deterministic network fault plan on the cluster's
 	// fabric (internal/faults): per-link drop/dup/corrupt/jitter rules,
 	// link flaps, and node-set partitions in virtual time. Nil runs clean.
@@ -171,24 +170,9 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	sparkCfg.EventLogPath = spec.EventLogPath
 	sparkCfg.ExternalShuffleService = spec.ShuffleService
 	sparkCfg.AdaptiveExecution = spec.Adaptive
-	sparkCfg.AdaptiveSkewThreshold = spec.AdaptiveSkewThreshold
-	sparkCfg.AdaptiveTargetBytes = spec.AdaptiveTargetBytes
-	if spec.Adaptive && sparkCfg.AdaptiveTargetBytes <= 0 {
-		// Config.Validate rejects adaptive execution without a byte
-		// target; a zero in the spec keeps the spark default.
-		sparkCfg.AdaptiveTargetBytes = spark.DefaultAdaptiveTargetBytes
-	}
-	sparkCfg.Speculation = spec.Speculation
-	sparkCfg.SpeculationMultiplier = spec.SpeculationMultiplier
 	if spec.Supervise {
 		sparkCfg.HeartbeatInterval = spark.DefaultHeartbeatInterval
 		sparkCfg.ExecutorTimeout = spark.DefaultExecutorTimeout
-		if spec.HeartbeatInterval > 0 {
-			sparkCfg.HeartbeatInterval = spec.HeartbeatInterval
-		}
-		if spec.ExecutorTimeout > 0 {
-			sparkCfg.ExecutorTimeout = spec.ExecutorTimeout
-		}
 	}
 
 	switch spec.Backend {
@@ -203,9 +187,7 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 			DriverNode:     driver,
 			SlotsPerWorker: slots,
 			Backend:        spec.Backend,
-			CPU:            cpu,
 			Spark:          sparkCfg,
-			Env:            rpc.DefaultEnvConfig(),
 			UCR:            spec.UCR,
 		})
 		if err != nil {
@@ -217,21 +199,6 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 		if spec.Backend == spark.BackendMPIBasic {
 			design = core.DesignBasic
 		}
-		// Batched-fetch reply chunks map one-to-one onto MPI messages
-		// (§IV-E). For the Optimized design, cap them at the eager
-		// threshold: eager chunks fly without the rendezvous RTS/CTS
-		// handshake that would otherwise stall each block until the
-		// receiver matches its Recv. The Basic design keeps large chunks:
-		// its Iprobe-polling selector pays per-message overhead, so fewer,
-		// bigger messages win even with the handshake.
-		if design == core.DesignOptimized {
-			sparkCfg.ShuffleChunkBytes = mpi.DefaultEagerThreshold
-			// Collective chunks keep their default (large) size: the
-			// Optimized transport itself splits each chunk body into
-			// eager-sized MPI pieces, so shrinking the chunks here would
-			// only multiply socket-header traffic without avoiding any
-			// rendezvous handshake.
-		}
 		cl, err := core.LaunchMPICluster(core.ClusterConfig{
 			Fabric:                f,
 			WorkerNodes:           wn,
@@ -239,10 +206,8 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 			DriverNode:            driver,
 			SlotsPerWorker:        slots,
 			Design:                design,
-			CPU:                   cpu,
 			Spark:                 sparkCfg,
 			BasicComputeInflation: spec.BasicComputeInflation,
-			Env:                   rpc.DefaultEnvConfig(),
 		})
 		if err != nil {
 			return nil, err

@@ -26,7 +26,6 @@ func testCluster(t *testing.T, workers, slots int) *deploy.Cluster {
 		DriverNode:     f.AddNode("driver"),
 		SlotsPerWorker: slots,
 		Backend:        spark.BackendVanilla,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          spark.DefaultConfig(),
 	})
 	if err != nil {
@@ -59,7 +58,6 @@ func backendCluster(t *testing.T, workers, slots int, backend spark.Backend) *sp
 		DriverNode:     f.AddNode("driver"),
 		SlotsPerWorker: slots,
 		Design:         design,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          spark.DefaultConfig(),
 	})
 	if err != nil {

@@ -1,12 +1,19 @@
 package metrics
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
 
+// registryRuns numbers TestCounterRegistry's runs in this process.
+var registryRuns int
+
 func TestCounterRegistry(t *testing.T) {
-	const name = "test.counter.registry"
+	// A name per run: the registry is process-global, so under -count=N the
+	// second run would otherwise find the first run's value.
+	registryRuns++
+	name := fmt.Sprintf("test.counter.registry.%d", registryRuns)
 	if CounterValue(name) != 0 {
 		t.Fatal("untouched counter not zero")
 	}

@@ -23,7 +23,6 @@ func testCluster(t *testing.T, workers, slots int) *deploy.Cluster {
 		DriverNode:     f.AddNode("driver"),
 		SlotsPerWorker: slots,
 		Backend:        spark.BackendVanilla,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          spark.DefaultConfig(),
 	})
 	if err != nil {

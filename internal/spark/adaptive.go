@@ -1,8 +1,6 @@
 package spark
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"mpi4spark/internal/metrics"
@@ -86,7 +84,6 @@ func (c *Context) planResultStage(final rddBase) *adaptivePlan {
 	med := sorted[len(sorted)/2]
 
 	target := c.cfg.AdaptiveTargetBytes
-	thresh := c.cfg.AdaptiveSkewThreshold
 	canSplit := final.canSplit() && len(sdeps) == 1
 
 	var tasks []physTask
@@ -105,7 +102,7 @@ func (c *Context) planResultStage(final rddBase) *adaptivePlan {
 	}
 	for r := 0; r < len(totals); r++ {
 		b := totals[r]
-		if canSplit && float64(b) > thresh*float64(med) && b >= 2*target {
+		if canSplit && float64(b) > DefaultAdaptiveSkewThreshold*float64(med) && b >= 2*target {
 			flush()
 			cuts := splitCuts(perMap[r], target)
 			if nSub := len(cuts) - 1; nSub > 1 {
@@ -301,9 +298,10 @@ func (c *Context) runAdaptedResultStage(jobID int, stage *stageInfo, final rddBa
 
 // speculate is launchAndWait's straggler pass, run after a stage's first
 // attempts all completed. It estimates the stage's median task duration,
-// re-launches every task whose duration exceeded SpeculationMultiplier
-// times that median on a different executor, and commits whichever attempt
-// finished first in virtual time (ties keep the original). The race is
+// re-launches every task whose duration exceeded
+// DefaultSpeculationMultiplier times that median on a different executor,
+// and commits whichever attempt finished first in virtual time (ties keep
+// the original). The race is
 // decided entirely on the virtual clock, so a run is bit-reproducible:
 // the speculative attempt launches at the driver's deterministic decision
 // time — no earlier than the median completion (when enough evidence
@@ -326,7 +324,7 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 		return false
 	}
 	decideVT := ends[n/2]
-	threshold := vtime.Stamp(c.cfg.SpeculationMultiplier * float64(med))
+	threshold := vtime.Stamp(DefaultSpeculationMultiplier * float64(med))
 
 	type candidate struct {
 		i        int
@@ -381,22 +379,8 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 	for ci, cand := range cands {
 		at := vtime.Max(cand.launchVT, cursor)
 		exclude := map[string]bool{comps[cand.i].execID: true}
-		payload := make([]byte, c.cfg.TaskClosureBytes)
-		binary.BigEndian.PutUint64(payload[:8], uint64(cand.spec.id))
-		var sent bool
-		for tries := 0; tries <= c.executorCount(); tries++ {
-			exec := c.placeTask(cand.spec, exclude)
-			c.noteTaskRunning(cand.spec.id, exec.id)
-			free, err := c.driver.Send(exec.env.Addr(), ExecutorEndpoint, payload, at)
-			if err == nil {
-				cursor = free
-				sent = true
-				break
-			}
-			c.clearTaskRunning(cand.spec.id)
-			c.handleExecutorLost(exec.id, at, fmt.Sprintf("speculative launch failed: %v", err))
-		}
-		if !sent {
+		free, err := c.launchTask(cand.spec, exclude, at, "speculative launch failed")
+		if err != nil {
 			// Could not place the attempt anywhere: withdraw it. The
 			// original result stands.
 			c.mu.Lock()
@@ -405,6 +389,7 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 			c.mu.Unlock()
 			continue
 		}
+		cursor = free
 		launched[ci] = true
 		metrics.GetCounter(CounterSpecLaunched).Inc()
 	}

@@ -72,7 +72,6 @@ func newChaosClusterCfg(t *testing.T, backend spark.Backend, tune func(*spark.Co
 			DriverNode:     driver,
 			SlotsPerWorker: 2,
 			Backend:        backend,
-			CPU:            spark.DefaultCPUModel(),
 			Spark:          cfg,
 		})
 		if err != nil {
@@ -92,7 +91,6 @@ func newChaosClusterCfg(t *testing.T, backend spark.Backend, tune func(*spark.Co
 			DriverNode:     driver,
 			SlotsPerWorker: 2,
 			Design:         design,
-			CPU:            spark.DefaultCPUModel(),
 			Spark:          cfg,
 		})
 		if err != nil {
@@ -325,7 +323,6 @@ func TestChaosStageAttemptsExhausted(t *testing.T) {
 		DriverNode:     f.AddNode("driver"),
 		SlotsPerWorker: 2,
 		Backend:        spark.BackendVanilla,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          cfg,
 	})
 	if err != nil {

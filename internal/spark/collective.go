@@ -5,17 +5,6 @@ import (
 	"mpi4spark/internal/obs"
 )
 
-// collectiveConfig builds the collective layer's configuration from the
-// context knobs. The deploy layers cap CollectiveChunkBytes at the MPI
-// eager threshold for the Optimized design, the same rule the shuffle
-// chunking follows.
-func (c *Context) collectiveConfig() collective.Config {
-	return collective.Config{
-		ChunkBytes: c.cfg.CollectiveChunkBytes,
-		SmallLimit: c.cfg.CollectiveSmallLimit,
-	}
-}
-
 // collectiveGroup assembles a fresh collective group over the driver
 // (rank 0) and the currently-live executors (rank i+1 is execs[i]). Dead
 // executors are skipped, so collectives keep working after an
@@ -34,7 +23,7 @@ func (c *Context) collectiveGroup() (*collective.Group, []*Executor) {
 		members = append(members, e.coll)
 		execs = append(execs, e)
 	}
-	g := collective.NewGroup(c.collectiveConfig(), members)
+	g := collective.NewGroup(collective.Config{}, members)
 	g.SetObserver(func(info collective.OpInfo) {
 		// The driver clock advances only when the caller observes the
 		// op's completion VT (AdvanceClock), after this hook runs — the

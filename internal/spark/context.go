@@ -14,7 +14,9 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
-// Config configures a SparkContext.
+// Config configures a SparkContext. It carries what some caller varies;
+// every other constant of a run lives beside the code that reads it
+// (DESIGN.md §4.1 lists them).
 type Config struct {
 	// Name labels the application.
 	Name string
@@ -23,54 +25,18 @@ type Config struct {
 	// DefaultParallelism is the partition count used when callers pass
 	// numParts < 1.
 	DefaultParallelism int
-	// TaskClosureBytes models the serialized task size shipped in every
-	// LaunchTask message (task binary + closure).
-	TaskClosureBytes int
-	// MaxTaskAttempts bounds per-task retries (Spark's
-	// spark.task.maxFailures; default 3). A failing task is retried on a
-	// different executor when possible.
-	MaxTaskAttempts int
 	// MaxStageAttempts bounds how many times a job re-runs its stages
 	// after fetch failures (Spark's spark.stage.maxConsecutiveAttempts;
 	// default 4). Each attempt resubmits only the map tasks whose outputs
 	// were lost.
 	MaxStageAttempts int
-	// ShuffleMaxRetries is the per-block fetch retry budget
-	// (spark.shuffle.io.maxRetries; 0 disables retrying).
-	ShuffleMaxRetries int
-	// ShuffleRetryWait is the backoff before the first fetch retry,
-	// doubling per retry (spark.shuffle.io.retryWait). Backoff advances
-	// virtual time only.
-	ShuffleRetryWait time.Duration
-	// ShuffleFetchDeadline is the per-attempt fetch budget in virtual
-	// time; blocks arriving later count as timeouts and are retried
-	// (0 disables).
-	ShuffleFetchDeadline time.Duration
 	// ShuffleChunkBytes bounds one reply chunk of a batched shuffle fetch
-	// (spark.maxRemoteBlockSizeFetchToMem-flavored chunking; default
-	// 1 MiB). On the MPI designs each chunk maps to one eager or
-	// rendezvous MPI message.
+	// (spark.maxRemoteBlockSizeFetchToMem-flavored chunking). On the MPI
+	// designs each chunk maps to one eager or rendezvous MPI message. Zero
+	// means the transport's natural chunk: the MPI eager threshold under
+	// the Optimized design (core.LaunchMPICluster), shuffle.DefaultChunkBytes
+	// everywhere else.
 	ShuffleChunkBytes int
-	// ShuffleRetryJitter spreads fetch retry backoffs: each retry waits an
-	// extra uniform duration in [0, jitter*backoff), drawn
-	// deterministically from the block id and attempt number, so reducers
-	// that lost blocks to the same link flap decorrelate instead of
-	// stampeding the peer in lockstep. 0 disables; default 0.5.
-	ShuffleRetryJitter float64
-	// ShuffleBreakerThreshold trips a per-peer circuit breaker after that
-	// many consecutive failed fetch attempts against one peer; while open,
-	// fetches from that peer fail fast onto the degradation chain (merged-
-	// run fallback, service blacklist, map-stage recompute) instead of
-	// burning their full retry schedules. 0 disables; default 12.
-	ShuffleBreakerThreshold int
-	// ShuffleRetryBudget trips the breaker once more than that many fetch
-	// failures have been charged against one peer since its last success,
-	// bounding total retry work per peer across concurrent reducers.
-	// 0 disables; default 24.
-	ShuffleRetryBudget int
-	// ShuffleBreakerCooldown is how long a tripped breaker stays open
-	// before admitting a half-open probe (default 5ms virtual time).
-	ShuffleBreakerCooldown time.Duration
 	// ExternalShuffleService enables the per-worker external shuffle
 	// service (spark.shuffle.service.enabled): map tasks push committed
 	// blocks to their node-local service, map statuses point at the
@@ -90,15 +56,6 @@ type Config struct {
 	// before declaring an executor lost (spark.network.timeout flavored).
 	// Zero with supervision enabled defaults to 6*HeartbeatInterval.
 	ExecutorTimeout time.Duration
-	// CollectiveChunkBytes bounds one chunk of a collective operation
-	// (broadcast pipeline, ring allreduce step). The MPI-Optimized
-	// deployment caps it at the MPI eager threshold, the same rule as
-	// ShuffleChunkBytes. Default collective.DefaultChunkBytes.
-	CollectiveChunkBytes int
-	// CollectiveSmallLimit is the payload size at or below which
-	// collectives use latency-optimal binomial trees instead of chunked
-	// bandwidth-optimal pipelines. Default collective.DefaultSmallLimit.
-	CollectiveSmallLimit int
 	// EventLogPath, when non-empty, records every lifecycle event the
 	// driver's listener bus emits (job/stage/task lifecycle with per-task
 	// shuffle metrics, executor loss/replacement, collective ops, fetch
@@ -112,63 +69,58 @@ type Config struct {
 	// sub-tasks merged after the fact, and coalesces runt partitions into
 	// shared tasks.
 	AdaptiveExecution bool
-	// AdaptiveSkewThreshold is the skew trigger: a reduce partition is
-	// split when its bytes exceed this multiple of the stage's median
-	// partition size (and exceed 2*AdaptiveTargetBytes, so each sub-task
-	// still gets at least a target's worth). Default 2.0.
-	AdaptiveSkewThreshold float64
 	// AdaptiveTargetBytes is the per-task byte target adaptive planning
 	// aims for: split sub-tasks are cut to roughly this size, and
 	// consecutive partitions below it are coalesced into one task until
-	// their sum would pass it. Default 256 KiB.
+	// their sum would pass it. DefaultConfig sets
+	// DefaultAdaptiveTargetBytes; adaptive execution needs it positive.
 	AdaptiveTargetBytes int64
 	// Speculation enables speculative re-launch of stragglers
 	// (spark.speculation): after a stage's attempts complete, any task
-	// whose running time exceeded SpeculationMultiplier times the stage
-	// median gets a second attempt on a different executor, and the
+	// whose running time exceeded DefaultSpeculationMultiplier times the
+	// stage median gets a second attempt on a different executor, and the
 	// attempt finishing first in virtual time wins. Deterministic because
 	// the race is decided on the virtual clock.
 	Speculation bool
-	// SpeculationMultiplier is the straggler threshold relative to the
-	// stage's median task duration (spark.speculation.multiplier).
-	// Default 1.5.
-	SpeculationMultiplier float64
 }
 
-// Default supervision knobs, used by harness.BuildCluster and the examples
-// when they opt into executor liveness monitoring. They mirror Spark's
-// 10 s heartbeat against a 120 s network timeout, scaled to the
-// simulation's virtual-time magnitudes.
+// The supervision periods every supervising caller runs with
+// (harness.ClusterSpec.Supervise, the fault-tolerance example): Spark's
+// executor heartbeat and network timeout at the simulation's virtual-time
+// magnitudes.
 const (
-	DefaultHeartbeatInterval = 10 * time.Millisecond
-	DefaultExecutorTimeout   = 60 * time.Millisecond
+	DefaultHeartbeatInterval = 2 * time.Millisecond
+	DefaultExecutorTimeout   = 30 * time.Millisecond
 )
 
-// Adaptive-execution and speculation defaults (see the Config fields).
+// Scheduler constants no caller varies.
 const (
+	// taskClosureBytes models the serialized task shipped in every
+	// LaunchTask message (task binary + closure).
+	taskClosureBytes = 1024
+	// maxTaskAttempts bounds per-task retries (spark.task.maxFailures). A
+	// failing task is retried on a different executor when possible.
+	maxTaskAttempts = 3
+	// DefaultAdaptiveSkewThreshold is the skew trigger: a reduce partition
+	// is split when its bytes exceed this multiple of the stage's median
+	// partition size (and exceed 2*AdaptiveTargetBytes, so each sub-task
+	// still gets at least a target's worth).
 	DefaultAdaptiveSkewThreshold = 2.0
-	DefaultAdaptiveTargetBytes   = 256 << 10
+	// DefaultAdaptiveTargetBytes is DefaultConfig's AdaptiveTargetBytes.
+	DefaultAdaptiveTargetBytes = 256 << 10
+	// DefaultSpeculationMultiplier is the straggler threshold relative to
+	// the stage's median task duration (spark.speculation.multiplier).
 	DefaultSpeculationMultiplier = 1.5
 )
 
 // DefaultConfig returns a reasonable configuration.
 func DefaultConfig() Config {
-	retry := shuffle.DefaultRetryPolicy()
 	return Config{
-		Name:                 "app",
-		CPU:                  DefaultCPUModel(),
-		DefaultParallelism:   4,
-		TaskClosureBytes:     1024,
-		MaxTaskAttempts:      3,
-		MaxStageAttempts:     4,
-		ShuffleMaxRetries:    retry.MaxRetries,
-		ShuffleRetryWait:     retry.RetryWait,
-		ShuffleFetchDeadline: retry.FetchDeadline,
-		ShuffleRetryJitter:   retry.JitterFrac,
-
-		ShuffleChunkBytes:       shuffle.DefaultChunkBytes,
-		ShuffleBreakerThreshold: shuffle.DefaultBreakerThreshold,
-		ShuffleRetryBudget:      shuffle.DefaultRetryBudget,
+		Name:                "app",
+		CPU:                 DefaultCPUModel(),
+		DefaultParallelism:  4,
+		MaxStageAttempts:    4,
+		AdaptiveTargetBytes: DefaultAdaptiveTargetBytes,
 	}
 }
 
@@ -305,61 +257,14 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor) (*Context, e
 	if cfg.DefaultParallelism < 1 {
 		cfg.DefaultParallelism = 1
 	}
-	if cfg.TaskClosureBytes < 16 {
-		cfg.TaskClosureBytes = 16
-	}
-	if cfg.MaxTaskAttempts < 1 {
-		cfg.MaxTaskAttempts = 3
-	}
 	if cfg.MaxStageAttempts < 1 {
 		cfg.MaxStageAttempts = 4
-	}
-	if cfg.ShuffleMaxRetries == 0 && cfg.ShuffleRetryWait == 0 && cfg.ShuffleFetchDeadline == 0 {
-		// All-zero means the caller did not think about fetch retries:
-		// use the shipped defaults (set any one field to opt out).
-		retry := shuffle.DefaultRetryPolicy()
-		cfg.ShuffleMaxRetries = retry.MaxRetries
-		cfg.ShuffleRetryWait = retry.RetryWait
-		cfg.ShuffleFetchDeadline = retry.FetchDeadline
-		if cfg.ShuffleRetryJitter == 0 {
-			cfg.ShuffleRetryJitter = retry.JitterFrac
-		}
-	}
-	if cfg.ShuffleRetryJitter < 0 {
-		cfg.ShuffleRetryJitter = 0 // negative = explicit opt-out
-	}
-	if cfg.ShuffleBreakerThreshold == 0 && cfg.ShuffleRetryBudget == 0 {
-		// Same convention as retries: all-zero takes the shipped breaker
-		// defaults, a negative value in either field opts out entirely.
-		cfg.ShuffleBreakerThreshold = shuffle.DefaultBreakerThreshold
-		cfg.ShuffleRetryBudget = shuffle.DefaultRetryBudget
-	}
-	if cfg.ShuffleBreakerThreshold < 0 {
-		cfg.ShuffleBreakerThreshold = 0
-	}
-	if cfg.ShuffleRetryBudget < 0 {
-		cfg.ShuffleRetryBudget = 0
 	}
 	if cfg.ShuffleChunkBytes <= 0 {
 		cfg.ShuffleChunkBytes = shuffle.DefaultChunkBytes
 	}
 	if cfg.HeartbeatInterval > 0 && cfg.ExecutorTimeout <= 0 {
 		cfg.ExecutorTimeout = 6 * cfg.HeartbeatInterval
-	}
-	if cfg.CollectiveChunkBytes <= 0 {
-		cfg.CollectiveChunkBytes = collective.DefaultChunkBytes
-	}
-	if cfg.CollectiveSmallLimit <= 0 {
-		cfg.CollectiveSmallLimit = collective.DefaultSmallLimit
-	}
-	if cfg.AdaptiveSkewThreshold <= 1 {
-		cfg.AdaptiveSkewThreshold = DefaultAdaptiveSkewThreshold
-	}
-	if cfg.AdaptiveTargetBytes <= 0 {
-		cfg.AdaptiveTargetBytes = DefaultAdaptiveTargetBytes
-	}
-	if cfg.SpeculationMultiplier <= 1 {
-		cfg.SpeculationMultiplier = DefaultSpeculationMultiplier
 	}
 	if len(executors) == 0 {
 		return nil, fmt.Errorf("spark: context needs at least one executor")
@@ -562,15 +467,4 @@ func (c *Context) clearTaskRunning(taskID int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.runningOn, taskID)
-}
-
-// shuffleRetryPolicy builds the fetch retry policy from the context's
-// configuration.
-func (c *Context) shuffleRetryPolicy() shuffle.RetryPolicy {
-	return shuffle.RetryPolicy{
-		MaxRetries:    c.cfg.ShuffleMaxRetries,
-		RetryWait:     c.cfg.ShuffleRetryWait,
-		FetchDeadline: c.cfg.ShuffleFetchDeadline,
-		JitterFrac:    c.cfg.ShuffleRetryJitter,
-	}
 }

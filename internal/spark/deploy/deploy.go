@@ -38,12 +38,9 @@ type Config struct {
 	SlotsPerWorker int
 	// Backend selects Vanilla (Netty NIO) or RDMA (UCR shuffle).
 	Backend spark.Backend
-	// CPU is the task compute model.
-	CPU spark.CPUModel
-	// Spark configures the SparkContext.
+	// Spark configures the SparkContext; its CPU is the executors' compute
+	// model.
 	Spark spark.Config
-	// Env is the base RPC configuration (zero value selects defaults).
-	Env rpc.EnvConfig
 	// UCR tunes the RDMA backend's runtime (zero value selects defaults).
 	UCR ucr.Config
 }
@@ -128,10 +125,7 @@ func StartCluster(cfg Config) (*Cluster, error) {
 	if cfg.SlotsPerWorker < 1 {
 		cfg.SlotsPerWorker = 1
 	}
-	envCfg := cfg.Env
-	if envCfg.Protocol == 0 && envCfg.DispatchCost == 0 {
-		envCfg = rpc.DefaultEnvConfig()
-	}
+	envCfg := rpc.DefaultEnvConfig()
 
 	cl := &Cluster{}
 	fail := func(err error) (*Cluster, error) {
@@ -253,7 +247,7 @@ func StartCluster(cfg Config) (*Cluster, error) {
 				Node:           wNode,
 				Env:            eEnv,
 				Slots:          cfg.SlotsPerWorker,
-				CPU:            cfg.CPU,
+				CPU:            cfg.Spark.CPU,
 				UseUCR:         cfg.Backend == spark.BackendRDMA,
 				UCRRegistry:    reg,
 				UCRConfig:      cfg.UCR,

@@ -21,7 +21,6 @@ func testConfig(workers int, backend spark.Backend) Config {
 		DriverNode:     f.AddNode("driver"),
 		SlotsPerWorker: 2,
 		Backend:        backend,
-		CPU:            spark.DefaultCPUModel(),
 		Spark:          spark.DefaultConfig(),
 	}
 }

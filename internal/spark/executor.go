@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,6 +59,23 @@ func (b Backend) String() string {
 	default:
 		return fmt.Sprintf("Backend(%d)", int(b))
 	}
+}
+
+// ParseBackend is String's inverse, ignoring case; it also accepts the
+// names the four systems go by on a command line (vanilla, basic,
+// mpi-opt, optimized).
+func ParseBackend(name string) (Backend, error) {
+	switch strings.ToLower(name) {
+	case "ipoib", "vanilla":
+		return BackendVanilla, nil
+	case "rdma":
+		return BackendRDMA, nil
+	case "mpi-basic", "basic":
+		return BackendMPIBasic, nil
+	case "mpi", "mpi-opt", "optimized":
+		return BackendMPIOpt, nil
+	}
+	return 0, fmt.Errorf("spark: unknown backend %q (ipoib|vanilla, rdma, mpi-basic|basic, mpi|mpi-opt|optimized)", name)
 }
 
 // slot is one executor core's virtual clock. Tasks sharing a slot run
@@ -211,11 +229,7 @@ func (e *Executor) SetInflate(f func() float64) { e.inflate = f }
 func (e *Executor) Attach(ctx *Context) error {
 	e.ctx = ctx
 	e.tracker = shuffle.NewTrackerClient(e.env, ctx.driver.Addr())
-	e.sm.Retry = ctx.shuffleRetryPolicy()
 	e.sm.ChunkBytes = ctx.cfg.ShuffleChunkBytes
-	e.sm.BreakerThreshold = ctx.cfg.ShuffleBreakerThreshold
-	e.sm.RetryBudget = ctx.cfg.ShuffleRetryBudget
-	e.sm.BreakerCooldown = ctx.cfg.ShuffleBreakerCooldown
 	e.sm.Bus = ctx.bus
 	e.coll = collective.NewStation(e.env)
 	if e.svc != nil {

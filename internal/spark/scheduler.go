@@ -304,6 +304,31 @@ func (c *Context) markUnhealthy(execID string) {
 	c.unhealthy[execID] = true
 }
 
+// launchTask sends one task's LaunchTask message at the given time and
+// returns when the driver CPU is free again. Unreachable executors are
+// skipped, each declared lost with lossCause as the reason, up to the
+// cluster size.
+func (c *Context) launchTask(t *taskDescriptor, exclude map[string]bool, at vtime.Stamp, lossCause string) (vtime.Stamp, error) {
+	payload := make([]byte, taskClosureBytes)
+	binary.BigEndian.PutUint64(payload[:8], uint64(t.id))
+	var lastErr error
+	for tries := 0; tries <= c.executorCount(); tries++ {
+		exec := c.placeTask(t, exclude)
+		// Record the owner before sending: were the executor declared
+		// lost between a successful send and the bookkeeping, the loss
+		// handler could otherwise miss this task and strand its waiter.
+		c.noteTaskRunning(t.id, exec.id)
+		free, err := c.driver.Send(exec.env.Addr(), ExecutorEndpoint, payload, at)
+		if err == nil {
+			return free, nil
+		}
+		c.clearTaskRunning(t.id)
+		lastErr = err
+		c.handleExecutorLost(exec.id, at, fmt.Sprintf("%s: %v", lossCause, err))
+	}
+	return at, fmt.Errorf("spark: launching task %d: %w", t.id, lastErr)
+}
+
 // launchAndWait sends LaunchTask messages for every task, waits for all
 // status updates, records the stage timing, and returns the completions.
 // Launch messages serialize on the driver CPU, and completions serialize
@@ -328,33 +353,10 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 		Tasks: len(tasks),
 	})
 
-	// launch sends one task's LaunchTask message, skipping unreachable
-	// executors (which are declared lost) up to the cluster size.
-	launch := func(t *taskDescriptor, exclude map[string]bool, at vtime.Stamp) (vtime.Stamp, error) {
-		payload := make([]byte, c.cfg.TaskClosureBytes)
-		binary.BigEndian.PutUint64(payload[:8], uint64(t.id))
-		var lastErr error
-		for tries := 0; tries <= c.executorCount(); tries++ {
-			exec := c.placeTask(t, exclude)
-			// Record the owner before sending: were the executor declared
-			// lost between a successful send and the bookkeeping, the loss
-			// handler could otherwise miss this task and strand its waiter.
-			c.noteTaskRunning(t.id, exec.id)
-			free, err := c.driver.Send(exec.env.Addr(), ExecutorEndpoint, payload, at)
-			if err == nil {
-				return free, nil
-			}
-			c.clearTaskRunning(t.id)
-			lastErr = err
-			c.handleExecutorLost(exec.id, at, fmt.Sprintf("task launch failed: %v", err))
-		}
-		return at, fmt.Errorf("spark: launching task %d: %w", t.id, lastErr)
-	}
-
 	exclusions := make([]map[string]bool, len(tasks))
 	for i, t := range tasks {
 		exclusions[i] = make(map[string]bool)
-		free, err := launch(t, exclusions[i], sendVT)
+		free, err := c.launchTask(t, exclusions[i], sendVT, "task launch failed")
 		if err != nil {
 			return nil, err
 		}
@@ -370,7 +372,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 			comp := <-waitChans[i]
 			metrics.GetCounter("scheduler.task.completions").Inc()
 			_, fetchFailed := shuffle.AsFetchFailed(comp.err)
-			if comp.err != nil && !fetchFailed && attempts[i] < c.cfg.MaxTaskAttempts-1 {
+			if comp.err != nil && !fetchFailed && attempts[i] < maxTaskAttempts-1 {
 				// Retry on a different executor, like Spark's
 				// spark.task.maxFailures. The retry relaunches at the
 				// failure's driver-side time. Fetch failures are exempt:
@@ -387,7 +389,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 				c.waiters[t.id] = ch
 				c.mu.Unlock()
 				waitChans[i] = ch
-				if _, err := launch(t, exclusions[i], comp.driverVT); err != nil {
+				if _, err := c.launchTask(t, exclusions[i], comp.driverVT, "task launch failed"); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}

@@ -205,7 +205,7 @@ func TestAskAllocationBudget(t *testing.T) {
 // mpi-basic / mpi-opt; with a context per handler hop, a buffer, an array and
 // a frame per frame and a reader per block it was 22 / 26 / 27 and
 // 37 / 43 / 43. UCR, which crosses no pipeline, stands at 8.4 as before. The
-// budgets leave room for the race detector, under which make race-datapath
+// budgets leave room for the race detector, under which make race-all
 // runs this and sync.Pool drops a share of the contexts put back (13.9 / 14.3
 // / 14.9 and 23.2 there).
 func TestMessageAllocationBudget(t *testing.T) {

@@ -466,6 +466,41 @@ func TestBackendStrings(t *testing.T) {
 	}
 }
 
+// TestParseBackend: every command-line alias and every name String prints
+// parses, in any case, and the two round-trip; anything else is an error
+// that lists the valid names.
+func TestParseBackend(t *testing.T) {
+	aliases := map[string]Backend{
+		"vanilla": BackendVanilla, "ipoib": BackendVanilla,
+		"rdma":      BackendRDMA,
+		"mpi-basic": BackendMPIBasic, "basic": BackendMPIBasic,
+		"mpi": BackendMPIOpt, "mpi-opt": BackendMPIOpt, "optimized": BackendMPIOpt,
+	}
+	for _, b := range []Backend{BackendVanilla, BackendRDMA, BackendMPIBasic, BackendMPIOpt} {
+		aliases[b.String()] = b
+	}
+	for name, want := range aliases {
+		for _, n := range []string{name, strings.ToUpper(name), strings.ToLower(name)} {
+			got, err := ParseBackend(n)
+			if err != nil || got != want {
+				t.Errorf("ParseBackend(%q) = %v, %v; want %v", n, got, err, want)
+			}
+		}
+	}
+	for _, bad := range []string{"", "mpi4spark", "Backend(7)", "tcp"} {
+		_, err := ParseBackend(bad)
+		if err == nil {
+			t.Errorf("ParseBackend(%q) succeeded", bad)
+			continue
+		}
+		for _, valid := range []string{"vanilla", "rdma", "mpi-basic", "mpi"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("ParseBackend(%q) error %q does not name %q", bad, err, valid)
+			}
+		}
+	}
+}
+
 func TestTaskRetrySucceedsOnTransientFailure(t *testing.T) {
 	c := newTestCluster(t, 3, 1, BackendVanilla)
 	var mu sync.Mutex

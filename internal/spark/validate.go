@@ -2,8 +2,8 @@ package spark
 
 import "fmt"
 
-// ConfigError is the typed rejection for a nonsensical Config knob
-// combination. NewContext validates before applying any defaulting, so a
+// ConfigError is the typed rejection for a nonsensical Config value.
+// NewContext validates before applying any defaulting, so a
 // misconfiguration surfaces at context construction instead of silently
 // degrading a run.
 type ConfigError struct {
@@ -18,41 +18,21 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("spark: invalid Config.%s: %s", e.Field, e.Reason)
 }
 
-// Validate rejects knob combinations that cannot be an intent. The
-// documented sentinel conventions stay legal: zero generally means "use the
-// default", and the fields whose docs name a negative opt-out
-// (ShuffleRetryJitter, ShuffleBreakerThreshold, ShuffleRetryBudget) accept
-// negative values. Everything else negative — durations, byte targets — and
-// an enabled feature with an explicitly nonsensical companion knob
-// (adaptive execution without a positive byte target, speculation with a
-// multiplier below 1) is rejected with a *ConfigError.
+// Validate rejects values that cannot be an intent: negative supervision
+// periods, and adaptive execution without a positive per-task byte target
+// (DefaultConfig carries one; an explicit zero or negative is a mistake).
+// Zero otherwise means "use the default".
 func (c Config) Validate() error {
 	bad := func(field, reason string) error { return &ConfigError{Field: field, Reason: reason} }
-	if c.ShuffleRetryWait < 0 {
-		return bad("ShuffleRetryWait", "negative retry backoff")
-	}
-	if c.ShuffleFetchDeadline < 0 {
-		return bad("ShuffleFetchDeadline", "negative fetch deadline")
-	}
-	if c.ShuffleBreakerCooldown < 0 {
-		return bad("ShuffleBreakerCooldown", "negative breaker cooldown")
-	}
 	if c.HeartbeatInterval < 0 {
 		return bad("HeartbeatInterval", "negative heartbeat interval")
 	}
 	if c.ExecutorTimeout < 0 {
 		return bad("ExecutorTimeout", "negative executor timeout")
 	}
-	if c.ShuffleMaxRetries < 0 {
-		return bad("ShuffleMaxRetries", "negative retry count")
-	}
 	if c.AdaptiveExecution && c.AdaptiveTargetBytes <= 0 {
 		return bad("AdaptiveTargetBytes",
 			"adaptive execution needs a positive per-task byte target")
-	}
-	if c.Speculation && c.SpeculationMultiplier != 0 && c.SpeculationMultiplier < 1 {
-		return bad("SpeculationMultiplier",
-			"a straggler threshold below the stage median re-launches everything")
 	}
 	return nil
 }

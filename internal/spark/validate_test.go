@@ -15,12 +15,8 @@ func TestConfigValidateRejects(t *testing.T) {
 		mut   func(*Config)
 		field string
 	}{
-		{"negative retry wait", func(c *Config) { c.ShuffleRetryWait = -time.Millisecond }, "ShuffleRetryWait"},
-		{"negative fetch deadline", func(c *Config) { c.ShuffleFetchDeadline = -1 }, "ShuffleFetchDeadline"},
-		{"negative breaker cooldown", func(c *Config) { c.ShuffleBreakerCooldown = -time.Microsecond }, "ShuffleBreakerCooldown"},
 		{"negative heartbeat", func(c *Config) { c.HeartbeatInterval = -time.Millisecond }, "HeartbeatInterval"},
 		{"negative executor timeout", func(c *Config) { c.ExecutorTimeout = -time.Second }, "ExecutorTimeout"},
-		{"negative fetch retries", func(c *Config) { c.ShuffleMaxRetries = -1 }, "ShuffleMaxRetries"},
 		{"adaptive without target", func(c *Config) {
 			c.AdaptiveExecution = true
 			c.AdaptiveTargetBytes = 0
@@ -29,10 +25,6 @@ func TestConfigValidateRejects(t *testing.T) {
 			c.AdaptiveExecution = true
 			c.AdaptiveTargetBytes = -4096
 		}, "AdaptiveTargetBytes"},
-		{"speculation multiplier below one", func(c *Config) {
-			c.Speculation = true
-			c.SpeculationMultiplier = 0.5
-		}, "SpeculationMultiplier"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,9 +45,8 @@ func TestConfigValidateRejects(t *testing.T) {
 	}
 }
 
-// TestConfigValidateAccepts checks the documented sentinel conventions
-// stay legal: zero-means-default, negative opt-outs for jitter and the
-// breaker knobs, and a zero speculation multiplier with speculation on.
+// TestConfigValidateAccepts checks that zero-means-default stays legal and
+// that adaptive execution with an explicit target is accepted.
 func TestConfigValidateAccepts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,15 +54,6 @@ func TestConfigValidateAccepts(t *testing.T) {
 	}{
 		{"defaults", func(c *Config) {}},
 		{"zero config defaults later", func(c *Config) { *c = Config{} }},
-		{"negative jitter opt-out", func(c *Config) { c.ShuffleRetryJitter = -1 }},
-		{"negative breaker opt-out", func(c *Config) {
-			c.ShuffleBreakerThreshold = -1
-			c.ShuffleRetryBudget = -1
-		}},
-		{"speculation with default multiplier", func(c *Config) {
-			c.Speculation = true
-			c.SpeculationMultiplier = 0
-		}},
 		{"adaptive with explicit target", func(c *Config) {
 			c.AdaptiveExecution = true
 			c.AdaptiveTargetBytes = 1 << 20
