@@ -1,6 +1,6 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet fmt-check test bench-test bench-smoke race-all flake bench experiments examples clean
+.PHONY: all build vet fmt-check test bench-test bench-smoke race-all fuzz-smoke flake bench experiments examples clean
 
 all: build vet fmt-check test
 
@@ -42,6 +42,15 @@ bench-smoke:
 # tag.
 race-all:
 	go test -race -count=2 ./...
+
+# Every committed fuzz target for five seconds each, from its committed seed
+# corpus (testdata/fuzz/): go test -fuzz takes one target per invocation. New
+# inputs the fuzzer keeps go to the build cache, not the checkout; a failing
+# input is written under testdata/fuzz/ to be committed with its fix.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/spark/rpc/
+	go test -run '^$$' -fuzz '^FuzzDecodeMergedRun$$' -fuzztime 5s ./internal/spark/shuffle/
+	go test -run '^$$' -fuzz '^FuzzDecodePairs$$' -fuzztime 5s ./internal/spark/
 
 # Tests that were order-dependent once (the MPI launcher's executor order):
 # thirty consecutive passes each.

@@ -133,9 +133,13 @@ func TestDecodedValuesOutliveTheirTask(t *testing.T) {
 
 // TestGroupByAllocationBudget holds OHB GroupByTest — 8 MiB of 100-byte
 // values as 16x16 single-chunk blocks on 4 workers — to 0.3 mallocs per
-// shuffled record and 3.5x the payload in allocated bytes on every backend:
-// 0.10-0.19 and 3.0x measured. (Copying each value out of its block on
-// decode cost a malloc per record: 1.11-1.19 per record, 4.0-4.1x.)
+// shuffled record and 2.6x the payload in allocated bytes on every backend:
+// 0.08-0.10 and 2.26-2.28x measured (3.0x while a map task copied its records
+// into buckets and its blocks out of a workspace, and a reduce task decoded
+// into a record slice before grouping; 4.0-4.1x and 1.1-1.2 mallocs per
+// record while decode copied each value out of its block). SortByTest, whose
+// reduce output is the decoded record slice, is held to its measured
+// 1.82-1.84x plus 15 %.
 func TestGroupByAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are measured without the race detector")
@@ -148,24 +152,33 @@ func TestGroupByAllocationBudget(t *testing.T) {
 		Seed:           2022,
 	}
 	records := float64(cfg.Mappers * cfg.PairsPerMapper)
-	for _, backend := range allBackends {
-		cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: 4, Backend: backend, SlotsPerWorker: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		_, err = ohb.RunGroupByTest(cl.Ctx, cfg)
-		runtime.ReadMemStats(&m1)
-		cl.Close()
-		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
-		}
-		perRecord := float64(m1.Mallocs-m0.Mallocs) / records
-		perByte := float64(m1.TotalAlloc-m0.TotalAlloc) / payload
-		t.Logf("%v: %.3f mallocs per record, %.2fx the payload allocated", backend, perRecord, perByte)
-		if perRecord > 0.3 || perByte > 3.5 {
-			t.Errorf("%v: %.3f mallocs per shuffled record (budget 0.3), %.2fx the payload allocated (budget 3.5x)", backend, perRecord, perByte)
+	for _, leg := range []struct {
+		name    string
+		run     func(*spark.Context, ohb.Config) (*ohb.Result, error)
+		perByte float64
+	}{
+		{"GroupBy", ohb.RunGroupByTest, 2.6},
+		{"SortBy", ohb.RunSortByTest, 2.1},
+	} {
+		for _, backend := range allBackends {
+			cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: 4, Backend: backend, SlotsPerWorker: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err = leg.run(cl.Ctx, cfg)
+			runtime.ReadMemStats(&m1)
+			cl.Close()
+			if err != nil {
+				t.Fatalf("%s on %v: %v", leg.name, backend, err)
+			}
+			perRecord := float64(m1.Mallocs-m0.Mallocs) / records
+			perByte := float64(m1.TotalAlloc-m0.TotalAlloc) / payload
+			t.Logf("%s on %v: %.3f mallocs per record, %.2fx the payload allocated", leg.name, backend, perRecord, perByte)
+			if perRecord > 0.3 || perByte > leg.perByte {
+				t.Errorf("%s on %v: %.3f mallocs per shuffled record (budget 0.3), %.2fx the payload allocated (budget %.1fx)", leg.name, backend, perRecord, perByte, leg.perByte)
+			}
 		}
 	}
 }

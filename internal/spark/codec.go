@@ -24,7 +24,10 @@ import (
 // that aliases the buffer it read from (BytesCodec does): decoded values
 // are read-only and may pin their block, that is, a value kept after the
 // task keeps the whole fetched block it points into reachable (the Go
-// sub-slice rule). A consumer that needs to modify a value copies it first.
+// sub-slice rule), and a block read locally is a segment of its map task's
+// one buffer, so it keeps that whole buffer reachable; every block of a map
+// output already lives until RemoveShuffle, so nothing is pinned for longer.
+// A consumer that needs to modify a value copies it first.
 type Codec[T any] interface {
 	Encode(buf *bytebuf.Buf, v T)
 	Decode(buf *bytebuf.Buf) (T, error)
@@ -178,23 +181,39 @@ func EncodePairs[K, V any](codec PairCodec[K, V], pairs []Pair[K, V]) []byte {
 	return EncodePairsHint(codec, pairs, 0)
 }
 
-// EncodePairsHint is EncodePairs with a workspace size hint in bytes,
-// typically learned from the previous batch's encoded size. The encode
-// workspace comes from the buffer pool; an accurate hint avoids every
-// mid-encode growth reallocation, leaving one exact-size allocation for
-// the returned batch.
+// EncodePairsHint is EncodePairs with the batch's encoded size in bytes as a
+// hint, typically learned from a previous batch: an accurate hint makes the
+// returned batch the encoder's one allocation.
 func EncodePairsHint[K, V any](codec PairCodec[K, V], pairs []Pair[K, V], hint int) []byte {
 	if hint <= 0 {
 		hint = 4 + 16*len(pairs)
 	}
-	buf := bytebuf.Get(hint)
-	buf.WriteUint32(uint32(len(pairs)))
-	for _, p := range pairs {
-		codec.Encode(buf, p)
+	buf := bytebuf.New(hint)
+	encodeBatch(codec, buf, pairs, nil, 0, len(pairs))
+	return trimmed(buf)
+}
+
+// encodeBatch appends one record batch to buf: the count, then the records
+// pairs[order[lo]] … pairs[order[hi-1]], or pairs[lo:hi] when order is nil.
+func encodeBatch[K, V any](codec PairCodec[K, V], buf *bytebuf.Buf, pairs []Pair[K, V], order []int32, lo, hi int) {
+	buf.WriteUint32(uint32(hi - lo))
+	for at := lo; at < hi; at++ {
+		j := at
+		if order != nil {
+			j = int(order[at])
+		}
+		codec.Encode(buf, pairs[j])
 	}
-	out := buf.Bytes()
-	buf.Release()
-	return out
+}
+
+// trimmed returns what was written to buf with cap == len: uncopied, unless
+// a size guess overshot by more than an eighth and would pin the slack.
+func trimmed(buf *bytebuf.Buf) []byte {
+	b := buf.Readable()
+	if buf.WritableBytes() > len(b)/8 {
+		return buf.Bytes()
+	}
+	return b[:len(b):len(b)]
 }
 
 // DecodePairs parses a record batch produced by EncodePairs. data is
@@ -203,42 +222,69 @@ func DecodePairs[K, V any](codec PairCodec[K, V], data []byte) ([]Pair[K, V], er
 	if len(data) == 0 {
 		return nil, nil
 	}
-	return appendPairs(codec, make([]Pair[K, V], 0, batchCount(data)), data)
+	return newPairReader(codec, [][]byte{data}).collect()
 }
 
-// batchCount returns the record count an encoded batch announces in its
-// first four bytes (0 for an empty or truncated batch).
-func batchCount(data []byte) int {
-	if len(data) < 4 {
-		return 0
-	}
-	return int(binary.BigEndian.Uint32(data))
+// pairReader is a cursor over the records of encoded batches (a reduce
+// task's fetched blocks) in batch order, used as a bufio.Scanner is: for
+// r.next(&p) { use p }, then check r.err. Empty batches are skipped (a split
+// sub-task's blocks outside its map range). The records' values may alias the
+// batches (see Codec). A copy of an unread reader is a second pass.
+type pairReader[K, V any] struct {
+	codec       PairCodec[K, V]
+	blocks      [][]byte    // batches not yet opened
+	buf         bytebuf.Buf // the open batch: one reader for all of them
+	count, left uint32      // records the open batch announced; of those, unread
+	err         error
+	// The batches' total size, and the records their headers announce, for
+	// sizing a slice: clamped to bytes, which no honest count exceeds.
+	records, bytes int
 }
 
-// appendPairs decodes a record batch produced by EncodePairs onto out, so
-// a reader of many batches can size one slice for all of them. The decoded
-// values may alias data, as with DecodePairs.
-func appendPairs[K, V any](codec PairCodec[K, V], out []Pair[K, V], data []byte) ([]Pair[K, V], error) {
-	return appendPairsFrom(codec, out, new(bytebuf.Buf), data)
-}
-
-// appendPairsFrom is appendPairs reading through buf, which it re-points at
-// data: a reader of many batches brings one reader for all of them.
-func appendPairsFrom[K, V any](codec PairCodec[K, V], out []Pair[K, V], buf *bytebuf.Buf, data []byte) ([]Pair[K, V], error) {
-	if len(data) == 0 {
-		return out, nil
-	}
-	buf.SetBytes(data)
-	n, err := buf.ReadUint32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < n; i++ {
-		p, err := codec.Decode(buf)
-		if err != nil {
-			return nil, fmt.Errorf("spark: corrupt shuffle batch at record %d: %w", i, err)
+func newPairReader[K, V any](codec PairCodec[K, V], blocks [][]byte) *pairReader[K, V] {
+	r := &pairReader[K, V]{codec: codec, blocks: blocks}
+	for _, b := range blocks {
+		if len(b) >= 4 {
+			r.records += int(binary.BigEndian.Uint32(b))
 		}
+		r.bytes += len(b)
+	}
+	r.records = min(r.records, r.bytes)
+	return r
+}
+
+// next reads the next record into *p (the caller's, so that a record is not
+// a heap store); false after the last one and on an error, which stays in
+// r.err.
+func (r *pairReader[K, V]) next(p *Pair[K, V]) bool {
+	for r.left == 0 && r.err == nil {
+		if len(r.blocks) == 0 {
+			return false
+		}
+		if b := r.blocks[0]; len(b) > 0 {
+			r.buf.SetBytes(b)
+			r.count, r.err = r.buf.ReadUint32()
+			r.left = r.count
+		}
+		r.blocks = r.blocks[1:]
+	}
+	if r.err == nil {
+		if *p, r.err = r.codec.Decode(&r.buf); r.err != nil {
+			r.err = fmt.Errorf("spark: corrupt shuffle batch at record %d: %w", r.count-r.left, r.err)
+		}
+		r.left--
+	}
+	return r.err == nil
+}
+
+// collect returns the remaining records in one slice sized from the headers.
+func (r *pairReader[K, V]) collect() ([]Pair[K, V], error) {
+	out := make([]Pair[K, V], 0, r.records)
+	for p := (Pair[K, V]{}); r.next(&p); {
 		out = append(out, p)
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return out, nil
 }

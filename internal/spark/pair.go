@@ -2,7 +2,6 @@ package spark
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"mpi4spark/internal/bytebuf"
@@ -17,93 +16,124 @@ type ShuffleConf[K, V any] struct {
 	Parts int
 }
 
-// partitionWrite builds the map-side write function for a shuffle: bucket
-// pairs with the partitioner, optionally pre-combine, and serialize each
-// bucket.
-func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine func(tc *TaskContext, bucket []Pair[K, V]) []Pair[K, V]) func(any, *TaskContext) [][]byte {
-	// Encoded bytes per record, learned from the last bucket any task of
-	// this shuffle serialized (last writer wins), so that only the buckets
-	// encoded before the shuffle's first one is done — not the first bucket
-	// of every map task — go into a guessed-size workspace.
-	var learned atomic.Int64
+// combiner pre-combines a map task's buckets: bucket i is pairs[order[k]] for
+// k in [ends[i-1], ends[i]). It returns the combined buckets back to back,
+// each in the order it wants written, and rewrites ends to bound them.
+type combiner[K, V any] func(tc *TaskContext, pairs []Pair[K, V], order []int32, ends []int) []Pair[K, V]
+
+// partitionWrite builds the map-side write function for a shuffle: order
+// the pairs by partition, optionally pre-combine the buckets, and serialize
+// bucket after bucket into one buffer per map task whose segments are the
+// blocks (Spark's sort shuffle: one data file plus an index per map task).
+func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine combiner[K, V]) func(any, *TaskContext) [][]byte {
 	return func(data any, tc *TaskContext) [][]byte {
 		pairs := data.([]Pair[K, V])
 		n := p.NumPartitions()
-		// Count, then carve: one partitioner call per record, one slice for
-		// all the buckets, each bucket exactly its own size.
+		// Count, then place: one partitioner call per record and a stable
+		// permutation, not a copy: bucket i is pairs[order[ends[i-1]:ends[i]]].
 		part := make([]int32, len(pairs))
-		counts := make([]int, n)
+		ends := make([]int, n)
 		for j, pr := range pairs {
 			i := p.PartitionFor(pr.K)
 			part[j] = int32(i)
-			counts[i]++
+			ends[i]++
 		}
-		buckets := make([][]Pair[K, V], n)
-		store := make([]Pair[K, V], len(pairs))
-		off := 0
-		for i, c := range counts {
-			buckets[i] = store[off : off : off+c]
-			off += c
+		at := 0
+		for i, c := range ends {
+			ends[i] = at
+			at += c
 		}
-		for j, pr := range pairs {
-			i := part[j]
-			buckets[i] = append(buckets[i], pr)
+		order := make([]int32, len(pairs))
+		for j, i := range part {
+			order[ends[i]] = int32(j)
+			ends[i]++
 		}
 		tc.ChargeRecords(len(pairs), 0)
+		if combine != nil {
+			pairs, order = combine(tc, pairs, order, ends), nil
+		}
 		out := make([][]byte, n)
-		var bytes int
-		perRec := int(learned.Load())
-		for i, b := range buckets {
-			if combine != nil {
-				b = combine(tc, b)
+		if len(pairs) == 0 {
+			return out
+		}
+		// Size the buffer from the task's first record: exact when records
+		// are fixed-size; otherwise it grows, or is trimmed of its slack.
+		var first bytebuf.Buf
+		conf.Codec.Encode(&first, pairs[0])
+		buf := bytebuf.New(first.ReadableBytes()*len(pairs) + 4*n)
+		lo := 0
+		for i, hi := range ends {
+			if hi > lo {
+				encodeBatch(conf.Codec, buf, pairs, order, lo, hi)
 			}
-			if len(b) == 0 {
-				continue
+			lo, ends[i] = hi, buf.WriterIndex() // from here on, where block i ends in buf
+		}
+		// A block's capacity ends where it does: an append to it reallocates
+		// instead of writing into its neighbour. An empty bucket has no block.
+		whole := trimmed(buf)
+		lo = 0
+		for i, hi := range ends {
+			if hi > lo {
+				out[i] = whole[lo:hi:hi]
 			}
-			hint := 0
-			if perRec > 0 {
-				hint = 4 + perRec*(len(b)+1)
-			}
-			out[i] = EncodePairsHint(conf.Codec, b, hint)
-			bytes += len(out[i])
-			perRec = len(out[i]) / len(b)
-			learned.Store(int64(perRec))
+			lo = hi
 		}
 		// Serialization cost for the written shuffle data.
-		tc.Charge(time.Duration(tc.cpu.NsPerByte * float64(bytes)))
+		tc.Charge(time.Duration(tc.cpu.NsPerByte * float64(len(whole))))
 		return out
 	}
 }
 
-// fetchDecode reads and deserializes all batches for a reduce partition
-// into one slice sized from the batches' record counts. The decoded values
-// may alias the fetched blocks (see Codec).
+// foldShuffle reads a reduce partition and calls f on each record in block
+// order, holding none; it returns their count, charged with the blocks' bytes.
+func foldShuffle[K, V any](codec PairCodec[K, V], dep *ShuffleDep, reduceID int, tc *TaskContext, f func(Pair[K, V])) (int, error) {
+	blocks, err := tc.FetchShuffle(dep.shuffleID, reduceID)
+	if err != nil {
+		return 0, err
+	}
+	r, n := newPairReader(codec, blocks), 0
+	for p := (Pair[K, V]{}); r.next(&p); n++ {
+		f(p)
+	}
+	if r.err != nil {
+		return 0, r.err
+	}
+	tc.ChargeRecords(n, r.bytes)
+	return n, nil
+}
+
+// fetchDecode reads a reduce partition into one slice, for the
+// transformations whose output is that slice. The decoded values may alias
+// the fetched blocks (see Codec).
 func fetchDecode[K, V any](conf ShuffleConf[K, V], dep *ShuffleDep, reduceID int, tc *TaskContext) ([]Pair[K, V], error) {
 	blocks, err := tc.FetchShuffle(dep.shuffleID, reduceID)
 	if err != nil {
 		return nil, err
 	}
-	var records, bytes int
-	for _, b := range blocks {
-		records += batchCount(b)
-		bytes += len(b)
+	r := newPairReader(conf.Codec, blocks)
+	out, err := r.collect()
+	if err != nil {
+		return nil, err
 	}
-	if records > bytes {
-		records = bytes // a count no batch of this size can hold: let append grow instead
-	}
-	out := make([]Pair[K, V], 0, records)
-	var reader bytebuf.Buf // one for all blocks, not one per block
-	for _, b := range blocks {
-		if out, err = appendPairsFrom(conf.Codec, out, &reader, b); err != nil {
-			return nil, err
-		}
-	}
-	tc.ChargeRecords(len(out), bytes)
+	tc.ChargeRecords(len(out), r.bytes)
 	return out, nil
 }
 
+// keyIndex numbers keys in first-appearance order. Output order comes from
+// it and a slice, never from ranging over a map: one seed, one order.
+type keyIndex[K comparable] map[K]int32
+
+func (x keyIndex[K]) of(k K) (g int32, fresh bool) {
+	g, ok := x[k]
+	if !ok {
+		g = int32(len(x))
+		x[k] = g
+	}
+	return g, !ok
+}
+
 // newShuffleStage wires a wide dependency from `in` and returns it.
-func newShuffleStage[K, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V], p Partitioner[K], combine func(*TaskContext, []Pair[K, V]) []Pair[K, V]) *ShuffleDep {
+func newShuffleStage[K, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V], p Partitioner[K], combine combiner[K, V]) *ShuffleDep {
 	return &ShuffleDep{
 		shuffleID: in.ctx.nextShuffleID(),
 		parent:    in,
@@ -122,40 +152,49 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 	}
 	dep := newShuffleStage(in, conf, HashPartitioner[K]{N: conf.Parts, Ops: conf.Ops}, nil)
 	out := newRDD(in.ctx, conf.Parts, []Dependency{dep}, func(part int, tc *TaskContext) ([]Pair[K, []V], error) {
-		pairs, err := fetchDecode(conf, dep, part, tc)
+		blocks, err := tc.FetchShuffle(dep.shuffleID, part)
 		if err != nil {
 			return nil, err
 		}
-		// Count, then carve: number the keys in first-appearance order and
-		// count their values, then cut every group out of one value slice,
-		// instead of growing a slice per key.
-		index := make(map[K]int32)
-		group := make([]int32, len(pairs))
+		r := newPairReader(conf.Codec, blocks)
+		again := *r // the second pass re-reads the same blocks
+		// Count, then carve, in two decode passes and no record slice: number
+		// the keys in first-appearance order and count their values, then cut
+		// every group out of one value slice and place the values.
+		index := make(keyIndex[K])
+		group := make([]int32, 0, r.records)
 		var sizes []int32
-		for j, p := range pairs {
-			g, ok := index[p.K]
-			if !ok {
-				g = int32(len(sizes))
-				index[p.K] = g
+		var p Pair[K, V]
+		for r.next(&p) {
+			g, fresh := index.of(p.K)
+			if fresh {
 				sizes = append(sizes, 0)
 			}
-			group[j] = g
+			group = append(group, g)
 			sizes[g]++
 		}
+		if r.err != nil {
+			return nil, r.err
+		}
 		out := make([]Pair[K, []V], len(sizes))
-		vals := make([]V, len(pairs))
+		vals := make([]V, len(group))
 		off := 0
 		for g, n := range sizes {
 			end := off + int(n)
 			out[g].V = vals[off:off:end]
 			off = end
 		}
-		for j, p := range pairs {
-			o := &out[group[j]]
+		for _, g := range group {
+			again.next(&p)
+			o := &out[g]
 			o.K = p.K
 			o.V = append(o.V, p.V)
 		}
-		tc.ChargeRecords(len(pairs), 0)
+		if again.err != nil {
+			return nil, again.err
+		}
+		tc.ChargeRecords(len(group), r.bytes)
+		tc.ChargeRecords(len(group), 0)
 		return out, nil
 	})
 	// Split sub-tasks each group their map-range slice; concatenating the
@@ -164,17 +203,15 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 	out.partialMerge = func(tc *TaskContext, parts [][]Pair[K, []V]) []Pair[K, []V] {
 		// Count, then carve, as above: size every key's merged group first,
 		// then cut the groups out of one value slice.
-		idx := make(map[K]int)
+		idx := make(keyIndex[K])
 		var merged []Pair[K, []V]
 		var sizes []int
 		n, total := 0, 0
 		for _, sub := range parts {
 			n += len(sub)
 			for _, pr := range sub {
-				i, ok := idx[pr.K]
-				if !ok {
-					i = len(merged)
-					idx[pr.K] = i
+				i, fresh := idx.of(pr.K)
+				if fresh {
 					merged = append(merged, Pair[K, []V]{K: pr.K})
 					sizes = append(sizes, 0)
 				}
@@ -206,61 +243,50 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 	if conf.Parts < 1 {
 		conf.Parts = in.nParts
 	}
-	combine := func(tc *TaskContext, bucket []Pair[K, V]) []Pair[K, V] {
-		if len(bucket) == 0 {
-			return bucket
+	// start returns an empty index and accumulator with room for 64 keys, the
+	// initial capacity of Spark's AppendOnlyMap: a small reduce never regrows.
+	start := func() (keyIndex[K], []Pair[K, V]) { return make(keyIndex[K], 64), make([]Pair[K, V], 0, 64) }
+	// reduce folds p into its key's entry of acc (first-appearance order).
+	reduce := func(index keyIndex[K], acc []Pair[K, V], p Pair[K, V]) []Pair[K, V] {
+		if g, fresh := index.of(p.K); !fresh {
+			acc[g].V = f(acc[g].V, p.V)
+			return acc
 		}
-		acc := make(map[K]V, len(bucket))
-		for _, p := range bucket {
-			if cur, ok := acc[p.K]; ok {
-				acc[p.K] = f(cur, p.V)
-			} else {
-				acc[p.K] = p.V
+		return append(acc, p)
+	}
+	// Buckets hold disjoint keys, so one index serves a whole map task and
+	// numbers each bucket's keys contiguously, in first-appearance order.
+	combine := func(tc *TaskContext, pairs []Pair[K, V], order []int32, ends []int) []Pair[K, V] {
+		index, out := start()
+		lo := 0
+		for i, hi := range ends {
+			for _, j := range order[lo:hi] {
+				out = reduce(index, out, pairs[j])
 			}
-		}
-		tc.ChargeRecords(len(bucket), 0)
-		out := make([]Pair[K, V], 0, len(acc))
-		for k, v := range acc {
-			out = append(out, Pair[K, V]{K: k, V: v})
+			tc.ChargeRecords(hi-lo, 0)
+			lo, ends[i] = hi, len(out)
 		}
 		return out
 	}
 	dep := newShuffleStage(in, conf, HashPartitioner[K]{N: conf.Parts, Ops: conf.Ops}, combine)
 	out := newRDD(in.ctx, conf.Parts, []Dependency{dep}, func(part int, tc *TaskContext) ([]Pair[K, V], error) {
-		pairs, err := fetchDecode(conf, dep, part, tc)
+		index, out := start()
+		n, err := foldShuffle(conf.Codec, dep, part, tc, func(p Pair[K, V]) { out = reduce(index, out, p) })
 		if err != nil {
 			return nil, err
 		}
-		acc := make(map[K]V, len(pairs))
-		for _, p := range pairs {
-			if cur, ok := acc[p.K]; ok {
-				acc[p.K] = f(cur, p.V)
-			} else {
-				acc[p.K] = p.V
-			}
-		}
-		tc.ChargeRecords(len(pairs), 0)
-		out := make([]Pair[K, V], 0, len(acc))
-		for k, v := range acc {
-			out = append(out, Pair[K, V]{K: k, V: v})
-		}
+		tc.ChargeRecords(n, 0)
 		return out, nil
 	})
 	// f is associative, so reducing the sub-tasks' per-key partials in
 	// map-range order equals reducing the full partition.
 	out.partialMerge = func(tc *TaskContext, parts [][]Pair[K, V]) []Pair[K, V] {
-		idx := make(map[K]int)
-		var merged []Pair[K, V]
+		index, merged := start()
 		n := 0
 		for _, sub := range parts {
 			n += len(sub)
 			for _, pr := range sub {
-				if i, ok := idx[pr.K]; ok {
-					merged[i].V = f(merged[i].V, pr.V)
-				} else {
-					idx[pr.K] = len(merged)
-					merged = append(merged, pr)
-				}
+				merged = reduce(index, merged, pr)
 			}
 		}
 		tc.ChargeRecords(n, 0)
@@ -376,25 +402,23 @@ func Join[K comparable, V, W any](left *RDD[Pair[K, V]], lconf ShuffleConf[K, V]
 	ldep := newShuffleStage(left, ShuffleConf[K, V]{Codec: lconf.Codec, Ops: lconf.Ops, Parts: parts}, lp, nil)
 	rdep := newShuffleStage(right, ShuffleConf[K, W]{Codec: rconf.Codec, Ops: rconf.Ops, Parts: parts}, rp, nil)
 	return newRDD(left.ctx, parts, []Dependency{ldep, rdep}, func(part int, tc *TaskContext) ([]Pair[K, Pair[V, W]], error) {
-		lpairs, err := fetchDecode(ShuffleConf[K, V]{Codec: lconf.Codec, Ops: lconf.Ops}, ldep, part, tc)
-		if err != nil {
-			return nil, err
-		}
-		rpairs, err := fetchDecode(ShuffleConf[K, W]{Codec: rconf.Codec, Ops: rconf.Ops}, rdep, part, tc)
-		if err != nil {
-			return nil, err
-		}
+		// Build the left side's table from its stream, probe it with the
+		// right side's: neither side is held as records.
 		lm := make(map[K][]V)
-		for _, p := range lpairs {
-			lm[p.K] = append(lm[p.K], p.V)
+		nl, err := foldShuffle(lconf.Codec, ldep, part, tc, func(p Pair[K, V]) { lm[p.K] = append(lm[p.K], p.V) })
+		if err != nil {
+			return nil, err
 		}
 		var out []Pair[K, Pair[V, W]]
-		for _, p := range rpairs {
+		nr, err := foldShuffle(rconf.Codec, rdep, part, tc, func(p Pair[K, W]) {
 			for _, v := range lm[p.K] {
 				out = append(out, Pair[K, Pair[V, W]]{K: p.K, V: Pair[V, W]{K: v, V: p.V}})
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		tc.ChargeRecords(len(lpairs)+len(rpairs)+len(out), 0)
+		tc.ChargeRecords(nl+nr+len(out), 0)
 		return out, nil
 	})
 }

@@ -136,36 +136,31 @@ func CoGroup[K comparable, V, W any](left *RDD[Pair[K, V]], lconf ShuffleConf[K,
 	ldep := newShuffleStage(left, ShuffleConf[K, V]{Codec: lconf.Codec, Ops: lconf.Ops, Parts: parts}, lp, nil)
 	rdep := newShuffleStage(right, ShuffleConf[K, W]{Codec: rconf.Codec, Ops: rconf.Ops, Parts: parts}, rp, nil)
 	return newRDD(left.ctx, parts, []Dependency{ldep, rdep}, func(part int, tc *TaskContext) ([]Pair[K, Pair[[]V, []W]], error) {
-		lpairs, err := fetchDecode(ShuffleConf[K, V]{Codec: lconf.Codec, Ops: lconf.Ops}, ldep, part, tc)
-		if err != nil {
-			return nil, err
-		}
-		rpairs, err := fetchDecode(ShuffleConf[K, W]{Codec: rconf.Codec, Ops: rconf.Ops}, rdep, part, tc)
-		if err != nil {
-			return nil, err
-		}
-		groups := make(map[K]*Pair[[]V, []W])
-		for _, p := range lpairs {
-			g := groups[p.K]
-			if g == nil {
-				g = &Pair[[]V, []W]{}
-				groups[p.K] = g
+		// One entry per key in first-appearance order, left side first.
+		index := make(keyIndex[K])
+		var out []Pair[K, Pair[[]V, []W]]
+		slot := func(k K) *Pair[[]V, []W] {
+			g, fresh := index.of(k)
+			if fresh {
+				out = append(out, Pair[K, Pair[[]V, []W]]{K: k})
 			}
+			return &out[g].V
+		}
+		nl, err := foldShuffle(lconf.Codec, ldep, part, tc, func(p Pair[K, V]) {
+			g := slot(p.K)
 			g.K = append(g.K, p.V)
+		})
+		if err != nil {
+			return nil, err
 		}
-		for _, p := range rpairs {
-			g := groups[p.K]
-			if g == nil {
-				g = &Pair[[]V, []W]{}
-				groups[p.K] = g
-			}
+		nr, err := foldShuffle(rconf.Codec, rdep, part, tc, func(p Pair[K, W]) {
+			g := slot(p.K)
 			g.V = append(g.V, p.V)
+		})
+		if err != nil {
+			return nil, err
 		}
-		tc.ChargeRecords(len(lpairs)+len(rpairs), 0)
-		out := make([]Pair[K, Pair[[]V, []W]], 0, len(groups))
-		for k, g := range groups {
-			out = append(out, Pair[K, Pair[[]V, []W]]{K: k, V: *g})
-		}
+		tc.ChargeRecords(nl+nr, 0)
 		return out, nil
 	})
 }
