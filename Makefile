@@ -50,6 +50,7 @@ race-all:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/spark/rpc/
 	go test -run '^$$' -fuzz '^FuzzDecodeMergedRun$$' -fuzztime 5s ./internal/spark/shuffle/
+	go test -run '^$$' -fuzz '^FuzzDeserializeOutputs$$' -fuzztime 5s ./internal/spark/shuffle/
 	go test -run '^$$' -fuzz '^FuzzDecodePairs$$' -fuzztime 5s ./internal/spark/
 
 # Tests that were order-dependent once (the MPI launcher's executor order):

@@ -10,6 +10,7 @@
 //	experiments -exp fig10 -bench GroupBy -worker-counts 2,4,8 -bytes-per-worker 8388608
 //	experiments -exp headline -md
 //	experiments -exp fig8 -sizes 4,1024,65536,4194304
+//	experiments -exp scale -md
 //	experiments -exp ohb -bench GroupBy -backend mpi -workers 8 -eventlog run.jsonl
 //	experiments -exp ohb -bench Allreduce -backend mpi-basic -iters 20
 //	experiments -exp hibench -workload LR -backend rdma -system Frontera
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp            = flag.String("exp", "all", "experiment: fig8|fig9|fig10|fig11|fig12|fig12c|headline|chaos|skew|netchaos|streaming|all, or one run: ohb|hibench")
+		exp            = flag.String("exp", "all", "experiment: fig8|fig9|fig10|fig11|fig12|fig12c|headline|chaos|skew|scale|netchaos|streaming|all, or one run: ohb|hibench")
 		eventLogDir    = flag.String("eventlog-dir", "", "chaos/skew/netchaos/streaming: also record one JSONL event log per run in this directory")
 		eventLog       = flag.String("eventlog", "", "ohb/hibench: record the run's lifecycle events as JSONL at this path (replay with cmd/eventlog)")
 		bench          = flag.String("bench", "GroupBy", "OHB benchmark: GroupBy|SortBy (fig10/fig11/ohb), Bcast|Allreduce (ohb)")
@@ -127,6 +128,11 @@ func main() {
 			_, t, err := harness.RunSkewTable(o, *eventLogDir)
 			check(err)
 			emit(t, *markdown)
+		case "scale":
+			// The table first: it shows the cell an error is about.
+			_, t, err := harness.RunScale(o)
+			emit(t, *markdown)
+			check(err)
 		case "netchaos":
 			_, t, err := harness.RunNetChaosTable(o, *eventLogDir)
 			check(err)

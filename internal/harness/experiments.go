@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -397,6 +398,109 @@ func RunFig11(o Options, bench string) ([]ScalingRow, *metrics.Table, error) {
 	}
 	title := fmt.Sprintf("Figure 11: strong scaling %sTest breakdown (Frontera profile)", bench)
 	return rows, scalingTable(title, rows), nil
+}
+
+// ScaleRow is one cell of the task-axis sweep: OHB GroupBy at one slot count
+// on one backend. Readers is the number of executors that ran a task which
+// read the shuffle; Asks, ReplyBytes, Timeouts and Resubmits are the run's
+// deltas of shuffle.tracker.asks, shuffle.tracker.reply_bytes,
+// shuffle.fetch.timeouts and scheduler.map_stage.resubmissions. Err is the
+// job's failure, if it failed.
+type ScaleRow struct {
+	Slots       int
+	Backend     spark.Backend
+	Blocks      int
+	Read, Total vtime.Stamp
+	Asks        int64
+	ReplyBytes  int64
+	Timeouts    int64
+	Resubmits   int64
+	Readers     int
+	Output      int64
+	Err         error
+}
+
+// scaleWorkers is the task-axis sweep's worker count: the paper's 448 cores
+// are 8 Frontera nodes of 56.
+const scaleWorkers = 8
+
+// runScaleCell runs GroupBy once at (scaleWorkers, slots, o.BytesPerWorker)
+// on a fresh cluster and counts the executors that read the shuffle.
+func runScaleCell(o Options, slots int, b spark.Backend) ScaleRow {
+	cfg := ohbConfig(o, scaleWorkers, slots, o.BytesPerWorker*scaleWorkers)
+	row := ScaleRow{Slots: slots, Backend: b, Blocks: cfg.Mappers * cfg.Reducers}
+	cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: scaleWorkers, Backend: b, SlotsPerWorker: slots})
+	if err != nil {
+		row.Err = err
+		return row
+	}
+	defer cl.Close()
+	var mu sync.Mutex
+	readers := map[string]bool{}
+	cl.Ctx.Bus().Subscribe(obs.ListenerFunc(func(e obs.Event) {
+		if e.Type == obs.EvTaskEnd && e.BytesLocal+e.BytesRemote > 0 {
+			mu.Lock()
+			readers[e.Executor] = true
+			mu.Unlock()
+		}
+	}))
+	snap := metrics.Snapshot()
+	res, err := ohb.RunGroupByTest(cl.Ctx, cfg)
+	row.Asks = snap.DeltaValue("shuffle.tracker.asks")
+	row.ReplyBytes = snap.DeltaValue("shuffle.tracker.reply_bytes")
+	row.Timeouts = snap.DeltaValue("shuffle.fetch.timeouts")
+	row.Resubmits = snap.DeltaValue("scheduler.map_stage.resubmissions")
+	mu.Lock()
+	row.Readers = len(readers)
+	mu.Unlock()
+	if err != nil {
+		row.Err = err
+		return row
+	}
+	row.Read, row.Total, row.Output = res.ShuffleReadTime(), res.Total, res.Output
+	return row
+}
+
+// RunScale sweeps the task axis of ROADMAP item 2's grid: GroupBy on 8
+// workers at o.BytesPerWorker, slots in {2, 14, 56} (256, 12.5 k and 200 k
+// blocks), all four backends, one run per cell. A cell whose job fails
+// prints its error and the sweep goes on. The table is always returned; the
+// error reports every completed cell whose tracker Asks differ from the
+// executors that read its one shuffle. A cell that recovered from fetch
+// failures by resubmitting the map stage is exempt and footnoted: each
+// resubmission invalidates every executor's statuses, one more Ask apiece.
+func RunScale(o Options) ([]ScaleRow, *metrics.Table, error) {
+	o.defaults()
+	t := &metrics.Table{
+		Title: fmt.Sprintf("Task axis: GroupBy, %d workers, %d MiB/worker (Frontera profile), one run per cell",
+			scaleWorkers, o.BytesPerWorker>>20),
+		Columns: []string{"Slots", "Blocks", "Backend", "Read", "Total", "TrackerAsks", "Tracker MB", "FetchTimeouts"},
+	}
+	var rows []ScaleRow
+	var wrong []string
+	for _, slots := range []int{2, 14, 56} {
+		for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt} {
+			r := runScaleCell(o, slots, b)
+			rows = append(rows, r)
+			read, total, asks := any(r.Read), any(r.Total), any(r.Asks)
+			switch {
+			case r.Err != nil:
+				read, total = "failed ¹", "failed ¹"
+				t.Notes = append(t.Notes, fmt.Sprintf("¹ %d slots, %s: %v", slots, b, r.Err))
+			case r.Resubmits > 0:
+				asks = fmt.Sprintf("%d ²", r.Asks)
+				t.Notes = append(t.Notes, fmt.Sprintf("² %d slots, %s: fetch deadline hits failed a reduce task and the map stage was resubmitted (x%d); each resubmission costs every executor one more Ask",
+					slots, b, r.Resubmits))
+			case r.Asks != int64(r.Readers):
+				wrong = append(wrong, fmt.Sprintf("%d slots %s: %d asks, %d executors read the shuffle", slots, b, r.Asks, r.Readers))
+			}
+			t.AddRow(slots, r.Blocks, b, read, total, asks, fmt.Sprintf("%.2f", float64(r.ReplyBytes)/1e6), r.Timeouts)
+		}
+	}
+	if len(wrong) > 0 {
+		return rows, t, fmt.Errorf("scale: tracker asks != executors: %s", strings.Join(wrong, "; "))
+	}
+	return rows, t, nil
 }
 
 // HiBenchRow is one Figure 12 measurement.

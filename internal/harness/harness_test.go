@@ -348,3 +348,28 @@ func TestFig9And11Smoke(t *testing.T) {
 		t.Fatal("unknown workload accepted")
 	}
 }
+
+// TestTrackerAsksOncePerExecutor: GroupBy at 8 workers x 14 slots (12.5 k
+// blocks, 112 reduce tasks) on every backend sends one tracker Ask per
+// executor that read the shuffle, in ten consecutive runs, however the host
+// schedules the 14 tasks that start together on each executor; and the job
+// computes what it computed before the single-flight (19035 groups at 1 MiB
+// per worker, seed 2022).
+func TestTrackerAsksOncePerExecutor(t *testing.T) {
+	o := Options{BytesPerWorker: 1 << 20}
+	o.defaults()
+	for _, b := range allBackends {
+		for run := 0; run < 10; run++ {
+			r := runScaleCell(o, 14, b)
+			if r.Err != nil {
+				t.Fatalf("%s run %d: %v", b, run, r.Err)
+			}
+			if r.Readers != scaleWorkers || r.Asks != int64(r.Readers) {
+				t.Errorf("%s run %d: %d tracker asks, %d of %d executors read the shuffle", b, run, r.Asks, r.Readers, scaleWorkers)
+			}
+			if r.Output != 19035 {
+				t.Errorf("%s run %d: output %d, want 19035", b, run, r.Output)
+			}
+		}
+	}
+}

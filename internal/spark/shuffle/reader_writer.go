@@ -29,6 +29,8 @@ var (
 	fetchRequests      = metrics.GetCounter("shuffle.fetch.requests")
 	fetchBatchedBlocks = metrics.GetCounter("shuffle.fetch.batched_blocks")
 	fetchMergedRuns    = metrics.GetCounter("shuffle.fetch.merged_runs")
+	trackerAsks        = metrics.GetCounter("shuffle.tracker.asks")
+	trackerReplyBytes  = metrics.GetCounter("shuffle.tracker.reply_bytes")
 	integrityChecked   = metrics.GetCounter(CounterIntegrityChecked)
 )
 

@@ -7,6 +7,7 @@
 package shuffle
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -65,6 +66,19 @@ func (m *MapStatus) Encode(buf *bytebuf.Buf) {
 	}
 }
 
+// ErrMalformedStatuses marks a status payload whose counts it cannot hold.
+var ErrMalformedStatuses = errors.New("shuffle: malformed map statuses")
+
+// readCount reads a count of items of at least min bytes each and rejects,
+// before anything is allocated from it, one the readable bytes cannot hold.
+func readCount(buf *bytebuf.Buf, min int, what string) (uint32, error) {
+	n, err := buf.ReadUint32()
+	if err == nil && int64(n)*int64(min) > int64(buf.ReadableBytes()) {
+		err = fmt.Errorf("%w: %d %s in %d bytes", ErrMalformedStatuses, n, what, buf.ReadableBytes())
+	}
+	return n, err
+}
+
 // DecodeMapStatus parses one status.
 func DecodeMapStatus(buf *bytebuf.Buf) (*MapStatus, error) {
 	var m MapStatus
@@ -83,7 +97,7 @@ func DecodeMapStatus(buf *bytebuf.Buf) (*MapStatus, error) {
 		return nil, err
 	}
 	m.Loc.Service = flags&locFlagService != 0
-	n, err := buf.ReadUint32()
+	n, err := readCount(buf, 8, "sizes")
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +107,7 @@ func DecodeMapStatus(buf *bytebuf.Buf) (*MapStatus, error) {
 			return nil, err
 		}
 	}
-	ns, err := buf.ReadUint32()
+	ns, err := readCount(buf, 4, "sums")
 	if err != nil {
 		return nil, err
 	}
@@ -113,17 +127,21 @@ func DecodeMapStatus(buf *bytebuf.Buf) (*MapStatus, error) {
 type MapOutputTracker struct {
 	mu       sync.RWMutex
 	statuses map[int][]*MapStatus // shuffleID -> status per mapID
+	// wire is the serialized form ServeTracker replies with (replies alias
+	// it): dropped by every mutator, never written once stored.
+	wire map[int][]byte
 }
 
 // NewMapOutputTracker creates an empty tracker.
 func NewMapOutputTracker() *MapOutputTracker {
-	return &MapOutputTracker{statuses: make(map[int][]*MapStatus)}
+	return &MapOutputTracker{statuses: make(map[int][]*MapStatus), wire: make(map[int][]byte)}
 }
 
 // RegisterShuffle reserves slots for a shuffle's map outputs.
 func (t *MapOutputTracker) RegisterShuffle(shuffleID, numMaps int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	delete(t.wire, shuffleID)
 	t.statuses[shuffleID] = make([]*MapStatus, numMaps)
 }
 
@@ -138,6 +156,7 @@ func (t *MapOutputTracker) RegisterMapOutput(shuffleID, mapID int, st *MapStatus
 	if mapID < 0 || mapID >= len(ss) {
 		return fmt.Errorf("shuffle: map id %d out of range (%d maps)", mapID, len(ss))
 	}
+	delete(t.wire, shuffleID)
 	ss[mapID] = st
 	return nil
 }
@@ -195,6 +214,7 @@ func (t *MapOutputTracker) SizesByReduce(shuffleID int) (totals []int64, perMap 
 func (t *MapOutputTracker) UnregisterShuffle(shuffleID int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	delete(t.wire, shuffleID)
 	delete(t.statuses, shuffleID)
 }
 
@@ -203,6 +223,7 @@ func (t *MapOutputTracker) UnregisterMapOutput(shuffleID, mapID int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ss, ok := t.statuses[shuffleID]; ok && mapID >= 0 && mapID < len(ss) {
+		delete(t.wire, shuffleID)
 		ss[mapID] = nil
 	}
 }
@@ -218,6 +239,7 @@ func (t *MapOutputTracker) UnregisterOutputsOnExecutor(execID string) map[int][]
 	for shuffleID, ss := range t.statuses {
 		for mapID, st := range ss {
 			if st != nil && st.Loc.ExecID == execID {
+				delete(t.wire, shuffleID)
 				ss[mapID] = nil
 				lost[shuffleID] = append(lost[shuffleID], mapID)
 			}
@@ -248,13 +270,25 @@ func (t *MapOutputTracker) MissingOutputs(shuffleID int) ([]int, error) {
 // Missing outputs (unregistered after an executor loss, or not yet
 // computed) serialize as explicit holes: the reducer deserializes them as
 // nil and turns them into a metadata fetch failure, which triggers the
-// map-stage resubmission — Spark's MetadataFetchFailedException path.
+// map-stage resubmission — Spark's MetadataFetchFailedException path. Every
+// call encodes afresh; the tracker endpoint replies from wireOutputs.
 func (t *MapOutputTracker) SerializeOutputs(shuffleID int) ([]byte, error) {
 	ss, err := t.Outputs(shuffleID)
 	if err != nil {
 		return nil, err
 	}
-	buf := bytebuf.New(64 * len(ss))
+	return encodeOutputs(ss), nil
+}
+
+// encodeOutputs allocates the wire form of ss once, at its exact size.
+func encodeOutputs(ss []*MapStatus) []byte {
+	n := 4 + len(ss)
+	for _, s := range ss {
+		if s != nil { // what Encode writes: 3 string lengths, flags, 2 counts = 21 fixed bytes
+			n += 21 + len(s.Loc.ExecID) + len(s.Loc.Addr.Node) + len(s.Loc.Addr.Port) + 8*len(s.Sizes) + 4*len(s.Sums)
+		}
+	}
+	buf := bytebuf.New(n)
 	buf.WriteUint32(uint32(len(ss)))
 	for _, s := range ss {
 		if s == nil {
@@ -264,13 +298,27 @@ func (t *MapOutputTracker) SerializeOutputs(shuffleID int) ([]byte, error) {
 		buf.WriteByte(1)
 		s.Encode(buf)
 	}
-	return buf.Bytes(), nil
+	return buf.Readable() // exactly n bytes were written: the buffer never grew
+}
+
+// wireOutputs returns the shuffle's cached wire form (nil if unregistered),
+// encoding it if a mutator dropped it; the write lock keeps a mutation from
+// falling between encode and store.
+func (t *MapOutputTracker) wireOutputs(shuffleID int) []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	data, cached := t.wire[shuffleID]
+	if ss, ok := t.statuses[shuffleID]; ok && !cached {
+		data = encodeOutputs(ss)
+		t.wire[shuffleID] = data
+	}
+	return data
 }
 
 // DeserializeOutputs decodes a tracker RPC payload; holes come back nil.
 func DeserializeOutputs(data []byte) ([]*MapStatus, error) {
 	buf := bytebuf.Wrap(data)
-	n, err := buf.ReadUint32()
+	n, err := readCount(buf, 1, "entries") // an entry is at least its presence byte
 	if err != nil {
 		return nil, err
 	}
@@ -304,42 +352,78 @@ func ServeTracker(env *rpc.Env, t *MapOutputTracker) error {
 			c.Reply(nil, c.VT)
 			return
 		}
-		data, err := t.SerializeOutputs(shuffleID)
-		if err != nil {
-			c.Reply(nil, c.VT)
-			return
-		}
-		c.Reply(data, c.VT)
+		c.Reply(t.wireOutputs(shuffleID), c.VT)
 	})
 }
 
-// TrackerClient is the executor-side view of the tracker, with a cache.
+// TrackerClient is the executor-side view of the tracker: one fetch per
+// shuffle, whose result is the cache.
 type TrackerClient struct {
 	env    *rpc.Env
 	driver fabric.Addr
 
-	mu    sync.Mutex
-	cache map[int][]*MapStatus
+	mu      sync.Mutex
+	fetches map[int]*trackerFetch
+}
+
+// trackerFetch is one Ask for a shuffle's statuses, sent at issued and
+// answered at ready; done closes once the other fields are final.
+type trackerFetch struct {
+	done          chan struct{}
+	statuses      []*MapStatus
+	issued, ready vtime.Stamp
+	err           error
 }
 
 // NewTrackerClient builds a client that queries the driver's tracker.
 func NewTrackerClient(env *rpc.Env, driver fabric.Addr) *TrackerClient {
-	return &TrackerClient{env: env, driver: driver, cache: make(map[int][]*MapStatus)}
+	return &TrackerClient{env: env, driver: driver, fetches: make(map[int]*trackerFetch)}
 }
 
-// GetOutputs returns a shuffle's map statuses, fetching from the driver on
-// a cache miss. Like MapOutputTracker.Outputs, callers receive their own
-// copy of the slice — handing out the cached slice by reference would let
-// one task's mutation (or an Invalidate racing a reader) corrupt every
-// other task's view.
+// GetOutputs returns a shuffle's map statuses. The first caller Asks the
+// driver, callers that arrive meanwhile wait for that reply (Spark's
+// MapOutputTrackerWorker.fetching), later ones reuse it; a failed fetch is
+// handed to its waiters and not kept. Each caller gets its own slice.
+// A caller at stamp at leaves at at if the reply was already there (at >=
+// ready) and at ready if it joined the fetch (issued <= at < ready). If at <
+// issued it would, in virtual time, have sent the Ask itself, and only host
+// scheduling made a later-stamped thread the leader: it leaves at at + (ready
+// - issued). That arm disappears under ROADMAP item 1's kernel, where the
+// least stamp always leads.
 func (c *TrackerClient) GetOutputs(shuffleID int, at vtime.Stamp) ([]*MapStatus, vtime.Stamp, error) {
 	c.mu.Lock()
-	if ss, ok := c.cache[shuffleID]; ok {
-		out := append([]*MapStatus(nil), ss...)
-		c.mu.Unlock()
-		return out, at, nil
+	f, joined := c.fetches[shuffleID]
+	if !joined {
+		f = &trackerFetch{done: make(chan struct{}), issued: at}
+		c.fetches[shuffleID] = f
 	}
 	c.mu.Unlock()
+	if !joined {
+		f.statuses, f.ready, f.err = c.fetch(shuffleID, at)
+		if f.err != nil {
+			c.mu.Lock()
+			if c.fetches[shuffleID] == f { // not if a newer fetch took its place
+				delete(c.fetches, shuffleID)
+			}
+			c.mu.Unlock()
+		}
+		close(f.done)
+	}
+	<-f.done
+	if f.err != nil {
+		return nil, at, f.err
+	}
+	if at < f.issued {
+		at += f.ready - f.issued
+	} else if at < f.ready {
+		at = f.ready
+	}
+	return append([]*MapStatus(nil), f.statuses...), at, nil
+}
+
+// fetch is the one exchange with the driver's tracker endpoint.
+func (c *TrackerClient) fetch(shuffleID int, at vtime.Stamp) ([]*MapStatus, vtime.Stamp, error) {
+	trackerAsks.Inc()
 	data, vt, err := c.env.Ask(c.driver, TrackerEndpoint, []byte(fmt.Sprint(shuffleID)), at)
 	if err != nil {
 		return nil, at, err
@@ -347,19 +431,15 @@ func (c *TrackerClient) GetOutputs(shuffleID int, at vtime.Stamp) ([]*MapStatus,
 	if data == nil {
 		return nil, vt, fmt.Errorf("shuffle: tracker has no outputs for shuffle %d", shuffleID)
 	}
+	trackerReplyBytes.Add(int64(len(data)))
 	ss, err := DeserializeOutputs(data)
-	if err != nil {
-		return nil, vt, err
-	}
-	c.mu.Lock()
-	c.cache[shuffleID] = ss
-	c.mu.Unlock()
-	return append([]*MapStatus(nil), ss...), vt, nil
+	return ss, vt, err
 }
 
-// Invalidate drops a cached shuffle (used when a stage is retried).
+// Invalidate detaches a shuffle's fetch (used when a stage is retried): the
+// next caller Asks again, and a fetch in flight reaches only its waiters.
 func (c *TrackerClient) Invalidate(shuffleID int) {
 	c.mu.Lock()
-	delete(c.cache, shuffleID)
+	delete(c.fetches, shuffleID)
 	c.mu.Unlock()
 }
