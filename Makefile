@@ -52,6 +52,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeMergedRun$$' -fuzztime 5s ./internal/spark/shuffle/
 	go test -run '^$$' -fuzz '^FuzzDeserializeOutputs$$' -fuzztime 5s ./internal/spark/shuffle/
 	go test -run '^$$' -fuzz '^FuzzDecodePairs$$' -fuzztime 5s ./internal/spark/
+	go test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/bytebuf/
 
 # Tests that were order-dependent once (the MPI launcher's executor order):
 # thirty consecutive passes each.

@@ -2,6 +2,7 @@ package bytebuf
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -73,4 +74,155 @@ func TestReassemblyEmptyBlock(t *testing.T) {
 	if got := r.Bytes(); len(got) != 0 {
 		t.Fatalf("empty block has %d bytes", len(got))
 	}
+}
+
+// step is one chunk handed to Fold: bytes [lo, hi) of the served block,
+// announced at offset off of a total-byte block, as a window of the served
+// buffer or (copied) as a private copy of it.
+type step struct {
+	off, total uint64
+	lo, hi     int
+	copied     bool
+}
+
+// TestReassemblyFold walks the chunk rule case by case: what fails a block,
+// what is dropped without a trace, and what completes it, adopted or copied.
+func TestReassemblyFold(t *testing.T) {
+	const n = 300
+	cases := []struct {
+		name    string
+		steps   []step
+		done    bool
+		err     error
+		got     int  // bytes folded when the last step returns
+		aliases bool // the result is the served block's memory
+	}{
+		{name: "windows are adopted", done: true, got: n, aliases: true,
+			steps: []step{{0, n, 0, 100, false}, {100, n, 100, 200, false}, {200, n, 200, 300, false}}},
+		{name: "a copied chunk moves the block", done: true, got: n,
+			steps: []step{{0, n, 0, 100, false}, {100, n, 100, 200, true}, {200, n, 200, 300, false}}},
+		{name: "one chunk is the block", done: true, got: n, aliases: true,
+			steps: []step{{0, n, 0, n, false}}},
+		{name: "zero-length block", done: true,
+			steps: []step{{0, 0, 0, 0, false}}},
+		{name: "overrun of the announced total", err: ErrMalformedChunk, got: 100, aliases: true,
+			steps: []step{{0, n, 0, 100, false}, {100, n, 100, n + 16, false}}},
+		{name: "offset past the total", err: ErrMalformedChunk,
+			steps: []step{{1 << 63, n, 0, 100, false}}},
+		{name: "offset at the total with a body", err: ErrMalformedChunk,
+			steps: []step{{n, n, 0, 1, false}}},
+		{name: "total differs from the first chunk's", err: ErrMalformedChunk, got: 100, aliases: true,
+			steps: []step{{0, n, 0, 100, false}, {100, 150, 100, 150, false}}},
+		{name: "total differs after an empty first chunk", err: ErrMalformedChunk,
+			steps: []step{{0, n, 0, 0, false}, {0, 100, 0, 100, false}}},
+		{name: "replay is dropped", got: 200, aliases: true,
+			steps: []step{{0, n, 0, 100, false}, {100, n, 100, 200, false}, {100, n, 100, 200, false}}},
+		{name: "gap is dropped", got: 100, aliases: true,
+			steps: []step{{0, n, 0, 100, false}, {200, n, 200, 300, false}}},
+		{name: "replay then the rest completes", done: true, got: n, aliases: true,
+			steps: []step{{0, n, 0, 200, false}, {0, n, 0, 100, true}, {200, n, 200, 300, false}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			served := pattern(n + 16)
+			want := bytes.Clone(served)
+			var r Reassembly
+			var done bool
+			var err error
+			for _, s := range c.steps {
+				chunk := served[s.lo:s.hi]
+				if s.copied {
+					chunk = bytes.Clone(chunk)
+				}
+				before := len(r.Bytes())
+				if done, err = r.Fold(s.off, s.total, chunk); err != nil {
+					if len(r.Bytes()) != before {
+						t.Fatalf("a rejected chunk changed the block: %d -> %d bytes", before, len(r.Bytes()))
+					}
+					break
+				}
+			}
+			if done != c.done || !errors.Is(err, c.err) {
+				t.Fatalf("Fold = (%v, %v), want (%v, %v)", done, err, c.done, c.err)
+			}
+			got := r.Bytes()
+			if len(got) != c.got || !bytes.Equal(got, want[:c.got]) {
+				t.Fatalf("folded %d bytes, want the served block's first %d", len(got), c.got)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("capacity %d past the %d folded bytes", cap(got), len(got))
+			}
+			if len(got) > 0 && (&got[0] == &served[0]) != c.aliases {
+				t.Fatalf("aliases the served block: %v, want %v", &got[0] == &served[0], c.aliases)
+			}
+			if !bytes.Equal(served, want) {
+				t.Fatal("folding wrote into the served block")
+			}
+		})
+	}
+}
+
+// FuzzReassembly folds a random chunk sequence cut from a served block: next
+// windows, copies of them, replays and gaps, and chunks announcing another
+// total. Whatever the sequence, Fold must not panic, must never write the
+// served memory, must leave a rejected or dropped chunk without a trace, and
+// a completed block must be the served bytes its first chunk announced, with
+// no capacity past them.
+func FuzzReassembly(f *testing.F) {
+	f.Add(uint16(300), []byte{0, 100, 0, 0, 100, 0, 0, 100, 0})
+	f.Add(uint16(300), []byte{1, 150, 0, 2, 50, 0, 0, 150, 0})
+	f.Add(uint16(0), []byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, size uint16, script []byte) {
+		n := int(size % 4096)
+		backing := pattern(n + 64) // the served block sits inside a larger buffer
+		orig := bytes.Clone(backing)
+		served := backing[:n]
+		var r Reassembly
+		first := -1 // the total the first folded chunk announced
+		for ; len(script) >= 3; script = script[3:] {
+			op, a, b := script[0], int(script[1]), int(script[2])
+			cur := len(r.Bytes())
+			off, total := cur, uint64(n)
+			switch op % 4 {
+			case 2: // a replay or a gap
+				off = (cur + a*7) % (n + 1)
+			case 3: // a lie about the block's size
+				total = uint64(max(0, n+b-128))
+			}
+			end := min(off+a*(1+b%32), n)
+			chunk := served[off:end]
+			if op%4 == 1 {
+				chunk = bytes.Clone(chunk)
+			}
+			done, err := r.Fold(uint64(off), total, chunk)
+			got := r.Bytes()
+			if cap(got) != len(got) {
+				t.Fatalf("capacity %d past %d bytes", cap(got), len(got))
+			}
+			if err != nil || (off != cur && !done) {
+				if len(got) != cur {
+					t.Fatalf("a rejected or dropped chunk changed the block: %d -> %d bytes", cur, len(got))
+				}
+				if err != nil {
+					break
+				}
+				continue
+			}
+			if first < 0 {
+				first = int(total)
+			}
+			if !bytes.Equal(got, served[:len(got)]) {
+				t.Fatal("folded bytes differ from the served block")
+			}
+			if done {
+				if len(got) != first {
+					t.Fatalf("completed at %d bytes, first chunk announced %d", len(got), first)
+				}
+				break
+			}
+		}
+		if !bytes.Equal(backing, orig) {
+			t.Fatal("reassembly wrote into the served memory")
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,29 +320,26 @@ func (g *Group) recvRange(rank int, op int64, tagBase uint32, dst []byte, lo, hi
 	return vt, nil
 }
 
-// recvPayload receives one whole tagged transfer of unknown size into a
-// pooled buffer (the first chunk announces the total).
-func (g *Group) recvPayload(rank int, op int64, tagBase uint32, span int, at vtime.Stamp) (*bytebuf.Buf, int, vtime.Stamp, error) {
+// recvPayload receives one whole tagged transfer of unknown size (the
+// first chunk announces the total) and reassembles it.
+func (g *Group) recvPayload(rank int, op int64, tagBase uint32, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
 	st := g.members[rank]
-	d0, err := st.recv(op, tagBase)
-	if err != nil {
-		return nil, 0, at, err
-	}
-	total := d0.total
-	buf := bytebuf.Get(total)
-	buf.WriteBytes(d0.data)
-	vt := vtime.Max(at, d0.vt)
-	nc := chunkCount(total, span)
-	for i := 1; i < nc; i++ {
+	var asm bytebuf.Reassembly
+	vt := at
+	for i := 0; ; i++ {
 		d, err := st.recv(op, tagBase|uint32(i))
 		if err != nil {
-			buf.Release()
-			return nil, 0, at, err
+			return nil, at, err
 		}
-		buf.WriteBytes(d.data)
 		vt = vtime.Max(vt, d.vt)
+		done, err := asm.Fold(uint64(d.offset), uint64(d.total), d.data)
+		if err != nil {
+			return nil, at, err
+		}
+		if done {
+			return asm.Bytes(), vt, nil
+		}
 	}
-	return buf, d0.src, vt, nil
 }
 
 var (
@@ -356,30 +354,27 @@ type ctrNames struct{ ops, bytes, chunks string }
 // calls it with the same op and root; only root's data is read. Payloads
 // at or below SmallLimit travel a binomial tree as one message per edge;
 // larger ones stream down a pipelined chain in ChunkBytes pieces, so the
-// root's link carries the payload once — O(B), not O(E·B). The returned
-// slice is root's own data at root and a pooled copy elsewhere; release it
-// once consumed (nothing on the wire aliases it, so a rank need not wait
-// for its siblings). Root's data must not be modified until every rank has
-// completed: it reaches them by reference.
-func (g *Group) Bcast(op int64, rank, root int, data []byte, at vtime.Stamp) ([]byte, func(), vtime.Stamp, error) {
-	out, release, vt, err := g.bcast(op, rank, root, data, 0, metrics.GetCounter(bcastCtrs.chunks), at)
+// root's link carries the payload once — O(B), not O(E·B). The result is
+// read-only and garbage-collected, with no capacity past its length: it is
+// root's own data at root and elsewhere may alias it (chunks cross by
+// reference), so root's data must not be modified once sent.
+func (g *Group) Bcast(op int64, rank, root int, data []byte, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
+	out, vt, err := g.bcast(op, rank, root, data, 0, metrics.GetCounter(bcastCtrs.chunks), at)
 	if err != nil {
-		return nil, nil, vt, err
+		return nil, vt, err
 	}
 	if rank == root {
 		metrics.GetCounter(bcastCtrs.ops).Inc()
 		metrics.GetCounter(bcastCtrs.bytes).Add(int64(len(data)))
 	}
 	g.members[rank].retire(op)
-	return out, release, vt, nil
+	return out, vt, nil
 }
 
-func noRelease() {}
-
-func (g *Group) bcast(op int64, rank, root int, data []byte, tagBit uint32, chunks *metrics.Counter, at vtime.Stamp) ([]byte, func(), vtime.Stamp, error) {
+func (g *Group) bcast(op int64, rank, root int, data []byte, tagBit uint32, chunks *metrics.Counter, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
 	n := g.Size()
 	if n == 1 {
-		return data, noRelease, at, nil
+		return slices.Clip(data), at, nil
 	}
 	span := g.chunkSpan(1)
 	if rank == root {
@@ -391,76 +386,60 @@ func (g *Group) bcast(op int64, rank, root int, data []byte, tagBit uint32, chun
 				var err error
 				vt, err = g.sendChunk(rank, realRank(c, root, n), op, tagBit, total, 0, data, vt, chunks)
 				if err != nil {
-					return nil, nil, vt, err
+					return nil, vt, err
 				}
 			}
 		} else {
 			var err error
 			vt, err = g.sendRange(rank, realRank(1, root, n), op, tagBit, data, 0, total, span, vt, chunks)
 			if err != nil {
-				return nil, nil, vt, err
+				return nil, vt, err
 			}
 		}
-		return data, noRelease, vt, nil
+		return slices.Clip(data), vt, nil
 	}
 
+	// The first chunk announces the total, which picks the shape: a binomial
+	// tree forwards its only chunk to this rank's subtree, a chain forwards
+	// chunk i to the right before waiting for chunk i+1 — the pipeline that
+	// keeps every link busy. Either way a rank forwards the delivery (the
+	// sender's slice, by reference) and reassembles what it received.
 	st := g.members[rank]
 	vr := (rank - root + n) % n
-	d0, err := st.recv(op, tagBit)
+	d, err := st.recv(op, tagBit)
 	if err != nil {
-		return nil, nil, at, err
+		return nil, at, err
 	}
-	total := d0.total
-	vt := vtime.Max(at, d0.vt)
-	buf := bytebuf.Get(total)
-
-	if total <= g.cfg.SmallLimit {
-		// Binomial: the first (only) chunk is the whole payload; forward
-		// it to this rank's subtree. The forward sends the delivery (the
-		// root's slice, by reference), never the pooled reassembly buffer:
-		// the wire aliases what is sent, and the pool may hand a released
-		// buffer to another rank of the same op.
-		buf.WriteBytes(d0.data)
-		payload := buf.Readable()
+	var next []int
+	if d.total <= g.cfg.SmallLimit {
 		_, children := binomial(vr, n)
 		for _, c := range children {
-			vt, err = g.sendChunk(rank, realRank(c, root, n), op, tagBit, total, 0, d0.data, vt, chunks)
-			if err != nil {
-				buf.Release()
-				return nil, nil, vt, err
-			}
+			next = append(next, realRank(c, root, n))
 		}
-		return payload, buf.Release, vt, nil
+	} else if vr+1 < n {
+		next = []int{realRank(vr+1, root, n)}
 	}
-
-	// Chain: receive chunk i from the left, forward it right before
-	// waiting for chunk i+1 — the pipeline that keeps every link busy.
-	next := -1
-	if vr+1 < n {
-		next = realRank(vr+1, root, n)
-	}
-	nc := chunkCount(total, span)
-	d := d0
+	var asm bytebuf.Reassembly
+	vt := at
 	for i := 0; ; i++ {
-		buf.WriteBytes(d.data)
 		vt = vtime.Max(vt, d.vt)
-		if next >= 0 {
-			vt, err = g.sendChunk(rank, next, op, tagBit|uint32(i), total, d.offset, d.data, vt, chunks)
+		done, err := asm.Fold(uint64(d.offset), uint64(d.total), d.data)
+		if err != nil {
+			return nil, vt, err
+		}
+		for _, to := range next {
+			vt, err = g.sendChunk(rank, to, op, tagBit|uint32(i), d.total, d.offset, d.data, vt, chunks)
 			if err != nil {
-				buf.Release()
-				return nil, nil, vt, err
+				return nil, vt, err
 			}
 		}
-		if i+1 >= nc {
-			break
+		if done {
+			return asm.Bytes(), vt, nil
 		}
-		d, err = st.recv(op, tagBit|uint32(i+1))
-		if err != nil {
-			buf.Release()
-			return nil, nil, vt, err
+		if d, err = st.recv(op, tagBit|uint32(i+1)); err != nil {
+			return nil, vt, err
 		}
 	}
-	return buf.Readable(), buf.Release, vt, nil
 }
 
 // Reduce folds every rank's payload into root through a binomial tree,
@@ -506,14 +485,12 @@ func (g *Group) reduce(op int64, rank, root int, data []byte, rop ReduceOp, tagB
 			return nil, vt, nil
 		}
 		if vr+mask < n {
-			buf, _, rvt, err := g.recvPayload(rank, op, tagBase, span, vt)
+			in, rvt, err := g.recvPayload(rank, op, tagBase, vt)
 			if err != nil {
 				return nil, vt, err
 			}
-			vt = rvt
-			acc = rop.Combine(acc, buf.Readable())
-			vt = vt.Add(g.combineCost(buf.ReadableBytes()))
-			buf.Release()
+			acc = rop.Combine(acc, in)
+			vt = rvt.Add(g.combineCost(len(in)))
 		}
 		level++
 	}
@@ -541,9 +518,9 @@ func segBounds(L, n, align, i int) (lo, hi int) {
 // length. Small payloads ride binomial reduce-then-broadcast; large ones
 // run the bandwidth-optimal chunked ring (reduce-scatter + allgather),
 // which moves 2·B·(n-1)/n bytes over each rank's link regardless of n.
-// The returned slice is pooled — release it once consumed; no sibling
-// reads it, so a rank need not wait for the others.
-func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtime.Stamp) ([]byte, func(), vtime.Stamp, error) {
+// The result is read-only and garbage-collected, with no capacity past its
+// length; after a small allreduce every rank's result may alias rank 0's.
+func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
 	n := g.Size()
 	chunks := metrics.GetCounter(allreduceCtrs.chunks)
 	countOp := func(resLen int) {
@@ -554,46 +531,35 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 	}
 	if n == 1 {
 		countOp(len(data))
-		return data, noRelease, at, nil
+		return slices.Clip(data), at, nil
 	}
 
 	if len(data) <= g.cfg.SmallLimit {
 		acc, vt, err := g.reduce(op, rank, 0, data, rop, 0, chunks, at)
 		if err != nil {
-			return nil, nil, vt, err
+			return nil, vt, err
 		}
-		out, release, vt, err := g.bcast(op, rank, 0, acc, bcastTagBit, chunks, vt)
+		out, vt, err := g.bcast(op, rank, 0, acc, bcastTagBit, chunks, vt)
 		if err != nil {
-			return nil, nil, vt, err
-		}
-		if rank == 0 {
-			// Root's bcast returns its own acc; hand back a pooled copy so
-			// ownership is uniform across ranks.
-			buf := bytebuf.Get(len(out))
-			buf.WriteBytes(out)
-			out, release = buf.Readable(), buf.Release
+			return nil, vt, err
 		}
 		countOp(len(out))
 		g.members[rank].retire(op)
-		return out, release, vt, nil
+		return out, vt, nil
 	}
 
 	// Ring: reduce-scatter then allgather, segment per rank, chunked.
 	L := len(data)
 	span := g.chunkSpan(rop.Align)
 	right := (rank + 1) % n
-	buf := bytebuf.Get(L)
-	buf.WriteBytes(data)
-	work := buf.Readable()
+	work := make([]byte, L)
+	copy(work, data)
 	vt := at
 	mod := func(x int) int { return ((x % n) + n) % n }
 
 	// Each step sends a private copy of the outgoing window, never a
-	// subslice of the pooled work buffer: every transport keeps the
-	// sender's slice aliased at the receiver, and the same segment is
-	// rewritten by a later step (and the buffer itself is repooled by the
-	// caller's release while the right neighbour may still be reading
-	// the last segment it was sent).
+	// subslice of work: every transport keeps the sender's slice aliased at
+	// the receiver, and a later step rewrites the same segment of work.
 	for s := 0; s < n-1; s++ {
 		tagBase := uint32(s) << tagChunkBits
 		sendSeg := mod(rank - s)
@@ -603,14 +569,12 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 		var err error
 		vt, err = g.sendRange(rank, right, op, tagBase, seg, 0, len(seg), span, vt, chunks)
 		if err != nil {
-			buf.Release()
-			return nil, nil, vt, err
+			return nil, vt, err
 		}
 		rlo, rhi := segBounds(L, n, rop.Align, recvSeg)
 		vt, err = g.recvRange(rank, op, tagBase, work, rlo, rhi, span, &rop, vt)
 		if err != nil {
-			buf.Release()
-			return nil, nil, vt, err
+			return nil, vt, err
 		}
 	}
 	for s := 0; s < n-1; s++ {
@@ -622,17 +586,15 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 		var err error
 		vt, err = g.sendRange(rank, right, op, tagBase, seg, 0, len(seg), span, vt, chunks)
 		if err != nil {
-			buf.Release()
-			return nil, nil, vt, err
+			return nil, vt, err
 		}
 		rlo, rhi := segBounds(L, n, rop.Align, recvSeg)
 		vt, err = g.recvRange(rank, op, tagBase, work, rlo, rhi, span, nil, vt)
 		if err != nil {
-			buf.Release()
-			return nil, nil, vt, err
+			return nil, vt, err
 		}
 	}
 	countOp(L)
 	g.members[rank].retire(op)
-	return work, buf.Release, vt, nil
+	return work, vt, nil
 }

@@ -63,14 +63,13 @@ func TestBcastSizesAndRanks(t *testing.T) {
 				var mu sync.Mutex
 				got := make(map[int][]byte)
 				err := fx.group.Run(op, "bcast", size, func(rank int) error {
-					out, release, _, err := fx.group.Bcast(op, rank, root, data, 0)
+					out, _, err := fx.group.Bcast(op, rank, root, data, 0)
 					if err != nil {
 						return err
 					}
 					mu.Lock()
 					got[rank] = append([]byte(nil), out...)
 					mu.Unlock()
-					release()
 					return nil
 				})
 				if err != nil {
@@ -149,14 +148,13 @@ func TestAllreduceSmallAndRing(t *testing.T) {
 			var mu sync.Mutex
 			got := make(map[int][]float64)
 			err := fx.group.Run(op, "allreduce", 8*vecLen, func(rank int) error {
-				out, release, _, err := fx.group.Allreduce(op, rank, inputs[rank], Float64Sum, 0)
+				out, _, err := fx.group.Allreduce(op, rank, inputs[rank], Float64Sum, 0)
 				if err != nil {
 					return err
 				}
 				mu.Lock()
 				got[rank] = DecodeFloat64s(out)
 				mu.Unlock()
-				release()
 				return nil
 			})
 			if err != nil {
@@ -189,14 +187,13 @@ func TestBcastRootLinkIsOB(t *testing.T) {
 	op := NextOpID()
 	fx.nodes[0].ResetTraffic()
 	err := fx.group.Run(op, "bcast", B, func(rank int) error {
-		out, release, _, err := fx.group.Bcast(op, rank, 0, data, 0)
+		out, _, err := fx.group.Bcast(op, rank, 0, data, 0)
 		if err != nil {
 			return err
 		}
 		if !bytes.Equal(out, data) {
 			return errors.New("payload mismatch")
 		}
-		release()
 		return nil
 	})
 	if err != nil {
@@ -222,11 +219,10 @@ func TestCollectiveDeterminism(t *testing.T) {
 		var mu sync.Mutex
 		var maxVT vtime.Stamp
 		err := fx.group.Run(op, "bcast", len(data), func(rank int) error {
-			_, release, vt, err := fx.group.Bcast(op, rank, 0, data, 0)
+			_, vt, err := fx.group.Bcast(op, rank, 0, data, 0)
 			if err != nil {
 				return err
 			}
-			release()
 			mu.Lock()
 			maxVT = vtime.Max(maxVT, vt)
 			mu.Unlock()
@@ -255,10 +251,7 @@ func TestCollectiveMetricsCounters(t *testing.T) {
 	data := pattern(5000)
 	op := NextOpID()
 	if err := fx.group.Run(op, "bcast", len(data), func(rank int) error {
-		_, release, _, err := fx.group.Bcast(op, rank, 0, data, 0)
-		if err == nil {
-			release()
-		}
+		_, _, err := fx.group.Bcast(op, rank, 0, data, 0)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -266,10 +259,7 @@ func TestCollectiveMetricsCounters(t *testing.T) {
 	vec := EncodeFloat64s(make([]float64, 400))
 	op2 := NextOpID()
 	if err := fx.group.Run(op2, "allreduce", len(vec), func(rank int) error {
-		_, release, _, err := fx.group.Allreduce(op2, rank, vec, Float64Sum, 0)
-		if err == nil {
-			release()
-		}
+		_, _, err := fx.group.Allreduce(op2, rank, vec, Float64Sum, 0)
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -307,10 +297,7 @@ func TestAbortUnblocksSiblings(t *testing.T) {
 		if rank == 2 {
 			return boom
 		}
-		_, release, _, err := fx.group.Bcast(op, rank, 0, data, 0)
-		if err == nil {
-			release()
-		}
+		_, _, err := fx.group.Bcast(op, rank, 0, data, 0)
 		return err
 	})
 	if !errors.Is(err, boom) {
@@ -325,7 +312,7 @@ func TestStationCloseFailsBlockedRecv(t *testing.T) {
 	op := NextOpID()
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, _, err := fx.group.Bcast(op, 1, 0, nil, 0)
+		_, _, err := fx.group.Bcast(op, 1, 0, nil, 0)
 		errCh <- err
 	}()
 	fx.envs[1].Shutdown()

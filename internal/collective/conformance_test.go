@@ -3,10 +3,10 @@ package collective_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
-	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/collective"
 	"mpi4spark/internal/core"
 	"mpi4spark/internal/fabric"
@@ -99,14 +99,13 @@ func TestBcastConformance(t *testing.T) {
 				var mu sync.Mutex
 				got := make([][]byte, n)
 				err := fx.group.Run(op, "bcast", len(data), func(rank int) error {
-					out, release, _, err := fx.group.Bcast(op, rank, 0, data, 0)
+					out, _, err := fx.group.Bcast(op, rank, 0, data, 0)
 					if err != nil {
 						return err
 					}
 					mu.Lock()
 					got[rank] = append([]byte(nil), out...)
 					mu.Unlock()
-					release()
 					return nil
 				})
 				if err != nil {
@@ -144,14 +143,13 @@ func TestAllreduceConformance(t *testing.T) {
 				var mu sync.Mutex
 				got := make([][]byte, n)
 				err := fx.group.Run(op, "allreduce", len(inputs[0]), func(rank int) error {
-					out, release, _, err := fx.group.Allreduce(op, rank, inputs[rank], collective.Float64Sum, 0)
+					out, _, err := fx.group.Allreduce(op, rank, inputs[rank], collective.Float64Sum, 0)
 					if err != nil {
 						return err
 					}
 					mu.Lock()
 					got[rank] = append([]byte(nil), out...)
 					mu.Unlock()
-					release()
 					return nil
 				})
 				if err != nil {
@@ -208,79 +206,80 @@ func TestReduceConformance(t *testing.T) {
 	}
 }
 
-// TestCollectiveResultsSurviveEarlyRelease is the by-reference audit of the
-// pooled senders: chunk bodies cross every transport as the sender's own
-// slice, so a rank that returns its pooled result the moment its call
-// returns — while neighbours may still be reading what it sent them — must
-// not be able to disturb them. Every rank releases at once, re-Gets the
-// same pool classes and scribbles over them; every rank's result must still
-// be the right one.
-func TestCollectiveResultsSurviveEarlyRelease(t *testing.T) {
+// TestCollectiveResultsAreKept: a collective result is an ordinary
+// garbage-collected slice that may alias what another rank sent. Every rank
+// keeps its Bcast and Allreduce result, uncopied, across a second op of each
+// kind on the same group and a GC, and each kept result must still be the
+// right one. A result has no capacity past its length, so appending to it
+// reallocates instead of writing behind the root's input, which here has
+// room behind it. Binomial (16 elements), then chain and ring (5000).
+func TestCollectiveResultsAreKept(t *testing.T) {
 	cfg := collective.Config{ChunkBytes: 16 << 10, SmallLimit: 1 << 10}
 	const n = 4
-	scribble := func(size int) {
-		for i := 0; i < 4; i++ {
-			b := bytebuf.Get(size)
-			b.WriteBytes(bytes.Repeat([]byte{0xEE}, size))
-			b.Release()
-		}
-	}
+	const slack = 64
 	for _, tr := range conformanceTransports {
 		fx := buildTransport(t, tr, n, cfg)
-		for _, vecLen := range []int{16, 5000} { // binomial, then ring and chain
-			inputs := make([][]byte, n)
-			want := make([]float64, vecLen)
-			for r := range inputs {
-				v := make([]float64, vecLen)
-				for i := range v {
-					v[i] = float64(r + 1 + i)
-					want[i] += v[i]
+		for _, vecLen := range []int{16, 5000} {
+			// inputs returns each rank's vector for one op, with slack bytes
+			// of capacity behind it, and their sum.
+			inputs := func(seed int) ([][]byte, []byte) {
+				in := make([][]byte, n)
+				sum := make([]float64, vecLen)
+				for r := range in {
+					v := make([]float64, vecLen)
+					for i := range v {
+						v[i] = float64(seed*r + 1 + i)
+						sum[i] += v[i]
+					}
+					in[r] = append(make([]byte, 0, 8*vecLen+slack), collective.EncodeFloat64s(v)...)
 				}
-				inputs[r] = collective.EncodeFloat64s(v)
+				return in, collective.EncodeFloat64s(sum)
+			}
+			// run does one bcast of in[0] and one allreduce of in, keeping
+			// every rank's results as returned.
+			run := func(in [][]byte) (bcast, sums [][]byte) {
+				bcast, sums = make([][]byte, n), make([][]byte, n)
+				op := collective.NextOpID()
+				if err := fx.group.Run(op, "bcast", len(in[0]), func(rank int) error {
+					out, _, err := fx.group.Bcast(op, rank, 0, in[0], 0)
+					bcast[rank] = out
+					return err
+				}); err != nil {
+					t.Fatalf("%s len=%d bcast: %v", tr, vecLen, err)
+				}
+				op = collective.NextOpID()
+				if err := fx.group.Run(op, "allreduce", len(in[0]), func(rank int) error {
+					out, _, err := fx.group.Allreduce(op, rank, in[rank], collective.Float64Sum, 0)
+					sums[rank] = out
+					return err
+				}); err != nil {
+					t.Fatalf("%s len=%d allreduce: %v", tr, vecLen, err)
+				}
+				return bcast, sums
 			}
 
-			op := collective.NextOpID()
-			sums := make([][]byte, n)
-			err := fx.group.Run(op, "allreduce", len(inputs[0]), func(rank int) error {
-				out, release, _, err := fx.group.Allreduce(op, rank, inputs[rank], collective.Float64Sum, 0)
-				if err != nil {
-					return err
+			in, want := inputs(1)
+			orig := bytes.Clone(in[0][:cap(in[0])])
+			bcast, sums := run(in)
+			second, _ := inputs(3)
+			run(second)
+			runtime.GC()
+			for r := 0; r < n; r++ {
+				if !bytes.Equal(bcast[r], orig[:len(in[0])]) {
+					t.Fatalf("%s len=%d: rank %d's kept broadcast result changed", tr, vecLen, r)
 				}
-				sums[rank] = append([]byte(nil), out...)
-				release()
-				scribble(len(inputs[rank]))
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s len=%d allreduce: %v", tr, vecLen, err)
+				if !bytes.Equal(sums[r], want) {
+					t.Fatalf("%s len=%d: rank %d's kept allreduce result changed", tr, vecLen, r)
+				}
+				for _, out := range [][]byte{bcast[r], sums[r]} {
+					if cap(out) != len(out) {
+						t.Fatalf("%s len=%d: rank %d's result has capacity %d for %d bytes", tr, vecLen, r, cap(out), len(out))
+					}
+					_ = append(out, bytes.Repeat([]byte{0xEE}, slack)...)
+				}
 			}
-			for r, got := range sums {
-				if !bytes.Equal(got, collective.EncodeFloat64s(want)) {
-					t.Fatalf("%s len=%d: rank %d's allreduce result was disturbed by an early release", tr, vecLen, r)
-				}
-			}
-
-			op = collective.NextOpID()
-			copies := make([][]byte, n)
-			err = fx.group.Run(op, "bcast", len(inputs[0]), func(rank int) error {
-				out, release, _, err := fx.group.Bcast(op, rank, 0, inputs[0], 0)
-				if err != nil {
-					return err
-				}
-				copies[rank] = append([]byte(nil), out...)
-				release()
-				if rank != 0 {
-					scribble(len(inputs[0]))
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s len=%d bcast: %v", tr, vecLen, err)
-			}
-			for r, got := range copies {
-				if !bytes.Equal(got, inputs[0]) {
-					t.Fatalf("%s len=%d: rank %d's broadcast copy was disturbed by an early release", tr, vecLen, r)
-				}
+			if !bytes.Equal(in[0][:cap(in[0])], orig) {
+				t.Fatalf("%s len=%d: appending to a result wrote into the root's input", tr, vecLen)
 			}
 		}
 	}

@@ -36,7 +36,6 @@ type slotKey struct {
 
 // delivery is one landed chunk, matched by (op, tag).
 type delivery struct {
-	src    int
 	total  int
 	offset int
 	data   []byte
@@ -106,7 +105,6 @@ func (st *Station) onChunk(m *rpc.CollectiveChunk, vt vtime.Stamp) {
 	}
 	s := st.slotLocked(slotKey{op: m.OpID, tag: m.Tag})
 	s.ds = append(s.ds, delivery{
-		src:    int(m.Src),
 		total:  int(m.Total),
 		offset: int(m.Offset),
 		data:   m.Body,

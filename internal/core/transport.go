@@ -413,17 +413,21 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 		thr := r.h.EagerThreshold()
 		pieces = (size + thr - 1) / thr
 	}
-	// A body that arrives as one message is handed on as received; pieces are
-	// reassembled in the order they were sent.
+	// A body that arrives as one message is handed on as received, capacity
+	// and all, so a fetch reply's reassembly can adopt the next chunk behind
+	// it. Pieces arrive in the order they were sent, as consecutive windows
+	// of the sender's body, and the reassembly adopts them.
 	data, status := r.h.Recv(r.rank, tag, ctx.VT())
 	vt := status.VT
 	if pieces > 1 {
-		data = append(make([]byte, 0, size), data...)
+		var body bytebuf.Reassembly
+		body.Add(data, uint64(size))
 		for i := 1; i < pieces; i++ {
 			piece, st := r.h.Recv(r.rank, tag, ctx.VT())
-			data = append(data, piece...)
+			body.Add(piece, uint64(size))
 			vt = vtime.Max(vt, st.VT)
 		}
+		data = body.Bytes()
 	}
 	ctx.SetVT(vtime.Max(ctx.VT(), vt))
 	// In place: the message was decoded for this traversal and is nobody else's.

@@ -121,13 +121,6 @@ func (f *Fabric) Node(name string) *Node {
 	return f.nodes[name]
 }
 
-// Nodes returns the number of nodes in the fabric.
-func (f *Fabric) Nodes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.nodes)
-}
-
 // Stats returns a snapshot of the traffic counters.
 func (f *Fabric) Stats() Stats {
 	var s Stats
@@ -162,12 +155,10 @@ type Node struct {
 	nicRx  *vtime.Resource
 	failed bool // guarded by fabric.mu
 
-	// Per-link traffic counters (loopback excluded): what this node's NIC
-	// actually carried. They let tests distinguish an O(B) tree/ring
-	// distribution from an O(E·B) root fan-out, which the fabric-wide
-	// per-protocol totals cannot.
-	txMsgs, txBytes atomic.Int64
-	rxMsgs, rxBytes atomic.Int64
+	// txBytes counts what this node's NIC sent (loopback excluded). It
+	// lets tests distinguish an O(B) tree/ring distribution from an O(E·B)
+	// root fan-out, which the fabric-wide per-protocol totals cannot.
+	txBytes atomic.Int64
 }
 
 // Name returns the node's name.
@@ -180,22 +171,8 @@ func (n *Node) Fabric() *Fabric { return n.fabric }
 // transfers are not counted).
 func (n *Node) TxBytes() int64 { return n.txBytes.Load() }
 
-// TxMessages returns the message count sent over this node's NIC.
-func (n *Node) TxMessages() int64 { return n.txMsgs.Load() }
-
-// RxBytes returns the bytes this node has received over its NIC.
-func (n *Node) RxBytes() int64 { return n.rxBytes.Load() }
-
-// RxMessages returns the message count received over this node's NIC.
-func (n *Node) RxMessages() int64 { return n.rxMsgs.Load() }
-
-// ResetTraffic zeroes the node's per-link traffic counters.
-func (n *Node) ResetTraffic() {
-	n.txMsgs.Store(0)
-	n.txBytes.Store(0)
-	n.rxMsgs.Store(0)
-	n.rxBytes.Store(0)
-}
+// ResetTraffic zeroes the node's traffic counter.
+func (n *Node) ResetTraffic() { n.txBytes.Store(0) }
 
 // Listener accepts connections dialed to its address.
 type Listener struct {
@@ -276,8 +253,8 @@ func (n *Node) Dial(addr Addr, proto Protocol, at vtime.Stamp) (*Conn, vtime.Sta
 	}
 
 	a2b, b2a := newQueue(), newQueue()
-	dialSide := &Conn{local: n, remote: remote, proto: proto, out: a2b, in: b2a, peerAddr: addr}
-	acceptSide := &Conn{local: remote, remote: n, proto: proto, out: b2a, in: a2b, peerAddr: Addr{Node: n.name, Port: "ephemeral"}}
+	dialSide := &Conn{local: n, remote: remote, proto: proto, out: a2b, in: b2a}
+	acceptSide := &Conn{local: remote, remote: n, proto: proto, out: b2a, in: a2b}
 	dialSide.peer, acceptSide.peer = acceptSide, dialSide
 	f.mu.Lock()
 	f.conns[dialSide] = struct{}{}
@@ -304,14 +281,13 @@ func (n *Node) Dial(addr Addr, proto Protocol, at vtime.Stamp) (*Conn, vtime.Sta
 // Conn is a message-oriented, reliable, ordered connection between two
 // nodes. It is full duplex; Send and Recv may be used concurrently.
 type Conn struct {
-	local    *Node
-	remote   *Node
-	peer     *Conn
-	peerAddr Addr
-	proto    Protocol
-	out      *queue
-	in       *queue
-	closed   atomic.Bool
+	local  *Node
+	remote *Node
+	peer   *Conn
+	proto  Protocol
+	out    *queue
+	in     *queue
+	closed atomic.Bool
 }
 
 // LocalNode returns the node on this side of the connection.
@@ -319,10 +295,6 @@ func (c *Conn) LocalNode() *Node { return c.local }
 
 // RemoteNode returns the node on the far side of the connection.
 func (c *Conn) RemoteNode() *Node { return c.remote }
-
-// RemoteAddr returns the address this connection was dialed to (dial side)
-// or a pseudo-address of the dialer (accept side).
-func (c *Conn) RemoteAddr() Addr { return c.peerAddr }
 
 // Protocol returns the connection's protocol.
 func (c *Conn) Protocol() Protocol { return c.proto }
@@ -393,10 +365,7 @@ func (f *Fabric) Transfer(from, to *Node, proto Protocol, n int, at vtime.Stamp)
 	if plane != nil {
 		fault = plane.TransferDelay(from.name, to.name, n, at)
 	}
-	from.txMsgs.Add(1)
 	from.txBytes.Add(int64(n))
-	to.rxMsgs.Add(1)
-	to.rxBytes.Add(int64(n))
 	cost := f.model.cost(proto)
 	cpuFree = at.Add(cost.SendOverhead + cost.copyCost(n))
 	serial := cost.serial(n)

@@ -70,7 +70,6 @@ func (w *World) NewProc(node *fabric.Node) *Proc {
 	p := &Proc{
 		world:  w,
 		node:   node,
-		guid:   len(w.procs),
 		engine: newEngine(),
 	}
 	w.procs = append(w.procs, p)
@@ -104,15 +103,11 @@ func (w *World) InitWorld(nodes []*fabric.Node) *Comm {
 type Proc struct {
 	world  *World
 	node   *fabric.Node
-	guid   int
 	engine *engine
 }
 
 // Node returns the fabric node this process runs on.
 func (p *Proc) Node() *fabric.Node { return p.node }
-
-// GUID returns the process's universe-unique id.
-func (p *Proc) GUID() int { return p.guid }
 
 // Comm is a communicator: an ordered group of processes sharing a context
 // id. For an intercommunicator, remote is the other group.
@@ -133,9 +128,6 @@ func (c *Comm) Size() int { return len(c.procs) }
 
 // RemoteSize returns the size of the remote group (0 for intracomms).
 func (c *Comm) RemoteSize() int { return len(c.remote) }
-
-// IsInter reports whether this is an intercommunicator.
-func (c *Comm) IsInter() bool { return c.remote != nil }
 
 // ID returns the communicator's context id.
 func (c *Comm) ID() int64 { return c.id }

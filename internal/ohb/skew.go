@@ -113,48 +113,3 @@ func RunSkewedGroupBy(ctx *spark.Context, cfg SkewConfig) (*Result, error) {
 		Output: int64(sum),
 	}, nil
 }
-
-// RunSkewedJoin inner-joins the skewed pairs against a small dimension
-// table (one record per key). Join stages are never split — a map-range
-// slice of one side would miss the other side's out-of-range matches — so
-// this exercises the planner's coalesce-only path plus speculation on an
-// unsplittable hot partition. Output is the joined record count, which any
-// physical plan must reproduce exactly.
-func RunSkewedJoin(ctx *spark.Context, cfg SkewConfig) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ctx.ResetStages()
-	start := ctx.Clock()
-	data, err := generateSkewed(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	keyRange := cfg.KeyRange
-	dim := spark.Generate(ctx, 1, func(part int, tc *spark.TaskContext) []spark.Pair[int64, int64] {
-		out := make([]spark.Pair[int64, int64], keyRange)
-		for k := int64(0); k < keyRange; k++ {
-			out[k] = spark.Pair[int64, int64]{K: k, V: 2*k + 1}
-		}
-		tc.ChargeRecords(len(out), 16*len(out))
-		return out
-	})
-	lconf := conf(cfg.Config)
-	rconf := spark.ShuffleConf[int64, int64]{
-		Codec: spark.PairCodec[int64, int64]{Key: spark.Int64Codec{}, Val: spark.Int64Codec{}},
-		Ops:   spark.Int64Key{},
-		Parts: cfg.Reducers,
-	}
-	joined := spark.Join(data, lconf, dim, rconf)
-	n, err := spark.Count(joined)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Name:   "SkewedJoin",
-		Config: cfg.Config,
-		Stages: ctx.Stages(),
-		Total:  ctx.Clock() - start,
-		Output: n,
-	}, nil
-}

@@ -87,10 +87,11 @@ func NewBroadcast[T any](ctx *Context, value T, serializedSize int) *Broadcast[T
 
 // seedBroadcast pushes a freshly registered broadcast blob to every live
 // executor: the driver is rank 0 of a collective broadcast whose chunks
-// forward executor-to-executor, and each executor adopts its received
-// (pooled) copy into its block manager. A failed seed (an executor dying
-// mid-broadcast) leaves the lazy per-executor stream fetch as the path of
-// record.
+// forward executor-to-executor, and each executor caches what it received
+// (read-only, and possibly the driver's blob itself: bodies cross by
+// reference) in its block manager, so its bytes are accounted there. A
+// failed seed (an executor dying mid-broadcast) leaves the lazy
+// per-executor stream fetch as the path of record.
 func (c *Context) seedBroadcast(sid string, blob []byte) {
 	group, execs := c.collectiveGroup()
 	if group.Size() < 2 {
@@ -102,20 +103,16 @@ func (c *Context) seedBroadcast(sid string, blob []byte) {
 	var driverDone vtime.Stamp
 	err := group.Run(op, "bcast", len(blob), func(rank int) error {
 		if rank == 0 {
-			_, release, vt, err := group.Bcast(op, 0, 0, blob, at)
-			if err != nil {
-				return err
-			}
-			release()
+			_, vt, err := group.Bcast(op, 0, 0, blob, at)
 			driverDone = vt
-			return nil
+			return err
 		}
 		e := execs[rank-1]
-		out, release, vt, err := group.Bcast(op, rank, 0, nil, at)
+		out, vt, err := group.Bcast(op, rank, 0, nil, at)
 		if err != nil {
 			return err
 		}
-		e.adoptBroadcast(sid, out, release)
+		e.bm.Put(storage.BlockID(sid), out)
 		st.mu.Lock()
 		cache := st.fetched[e.id]
 		if cache == nil {
@@ -130,36 +127,6 @@ func (c *Context) seedBroadcast(sid string, blob []byte) {
 		return
 	}
 	c.AdvanceClock(driverDone)
-}
-
-// adoptBroadcast caches a seeded broadcast copy in the executor's block
-// manager (so its bytes are accounted) and keeps the pooled buffer's
-// release for Destroy.
-func (e *Executor) adoptBroadcast(sid string, data []byte, release func()) {
-	e.bm.Put(storage.BlockID(sid), data)
-	e.bcastMu.Lock()
-	if e.bcastRel == nil {
-		e.bcastRel = make(map[string]func())
-	}
-	if prev := e.bcastRel[sid]; prev != nil {
-		prev()
-	}
-	e.bcastRel[sid] = release
-	e.bcastMu.Unlock()
-}
-
-// dropBroadcast frees the executor's cached copy of a destroyed broadcast:
-// the block (and its accounted bytes) leaves the block manager and the
-// pooled buffer returns to the pool.
-func (e *Executor) dropBroadcast(sid string) {
-	e.bm.Remove(storage.BlockID(sid))
-	e.bcastMu.Lock()
-	release := e.bcastRel[sid]
-	delete(e.bcastRel, sid)
-	e.bcastMu.Unlock()
-	if release != nil {
-		release()
-	}
 }
 
 func (b *Broadcast[T]) streamID() string { return fmt.Sprintf("broadcast_%d", b.id) }

@@ -111,11 +111,8 @@ type Executor struct {
 	cached  map[cacheKey]any
 
 	// coll is the executor's collective-communication attachment point
-	// (created at Attach); bcastRel maps broadcast stream ids to the
-	// release funcs of their pooled executor-side copies.
-	coll     *collective.Station
-	bcastMu  sync.Mutex
-	bcastRel map[string]func()
+	// (created at Attach).
+	coll *collective.Station
 
 	ctx *Context
 
@@ -236,7 +233,9 @@ func (e *Executor) Attach(ctx *Context) error {
 		e.svc.SetBus(ctx.bus)
 	}
 	if err := e.env.RegisterEndpoint(BroadcastEndpoint, func(c *rpc.Call) {
-		e.dropBroadcast(string(c.Payload))
+		// A destroyed broadcast's cached copy (and its accounted bytes)
+		// leaves the block manager.
+		e.bm.Remove(storage.BlockID(c.Payload))
 		c.Reply([]byte{1}, c.VT.Add(broadcastDropCost))
 	}); err != nil {
 		return err

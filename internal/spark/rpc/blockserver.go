@@ -180,12 +180,10 @@ type batchBlock struct {
 	// data is the block once done: its chunk bodies by reference where they
 	// are consecutive windows of the served block, as all chunks of an
 	// undisturbed transfer are (never pooled: the block outlives the fetch).
-	data  bytebuf.Reassembly
-	got   uint64
-	total uint64
-	vt    vtime.Stamp
-	err   error
-	done  bool
+	data bytebuf.Reassembly
+	vt   vtime.Stamp
+	err  error
+	done bool
 }
 
 // pendingBatch tracks one outstanding ChunkFetchRequest: the channel it
@@ -215,7 +213,7 @@ func (b *pendingBatch) failRemaining(err error) {
 // resolveBatchChunk folds one inbound chunk into its batch, then — under an
 // installed fault plane — may fold the same chunk again, modeling a
 // retransmitted frame whose original also landed. The replay must be (and
-// is) rejected by the reassembly offset guard, so duplicate delivery is
+// is) dropped by bytebuf.Reassembly.Fold, so duplicate delivery is
 // idempotent end to end. from/to name the sending and receiving nodes for
 // fault-plane link matching.
 func (e *Env) resolveBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to string) {
@@ -229,10 +227,8 @@ func (e *Env) resolveBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to s
 // (verdicts are only drawn when allowDup — the replay itself must not draw
 // another). Chunks of one batch arrive in order on the batch's channel (the
 // MPI-Optimized design recvs each diverted body before firing the header
-// onward), so reassembly appends at blk.got; a chunk whose Offset is not
-// the append cursor is a replay (or corruption) and is dropped rather than
-// appended — appending it blindly would double-count duplicated bytes and
-// mark the block complete with garbage layout.
+// onward); the block's Reassembly checks each against the block and folds
+// it (bytebuf.Reassembly.Fold), and a chunk it rejects fails only its block.
 func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to string, allowDup bool) (dup bool) {
 	fetchChunks.Inc()
 	var doneCh chan struct{}
@@ -253,29 +249,18 @@ func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to stri
 		e.mu.Unlock()
 		return dup
 	}
-	switch {
-	case m.Missing:
-		blk.err = fmt.Errorf("block not found: %s", b.ids[m.Index])
-	case m.Offset > m.Total || uint64(len(m.Body)) > m.Total-m.Offset || (blk.got > 0 && m.Total != blk.total):
-		// Total and Offset are wire data. A chunk that overruns the block it
-		// announces, or announces another size than the block's first chunk
-		// did, fails the block instead of completing it with the wrong
-		// bytes or sizing a reassembly buffer from a lie.
-		blk.err = fmt.Errorf("rpc: malformed chunk for %s: offset %d + %d bytes of %d, block is %d",
-			b.ids[m.Index], m.Offset, len(m.Body), m.Total, blk.total)
-	case m.Offset != blk.got:
-		// Replayed (or reordered) chunk: the append cursor has moved past
-		// its offset, so its bytes are already folded. Drop it.
-		e.mu.Unlock()
-		return dup
-	default:
-		blk.data.Add(m.Body, m.Total)
-		blk.total = m.Total
-		blk.got += uint64(len(m.Body))
+	// A replay (the Offset of a chunk already folded) is dropped by the fold;
+	// it arrives with its original, so the stamp below does not move either.
+	var err error
+	done := false
+	if m.Missing {
+		err = fmt.Errorf("block not found: %s", b.ids[m.Index])
+	} else if done, err = blk.data.Fold(m.Offset, m.Total, m.Body); err != nil {
+		err = fmt.Errorf("rpc: %s: %w", b.ids[m.Index], err)
 	}
 	blk.vt = vtime.Max(blk.vt, vt)
-	if blk.err != nil || blk.got >= blk.total {
-		blk.done = true
+	if err != nil || done {
+		blk.err, blk.done = err, true
 		b.remaining--
 	}
 	if b.remaining == 0 {

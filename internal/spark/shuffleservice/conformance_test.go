@@ -335,6 +335,29 @@ func TestServiceDuplicatePush(t *testing.T) {
 	})
 }
 
+// TestServiceAdoptsPiecedPush: on MPI4Spark-Optimized a pushed block larger
+// than the eager threshold crosses as eager-sized pieces, consecutive
+// windows of the pusher's block, and core.optInbound adopts them
+// (bytebuf.Reassembly): the service stores the pushed block's own memory, as
+// it does on every other transport and for a block that fits in one piece.
+func TestServiceAdoptsPiecedPush(t *testing.T) {
+	cl := newSvcCluster(t, "mpi-opt", 1)
+	p := cl.peers[0]
+	const shuffleID = 9
+	// The first push completes the channel's MPI handshake (until then
+	// frames stay whole on the socket); the second is pieced.
+	block := svcBlock(0, 1, 3*mpi.DefaultEagerThreshold+17)
+	pushMapOutput(t, p, shuffleID, 0, [][]byte{{1}, block})
+	stored, ok := p.svc.BlockManager().Get(storage.ShuffleBlockID(shuffleID, 0, 1))
+	if !ok || !bytes.Equal(stored, block) {
+		t.Fatalf("stored block: ok %v, %d bytes, want the %d pushed", ok, len(stored), len(block))
+	}
+	if &stored[0] != &block[0] || cap(stored) != len(stored) {
+		t.Fatalf("stored block is a copy (aliases %v) or has capacity %d past its %d bytes",
+			&stored[0] == &block[0], cap(stored), len(stored))
+	}
+}
+
 // fetchRangeGuarded is fetchGuarded for a [mapLo, mapHi) restricted fetch.
 func fetchRangeGuarded(t testing.TB, p *svcPeer, shuffleID, reduceID int, statuses []*shuffle.MapStatus, mapLo, mapHi int) ([]shuffle.FetchResult, error) {
 	t.Helper()

@@ -96,7 +96,7 @@ func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]
 				}
 				return nil
 			}
-			out, release, vt, err := group.Allreduce(op, rank, in, collective.Float64Sum, at)
+			out, vt, err := group.Allreduce(op, rank, in, collective.Float64Sum, at)
 			if err != nil {
 				return err
 			}
@@ -104,7 +104,6 @@ func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]
 				result = collective.DecodeFloat64s(out)
 				driverDone = vt
 			}
-			release()
 			return nil
 		})
 		if err == nil {

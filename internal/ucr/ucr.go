@@ -78,30 +78,9 @@ type Server struct {
 	// later-stamped request from another connection.
 	engine vtime.Resource
 
-	mu      sync.Mutex
-	conns   []*serverConn
-	closed  bool
-	fetches int64
-	busy    vtime.Stamp // cumulative service time on the shared engine
-	minReq  vtime.Stamp
-	maxReq  vtime.Stamp
-}
-
-// ReqWindow reports the earliest and latest request arrival stamps seen.
-func (s *Server) ReqWindow() (vtime.Stamp, vtime.Stamp) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.minReq, s.maxReq
-}
-
-// Stats reports served fetches, cumulative engine busy time, and the
-// virtual time the engine's last granted service interval ends
-// (diagnostics).
-func (s *Server) Stats() (fetches int64, busy vtime.Stamp, clock vtime.Stamp) {
-	s.mu.Lock()
-	fetches, busy = s.fetches, s.busy
-	s.mu.Unlock()
-	return fetches, busy, s.engine.FreeAt()
+	mu     sync.Mutex
+	conns  []*serverConn
+	closed bool
 }
 
 // NewServer creates a UCR block server on the given device.
@@ -164,19 +143,11 @@ func (s *Server) serve(sc *serverConn) {
 			continue
 		}
 		blockID := string(comp.Data)
-		s.mu.Lock()
-		if s.minReq == 0 || comp.VT < s.minReq {
-			s.minReq = comp.VT
-		}
-		if comp.VT > s.maxReq {
-			s.maxReq = comp.VT
-		}
-		s.mu.Unlock()
 		vt := comp.VT
 
 		data, ok := s.resolve(blockID)
 		if !ok {
-			hdr := encodeChunkHeader(^uint64(0), 0, 0)
+			hdr := encodeChunkHeader(notFound, 0, 0)
 			if _, err := sc.qp.PostSend(hdr, vt); err != nil {
 				return
 			}
@@ -192,16 +163,10 @@ func (s *Server) serve(sc *serverConn) {
 				data = nb
 			}
 		}
-		var served time.Duration
 		if s.cfg.RegisterPerFetch {
 			_, regDone := s.dev.RegisterMemory(data, vt)
-			regCost := (regDone - vt).AsDuration()
-			_, vt = s.engine.Occupy(vt, regCost)
-			served += regCost
+			_, vt = s.engine.Occupy(vt, (regDone - vt).AsDuration())
 		}
-		s.mu.Lock()
-		s.fetches++
-		s.mu.Unlock()
 		total := uint64(len(data))
 		for off := 0; off < len(data) || off == 0; off += s.cfg.ChunkSize {
 			end := off + s.cfg.ChunkSize
@@ -210,7 +175,6 @@ func (s *Server) serve(sc *serverConn) {
 			}
 			cost := s.cfg.PerChunkOverhead + time.Duration(s.cfg.EngineNsPerByte*float64(end-off))
 			_, vt = s.engine.Occupy(vt, cost)
-			served += cost
 			// Header and chunk go out as one gathered SEND; the chunk is a
 			// window onto the resolver's bytes, never copied.
 			hdr, chunk := encodeChunkHeader(total, uint64(off), uint32(end-off)), data[off:end]
@@ -219,7 +183,7 @@ func (s *Server) serve(sc *serverConn) {
 				return
 			}
 			// Duplicate delivery of a mid-stream chunk (a retransmit whose
-			// original also landed); the client's append-cursor guard must
+			// original also landed); the client's reassembly fold must
 			// drop the replay. A block's final chunk is never duplicated:
 			// the header carries no stream id, so a trailing replay would be
 			// indistinguishable from the next block's first chunk.
@@ -233,20 +197,19 @@ func (s *Server) serve(sc *serverConn) {
 			if cpuFree > vt {
 				// The injection-side CPU time holds the engine too.
 				s.engine.Occupy(vt, (cpuFree - vt).AsDuration())
-				served += (cpuFree - vt).AsDuration()
 				vt = cpuFree
 			}
 			if len(data) == 0 {
 				break
 			}
 		}
-		s.mu.Lock()
-		s.busy += vtime.Stamp(served.Nanoseconds())
-		s.mu.Unlock()
 	}
 }
 
 const chunkHeaderLen = 20
+
+// notFound is the total a server announces for a block it cannot resolve.
+const notFound = ^uint64(0)
 
 func encodeChunkHeader(total, off uint64, n uint32) []byte {
 	h := make([]byte, chunkHeaderLen)
@@ -256,13 +219,22 @@ func encodeChunkHeader(total, off uint64, n uint32) []byte {
 	return h
 }
 
-func decodeChunkHeader(p []byte) (total, off uint64, n uint32, err error) {
-	if len(p) < chunkHeaderLen {
-		return 0, 0, 0, fmt.Errorf("ucr: short chunk header (%d bytes)", len(p))
+// decodeChunk parses one reply chunk: its header's total and offset, and
+// the n body bytes the header announces. Whether they fit the block is
+// bytebuf.Reassembly.Fold's to decide.
+func decodeChunk(c rdma.Completion) (total, off uint64, body []byte, err error) {
+	if len(c.Data) < chunkHeaderLen {
+		return 0, 0, nil, fmt.Errorf("ucr: short chunk header (%d bytes)", len(c.Data))
 	}
-	return binary.BigEndian.Uint64(p[0:]),
-		binary.BigEndian.Uint64(p[8:]),
-		binary.BigEndian.Uint32(p[16:]), nil
+	total, off = binary.BigEndian.Uint64(c.Data[0:]), binary.BigEndian.Uint64(c.Data[8:])
+	n := binary.BigEndian.Uint32(c.Data[16:])
+	switch {
+	case total == notFound:
+		return 0, 0, nil, ErrNotFound
+	case int(n) > len(c.Body):
+		return 0, 0, nil, fmt.Errorf("ucr: %w: header announces %d bytes, %d arrived", bytebuf.ErrMalformedChunk, n, len(c.Body))
+	}
+	return total, off, c.Body[:n], nil
 }
 
 // Client fetches blocks from one server connection. A Client is not safe
@@ -329,7 +301,6 @@ func (c *Client) fetch(blockIDs []string, at vtime.Stamp) (results []BlockResult
 	}
 	for i := 0; i < posted; i++ {
 		r := &results[i]
-		var got uint64
 		var asm bytebuf.Reassembly
 		vt := at
 		for {
@@ -346,29 +317,18 @@ func (c *Client) fetch(blockIDs []string, at vtime.Stamp) (results []BlockResult
 				continue
 			}
 			chunks++
-			total, off, n, err := decodeChunkHeader(comp.Data)
-			if err != nil {
-				*r = BlockResult{VT: vt, Err: err}
-				break
-			}
 			vt = vtime.Max(vt, comp.VT)
-			if total == ^uint64(0) {
-				*r = BlockResult{VT: vt, Err: fmt.Errorf("%w: %s", ErrNotFound, blockIDs[i])}
+			total, off, body, err := decodeChunk(comp)
+			done := false
+			if err == nil {
+				done, err = asm.Fold(off, total, body) // drops a replayed chunk
+			}
+			if err != nil {
+				*r = BlockResult{VT: vt, Err: fmt.Errorf("%w: %s", err, blockIDs[i])}
 				break
 			}
-			if int(n) > len(comp.Body) || off+uint64(n) > total {
-				*r = BlockResult{VT: vt, Err: fmt.Errorf("ucr: malformed chunk for %s: off %d + n %d vs total %d, chunk %d",
-					blockIDs[i], off, n, total, len(comp.Body))}
-				break
-			}
-			if off != got {
-				continue // replayed chunk: reassembly appends at got, bytes already folded
-			}
-			asm.Add(comp.Body[:n], total)
-			r.Data = asm.Bytes()
-			got += uint64(n)
-			if got >= total {
-				r.VT = vt
+			if done {
+				*r = BlockResult{Data: asm.Bytes(), VT: vt}
 				break
 			}
 		}

@@ -214,3 +214,33 @@ func TestFetchOwnership(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchRejectsShrunkTotal: a server whose second chunk announces a
+// smaller total than its first. The block's bytes so far plus that chunk
+// reach the smaller total, so a client that checked only the chunk against
+// its own announcement would complete the block with the wrong bytes; the
+// reassembly fails it instead.
+func TestFetchRejectsShrunkTotal(t *testing.T) {
+	f := fabric.New(fabric.NewIBHDRModel())
+	clientQP, serverQP, _ := rdma.ConnectQP(rdma.OpenDevice(f.AddNode("client")), rdma.OpenDevice(f.AddNode("server")), 0)
+	t.Cleanup(clientQP.Close)
+	block := bytes.Repeat([]byte{7}, 300)
+	go func() {
+		for {
+			comp, err := serverQP.CQ().Wait()
+			if err != nil {
+				return
+			}
+			if comp.Op != "recv" {
+				continue
+			}
+			serverQP.PostSendGather(encodeChunkHeader(300, 0, 100), block[:100], comp.VT)
+			serverQP.PostSendGather(encodeChunkHeader(150, 100, 50), block[100:150], comp.VT)
+		}
+	}()
+	c := &Client{qp: clientQP}
+	data, _, err := c.FetchBlock("b", 0)
+	if !errors.Is(err, bytebuf.ErrMalformedChunk) || data != nil {
+		t.Fatalf("FetchBlock = %d bytes, err %v; want a malformed-chunk error", len(data), err)
+	}
+}
