@@ -1,6 +1,6 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet fmt-check test bench-test bench-smoke race-all fuzz-smoke flake bench experiments examples clean
+.PHONY: all build vet fmt-check test deadcode bench-test bench-smoke race-all fuzz-smoke flake bench experiments examples clean
 
 all: build vet fmt-check test
 
@@ -15,6 +15,13 @@ fmt-check:
 
 test: bench-test
 	go test ./... 2>&1 | tee test_output.txt
+
+# Every declaration under internal/ must be reached from a program, a
+# benchmark or another package's test (internal/deadcode). make test runs it
+# too, through ./...; this target runs it alone and verbosely, so a failure
+# prints each unreached declaration and the current allowlist.
+deadcode:
+	go test -count=1 -run TestNoUnreachableCode -v ./internal/deadcode/
 
 # bench/ is a Go module of its own (the repository benchmark); the root
 # module's ./... does not reach its tests.
@@ -53,6 +60,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDeserializeOutputs$$' -fuzztime 5s ./internal/spark/shuffle/
 	go test -run '^$$' -fuzz '^FuzzDecodePairs$$' -fuzztime 5s ./internal/spark/
 	go test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/bytebuf/
+	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 5s ./internal/ucr/
 
 # Tests that were order-dependent once (the MPI launcher's executor order):
 # thirty consecutive passes each.

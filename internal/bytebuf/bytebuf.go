@@ -59,23 +59,11 @@ func (b *Buf) ReadableBytes() int { return b.w - b.r }
 // WritableBytes returns the remaining capacity before the buffer must grow.
 func (b *Buf) WritableBytes() int { return len(b.data) - b.w }
 
-// Capacity returns the buffer's current capacity.
-func (b *Buf) Capacity() int { return len(b.data) }
-
 // ReaderIndex returns the current reader index.
 func (b *Buf) ReaderIndex() int { return b.r }
 
 // WriterIndex returns the current writer index.
 func (b *Buf) WriterIndex() int { return b.w }
-
-// SetReaderIndex positions the reader index. It panics if the index is out
-// of [0, writerIndex].
-func (b *Buf) SetReaderIndex(i int) {
-	if i < 0 || i > b.w {
-		panic(fmt.Sprintf("bytebuf: reader index %d out of range [0,%d]", i, b.w))
-	}
-	b.r = i
-}
 
 // Reset empties the buffer, retaining capacity.
 func (b *Buf) Reset() { b.r, b.w = 0, 0 }
@@ -111,13 +99,6 @@ func (b *Buf) WriteByte(c byte) error {
 	return nil
 }
 
-// WriteUint16 appends v big-endian.
-func (b *Buf) WriteUint16(v uint16) {
-	b.ensure(2)
-	binary.BigEndian.PutUint16(b.data[b.w:], v)
-	b.w += 2
-}
-
 // WriteUint32 appends v big-endian.
 func (b *Buf) WriteUint32(v uint32) {
 	b.ensure(4)
@@ -142,17 +123,6 @@ func (b *Buf) WriteString(s string) {
 	b.WriteBytes([]byte(s))
 }
 
-// ReadBytes consumes and returns the next n readable bytes as a copy.
-func (b *Buf) ReadBytes(n int) ([]byte, error) {
-	if n < 0 || b.ReadableBytes() < n {
-		return nil, fmt.Errorf("bytebuf: read %d bytes, only %d readable", n, b.ReadableBytes())
-	}
-	out := make([]byte, n)
-	copy(out, b.data[b.r:b.r+n])
-	b.r += n
-	return out, nil
-}
-
 // ReadSlice consumes the next n readable bytes and returns them without
 // copying. The slice aliases the buffer and is valid until the buffer is
 // reset, released, or grown.
@@ -173,15 +143,6 @@ func (b *Buf) ReadByte() (byte, error) {
 	c := b.data[b.r]
 	b.r++
 	return c, nil
-}
-
-// ReadUint16 consumes a big-endian uint16.
-func (b *Buf) ReadUint16() (uint16, error) {
-	p, err := b.ReadSlice(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(p), nil
 }
 
 // ReadUint32 consumes a big-endian uint32.

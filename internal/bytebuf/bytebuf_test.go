@@ -15,9 +15,9 @@ func TestZeroValueUsable(t *testing.T) {
 	if got := b.ReadableBytes(); got != 3 {
 		t.Fatalf("ReadableBytes = %d", got)
 	}
-	p, err := b.ReadBytes(3)
+	p, err := b.ReadSlice(3)
 	if err != nil || string(p) != "abc" {
-		t.Fatalf("ReadBytes = %q, %v", p, err)
+		t.Fatalf("ReadSlice = %q, %v", p, err)
 	}
 }
 
@@ -36,7 +36,6 @@ func TestWrapDoesNotCopy(t *testing.T) {
 func TestPrimitiveRoundTrip(t *testing.T) {
 	b := New(0)
 	b.WriteByte(0xAB)
-	b.WriteUint16(0xBEEF)
 	b.WriteUint32(0xDEADBEEF)
 	b.WriteUint64(0x0123456789ABCDEF)
 	b.WriteInt64(-42)
@@ -44,9 +43,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 
 	if v, _ := b.ReadByte(); v != 0xAB {
 		t.Fatalf("byte = %x", v)
-	}
-	if v, _ := b.ReadUint16(); v != 0xBEEF {
-		t.Fatalf("uint16 = %x", v)
 	}
 	if v, _ := b.ReadUint32(); v != 0xDEADBEEF {
 		t.Fatalf("uint32 = %x", v)
@@ -79,8 +75,8 @@ func TestShortReads(t *testing.T) {
 	if _, err := b.ReadUint32(); err == nil {
 		t.Fatal("ReadUint32 on 1 byte succeeded")
 	}
-	if _, err := b.ReadBytes(2); err == nil {
-		t.Fatal("ReadBytes(2) on 1 byte succeeded")
+	if _, err := b.ReadSlice(2); err == nil {
+		t.Fatal("ReadSlice(2) on 1 byte succeeded")
 	}
 	b.ReadByte()
 	if _, err := b.ReadByte(); err != io.EOF {
@@ -113,23 +109,12 @@ func TestSkipAndIndices(t *testing.T) {
 	if b.ReaderIndex() != 4 || b.WriterIndex() != 10 {
 		t.Fatalf("indices = %d/%d", b.ReaderIndex(), b.WriterIndex())
 	}
-	b.SetReaderIndex(0)
-	if got := string(b.Bytes()); got != "0123456789" {
-		t.Fatalf("after rewind: %q", got)
+	if got := string(b.Bytes()); got != "456789" {
+		t.Fatalf("after skip: %q", got)
 	}
 	if err := b.Skip(11); err == nil {
 		t.Fatal("over-skip succeeded")
 	}
-}
-
-func TestSetReaderIndexPanics(t *testing.T) {
-	b := Wrap([]byte("ab"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetReaderIndex(5) did not panic")
-		}
-	}()
-	b.SetReaderIndex(5)
 }
 
 func TestGrowth(t *testing.T) {
@@ -139,8 +124,8 @@ func TestGrowth(t *testing.T) {
 	if got := b.Bytes(); !bytes.Equal(got, payload) {
 		t.Fatal("growth corrupted data")
 	}
-	if b.Capacity() < 10000 {
-		t.Fatalf("capacity = %d", b.Capacity())
+	if len(b.data) < 10000 {
+		t.Fatalf("capacity = %d", len(b.data))
 	}
 }
 
@@ -202,8 +187,8 @@ func TestStringRoundTripProperty(t *testing.T) {
 func TestPoolReuse(t *testing.T) {
 	p := NewPool(nil)
 	b := p.Get(1000)
-	if b.Capacity() < 1000 {
-		t.Fatalf("capacity = %d", b.Capacity())
+	if len(b.data) < 1000 {
+		t.Fatalf("capacity = %d", len(b.data))
 	}
 	b.WriteBytes([]byte("junk"))
 	p.Release(b)
@@ -221,13 +206,13 @@ func TestPoolOversized(t *testing.T) {
 	p := NewPool(nil)
 	huge := 64 << 20
 	b := p.Get(huge)
-	if b.Capacity() < huge {
-		t.Fatalf("capacity = %d", b.Capacity())
+	if len(b.data) < huge {
+		t.Fatalf("capacity = %d", len(b.data))
 	}
 	p.Release(b) // must not panic or pollute classes
 	small := p.Get(16)
-	if small.Capacity() > 256 {
-		t.Fatalf("small get returned capacity %d", small.Capacity())
+	if len(small.data) > 256 {
+		t.Fatalf("small get returned capacity %d", len(small.data))
 	}
 }
 
@@ -245,18 +230,18 @@ func TestPoolGrownBufferRefiled(t *testing.T) {
 	p.Release(b)
 	// A later small Get must still have at least its requested capacity.
 	c := p.Get(200)
-	if c.Capacity() < 200 {
-		t.Fatalf("capacity lie: %d", c.Capacity())
+	if len(c.data) < 200 {
+		t.Fatalf("capacity lie: %d", len(c.data))
 	}
 }
 
 func TestResetRetainsCapacity(t *testing.T) {
 	b := New(0)
 	b.WriteBytes(make([]byte, 512))
-	capBefore := b.Capacity()
+	capBefore := len(b.data)
 	b.Reset()
-	if b.Capacity() != capBefore || b.ReadableBytes() != 0 {
-		t.Fatalf("Reset: cap=%d readable=%d", b.Capacity(), b.ReadableBytes())
+	if len(b.data) != capBefore || b.ReadableBytes() != 0 {
+		t.Fatalf("Reset: cap=%d readable=%d", len(b.data), b.ReadableBytes())
 	}
 }
 
@@ -291,8 +276,8 @@ func TestPoolGrownBufferKeepsItsPromise(t *testing.T) {
 	b.WriteBytes(make([]byte, 5000)) // grows past 4 KiB, short of 16 KiB
 	p.Release(b)
 	for _, n := range []int{200, 4 << 10, 16 << 10} {
-		if c := p.Get(n); c.Capacity() < n {
-			t.Fatalf("Get(%d) returned capacity %d", n, c.Capacity())
+		if c := p.Get(n); len(c.data) < n {
+			t.Fatalf("Get(%d) returned capacity %d", n, len(c.data))
 		}
 	}
 }
@@ -313,8 +298,8 @@ func TestPoolChurnEveryClass(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for _, class := range DefaultClasses {
 					b := p.Get(class)
-					if b.Capacity() < class {
-						t.Errorf("Get(%d) returned capacity %d", class, b.Capacity())
+					if len(b.data) < class {
+						t.Errorf("Get(%d) returned capacity %d", class, len(b.data))
 						return
 					}
 					b.WriteBytes(stamp)

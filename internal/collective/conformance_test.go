@@ -171,7 +171,7 @@ func TestAllreduceConformance(t *testing.T) {
 }
 
 // TestReduceConformance runs the binomial reduce with variable-length
-// payloads per rank (the TreeReduce shape) across all transports.
+// payloads per rank across all transports.
 func TestReduceConformance(t *testing.T) {
 	cfg := collective.Config{ChunkBytes: 4 << 10, SmallLimit: 512}
 	n := 5

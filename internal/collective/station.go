@@ -83,9 +83,6 @@ func NewStation(env *rpc.Env) *Station {
 	return st
 }
 
-// Env returns the station's RPC environment.
-func (st *Station) Env() *rpc.Env { return st.env }
-
 // Addr returns the station's wire address.
 func (st *Station) Addr() fabric.Addr { return st.env.Addr() }
 

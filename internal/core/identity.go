@@ -73,7 +73,5 @@ func (id *Identity) resolve(peerKind byte, peerRank int) (route, error) {
 
 // Channel attribute keys used by the MPI transports.
 const (
-	attrRoute   = "mpi.route"   // route to the peer
-	attrSendTag = "mpi.sendTag" // tag for frames this side sends
-	attrRecvTag = "mpi.recvTag" // tag for frames this side receives
+	attrRoute = "mpi.route" // route to the peer
 )

@@ -74,9 +74,6 @@ type execSeat struct {
 // stops consuming spawns.
 const maxRespawnAttempts = 10
 
-// States returns the per-environment MPI4Spark runtimes (diagnostics).
-func (c *MPICluster) States() []*EnvState { return c.states }
-
 // Close shuts every executor and environment down.
 func (c *MPICluster) Close() {
 	if c.Ctx != nil {
@@ -101,18 +98,6 @@ func (c *MPICluster) addEnv(env *rpc.Env, st *EnvState) {
 	defer c.mu.Unlock()
 	c.envs = append(c.envs, env)
 	c.states = append(c.states, st)
-}
-
-// Services returns the per-worker external shuffle services (empty when
-// the cluster launched without them).
-func (c *MPICluster) Services() []*shuffleservice.Service {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*shuffleservice.Service, 0, len(c.services))
-	for _, s := range c.services {
-		out = append(out, s)
-	}
-	return out
 }
 
 func (c *MPICluster) setService(workerIdx int, s *shuffleservice.Service) {

@@ -19,9 +19,14 @@ import (
 // parks otherwise. These tests pin that contract.
 
 func totalPolls(cl *MPICluster) int64 {
+	cl.mu.Lock()
+	states := cl.states
+	cl.mu.Unlock()
 	var n int64
-	for _, s := range cl.States() {
-		n += s.Polls()
+	for _, s := range states {
+		s.mu.Lock()
+		n += s.polls
+		s.mu.Unlock()
 	}
 	return n
 }

@@ -102,12 +102,6 @@ func NewEnvState(id *Identity, design Design) *EnvState {
 	return &EnvState{id: id, design: design, PollRecvCost: DefaultPollRecvCost}
 }
 
-// Identity returns the environment's MPI identity.
-func (st *EnvState) Identity() *Identity { return st.id }
-
-// Design returns the environment's MPI4Spark design.
-func (st *EnvState) Design() Design { return st.design }
-
 // InstallClient implements rpc.PipelineHooks.
 func (st *EnvState) InstallClient(ch *netty.Channel, env *rpc.Env) {
 	st.install(ch, true)
@@ -189,14 +183,6 @@ func (st *EnvState) Poll() bool {
 		}
 	}
 	return did
-}
-
-// Polls returns the number of selector wake-ups that polled so far; it
-// stands still while no message, socket event or task reaches the loops.
-func (st *EnvState) Polls() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.polls
 }
 
 // AttachPolling installs the Iprobe poll on every event loop of the

@@ -296,16 +296,13 @@ func (c *Conn) LocalNode() *Node { return c.local }
 // RemoteNode returns the node on the far side of the connection.
 func (c *Conn) RemoteNode() *Node { return c.remote }
 
-// Protocol returns the connection's protocol.
-func (c *Conn) Protocol() Protocol { return c.proto }
-
 // Send transmits data with the sender's clock at `at`. It returns the
 // virtual time at which the sender's CPU is free again (after send overhead
 // and any copy cost); the message is delivered to the peer carrying the
 // virtual arrival time of its last byte. The payload is not copied: callers
 // must not mutate it after Send.
 func (c *Conn) Send(data []byte, at vtime.Stamp) (cpuFree vtime.Stamp, err error) {
-	return c.sendProto(data, nil, at, c.proto)
+	return c.send(data, nil, at)
 }
 
 // SendGather is Send for a payload in two parts, a header and a body that
@@ -313,17 +310,10 @@ func (c *Conn) Send(data []byte, at vtime.Stamp) (cpuFree vtime.Stamp, err error
 // bytes, neither part copied. The receiver gets them back as
 // Message.Data and Message.Body.
 func (c *Conn) SendGather(head, body []byte, at vtime.Stamp) (cpuFree vtime.Stamp, err error) {
-	return c.sendProto(head, body, at, c.proto)
+	return c.send(head, body, at)
 }
 
-// SendProto is like Send but overrides the protocol for this one message.
-// The MPI transports use it to mix eager and rendezvous traffic on one
-// logical connection.
-func (c *Conn) SendProto(data []byte, at vtime.Stamp, proto Protocol) (cpuFree vtime.Stamp, err error) {
-	return c.sendProto(data, nil, at, proto)
-}
-
-func (c *Conn) sendProto(data, body []byte, at vtime.Stamp, proto Protocol) (vtime.Stamp, error) {
+func (c *Conn) send(data, body []byte, at vtime.Stamp) (vtime.Stamp, error) {
 	if c.closed.Load() {
 		return at, ErrClosed
 	}
@@ -337,7 +327,7 @@ func (c *Conn) sendProto(data, body []byte, at vtime.Stamp, proto Protocol) (vti
 		c.Close()
 		return at, ErrClosed
 	}
-	cpuFree, deliver := f.Transfer(c.local, c.remote, proto, len(data)+len(body), at)
+	cpuFree, deliver := f.Transfer(c.local, c.remote, c.proto, len(data)+len(body), at)
 	c.out.push(Message{Data: data, Body: body, VT: deliver})
 	return cpuFree, nil
 }

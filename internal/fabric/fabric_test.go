@@ -301,9 +301,7 @@ func TestStatsAccounting(t *testing.T) {
 	if _, err := dc.Send(make([]byte, 100), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dc.SendProto(make([]byte, 50), 0, MPIEager); err != nil {
-		t.Fatal(err)
-	}
+	f.Transfer(f.Node("a"), f.Node("b"), MPIEager, 50, 0)
 	s := f.Stats()
 	if s.MessagesFor(RDMA) != 1 || s.BytesFor(RDMA) != 100 {
 		t.Fatalf("rdma stats = %d msgs / %d bytes", s.MessagesFor(RDMA), s.BytesFor(RDMA))

@@ -93,13 +93,6 @@ func (q *queue) peek() (Message, bool) {
 	return q.items[0], true
 }
 
-// len returns the number of buffered messages.
-func (q *queue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
 // close marks the queue closed and wakes all waiters.
 func (q *queue) close() {
 	q.mu.Lock()

@@ -130,50 +130,32 @@ func TestLDAAggregatesViaCollective(t *testing.T) {
 	}
 }
 
-func TestKMeansCostDecreases(t *testing.T) {
-	cl := testCluster(t, 2, 2)
-	one, err := RunKMeans(cl.Ctx, KMeansConfig{Parts: 4, PerPart: 200, Dim: 4, K: 3, Iterations: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	five, err := RunKMeans(cl.Ctx, KMeansConfig{Parts: 4, PerPart: 200, Dim: 4, K: 3, Iterations: 5, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(five.Metric <= one.Metric) {
-		t.Fatalf("Lloyd's cost increased: %v -> %v", one.Metric, five.Metric)
-	}
-	if five.Metric <= 0 {
-		t.Fatalf("cost = %v", five.Metric)
-	}
-}
-
 // TestMLResultsUnchangedAcrossBackends checks the acceptance criterion
-// that LR and KMeans produce identical model metrics on the collective
+// that LR and GMM produce identical model metrics on the collective
 // aggregation path regardless of the transport underneath it.
 func TestMLResultsUnchangedAcrossBackends(t *testing.T) {
 	lrCfg := MLConfig{Parts: 4, PerPart: 200, Dim: 8, Iterations: 3, Seed: 21}
-	kmCfg := KMeansConfig{Parts: 4, PerPart: 200, Dim: 4, K: 3, Iterations: 3, Seed: 22}
-	var lrRef, kmRef float64
+	gmmCfg := GMMConfig{Parts: 4, PerPart: 200, Dim: 4, K: 2, Iterations: 3, Seed: 22}
+	var lrRef, gmmRef float64
 	for i, backend := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIBasic, spark.BackendMPIOpt} {
 		cl := backendCluster(t, 2, 2, backend)
 		lr, err := RunLogisticRegression(cl, lrCfg)
 		if err != nil {
 			t.Fatalf("%v LR: %v", backend, err)
 		}
-		km, err := RunKMeans(cl, kmCfg)
+		gmm, err := RunGMM(cl, gmmCfg)
 		if err != nil {
-			t.Fatalf("%v KMeans: %v", backend, err)
+			t.Fatalf("%v GMM: %v", backend, err)
 		}
 		if i == 0 {
-			lrRef, kmRef = lr.Metric, km.Metric
+			lrRef, gmmRef = lr.Metric, gmm.Metric
 			continue
 		}
 		if lr.Metric != lrRef {
 			t.Fatalf("%v LR metric %v != reference %v", backend, lr.Metric, lrRef)
 		}
-		if km.Metric != kmRef {
-			t.Fatalf("%v KMeans metric %v != reference %v", backend, km.Metric, kmRef)
+		if gmm.Metric != gmmRef {
+			t.Fatalf("%v GMM metric %v != reference %v", backend, gmm.Metric, gmmRef)
 		}
 	}
 }

@@ -260,104 +260,6 @@ func RunGMM(ctx *spark.Context, cfg GMMConfig) (*Result, error) {
 	})
 }
 
-// KMeansConfig parameterizes the KMeans workload.
-type KMeansConfig struct {
-	Parts      int
-	PerPart    int
-	Dim        int
-	K          int
-	Iterations int
-	Seed       int64
-}
-
-func (c *KMeansConfig) defaults() {
-	if c.Parts < 1 {
-		c.Parts = 4
-	}
-	if c.PerPart < 1 {
-		c.PerPart = 1000
-	}
-	if c.Dim < 1 {
-		c.Dim = 10
-	}
-	if c.K < 1 {
-		c.K = 4
-	}
-	if c.Iterations < 1 {
-		c.Iterations = 3
-	}
-}
-
-// RunKMeans runs Lloyd's algorithm (HiBench's KMeans): each iteration
-// broadcasts the centers, assigns every point to its nearest center on the
-// executors, and aggregates the per-center count/sum statistics with the
-// collective layer — MLlib's collectAsMap-over-treeAggregate pattern,
-// ridden over reduce/allreduce here. The metric is the final mean
-// within-cluster squared distance.
-func RunKMeans(ctx *spark.Context, cfg KMeansConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "KMeans", func() (float64, error) {
-		points := pointsRDD(ctx, cfg.Parts, cfg.PerPart, cfg.Dim, cfg.Seed)
-		if _, err := spark.Count(points); err != nil {
-			return 0, err
-		}
-		// Deterministic center init.
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		centers := make([][]float64, cfg.K)
-		for k := range centers {
-			centers[k] = make([]float64, cfg.Dim)
-			for d := range centers[k] {
-				centers[k][d] = rng.NormFloat64() * 2
-			}
-		}
-		// Stats layout per center: count, sum[dim]; plus one cost slot.
-		statLen := cfg.K*(1+cfg.Dim) + 1
-		var cost float64
-		for it := 0; it < cfg.Iterations; it++ {
-			cb := spark.NewBroadcast(ctx, centers, 8*cfg.K*cfg.Dim)
-			stats, err := treeAggregate(points, statLen, func(part int, tc *spark.TaskContext, items []LabeledPoint) []float64 {
-				ctrs := cb.Value(tc)
-				out := make([]float64, statLen)
-				for _, p := range items {
-					best, bestDist := 0, math.Inf(1)
-					for k, c := range ctrs {
-						var dist float64
-						for d := range c {
-							diff := p.Features[d] - c[d]
-							dist += diff * diff
-						}
-						if dist < bestDist {
-							best, bestDist = k, dist
-						}
-					}
-					base := best * (1 + cfg.Dim)
-					out[base]++
-					for d := 0; d < cfg.Dim; d++ {
-						out[base+1+d] += p.Features[d]
-					}
-					out[statLen-1] += bestDist
-				}
-				chargeFlops(tc, len(items)*cfg.K*cfg.Dim*3)
-				return out
-			})
-			cb.Destroy()
-			if err != nil {
-				return 0, err
-			}
-			for k := 0; k < cfg.K; k++ {
-				base := k * (1 + cfg.Dim)
-				if n := stats[base]; n > 0 {
-					for d := 0; d < cfg.Dim; d++ {
-						centers[k][d] = stats[base+1+d] / n
-					}
-				}
-			}
-			cost = stats[statLen-1] / float64(cfg.Parts*cfg.PerPart)
-		}
-		return cost, nil
-	})
-}
-
 // LDAConfig parameterizes the Latent Dirichlet Allocation workload.
 type LDAConfig struct {
 	Parts      int

@@ -50,14 +50,11 @@ func TestCollectiveCountersListed(t *testing.T) {
 			GetCounter(name) // ensure registered
 		}
 	}
-	listed := make(map[string]bool)
-	for _, n := range CounterNames() {
-		listed[n] = true
-	}
+	listed := Snapshot()
 	for _, group := range collectiveCounterNames {
 		for _, name := range group {
-			if !listed[name] {
-				t.Fatalf("CounterNames missing %q", name)
+			if _, ok := listed[name]; !ok {
+				t.Fatalf("Snapshot missing %q", name)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -91,16 +90,4 @@ func (s CounterSnapshot) Delta() map[string]int64 {
 // DeltaValue returns one counter's movement since the snapshot.
 func (s CounterSnapshot) DeltaValue(name string) int64 {
 	return CounterValue(name) - s[name]
-}
-
-// CounterNames lists all registered counter names, sorted.
-func CounterNames() []string {
-	countersMu.Lock()
-	defer countersMu.Unlock()
-	names := make([]string, 0, len(counters))
-	for n := range counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

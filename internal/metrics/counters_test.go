@@ -26,14 +26,8 @@ func TestCounterRegistry(t *testing.T) {
 	if GetCounter(name) != c {
 		t.Fatal("GetCounter returned a different instance for the same name")
 	}
-	found := false
-	for _, n := range CounterNames() {
-		if n == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("CounterNames missing %q: %v", name, CounterNames())
+	if _, found := Snapshot()[name]; !found {
+		t.Fatalf("Snapshot missing %q", name)
 	}
 }
 

@@ -41,42 +41,3 @@ func BenchmarkP2P(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkAllreduce8(b *testing.B) {
-	c := benchComm(8)
-	payload := EncodeFloat64s(make([]float64, 128))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := make(chan struct{})
-		for r := 0; r < 8; r++ {
-			go func(rank int) {
-				c.Handle(rank).Allreduce(payload, SumFloat64s, 0)
-				if rank == 0 {
-					close(done)
-				}
-			}(r)
-		}
-		<-done
-	}
-}
-
-func BenchmarkAlltoall4(b *testing.B) {
-	c := benchComm(4)
-	parts := make([][]byte, 4)
-	for i := range parts {
-		parts[i] = make([]byte, 8<<10)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := make(chan struct{}, 4)
-		for r := 0; r < 4; r++ {
-			go func(rank int) {
-				c.Handle(rank).Alltoall(parts, 0)
-				done <- struct{}{}
-			}(r)
-		}
-		for r := 0; r < 4; r++ {
-			<-done
-		}
-	}
-}

@@ -48,80 +48,6 @@ func (h *Handle) Barrier(at vtime.Stamp) vtime.Stamp {
 	return vt
 }
 
-// Bcast distributes root's data to every rank along a binomial tree. Every
-// rank passes its own data argument (ignored except at root) and receives
-// the broadcast payload and its local completion time.
-func (h *Handle) Bcast(data []byte, root int, at vtime.Stamp) ([]byte, vtime.Stamp) {
-	n := h.Size()
-	if n == 1 {
-		return data, at
-	}
-	base := h.comm.nextCollBlock(h.rank)
-	vr := (h.rank - root + n) % n
-	abs := func(v int) int { return (v + root) % n }
-	vt := at
-
-	mask := 1
-	for mask < n {
-		if vr&mask != 0 {
-			var st Status
-			data, st = h.Recv(abs(vr-mask), base, vt)
-			vt = st.VT
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vr+mask < n {
-			vt = h.Send(abs(vr+mask), base, data, vt)
-		}
-		mask >>= 1
-	}
-	return data, vt
-}
-
-// Gather collects every rank's data at root. At root the returned slice has
-// one entry per rank (root's own entry aliasing data); elsewhere it is nil.
-func (h *Handle) Gather(data []byte, root int, at vtime.Stamp) ([][]byte, vtime.Stamp) {
-	n := h.Size()
-	base := h.comm.nextCollBlock(h.rank)
-	if h.rank != root {
-		return nil, h.Send(root, base, data, at)
-	}
-	out := make([][]byte, n)
-	out[root] = data
-	vt := at
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		d, st := h.Recv(i, base, vt)
-		out[i] = d
-		vt = vtime.Max(vt, st.VT)
-	}
-	return out, vt
-}
-
-// Scatter distributes parts[i] from root to rank i. Non-root ranks pass
-// parts == nil.
-func (h *Handle) Scatter(parts [][]byte, root int, at vtime.Stamp) ([]byte, vtime.Stamp) {
-	n := h.Size()
-	base := h.comm.nextCollBlock(h.rank)
-	if h.rank == root {
-		vt := at
-		for i := 0; i < n; i++ {
-			if i == root {
-				continue
-			}
-			vt = h.Send(i, base, parts[i], vt)
-		}
-		return parts[root], vt
-	}
-	d, st := h.Recv(root, base, at)
-	return d, st.VT
-}
-
 // Allgather collects every rank's contribution at every rank using the ring
 // algorithm (n-1 steps, each shifting the newest block to the right
 // neighbour). The launcher uses it to exchange executor launch arguments.
@@ -146,105 +72,4 @@ func (h *Handle) Allgather(data []byte, at vtime.Stamp) ([][]byte, vtime.Stamp) 
 		vt = vtime.Max(sreq.Wait(vt), st.VT)
 	}
 	return out, vt
-}
-
-// ReduceOp combines two payloads; it must be associative and commutative.
-type ReduceOp func(a, b []byte) []byte
-
-// Reduce combines every rank's data at root along a binomial tree. At root
-// the combined payload is returned; elsewhere nil.
-func (h *Handle) Reduce(data []byte, op ReduceOp, root int, at vtime.Stamp) ([]byte, vtime.Stamp) {
-	n := h.Size()
-	if n == 1 {
-		return data, at
-	}
-	base := h.comm.nextCollBlock(h.rank)
-	vr := (h.rank - root + n) % n
-	abs := func(v int) int { return (v + root) % n }
-	acc := data
-	vt := at
-	round := 0
-	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask == 0 {
-			peer := vr | mask
-			if peer < n {
-				d, st := h.Recv(abs(peer), base+round, vt)
-				acc = op(acc, d)
-				vt = st.VT
-			}
-		} else {
-			vt = h.Send(abs(vr&^mask), base+round, acc, vt)
-			return nil, vt
-		}
-		round++
-	}
-	return acc, vt
-}
-
-// Allreduce combines every rank's data and distributes the result to all
-// ranks (reduce to rank 0, then broadcast).
-func (h *Handle) Allreduce(data []byte, op ReduceOp, at vtime.Stamp) ([]byte, vtime.Stamp) {
-	red, vt := h.Reduce(data, op, 0, at)
-	return h.Bcast(red, 0, vt)
-}
-
-// Alltoall sends parts[i] to rank i and returns the payloads received from
-// every rank (index = source). This is the communication skeleton of a
-// shuffle. parts must have Size() entries.
-func (h *Handle) Alltoall(parts [][]byte, at vtime.Stamp) ([][]byte, vtime.Stamp) {
-	n := h.Size()
-	out := make([][]byte, n)
-	out[h.rank] = parts[h.rank]
-	if n == 1 {
-		return out, at
-	}
-	base := h.comm.nextCollBlock(h.rank)
-	vt := at
-	for step := 1; step < n; step++ {
-		dst := (h.rank + step) % n
-		src := (h.rank - step + n) % n
-		sreq := h.Isend(dst, base+step, parts[dst], vt)
-		d, st := h.Recv(src, base+step, vt)
-		out[src] = d
-		vt = vtime.Max(sreq.Wait(vt), st.VT)
-	}
-	return out, vt
-}
-
-// Scan computes the inclusive prefix reduction: rank r receives
-// op(data_0, ..., data_r). Linear-chain algorithm (MPI_Scan).
-func (h *Handle) Scan(data []byte, op ReduceOp, at vtime.Stamp) ([]byte, vtime.Stamp) {
-	n := h.Size()
-	if n == 1 {
-		return data, at
-	}
-	base := h.comm.nextCollBlock(h.rank)
-	acc := data
-	vt := at
-	if h.rank > 0 {
-		prev, st := h.Recv(h.rank-1, base, vt)
-		acc = op(prev, data)
-		vt = st.VT
-	}
-	if h.rank < n-1 {
-		vt = h.Send(h.rank+1, base, acc, vt)
-	}
-	return acc, vt
-}
-
-// ReduceScatterBlock reduces per-destination blocks and scatters the
-// result: each rank contributes parts[i] for every rank i and receives the
-// reduction of all contributions destined to it (MPI_Reduce_scatter_block,
-// implemented as alltoall + local reduction).
-func (h *Handle) ReduceScatterBlock(parts [][]byte, op ReduceOp, at vtime.Stamp) ([]byte, vtime.Stamp) {
-	received, vt := h.Alltoall(parts, at)
-	var acc []byte
-	for _, d := range received {
-		if acc == nil {
-			acc = d
-			continue
-		}
-		acc = op(acc, d)
-	}
-	return acc, vt
 }

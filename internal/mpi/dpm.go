@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"mpi4spark/internal/fabric"
@@ -48,12 +47,6 @@ type ChildContext struct {
 	StartVT vtime.Stamp
 }
 
-// spawnResult is root's published outcome of a collective spawn.
-type spawnResult struct {
-	parentView *Comm
-	wg         *sync.WaitGroup
-}
-
 // SpawnMultiple is MPI_Comm_spawn_multiple: a collective over the parent
 // communicator that launches the processes described by specs and returns
 // each parent's handle on the new intercommunicator. Only root's specs are
@@ -89,32 +82,24 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 		}
 		childComm := w.NewComm(children)
 		parentView, childView := w.newIntercommPair(c.procs, children)
-
-		var wg sync.WaitGroup
-		res := &spawnResult{parentView: parentView, wg: &wg}
 		c.spawnMu.Lock()
 		if c.spawnRes == nil {
-			c.spawnRes = make(map[int64]*spawnResult)
+			c.spawnRes = make(map[int64]*Comm)
 		}
-		c.spawnRes[seq] = res
+		c.spawnRes[seq] = parentView
 		c.spawnMu.Unlock()
 
 		startVT := vt.Add(DefaultSpawnLatency)
 		for i := range children {
-			wg.Add(1)
 			ctx := &ChildContext{
 				World:   childComm.Handle(i),
 				Parent:  childView.Handle(i),
 				Args:    childArgs[i],
 				StartVT: startVT,
 			}
-			main := mains[i]
-			go func() {
-				defer wg.Done()
-				if main != nil {
-					main(ctx)
-				}
-			}()
+			if main := mains[i]; main != nil {
+				go main(ctx)
+			}
 		}
 	}
 
@@ -123,12 +108,12 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 	vt = vt.Add(DefaultSpawnLatency)
 
 	c.spawnMu.Lock()
-	res := c.spawnRes[seq]
+	parentView := c.spawnRes[seq]
 	c.spawnMu.Unlock()
-	if res == nil {
+	if parentView == nil {
 		panic(fmt.Sprintf("mpi: spawn result missing for seq %d (root did not spawn?)", seq))
 	}
-	return res.parentView.Handle(h.rank), vt
+	return parentView.Handle(h.rank), vt
 }
 
 // newIntercommPair builds the two mirror views of an intercommunicator
@@ -144,95 +129,4 @@ func (w *World) newIntercommPair(a, b []*Proc) (aView, bView *Comm) {
 	aView = &Comm{id: id, world: w, procs: ac, remote: bc}
 	bView = &Comm{id: id, world: w, procs: bc, remote: ac}
 	return aView, bView
-}
-
-// connectReq is the server-side rendezvous record for CommConnect/Accept.
-type connectReq struct {
-	clientComm *Comm
-	reply      chan *Comm // carries the client's view of the intercomm
-}
-
-// OpenPort registers a named port for CommAccept, like MPI_Open_port. It
-// returns the port name.
-func (w *World) OpenPort(name string) (string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.ports[name]; ok {
-		return "", fmt.Errorf("mpi: port %q already open", name)
-	}
-	w.ports[name] = make(chan *connectReq, 16)
-	return name, nil
-}
-
-// ClosePort unregisters a port.
-func (w *World) ClosePort(name string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.ports, name)
-}
-
-// Accept is MPI_Comm_accept: a collective over h's communicator that waits
-// for a client Connect on the named port and returns the intercommunicator
-// to the client group. The paper lists this pair as the basis for planned
-// fault tolerance; it is implemented here as an extension.
-func (h *Handle) Accept(port string, root int, at vtime.Stamp) (*Handle, vtime.Stamp) {
-	c := h.comm
-	seq := int64(c.nextCollBlock(h.rank))
-	if h.rank == root {
-		c.world.mu.Lock()
-		ch := c.world.ports[port]
-		c.world.mu.Unlock()
-		if ch == nil {
-			panic(fmt.Sprintf("mpi: Accept on closed port %q", port))
-		}
-		req := <-ch
-		serverView, clientView := c.world.newIntercommPair(c.procs, req.clientComm.procs)
-		req.reply <- clientView
-		c.spawnMu.Lock()
-		if c.spawnRes == nil {
-			c.spawnRes = make(map[int64]*spawnResult)
-		}
-		c.spawnRes[seq] = &spawnResult{parentView: serverView}
-		c.spawnMu.Unlock()
-	}
-	vt := h.Barrier(at)
-	c.spawnMu.Lock()
-	res := c.spawnRes[seq]
-	c.spawnMu.Unlock()
-	// Model one connection-establishment round trip.
-	cost := c.world.fabric.Model().Costs[fabric.MPIEager]
-	vt = vt.Add(2 * (cost.Latency + cost.SendOverhead + cost.RecvOverhead))
-	return res.parentView.Handle(h.rank), vt
-}
-
-// Connect is MPI_Comm_connect: a collective over h's communicator that
-// connects to a server's named port and returns the intercommunicator to
-// the server group.
-func (h *Handle) Connect(port string, root int, at vtime.Stamp) (*Handle, vtime.Stamp) {
-	c := h.comm
-	seq := int64(c.nextCollBlock(h.rank))
-	if h.rank == root {
-		c.world.mu.Lock()
-		ch := c.world.ports[port]
-		c.world.mu.Unlock()
-		if ch == nil {
-			panic(fmt.Sprintf("mpi: Connect to unknown port %q", port))
-		}
-		reply := make(chan *Comm, 1)
-		ch <- &connectReq{clientComm: c, reply: reply}
-		clientView := <-reply
-		c.spawnMu.Lock()
-		if c.spawnRes == nil {
-			c.spawnRes = make(map[int64]*spawnResult)
-		}
-		c.spawnRes[seq] = &spawnResult{parentView: clientView}
-		c.spawnMu.Unlock()
-	}
-	vt := h.Barrier(at)
-	c.spawnMu.Lock()
-	res := c.spawnRes[seq]
-	c.spawnMu.Unlock()
-	cost := c.world.fabric.Model().Costs[fabric.MPIEager]
-	vt = vt.Add(2 * (cost.Latency + cost.SendOverhead + cost.RecvOverhead))
-	return res.parentView.Handle(h.rank), vt
 }

@@ -77,18 +77,11 @@ func (pr *postedRecv) matches(m *message) bool {
 // unexpected-message queue, with MPI matching semantics.
 type engine struct {
 	mu         sync.Mutex
-	cond       *sync.Cond
 	unexpected []*message
 	posted     []*postedRecv
 	// notifiers are called, outside the lock, each time a message joins
 	// the unexpected queue (Handle.NotifyArrival). Append-only.
 	notifiers []func()
-}
-
-func newEngine() *engine {
-	e := &engine{}
-	e.cond = sync.NewCond(&e.mu)
-	return e
 }
 
 // deliver hands an arriving message to the engine: it matches the oldest
@@ -109,7 +102,6 @@ func (e *engine) deliver(m *message) {
 		}
 	}
 	e.unexpected = append(e.unexpected, m)
-	e.cond.Broadcast()
 	notifiers := e.notifiers
 	e.mu.Unlock()
 	for _, fn := range notifiers {
@@ -117,14 +109,8 @@ func (e *engine) deliver(m *message) {
 	}
 }
 
-// matchUnexpected removes and returns the oldest unexpected message
-// matching (comm, src, tag), or nil.
-func (e *engine) matchUnexpected(comm int64, src, tag int) *message {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.matchUnexpectedLocked(comm, src, tag)
-}
-
+// matchUnexpectedLocked removes and returns the oldest unexpected message
+// matching (comm, src, tag), or nil. e.mu is held.
 func (e *engine) matchUnexpectedLocked(comm int64, src, tag int) *message {
 	probe := &postedRecv{comm: comm, src: src, tag: tag}
 	for i, m := range e.unexpected {
@@ -162,26 +148,4 @@ func (e *engine) iprobe(comm int64, src, tag int, at vtime.Stamp) (bool, Status)
 		}
 	}
 	return false, Status{}
-}
-
-// probe blocks until a matching message is queued.
-func (e *engine) probe(comm int64, src, tag int, at vtime.Stamp) Status {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	probeKey := &postedRecv{comm: comm, src: src, tag: tag}
-	for {
-		for _, m := range e.unexpected {
-			if probeKey.matches(m) {
-				return Status{Source: m.src, Tag: m.tag, Count: m.size(), VT: vtime.Max(at, m.vt)}
-			}
-		}
-		e.cond.Wait()
-	}
-}
-
-// pendingCount reports the number of unexpected messages (diagnostics).
-func (e *engine) pendingCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.unexpected)
 }

@@ -1,12 +1,11 @@
 // Package mpi implements the Message Passing Interface subset that
-// MPI4Spark builds on: communicators (intra and inter), blocking and
-// non-blocking point-to-point communication with MPI matching semantics
-// (source/tag wildcards, non-overtaking order, unexpected-message queues),
-// probe operations, eager and rendezvous wire protocols, the collective
-// operations used by the launcher (Barrier, Bcast, Gather, Allgather,
-// Reduce, Allreduce, Alltoall), and Dynamic Process Management
-// (CommSpawnMultiple, plus the CommConnect/CommAccept pair the paper lists
-// as future work).
+// MPI4Spark builds on, and no more: communicators (intra and inter),
+// blocking and non-blocking point-to-point communication with MPI matching
+// semantics (source/tag wildcards, non-overtaking order, unexpected-message
+// queues, Iprobe), eager and rendezvous wire protocols, the two collectives
+// the launcher runs (Barrier and Allgather), and Dynamic Process Management
+// (SpawnMultiple). Spark-level collectives run over internal/collective on
+// every transport, not here.
 //
 // Processes are simulated: each Proc is pinned to a fabric node and owns a
 // matching engine; SPMD programs are ordinary goroutines each holding a
@@ -44,8 +43,6 @@ type World struct {
 	mu      sync.Mutex
 	procs   []*Proc
 	commSeq int64
-	ports   map[string]chan *connectReq
-	merges  map[int64]*mergeState
 
 	// EagerThreshold is the eager/rendezvous switch point in bytes.
 	EagerThreshold int
@@ -53,15 +50,8 @@ type World struct {
 
 // NewWorld creates an MPI universe over the given fabric.
 func NewWorld(f *fabric.Fabric) *World {
-	return &World{
-		fabric:         f,
-		ports:          make(map[string]chan *connectReq),
-		EagerThreshold: DefaultEagerThreshold,
-	}
+	return &World{fabric: f, EagerThreshold: DefaultEagerThreshold}
 }
-
-// Fabric returns the underlying interconnect.
-func (w *World) Fabric() *fabric.Fabric { return w.fabric }
 
 // NewProc creates a simulated MPI process on the given node.
 func (w *World) NewProc(node *fabric.Node) *Proc {
@@ -70,7 +60,7 @@ func (w *World) NewProc(node *fabric.Node) *Proc {
 	p := &Proc{
 		world:  w,
 		node:   node,
-		engine: newEngine(),
+		engine: &engine{},
 	}
 	w.procs = append(w.procs, p)
 	return p
@@ -106,9 +96,6 @@ type Proc struct {
 	engine *engine
 }
 
-// Node returns the fabric node this process runs on.
-func (p *Proc) Node() *fabric.Node { return p.node }
-
 // Comm is a communicator: an ordered group of processes sharing a context
 // id. For an intercommunicator, remote is the other group.
 type Comm struct {
@@ -120,20 +107,11 @@ type Comm struct {
 	collMu   sync.Mutex
 	collSeq  map[int]int64 // per-rank collective instance counters
 	spawnMu  sync.Mutex
-	spawnRes map[int64]*spawnResult
+	spawnRes map[int64]*Comm // root's parent view, per spawn instance
 }
 
 // Size returns the number of processes in the (local) group.
 func (c *Comm) Size() int { return len(c.procs) }
-
-// RemoteSize returns the size of the remote group (0 for intracomms).
-func (c *Comm) RemoteSize() int { return len(c.remote) }
-
-// ID returns the communicator's context id.
-func (c *Comm) ID() int64 { return c.id }
-
-// Proc returns the process at the given local rank.
-func (c *Comm) Proc(rank int) *Proc { return c.procs[rank] }
 
 // Handle returns rank's handle on this communicator — the object an SPMD
 // goroutine uses to communicate.
@@ -153,16 +131,9 @@ func (c *Comm) peer(rank int) *Proc {
 	return c.procs[rank]
 }
 
-// peerCount returns the number of addressable peers.
-func (c *Comm) peerCount() int {
-	if c.remote != nil {
-		return len(c.remote)
-	}
-	return len(c.procs)
-}
-
 // Handle is one process's view of a communicator: the pair (comm, rank).
-// All point-to-point and collective operations hang off it.
+// Point-to-point operations, Barrier, Allgather and SpawnMultiple hang off
+// it.
 type Handle struct {
 	comm *Comm
 	rank int
@@ -174,17 +145,11 @@ func (h *Handle) Rank() int { return h.rank }
 // Size returns the size of the communicator's local group.
 func (h *Handle) Size() int { return h.comm.Size() }
 
-// RemoteSize returns the remote group size (intercommunicators).
-func (h *Handle) RemoteSize() int { return h.comm.RemoteSize() }
-
 // Comm returns the underlying communicator.
 func (h *Handle) Comm() *Comm { return h.comm }
 
 // Proc returns the caller's process.
 func (h *Handle) Proc() *Proc { return h.comm.procs[h.rank] }
-
-// Node returns the fabric node the caller runs on.
-func (h *Handle) Node() *fabric.Node { return h.comm.procs[h.rank].node }
 
 // EagerThreshold returns the world's eager/rendezvous switch point in
 // bytes. Transports that pick their own message granularity (for example
@@ -201,7 +166,7 @@ type Status struct {
 	Tag int
 	// Count is the payload size in bytes.
 	Count int
-	// VT is the virtual time at which the message (or, for Probe, its
+	// VT is the virtual time at which the message (or, for Iprobe, its
 	// envelope) is available at the receiver.
 	VT vtime.Stamp
 }

@@ -215,26 +215,6 @@ func TestIsendIrecvOverlap(t *testing.T) {
 	})
 }
 
-func TestRequestTest(t *testing.T) {
-	c := newTestComm(t, 2, fabric.NewZeroModel())
-	h1 := c.Handle(1)
-	rreq := h1.Irecv(0, 11, 0)
-	if rreq.Test() {
-		t.Fatal("Irecv Test true before send")
-	}
-	c.Handle(0).Send(1, 11, []byte("x"), 0)
-	deadline := time.Now().Add(2 * time.Second)
-	for !rreq.Test() {
-		if time.Now().After(deadline) {
-			t.Fatal("Irecv never completed")
-		}
-	}
-	data, _ := rreq.Wait(0)
-	if string(data) != "x" {
-		t.Fatalf("data = %q", data)
-	}
-}
-
 func TestProbeAndIprobe(t *testing.T) {
 	c := newTestComm(t, 2, fabric.NewIBHDRModel())
 	h0, h1 := c.Handle(0), c.Handle(1)
@@ -242,13 +222,13 @@ func TestProbeAndIprobe(t *testing.T) {
 		t.Fatal("Iprobe true on empty queue")
 	}
 	h0.Send(1, 3, []byte("abc"), 0)
-	st := h1.Probe(0, 3, 0)
-	if st.Count != 3 || st.Source != 0 || st.Tag != 3 {
-		t.Fatalf("Probe status = %+v", st)
+	ok, st := h1.Iprobe(0, 3, 0)
+	if !ok || st.Count != 3 || st.Source != 0 || st.Tag != 3 {
+		t.Fatalf("Iprobe = %v, %+v", ok, st)
 	}
-	// Probe must not consume.
+	// Iprobe must not consume.
 	if ok, st2 := h1.Iprobe(0, 3, 0); !ok || st2.Count != 3 {
-		t.Fatalf("Iprobe after Probe = %v, %+v", ok, st2)
+		t.Fatalf("second Iprobe = %v, %+v", ok, st2)
 	}
 	data, _ := h1.Recv(0, 3, 0)
 	if string(data) != "abc" {
@@ -263,7 +243,17 @@ func TestProbeSeesRendezvousEnvelope(t *testing.T) {
 	c := newTestComm(t, 2, fabric.NewIBHDRModel())
 	big := make([]byte, 512<<10)
 	go c.Handle(0).Send(1, 8, big, 0)
-	st := c.Handle(1).Probe(0, 8, 0)
+	arrived := make(chan struct{}, 1)
+	c.Handle(1).NotifyArrival(func() {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+	})
+	ok, st := c.Handle(1).Iprobe(0, 8, 0)
+	for ; !ok; ok, st = c.Handle(1).Iprobe(0, 8, 0) {
+		<-arrived
+	}
 	if st.Count != len(big) {
 		t.Fatalf("probed count = %d, want %d", st.Count, len(big))
 	}
@@ -302,51 +292,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 7} {
-		c := newTestComm(t, n, fabric.NewIBHDRModel())
-		spmd(t, c, func(h *Handle) {
-			var in []byte
-			if h.Rank() == 2%n {
-				in = []byte("broadcast-payload")
-			}
-			out, vt := h.Bcast(in, 2%n, 0)
-			if string(out) != "broadcast-payload" {
-				t.Errorf("n=%d rank %d got %q", n, h.Rank(), out)
-			}
-			if n > 1 && h.Rank() != 2%n && vt <= 0 {
-				t.Errorf("n=%d rank %d vt=%v", n, h.Rank(), vt)
-			}
-		})
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
-	const n = 4
-	c := newTestComm(t, n, fabric.NewZeroModel())
-	spmd(t, c, func(h *Handle) {
-		got, _ := h.Gather([]byte{byte(h.Rank() + 1)}, 0, 0)
-		if h.Rank() == 0 {
-			for i := 0; i < n; i++ {
-				if got[i][0] != byte(i+1) {
-					t.Errorf("gather[%d] = %d", i, got[i][0])
-				}
-			}
-		} else if got != nil {
-			t.Errorf("non-root gather result not nil")
-		}
-
-		var parts [][]byte
-		if h.Rank() == 0 {
-			parts = [][]byte{{10}, {11}, {12}, {13}}
-		}
-		mine, _ := h.Scatter(parts, 0, 0)
-		if mine[0] != byte(10+h.Rank()) {
-			t.Errorf("scatter rank %d = %d", h.Rank(), mine[0])
-		}
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
 		c := newTestComm(t, n, fabric.NewIBHDRModel())
@@ -363,42 +308,6 @@ func TestAllgather(t *testing.T) {
 			}
 		})
 	}
-}
-
-func sumOp(a, b []byte) []byte { return []byte{a[0] + b[0]} }
-
-func TestReduceAllreduce(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8} {
-		c := newTestComm(t, n, fabric.NewIBHDRModel())
-		want := byte(n * (n + 1) / 2)
-		spmd(t, c, func(h *Handle) {
-			out, _ := h.Reduce([]byte{byte(h.Rank() + 1)}, sumOp, 0, 0)
-			if h.Rank() == 0 && out[0] != want {
-				t.Errorf("n=%d reduce = %d, want %d", n, out[0], want)
-			}
-			all, _ := h.Allreduce([]byte{byte(h.Rank() + 1)}, sumOp, 0)
-			if all[0] != want {
-				t.Errorf("n=%d rank %d allreduce = %d, want %d", n, h.Rank(), all[0], want)
-			}
-		})
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	const n = 4
-	c := newTestComm(t, n, fabric.NewIBHDRModel())
-	spmd(t, c, func(h *Handle) {
-		parts := make([][]byte, n)
-		for i := range parts {
-			parts[i] = []byte{byte(h.Rank()*10 + i)}
-		}
-		out, _ := h.Alltoall(parts, 0)
-		for src := 0; src < n; src++ {
-			if out[src][0] != byte(src*10+h.Rank()) {
-				t.Errorf("rank %d from %d = %d", h.Rank(), src, out[src][0])
-			}
-		}
-	})
 }
 
 func TestCollectivesBackToBack(t *testing.T) {
@@ -440,8 +349,8 @@ func TestSpawnMultiple(t *testing.T) {
 		if vt <= 0 {
 			t.Errorf("spawn vt = %v", vt)
 		}
-		if inter.RemoteSize() != 2 {
-			t.Errorf("remote size = %d", inter.RemoteSize())
+		if n := len(inter.comm.remote); n != 2 {
+			t.Errorf("remote size = %d", n)
 		}
 		if h.Rank() == 0 {
 			inter0 = inter
@@ -461,53 +370,6 @@ func TestSpawnMultiple(t *testing.T) {
 	}
 }
 
-func TestConnectAccept(t *testing.T) {
-	f := fabric.New(fabric.NewIBHDRModel())
-	n0, n1 := f.AddNode("s"), f.AddNode("c")
-	w := NewWorld(f)
-	server := w.NewComm([]*Proc{w.NewProc(n0)})
-	client := w.NewComm([]*Proc{w.NewProc(n1)})
-	if _, err := w.OpenPort("spark-recovery"); err != nil {
-		t.Fatal(err)
-	}
-	defer w.ClosePort("spark-recovery")
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		h, _ := server.Handle(0).Accept("spark-recovery", 0, 0)
-		data, _ := h.Recv(0, 1, 0)
-		h.Send(0, 2, append(data, '!'), 0)
-	}()
-	go func() {
-		defer wg.Done()
-		h, _ := client.Handle(0).Connect("spark-recovery", 0, 0)
-		h.Send(0, 1, []byte("hello"), 0)
-		data, _ := h.Recv(0, 2, 0)
-		if string(data) != "hello!" {
-			t.Errorf("reply = %q", data)
-		}
-	}()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("connect/accept deadlocked")
-	}
-}
-
-func TestOpenPortDuplicate(t *testing.T) {
-	w := NewWorld(fabric.New(fabric.NewZeroModel()))
-	if _, err := w.OpenPort("p"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.OpenPort("p"); err == nil {
-		t.Fatal("duplicate OpenPort succeeded")
-	}
-}
-
 func TestHandleOutOfRangePanics(t *testing.T) {
 	c := newTestComm(t, 2, fabric.NewZeroModel())
 	defer func() {
@@ -518,8 +380,10 @@ func TestHandleOutOfRangePanics(t *testing.T) {
 	c.Handle(5)
 }
 
-// Property: an alltoall of random payloads is a permutation-correct
-// transpose, regardless of sizes (mixing eager and rendezvous paths).
+// Property: an all-to-all exchange over non-blocking point-to-point (every
+// rank Isends one part to every rank, itself included, then receives one
+// from each) delivers a permutation-correct transpose for any sizes, with
+// eager and rendezvous traffic crossing in both directions at once.
 func TestAlltoallTransposeProperty(t *testing.T) {
 	const n = 3
 	c := newTestComm(t, n, fabric.NewIBHDRModel())
@@ -528,9 +392,7 @@ func TestAlltoallTransposeProperty(t *testing.T) {
 		for r := 0; r < n; r++ {
 			in[r] = make([][]byte, n)
 			for d := 0; d < n; d++ {
-				sz := int(sizes[r*n+d])
-				buf := bytes.Repeat([]byte{seed ^ byte(r*16+d)}, sz+1)
-				in[r][d] = buf
+				in[r][d] = bytes.Repeat([]byte{seed ^ byte(r*16+d)}, int(sizes[r*n+d])+1)
 			}
 		}
 		out := make([][][]byte, n)
@@ -539,7 +401,18 @@ func TestAlltoallTransposeProperty(t *testing.T) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				out[rank], _ = c.Handle(rank).Alltoall(in[rank], 0)
+				h := c.Handle(rank)
+				reqs := make([]*SendRequest, n)
+				for d := range reqs {
+					reqs[d] = h.Isend(d, 5, in[rank][d], 0)
+				}
+				out[rank] = make([][]byte, n)
+				for s := range out[rank] {
+					out[rank][s], _ = h.Recv(s, 5, 0)
+				}
+				for _, req := range reqs {
+					req.Wait(0)
+				}
 			}(r)
 		}
 		wg.Wait()
@@ -567,127 +440,23 @@ func TestAllocTagUniqueAndAboveUserSpace(t *testing.T) {
 	}
 }
 
+// TestSendrecvSymmetricExchange: two ranks that each start a rendezvous
+// send and then receive from each other do not deadlock; each receive
+// completes the other's send.
 func TestSendrecvSymmetricExchange(t *testing.T) {
 	c := newTestComm(t, 2, fabric.NewIBHDRModel())
 	spmd(t, c, func(h *Handle) {
 		peer := 1 - h.Rank()
 		big := make([]byte, 256<<10) // rendezvous-sized both ways
 		big[0] = byte(h.Rank())
-		data, st, vt := h.Sendrecv(peer, 7, big, peer, 7, 0)
+		sreq := h.Isend(peer, 7, big, 0)
+		data, st := h.Recv(peer, 7, 0)
+		vt := vtime.Max(sreq.Wait(0), st.VT)
 		if data[0] != byte(peer) {
 			t.Errorf("rank %d got payload from %d", h.Rank(), data[0])
 		}
 		if st.Source != peer || vt <= 0 {
 			t.Errorf("status = %+v, vt = %v", st, vt)
-		}
-	})
-}
-
-func TestIntercommMerge(t *testing.T) {
-	f := fabric.New(fabric.NewIBHDRModel())
-	nA, nB := f.AddNode("a"), f.AddNode("b")
-	w := NewWorld(f)
-	parents := w.InitWorld([]*fabric.Node{nA, nB})
-
-	type res struct {
-		rank, size int
-	}
-	results := make(chan res, 4)
-	childMain := func(ctx *ChildContext) {
-		merged, _ := ctx.Parent.IntercommMerge(true, ctx.StartVT) // children high
-		results <- res{rank: merged.Rank(), size: merged.Size()}
-		// The merged communicator is a working intracomm: allreduce ranks.
-		sum, _ := merged.Allreduce(EncodeInt64(int64(merged.Rank())), SumInt64, ctx.StartVT)
-		if DecodeInt64(sum) != 0+1+2+3 {
-			t.Errorf("allreduce over merged comm = %d", DecodeInt64(sum))
-		}
-	}
-	spmd(t, parents, func(h *Handle) {
-		specs := []SpawnSpec{{Node: nA, Count: 1, Main: childMain}, {Node: nB, Count: 1, Main: childMain}}
-		inter, vt := h.SpawnMultiple(specs, 0, 0)
-		merged, _ := inter.IntercommMerge(false, vt) // parents low
-		results <- res{rank: merged.Rank(), size: merged.Size()}
-		sum, _ := merged.Allreduce(EncodeInt64(int64(merged.Rank())), SumInt64, vt)
-		if DecodeInt64(sum) != 6 {
-			t.Errorf("allreduce over merged comm = %d", DecodeInt64(sum))
-		}
-	})
-	seen := map[int]bool{}
-	for i := 0; i < 4; i++ {
-		r := <-results
-		if r.size != 4 {
-			t.Fatalf("merged size = %d", r.size)
-		}
-		if seen[r.rank] {
-			t.Fatalf("duplicate merged rank %d", r.rank)
-		}
-		seen[r.rank] = true
-	}
-	// Parents (low) must hold ranks 0-1, children (high) 2-3.
-	for r := 0; r < 4; r++ {
-		if !seen[r] {
-			t.Fatalf("missing merged rank %d", r)
-		}
-	}
-}
-
-func TestIntercommMergePanicsOnIntracomm(t *testing.T) {
-	c := newTestComm(t, 2, fabric.NewZeroModel())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merge on intracomm did not panic")
-		}
-	}()
-	c.Handle(0).IntercommMerge(false, 0)
-}
-
-func TestTypedReduceOps(t *testing.T) {
-	if got := DecodeInt64(SumInt64(EncodeInt64(40), EncodeInt64(2))); got != 42 {
-		t.Fatalf("SumInt64 = %d", got)
-	}
-	if got := DecodeInt64(MaxInt64(EncodeInt64(40), EncodeInt64(2))); got != 40 {
-		t.Fatalf("MaxInt64 = %d", got)
-	}
-	v := DecodeFloat64s(SumFloat64s(EncodeFloat64s([]float64{1, 2}), EncodeFloat64s([]float64{10, 20, 30})))
-	if len(v) != 3 || v[0] != 11 || v[1] != 22 || v[2] != 30 {
-		t.Fatalf("SumFloat64s = %v", v)
-	}
-	if DecodeInt64([]byte{1}) != 0 {
-		t.Fatal("short DecodeInt64 not zero")
-	}
-}
-
-func TestScan(t *testing.T) {
-	const n = 5
-	c := newTestComm(t, n, fabric.NewIBHDRModel())
-	spmd(t, c, func(h *Handle) {
-		out, vt := h.Scan(EncodeInt64(int64(h.Rank()+1)), SumInt64, 0)
-		want := int64((h.Rank() + 1) * (h.Rank() + 2) / 2)
-		if DecodeInt64(out) != want {
-			t.Errorf("rank %d scan = %d, want %d", h.Rank(), DecodeInt64(out), want)
-		}
-		if h.Rank() > 0 && vt <= 0 {
-			t.Errorf("rank %d scan was free", h.Rank())
-		}
-	})
-}
-
-func TestReduceScatterBlock(t *testing.T) {
-	const n = 4
-	c := newTestComm(t, n, fabric.NewIBHDRModel())
-	spmd(t, c, func(h *Handle) {
-		parts := make([][]byte, n)
-		for i := range parts {
-			parts[i] = EncodeInt64(int64(h.Rank()*10 + i))
-		}
-		out, _ := h.ReduceScatterBlock(parts, SumInt64, 0)
-		// Every rank contributes rank*10 + me; sum over ranks.
-		want := int64(0)
-		for r := 0; r < n; r++ {
-			want += int64(r*10 + h.Rank())
-		}
-		if DecodeInt64(out) != want {
-			t.Errorf("rank %d = %d, want %d", h.Rank(), DecodeInt64(out), want)
 		}
 	})
 }
@@ -707,7 +476,7 @@ func TestIsendGather(t *testing.T) {
 		switch h.Rank() {
 		case 0:
 			eager := h.IsendGather(1, 1, head, eagerBody, 0)
-			if !eager.Test() {
+			if !eager.completed {
 				t.Error("a gathered message under the threshold did not go eager")
 			}
 			h.IsendGather(1, 2, head, rndvBody, 0).Wait(0)
@@ -771,7 +540,7 @@ func TestNotifyArrival(t *testing.T) {
 	if first != 4 || second != 2 {
 		t.Fatalf("two notifiers after one more arrival: %d and %d, want 4 and 2", first, second)
 	}
-	if n := receiver.UnexpectedMessages(); n != 3 {
+	if n := len(receiver.Proc().engine.unexpected); n != 3 {
 		t.Fatalf("unexpected queue holds %d messages, want 3", n)
 	}
 }

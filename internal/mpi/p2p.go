@@ -84,21 +84,6 @@ func (r *SendRequest) Wait(at vtime.Stamp) vtime.Stamp {
 	return vtime.Max(at, r.cpuFree)
 }
 
-// Test reports whether the send has completed, without blocking.
-func (r *SendRequest) Test() bool {
-	if r.completed {
-		return true
-	}
-	select {
-	case v := <-r.done:
-		r.cpuFree = v
-		r.completed = true
-		return true
-	default:
-		return false
-	}
-}
-
 // Recv performs a blocking receive matching (source, tag); wildcards
 // AnySource and AnyTag are honored. It returns the payload and a status
 // whose VT is the virtual completion time (never earlier than `at`).
@@ -155,26 +140,6 @@ func (r *RecvRequest) WaitGather(at vtime.Stamp) (head, body []byte, st Status) 
 	return m.data, m.body, Status{Source: m.src, Tag: m.tag, Count: m.size(), VT: vtime.Max(at, m.vt)}
 }
 
-// Test reports whether the receive has completed, without blocking.
-func (r *RecvRequest) Test() bool {
-	if r.msg != nil {
-		return true
-	}
-	select {
-	case m := <-r.pr.done:
-		r.msg = m
-		return true
-	default:
-		return false
-	}
-}
-
-// Probe blocks until a message matching (source, tag) is available, without
-// receiving it — MPI_Probe.
-func (h *Handle) Probe(source, tag int, at vtime.Stamp) Status {
-	return h.Proc().engine.probe(h.comm.id, source, tag, at)
-}
-
 // Iprobe checks for a matching message without blocking — MPI_Iprobe. The
 // MPI4Spark-Basic selector loop is built on this call.
 func (h *Handle) Iprobe(source, tag int, at vtime.Stamp) (bool, Status) {
@@ -194,10 +159,4 @@ func (h *Handle) NotifyArrival(fn func()) {
 	e.notifiers = append(e.notifiers, fn)
 	e.mu.Unlock()
 	fn()
-}
-
-// UnexpectedMessages reports the number of unmatched messages queued at
-// this process (diagnostics).
-func (h *Handle) UnexpectedMessages() int {
-	return h.Proc().engine.pendingCount()
 }

@@ -113,15 +113,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// Channels snapshots the channels accepted so far.
-func (s *Server) Channels() []*Channel {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Channel, len(s.accepted))
-	copy(out, s.accepted)
-	return out
-}
-
 // Close stops accepting and closes all accepted channels.
 func (s *Server) Close() {
 	s.mu.Lock()

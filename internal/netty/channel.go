@@ -65,15 +65,9 @@ func (ch *Channel) Pipeline() *Pipeline { return ch.pipeline }
 // not socket-backed.
 func (ch *Channel) Conn() *fabric.Conn { return ch.conn }
 
-// EventLoop returns the loop the channel is registered with, or nil.
-func (ch *Channel) EventLoop() *EventLoop { return ch.loop }
-
 // SetTransport installs the channel's transport. It must be called before
 // any write.
 func (ch *Channel) SetTransport(t Transport) { ch.transport = t }
-
-// Transport returns the channel's transport.
-func (ch *Channel) Transport() Transport { return ch.transport }
 
 // SetAttr stores a per-channel attribute (e.g. the peer's MPI rank).
 func (ch *Channel) SetAttr(key string, v any) {
@@ -89,9 +83,6 @@ func (ch *Channel) Attr(key string) (any, bool) {
 	v, ok := ch.attrs[key]
 	return v, ok
 }
-
-// Active reports whether the channel is connected and usable.
-func (ch *Channel) Active() bool { return ch.active.Load() }
 
 // Write sends msg through the outbound pipeline with the writer's virtual
 // clock at vt; it returns the time the writer's CPU is free again.

@@ -15,8 +15,8 @@ type LoopConfig struct {
 }
 
 // EventLoop drives a set of channels: it waits for readiness (the select
-// step), drains inbound messages through pipelines, and runs submitted
-// tasks, all on one goroutine — the Netty threading model.
+// step) and drains inbound messages through pipelines, all on one
+// goroutine — the Netty threading model.
 type EventLoop struct {
 	cfg  LoopConfig
 	wake chan struct{}
@@ -28,7 +28,6 @@ type EventLoop struct {
 	// deregister publish a fresh slice, drainChannels walks the current
 	// one without copying it.
 	channels []*Channel
-	tasks    []func()
 
 	// turn is where the next drainChannels scan starts; only the loop
 	// goroutine touches it.
@@ -88,14 +87,6 @@ func (l *EventLoop) deregister(ch *Channel) {
 	}
 }
 
-// Execute submits a task to run on the event loop goroutine.
-func (l *EventLoop) Execute(task func()) {
-	l.mu.Lock()
-	l.tasks = append(l.tasks, task)
-	l.mu.Unlock()
-	l.Wakeup()
-}
-
 // Shutdown stops the loop and waits for it to exit.
 func (l *EventLoop) Shutdown() {
 	select {
@@ -118,9 +109,9 @@ func (l *EventLoop) Wakeup() {
 }
 
 // run is the selector loop of Figure 5: wait for state changes, handle
-// them, execute other tasks, repeat. An iteration that did work is followed
-// by another without waiting (a non-blocking select); an idle loop blocks
-// until Wakeup. The wake token is taken before the scan, so whatever
+// them, repeat (nothing here submits Figure 5's "other tasks"). An
+// iteration that did work is followed by another without waiting (a
+// non-blocking select); an idle loop blocks until Wakeup. The wake token is taken before the scan, so whatever
 // arrives during a scan that misses it starts the next one.
 func (l *EventLoop) run() {
 	defer close(l.done)
@@ -144,25 +135,11 @@ func (l *EventLoop) run() {
 		aux := l.auxPoll
 		l.mu.Unlock()
 
-		didWork = l.runTasks()
-		if l.drainChannels() {
-			didWork = true
-		}
+		didWork = l.drainChannels()
 		if aux != nil && aux() {
 			didWork = true
 		}
 	}
-}
-
-func (l *EventLoop) runTasks() bool {
-	l.mu.Lock()
-	tasks := l.tasks
-	l.tasks = nil
-	l.mu.Unlock()
-	for _, t := range tasks {
-		t()
-	}
-	return len(tasks) > 0
 }
 
 // drainChannels performs the "handle state changes" step: every registered

@@ -77,19 +77,6 @@ func (p *Pipeline) AddLast(name string, h any) *Pipeline {
 	return p
 }
 
-// AddFirst prepends a handler.
-func (p *Pipeline) AddFirst(name string, h any) *Pipeline {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.entries {
-		if e.name == name {
-			panic(fmt.Sprintf("netty: duplicate handler %q", name))
-		}
-	}
-	p.entries = append([]entry{{name: name, handler: h}}, p.entries...)
-	return p
-}
-
 // AddBefore inserts a handler immediately before the named existing
 // handler. It panics if the anchor is missing or the name duplicates.
 func (p *Pipeline) AddBefore(anchor, name string, h any) *Pipeline {
@@ -110,30 +97,6 @@ func (p *Pipeline) AddBefore(anchor, name string, h any) *Pipeline {
 	fresh := append(p.entries[:idx:idx], entry{name: name, handler: h})
 	p.entries = append(fresh, p.entries[idx:]...)
 	return p
-}
-
-// Remove deletes the named handler; it reports whether it was present.
-func (p *Pipeline) Remove(name string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, e := range p.entries {
-		if e.name == name {
-			p.entries = append(p.entries[:i:i], p.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Names lists the handler names in pipeline order.
-func (p *Pipeline) Names() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, len(p.entries))
-	for i, e := range p.entries {
-		out[i] = e.name
-	}
-	return out
 }
 
 // snapshot returns the current entries, so traversal does not hold the

@@ -45,7 +45,3 @@ func (t *NIOTransport) WriteMsg(msg any, vt vtime.Stamp) vtime.Stamp {
 
 // Close closes the underlying connection.
 func (t *NIOTransport) Close() error { return t.conn.Close() }
-
-// Conn exposes the underlying fabric connection (used by transports layered
-// on top, e.g. the MPI transports that keep the socket for establishment).
-func (t *NIOTransport) Conn() *fabric.Conn { return t.conn }

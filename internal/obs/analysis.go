@@ -55,14 +55,6 @@ func (t TaskSummary) Label() string {
 	return l
 }
 
-// Compute is the task's virtual time not spent blocked on shuffle fetch.
-func (t TaskSummary) Compute() vtime.Stamp {
-	if c := t.Duration() - t.FetchWait; c > 0 {
-		return c
-	}
-	return 0
-}
-
 // StageSummary aggregates one stage's lifecycle and its tasks.
 type StageSummary struct {
 	Job       int

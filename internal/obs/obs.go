@@ -171,17 +171,6 @@ func (b *Bus) Emit(e Event) {
 	}
 }
 
-// Active reports whether anything is listening; emitters can skip
-// building expensive events when it is false. Nil-safe.
-func (b *Bus) Active() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.listeners) > 0
-}
-
 // Collector is a Listener that buffers every event in memory, for tests
 // and in-process analysis without a log file.
 type Collector struct {

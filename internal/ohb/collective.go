@@ -23,16 +23,6 @@ type OSUResult struct {
 	Points []OSUPoint
 }
 
-// Latency returns the measured latency for a message size, or 0.
-func (r *OSUResult) Latency(bytes int) vtime.Stamp {
-	for _, p := range r.Points {
-		if p.Bytes == bytes {
-			return p.Latency
-		}
-	}
-	return 0
-}
-
 // DefaultOSUSizes is the message-size sweep of the OSU collective latency
 // benchmarks, 4 B to 4 MiB in powers of four.
 func DefaultOSUSizes() []int {

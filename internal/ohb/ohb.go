@@ -8,7 +8,6 @@ package ohb
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"mpi4spark/internal/spark"
 	"mpi4spark/internal/vtime"
@@ -50,14 +49,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// BytesPerMapper returns the approximate generated bytes per mapper.
-func (c *Config) BytesPerMapper() int64 {
-	return int64(c.PairsPerMapper) * int64(c.ValueBytes+8)
-}
-
-// TotalBytes returns the approximate generated data size.
-func (c *Config) TotalBytes() int64 { return int64(c.Mappers) * c.BytesPerMapper() }
-
 // Result captures a benchmark run's stage breakdown and outcome.
 type Result struct {
 	Name   string
@@ -70,17 +61,6 @@ type Result struct {
 	Output int64
 }
 
-// StageDuration returns the duration of the first stage whose name
-// contains the given substring, or 0.
-func (r *Result) StageDuration(substr string) vtime.Stamp {
-	for _, s := range r.Stages {
-		if contains(s.Name, substr) {
-			return s.Duration()
-		}
-	}
-	return 0
-}
-
 // ShuffleReadTime returns the duration of the final ResultStage (the
 // shuffle-read stage in the paper's breakdown).
 func (r *Result) ShuffleReadTime() vtime.Stamp {
@@ -91,8 +71,6 @@ func (r *Result) ShuffleReadTime() vtime.Stamp {
 	}
 	return 0
 }
-
-func contains(s, sub string) bool { return strings.Contains(s, sub) }
 
 // generate builds the cached input RDD and runs the data-generation job
 // (Job0-ResultStage in the paper's breakdown).

@@ -44,9 +44,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero config validated")
 	}
-	if got := c.TotalBytes(); got != int64(2*100*(100+8)) {
-		t.Fatalf("TotalBytes = %d", got)
-	}
 }
 
 func TestGroupByTestStageStructure(t *testing.T) {
@@ -93,19 +90,21 @@ func TestSortByTestStageStructure(t *testing.T) {
 		t.Fatalf("sorted records = %d, want 1200", res.Output)
 	}
 	// Paper's SortBy labels: Job0 gen, Job1 sampling, Job2 sort.
-	var sawJob2Map, sawJob2Result bool
+	var sawJob2Map, sawJob2Result, genTimed bool
 	for _, s := range res.Stages {
 		switch s.Name {
 		case "Job2-ShuffleMapStage":
 			sawJob2Map = true
 		case "Job2-ResultStage":
 			sawJob2Result = true
+		case "Job0-ResultStage":
+			genTimed = s.Duration() > 0
 		}
 	}
 	if !sawJob2Map || !sawJob2Result {
 		t.Fatalf("missing Job2 stages (paper labels); got %+v", res.Stages)
 	}
-	if res.StageDuration("Job0") <= 0 {
+	if !genTimed {
 		t.Fatal("no data-generation stage time")
 	}
 }

@@ -45,7 +45,7 @@ func TestOSUCollectiveLatencyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v osu_allreduce: %v", backend, err)
 		}
-		m := measurement{bcast: bc.Latency(size), allreduce: ar.Latency(size)}
+		m := measurement{bcast: bc.Points[0].Latency, allreduce: ar.Points[0].Latency}
 		if m.bcast <= 0 || m.allreduce <= 0 {
 			t.Fatalf("%v: non-positive latency %+v", backend, m)
 		}

@@ -99,20 +99,6 @@ func (cq *CompletionQueue) push(c Completion) {
 	cq.cond.Broadcast()
 }
 
-// Poll returns up to max completions without blocking.
-func (cq *CompletionQueue) Poll(max int) []Completion {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	n := len(cq.queue)
-	if n > max {
-		n = max
-	}
-	out := make([]Completion, n)
-	copy(out, cq.queue[:n])
-	cq.queue = cq.queue[n:]
-	return out
-}
-
 // Wait blocks until at least one completion is available (or the CQ is
 // closed) and returns it.
 func (cq *CompletionQueue) Wait() (Completion, error) {
@@ -200,37 +186,6 @@ func (qp *QueuePair) PostSendGather(head, body []byte, at vtime.Stamp) (vtime.St
 	qp.cq.push(Completion{Op: "send", VT: cpuFree})
 	qp.peer.cq.push(Completion{Op: "recv", Data: head, Body: body, VT: deliver})
 	return cpuFree, nil
-}
-
-// Read performs a one-sided RDMA READ of n bytes from the remote region
-// starting at off. The remote CPU is not involved: the request travels one
-// latency, the data streams back. It returns the data and its local
-// arrival time.
-func (qp *QueuePair) Read(mr *MemoryRegion, off, n int, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	qp.mu.Lock()
-	closed := qp.closed
-	qp.mu.Unlock()
-	if closed {
-		return nil, at, ErrClosed
-	}
-	if qp.nodeFailed() {
-		qp.Close()
-		return nil, at, fmt.Errorf("rdma: read from failed node %s: %w", qp.remote.node.Name(), ErrClosed)
-	}
-	if mr.dev != qp.remote {
-		return nil, at, fmt.Errorf("rdma: region not on peer device")
-	}
-	if off < 0 || n < 0 || off+n > len(mr.buf) {
-		return nil, at, fmt.Errorf("rdma: read [%d,%d) out of region bounds %d", off, off+n, len(mr.buf))
-	}
-	cost := qp.local.fab.Model().Costs[fabric.RDMA]
-	// Request: one-way latency for the READ work request.
-	reqArrive := at.Add(cost.SendOverhead + cost.Latency)
-	// Response: the bulk transfer back, charged on the fabric.
-	_, deliver := qp.local.fab.Transfer(qp.remote.node, qp.local.node, fabric.RDMA, n, reqArrive)
-	out := make([]byte, n)
-	copy(out, mr.buf[off:off+n])
-	return out, deliver, nil
 }
 
 // Close destroys the queue pair (both ends).

@@ -38,9 +38,8 @@ func TestPostSendRecvCompletion(t *testing.T) {
 	if cpuFree <= ready {
 		t.Fatalf("cpuFree = %v", cpuFree)
 	}
-	sc := qpA.CQ().Poll(10)
-	if len(sc) != 1 || sc[0].Op != "send" {
-		t.Fatalf("send completions = %+v", sc)
+	if sc, err := qpA.CQ().Wait(); err != nil || sc.Op != "send" {
+		t.Fatalf("send completion = %+v, %v", sc, err)
 	}
 	rc, err := qpB.CQ().Wait()
 	if err != nil {
@@ -51,51 +50,6 @@ func TestPostSendRecvCompletion(t *testing.T) {
 	}
 	if rc.VT <= cpuFree {
 		t.Fatalf("delivery %v not after sender cpu-free %v", rc.VT, cpuFree)
-	}
-}
-
-func TestRDMARead(t *testing.T) {
-	a, b, f := twoDevices(t)
-	qpA, _, ready := ConnectQP(a, b, 0)
-	remote := make([]byte, 1<<20)
-	for i := range remote {
-		remote[i] = byte(i)
-	}
-	mr, regDone := b.RegisterMemory(remote, 0)
-	if regDone <= 0 {
-		t.Fatal("registration was free")
-	}
-	data, vt, err := qpA.Read(mr, 4096, 8192, ready)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, remote[4096:4096+8192]) {
-		t.Fatal("read returned wrong bytes")
-	}
-	floor := ready.Add(f.Model().Costs[fabric.RDMA].Latency)
-	if vt <= floor {
-		t.Fatalf("read vt %v below one-way floor %v", vt, floor)
-	}
-}
-
-func TestReadBounds(t *testing.T) {
-	a, b, _ := twoDevices(t)
-	qpA, _, _ := ConnectQP(a, b, 0)
-	mr, _ := b.RegisterMemory(make([]byte, 100), 0)
-	cases := []struct{ off, n int }{{-1, 10}, {0, 101}, {95, 10}, {0, -1}}
-	for _, c := range cases {
-		if _, _, err := qpA.Read(mr, c.off, c.n, 0); err == nil {
-			t.Errorf("Read(%d,%d) out of bounds succeeded", c.off, c.n)
-		}
-	}
-}
-
-func TestReadWrongDevice(t *testing.T) {
-	a, b, _ := twoDevices(t)
-	qpA, _, _ := ConnectQP(a, b, 0)
-	mrLocal, _ := a.RegisterMemory(make([]byte, 10), 0)
-	if _, _, err := qpA.Read(mrLocal, 0, 5, 0); err == nil {
-		t.Fatal("read from non-peer region succeeded")
 	}
 }
 
@@ -110,22 +64,6 @@ func TestCloseBothEnds(t *testing.T) {
 		t.Fatalf("peer CQ Wait after close: %v", err)
 	}
 	qpA.Close() // idempotent
-}
-
-func TestCQPollLimit(t *testing.T) {
-	a, b, _ := twoDevices(t)
-	qpA, _, _ := ConnectQP(a, b, 0)
-	for i := 0; i < 5; i++ {
-		if _, err := qpA.PostSend([]byte{byte(i)}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(qpA.CQ().Poll(3)); got != 3 {
-		t.Fatalf("Poll(3) = %d", got)
-	}
-	if got := len(qpA.CQ().Poll(10)); got != 2 {
-		t.Fatalf("second Poll = %d", got)
-	}
 }
 
 func TestRegistrationCostScales(t *testing.T) {

@@ -111,14 +111,6 @@ func Aggregate[T, A any](r *RDD[T], zero func() A, seqOp func(A, T) A, combOp fu
 	return out, nil
 }
 
-// Foreach runs f over every record on the executors, discarding results —
-// the output-writing pattern (TeraSort's save phase).
-func Foreach[T any](r *RDD[T], f func(T)) error {
-	return r.ctx.runJob(r, func(any) int { return 8 }, func(part int, data any) {
-		_ = data // side effects already happened executor-side in compute
-	})
-}
-
 // Top returns the n largest records under less, computed per-partition and
 // merged on the driver.
 func Top[T any](r *RDD[T], n int, less func(a, b T) bool) ([]T, error) {

@@ -131,9 +131,6 @@ func (c *Context) seedBroadcast(sid string, blob []byte) {
 
 func (b *Broadcast[T]) streamID() string { return fmt.Sprintf("broadcast_%d", b.id) }
 
-// ID returns the broadcast's identifier.
-func (b *Broadcast[T]) ID() int64 { return b.id }
-
 // Value fetches (on seed-miss first use per executor) and returns the
 // broadcast value inside a task. Executors seeded at creation time hit
 // their local cache; a later joiner pays one stream transfer from the

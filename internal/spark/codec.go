@@ -26,7 +26,8 @@ import (
 // task keeps the whole fetched block it points into reachable (the Go
 // sub-slice rule), and a block read locally is a segment of its map task's
 // one buffer, so it keeps that whole buffer reachable; every block of a map
-// output already lives until RemoveShuffle, so nothing is pinned for longer.
+// output already lives until the cluster closes (no running program removes
+// a shuffle's blocks), so nothing is pinned for longer.
 // A consumer that needs to modify a value copies it first.
 type Codec[T any] interface {
 	Encode(buf *bytebuf.Buf, v T)

@@ -1,7 +1,6 @@
 package spark
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -106,47 +105,6 @@ func TestTreeAggregateMatchesReference(t *testing.T) {
 				t.Fatalf("dim=%d elem %d: got %v want %v", dim, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestTreeReduceMatchesReduce(t *testing.T) {
-	c := newTestCluster(t, 3, 2, BackendVanilla)
-	data := Generate(c.ctx, 5, func(part int, tc *TaskContext) []int64 {
-		out := make([]int64, 20)
-		for i := range out {
-			out[i] = int64(part*100 + i)
-		}
-		return out
-	})
-	enc := func(v int64) []byte {
-		b := make([]byte, 8)
-		binary.BigEndian.PutUint64(b, uint64(v))
-		return b
-	}
-	dec := func(b []byte) int64 { return int64(binary.BigEndian.Uint64(b)) }
-	max := func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	got, err := TreeReduce(data, max, enc, dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 419 {
-		t.Fatalf("TreeReduce max = %d, want 419", got)
-	}
-}
-
-func TestTreeReduceEmptyRDD(t *testing.T) {
-	c := newTestCluster(t, 2, 1, BackendVanilla)
-	data := Generate(c.ctx, 3, func(part int, tc *TaskContext) []int64 { return nil })
-	enc := func(v int64) []byte { return make([]byte, 8) }
-	dec := func(b []byte) int64 { return 0 }
-	_, err := TreeReduce(data, func(a, b int64) int64 { return a + b }, enc, dec)
-	if err != ErrEmptyRDD {
-		t.Fatalf("err = %v, want ErrEmptyRDD", err)
 	}
 }
 

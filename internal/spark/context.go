@@ -374,9 +374,6 @@ func (c *Context) executorCount() int {
 	return len(c.executors)
 }
 
-// Tracker returns the driver-side map output tracker.
-func (c *Context) Tracker() *shuffle.MapOutputTracker { return c.tracker }
-
 // Clock returns the driver's job clock: the virtual time at which the last
 // action completed.
 func (c *Context) Clock() vtime.Stamp {
@@ -409,9 +406,6 @@ func (c *Context) ResetStages() {
 	defer c.mu.Unlock()
 	c.stages = nil
 }
-
-// DefaultParallelism returns the configured default partition count.
-func (c *Context) DefaultParallelism() int { return c.cfg.DefaultParallelism }
 
 // CPU returns the context's compute-cost model. Layers that model work
 // outside tasks (streaming receivers charging ingest cost, say) use it so

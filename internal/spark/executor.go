@@ -208,9 +208,6 @@ func (e *Executor) Env() *rpc.Env { return e.env }
 // BlockManager returns the executor's block store.
 func (e *Executor) BlockManager() *storage.BlockManager { return e.bm }
 
-// Location returns the executor's shuffle location.
-func (e *Executor) Location() shuffle.Location { return e.loc }
-
 // Slots returns the executor's task slot count.
 func (e *Executor) Slots() int { return e.nSlots }
 
@@ -440,21 +437,6 @@ func (e *Executor) putCached(rddID, part int, v any) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	e.cached[cacheKey{rddID: rddID, part: part}] = v
-}
-
-// CachedPartitions returns how many partitions are cached on this executor.
-func (e *Executor) CachedPartitions() int {
-	e.cacheMu.RLock()
-	defer e.cacheMu.RUnlock()
-	return len(e.cached)
-}
-
-// DropCache clears the executor's cached partitions (between benchmark
-// repetitions).
-func (e *Executor) DropCache() {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	e.cached = make(map[cacheKey]any)
 }
 
 // Close releases the executor's resources (the env is owned by the deploy

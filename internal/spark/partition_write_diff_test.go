@@ -57,8 +57,8 @@ func diffPartitionWrite[K, V any](t *testing.T, codec PairCodec[K, V], p Partiti
 					task, i, len(buckets[i]), len(got[i]), len(want[i]))
 			}
 		}
-		if tc.VT() != wantVT {
-			t.Fatalf("task %d: charged vt %v, want %v", task, tc.VT(), wantVT)
+		if tc.vt != wantVT {
+			t.Fatalf("task %d: charged vt %v, want %v", task, tc.vt, wantVT)
 		}
 	}
 }

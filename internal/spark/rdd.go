@@ -60,9 +60,6 @@ type TaskContext struct {
 	rangedShuffle int
 }
 
-// VT returns the task's current virtual time.
-func (tc *TaskContext) VT() vtime.Stamp { return tc.vt }
-
 // ExecutorID returns the id of the executor running this task.
 func (tc *TaskContext) ExecutorID() string {
 	if tc.exec == nil {
@@ -109,15 +106,6 @@ func (tc *TaskContext) ChargeSort(n int) {
 	}
 	tc.Charge(time.Duration(tc.cpu.SortNsPerCmp * float64(n) * float64(log2)))
 }
-
-// CPU returns the task's cost model.
-func (tc *TaskContext) CPU() CPUModel { return tc.cpu }
-
-// RecordsRead returns the task's record-processing counter.
-func (tc *TaskContext) RecordsRead() int64 { return tc.recordsRead }
-
-// BytesShuffled returns the bytes this task fetched through the shuffle.
-func (tc *TaskContext) BytesShuffled() int64 { return tc.bytesShuffled }
 
 // FetchShuffle retrieves every map output block destined for reduceID in
 // the given shuffle, advancing the task clock to the arrival of the last
@@ -180,9 +168,6 @@ type ShuffleDep struct {
 
 func (d *ShuffleDep) parentRDD() rddBase { return d.parent }
 
-// ShuffleID returns the dependency's shuffle id.
-func (d *ShuffleDep) ShuffleID() int { return d.shuffleID }
-
 // rddBase is the type-erased RDD view the scheduler operates on.
 type rddBase interface {
 	rddID() int
@@ -232,12 +217,6 @@ type RDD[T any] struct {
 func newRDD[T any](ctx *Context, nParts int, deps []Dependency, compute func(int, *TaskContext) ([]T, error)) *RDD[T] {
 	return &RDD[T]{ctx: ctx, id: ctx.nextRDDID(), nParts: nParts, deps: deps, compute: compute}
 }
-
-// Context returns the owning SparkContext.
-func (r *RDD[T]) Context() *Context { return r.ctx }
-
-// ID returns the RDD's unique id.
-func (r *RDD[T]) ID() int { return r.id }
 
 // NumPartitions returns the RDD's partition count.
 func (r *RDD[T]) NumPartitions() int { return r.nParts }

@@ -45,9 +45,6 @@ func (c *Call) Reply(payload []byte, vt vtime.Stamp) {
 	}
 }
 
-// OneWay reports whether the call expects no reply.
-func (c *Call) OneWay() bool { return c.reply == nil }
-
 // PipelineHooks lets a transport implementation (the MPI designs in
 // internal/core) install extra handlers on every channel's pipeline.
 type PipelineHooks interface {

@@ -140,7 +140,7 @@ func TestOneWayDelivery(t *testing.T) {
 		if string(c.Payload) != "fire-and-forget" {
 			t.Fatalf("payload = %q", c.Payload)
 		}
-		if !c.OneWay() {
+		if c.reply != nil {
 			t.Fatal("call should be one-way")
 		}
 		if c.From != "envA" {

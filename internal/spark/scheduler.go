@@ -296,14 +296,6 @@ func (c *Context) placeTask(t *taskDescriptor, exclude map[string]bool) *Executo
 	return e
 }
 
-// markUnhealthy blacklists an executor without the full loss recovery
-// (tests use it to steer placement).
-func (c *Context) markUnhealthy(execID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.unhealthy[execID] = true
-}
-
 // launchTask sends one task's LaunchTask message at the given time and
 // returns when the driver CPU is free again. Unreachable executors are
 // skipped, each declared lost with lossCause as the reason, up to the

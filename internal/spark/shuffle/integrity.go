@@ -1,7 +1,6 @@
 package shuffle
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -61,15 +60,6 @@ type CorruptBlockError struct {
 func (e *CorruptBlockError) Error() string {
 	return fmt.Sprintf("shuffle %d: corrupt block: map %d reduce %d from %s: crc32c %08x, want %08x",
 		e.ShuffleID, e.MapID, e.ReduceID, e.Loc.ExecID, e.Got, e.Want)
-}
-
-// AsCorruptBlock extracts a CorruptBlockError from err's chain, if any.
-func AsCorruptBlock(err error) (*CorruptBlockError, bool) {
-	var ce *CorruptBlockError
-	if errors.As(err, &ce) {
-		return ce, true
-	}
-	return nil, false
 }
 
 // peerState is the circuit-breaker bookkeeping for one serving peer.

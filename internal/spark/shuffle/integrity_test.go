@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -25,12 +26,12 @@ func TestCorruptBlockErrorChain(t *testing.T) {
 	ce := &CorruptBlockError{ShuffleID: 1, MapID: 2, ReduceID: 3,
 		Loc: Location{ExecID: "exec-1"}, Want: 0xdead, Got: 0xbeef}
 	wrapped := fmt.Errorf("fetch: %w", ce)
-	got, ok := AsCorruptBlock(wrapped)
-	if !ok || got != ce {
-		t.Fatalf("AsCorruptBlock failed to recover the typed error from %v", wrapped)
+	var got *CorruptBlockError
+	if !errors.As(wrapped, &got) || got != ce {
+		t.Fatalf("errors.As failed to recover the typed error from %v", wrapped)
 	}
-	if _, ok := AsCorruptBlock(fmt.Errorf("plain")); ok {
-		t.Fatal("AsCorruptBlock matched a plain error")
+	if errors.As(fmt.Errorf("plain"), &got) {
+		t.Fatal("errors.As matched a plain error")
 	}
 }
 

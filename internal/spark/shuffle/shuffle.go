@@ -210,24 +210,6 @@ func (t *MapOutputTracker) SizesByReduce(shuffleID int) (totals []int64, perMap 
 	return totals, perMap, nil
 }
 
-// UnregisterShuffle drops a shuffle's metadata.
-func (t *MapOutputTracker) UnregisterShuffle(shuffleID int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.wire, shuffleID)
-	delete(t.statuses, shuffleID)
-}
-
-// UnregisterMapOutput forgets one map output (its block was lost).
-func (t *MapOutputTracker) UnregisterMapOutput(shuffleID, mapID int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ss, ok := t.statuses[shuffleID]; ok && mapID >= 0 && mapID < len(ss) {
-		delete(t.wire, shuffleID)
-		ss[mapID] = nil
-	}
-}
-
 // UnregisterOutputsOnExecutor forgets every map output registered on the
 // given executor, across all shuffles — the DAGScheduler's response to an
 // executor loss. It returns shuffleID -> the map ids that were dropped,

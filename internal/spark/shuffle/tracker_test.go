@@ -259,7 +259,7 @@ func TestInvalidateDuringFetchLeavesNoStaleEntry(t *testing.T) {
 }
 
 // TestTrackerMutatorsDropWireForm: the cached wire form is served as long as
-// nothing changes and re-encoded after each of the five mutators.
+// nothing changes and re-encoded after each of the three mutators.
 func TestTrackerMutatorsDropWireForm(t *testing.T) {
 	mutators := map[string]func(tr *MapOutputTracker){
 		"RegisterShuffle": func(tr *MapOutputTracker) { tr.RegisterShuffle(1, 5) },
@@ -268,13 +268,11 @@ func TestTrackerMutatorsDropWireForm(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"UnregisterMapOutput": func(tr *MapOutputTracker) { tr.UnregisterMapOutput(1, 0) },
 		"UnregisterOutputsOnExecutor": func(tr *MapOutputTracker) {
 			if lost := tr.UnregisterOutputsOnExecutor("e1"); len(lost[1]) != 1 {
 				t.Fatalf("lost = %v", lost)
 			}
 		},
-		"UnregisterShuffle": func(tr *MapOutputTracker) { tr.UnregisterShuffle(1) },
 	}
 	for name, mutate := range mutators {
 		tr := testTracker(t, 1, 3, 0)
@@ -287,11 +285,7 @@ func TestTrackerMutatorsDropWireForm(t *testing.T) {
 		mutate(tr)
 		after := tr.wireOutputs(1)
 		fresh, err := tr.SerializeOutputs(1)
-		if name == "UnregisterShuffle" {
-			if after != nil || err == nil {
-				t.Fatalf("%s: still serves %d bytes", name, len(after))
-			}
-		} else if err != nil || !bytes.Equal(after, fresh) || bytes.Equal(after, before) {
+		if err != nil || !bytes.Equal(after, fresh) || bytes.Equal(after, before) {
 			t.Fatalf("%s: serves the form encoded before it (%v)", name, err)
 		}
 		if again := tr.wireOutputs(2); &again[0] != &keep[0] {
@@ -304,7 +298,7 @@ func TestTrackerMutatorsDropWireForm(t *testing.T) {
 // and a missing Sums included, and never hands out the cached form.
 func TestSerializeOutputsExactSize(t *testing.T) {
 	tr := testTracker(t, 1, 4, 0)
-	tr.UnregisterMapOutput(1, 2)
+	tr.UnregisterOutputsOnExecutor("e2")
 	if err := tr.RegisterMapOutput(1, 3, &MapStatus{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}

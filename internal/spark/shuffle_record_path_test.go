@@ -266,7 +266,7 @@ func shuffleSums(t *testing.T, ctx *Context, deps []Dependency) [][]uint32 {
 	t.Helper()
 	var sums [][]uint32
 	for _, d := range deps {
-		sts, err := ctx.Tracker().Outputs(d.(*ShuffleDep).shuffleID)
+		sts, err := ctx.tracker.Outputs(d.(*ShuffleDep).shuffleID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func shuffleSums(t *testing.T, ctx *Context, deps []Dependency) [][]uint32 {
 }
 
 // TestKeyedOutputOrderIsDeterministic: one seed, one order. Two runs of the
-// same ReduceByKey job and of the same CoGroup job in one process write the
+// same ReduceByKey job and of the same Join job in one process write the
 // same block bytes (MapStatus.Sums) and collect in the same order; the order
 // is the keys' first appearance, not Go's map iteration order.
 func TestKeyedOutputOrderIsDeterministic(t *testing.T) {
@@ -292,7 +292,7 @@ func TestKeyedOutputOrderIsDeterministic(t *testing.T) {
 			return out
 		}
 	}
-	run := func() (reduced, cogrouped string, sums [][]uint32) {
+	run := func() (reduced, joined string, sums [][]uint32) {
 		c := newTestCluster(t, 2, 2, BackendVanilla)
 		left := Generate(c.ctx, 4, gen(0))
 		red := ReduceByKey(left, int64Conf(4), func(a, b int64) int64 { return a + b })
@@ -301,12 +301,12 @@ func TestKeyedOutputOrderIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sums = shuffleSums(t, c.ctx, red.deps)
-		cg := CoGroup(left, int64Conf(4), Generate(c.ctx, 4, gen(100)), int64Conf(4))
-		g, err := Collect(cg)
+		j := Join(left, int64Conf(4), Generate(c.ctx, 4, gen(100)), int64Conf(4))
+		g, err := Collect(j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(r), fmt.Sprint(g), append(sums, shuffleSums(t, c.ctx, cg.deps)...)
+		return fmt.Sprint(r), fmt.Sprint(g), append(sums, shuffleSums(t, c.ctx, j.deps)...)
 	}
 	r0, g0, s0 := run()
 	for i := 1; i < 3; i++ {
@@ -315,7 +315,7 @@ func TestKeyedOutputOrderIsDeterministic(t *testing.T) {
 			t.Fatalf("run %d: ReduceByKey collected in another order:\n%.200s\n%.200s", i, r, r0)
 		}
 		if g != g0 {
-			t.Fatalf("run %d: CoGroup collected in another order:\n%.200s\n%.200s", i, g, g0)
+			t.Fatalf("run %d: Join collected in another order:\n%.200s\n%.200s", i, g, g0)
 		}
 		if !reflect.DeepEqual(s, s0) {
 			t.Fatalf("run %d: map outputs have other checksums: the blocks' bytes differ between runs", i)

@@ -301,16 +301,3 @@ func (s *Service) rangedRun(shuffleID, reduceID, mapLo, mapHi int) (run []byte, 
 		return shuffle.EncodeMergedRun(entries), payload
 	})
 }
-
-// RemoveShuffle evicts a completed shuffle's pushed blocks and merged runs.
-func (s *Service) RemoveShuffle(shuffleID int) {
-	s.mu.Lock()
-	for key := range s.merges {
-		if key.shuffle == shuffleID {
-			s.bm.Remove(shuffle.MergedBlockID(key.shuffle, key.reduce))
-			delete(s.merges, key)
-		}
-	}
-	s.mu.Unlock()
-	s.bm.RemoveShuffle(shuffleID)
-}

@@ -329,7 +329,9 @@ func TestCacheAndLocality(t *testing.T) {
 	}
 	cachedTotal := 0
 	for _, e := range c.execs {
-		cachedTotal += e.CachedPartitions()
+		e.cacheMu.RLock()
+		cachedTotal += len(e.cached)
+		e.cacheMu.RUnlock()
 	}
 	if cachedTotal != 4 {
 		t.Fatalf("cached partitions = %d", cachedTotal)
@@ -589,7 +591,7 @@ func TestBroadcastDriverLocalValue(t *testing.T) {
 	if got := b.Value(&TaskContext{}); got != "driver-side" {
 		t.Fatalf("driver-local Value = %q", got)
 	}
-	if b.ID() == 0 {
+	if b.id == 0 {
 		t.Fatal("broadcast id not assigned")
 	}
 }
@@ -615,50 +617,28 @@ func TestCacheLocalityPrefersUnhealthyFallback(t *testing.T) {
 	if holder == "" {
 		t.Fatal("no cache location recorded")
 	}
-	c.ctx.markUnhealthy(holder)
+	c.ctx.mu.Lock()
+	c.ctx.unhealthy[holder] = true
+	c.ctx.mu.Unlock()
 	if n, err := Count(data); err != nil || n != 2 {
 		t.Fatalf("count after blacklist = %d, %v", n, err)
 	}
 }
 
-func TestDropCache(t *testing.T) {
-	c := newTestCluster(t, 1, 1, BackendVanilla)
-	data := Generate(c.ctx, 2, func(part int, tc *TaskContext) []int64 {
-		return []int64{1}
-	}).Cache()
-	if _, err := Count(data); err != nil {
-		t.Fatal(err)
-	}
-	e := c.execs[0]
-	if e.CachedPartitions() != 2 {
-		t.Fatalf("cached = %d", e.CachedPartitions())
-	}
-	e.DropCache()
-	if e.CachedPartitions() != 0 {
-		t.Fatal("DropCache left partitions")
-	}
-}
-
-func TestMapValuesAndKeyBy(t *testing.T) {
+func TestKeyBy(t *testing.T) {
 	c := newTestCluster(t, 1, 1, BackendVanilla)
 	words := Parallelize(c.ctx, []string{"aa", "b", "ccc"}, 2)
 	byLen := KeyBy(words, func(s string) int64 { return int64(len(s)) })
-	doubled := MapValues(byLen, func(s string) string { return s + s })
-	out, err := Collect(doubled)
+	out, err := Collect(byLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(out) != 3 {
+		t.Fatalf("got %d pairs, want 3", len(out))
+	}
 	for _, p := range out {
-		if int64(len(p.V)) != 2*p.K {
+		if int64(len(p.V)) != p.K {
 			t.Fatalf("bad pair %+v", p)
 		}
-	}
-}
-
-func TestForeachAction(t *testing.T) {
-	c := newTestCluster(t, 2, 1, BackendVanilla)
-	data := Parallelize(c.ctx, []int64{1, 2, 3}, 2)
-	if err := Foreach(data, func(int64) {}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -27,11 +27,6 @@ func ShuffleBlockID(shuffleID, mapID, reduceID int) BlockID {
 	return BlockID(b)
 }
 
-// RDDBlockID names a cached partition of an RDD.
-func RDDBlockID(rddID, partition int) BlockID {
-	return BlockID(fmt.Sprintf("rdd_%d_%d", rddID, partition))
-}
-
 // BlockManager stores blocks for one executor.
 type BlockManager struct {
 	execID string
@@ -39,18 +34,12 @@ type BlockManager struct {
 	mu     sync.RWMutex
 	blocks map[BlockID][]byte
 	bytes  int64
-	puts   int64
-	gets   int64
-	hits   int64
 }
 
 // NewBlockManager creates an empty block manager owned by execID.
 func NewBlockManager(execID string) *BlockManager {
 	return &BlockManager{execID: execID, blocks: make(map[BlockID][]byte)}
 }
-
-// ExecutorID returns the owning executor's id.
-func (bm *BlockManager) ExecutorID() string { return bm.execID }
 
 // Put stores data under id, replacing any previous value.
 func (bm *BlockManager) Put(id BlockID, data []byte) {
@@ -61,19 +50,14 @@ func (bm *BlockManager) Put(id BlockID, data []byte) {
 	}
 	bm.blocks[id] = data
 	bm.bytes += int64(len(data))
-	bm.puts++
 }
 
 // Get returns the block's bytes; ok reports whether it exists. The slice
 // is shared — callers must not mutate it.
 func (bm *BlockManager) Get(id BlockID) ([]byte, bool) {
-	bm.mu.Lock()
-	defer bm.mu.Unlock()
-	bm.gets++
+	bm.mu.RLock()
+	defer bm.mu.RUnlock()
 	d, ok := bm.blocks[id]
-	if ok {
-		bm.hits++
-	}
 	return d, ok
 }
 
@@ -118,11 +102,4 @@ func (bm *BlockManager) BlockCount() int {
 	bm.mu.RLock()
 	defer bm.mu.RUnlock()
 	return len(bm.blocks)
-}
-
-// Stats returns put/get/hit counters.
-func (bm *BlockManager) Stats() (puts, gets, hits int64) {
-	bm.mu.RLock()
-	defer bm.mu.RUnlock()
-	return bm.puts, bm.gets, bm.hits
 }

@@ -13,16 +13,10 @@ func TestShuffleBlockIDFormat(t *testing.T) {
 	if got, want := ShuffleBlockID(-1<<63, 1<<63-1, -1), BlockID("shuffle_-9223372036854775808_9223372036854775807_-1"); got != want {
 		t.Fatalf("ShuffleBlockID = %q, want %q", got, want)
 	}
-	if got := RDDBlockID(4, 5); got != "rdd_4_5" {
-		t.Fatalf("RDDBlockID = %q", got)
-	}
 }
 
 func TestPutGetRemove(t *testing.T) {
 	bm := NewBlockManager("exec-1")
-	if bm.ExecutorID() != "exec-1" {
-		t.Fatal("executor id")
-	}
 	id := ShuffleBlockID(0, 0, 0)
 	if _, ok := bm.Get(id); ok {
 		t.Fatal("get on empty store")
@@ -63,7 +57,7 @@ func TestRemoveShuffle(t *testing.T) {
 			bm.Put(ShuffleBlockID(8, m, r), []byte{2})
 		}
 	}
-	bm.Put(RDDBlockID(1, 0), []byte{3})
+	bm.Put("rdd_1_0", []byte{3})
 	if n := bm.RemoveShuffle(7); n != 12 {
 		t.Fatalf("removed %d, want 12", n)
 	}
@@ -74,17 +68,6 @@ func TestRemoveShuffle(t *testing.T) {
 	bm.Put("shuffle_70_0_0", []byte{4})
 	if n := bm.RemoveShuffle(7); n != 0 {
 		t.Fatalf("over-matched prefix: removed %d", n)
-	}
-}
-
-func TestStatsCounters(t *testing.T) {
-	bm := NewBlockManager("e")
-	bm.Put("a", []byte{1})
-	bm.Get("a")
-	bm.Get("b")
-	puts, gets, hits := bm.Stats()
-	if puts != 1 || gets != 2 || hits != 1 {
-		t.Fatalf("stats = %d/%d/%d", puts, gets, hits)
 	}
 }
 

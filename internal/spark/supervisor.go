@@ -2,7 +2,6 @@ package spark
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -56,10 +55,8 @@ func (c *Context) SetExecutorReplacer(r ExecutorReplacer) {
 
 // execHealth is the driver's per-executor liveness record.
 type execHealth struct {
-	lastSeq   int64       // pump sequence of the newest heartbeat received
-	lastVT    vtime.Stamp // virtual send time of that heartbeat
-	freeSlots int
-	running   []int64
+	lastSeq int64       // pump sequence of the newest heartbeat received
+	lastVT  vtime.Stamp // virtual send time of that heartbeat
 }
 
 // heartbeat is the decoded executor → driver liveness message.
@@ -125,23 +122,7 @@ func (c *Context) receiveHeartbeat(call *rpc.Call) {
 	if call.VT > h.lastVT {
 		h.lastVT = call.VT
 	}
-	h.freeSlots = hb.FreeSlots
-	h.running = hb.Running
 	c.hbMu.Unlock()
-}
-
-// ExecutorHealth reports the driver's last heartbeat view of an executor:
-// free slot count and the task IDs it reported running (sorted).
-func (c *Context) ExecutorHealth(execID string) (freeSlots int, running []int64, ok bool) {
-	c.hbMu.Lock()
-	defer c.hbMu.Unlock()
-	h := c.hb[execID]
-	if h == nil {
-		return 0, nil, false
-	}
-	running = append([]int64(nil), h.running...)
-	sort.Slice(running, func(i, j int) bool { return running[i] < running[j] })
-	return h.freeSlots, running, true
 }
 
 // superviseLoop is the driver's supervision goroutine: each wall-clock

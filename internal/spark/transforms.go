@@ -97,26 +97,3 @@ func MapPartitions[T, U any](in *RDD[T], f func(part int, tc *TaskContext, items
 func KeyBy[T any, K any](in *RDD[T], f func(T) K) *RDD[Pair[K, T]] {
 	return Map(in, func(v T) Pair[K, T] { return Pair[K, T]{K: f(v), V: v} })
 }
-
-// MapValues transforms only the value of each pair.
-func MapValues[K, V, W any](in *RDD[Pair[K, V]], f func(V) W) *RDD[Pair[K, W]] {
-	return Map(in, func(p Pair[K, V]) Pair[K, W] { return Pair[K, W]{K: p.K, V: f(p.V)} })
-}
-
-// FlatMapTC is FlatMap with access to the TaskContext (for broadcasts and
-// explicit cost charging inside the per-record function).
-func FlatMapTC[T, U any](in *RDD[T], f func(tc *TaskContext, v T) []U) *RDD[U] {
-	return newRDD(in.ctx, in.nParts, []Dependency{narrowDep{parent: in}}, func(part int, tc *TaskContext) ([]U, error) {
-		data, err := in.computePartition(part, tc)
-		if err != nil {
-			return nil, err
-		}
-		items := data.([]T)
-		var out []U
-		for _, v := range items {
-			out = append(out, f(tc, v)...)
-		}
-		tc.ChargeRecords(len(items)+len(out), 0)
-		return out, nil
-	})
-}

@@ -29,98 +29,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	c := newTestCluster(t, 2, 2, BackendVanilla)
-	in := Parallelize(c.ctx, []int64{3, 1, 3, 2, 1, 1, 2}, 3)
-	d := Distinct(in, Int64Codec{}, Int64Key{}, 2)
-	out, err := Collect(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	if len(out) != 3 || out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Fatalf("distinct = %v", out)
-	}
-}
-
-func TestSampleFractionAndDeterminism(t *testing.T) {
-	c := newTestCluster(t, 2, 2, BackendVanilla)
-	data := Generate(c.ctx, 4, func(part int, tc *TaskContext) []int64 {
-		out := make([]int64, 1000)
-		for i := range out {
-			out[i] = int64(part*1000 + i)
-		}
-		return out
-	})
-	s := Sample(data, 0.25, 99)
-	n1, err := Count(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 < 800 || n1 > 1200 {
-		t.Fatalf("sample size = %d, want ~1000 of 4000", n1)
-	}
-	n2, err := Count(Sample(data, 0.25, 99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n2 {
-		t.Fatalf("sampling not deterministic: %d vs %d", n1, n2)
-	}
-	if n, _ := Count(Sample(data, 0, 1)); n != 0 {
-		t.Fatalf("fraction 0 sampled %d", n)
-	}
-	if n, _ := Count(Sample(data, 1, 1)); n != 4000 {
-		t.Fatalf("fraction 1 sampled %d", n)
-	}
-}
-
-func TestZipWithIndex(t *testing.T) {
-	c := newTestCluster(t, 2, 1, BackendVanilla)
-	in := Parallelize(c.ctx, []string{"a", "b", "c", "d", "e"}, 3)
-	zipped, err := ZipWithIndex(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect(zipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 {
-		t.Fatalf("len = %d", len(out))
-	}
-	// Collect preserves partition order, so indices are 0..4 in order.
-	for i, p := range out {
-		if p.K != int64(i) {
-			t.Fatalf("index %d = %d (%v)", i, p.K, out)
-		}
-	}
-}
-
-func TestCoGroup(t *testing.T) {
-	c := newTestCluster(t, 2, 1, BackendVanilla)
-	left := Parallelize(c.ctx, []Pair[int64, int64]{{K: 1, V: 10}, {K: 1, V: 11}, {K: 2, V: 20}}, 2)
-	right := Parallelize(c.ctx, []Pair[int64, int64]{{K: 1, V: 100}, {K: 3, V: 300}}, 2)
-	cg := CoGroup(left, int64Conf(2), right, int64Conf(2))
-	out, err := Collect(cg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int64]Pair[[]int64, []int64]{}
-	for _, p := range out {
-		got[p.K] = p.V
-	}
-	if len(got[1].K) != 2 || len(got[1].V) != 1 {
-		t.Fatalf("key 1 groups = %+v", got[1])
-	}
-	if len(got[2].K) != 1 || len(got[2].V) != 0 {
-		t.Fatalf("key 2 groups = %+v", got[2])
-	}
-	if len(got[3].K) != 0 || len(got[3].V) != 1 {
-		t.Fatalf("key 3 groups = %+v", got[3])
-	}
-}
-
 func TestUnionOfShuffledRDDs(t *testing.T) {
 	// Union across shuffle outputs exercises multi-parent lineage walking.
 	c := newTestCluster(t, 2, 2, BackendVanilla)

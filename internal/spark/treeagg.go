@@ -120,108 +120,3 @@ func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]
 	}
 	return out, nil
 }
-
-// TreeReduce combines every record with f (associative and commutative)
-// like Reduce, but the per-executor partials ride a binomial tree reduce
-// to the driver instead of all fanning into it. enc/dec model the
-// serialized form the tree edges carry (variable length is fine — the
-// reduce path is always binomial, never the equal-length ring).
-func TreeReduce[T any](r *RDD[T], f func(a, b T) T, enc func(T) []byte, dec func([]byte) T) (T, error) {
-	var zero T
-	var mu sync.Mutex
-	partials := make(map[int]*T)
-	homes := make(map[int]string)
-	probe := MapPartitions(r, func(part int, tc *TaskContext, items []T) ([]struct{}, error) {
-		if len(items) == 0 {
-			return nil, nil
-		}
-		acc := items[0]
-		for _, v := range items[1:] {
-			acc = f(acc, v)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if _, done := partials[part]; !done {
-			partials[part] = &acc
-			homes[part] = tc.ExecutorID()
-		}
-		return nil, nil
-	})
-	if err := r.ctx.runJob(probe, func(any) int { return 16 }, func(int, any) {}); err != nil {
-		return zero, err
-	}
-	// Fold per-executor in partition order (see TreeAggregate).
-	accs := make(map[string]*T)
-	for part := 0; part < r.nParts; part++ {
-		p := partials[part]
-		if p == nil {
-			continue
-		}
-		if prev := accs[homes[part]]; prev != nil {
-			merged := f(*prev, *p)
-			accs[homes[part]] = &merged
-		} else {
-			accs[homes[part]] = p
-		}
-	}
-
-	rop := collective.ReduceOp{Align: 1, Combine: func(dst, src []byte) []byte {
-		// Empty means identity (an executor that held no records).
-		if len(src) == 0 {
-			return dst
-		}
-		if len(dst) == 0 {
-			return append([]byte(nil), src...)
-		}
-		return enc(f(dec(dst), dec(src)))
-	}}
-	c := r.ctx
-	group, execs := c.collectiveGroup()
-	if group.Size() >= 2 {
-		op := collective.NextOpID()
-		at := c.Clock()
-		// Tree edges carry variable-length encodings; the observer's byte
-		// figure is unknowable upfront, so report zero.
-		var result []byte
-		var driverDone vtime.Stamp
-		err := group.Run(op, "reduce", 0, func(rank int) error {
-			var in []byte
-			if rank > 0 {
-				if p := accs[execs[rank-1].id]; p != nil {
-					in = enc(*p)
-				}
-			}
-			out, vt, err := group.Reduce(op, rank, 0, in, rop, at)
-			if rank == 0 {
-				result = out
-				driverDone = vt
-			}
-			return err
-		})
-		if err == nil {
-			c.AdvanceClock(driverDone)
-			if len(result) == 0 {
-				return zero, ErrEmptyRDD
-			}
-			return dec(result), nil
-		}
-	}
-	// Driver-local fallback.
-	var acc *T
-	for _, p := range accs {
-		if p == nil {
-			continue
-		}
-		if acc == nil {
-			v := *p
-			acc = &v
-		} else {
-			v := f(*acc, *p)
-			acc = &v
-		}
-	}
-	if acc == nil {
-		return zero, ErrEmptyRDD
-	}
-	return *acc, nil
-}

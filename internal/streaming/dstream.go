@@ -73,39 +73,6 @@ func (d *DStream[T]) forget(olderThan int) {
 // rememberDepth implements forgettable.
 func (d *DStream[T]) rememberDepth() int { return d.remember }
 
-// Map applies f to every event of every batch.
-func Map[T, U any](in *DStream[T], f func(T) U) *DStream[U] {
-	return newDStream(in.sc, func(b int) (*spark.RDD[U], error) {
-		r, err := in.getOrCompute(b)
-		if err != nil || r == nil {
-			return nil, err
-		}
-		return spark.Map(r, f), nil
-	})
-}
-
-// Filter keeps the events pred accepts.
-func Filter[T any](in *DStream[T], pred func(T) bool) *DStream[T] {
-	return newDStream(in.sc, func(b int) (*spark.RDD[T], error) {
-		r, err := in.getOrCompute(b)
-		if err != nil || r == nil {
-			return nil, err
-		}
-		return spark.Filter(r, pred), nil
-	})
-}
-
-// FlatMap expands every event into zero or more outputs.
-func FlatMap[T, U any](in *DStream[T], f func(T) []U) *DStream[U] {
-	return newDStream(in.sc, func(b int) (*spark.RDD[U], error) {
-		r, err := in.getOrCompute(b)
-		if err != nil || r == nil {
-			return nil, err
-		}
-		return spark.FlatMap(r, f), nil
-	})
-}
-
 // Union merges two streams batch-wise: batch b of the result is the
 // union of both parents' batch b (or whichever produced output).
 func Union[T any](a, b *DStream[T]) *DStream[T] {

@@ -69,10 +69,9 @@ type Config struct {
 	// MinRate floors the controller's estimate (events/sec, summed over
 	// receivers). Default 1000.
 	MinRate float64
-	// CheckpointInterval is how many batches of self-referencing state
-	// (UpdateStateByKey, inverse-reduced windows) may accumulate lineage
-	// before the state is materialized to the driver and rebuilt as
-	// pinned partitions. Default 5.
+	// CheckpointInterval is how many slides an inverse-reduced window's
+	// state may accumulate lineage before it is materialized to the driver
+	// and rebuilt as pinned partitions. Default 5.
 	CheckpointInterval int
 	// ProportionalGain/IntegralGain/DerivativeGain are the PID gains;
 	// zeros take Spark's defaults (1.0, 0.2, 0).
@@ -195,12 +194,6 @@ func NewContext(ctx *spark.Context, cfg Config) (*StreamingContext, error) {
 	}
 	return sc, nil
 }
-
-// Context returns the wrapped spark.Context.
-func (sc *StreamingContext) Context() *spark.Context { return sc.ctx }
-
-// BatchInterval returns the resolved batch interval.
-func (sc *StreamingContext) BatchInterval() time.Duration { return sc.cfg.BatchInterval }
 
 // Stats returns the per-batch records of every batch run so far.
 func (sc *StreamingContext) Stats() []BatchStat {

@@ -49,8 +49,9 @@ func sortPairs(ps []spark.Pair[int64, int64]) {
 }
 
 // TestPipelineMatchesExpected checks the per-batch path end to end:
-// receiver admission at an exact rate, Map/Filter, a shuffle reduce, and
-// the collected outputs against a pure-Go model of the same stream.
+// receiver admission at an exact rate, a shuffle reduce, and the collected
+// outputs against a pure-Go model of the same stream (a count of the even
+// events per key: odd events carry zero).
 func TestPipelineMatchesExpected(t *testing.T) {
 	cl := testCluster(t, spark.BackendVanilla)
 	sc, err := streaming.NewContext(cl.Ctx, streaming.Config{BatchInterval: testInterval})
@@ -59,17 +60,15 @@ func TestPipelineMatchesExpected(t *testing.T) {
 	}
 	const rate, nBatches, keys = 1_000_000, 6, 7 // 1000 events per batch exactly
 
-	in, _, err := streaming.Receive(sc, streaming.ReceiverConfig[int64]{
+	pairs, _, err := streaming.Receive(sc, streaming.ReceiverConfig[spark.Pair[int64, int64]]{
 		Rate: rate,
-		Gen:  func(seq int64) int64 { return seq },
+		Gen: func(seq int64) spark.Pair[int64, int64] {
+			return spark.Pair[int64, int64]{K: seq % keys, V: 1 - seq%2}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evens := streaming.Filter(in, func(v int64) bool { return v%2 == 0 })
-	pairs := streaming.Map(evens, func(v int64) spark.Pair[int64, int64] {
-		return spark.Pair[int64, int64]{K: v % keys, V: 1}
-	})
 	counts := streaming.ReduceByKey(pairs, int64Conf(4), func(a, b int64) int64 { return a + b })
 
 	got := make(map[int]map[int64]int64)
@@ -225,65 +224,6 @@ func TestWindowedResultsIdenticalAcrossTransports(t *testing.T) {
 	}
 }
 
-// TestUpdateStateByKey: running per-key totals must track a pure-Go
-// model every batch, surviving the CheckpointInterval=2 materializations.
-func TestUpdateStateByKey(t *testing.T) {
-	cl := testCluster(t, spark.BackendMPIOpt)
-	sc, err := streaming.NewContext(cl.Ctx, streaming.Config{
-		BatchInterval:      testInterval,
-		CheckpointInterval: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rate, nBatches, keys = 500_000, 9, 5 // 500 events per batch
-
-	in, _, err := streaming.Receive(sc, streaming.ReceiverConfig[int64]{
-		Rate: rate,
-		Gen:  func(seq int64) int64 { return seq },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := streaming.Map(in, func(v int64) spark.Pair[int64, int64] {
-		return spark.Pair[int64, int64]{K: v % keys, V: 1}
-	})
-	totals := streaming.UpdateStateByKey(pairs, int64Conf(4), spark.Int64Codec{},
-		func(_ int64, vals []int64, state int64, _ bool) (int64, bool) {
-			for _, v := range vals {
-				state += v
-			}
-			return state, true
-		})
-
-	want := make(map[int64]int64)
-	perBatch := int64(rate) * int64(testInterval) / int64(time.Second)
-	var seq int64
-	batches := 0
-	streaming.Foreach(totals, func(batch int, items []spark.Pair[int64, int64]) error {
-		batches++
-		for i := int64(0); i < perBatch; i++ {
-			want[seq%keys]++
-			seq++
-		}
-		if len(items) != len(want) {
-			return fmt.Errorf("batch %d: %d keys, want %d", batch, len(items), len(want))
-		}
-		for _, p := range items {
-			if want[p.K] != p.V {
-				return fmt.Errorf("batch %d key %d: total %d, want %d", batch, p.K, p.V, want[p.K])
-			}
-		}
-		return nil
-	})
-	if err := sc.Run(nBatches); err != nil {
-		t.Fatal(err)
-	}
-	if batches != nBatches {
-		t.Fatalf("output ran for %d batches, want %d", batches, nBatches)
-	}
-}
-
 // TestBackpressureCapsIngest drives the pipeline far past the cluster's
 // capacity with the PID controller on: ingest must be limited below
 // offer, with the difference accounted as receiver backlog, and a replay
@@ -299,16 +239,15 @@ func TestBackpressureCapsIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, h, err := streaming.Receive(sc, streaming.ReceiverConfig[int64]{
+		pairs, h, err := streaming.Receive(sc, streaming.ReceiverConfig[spark.Pair[int64, int64]]{
 			Rate: 200_000_000, // ~200k events/batch: far past capacity
-			Gen:  func(seq int64) int64 { return seq },
+			Gen: func(seq int64) spark.Pair[int64, int64] {
+				return spark.Pair[int64, int64]{K: seq % 64, V: 1}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs := streaming.Map(in, func(v int64) spark.Pair[int64, int64] {
-			return spark.Pair[int64, int64]{K: v % 64, V: 1}
-		})
 		counts := streaming.ReduceByKey(pairs, int64Conf(4), func(a, b int64) int64 { return a + b })
 		streaming.Foreach(counts, func(int, []spark.Pair[int64, int64]) error { return nil })
 

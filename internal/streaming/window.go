@@ -27,36 +27,6 @@ func (sc *StreamingContext) windowBatches(window, slide time.Duration) (wb, sb i
 	return int(window / itv), int(slide / itv), nil
 }
 
-// Window returns a stream producing, at every slide boundary, the union
-// of the parent's last `window` worth of batches. Between boundaries the
-// stream produces nil.
-func Window[T any](in *DStream[T], window, slide time.Duration) (*DStream[T], error) {
-	wb, sb, err := in.sc.windowBatches(window, slide)
-	if err != nil {
-		return nil, err
-	}
-	in.need(wb + 1)
-	return newDStream(in.sc, func(b int) (*spark.RDD[T], error) {
-		if (b+1)%sb != 0 {
-			return nil, nil
-		}
-		var parts []*spark.RDD[T]
-		for i := b - wb + 1; i <= b; i++ {
-			r, err := in.getOrCompute(i)
-			if err != nil {
-				return nil, err
-			}
-			if r != nil {
-				parts = append(parts, r)
-			}
-		}
-		if len(parts) == 0 {
-			return nil, nil
-		}
-		return spark.UnionAll(parts...), nil
-	}), nil
-}
-
 // sv is the add/subtract cell incremental windowed reduction shuffles:
 // contributions entering the window merge into Add, contributions
 // leaving it merge into Sub, and the new window value is
@@ -246,127 +216,6 @@ func ReduceByKeyAndWindow[K comparable, V any](
 	})
 	out.need(sb + 1) // the incremental path reads its own b-sb window
 	return out, nil
-}
-
-// stateOrVal is the tagged union UpdateStateByKey shuffles: either one
-// batch value or the key's carried state.
-type stateOrVal[V, S any] struct {
-	V       V
-	S       S
-	IsState bool
-}
-
-type sovCodec[V, S any] struct {
-	val   spark.Codec[V]
-	state spark.Codec[S]
-}
-
-func (c sovCodec[V, S]) Encode(buf *bytebuf.Buf, x stateOrVal[V, S]) {
-	if x.IsState {
-		buf.WriteByte(1)
-		c.state.Encode(buf, x.S)
-	} else {
-		buf.WriteByte(0)
-		c.val.Encode(buf, x.V)
-	}
-}
-
-func (c sovCodec[V, S]) Decode(buf *bytebuf.Buf) (stateOrVal[V, S], error) {
-	flag, err := buf.ReadByte()
-	if err != nil {
-		return stateOrVal[V, S]{}, err
-	}
-	var x stateOrVal[V, S]
-	if flag != 0 {
-		x.IsState = true
-		x.S, err = c.state.Decode(buf)
-	} else {
-		x.V, err = c.val.Decode(buf)
-	}
-	return x, err
-}
-
-// UpdateStateByKey carries arbitrary per-key state across batches: each
-// batch, every key with new values or existing state is handed to
-// update, which returns the new state and whether to keep the key.
-// State flows batch-to-batch through the shuffle path (the previous
-// state RDD unions with the batch's input and is grouped by key), and
-// every CheckpointInterval batches the state is materialized to the
-// driver and rebuilt as pinned partitions to cut the lineage chain.
-//
-// update receives the key, the batch's new values (in deterministic
-// map-then-record order), and the prior state (hasState false on first
-// sight of a key).
-func UpdateStateByKey[K comparable, V, S any](
-	in *DStream[spark.Pair[K, V]],
-	conf spark.ShuffleConf[K, V],
-	stateCodec spark.Codec[S],
-	update func(k K, vals []V, state S, hasState bool) (S, bool),
-) *DStream[spark.Pair[K, S]] {
-	sc := in.sc
-	sovConf := spark.ShuffleConf[K, stateOrVal[V, S]]{
-		Codec: spark.PairCodec[K, stateOrVal[V, S]]{
-			Key: conf.Codec.Key,
-			Val: sovCodec[V, S]{val: conf.Codec.Val, state: stateCodec},
-		},
-		Ops:   conf.Ops,
-		Parts: conf.Parts,
-	}
-	stateConf := spark.ShuffleConf[K, S]{
-		Codec: spark.PairCodec[K, S]{Key: conf.Codec.Key, Val: stateCodec},
-		Ops:   conf.Ops,
-		Parts: conf.Parts,
-	}
-
-	var out *DStream[spark.Pair[K, S]]
-	out = newDStream(sc, func(b int) (*spark.RDD[spark.Pair[K, S]], error) {
-		prev, err := out.getOrCompute(b - 1)
-		if err != nil {
-			return nil, err
-		}
-		inRDD, err := in.getOrCompute(b)
-		if err != nil {
-			return nil, err
-		}
-		var parts []*spark.RDD[spark.Pair[K, stateOrVal[V, S]]]
-		if prev != nil {
-			parts = append(parts, spark.Map(prev, func(p spark.Pair[K, S]) spark.Pair[K, stateOrVal[V, S]] {
-				return spark.Pair[K, stateOrVal[V, S]]{K: p.K, V: stateOrVal[V, S]{S: p.V, IsState: true}}
-			}))
-		}
-		if inRDD != nil {
-			parts = append(parts, spark.Map(inRDD, func(p spark.Pair[K, V]) spark.Pair[K, stateOrVal[V, S]] {
-				return spark.Pair[K, stateOrVal[V, S]]{K: p.K, V: stateOrVal[V, S]{V: p.V}}
-			}))
-		}
-		if len(parts) == 0 {
-			return nil, nil
-		}
-		grouped := spark.GroupByKey(spark.UnionAll(parts...), sovConf)
-		result := spark.FlatMap(grouped, func(p spark.Pair[K, []stateOrVal[V, S]]) []spark.Pair[K, S] {
-			var state S
-			hasState := false
-			vals := make([]V, 0, len(p.V))
-			for _, x := range p.V {
-				if x.IsState {
-					state, hasState = x.S, true
-				} else {
-					vals = append(vals, x.V)
-				}
-			}
-			s, keep := update(p.K, vals, state, hasState)
-			if !keep {
-				return nil
-			}
-			return []spark.Pair[K, S]{{K: p.K, V: s}}
-		})
-		if (b+1)%sc.cfg.CheckpointInterval == 0 {
-			return checkpointPairs(sc.ctx, result, stateConf)
-		}
-		return result.Cache(), nil
-	})
-	out.need(2) // reads its own previous batch
-	return out
 }
 
 // checkpointPairs materializes a pair RDD to the driver and rebuilds it

@@ -53,13 +53,6 @@ type Clock struct {
 	now atomic.Int64
 }
 
-// NewClock returns a clock initialized to the given stamp.
-func NewClock(at Stamp) *Clock {
-	c := &Clock{}
-	c.now.Store(int64(at))
-	return c
-}
-
 // Now returns the current virtual time.
 func (c *Clock) Now() Stamp { return Stamp(c.now.Load()) }
 
@@ -190,22 +183,4 @@ func (r *Resource) coalesce(idx int) {
 		r.busy[1].start = r.busy[0].start
 		r.busy = r.busy[1:]
 	}
-}
-
-// FreeAt reports when the resource's last reserved interval ends.
-func (r *Resource) FreeAt() Stamp {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.busy) == 0 {
-		return 0
-	}
-	return r.busy[len(r.busy)-1].end
-}
-
-// Reset returns the resource to the epoch. Intended for reusing fixtures in
-// tests and benchmarks.
-func (r *Resource) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.busy, r.arr = nil, nil
 }

@@ -48,8 +48,19 @@ func TestClockObserveForwardOnly(t *testing.T) {
 	}
 }
 
+// freeAt reports when the resource's last reserved interval ends.
+func freeAt(r *Resource) Stamp {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.busy) == 0 {
+		return 0
+	}
+	return r.busy[len(r.busy)-1].end
+}
+
 func TestObserveAndAdvance(t *testing.T) {
-	c := NewClock(10)
+	var c Clock
+	c.Observe(10)
 	got := c.ObserveAndAdvance(40, 5*time.Nanosecond)
 	if got != 45 {
 		t.Fatalf("ObserveAndAdvance = %v, want 45", got)
@@ -121,15 +132,6 @@ func TestResourceNegativeDuration(t *testing.T) {
 	}
 }
 
-func TestResourceReset(t *testing.T) {
-	r := NewResource()
-	r.Occupy(0, time.Hour)
-	r.Reset()
-	if got := r.FreeAt(); got != 0 {
-		t.Fatalf("after Reset, FreeAt = %v", got)
-	}
-}
-
 // Property: total occupancy equals the sum of durations when all requests
 // are ready at the epoch (no idle gaps).
 func TestResourceConservationProperty(t *testing.T) {
@@ -140,7 +142,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			r.Occupy(0, time.Duration(d))
 			sum += Stamp(d)
 		}
-		return r.FreeAt() == sum
+		return freeAt(r) == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -198,8 +200,8 @@ func TestResourceBackfill(t *testing.T) {
 	if s != 110 || e != 190 {
 		t.Fatalf("non-fitting Occupy = [%v,%v], want [110,190]", s, e)
 	}
-	if r.FreeAt() != 190 {
-		t.Fatalf("FreeAt = %v", r.FreeAt())
+	if freeAt(r) != 190 {
+		t.Fatalf("FreeAt = %v", freeAt(r))
 	}
 }
 
