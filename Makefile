@@ -60,6 +60,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDeserializeOutputs$$' -fuzztime 5s ./internal/spark/shuffle/
 	go test -run '^$$' -fuzz '^FuzzDecodePairs$$' -fuzztime 5s ./internal/spark/
 	go test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/bytebuf/
+	go test -run '^$$' -fuzz '^FuzzChunkFold$$' -fuzztime 5s ./internal/bytebuf/
 	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 5s ./internal/ucr/
 
 # Tests that were order-dependent once (the MPI launcher's executor order):

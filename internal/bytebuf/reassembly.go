@@ -11,16 +11,16 @@ var ErrMalformedChunk = errors.New("malformed chunk")
 
 // Reassembly puts a multi-part body back together: a fetched block from the
 // chunks it was served in, an MPI-Optimized body from its eager-sized pieces,
-// a collective transfer from its chunks. It is the only code that does, and
-// Fold the only code that checks a chunk against its block. Message bodies
-// cross the simulated wire by reference, so the parts of one body normally
-// arrive as consecutive windows of the sender's buffer: the first part is
-// adopted, and each part that starts where the last one ended only
-// lengthens the slice. Nothing is copied and the result aliases the sent
-// body, as a single-part body always has. A part from anywhere else (a fault
-// plane's corrupted copy) moves the body into a buffer of its own, exactly
-// the body's size; memory behind an adopted part is never written. The zero
-// value is ready for use.
+// a collective transfer from its chunks (each carved by Carve). It is the
+// only code that does, and Fold the only code that checks a chunk against
+// its block. Message bodies cross the simulated wire by reference, so the
+// parts of one body normally arrive as consecutive windows of the sender's
+// buffer: the first part is adopted, and each part that starts where the
+// last one ended only lengthens the slice. Nothing is copied and the result
+// aliases the sent body, as a single-part body always has. A part from
+// anywhere else (a fault plane's corrupted copy) moves the body into a
+// buffer of its own, exactly the body's size; memory behind an adopted part
+// is never written. The zero value is ready for use.
 type Reassembly struct {
 	data    []byte
 	owned   bool   // data is this value's own buffer, not an adopted window
@@ -64,6 +64,19 @@ func (r *Reassembly) Fold(offset, total uint64, chunk []byte) (done bool, err er
 	r.Add(chunk, total)
 	r.total, r.started = total, true
 	return uint64(len(r.data)) == total, nil
+}
+
+// Carve is the mirror of Fold, and the only code that cuts a body into
+// chunks: served span bytes at a time, a size-byte body is n = ⌈size/span⌉
+// windows, each span bytes but the last. An empty body is one empty window,
+// so that the receiver still learns its size, and a span below one leaves
+// the body whole. Carve returns n and the bounds [lo, hi) of window i.
+func Carve(size, span, i int) (n, lo, hi int) {
+	if span < 1 || size <= span {
+		return 1, 0, size
+	}
+	lo = i * span
+	return (size + span - 1) / span, lo, min(lo+span, size)
 }
 
 // Bytes returns the parts added so far as one slice, read-only like the

@@ -162,6 +162,56 @@ func TestReassemblyFold(t *testing.T) {
 	}
 }
 
+// FuzzChunkFold carves a body with Carve and folds the windows back with
+// Fold, replaying earlier windows where the script says, as a duplicated
+// delivery would. Whatever the length (zero included), span and replays, the
+// body is max(1, ⌈len/span⌉) windows (one for a span below one), each starts
+// where the last ended, and the fold completes on the last one with the body
+// itself, adopted without a copy; a replay changes nothing.
+func FuzzChunkFold(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size, span uint16, replays []byte) {
+		n, sp := int(size%4096), int(span%1024)
+		body := pattern(n)
+		want := 1
+		if sp > 0 && n > sp {
+			want = (n + sp - 1) / sp
+		}
+		count, _, _ := Carve(n, sp, 0)
+		if count != want {
+			t.Fatalf("%d bytes at span %d carve into %d windows, want %d", n, sp, count, want)
+		}
+		var r Reassembly
+		next := 0 // where window i must start
+		for i := 0; i < count; i++ {
+			c, lo, hi := Carve(n, sp, i)
+			if c != count || lo != next || hi < lo || hi > n || (sp > 0 && hi-lo > sp) || (hi == lo && n > 0) {
+				t.Fatalf("window %d of %d (count %d) is [%d, %d) of %d bytes at span %d, want it to start at %d",
+					i, count, c, lo, hi, n, sp, next)
+			}
+			next = hi
+			done, err := r.Fold(uint64(lo), uint64(n), body[lo:hi])
+			if err != nil || done != (i == count-1) {
+				t.Fatalf("window %d of %d: Fold = (%v, %v)", i, count, done, err)
+			}
+			if done || len(replays) == 0 || replays[i%len(replays)]&1 == 0 {
+				continue
+			}
+			j := int(replays[i%len(replays)]>>1) % (i + 1)
+			_, jlo, jhi := Carve(n, sp, j)
+			if d, err := r.Fold(uint64(jlo), uint64(n), body[jlo:jhi]); d || err != nil || len(r.Bytes()) != hi {
+				t.Fatalf("replay of window %d after %d: Fold = (%v, %v), %d bytes folded", j, i, d, err, len(r.Bytes()))
+			}
+		}
+		got := r.Bytes()
+		if next != n || !bytes.Equal(got, body) {
+			t.Fatalf("folded %d bytes of %d, windows end at %d", len(got), n, next)
+		}
+		if n > 0 && &got[0] != &body[0] {
+			t.Fatal("the fold copied the windows instead of adopting them")
+		}
+	})
+}
+
 // FuzzReassembly folds a random chunk sequence cut from a served block: next
 // windows, copies of them, replays and gaps, and chunks announcing another
 // total. Whatever the sequence, Fold must not panic, must never write the

@@ -19,9 +19,9 @@ import (
 // Default knobs.
 const (
 	// DefaultChunkBytes bounds one collective chunk (the pipelining
-	// granularity of the chain broadcast and the ring steps). The
-	// MPI-Optimized launcher caps it at the MPI eager threshold so every
-	// chunk avoids the rendezvous handshake.
+	// granularity of the chain broadcast and the ring steps) on every
+	// transport: the MPI-Optimized one splits each chunk's body into
+	// eager-sized MPI pieces itself.
 	DefaultChunkBytes = 1 << 20
 	// DefaultSmallLimit is the payload size at or below which broadcast
 	// and allreduce use single-message binomial trees (latency-optimal)
@@ -243,16 +243,6 @@ func (g *Group) chunkSpan(align int) int {
 	return cb
 }
 
-// chunkCount returns how many chunks a total-byte transfer takes (at
-// least one: a zero-byte transfer still sends one header-only chunk so
-// the receiver learns the size).
-func chunkCount(total, span int) int {
-	if total <= 0 {
-		return 1
-	}
-	return (total + span - 1) / span
-}
-
 // sendChunk ships one chunk, charging SendCost on the rank's send clock.
 func (g *Group) sendChunk(rank, dst int, op int64, tag uint32, total, offset int, body []byte, at vtime.Stamp, chunks *metrics.Counter) (vtime.Stamp, error) {
 	st := g.members[rank]
@@ -269,19 +259,15 @@ func (g *Group) sendChunk(rank, dst int, op int64, tag uint32, total, offset int
 	return svt, nil
 }
 
-// sendRange streams data[lo:hi] to dst as chunks tagged tagBase|i.
-func (g *Group) sendRange(rank, dst int, op int64, tagBase uint32, data []byte, lo, hi, span int, at vtime.Stamp, chunks *metrics.Counter) (vtime.Stamp, error) {
-	total := hi - lo
-	nc := chunkCount(total, span)
+// sendRange streams data to dst as the chunks bytebuf.Carve cuts it into,
+// chunk i tagged tagBase|i.
+func (g *Group) sendRange(rank, dst int, op int64, tagBase uint32, data []byte, span int, at vtime.Stamp, chunks *metrics.Counter) (vtime.Stamp, error) {
+	n, _, _ := bytebuf.Carve(len(data), span, 0)
 	vt := at
-	for i := 0; i < nc; i++ {
-		clo := lo + i*span
-		chi := clo + span
-		if chi > hi {
-			chi = hi
-		}
+	for i := 0; i < n; i++ {
+		_, lo, hi := bytebuf.Carve(len(data), span, i)
 		var err error
-		vt, err = g.sendChunk(rank, dst, op, tagBase|uint32(i), total, clo-lo, data[clo:chi], vt, chunks)
+		vt, err = g.sendChunk(rank, dst, op, tagBase|uint32(i), len(data), lo, data[lo:hi], vt, chunks)
 		if err != nil {
 			return vt, err
 		}
@@ -299,9 +285,9 @@ func (g *Group) combineCost(n int) time.Duration {
 // completion time.
 func (g *Group) recvRange(rank int, op int64, tagBase uint32, dst []byte, lo, hi, span int, rop *ReduceOp, at vtime.Stamp) (vtime.Stamp, error) {
 	st := g.members[rank]
-	nc := chunkCount(hi-lo, span)
+	n, _, _ := bytebuf.Carve(hi-lo, span, 0)
 	vt := at
-	for i := 0; i < nc; i++ {
+	for i := 0; i < n; i++ {
 		d, err := st.recv(op, tagBase|uint32(i))
 		if err != nil {
 			return vt, err
@@ -391,7 +377,7 @@ func (g *Group) bcast(op int64, rank, root int, data []byte, tagBit uint32, chun
 			}
 		} else {
 			var err error
-			vt, err = g.sendRange(rank, realRank(1, root, n), op, tagBit, data, 0, total, span, vt, chunks)
+			vt, err = g.sendRange(rank, realRank(1, root, n), op, tagBit, data, span, vt, chunks)
 			if err != nil {
 				return nil, vt, err
 			}
@@ -478,7 +464,7 @@ func (g *Group) reduce(op int64, rank, root int, data []byte, rop ReduceOp, tagB
 			// This rank's subtree is folded: ship the accumulator up.
 			parent := realRank(vr-mask, root, n)
 			var err error
-			vt, err = g.sendRange(rank, parent, op, tagBase, acc, 0, len(acc), span, vt, chunks)
+			vt, err = g.sendRange(rank, parent, op, tagBase, acc, span, vt, chunks)
 			if err != nil {
 				return nil, vt, err
 			}
@@ -567,7 +553,7 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 		slo, shi := segBounds(L, n, rop.Align, sendSeg)
 		seg := append([]byte(nil), work[slo:shi]...)
 		var err error
-		vt, err = g.sendRange(rank, right, op, tagBase, seg, 0, len(seg), span, vt, chunks)
+		vt, err = g.sendRange(rank, right, op, tagBase, seg, span, vt, chunks)
 		if err != nil {
 			return nil, vt, err
 		}
@@ -584,7 +570,7 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 		slo, shi := segBounds(L, n, rop.Align, sendSeg)
 		seg := append([]byte(nil), work[slo:shi]...)
 		var err error
-		vt, err = g.sendRange(rank, right, op, tagBase, seg, 0, len(seg), span, vt, chunks)
+		vt, err = g.sendRange(rank, right, op, tagBase, seg, span, vt, chunks)
 		if err != nil {
 			return nil, vt, err
 		}

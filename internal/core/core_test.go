@@ -177,29 +177,6 @@ func TestOptimizedDesignSplitsHeaderAndBody(t *testing.T) {
 	}
 }
 
-func TestOptimizedStreamResponseViaMPI(t *testing.T) {
-	e0, e1, f := twoProcEnvs(t, DesignOptimized)
-	jar := make([]byte, 128<<10)
-	e1.RegisterStreamResolver(func(id string) ([]byte, bool) {
-		if id == "jar:app" {
-			return jar, true
-		}
-		return nil, false
-	})
-	f.ResetStats()
-	data, _, err := e0.FetchStream(e1.Addr(), "jar:app", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != len(jar) {
-		t.Fatalf("len = %d", len(data))
-	}
-	mpiBytes := f.Stats().BytesFor(fabric.MPIRendezvous) + f.Stats().BytesFor(fabric.MPIEager)
-	if mpiBytes < int64(len(jar)) {
-		t.Fatal("stream body did not travel over MPI")
-	}
-}
-
 func TestOptimizedRPCControlStaysOnSocket(t *testing.T) {
 	e0, e1, f := twoProcEnvs(t, DesignOptimized)
 	if err := e1.RegisterEndpoint("E", func(c *rpc.Call) { c.Reply([]byte("ok"), c.VT) }); err != nil {
@@ -500,7 +477,6 @@ func TestBodyMessageRoundTripOptimized(t *testing.T) {
 	const thr = mpi.DefaultEagerThreshold
 	msgs := []rpc.BodyMessage{
 		&rpc.ChunkFetchSuccess{FetchID: 7, Index: 3, Missing: true, Total: 1 << 40, Offset: 5},
-		&rpc.StreamResponse{StreamID: "jar:app.jar"},
 		&rpc.CollectiveChunk{OpID: 9, Tag: 1<<20 | 3, Src: 2, Total: 99, Offset: 11},
 		&rpc.PushBlockRequest{PushID: 5, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef},
 	}

@@ -10,9 +10,10 @@
 //     loop runs a non-blocking select plus MPI_Iprobe poll (§IV-D), which
 //     burns CPU and starves compute — modeled by a compute inflation
 //     factor on co-located executors;
-//   - MPI4Spark-Optimized: only shuffle-path bodies (ChunkFetchSuccess,
-//     StreamResponse) travel over MPI; their headers stay on the socket and
-//     trigger the matching MPI_Recv in a channel handler (§IV-E);
+//   - MPI4Spark-Optimized: only block-path bodies (ChunkFetchSuccess,
+//     PushBlockRequest, CollectiveChunk) travel over MPI; their headers stay
+//     on the socket and trigger the matching MPI_Recv in a channel handler
+//     (§IV-E);
 //   - launching (Fig. 3): SPMD wrapper ranks fork Spark roles, workers
 //     exchange executor specs with MPI_Allgather, and executors are spawned
 //     with MPI_Comm_spawn_multiple, communicating over DPM_COMM and the

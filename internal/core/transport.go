@@ -338,12 +338,11 @@ func pieced(m rpc.BodyMessage) bool {
 		// the same number of receives.
 		return true
 	default:
-		// Fetch and stream replies (ChunkFetchSuccess, StreamResponse) go
-		// body first as one eager or rendezvous message, the header
-		// following on the socket to trigger the matching MPI_Recv (§IV-E,
-		// Fig. 6). This is the shuffle read the paper measures; sending it
-		// pieced as well would move MPI-Opt's modelled time, which makes it
-		// an experiment and not a cleanup.
+		// Fetch replies (ChunkFetchSuccess) go body first as one eager or
+		// rendezvous message, the header following on the socket to trigger
+		// the matching MPI_Recv (§IV-E, Fig. 6). This is the shuffle read
+		// the paper measures; sending it pieced as well would move MPI-Opt's
+		// modelled time, which makes it an experiment and not a cleanup.
 		return false
 	}
 }
@@ -374,8 +373,10 @@ func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 	vt := ctx.VT() // before the header goes out: ctx.Write advances it
 	ctx.Write(head)
 	thr := r.h.EagerThreshold()
-	for off := 0; off < len(body); off += thr {
-		vt = r.h.Isend(r.rank, tag, body[off:min(off+thr, len(body))], vt).Wait(vt)
+	n, _, _ := bytebuf.Carve(len(body), thr, 0)
+	for i := 0; i < n; i++ {
+		_, lo, hi := bytebuf.Carve(len(body), thr, i)
+		vt = r.h.Isend(r.rank, tag, body[lo:hi], vt).Wait(vt)
 	}
 }
 
@@ -396,8 +397,7 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 	size, tag := m.Ref().BodySize, m.Ref().BodyTag
 	pieces := 1
 	if pieced(m) {
-		thr := r.h.EagerThreshold()
-		pieces = (size + thr - 1) / thr
+		pieces, _, _ = bytebuf.Carve(size, r.h.EagerThreshold(), 0)
 	}
 	// A body that arrives as one message is handed on as received, capacity
 	// and all, so a fetch reply's reassembly can adopt the next chunk behind

@@ -15,10 +15,6 @@ type MLConfig struct {
 	Iterations int
 	StepSize   float64
 	Seed       int64
-	// Branches is retained for configuration compatibility; gradient
-	// aggregation now rides the collective reduce/allreduce layer, whose
-	// topology is executor-count-driven rather than shuffle-width-driven.
-	Branches int
 }
 
 func (c *MLConfig) defaults() {
@@ -37,9 +33,6 @@ func (c *MLConfig) defaults() {
 	if c.StepSize <= 0 {
 		c.StepSize = 0.1
 	}
-	if c.Branches < 1 {
-		c.Branches = c.Parts/4 + 1
-	}
 }
 
 // RunSVM trains a linear SVM with hinge-loss gradient descent
@@ -56,7 +49,8 @@ func RunSVM(ctx *spark.Context, cfg MLConfig) (*Result, error) {
 		var loss float64
 		for it := 0; it < cfg.Iterations; it++ {
 			// Ship the model to the executors as a broadcast, like MLlib:
-			// the weight vector crosses the stream path once per executor.
+			// the weight vector rides the collective broadcast, seeded to
+			// every executor once.
 			wb := spark.NewBroadcast(ctx, append([]float64(nil), w...), 8*cfg.Dim)
 			grad, err := treeAggregate(points, cfg.Dim+1, func(part int, tc *spark.TaskContext, items []LabeledPoint) []float64 {
 				weights := wb.Value(tc)
@@ -137,8 +131,6 @@ type GMMConfig struct {
 	K          int
 	Iterations int
 	Seed       int64
-	// Branches is retained for configuration compatibility (see MLConfig).
-	Branches int
 }
 
 func (c *GMMConfig) defaults() {
@@ -156,9 +148,6 @@ func (c *GMMConfig) defaults() {
 	}
 	if c.Iterations < 1 {
 		c.Iterations = 3
-	}
-	if c.Branches < 1 {
-		c.Branches = c.Parts/4 + 1
 	}
 }
 

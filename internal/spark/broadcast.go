@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mpi4spark/internal/collective"
+	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/spark/storage"
 	"mpi4spark/internal/vtime"
 )
@@ -25,8 +26,9 @@ const broadcastDropCost = time.Microsecond
 // time through the collective broadcast (binomial tree for small blobs, a
 // pipelined chunk chain for large ones), so the driver's link carries the
 // blob once instead of once per executor. Executors that join later — a
-// replacement after an ExecutorLost — fall back to a lazy stream fetch
-// from the driver on first use.
+// replacement after an ExecutorLost — pull it from the driver's block
+// server on first use, as TorrentBroadcast reads its pieces through the
+// block transfer service.
 type Broadcast[T any] struct {
 	id    int64
 	ctx   *Context
@@ -41,7 +43,7 @@ var broadcastSeq atomic.Int64
 type broadcastState struct {
 	mu    sync.Mutex
 	blobs map[string][]byte
-	// fetched[execID][streamID] records the executor-local cache arrival
+	// fetched[execID][blockID] records the executor-local cache arrival
 	// time; later reads on that executor are free.
 	fetched   map[string]map[string]vtime.Stamp
 	destroyed map[string]bool
@@ -56,14 +58,32 @@ func (c *Context) broadcasts() *broadcastState {
 			fetched:   make(map[string]map[string]vtime.Stamp),
 			destroyed: make(map[string]bool),
 		}
-		c.driver.RegisterStreamResolver(func(streamID string) ([]byte, bool) {
+		// The driver serves its blobs as blocks, to late joiners' fetches.
+		c.driver.RegisterChunkResolver(func(id string) ([]byte, bool) {
 			c.bcast.mu.Lock()
 			defer c.bcast.mu.Unlock()
-			b, ok := c.bcast.blobs[streamID]
+			b, ok := c.bcast.blobs[id]
 			return b, ok
 		})
 	}
 	return c.bcast
+}
+
+// keep stores executor e's copy of broadcast id, arrived at vt, in its block
+// manager, where Destroy's invalidation and the byte accounting see it, and
+// records the arrival for later reads (the earliest of racing pulls wins).
+func (st *broadcastState) keep(e *Executor, id string, blob []byte, vt vtime.Stamp) {
+	e.bm.Put(storage.BlockID(id), blob)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	cache := st.fetched[e.id]
+	if cache == nil {
+		cache = make(map[string]vtime.Stamp)
+		st.fetched[e.id] = cache
+	}
+	if prev, ok := cache[id]; !ok || vt < prev {
+		cache[id] = vt
+	}
 }
 
 // NewBroadcast registers value with the driver for distribution and seeds
@@ -79,9 +99,9 @@ func NewBroadcast[T any](ctx *Context, value T, serializedSize int) *Broadcast[T
 	st := ctx.broadcasts()
 	blob := make([]byte, serializedSize)
 	st.mu.Lock()
-	st.blobs[b.streamID()] = blob
+	st.blobs[b.blockID()] = blob
 	st.mu.Unlock()
-	ctx.seedBroadcast(b.streamID(), blob)
+	ctx.seedBroadcast(b.blockID(), blob)
 	return b
 }
 
@@ -91,7 +111,7 @@ func NewBroadcast[T any](ctx *Context, value T, serializedSize int) *Broadcast[T
 // (read-only, and possibly the driver's blob itself: bodies cross by
 // reference) in its block manager, so its bytes are accounted there. A
 // failed seed (an executor dying mid-broadcast) leaves the lazy
-// per-executor stream fetch as the path of record.
+// per-executor pull in Value as the path of record.
 func (c *Context) seedBroadcast(sid string, blob []byte) {
 	group, execs := c.collectiveGroup()
 	if group.Size() < 2 {
@@ -107,21 +127,11 @@ func (c *Context) seedBroadcast(sid string, blob []byte) {
 			driverDone = vt
 			return err
 		}
-		e := execs[rank-1]
 		out, vt, err := group.Bcast(op, rank, 0, nil, at)
-		if err != nil {
-			return err
+		if err == nil {
+			st.keep(execs[rank-1], sid, out, vt)
 		}
-		e.bm.Put(storage.BlockID(sid), out)
-		st.mu.Lock()
-		cache := st.fetched[e.id]
-		if cache == nil {
-			cache = make(map[string]vtime.Stamp)
-			st.fetched[e.id] = cache
-		}
-		cache[sid] = vt
-		st.mu.Unlock()
-		return nil
+		return err
 	})
 	if err != nil {
 		return
@@ -129,15 +139,15 @@ func (c *Context) seedBroadcast(sid string, blob []byte) {
 	c.AdvanceClock(driverDone)
 }
 
-func (b *Broadcast[T]) streamID() string { return fmt.Sprintf("broadcast_%d", b.id) }
+func (b *Broadcast[T]) blockID() string { return fmt.Sprintf("broadcast_%d", b.id) }
 
 // Value fetches (on seed-miss first use per executor) and returns the
 // broadcast value inside a task. Executors seeded at creation time hit
-// their local cache; a later joiner pays one stream transfer from the
-// driver. Value panics if the broadcast was destroyed.
+// their local cache; a later joiner pays one block fetch from the driver.
+// Value panics if the broadcast was destroyed.
 func (b *Broadcast[T]) Value(tc *TaskContext) T {
 	st := b.ctx.broadcasts()
-	sid := b.streamID()
+	sid := b.blockID()
 	st.mu.Lock()
 	dead := st.destroyed[sid]
 	st.mu.Unlock()
@@ -150,28 +160,21 @@ func (b *Broadcast[T]) Value(tc *TaskContext) T {
 	}
 
 	st.mu.Lock()
-	cache := st.fetched[e.id]
-	if cache == nil {
-		cache = make(map[string]vtime.Stamp)
-		st.fetched[e.id] = cache
-	}
-	arrival, ok := cache[sid]
+	arrival, ok := st.fetched[e.id][sid]
 	st.mu.Unlock()
-
 	if ok {
 		tc.Observe(arrival)
 		return b.value
 	}
-	// Fetch over the stream path; concurrent first-touchers may fetch
-	// twice, like TorrentBroadcast's racy-but-idempotent pulls.
-	_, vt, err := e.env.FetchStream(b.ctx.driver.Addr(), sid, tc.vt)
-	if err == nil {
-		tc.Observe(vt)
-		st.mu.Lock()
-		if prev, dup := cache[sid]; !dup || vt < prev {
-			cache[sid] = vt
-		}
-		st.mu.Unlock()
+	// A ChunkFetch of one block at the executor's shuffle chunk size, so on
+	// MPI-Opt it crosses in eager-sized chunks like any other fetch.
+	// Concurrent first-touchers may pull twice, like TorrentBroadcast's
+	// racy-but-idempotent pulls.
+	metrics.GetCounter("shuffle.fetch.requests").Inc()
+	rs, _, err := e.env.FetchBlockBatch(b.ctx.driver.Addr(), []string{sid}, e.sm.ChunkBytes, tc.vt)
+	if err == nil && rs[0].Err == nil {
+		tc.Observe(rs[0].VT)
+		st.keep(e, sid, rs[0].Data, rs[0].VT)
 	}
 	return b.value
 }
@@ -182,7 +185,7 @@ func (b *Broadcast[T]) Value(tc *TaskContext) T {
 // destroy semantics.
 func (b *Broadcast[T]) Destroy() {
 	st := b.ctx.broadcasts()
-	sid := b.streamID()
+	sid := b.blockID()
 	st.mu.Lock()
 	if st.destroyed[sid] {
 		st.mu.Unlock()

@@ -45,9 +45,8 @@ func TestUnvariedConstantsPinned(t *testing.T) {
 				if e.sm.ChunkBytes != 1<<20 {
 					t.Errorf("%s: ChunkBytes = %d, want 1 MiB", e.id, e.sm.ChunkBytes)
 				}
-				if e.sm.BreakerThreshold != 12 || e.sm.RetryBudget != 24 {
-					t.Errorf("%s: breaker threshold/budget = %d/%d, want 12/24",
-						e.id, e.sm.BreakerThreshold, e.sm.RetryBudget)
+				if e.sm.BreakerThreshold != 12 {
+					t.Errorf("%s: breaker threshold = %d, want 12", e.id, e.sm.BreakerThreshold)
 				}
 				if e.sm.BreakerCooldown != 0 {
 					t.Errorf("%s: BreakerCooldown = %v, want 0 (the manager's 5ms default)",

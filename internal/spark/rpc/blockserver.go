@@ -12,17 +12,13 @@ import (
 
 // The block server half of an Env: the resolver-backed serving of
 // ChunkFetchRequest (serve queue, chunk pump), the client-side reassembly
-// behind FetchBlockBatch, pushed blocks, and streams. All of it is charged
-// on the environment's stream-manager occupancy (Env.chunkEngine).
+// behind FetchBlockBatch, and pushed blocks. All of it is charged on the
+// environment's stream-manager occupancy (Env.chunkEngine).
 
 // fetchChunks counts every chunk folded into a fetch, one per ChunkFetchSuccess:
 // a handle, so the per-message path neither locks the registry nor hashes
 // the name.
 var fetchChunks = metrics.GetCounter("shuffle.fetch.chunks")
-
-// DefaultBatchChunkBytes bounds a ChunkFetchSuccess body when the requester
-// does not specify a chunk size.
-const DefaultBatchChunkBytes = 1 << 20
 
 // chanPeers returns the local and remote node names of ch's connection,
 // for fault-plane link matching ("" when unknown).
@@ -55,7 +51,7 @@ type batchServe struct {
 	bodies     [][]byte
 	found      []bool
 	cur        int // next block index
-	off        int // offset within the current block
+	chunk      int // next chunk of the current block (bytebuf.Carve)
 	vt         vtime.Stamp
 }
 
@@ -76,12 +72,8 @@ func (e *Env) serveBatch(ch *netty.Channel, m *ChunkFetchRequest, vt vtime.Stamp
 	e.mu.Lock()
 	resolver := e.chunkResolver
 	e.mu.Unlock()
-	chunkBytes := int(m.ChunkBytes)
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultBatchChunkBytes
-	}
 	b := &batchServe{
-		ch: ch, id: m.FetchID, chunkBytes: chunkBytes,
+		ch: ch, id: m.FetchID, chunkBytes: int(m.ChunkBytes),
 		bodies: make([][]byte, len(m.BlockIDs)),
 		found:  make([]bool, len(m.BlockIDs)),
 		vt:     vt,
@@ -150,27 +142,16 @@ func (e *Env) servePump() {
 func (e *Env) serveNextChunk(b *batchServe) bool {
 	i := b.cur
 	_, svt := e.chunkEngine.Occupy(b.vt, e.cfg.ChunkServeCost)
-	if !b.found[i] {
-		b.ch.Write(&ChunkFetchSuccess{FetchID: b.id, Index: uint32(i), Missing: true}, svt)
-		b.cur++
-		b.off = 0
-		return b.cur < len(b.bodies)
+	m, n := &ChunkFetchSuccess{FetchID: b.id, Index: uint32(i), Missing: !b.found[i]}, 1
+	if b.found[i] {
+		body := b.bodies[i]
+		var lo, hi int
+		n, lo, hi = bytebuf.Carve(len(body), b.chunkBytes, b.chunk)
+		m.Total, m.Offset, m.Body = uint64(len(body)), uint64(lo), body[lo:hi]
 	}
-	body := b.bodies[i]
-	total := len(body)
-	end := b.off + b.chunkBytes
-	if end > total {
-		end = total
-	}
-	b.ch.Write(&ChunkFetchSuccess{
-		FetchID: b.id, Index: uint32(i),
-		Total: uint64(total), Offset: uint64(b.off),
-		BodyRef: BodyRef{Body: body[b.off:end]},
-	}, svt)
-	b.off = end
-	if b.off >= total {
-		b.cur++
-		b.off = 0
+	b.ch.Write(m, svt)
+	if b.chunk++; b.chunk == n {
+		b.cur, b.chunk = b.cur+1, 0
 	}
 	return b.cur < len(b.bodies)
 }
@@ -274,7 +255,8 @@ func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to stri
 	return dup
 }
 
-// BatchBlockResult is one block's outcome within a batched fetch: its
+// BatchBlockResult is one block's outcome within a batched fetch, whatever
+// transport fetched it (shuffle.BlockTransferService returns it too): its
 // bytes, the virtual time its last chunk arrived, or a per-block error.
 // Data is an immutable garbage-collected slice, valid for as long as it is
 // referenced: its chunk bodies by reference, aliasing the bytes the serving
@@ -291,10 +273,11 @@ type BatchBlockResult struct {
 func (BatchBlockResult) Release() {}
 
 // FetchBlockBatch fetches a batch of blocks from the peer's resolver in
-// one round-trip using the ChunkFetchRequest/ChunkFetchSuccess pair; a
-// single block is a batch of one. It blocks until every block has landed or
-// failed and returns per-block results (index-aligned with blockIDs) plus
-// the batch completion time. The top-level error covers only request-side
+// one round-trip using the ChunkFetchRequest/ChunkFetchSuccess pair, in
+// reply chunks of at most chunkBytes (zero: one per block); a single block
+// is a batch of one. It blocks until every block has landed or failed and
+// returns per-block results (index-aligned with blockIDs) plus the batch
+// completion time. The top-level error covers only request-side
 // failures (shutdown, connect); per-block failures — missing blocks, a
 // malformed chunk, a peer dying mid-batch — are reported in the results so
 // landed siblings survive.
@@ -414,61 +397,4 @@ func (e *Env) servePush(ch *netty.Channel, m *PushBlockRequest, vt vtime.Stamp) 
 		return
 	}
 	ch.Write(&RpcResponse{ReqID: m.PushID, Payload: ack}, svt)
-}
-
-// RegisterStreamResolver installs the resolver behind StreamRequests.
-func (e *Env) RegisterStreamResolver(fn func(streamID string) ([]byte, bool)) {
-	e.mu.Lock()
-	e.streamResolver = fn
-	e.mu.Unlock()
-}
-
-// FetchStream opens a stream from the peer (jar/file distribution).
-func (e *Env) FetchStream(peer fabric.Addr, streamID string, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
-	ch, vt, err := e.connTo(peer, at)
-	if err != nil {
-		return nil, at, err
-	}
-	reply := make(chan askReply, 1)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, at, ErrShutdown
-	}
-	if e.streamPending == nil {
-		e.streamPending = make(map[string][]*pendingAsk)
-	}
-	e.streamPending[streamID] = append(e.streamPending[streamID], &pendingAsk{ch: ch, reply: reply})
-	e.mu.Unlock()
-	ch.Write(&StreamRequest{StreamID: streamID}, vt)
-	e.checkChannelAlive(ch)
-	r := <-reply
-	return r.data, vtime.Max(r.vt, at), r.err
-}
-
-// serveStream answers a StreamRequest from the registered resolver; an
-// unknown stream gets no reply.
-func (e *Env) serveStream(ch *netty.Channel, m *StreamRequest, vt vtime.Stamp) {
-	e.mu.Lock()
-	resolver := e.streamResolver
-	e.mu.Unlock()
-	_, svt := e.chunkEngine.Occupy(vt, e.cfg.ChunkServeCost)
-	if resolver == nil {
-		return
-	}
-	if body, ok := resolver(m.StreamID); ok {
-		ch.Write(&StreamResponse{StreamID: m.StreamID, BodyRef: BodyRef{Body: body}}, svt)
-	}
-}
-
-func (e *Env) resolveStream(m *StreamResponse, vt vtime.Stamp) {
-	e.mu.Lock()
-	waiters := e.streamPending[m.StreamID]
-	delete(e.streamPending, m.StreamID)
-	e.mu.Unlock()
-	// Every concurrent fetcher of the stream resolves from one response
-	// (duplicate requests for the same stream are folded together).
-	for _, w := range waiters {
-		w.reply <- askReply{data: m.Body, vt: vt}
-	}
 }

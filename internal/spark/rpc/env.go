@@ -106,8 +106,8 @@ type clientConn struct {
 }
 
 // Env is a process's RPC environment (Spark's RpcEnv): a netty server, a
-// set of named endpoints, outbound connections, and the block/stream
-// transfer service surface.
+// set of named endpoints, outbound connections, and the block transfer
+// service surface.
 //
 // Bodies cross the wire by reference on every transport, as mpi.Send
 // documents for MPI: a payload handed to Ask, Send, Call.Reply, PushBlock
@@ -124,33 +124,31 @@ type Env struct {
 	server *netty.Server
 	addr   fabric.Addr
 
-	mu            sync.Mutex
-	endpoints     map[string]*endpoint
-	conns         map[string]*clientConn
-	pending       map[int64]*pendingAsk
-	streamPending map[string][]*pendingAsk
-	batches       map[int64]*pendingBatch
-	serveQ        []*batchServe
-	pumping       bool
-	closed        bool
+	mu        sync.Mutex
+	endpoints map[string]*endpoint
+	conns     map[string]*clientConn
+	pending   map[int64]*pendingAsk
+	batches   map[int64]*pendingBatch
+	serveQ    []*batchServe
+	pumping   bool
+	closed    bool
 
 	reqSeq atomic.Int64
 
 	// chunkEngine is the stream-manager thread's occupancy: every served
-	// chunk, push, and stream response pays ChunkServeCost on it. A
-	// work-conserving Resource, not a monotone clock, for the same reason
-	// as endpoint dispatch: requests are handled in real-scheduler order,
-	// and an early-handled late-stamped request must not inflate every
-	// later stamp past its own virtual time.
+	// chunk and push pays ChunkServeCost on it. A work-conserving Resource,
+	// not a monotone clock, for the same reason as endpoint dispatch:
+	// requests are handled in real-scheduler order, and an early-handled
+	// late-stamped request must not inflate every later stamp past its own
+	// virtual time.
 	chunkEngine    vtime.Resource
 	chunkResolver  func(blockID string) ([]byte, bool)
-	streamResolver func(streamID string) ([]byte, bool)
 	collectiveSink func(m *CollectiveChunk, vt vtime.Stamp)
 	pushHandler    func(m *PushBlockRequest, vt vtime.Stamp) ([]byte, error)
 	onShutdown     []func()
 
-	// OnChannelActive, when set, observes every new channel (diagnostics
-	// and the connection-establishment rank exchange in internal/core).
+	// OnChannelActive, when set, observes every new channel; only tests set
+	// it, to add handlers to a channel's pipeline.
 	OnChannelActive func(ch *netty.Channel, server bool)
 }
 
@@ -306,10 +304,6 @@ func (h *dispatchHandler) ChannelRead(ctx *netty.Context, msg any) {
 		}
 	case *PushBlockRequest:
 		e.deliverPush(ch, m, vt)
-	case *StreamRequest:
-		e.serveStream(ch, m, vt)
-	case *StreamResponse:
-		e.resolveStream(m, vt)
 	}
 }
 
@@ -340,7 +334,7 @@ func (e *Env) resolveAsk(id int64, r askReply) {
 	}
 }
 
-// failChannel resolves every pending ask and stream waiter riding ch with
+// failChannel resolves every pending ask and batch riding ch with
 // ErrConnectionLost. The event loop closes channels whose connection died
 // (FailNode, peer shutdown), which fires ChannelInactive exactly once —
 // that is how a fetch from a dead executor becomes an error instead of a
@@ -355,21 +349,6 @@ func (e *Env) failChannel(ch *netty.Channel) {
 		if p.ch == ch {
 			delete(e.pending, id)
 			victims = append(victims, p.reply)
-		}
-	}
-	for sid, ws := range e.streamPending {
-		keep := ws[:0]
-		for _, w := range ws {
-			if w.ch == ch {
-				victims = append(victims, w.reply)
-			} else {
-				keep = append(keep, w)
-			}
-		}
-		if len(keep) == 0 {
-			delete(e.streamPending, sid)
-		} else {
-			e.streamPending[sid] = keep
 		}
 	}
 	// A dead channel fails only the batch blocks still in flight on it;
@@ -593,12 +572,10 @@ func (e *Env) Shutdown() {
 	eps := e.endpoints
 	conns := e.conns
 	pending := e.pending
-	streams := e.streamPending
 	batches := e.batches
 	shutdownFns := e.onShutdown
 	e.onShutdown = nil
 	e.pending = make(map[int64]*pendingAsk)
-	e.streamPending = nil
 	e.batches = make(map[int64]*pendingBatch)
 	e.serveQ = nil // stop streaming; the pump exits on its next turn
 	for _, b := range batches {
@@ -608,11 +585,6 @@ func (e *Env) Shutdown() {
 
 	for _, p := range pending {
 		p.reply <- askReply{err: ErrShutdown}
-	}
-	for _, ws := range streams {
-		for _, w := range ws {
-			w.reply <- askReply{err: ErrShutdown}
-		}
 	}
 	for _, b := range batches {
 		close(b.done)

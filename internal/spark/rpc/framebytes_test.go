@@ -48,10 +48,6 @@ var frameGolden = []struct {
 		"00000027050000000000000005000000040100000000000000000000000000000000000000000000000000", ""},
 	{&ChunkFetchSuccess{FetchID: 5, Index: 3, Total: 20, Offset: 8, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 10, BodyTag: 77}},
 		"0000002f05000000000000000500000003000000000000000014000000000000000801000000000000000a000000000000004d", ""},
-	{&StreamRequest{StreamID: "jar:app.jar"},
-		"00000010060000000b6a61723a6170702e6a6172", ""},
-	{&StreamResponse{StreamID: "jar:app.jar", BodyRef: BodyRef{Body: []byte("jarbytes")}},
-		"00000021070000000b6a61723a6170702e6a6172000000000000000008", "6a61726279746573"},
 	{&RpcFailure{ReqID: 42, Error: "no such endpoint"},
 		"0000001d08000000000000002a000000106e6f207375636820656e64706f696e74", ""},
 	{&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, BodyRef: BodyRef{Body: []byte("collective")}},
@@ -79,7 +75,7 @@ func TestFrameBytesThroughPipeline(t *testing.T) {
 		}
 	}
 	for _, typ := range []MsgType{TypeRpcRequest, TypeRpcResponse, TypeOneWayMessage, TypeChunkFetchRequest,
-		TypeChunkFetchSuccess, TypeStreamRequest, TypeStreamResponse, TypeRpcFailure, TypeCollectiveChunk, TypePushBlock} {
+		TypeChunkFetchSuccess, TypeRpcFailure, TypeCollectiveChunk, TypePushBlock} {
 		if !seen[typ] {
 			t.Errorf("no golden frame for %s", typ)
 		}

@@ -9,7 +9,9 @@ import (
 
 // fuzzSeeds returns one well-formed frame per Table II message type, the
 // base inputs the fuzzer mutates (the committed corpus under
-// testdata/fuzz/FuzzDecode adds truncations and hostile length fields).
+// testdata/fuzz/FuzzDecode adds truncations and hostile length fields), and
+// three frames under the retired stream codes 6 and 7, which Decode must
+// reject as unknown types.
 func fuzzSeeds() [][]byte {
 	msgs := []Message{
 		&RpcRequest{ReqID: 7, Endpoint: "Executor", From: "driver", Payload: []byte("launch")},
@@ -21,17 +23,18 @@ func fuzzSeeds() [][]byte {
 		&ChunkFetchSuccess{FetchID: 9, Index: 1, Total: 32, Offset: 16, BodyRef: BodyRef{Body: []byte("block-bytes")}},
 		&ChunkFetchSuccess{FetchID: 9, Index: 2, Missing: true},
 		&ChunkFetchSuccess{FetchID: 9, Total: 1 << 21, Offset: 1 << 20, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 42}},
-		&StreamRequest{StreamID: "jar/app.jar"},
-		&StreamResponse{StreamID: "jar/app.jar", BodyRef: BodyRef{Body: []byte("jar-bytes")}},
-		&StreamResponse{StreamID: "jar/app.jar", BodyRef: BodyRef{BodyViaMPI: true, BodySize: 4096, BodyTag: 3}},
 		&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, BodyRef: BodyRef{Body: []byte("collective")}},
 		&CollectiveChunk{OpID: 77, Tag: 3, Src: 1, Total: 1 << 22, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 7}},
 		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, BodyRef: BodyRef{Body: []byte("pushed-bytes")}},
 		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 16, BodyTag: 5}},
 	}
-	out := make([][]byte, len(msgs))
-	for i, m := range msgs {
-		out[i] = EncodeToBuf(m).Bytes()
+	out := [][]byte{
+		[]byte("\x06\x00\x00\x00\vjar/app.jar"),
+		[]byte("\a\x00\x00\x00\vjar/app.jar\x00\x00\x00\x00\x00\x00\x00\x00\tjar-bytes"),
+		[]byte("\a\x00\x00\x00\vjar/app.jar\x01\x00\x00\x00\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00\x00\x00\x03"),
+	}
+	for _, m := range msgs {
+		out = append(out, EncodeToBuf(m).Bytes())
 	}
 	return out
 }

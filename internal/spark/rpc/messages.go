@@ -14,8 +14,9 @@ import (
 type MsgType byte
 
 // The message types of Table II, plus the two this repo adds. The codes are
-// wire format: 9 and 10 belonged to a second fetch pair that the Table II
-// pair replaced and stay retired, so the last two are pinned.
+// wire format: 6 and 7 belonged to Table II's stream pair, which nothing here
+// sends, and 9 and 10 to a second fetch pair that the ChunkFetch pair
+// replaced. All four stay retired, so every code after 5 is pinned.
 const (
 	// TypeRpcRequest is a request to perform a generic RPC.
 	TypeRpcRequest MsgType = iota + 1
@@ -29,13 +30,8 @@ const (
 	// TypeChunkFetchSuccess is one successfully fetched chunk of a
 	// ChunkFetchRequest's reply.
 	TypeChunkFetchSuccess
-	// TypeStreamRequest is a request to stream data from the remote end.
-	TypeStreamRequest
-	// TypeStreamResponse is the response to a StreamRequest when the stream
-	// has been successfully opened.
-	TypeStreamResponse
 	// TypeRpcFailure reports a failed RPC (Spark's RpcFailure).
-	TypeRpcFailure
+	TypeRpcFailure MsgType = 8
 	// TypeCollectiveChunk is one bounded-size piece of a collective
 	// operation (tree broadcast, binomial reduce, ring allreduce) flowing
 	// rank-to-rank through the collective layer.
@@ -58,10 +54,6 @@ func (t MsgType) String() string {
 		return "ChunkFetchRequest"
 	case TypeChunkFetchSuccess:
 		return "ChunkFetchSuccess"
-	case TypeStreamRequest:
-		return "StreamRequest"
-	case TypeStreamResponse:
-		return "StreamResponse"
 	case TypeRpcFailure:
 		return "RpcFailure"
 	case TypeCollectiveChunk:
@@ -80,8 +72,8 @@ type Message interface {
 	// Encode appends the message (tag included) to buf in its contiguous
 	// wire form.
 	Encode(buf *bytebuf.Buf)
-	// WireSize estimates the encoded size in bytes (used for modeling
-	// before encoding).
+	// WireSize estimates the encoded size in bytes: the size EncodeToBuf
+	// asks the buffer pool for.
 	WireSize() int
 }
 
@@ -184,7 +176,7 @@ func (m *OneWayMessage) encodeHead(buf *bytebuf.Buf) []byte {
 // exactly this body over MPI while the header stays on the socket (§IV-E,
 // Fig. 6): BodyViaMPI marks that encoding, BodySize announces the body's
 // length and BodyTag carries the MPI tag the receiver must use for the
-// matching MPI_Recv. The four messages that embed it are the BodyMessage set.
+// matching MPI_Recv. The three messages that embed it are the BodyMessage set.
 type BodyRef struct {
 	Body       []byte
 	BodyViaMPI bool
@@ -243,7 +235,7 @@ func (b *BodyRef) decodeBody(buf *bytebuf.Buf, attached []byte) error {
 	return err
 }
 
-// BodyMessage is a MessageWithHeader: the four messages whose body a
+// BodyMessage is a MessageWithHeader: the three messages whose body a
 // transport may move apart from the header. WithBody returns a copy of the
 // message with its body descriptor replaced and every header field kept, so
 // a transport that diverts bodies needs to know no message's fields.
@@ -257,9 +249,9 @@ type BodyMessage interface {
 // one round-trip (Table II's request, carrying Spark's
 // OpenBlocks/FetchShuffleBlocks coalescing: a single block is a batch of
 // one). The reply streams back as ChunkFetchSuccess messages of at most
-// ChunkBytes each, so serve cost, wire time and reassembly pipeline instead
-// of serializing on one monolithic frame per block. FetchID correlates the
-// reply's chunks.
+// ChunkBytes each (zero: one per block), so serve cost, wire time and
+// reassembly pipeline instead of serializing on one monolithic frame per
+// block. FetchID correlates the reply's chunks.
 type ChunkFetchRequest struct {
 	FetchID    int64
 	ChunkBytes uint32
@@ -412,51 +404,6 @@ func (m *PushBlockRequest) encodeHead(buf *bytebuf.Buf) []byte {
 	buf.WriteUint32(uint32(m.MapID))
 	buf.WriteUint32(uint32(m.ReduceID))
 	buf.WriteUint32(m.Sum)
-	return m.encodeBodyHead(buf)
-}
-
-// StreamRequest opens a stream (jar/file distribution in Spark).
-type StreamRequest struct {
-	StreamID string
-}
-
-// Type implements Message.
-func (m *StreamRequest) Type() MsgType { return TypeStreamRequest }
-
-// WireSize implements Message.
-func (m *StreamRequest) WireSize() int { return 1 + 4 + len(m.StreamID) }
-
-// Encode implements Message.
-func (m *StreamRequest) Encode(buf *bytebuf.Buf) {
-	buf.WriteByte(byte(TypeStreamRequest))
-	buf.WriteString(m.StreamID)
-}
-
-// StreamResponse carries stream data.
-type StreamResponse struct {
-	StreamID string
-	BodyRef
-}
-
-// Type implements Message.
-func (m *StreamResponse) Type() MsgType { return TypeStreamResponse }
-
-// WireSize implements Message.
-func (m *StreamResponse) WireSize() int { return 1 + 4 + len(m.StreamID) + m.bodyWireSize() }
-
-// WithBody implements BodyMessage.
-func (m *StreamResponse) WithBody(b BodyRef) BodyMessage {
-	c := *m
-	c.BodyRef = b
-	return &c
-}
-
-// Encode implements Message.
-func (m *StreamResponse) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
-
-func (m *StreamResponse) encodeHead(buf *bytebuf.Buf) []byte {
-	buf.WriteByte(byte(TypeStreamResponse))
-	buf.WriteString(m.StreamID)
 	return m.encodeBodyHead(buf)
 }
 
@@ -661,21 +608,6 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		}
 		m.ReduceID = int(v)
 		if m.Sum, err = buf.ReadUint32(); err != nil {
-			return nil, err
-		}
-		if err := m.decodeBody(buf, attached); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeStreamRequest:
-		m := &StreamRequest{}
-		if m.StreamID, err = buf.ReadString(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TypeStreamResponse:
-		m := &StreamResponse{}
-		if m.StreamID, err = buf.ReadString(); err != nil {
 			return nil, err
 		}
 		if err := m.decodeBody(buf, attached); err != nil {

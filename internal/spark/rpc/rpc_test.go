@@ -26,9 +26,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		&ChunkFetchSuccess{FetchID: 9, Index: 2, Total: 20, Offset: 8, BodyRef: BodyRef{Body: []byte("blockdata"), BodySize: 9}},
 		&ChunkFetchSuccess{FetchID: 9, Index: 1, Missing: true, BodyRef: BodyRef{Body: []byte{}}},
 		&ChunkFetchSuccess{FetchID: 10, Total: 1 << 20, Offset: 4096, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 4096, BodyTag: 77}},
-		&StreamRequest{StreamID: "jar:app.jar"},
-		&StreamResponse{StreamID: "jar:app.jar", BodyRef: BodyRef{Body: []byte("jarbytes"), BodySize: 8}},
-		&StreamResponse{StreamID: "jar:big.jar", BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 3}},
 		&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, BodyRef: BodyRef{Body: []byte("collective"), BodySize: 10}},
 		&CollectiveChunk{OpID: 78, Tag: 3, Src: 1, Total: 1 << 22, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 1 << 20, BodyTag: 5}},
 		&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, BodyRef: BodyRef{Body: []byte("pushed"), BodySize: 6}},
@@ -70,7 +67,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 	f := func(id int64, ep, from string, payload []byte) bool {
 		m := &RpcRequest{ReqID: id, Endpoint: ep, From: from, Payload: payload}
 		enc := EncodeToBuf(m)
-		// WireSize is an estimate for modeling; it must be within the
+		// WireSize is EncodeToBuf's size hint; it must be within the
 		// length-field overhead of the real encoding.
 		diff := enc.ReadableBytes() - m.WireSize()
 		return diff >= 0 && diff <= 16
@@ -290,23 +287,6 @@ func TestFetchRejectsMalformedChunks(t *testing.T) {
 	}
 }
 
-func TestStreamFetch(t *testing.T) {
-	a, b := twoEnvs(t)
-	b.RegisterStreamResolver(func(id string) ([]byte, bool) {
-		if id == "jar:app" {
-			return []byte("jar-bytes"), true
-		}
-		return nil, false
-	})
-	data, vt, err := a.FetchStream(b.Addr(), "jar:app", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "jar-bytes" || vt <= 0 {
-		t.Fatalf("stream = %q, vt = %v", data, vt)
-	}
-}
-
 func TestConnectionReuse(t *testing.T) {
 	a, b := twoEnvs(t)
 	if err := b.RegisterEndpoint("E", func(c *Call) { c.Reply(nil, c.VT) }); err != nil {
@@ -403,20 +383,31 @@ func TestAskAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestMsgTypeStrings pins every live message type to its wire code and name,
+// and checks that a frame under a retired code (6 and 7, the stream pair; 9
+// and 10, a second fetch pair) decodes as an unknown type.
 func TestMsgTypeStrings(t *testing.T) {
 	for _, tt := range []struct {
 		ty   MsgType
+		code byte
 		want string
 	}{
-		{TypeRpcRequest, "RpcRequest"}, {TypeRpcResponse, "RpcResponse"},
-		{TypeOneWayMessage, "OneWayMessage"}, {TypeChunkFetchRequest, "ChunkFetchRequest"},
-		{TypeChunkFetchSuccess, "ChunkFetchSuccess"}, {TypeStreamRequest, "StreamRequest"},
-		{TypeStreamResponse, "StreamResponse"}, {TypeRpcFailure, "RpcFailure"},
-		{TypeCollectiveChunk, "CollectiveChunk"}, {TypePushBlock, "PushBlock"},
-		{MsgType(9), "MsgType(9)"}, {MsgType(10), "MsgType(10)"},
+		{TypeRpcRequest, 1, "RpcRequest"}, {TypeRpcResponse, 2, "RpcResponse"},
+		{TypeOneWayMessage, 3, "OneWayMessage"}, {TypeChunkFetchRequest, 4, "ChunkFetchRequest"},
+		{TypeChunkFetchSuccess, 5, "ChunkFetchSuccess"}, {TypeRpcFailure, 8, "RpcFailure"},
+		{TypeCollectiveChunk, 11, "CollectiveChunk"}, {TypePushBlock, 12, "PushBlock"},
+		{MsgType(6), 6, "MsgType(6)"}, {MsgType(7), 7, "MsgType(7)"},
+		{MsgType(9), 9, "MsgType(9)"}, {MsgType(10), 10, "MsgType(10)"},
 	} {
-		if tt.ty.String() != tt.want {
-			t.Errorf("%d.String() = %q, want %q", tt.ty, tt.ty.String(), tt.want)
+		if byte(tt.ty) != tt.code || tt.ty.String() != tt.want {
+			t.Errorf("%s has code %d, want %q with code %d", tt.ty, byte(tt.ty), tt.want, tt.code)
+		}
+	}
+	for _, code := range []byte{6, 7, 9, 10} {
+		// A retired code followed by what a stream frame carried: an id.
+		frame := append([]byte{code, 0, 0, 0, 3}, "jar"...)
+		if m, err := Decode(bytebuf.Wrap(frame)); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("code %d decoded as %v, %v; want an unknown message type", code, m, err)
 		}
 	}
 }

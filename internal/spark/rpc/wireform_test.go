@@ -28,8 +28,6 @@ var wireGolden = []struct {
 		"05000000000000000500000003000000000000000014000000000000000800000000000000000a62617463686368756e6b"},
 	{&PushBlockRequest{PushID: 11, ShuffleID: 1, MapID: 2, ReduceID: 3, Sum: 0xdeadbeef, BodyRef: BodyRef{Body: []byte("pushed-bytes")}},
 		"0c000000000000000b000000010000000200000003deadbeef00000000000000000c7075736865642d6279746573"},
-	{&StreamResponse{StreamID: "jar:app.jar", BodyRef: BodyRef{Body: []byte("jarbytes")}},
-		"070000000b6a61723a6170702e6a61720000000000000000086a61726279746573"},
 	{&CollectiveChunk{OpID: 77, Tag: 1 << 20, Src: 2, Total: 16, Offset: 4, BodyRef: BodyRef{Body: []byte("collective")}},
 		"0b000000000000004d00100000000000020000000000000010000000000000000400000000000000000a636f6c6c656374697665"},
 }

@@ -65,7 +65,6 @@ func (e *CorruptBlockError) Error() string {
 // peerState is the circuit-breaker bookkeeping for one serving peer.
 type peerState struct {
 	consecutive int         // failures since the last success
-	charged     int         // failures charged against the retry budget
 	open        bool        // breaker tripped
 	openUntil   vtime.Stamp // half-open probe allowed at/after this stamp
 }
@@ -73,10 +72,6 @@ type peerState struct {
 // defaultBreakerCooldown is how long a tripped breaker stays open before
 // admitting a half-open probe, when the manager is not configured.
 const defaultBreakerCooldown = 5 * time.Millisecond
-
-func (m *Manager) breakerEnabled() bool {
-	return m.BreakerThreshold > 0 || m.RetryBudget > 0
-}
 
 func (m *Manager) breakerCooldown() time.Duration {
 	if m.BreakerCooldown > 0 {
@@ -90,7 +85,7 @@ func (m *Manager) breakerCooldown() time.Duration {
 // until its cooldown elapses; the first attempt at or past openUntil is the
 // half-open probe.
 func (m *Manager) breakerAllow(peer string, at vtime.Stamp) error {
-	if !m.breakerEnabled() || peer == "" {
+	if m.BreakerThreshold <= 0 || peer == "" {
 		return nil
 	}
 	m.brMu.Lock()
@@ -102,12 +97,11 @@ func (m *Manager) breakerAllow(peer string, at vtime.Stamp) error {
 	return fmt.Errorf("circuit breaker open for %s until %v", peer, st.openUntil)
 }
 
-// breakerFailure charges one failed attempt against peer. Crossing the
-// consecutive-failure threshold or exhausting the per-peer retry budget
-// trips the breaker; a failed half-open probe re-arms it for another
-// cooldown.
+// breakerFailure charges one failed attempt against peer. Reaching the
+// consecutive-failure threshold trips the breaker; a failed half-open probe
+// re-arms it for another cooldown.
 func (m *Manager) breakerFailure(peer string, at vtime.Stamp) {
-	if !m.breakerEnabled() || peer == "" {
+	if m.BreakerThreshold <= 0 || peer == "" {
 		return
 	}
 	m.brMu.Lock()
@@ -121,7 +115,6 @@ func (m *Manager) breakerFailure(peer string, at vtime.Stamp) {
 		m.brPeers[peer] = st
 	}
 	st.consecutive++
-	st.charged++
 	if st.open {
 		if at >= st.openUntil {
 			// Failed half-open probe: stay open for another cooldown.
@@ -129,8 +122,7 @@ func (m *Manager) breakerFailure(peer string, at vtime.Stamp) {
 		}
 		return
 	}
-	if (m.BreakerThreshold > 0 && st.consecutive >= m.BreakerThreshold) ||
-		(m.RetryBudget > 0 && st.charged > m.RetryBudget) {
+	if st.consecutive >= m.BreakerThreshold {
 		st.open = true
 		st.openUntil = at.Add(m.breakerCooldown())
 		metrics.GetCounter(CounterBreakerTrips).Inc()
@@ -141,7 +133,7 @@ func (m *Manager) breakerFailure(peer string, at vtime.Stamp) {
 // failure accounting and closing a tripped breaker (the half-open probe
 // succeeded).
 func (m *Manager) breakerSuccess(peer string) {
-	if !m.breakerEnabled() || peer == "" {
+	if m.BreakerThreshold <= 0 || peer == "" {
 		return
 	}
 	m.brMu.Lock()
@@ -151,7 +143,6 @@ func (m *Manager) breakerSuccess(peer string) {
 		return
 	}
 	st.consecutive = 0
-	st.charged = 0
 	if st.open {
 		st.open = false
 		st.openUntil = 0

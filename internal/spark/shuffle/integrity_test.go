@@ -35,70 +35,66 @@ func TestCorruptBlockErrorChain(t *testing.T) {
 	}
 }
 
+// TestBreakerTripAndReset walks the breaker through trip, failed and
+// successful half-open probes and reset, at an explicit cooldown and at the
+// manager's default one.
 func TestBreakerTripAndReset(t *testing.T) {
-	m := &Manager{BreakerThreshold: 3, BreakerCooldown: time.Millisecond}
-	snap := metrics.Snapshot()
-	at := vtime.Stamp(0)
+	for _, m := range []*Manager{
+		{BreakerThreshold: 3, BreakerCooldown: time.Millisecond},
+		{BreakerThreshold: 3},
+	} {
+		t.Run(fmt.Sprintf("cooldown=%v", m.breakerCooldown()), func(t *testing.T) {
+			cooldown := m.breakerCooldown()
+			snap := metrics.Snapshot()
+			at := vtime.Stamp(0)
 
-	for i := 0; i < 2; i++ {
-		m.breakerFailure("peer-a", at)
-	}
-	if err := m.breakerAllow("peer-a", at); err != nil {
-		t.Fatalf("breaker tripped below threshold: %v", err)
-	}
-	m.breakerFailure("peer-a", at)
-	if err := m.breakerAllow("peer-a", at.Add(time.Microsecond)); err == nil {
-		t.Fatal("breaker did not trip at the consecutive-failure threshold")
-	}
-	if d := snap.DeltaValue(CounterBreakerTrips); d != 1 {
-		t.Fatalf("breaker trips counter = %d, want 1", d)
-	}
-	// Other peers are unaffected.
-	if err := m.breakerAllow("peer-b", at); err != nil {
-		t.Fatalf("unrelated peer gated: %v", err)
-	}
+			for i := 0; i < 2; i++ {
+				m.breakerFailure("peer-a", at)
+			}
+			if err := m.breakerAllow("peer-a", at); err != nil {
+				t.Fatalf("breaker tripped below threshold: %v", err)
+			}
+			m.breakerFailure("peer-a", at)
+			if err := m.breakerAllow("peer-a", at.Add(time.Microsecond)); err == nil {
+				t.Fatal("breaker did not trip at the consecutive-failure threshold")
+			}
+			if d := snap.DeltaValue(CounterBreakerTrips); d != 1 {
+				t.Fatalf("breaker trips counter = %d, want 1", d)
+			}
+			// Other peers are unaffected.
+			if err := m.breakerAllow("peer-b", at); err != nil {
+				t.Fatalf("unrelated peer gated: %v", err)
+			}
 
-	// Half-open probe admitted at/after the cooldown; a failed probe
-	// re-arms for another full cooldown.
-	probeAt := at.Add(time.Millisecond)
-	if err := m.breakerAllow("peer-a", probeAt); err != nil {
-		t.Fatalf("half-open probe refused: %v", err)
-	}
-	m.breakerFailure("peer-a", probeAt)
-	if err := m.breakerAllow("peer-a", probeAt.Add(time.Microsecond)); err == nil {
-		t.Fatal("failed half-open probe did not re-arm the breaker")
-	}
+			// Half-open probe admitted at/after the cooldown; a failed probe
+			// re-arms for another full cooldown.
+			probeAt := at.Add(cooldown)
+			if err := m.breakerAllow("peer-a", probeAt); err != nil {
+				t.Fatalf("half-open probe refused: %v", err)
+			}
+			m.breakerFailure("peer-a", probeAt)
+			if err := m.breakerAllow("peer-a", probeAt.Add(time.Microsecond)); err == nil {
+				t.Fatal("failed half-open probe did not re-arm the breaker")
+			}
 
-	// A successful probe closes the breaker and resets the accounting.
-	probe2 := probeAt.Add(time.Millisecond)
-	if err := m.breakerAllow("peer-a", probe2); err != nil {
-		t.Fatalf("second half-open probe refused: %v", err)
-	}
-	m.breakerSuccess("peer-a")
-	if err := m.breakerAllow("peer-a", probe2); err != nil {
-		t.Fatalf("breaker still open after successful probe: %v", err)
-	}
-	if d := snap.DeltaValue(CounterBreakerResets); d != 1 {
-		t.Fatalf("breaker resets counter = %d, want 1", d)
-	}
-	// Failure accounting restarted from zero.
-	m.breakerFailure("peer-a", probe2)
-	if err := m.breakerAllow("peer-a", probe2.Add(time.Microsecond)); err != nil {
-		t.Fatalf("breaker re-tripped on first failure after reset: %v", err)
-	}
-}
-
-func TestBreakerRetryBudget(t *testing.T) {
-	m := &Manager{RetryBudget: 2}
-	at := vtime.Stamp(0)
-	m.breakerFailure("peer", at)
-	m.breakerFailure("peer", at)
-	if err := m.breakerAllow("peer", at.Add(1)); err != nil {
-		t.Fatalf("breaker tripped within budget: %v", err)
-	}
-	m.breakerFailure("peer", at)
-	if err := m.breakerAllow("peer", at.Add(1)); err == nil {
-		t.Fatal("breaker did not trip past the retry budget")
+			// A successful probe closes the breaker and resets the accounting.
+			probe2 := probeAt.Add(cooldown)
+			if err := m.breakerAllow("peer-a", probe2); err != nil {
+				t.Fatalf("second half-open probe refused: %v", err)
+			}
+			m.breakerSuccess("peer-a")
+			if err := m.breakerAllow("peer-a", probe2); err != nil {
+				t.Fatalf("breaker still open after successful probe: %v", err)
+			}
+			if d := snap.DeltaValue(CounterBreakerResets); d != 1 {
+				t.Fatalf("breaker resets counter = %d, want 1", d)
+			}
+			// Failure accounting restarted from zero.
+			m.breakerFailure("peer-a", probe2)
+			if err := m.breakerAllow("peer-a", probe2.Add(time.Microsecond)); err != nil {
+				t.Fatalf("breaker re-tripped on first failure after reset: %v", err)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/obs"
+	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/spark/storage"
 	"mpi4spark/internal/vtime"
 )
@@ -58,10 +59,6 @@ type Manager struct {
 	// consecutive failed attempts against one peer (0 disables the
 	// threshold).
 	BreakerThreshold int
-	// RetryBudget trips the breaker once more than that many failures have
-	// been charged against one peer since its last success (0 disables the
-	// budget).
-	RetryBudget int
 	// BreakerCooldown is how long a tripped breaker stays open before a
 	// half-open probe (defaults to defaultBreakerCooldown).
 	BreakerCooldown time.Duration
@@ -72,14 +69,10 @@ type Manager struct {
 	brPeers map[string]*peerState
 }
 
-// Default per-peer circuit-breaker knobs: trip after 12 consecutive
-// failures against one peer, or once 24 failures have been charged since
-// its last success — both comfortably above one block's full retry
+// DefaultBreakerThreshold trips a peer's circuit breaker after 12
+// consecutive failures against it: comfortably above one block's full retry
 // schedule, so the breaker only opens when a peer is failing broadly.
-const (
-	DefaultBreakerThreshold = 12
-	DefaultRetryBudget      = 24
-)
+const DefaultBreakerThreshold = 12
 
 // NewManager creates a shuffle manager over the executor's block manager.
 func NewManager(bm *storage.BlockManager) *Manager {
@@ -91,7 +84,6 @@ func NewManager(bm *storage.BlockManager) *Manager {
 		ChunkBytes:         DefaultChunkBytes,
 		MaxBytesInFlight:   DefaultMaxBytesInFlight,
 		BreakerThreshold:   DefaultBreakerThreshold,
-		RetryBudget:        DefaultRetryBudget,
 	}
 }
 
@@ -373,7 +365,7 @@ func (m *Manager) fetchBatch(
 	}
 	fetchRequests.Inc()
 	fetchBatchedBlocks.Add(int64(len(blocks)))
-	var rs []BatchResult
+	var rs []rpc.BatchBlockResult
 	err := m.breakerAllow(loc.ExecID, at)
 	if err == nil {
 		if rs, _, err = bts.Fetch(loc, ids, m.ChunkBytes, at); err != nil {
@@ -381,7 +373,7 @@ func (m *Manager) fetchBatch(
 		}
 	}
 	for i, blk := range blocks {
-		r := BatchResult{VT: at, Err: err} // the request never flew
+		r := rpc.BatchBlockResult{VT: at, Err: err} // the request never flew
 		if err == nil {
 			r = rs[i]
 		}
@@ -404,7 +396,7 @@ func (m *Manager) fetchBatch(
 			}
 			fetchRequests.Inc()
 			one, _, ferr := bts.Fetch(loc, ids[i:i+1], m.ChunkBytes, attemptAt)
-			r = BatchResult{VT: attemptAt, Err: ferr}
+			r = rpc.BatchBlockResult{VT: attemptAt, Err: ferr}
 			if ferr == nil {
 				r = one[0]
 			}
@@ -432,14 +424,14 @@ func (m *Manager) fetchBatch(
 // then the peer's breaker, which a failure charges only when charge is set
 // (see fetchBatch). A failed attempt comes back with its error and the stamp
 // the next attempt's backoff starts from.
-func (m *Manager) settle(shuffleID, reduceID int, blk remoteBlock, r BatchResult, at vtime.Stamp, charge bool) BatchResult {
+func (m *Manager) settle(shuffleID, reduceID int, blk remoteBlock, r rpc.BatchBlockResult, at vtime.Stamp, charge bool) rpc.BatchBlockResult {
 	if r.Err == nil {
 		if err := m.verifyBlock(shuffleID, reduceID, blk, r.Data, r.VT); err != nil {
 			metrics.GetCounter(CounterIntegrityRefetches).Inc()
-			r = BatchResult{VT: r.VT, Err: err}
+			r = rpc.BatchBlockResult{VT: r.VT, Err: err}
 		} else if d := m.Retry.FetchDeadline; d > 0 && r.VT > at.Add(d) {
 			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-			r = BatchResult{VT: at.Add(d), Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.blockID, blk.loc.ExecID, d)}
+			r = rpc.BatchBlockResult{VT: at.Add(d), Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.blockID, blk.loc.ExecID, d)}
 		}
 	}
 	switch {

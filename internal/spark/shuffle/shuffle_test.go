@@ -307,7 +307,7 @@ type gateBTS struct {
 	inFlight, peak, requests int
 }
 
-func (g *gateBTS) Fetch(loc Location, ids []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
+func (g *gateBTS) Fetch(loc Location, ids []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
 	g.mu.Lock()
 	g.requests++
 	g.inFlight++
@@ -323,9 +323,9 @@ func (g *gateBTS) Fetch(loc Location, ids []storage.BlockID, chunkBytes int, at 
 	g.mu.Lock()
 	g.inFlight--
 	g.mu.Unlock()
-	rs := make([]BatchResult, len(ids))
+	rs := make([]rpc.BatchBlockResult, len(ids))
 	for i := range rs {
-		rs[i] = BatchResult{Data: make([]byte, g.size), VT: at}
+		rs[i] = rpc.BatchBlockResult{Data: make([]byte, g.size), VT: at}
 	}
 	return rs, at, nil
 }

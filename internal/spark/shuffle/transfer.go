@@ -25,21 +25,9 @@ type BlockTransferService interface {
 	// with blockIDs; failures are per block so one lost block does not void
 	// its landed siblings. The returned error covers only request-level
 	// failures.
-	Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error)
+	Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error)
 	// Close releases connections.
 	Close()
-}
-
-// BatchResult is one block's outcome within a fetch.
-type BatchResult struct {
-	// Data is the block's bytes, an immutable garbage-collected slice valid
-	// for as long as it is referenced. A block that crossed the wire as a
-	// single chunk may be the serving executor's stored block itself.
-	Data []byte
-	// VT is the virtual time the block's last chunk arrived.
-	VT vtime.Stamp
-	// Err is the block's failure, if any.
-	Err error
 }
 
 // blockIDStrings is the wire form of a batch's ids.
@@ -64,16 +52,8 @@ func NewNettyBTS(env *rpc.Env) *NettyBTS { return &NettyBTS{env: env} }
 
 // Fetch implements BlockTransferService: one round-trip, chunked and
 // pipelined reply; blocks adopted by reference, chunk by chunk.
-func (b *NettyBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
-	rs, vt, err := b.env.FetchBlockBatch(loc.Addr, blockIDStrings(blockIDs), chunkBytes, at)
-	if err != nil {
-		return nil, vt, err
-	}
-	out := make([]BatchResult, len(rs))
-	for i, r := range rs {
-		out[i] = BatchResult(r)
-	}
-	return out, vt, nil
+func (b *NettyBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
+	return b.env.FetchBlockBatch(loc.Addr, blockIDStrings(blockIDs), chunkBytes, at)
 }
 
 // Close implements BlockTransferService (connections are owned by the env).
@@ -134,8 +114,9 @@ func (b *UCRBTS) client(loc Location, at vtime.Stamp) (*ucr.Client, vtime.Stamp,
 // Fetch implements BlockTransferService natively: all block requests are
 // posted on the connection up front and the reply streams drained in order,
 // pipelining the server's chunked service across the batch. The chunkBytes
-// hint is ignored — UCR chunks at its configured ChunkSize.
-func (b *UCRBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]BatchResult, vtime.Stamp, error) {
+// hint is ignored — UCR chunks at its configured ChunkSize. UCR sits below
+// Spark and has a result type of its own, converted here.
+func (b *UCRBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
 	client, vt, err := b.client(loc, at)
 	if err != nil {
 		return nil, at, err
@@ -144,9 +125,9 @@ func (b *UCRBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int,
 	if err != nil {
 		return nil, maxVT, err
 	}
-	out := make([]BatchResult, len(rs))
+	out := make([]rpc.BatchBlockResult, len(rs))
 	for i, r := range rs {
-		out[i] = BatchResult(r)
+		out[i] = rpc.BatchBlockResult(r)
 	}
 	return out, maxVT, nil
 }

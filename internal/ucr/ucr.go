@@ -167,17 +167,14 @@ func (s *Server) serve(sc *serverConn) {
 			_, regDone := s.dev.RegisterMemory(data, vt)
 			_, vt = s.engine.Occupy(vt, (regDone - vt).AsDuration())
 		}
-		total := uint64(len(data))
-		for off := 0; off < len(data) || off == 0; off += s.cfg.ChunkSize {
-			end := off + s.cfg.ChunkSize
-			if end > len(data) {
-				end = len(data)
-			}
-			cost := s.cfg.PerChunkOverhead + time.Duration(s.cfg.EngineNsPerByte*float64(end-off))
+		n, _, _ := bytebuf.Carve(len(data), s.cfg.ChunkSize, 0)
+		for i := 0; i < n; i++ {
+			_, lo, hi := bytebuf.Carve(len(data), s.cfg.ChunkSize, i)
+			cost := s.cfg.PerChunkOverhead + time.Duration(s.cfg.EngineNsPerByte*float64(hi-lo))
 			_, vt = s.engine.Occupy(vt, cost)
 			// Header and chunk go out as one gathered SEND; the chunk is a
 			// window onto the resolver's bytes, never copied.
-			hdr, chunk := encodeChunkHeader(total, uint64(off), uint32(end-off)), data[off:end]
+			hdr, chunk := encodeChunkHeader(uint64(len(data)), uint64(lo), uint32(hi-lo)), data[lo:hi]
 			cpuFree, err := sc.qp.PostSendGather(hdr, chunk, vt)
 			if err != nil {
 				return
@@ -187,8 +184,8 @@ func (s *Server) serve(sc *serverConn) {
 			// drop the replay. A block's final chunk is never duplicated:
 			// the header carries no stream id, so a trailing replay would be
 			// indistinguishable from the next block's first chunk.
-			if bf != nil && end < len(data) {
-				if bf.DupDeliver(from, to, fmt.Sprintf("%s@%d", blockID, off), vt) {
+			if bf != nil && hi < len(data) {
+				if bf.DupDeliver(from, to, fmt.Sprintf("%s@%d", blockID, lo), vt) {
 					if _, err := sc.qp.PostSendGather(hdr, chunk, vt); err != nil {
 						return
 					}
@@ -198,9 +195,6 @@ func (s *Server) serve(sc *serverConn) {
 				// The injection-side CPU time holds the engine too.
 				s.engine.Occupy(vt, (cpuFree - vt).AsDuration())
 				vt = cpuFree
-			}
-			if len(data) == 0 {
-				break
 			}
 		}
 	}
