@@ -63,10 +63,11 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzChunkFold$$' -fuzztime 5s ./internal/bytebuf/
 	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 5s ./internal/ucr/
 
-# Tests that were order-dependent once (the MPI launcher's executor order):
-# thirty consecutive passes each.
+# Tests that were order-dependent once (the MPI launcher's executor order),
+# and the calibration pins (TestCalibrationPinned*), whose exact stamps must
+# repeat: thirty consecutive passes each.
 flake:
-	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder' ./internal/streaming/ ./internal/harness/
+	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned' ./internal/streaming/ ./internal/harness/
 
 bench:
 	go test -bench=. -benchmem -benchtime=3x ./... 2>&1 | tee bench_output.txt

@@ -311,7 +311,8 @@ func BenchmarkAblationHeaderPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationChunkSize sweeps UCR's chunk size, showing why
+// BenchmarkAblationChunkSize sweeps UCR's chunk size from its default
+// config (every other UCR cost as the figures run it), showing why
 // RDMA-Spark's chunked protocol trails MPI's single rendezvous per block.
 func BenchmarkAblationChunkSize(b *testing.B) {
 	o := benchOpts()
@@ -322,16 +323,13 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	}
 	for _, chunk := range []int{32 << 10, 128 << 10, 512 << 10} {
 		b.Run(fmt.Sprintf("chunk=%dKiB", chunk>>10), func(b *testing.B) {
+			ucrCfg := ucr.DefaultConfig()
+			ucrCfg.ChunkSize = chunk
 			var total vtime.Stamp
 			for i := 0; i < b.N; i++ {
 				cl, err := harness.BuildCluster(harness.ClusterSpec{
 					System: harness.Frontera, Workers: 2, Backend: spark.BackendRDMA,
-					SlotsPerWorker: 2,
-					UCR: ucr.Config{
-						ChunkSize:        chunk,
-						PerChunkOverhead: ucr.DefaultConfig().PerChunkOverhead,
-						RegisterPerFetch: true,
-					},
+					SlotsPerWorker: 2, UCR: ucrCfg,
 				})
 				if err != nil {
 					b.Fatal(err)

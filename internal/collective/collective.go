@@ -16,23 +16,23 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
-// Default knobs.
+// The collective layer's constants.
 const (
-	// DefaultChunkBytes bounds one collective chunk (the pipelining
-	// granularity of the chain broadcast and the ring steps) on every
-	// transport: the MPI-Optimized one splits each chunk's body into
-	// eager-sized MPI pieces itself.
-	DefaultChunkBytes = 1 << 20
-	// DefaultSmallLimit is the payload size at or below which broadcast
-	// and allreduce use single-message binomial trees (latency-optimal)
-	// instead of chunked pipelines (bandwidth-optimal).
-	DefaultSmallLimit = 64 << 10
-	// DefaultSendCost is the per-chunk sender CPU cost, matching the
-	// shuffle stream manager's per-chunk serve cost.
-	DefaultSendCost = 3 * time.Microsecond
-	// DefaultCombineNsPerByte is the per-byte CPU cost of folding one
-	// received buffer into the local accumulator.
-	DefaultCombineNsPerByte = 0.1
+	// ChunkBytes bounds one collective chunk (the pipelining granularity of
+	// the chain broadcast and the ring steps) on every transport: the
+	// MPI-Optimized one splits each chunk's body into eager-sized MPI pieces
+	// itself.
+	ChunkBytes = 1 << 20
+	// SmallLimit is the payload size at or below which broadcast and
+	// allreduce use single-message binomial trees (latency-optimal) instead
+	// of chunked pipelines (bandwidth-optimal).
+	SmallLimit = 64 << 10
+	// sendCost is the per-chunk sender CPU cost, matching the shuffle stream
+	// manager's per-chunk serve cost.
+	sendCost = 3 * time.Microsecond
+	// combineNsPerByte is the per-byte CPU cost of folding one received
+	// buffer into the local accumulator.
+	combineNsPerByte = 0.1
 )
 
 // Tag layout: the low 20 bits index the chunk within a transfer, the bits
@@ -43,30 +43,6 @@ const (
 	tagChunkBits        = 20
 	bcastTagBit  uint32 = 1 << 31
 )
-
-// Config tunes a Group.
-type Config struct {
-	ChunkBytes       int
-	SmallLimit       int
-	SendCost         time.Duration
-	CombineNsPerByte float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = DefaultChunkBytes
-	}
-	if c.SmallLimit <= 0 {
-		c.SmallLimit = DefaultSmallLimit
-	}
-	if c.SendCost <= 0 {
-		c.SendCost = DefaultSendCost
-	}
-	if c.CombineNsPerByte <= 0 {
-		c.CombineNsPerByte = DefaultCombineNsPerByte
-	}
-	return c
-}
 
 // ReduceOp combines byte payloads. Combine folds src into dst — it may
 // grow and return a new dst when src is longer, and must treat a short or
@@ -127,7 +103,6 @@ func NextOpID() int64 { return opSeq.Add(1) }
 // through the stations' wire addresses, so the group works across every
 // transport the environments were built on.
 type Group struct {
-	cfg      Config
 	members  []*Station
 	addrs    []fabric.Addr
 	observer func(OpInfo)
@@ -152,8 +127,8 @@ type OpInfo struct {
 func (g *Group) SetObserver(f func(OpInfo)) { g.observer = f }
 
 // NewGroup builds a group over the given stations (rank order).
-func NewGroup(cfg Config, members []*Station) *Group {
-	g := &Group{cfg: cfg.withDefaults(), members: members}
+func NewGroup(members []*Station) *Group {
+	g := &Group{members: members}
 	g.addrs = make([]fabric.Addr, len(members))
 	for i, st := range members {
 		g.addrs[i] = st.Addr()
@@ -163,9 +138,6 @@ func NewGroup(cfg Config, members []*Station) *Group {
 
 // Size returns the number of ranks.
 func (g *Group) Size() int { return len(g.members) }
-
-// Config returns the group's effective configuration.
-func (g *Group) Config() Config { return g.cfg }
 
 // Abort fails op on every member station.
 func (g *Group) Abort(op int64, err error) {
@@ -232,21 +204,17 @@ func binomial(vr, n int) (parent int, children []int) {
 
 // chunkSpan returns the chunk size used to split a transfer, snapped down
 // to align so element-wise combines never split an element.
-func (g *Group) chunkSpan(align int) int {
-	cb := g.cfg.ChunkBytes
+func chunkSpan(align int) int {
 	if align > 1 {
-		cb -= cb % align
-		if cb <= 0 {
-			cb = align
-		}
+		return max(ChunkBytes-ChunkBytes%align, align)
 	}
-	return cb
+	return ChunkBytes
 }
 
-// sendChunk ships one chunk, charging SendCost on the rank's send clock.
+// sendChunk ships one chunk, charging sendCost on the rank's send clock.
 func (g *Group) sendChunk(rank, dst int, op int64, tag uint32, total, offset int, body []byte, at vtime.Stamp, chunks *metrics.Counter) (vtime.Stamp, error) {
 	st := g.members[rank]
-	svt := st.sendClock.ObserveAndAdvance(at, g.cfg.SendCost)
+	svt := st.sendClock.ObserveAndAdvance(at, sendCost)
 	m := &rpc.CollectiveChunk{
 		OpID: op, Tag: tag, Src: uint32(rank),
 		Total: uint64(total), Offset: uint64(offset),
@@ -276,8 +244,8 @@ func (g *Group) sendRange(rank, dst int, op int64, tagBase uint32, data []byte, 
 }
 
 // combineCost models folding n bytes into the local accumulator.
-func (g *Group) combineCost(n int) time.Duration {
-	return time.Duration(g.cfg.CombineNsPerByte * float64(n))
+func combineCost(n int) time.Duration {
+	return time.Duration(combineNsPerByte * float64(n))
 }
 
 // recvRange receives the chunks of one tagged transfer into dst[lo:hi],
@@ -297,7 +265,7 @@ func (g *Group) recvRange(rank int, op int64, tagBase uint32, dst []byte, lo, hi
 			seg := dst[lo+d.offset : lo+d.offset+len(d.data)]
 			if rop != nil {
 				rop.Combine(seg, d.data)
-				vt = vt.Add(g.combineCost(len(d.data)))
+				vt = vt.Add(combineCost(len(d.data)))
 			} else {
 				copy(seg, d.data)
 			}
@@ -362,11 +330,11 @@ func (g *Group) bcast(op int64, rank, root int, data []byte, tagBit uint32, chun
 	if n == 1 {
 		return slices.Clip(data), at, nil
 	}
-	span := g.chunkSpan(1)
+	span := chunkSpan(1)
 	if rank == root {
 		total := len(data)
 		vt := at
-		if total <= g.cfg.SmallLimit {
+		if total <= SmallLimit {
 			_, children := binomial(0, n)
 			for _, c := range children {
 				var err error
@@ -397,7 +365,7 @@ func (g *Group) bcast(op int64, rank, root int, data []byte, tagBit uint32, chun
 		return nil, at, err
 	}
 	var next []int
-	if d.total <= g.cfg.SmallLimit {
+	if d.total <= SmallLimit {
 		_, children := binomial(vr, n)
 		for _, c := range children {
 			next = append(next, realRank(c, root, n))
@@ -454,7 +422,7 @@ func (g *Group) reduce(op int64, rank, root int, data []byte, rop ReduceOp, tagB
 	if n == 1 {
 		return acc, at, nil
 	}
-	span := g.chunkSpan(rop.Align)
+	span := chunkSpan(rop.Align)
 	vr := (rank - root + n) % n
 	vt := at
 	level := 0
@@ -476,7 +444,7 @@ func (g *Group) reduce(op int64, rank, root int, data []byte, rop ReduceOp, tagB
 				return nil, vt, err
 			}
 			acc = rop.Combine(acc, in)
-			vt = rvt.Add(g.combineCost(len(in)))
+			vt = rvt.Add(combineCost(len(in)))
 		}
 		level++
 	}
@@ -520,7 +488,7 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 		return slices.Clip(data), at, nil
 	}
 
-	if len(data) <= g.cfg.SmallLimit {
+	if len(data) <= SmallLimit {
 		acc, vt, err := g.reduce(op, rank, 0, data, rop, 0, chunks, at)
 		if err != nil {
 			return nil, vt, err
@@ -536,7 +504,7 @@ func (g *Group) Allreduce(op int64, rank int, data []byte, rop ReduceOp, at vtim
 
 	// Ring: reduce-scatter then allgather, segment per rank, chunked.
 	L := len(data)
-	span := g.chunkSpan(rop.Align)
+	span := chunkSpan(rop.Align)
 	right := (rank + 1) % n
 	work := make([]byte, L)
 	copy(work, data)

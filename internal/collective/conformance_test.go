@@ -26,7 +26,7 @@ type transportFixture struct {
 // RDMA-Spark run their RPC environments over plain socket channels (UCR
 // accelerates only shuffle block transfers, not the RPC path), while the
 // two MPI4Spark designs route chunk payloads through the MPI library.
-func buildTransport(t *testing.T, name string, n int, cfg collective.Config) *transportFixture {
+func buildTransport(t *testing.T, name string, n int) *transportFixture {
 	t.Helper()
 	f := fabric.New(fabric.NewIBHDRModel())
 	nodes := make([]*fabric.Node, n)
@@ -69,7 +69,7 @@ func buildTransport(t *testing.T, name string, n int, cfg collective.Config) *tr
 			e.Shutdown()
 		}
 	})
-	fx.group = collective.NewGroup(cfg, sts)
+	fx.group = collective.NewGroup(sts)
 	return fx
 }
 
@@ -88,13 +88,13 @@ func confPattern(n int) []byte {
 // chunk-boundary sizes, a non-power-of-two group, and the single-rank
 // degenerate case.
 func TestBcastConformance(t *testing.T) {
-	cfg := collective.Config{ChunkBytes: 64 << 10, SmallLimit: 8 << 10}
-	sizes := []int{0, 1, cfg.SmallLimit, cfg.SmallLimit + 1, cfg.ChunkBytes, cfg.ChunkBytes + 1, 3*cfg.ChunkBytes + 17}
+	const small, chunk = collective.SmallLimit, collective.ChunkBytes
+	sizes := []int{0, 1, small - 1, small, small + 1, chunk - 1, chunk, chunk + 1, 3*chunk + 17}
 	for _, n := range []int{1, 5} {
 		for _, size := range sizes {
 			data := confPattern(size)
 			for _, tr := range conformanceTransports {
-				fx := buildTransport(t, tr, n, cfg)
+				fx := buildTransport(t, tr, n)
 				op := collective.NextOpID()
 				var mu sync.Mutex
 				got := make([][]byte, n)
@@ -125,9 +125,8 @@ func TestBcastConformance(t *testing.T) {
 // its floating-point combine order — is identical across all four
 // transports for both the binomial (small) and ring (large) paths.
 func TestAllreduceConformance(t *testing.T) {
-	cfg := collective.Config{ChunkBytes: 16 << 10, SmallLimit: 1 << 10}
 	for _, n := range []int{1, 3, 5} {
-		for _, vecLen := range []int{16, 5000} {
+		for _, vecLen := range []int{16, 16 << 10} {
 			inputs := make([][]byte, n)
 			for r := 0; r < n; r++ {
 				v := make([]float64, vecLen)
@@ -138,7 +137,7 @@ func TestAllreduceConformance(t *testing.T) {
 			}
 			var reference [][]byte
 			for _, tr := range conformanceTransports {
-				fx := buildTransport(t, tr, n, cfg)
+				fx := buildTransport(t, tr, n)
 				op := collective.NextOpID()
 				var mu sync.Mutex
 				got := make([][]byte, n)
@@ -173,11 +172,11 @@ func TestAllreduceConformance(t *testing.T) {
 // TestReduceConformance runs the binomial reduce with variable-length
 // payloads per rank across all transports.
 func TestReduceConformance(t *testing.T) {
-	cfg := collective.Config{ChunkBytes: 4 << 10, SmallLimit: 512}
 	n := 5
 	inputs := make([][]byte, n)
 	for r := 0; r < n; r++ {
-		v := make([]float64, 100*(r+1)) // different length per rank
+		// A different length per rank, the longest three chunks.
+		v := make([]float64, collective.ChunkBytes/8*r/2+100*(r+1))
 		for i := range v {
 			v[i] = float64(r + i)
 		}
@@ -185,7 +184,7 @@ func TestReduceConformance(t *testing.T) {
 	}
 	var reference []byte
 	for _, tr := range conformanceTransports {
-		fx := buildTransport(t, tr, n, cfg)
+		fx := buildTransport(t, tr, n)
 		op := collective.NextOpID()
 		var root []byte
 		err := fx.group.Run(op, "reduce", len(inputs[0]), func(rank int) error {
@@ -212,14 +211,13 @@ func TestReduceConformance(t *testing.T) {
 // kind on the same group and a GC, and each kept result must still be the
 // right one. A result has no capacity past its length, so appending to it
 // reallocates instead of writing behind the root's input, which here has
-// room behind it. Binomial (16 elements), then chain and ring (5000).
+// room behind it. Binomial (16 elements), then chain and ring (16 Ki).
 func TestCollectiveResultsAreKept(t *testing.T) {
-	cfg := collective.Config{ChunkBytes: 16 << 10, SmallLimit: 1 << 10}
 	const n = 4
 	const slack = 64
 	for _, tr := range conformanceTransports {
-		fx := buildTransport(t, tr, n, cfg)
-		for _, vecLen := range []int{16, 5000} {
+		fx := buildTransport(t, tr, n)
+		for _, vecLen := range []int{16, 16 << 10} {
 			// inputs returns each rank's vector for one op, with slack bytes
 			// of capacity behind it, and their sum.
 			inputs := func(seed int) ([][]byte, []byte) {

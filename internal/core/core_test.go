@@ -73,22 +73,39 @@ func TestDesignString(t *testing.T) {
 // one MPI world (ranks 0 and 1).
 func twoProcEnvs(t *testing.T, design Design) (*rpc.Env, *rpc.Env, *fabric.Fabric) {
 	t.Helper()
+	envs, _, f := twoProcStates(t, design)
+	return envs[0], envs[1], f
+}
+
+// twoProcStates is twoProcEnvs with each env's EnvState.
+func twoProcStates(t *testing.T, design Design) ([2]*rpc.Env, [2]*EnvState, *fabric.Fabric) {
+	t.Helper()
 	f := fabric.New(fabric.NewIBHDRModel())
-	n0, n1 := f.AddNode("n0"), f.AddNode("n1")
-	w := mpi.NewWorld(f)
-	comm := w.InitWorld([]*fabric.Node{n0, n1})
-	id0 := &Identity{Kind: KindParent, World: comm.Handle(0)}
-	id1 := &Identity{Kind: KindParent, World: comm.Handle(1)}
-	e0, _, err := NewMPIEnv("env0", n0, "rpc", id0, design, rpc.EnvConfig{})
-	if err != nil {
-		t.Fatal(err)
+	nodes := []*fabric.Node{f.AddNode("n0"), f.AddNode("n1")}
+	comm := mpi.NewWorld(f).InitWorld(nodes)
+	var envs [2]*rpc.Env
+	var states [2]*EnvState
+	for i, n := range nodes {
+		id := &Identity{Kind: KindParent, World: comm.Handle(i)}
+		e, st, err := NewMPIEnv(fmt.Sprintf("env%d", i), n, "rpc", id, design, rpc.EnvConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Shutdown)
+		envs[i], states[i] = e, st
 	}
-	e1, _, err := NewMPIEnv("env1", n1, "rpc", id1, design, rpc.EnvConfig{})
-	if err != nil {
-		t.Fatal(err)
+	return envs, states, f
+}
+
+// onlyChannel returns the one channel st's env has.
+func onlyChannel(t *testing.T, st *EnvState) *netty.Channel {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.chans) != 1 {
+		t.Fatalf("env has %d channels, want 1", len(st.chans))
 	}
-	t.Cleanup(func() { e0.Shutdown(); e1.Shutdown() })
-	return e0, e1, f
+	return st.chans[0].ch
 }
 
 // fetchOne fetches a single block as what it is on the wire, a batch of one.
@@ -458,21 +475,18 @@ func (c captureInbound) ChannelRead(ctx *netty.Context, msg any) {
 // body counted on MPI and not on the socket; a zero-length body is
 // header-only and puts nothing on MPI.
 func TestBodyMessageRoundTripOptimized(t *testing.T) {
-	e0, e1, f := twoProcEnvs(t, DesignOptimized)
-	var client *netty.Channel
-	e0.OnChannelActive = func(ch *netty.Channel, server bool) { client = ch }
-	arrived := make(captureInbound, 1)
-	e1.OnChannelActive = func(ch *netty.Channel, server bool) {
-		ch.Pipeline().AddBefore("dispatcher", "capture", arrived)
-	}
-	if err := e1.RegisterEndpoint("E", func(c *rpc.Call) { c.Reply(nil, c.VT) }); err != nil {
+	envs, states, f := twoProcStates(t, DesignOptimized)
+	if err := envs[1].RegisterEndpoint("E", func(c *rpc.Call) { c.Reply(nil, c.VT) }); err != nil {
 		t.Fatal(err)
 	}
 	// One ask dials the channel and sees the rank handshake through on both
 	// sides: its reply follows the server's handshake frame on the socket.
-	if _, _, err := e0.Ask(e1.Addr(), "E", nil, 0); err != nil {
+	if _, _, err := envs[0].Ask(envs[1].Addr(), "E", nil, 0); err != nil {
 		t.Fatal(err)
 	}
+	client := onlyChannel(t, states[0])
+	arrived := make(captureInbound, 1)
+	onlyChannel(t, states[1]).Pipeline().AddBefore("dispatcher", "capture", arrived)
 
 	const thr = mpi.DefaultEagerThreshold
 	msgs := []rpc.BodyMessage{

@@ -64,7 +64,7 @@ type execSeat struct {
 	idx     int
 	node    *fabric.Node
 	id      *Identity
-	inflate func() float64
+	inflate float64
 	svc     *shuffleservice.Service
 	attempt int
 }
@@ -116,14 +116,10 @@ func (c *MPICluster) serviceFor(workerIdx int) *shuffleservice.Service {
 }
 
 // NewMPIEnv builds an RPC environment whose channels speak the given
-// MPI4Spark design. The returned EnvState is already attached (polling
-// installed for Basic).
-func NewMPIEnv(name string, node *fabric.Node, port string, id *Identity, design Design, base rpc.EnvConfig) (*rpc.Env, *EnvState, error) {
+// MPI4Spark design; the design sets cfg's transport and hooks. The returned
+// EnvState is already attached (polling installed for Basic).
+func NewMPIEnv(name string, node *fabric.Node, port string, id *Identity, design Design, cfg rpc.EnvConfig) (*rpc.Env, *EnvState, error) {
 	st := NewEnvState(id, design)
-	cfg := base
-	if cfg.Protocol == 0 && cfg.DispatchCost == 0 {
-		cfg = rpc.DefaultEnvConfig()
-	}
 	cfg.Hooks = st
 	if design == DesignBasic {
 		cfg.TransportFactory = st.BasicTransportFactory()
@@ -200,10 +196,9 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 			return
 		}
 		cluster.addEnv(env, st)
-		var inflate func() float64
+		inflate := 1.0
 		if cfg.Design == DesignBasic {
-			f := cfg.BasicComputeInflation
-			inflate = func() float64 { return f }
+			inflate = cfg.BasicComputeInflation
 		}
 		svc := cluster.serviceFor(execIdx)
 		e := spark.NewExecutor(spark.ExecutorConfig{

@@ -80,26 +80,22 @@ type EnvState struct {
 	// order) cannot drag every later delivery past its own virtual time.
 	pollEngine vtime.Resource
 
-	// PollRecvCost is the per-frame cost charged on the polling selector
-	// (Iprobe scans across channels plus the blocking receive).
-	PollRecvCost time.Duration
-
 	// polls counts the selector wake-ups that ran Poll: one per MPI arrival,
 	// socket event or loop task, none while the environment is idle
 	// (diagnostics/ablation).
 	polls int64
 }
 
-// DefaultPollRecvCost is the default per-frame selector handling cost in
-// the Basic design. It is deliberately small: the dominant Basic-design
-// penalty is compute starvation (BasicComputeInflation in the launcher);
-// this constant only serializes reception through the single polling
-// selector under bursts.
-const DefaultPollRecvCost = 5 * time.Microsecond
+// pollRecvCost is the per-frame cost charged on the Basic design's polling
+// selector (Iprobe scans across channels plus the blocking receive). It is
+// deliberately small: the dominant Basic-design penalty is compute
+// starvation (BasicComputeInflation in the launcher); this constant only
+// serializes reception through the single polling selector under bursts.
+const pollRecvCost = 5 * time.Microsecond
 
 // NewEnvState builds the runtime for one environment.
 func NewEnvState(id *Identity, design Design) *EnvState {
-	return &EnvState{id: id, design: design, PollRecvCost: DefaultPollRecvCost}
+	return &EnvState{id: id, design: design}
 }
 
 // InstallClient implements rpc.PipelineHooks.
@@ -178,7 +174,7 @@ func (st *EnvState) Poll() bool {
 			}
 			head, body, status := r.h.RecvGather(r.rank, recvTag, 0)
 			did = true
-			_, vt := st.pollEngine.Occupy(status.VT, st.PollRecvCost)
+			_, vt := st.pollEngine.Occupy(status.VT, pollRecvCost)
 			mc.ch.Pipeline().FireChannelRead(netty.WrapInbound(head, body), vt)
 		}
 	}

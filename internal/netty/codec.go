@@ -3,10 +3,8 @@ package netty
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"mpi4spark/internal/bytebuf"
-	"mpi4spark/internal/vtime"
 )
 
 // Frame is one wire frame in two parts: Head holds the framed header bytes
@@ -55,10 +53,8 @@ type inlineFrame struct {
 // covers head and body; only the head is rewritten, into a fresh frame the
 // receiver may keep (frames are never pooled: receivers alias the head), so
 // the writer can recycle its own head buffer as soon as Write returns.
-type FrameEncoder struct {
-	// EncodeNsPerByte models the CPU cost of framing/copying per byte.
-	EncodeNsPerByte float64
-}
+// Framing costs no virtual time.
+type FrameEncoder struct{}
 
 // Write implements OutboundHandler.
 func (e *FrameEncoder) Write(ctx *Context, msg any) {
@@ -72,9 +68,6 @@ func (e *FrameEncoder) Write(ctx *Context, msg any) {
 	}
 	framed = binary.BigEndian.AppendUint32(framed, uint32(n))
 	f.head.SetBytes(append(framed, head.Readable()...))
-	if e.EncodeNsPerByte > 0 {
-		ctx.Advance(vtimeNs(e.EncodeNsPerByte * float64(n)))
-	}
 	if body == nil {
 		ctx.Write(&f.head)
 		return
@@ -90,8 +83,7 @@ func (e *FrameEncoder) Write(ctx *Context, msg any) {
 // (reported through OnError if set). What it forwards has the shape of
 // what arrived: a *bytebuf.Buf, or a *Frame whose body was never touched.
 type FrameDecoder struct {
-	DecodeNsPerByte float64
-	OnError         func(error)
+	OnError func(error)
 }
 
 // ChannelRead implements InboundHandler.
@@ -106,9 +98,6 @@ func (d *FrameDecoder) ChannelRead(ctx *Context, msg any) {
 		d.fail(fmt.Errorf("netty: frame length %d does not match %d readable bytes", n, got))
 		return
 	}
-	if d.DecodeNsPerByte > 0 {
-		ctx.Advance(vtimeNs(d.DecodeNsPerByte * float64(n)))
-	}
 	ctx.FireChannelRead(msg)
 }
 
@@ -116,11 +105,4 @@ func (d *FrameDecoder) fail(err error) {
 	if d.OnError != nil {
 		d.OnError(err)
 	}
-}
-
-func vtimeNs(ns float64) vtime.Stamp {
-	if ns <= 0 {
-		return 0
-	}
-	return vtime.Stamp(time.Duration(ns))
 }

@@ -35,14 +35,14 @@ type stamper struct {
 
 func (h *stamper) ChannelRead(ctx *Context, msg any) {
 	h.tr.add("%s<%d", h.name, ctx.VT())
-	ctx.Advance(h.d)
+	ctx.SetVT(ctx.VT() + h.d)
 	ctx.FireChannelRead(msg)
 	h.tr.add("%s>%d", h.name, ctx.VT())
 }
 
 func (h *stamper) Write(ctx *Context, msg any) {
 	h.tr.add("%s<<%d", h.name, ctx.VT())
-	ctx.Advance(h.d)
+	ctx.SetVT(ctx.VT() + h.d)
 	ctx.Write(msg)
 	h.tr.add("%s>>%d", h.name, ctx.VT())
 }
@@ -93,7 +93,7 @@ func TestContextStamps(t *testing.T) {
 				ch.Pipeline().AddLast("enc", &stamper{"enc", 3, tr})
 				ch.Pipeline().AddLast("echo", inboundFunc(func(ctx *Context, msg any) {
 					tr.add("echo<%d", ctx.VT())
-					ctx.Advance(5)
+					ctx.SetVT(ctx.VT() + 5)
 					free := ctx.Channel().Write(msg, ctx.VT()+1)
 					tr.add("echo wrote=%d holds=%d", free, ctx.VT())
 				}))
@@ -111,7 +111,7 @@ func TestContextStamps(t *testing.T) {
 				ch.Pipeline().AddLast("split", inboundFunc(func(ctx *Context, msg any) {
 					tr.add("split<%d", ctx.VT())
 					ctx.FireChannelRead(msg.(string) + "1")
-					ctx.Advance(2)
+					ctx.SetVT(ctx.VT() + 2)
 					ctx.FireChannelRead(msg.(string) + "2")
 					tr.add("split>%d", ctx.VT())
 				}))
@@ -292,7 +292,7 @@ func TestConcurrentTraversalsKeepTheirStamps(t *testing.T) {
 	arrived := make(chan struct{}, chans*writers*perWriter)
 	srv, err := (&ServerBootstrap{Group: servers, Initializer: func(ch *Channel) {
 		ch.Pipeline().AddLast("add", inboundFunc(func(ctx *Context, msg any) {
-			ctx.Advance(inAdd(idOf(msg)))
+			ctx.SetVT(ctx.VT() + inAdd(idOf(msg)))
 			ctx.FireChannelRead(msg)
 		}))
 		ch.Pipeline().AddLast("pass", passThrough{})
@@ -313,7 +313,7 @@ func TestConcurrentTraversalsKeepTheirStamps(t *testing.T) {
 		ch, _, err := (&Bootstrap{Group: clients, Protocol: fabric.TCP, Initializer: func(ch *Channel) {
 			ch.Pipeline().AddLast("pass", passThrough{})
 			ch.Pipeline().AddLast("add", outboundFunc(func(ctx *Context, msg any) {
-				ctx.Advance(outAdd(idOf(msg)))
+				ctx.SetVT(ctx.VT() + outAdd(idOf(msg)))
 				ctx.Write(msg)
 			}))
 		}}).Connect(f.Node("n0"), srv.Addr(), 0)

@@ -192,9 +192,6 @@ func (c *Context) VT() vtime.Stamp { return c.vt }
 // SetVT overrides the event's virtual timestamp.
 func (c *Context) SetVT(vt vtime.Stamp) { c.vt = vt }
 
-// Advance adds modeled processing cost to the event's timestamp.
-func (c *Context) Advance(d vtime.Stamp) { c.vt += d }
-
 // FireChannelRead forwards an inbound message to the next inbound handler,
 // or discards it at the tail (as Netty's TailContext does).
 func (c *Context) FireChannelRead(msg any) {

@@ -215,12 +215,12 @@ func TestAdaptiveCoalesceAcrossTransports(t *testing.T) {
 	}
 }
 
-// TestSpeculationStragglerRace inflates one executor's compute 20x so its
-// tasks straggle on every stage, with speculation on: re-launched attempts
-// must run concurrently, beat the stragglers without changing results, and
-// the speculation counters must reconcile exactly with the TaskSpeculated
-// events. Run under -race this doubles as the concurrent-speculation data
-// race check.
+// TestSpeculationStragglerRace makes one executor's map tasks 20x slower
+// (the task closure charges 20x the compute there), with speculation on:
+// re-launched attempts must run concurrently, beat the stragglers without
+// changing results, and the speculation counters must reconcile exactly
+// with the TaskSpeculated events. Run under -race this doubles as the
+// concurrent-speculation data race check.
 func TestSpeculationStragglerRace(t *testing.T) {
 	const nParts = 6
 	for _, backend := range chaosBackends {
@@ -231,7 +231,7 @@ func TestSpeculationStragglerRace(t *testing.T) {
 				c.EventLogPath = path
 				c.Speculation = true
 			})
-			cc.ctx.Executors()[1].SetInflate(func() float64 { return 20 })
+			straggler := cc.ctx.Executors()[1].ID()
 
 			pairs := spark.Generate(cc.ctx, nParts, func(part int, tc *spark.TaskContext) []spark.Pair[int64, int64] {
 				out := make([]spark.Pair[int64, int64], 40)
@@ -240,9 +240,13 @@ func TestSpeculationStragglerRace(t *testing.T) {
 				}
 				// Charge enough raw compute that task duration is
 				// compute-bound; otherwise messaging costs drown the
-				// inflated executor and no straggler crosses the
-				// speculation threshold.
-				tc.Charge(500 * time.Microsecond)
+				// slow executor and no straggler crosses the speculation
+				// threshold.
+				compute := 500 * time.Microsecond
+				if tc.ExecutorID() == straggler {
+					compute *= 20
+				}
+				tc.Charge(compute)
 				tc.ChargeRecords(len(out), 16*len(out))
 				return out
 			})
@@ -264,7 +268,7 @@ func TestSpeculationStragglerRace(t *testing.T) {
 				t.Fatalf("won %d + lost %d != launched %d", won, lost, launched)
 			}
 			if won == 0 {
-				t.Fatal("no speculative attempt won against a 20x-inflated straggler")
+				t.Fatal("no speculative attempt won against a 20x-slower straggler")
 			}
 
 			events, err := obs.ReadLog(path)

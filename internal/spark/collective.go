@@ -23,7 +23,7 @@ func (c *Context) collectiveGroup() (*collective.Group, []*Executor) {
 		members = append(members, e.coll)
 		execs = append(execs, e)
 	}
-	g := collective.NewGroup(collective.Config{}, members)
+	g := collective.NewGroup(members)
 	g.SetObserver(func(info collective.OpInfo) {
 		// The driver clock advances only when the caller observes the
 		// op's completion VT (AdvanceClock), after this hook runs — the

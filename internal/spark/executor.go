@@ -101,9 +101,9 @@ type Executor struct {
 	slots   chan *slot
 	cpu     CPUModel
 
-	// inflate scales compute costs; the Basic design's polling starvation
-	// installs a >1 factor here.
-	inflate func() float64
+	// inflate scales compute costs: 1, or the Basic design's polling
+	// starvation factor.
+	inflate float64
 
 	ucrServer *ucr.Server
 
@@ -139,8 +139,8 @@ type ExecutorConfig struct {
 	UCRRegistry shuffle.UCRServerRegistry
 	// UCRConfig tunes the UCR runtime (zero value selects defaults).
 	UCRConfig ucr.Config
-	// Inflate scales compute cost (nil means none).
-	Inflate func() float64
+	// Inflate scales compute cost (zero means none).
+	Inflate float64
 	// StartVT is the virtual time the executor process came up (zero for
 	// cluster-launch executors; replacements start at their respawn time
 	// so their slots cannot run tasks before the process existed).
@@ -156,6 +156,9 @@ type ExecutorConfig struct {
 func NewExecutor(cfg ExecutorConfig) *Executor {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
+	}
+	if cfg.Inflate == 0 {
+		cfg.Inflate = 1
 	}
 	e := &Executor{
 		id:      cfg.ID,
@@ -213,9 +216,6 @@ func (e *Executor) Slots() int { return e.nSlots }
 
 // UCRServer returns the executor's UCR block server (RDMA backend), or nil.
 func (e *Executor) UCRServer() *ucr.Server { return e.ucrServer }
-
-// SetInflate installs the compute-cost inflation hook.
-func (e *Executor) SetInflate(f func() float64) { e.inflate = f }
 
 // Attach wires the executor to a SparkContext: it learns the driver
 // address, creates the tracker client, and registers the Executor endpoint

@@ -76,14 +76,14 @@ func (tc *TaskContext) Observe(vt vtime.Stamp) {
 }
 
 // Charge adds modeled compute cost, inflated by the executor's compute
-// inflator (the Basic design's polling starvation).
+// inflation factor (the Basic design's polling starvation).
 func (tc *TaskContext) Charge(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	f := 1.0
-	if tc.exec != nil && tc.exec.inflate != nil {
-		f = tc.exec.inflate()
+	if tc.exec != nil {
+		f = tc.exec.inflate
 	}
 	tc.vt = tc.vt.Add(time.Duration(float64(d) * f))
 }

@@ -64,7 +64,7 @@ type batchServe struct {
 // loop) instead of one batch monopolizing the NIC until done — burst-
 // serving whole batches FIFO starves whichever reducer is served last and
 // its straggling fetch bounds the stage. Each chunk is charged one
-// ChunkServeCost on the stream-manager clock; on the MPI designs each
+// chunkServeCost on the stream-manager clock; on the MPI designs each
 // chunk becomes one eager/rendezvous MPI message. A block the resolver
 // cannot find is reported as a single Missing chunk, failing only that
 // block.
@@ -141,7 +141,7 @@ func (e *Env) servePump() {
 // has more to send.
 func (e *Env) serveNextChunk(b *batchServe) bool {
 	i := b.cur
-	_, svt := e.chunkEngine.Occupy(b.vt, e.cfg.ChunkServeCost)
+	_, svt := e.chunkEngine.Occupy(b.vt, chunkServeCost)
 	m, n := &ChunkFetchSuccess{FetchID: b.id, Index: uint32(i), Missing: !b.found[i]}, 1
 	if b.found[i] {
 		body := b.bodies[i]
@@ -337,9 +337,8 @@ func (e *Env) RegisterPushHandler(fn func(m *PushBlockRequest, vt vtime.Stamp) (
 // PushBlock pushes one committed shuffle block to the external shuffle
 // service at peer and blocks for the ack — map tasks only report success
 // once the service owns the block. sum is the block's write-time CRC32C,
-// which the service verifies at ingest (0 disables verification, for
-// hand-built test pushes). It returns the service's ack payload and the
-// virtual completion time.
+// which the service verifies at ingest. It returns the service's ack
+// payload and the virtual completion time.
 func (e *Env) PushBlock(peer fabric.Addr, shuffleID, mapID, reduceID int, body []byte, sum uint32, at vtime.Stamp) ([]byte, vtime.Stamp, error) {
 	id := e.reqSeq.Add(1)
 	return e.roundTrip(peer, id, &PushBlockRequest{
@@ -374,7 +373,7 @@ func (e *Env) servePush(ch *netty.Channel, m *PushBlockRequest, vt vtime.Stamp) 
 	e.mu.Lock()
 	handler := e.pushHandler
 	e.mu.Unlock()
-	_, svt := e.chunkEngine.Occupy(vt, e.cfg.ChunkServeCost)
+	_, svt := e.chunkEngine.Occupy(vt, chunkServeCost)
 	if handler == nil {
 		ch.Write(&RpcFailure{ReqID: m.PushID, Error: "no push handler"}, svt)
 		return

@@ -54,37 +54,30 @@ type PipelineHooks interface {
 	InstallServer(ch *netty.Channel, env *Env)
 }
 
-// EnvConfig configures an Env.
+// EnvConfig configures an Env: what differs between the designs. Every env
+// dials over TCP (the MPI designs keep their sockets for establishment and
+// headers) and runs one event loop.
 type EnvConfig struct {
-	// DispatchCost is the modeled per-message endpoint dispatch cost.
-	DispatchCost time.Duration
-	// ChunkServeCost is the modeled per-request stream-manager cost for
-	// chunk fetches.
-	ChunkServeCost time.Duration
-	// ReadEventCost is the modeled selector/pipeline cost per inbound
-	// message.
-	ReadEventCost time.Duration
-	// Protocol is the socket protocol used for dialing (TCP for Spark;
-	// the MPI designs keep TCP sockets for establishment and headers).
-	Protocol fabric.Protocol
-	// EventLoops is the number of event loops (default 1).
-	EventLoops int
 	// TransportFactory overrides the channel transport (MPI designs).
 	TransportFactory netty.TransportFactory
 	// Hooks install extra pipeline handlers (MPI designs).
 	Hooks PipelineHooks
 }
 
-// DefaultEnvConfig returns the vanilla-Spark configuration.
-func DefaultEnvConfig() EnvConfig {
-	return EnvConfig{
-		DispatchCost:   2 * time.Microsecond,
-		ChunkServeCost: 3 * time.Microsecond,
-		ReadEventCost:  1 * time.Microsecond,
-		Protocol:       fabric.TCP,
-		EventLoops:     1,
-	}
-}
+// DefaultEnvConfig returns the vanilla-Spark configuration: socket channels,
+// no hooks.
+func DefaultEnvConfig() EnvConfig { return EnvConfig{} }
+
+// The modelled CPU costs of an env, in virtual time.
+const (
+	// dispatchCost is the endpoint dispatcher's cost per delivered call.
+	dispatchCost = 2 * time.Microsecond
+	// chunkServeCost is the stream manager's cost per served chunk and per
+	// pushed block (Env.chunkEngine).
+	chunkServeCost = 3 * time.Microsecond
+	// readEventCost is the selector and pipeline cost per inbound message.
+	readEventCost = 1 * time.Microsecond
+)
 
 type askReply struct {
 	data []byte
@@ -136,7 +129,7 @@ type Env struct {
 	reqSeq atomic.Int64
 
 	// chunkEngine is the stream-manager thread's occupancy: every served
-	// chunk and push pays ChunkServeCost on it. A work-conserving Resource,
+	// chunk and push pays chunkServeCost on it. A work-conserving Resource,
 	// not a monotone clock, for the same reason as endpoint dispatch:
 	// requests are handled in real-scheduler order, and an early-handled
 	// late-stamped request must not inflate every later stamp past its own
@@ -146,18 +139,11 @@ type Env struct {
 	collectiveSink func(m *CollectiveChunk, vt vtime.Stamp)
 	pushHandler    func(m *PushBlockRequest, vt vtime.Stamp) ([]byte, error)
 	onShutdown     []func()
-
-	// OnChannelActive, when set, observes every new channel; only tests set
-	// it, to add handlers to a channel's pipeline.
-	OnChannelActive func(ch *netty.Channel, server bool)
 }
 
 // NewEnv starts an RPC environment named name on the given node, listening
 // on port.
 func NewEnv(name string, node *fabric.Node, port string, cfg EnvConfig) (*Env, error) {
-	if cfg.EventLoops < 1 {
-		cfg.EventLoops = 1
-	}
 	e := &Env{
 		name:      name,
 		node:      node,
@@ -167,7 +153,7 @@ func NewEnv(name string, node *fabric.Node, port string, cfg EnvConfig) (*Env, e
 		pending:   make(map[int64]*pendingAsk),
 		batches:   make(map[int64]*pendingBatch),
 	}
-	e.group = netty.NewEventLoopGroup(cfg.EventLoops, netty.LoopConfig{ReadEventCost: cfg.ReadEventCost})
+	e.group = netty.NewEventLoopGroup(1, netty.LoopConfig{ReadEventCost: readEventCost})
 	sb := &netty.ServerBootstrap{
 		Group:   e.group,
 		Factory: cfg.TransportFactory,
@@ -214,9 +200,6 @@ func (e *Env) initPipeline(ch *netty.Channel, server bool) {
 		}
 	}
 	p.AddLast("dispatcher", &dispatchHandler{env: e})
-	if e.OnChannelActive != nil {
-		e.OnChannelActive(ch, server)
-	}
 }
 
 // messageEncoder turns typed Messages into wire frames: the header fields
@@ -390,7 +373,6 @@ func (e *Env) checkChannelAlive(ch *netty.Channel) {
 type endpoint struct {
 	name    string
 	handler Handler
-	cost    time.Duration
 	engine  vtime.Resource
 
 	mu     sync.Mutex
@@ -422,7 +404,7 @@ func (ep *endpoint) loop() {
 		c := ep.queue[0]
 		ep.queue = ep.queue[1:]
 		ep.mu.Unlock()
-		_, end := ep.engine.Occupy(c.VT, ep.cost)
+		_, end := ep.engine.Occupy(c.VT, dispatchCost)
 		c.VT = end
 		ep.handler(c)
 	}
@@ -446,7 +428,7 @@ func (e *Env) RegisterEndpoint(name string, h Handler) error {
 	if _, ok := e.endpoints[name]; ok {
 		return fmt.Errorf("rpc: endpoint %q already registered", name)
 	}
-	ep := &endpoint{name: name, handler: h, cost: e.cfg.DispatchCost}
+	ep := &endpoint{name: name, handler: h}
 	ep.cond = sync.NewCond(&ep.mu)
 	e.endpoints[name] = ep
 	go ep.loop()
@@ -502,7 +484,7 @@ func (e *Env) connTo(addr fabric.Addr, at vtime.Stamp) (*netty.Channel, vtime.St
 
 	b := &netty.Bootstrap{
 		Group:    e.group,
-		Protocol: e.cfg.Protocol,
+		Protocol: fabric.TCP,
 		Factory:  e.cfg.TransportFactory,
 		Initializer: func(ch *netty.Channel) {
 			e.initPipeline(ch, false)

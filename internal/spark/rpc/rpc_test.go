@@ -79,13 +79,19 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 
 func twoEnvs(t *testing.T) (*Env, *Env) {
 	t.Helper()
+	return twoEnvsServing(t, DefaultEnvConfig())
+}
+
+// twoEnvsServing is twoEnvs with the second (serving) env built from cfg.
+func twoEnvsServing(t *testing.T, cfg EnvConfig) (*Env, *Env) {
+	t.Helper()
 	f := fabric.New(fabric.NewIBHDRModel())
 	n0, n1 := f.AddNode("n0"), f.AddNode("n1")
 	a, err := NewEnv("envA", n0, "rpc", DefaultEnvConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEnv("envB", n1, "rpc", DefaultEnvConfig())
+	b, err := NewEnv("envB", n1, "rpc", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +238,13 @@ func (h rewriteChunks) Write(ctx *netty.Context, msg any) {
 	ctx.Write(msg)
 }
 
+// InstallClient and InstallServer make rewriteChunks the PipelineHooks of a
+// serving env: it rewrites the chunks that env serves.
+func (h rewriteChunks) InstallClient(*netty.Channel, *Env) {}
+func (h rewriteChunks) InstallServer(ch *netty.Channel, _ *Env) {
+	ch.Pipeline().AddLast("rewriteChunks", h)
+}
+
 // TestFetchRejectsMalformedChunks: Total and Offset of a chunk are wire data.
 // A chunk that overruns the block it announces, or announces another size
 // than the block's first chunk did, fails that block with an error; its
@@ -259,12 +272,7 @@ func TestFetchRejectsMalformedChunks(t *testing.T) {
 	}
 	for name, rewrite := range cases {
 		t.Run(name, func(t *testing.T) {
-			a, b := twoEnvs(t)
-			b.OnChannelActive = func(ch *netty.Channel, server bool) {
-				if server {
-					ch.Pipeline().AddLast("rewriteChunks", rewrite)
-				}
-			}
+			a, b := twoEnvsServing(t, EnvConfig{Hooks: rewrite})
 			blocks := map[string][]byte{
 				"bad":  bytes.Repeat([]byte{1}, 200),
 				"good": bytes.Repeat([]byte{2}, 150),

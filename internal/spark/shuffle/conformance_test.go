@@ -244,7 +244,7 @@ func TestConformanceMissingMapOutput(t *testing.T) {
 		}
 
 		// Status claims a block that was never written on the server.
-		ghost := &shuffle.MapStatus{Loc: cl.peers[1].loc, Sizes: []int64{4096}}
+		ghost := &shuffle.MapStatus{Loc: cl.peers[1].loc, Sizes: []int64{4096}, Sums: []uint32{1}}
 		_, _, err = fetchGuarded(t, cl.peers[0], 2, 0, []*shuffle.MapStatus{ghost}, 0)
 		ff, ok = shuffle.AsFetchFailed(err)
 		if !ok {

@@ -16,6 +16,13 @@ import (
 // manager is not configured (spark.Config.ShuffleChunkBytes).
 const DefaultChunkBytes = 1 << 20
 
+// The modelled cost of reading one local block: a fixed cost plus a
+// per-byte one (a RAM-disk read in the paper's configuration).
+const (
+	localReadCost      = 2 * time.Microsecond
+	localReadNsPerByte = 0.15
+)
+
 // DefaultMaxBytesInFlight bounds the total declared size of batched
 // requests in flight per reduce task, mirroring Spark's
 // spark.reducer.maxBytesInFlight default of 48 MiB.
@@ -40,11 +47,6 @@ var (
 // reduce inputs through the fetcher.
 type Manager struct {
 	bm *storage.BlockManager
-	// LocalReadCost is the modeled cost of reading one local block (RAM
-	// disk read in the paper's configuration).
-	LocalReadCost time.Duration
-	// LocalReadNsPerByte is the modeled per-byte local read cost.
-	LocalReadNsPerByte float64
 	// Retry bounds remote fetches (retries, backoff, per-attempt
 	// deadline).
 	Retry RetryPolicy
@@ -77,13 +79,11 @@ const DefaultBreakerThreshold = 12
 // NewManager creates a shuffle manager over the executor's block manager.
 func NewManager(bm *storage.BlockManager) *Manager {
 	return &Manager{
-		bm:                 bm,
-		LocalReadCost:      2 * time.Microsecond,
-		LocalReadNsPerByte: 0.15,
-		Retry:              DefaultRetryPolicy(),
-		ChunkBytes:         DefaultChunkBytes,
-		MaxBytesInFlight:   DefaultMaxBytesInFlight,
-		BreakerThreshold:   DefaultBreakerThreshold,
+		bm:               bm,
+		Retry:            DefaultRetryPolicy(),
+		ChunkBytes:       DefaultChunkBytes,
+		MaxBytesInFlight: DefaultMaxBytesInFlight,
+		BreakerThreshold: DefaultBreakerThreshold,
 	}
 }
 
@@ -119,15 +119,13 @@ type FetchResult struct {
 }
 
 // remoteBlock is one block of a per-peer batch. sum is the write-time
-// CRC32C from the map status; hasSum distinguishes "expected sum is zero"
-// from "status carried no sums" (hand-built statuses in older tests).
+// CRC32C from the map status.
 type remoteBlock struct {
 	mapID   int
 	blockID storage.BlockID
 	size    int64
 	loc     Location
 	sum     uint32
-	hasSum  bool
 }
 
 // FetchShuffleParts retrieves every map output destined for reduceID:
@@ -258,7 +256,7 @@ func (m *Manager) FetchShuffleRange(
 				})
 				break
 			}
-			cost := m.LocalReadCost + time.Duration(m.LocalReadNsPerByte*float64(len(data)))
+			cost := localReadCost + time.Duration(localReadNsPerByte*float64(len(data)))
 			observe(at.Add(cost))
 			fetchBytesLocal.Add(int64(len(data)))
 			results[mapID] = FetchResult{MapID: mapID, Data: data, Local: true}
@@ -267,14 +265,10 @@ func (m *Manager) FetchShuffleRange(
 		if _, ok := groups[st.Loc.ExecID]; !ok {
 			peerOrder = append(peerOrder, st.Loc.ExecID)
 		}
-		blk := remoteBlock{
+		groups[st.Loc.ExecID] = append(groups[st.Loc.ExecID], remoteBlock{
 			mapID: mapID, blockID: blockID, size: st.Sizes[reduceID], loc: st.Loc,
-		}
-		if reduceID < len(st.Sums) {
-			blk.sum = st.Sums[reduceID]
-			blk.hasSum = true
-		}
-		groups[st.Loc.ExecID] = append(groups[st.Loc.ExecID], blk)
+			sum: st.Sums[reduceID],
+		})
 	}
 
 	// Pass 2: one batched request per peer, admitted by the byte budget.
@@ -444,13 +438,9 @@ func (m *Manager) settle(shuffleID, reduceID int, blk remoteBlock, r rpc.BatchBl
 }
 
 // verifyBlock checks a landed remote block against the CRC32C its map task
-// recorded at write time. Statuses without sums (hand-built fixtures) pass
-// unchecked. A mismatch counts, emits a BlockCorrupt event, and returns a
-// retryable CorruptBlockError.
+// recorded at write time. A mismatch counts, emits a BlockCorrupt event, and
+// returns a retryable CorruptBlockError.
 func (m *Manager) verifyBlock(shuffleID, reduceID int, blk remoteBlock, data []byte, vt vtime.Stamp) error {
-	if !blk.hasSum {
-		return nil
-	}
 	integrityChecked.Inc()
 	got := Checksum(data)
 	if got == blk.sum {
@@ -499,25 +489,14 @@ func (m *Manager) fetchMergedRun(
 	}
 	// The entries alias the fetched run, which the results below keep alive.
 	entries, derr := DecodeMergedRun(r.Data)
-	// With write-time sums for the whole group, every anomaly in a landed
-	// run — a frame that no longer decodes, a requested map id that went
-	// missing (a flipped id field), a sum header or payload that disagrees
-	// with the tracker's expectation — is a detected corruption: by reduce
-	// time every push has been acked, so a clean run decodes completely.
-	// Counting exactly one detection per landed frame keeps injected and
-	// detected counts reconciled; the per-block fallback then re-verifies
-	// each block individually.
-	sumsKnown := true
-	for _, blk := range blocks {
-		if !blk.hasSum {
-			sumsKnown = false
-			break
-		}
-	}
-	anomaly := func(cause error) bool {
-		if !sumsKnown {
-			return false
-		}
+	// Every anomaly in a landed run — a frame that no longer decodes, a
+	// requested map id that went missing (a flipped id field), a sum header
+	// or payload that disagrees with the tracker's expectation — is a
+	// detected corruption: by reduce time every push has been acked, so a
+	// clean run decodes completely. Counting exactly one detection per
+	// landed frame keeps injected and detected counts reconciled; the
+	// per-block fallback then re-verifies each block individually.
+	anomaly := func(cause error) {
 		metrics.GetCounter(CounterCorruptDetected).Inc()
 		metrics.GetCounter(CounterIntegrityRefetches).Inc()
 		m.Bus.Emit(obs.Event{
@@ -525,7 +504,6 @@ func (m *Manager) fetchMergedRun(
 			ShuffleID: shuffleID, ReduceID: reduceID,
 			Executor: blocks[0].loc.ExecID, Err: cause.Error(),
 		})
-		return true
 	}
 	if derr != nil {
 		anomaly(derr)
@@ -541,15 +519,13 @@ func (m *Manager) fetchMergedRun(
 			anomaly(fmt.Errorf("merged run from %s missing map %d", blocks[0].loc.ExecID, blk.mapID))
 			return false
 		}
-		if blk.hasSum {
-			integrityChecked.Inc()
-			if e.Sum != blk.sum || Checksum(e.Data) != blk.sum {
-				anomaly(&CorruptBlockError{
-					ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID,
-					Loc: blocks[0].loc, Want: blk.sum, Got: Checksum(e.Data),
-				})
-				return false
-			}
+		integrityChecked.Inc()
+		if e.Sum != blk.sum || Checksum(e.Data) != blk.sum {
+			anomaly(&CorruptBlockError{
+				ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID,
+				Loc: blocks[0].loc, Want: blk.sum, Got: Checksum(e.Data),
+			})
+			return false
 		}
 	}
 	var bytes int64

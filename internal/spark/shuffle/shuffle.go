@@ -111,8 +111,8 @@ func DecodeMapStatus(buf *bytebuf.Buf) (*MapStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ns > n {
-		return nil, fmt.Errorf("shuffle: status carries %d sums for %d partitions", ns, n)
+	if ns != n {
+		return nil, fmt.Errorf("%w: %d sums for %d partitions", ErrMalformedStatuses, ns, n)
 	}
 	m.Sums = make([]uint32, ns)
 	for i := range m.Sums {

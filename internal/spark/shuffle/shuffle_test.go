@@ -19,6 +19,7 @@ func TestMapStatusRoundTrip(t *testing.T) {
 	st := &MapStatus{
 		Loc:   Location{ExecID: "exec-2", Addr: fabric.Addr{Node: "n3", Port: "bts"}},
 		Sizes: []int64{0, 100, 2048, 7},
+		Sums:  []uint32{0, 1, 0xdeadbeef, 3},
 	}
 	data, err := func() ([]byte, error) {
 		tr := NewMapOutputTracker()
@@ -39,7 +40,7 @@ func TestMapStatusRoundTrip(t *testing.T) {
 		t.Fatalf("len = %d", len(out))
 	}
 	got := out[0]
-	if got.Loc != st.Loc || len(got.Sizes) != 4 || got.Sizes[2] != 2048 {
+	if got.Loc != st.Loc || fmt.Sprint(got.Sizes, got.Sums) != fmt.Sprint(st.Sizes, st.Sums) {
 		t.Fatalf("round trip = %+v", got)
 	}
 }
@@ -59,11 +60,11 @@ func TestServiceLocationSurvivesHoles(t *testing.T) {
 		Service: true,
 	}
 	execLoc := Location{ExecID: "exec-1", Addr: fabric.Addr{Node: "w1", Port: "rpc"}}
-	if err := tr.RegisterMapOutput(11, 0, &MapStatus{Loc: svcLoc, Sizes: []int64{5, 0}}); err != nil {
+	if err := tr.RegisterMapOutput(11, 0, &MapStatus{Loc: svcLoc, Sizes: []int64{5, 0}, Sums: []uint32{1, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	// Map 1 stays a hole.
-	if err := tr.RegisterMapOutput(11, 2, &MapStatus{Loc: execLoc, Sizes: []int64{0, 9}}); err != nil {
+	if err := tr.RegisterMapOutput(11, 2, &MapStatus{Loc: execLoc, Sizes: []int64{0, 9}, Sums: []uint32{0, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := tr.SerializeOutputs(11)
@@ -133,7 +134,7 @@ func TestTrackerRPC(t *testing.T) {
 	tr := NewMapOutputTracker()
 	tr.RegisterShuffle(1, 2)
 	for m := 0; m < 2; m++ {
-		st := &MapStatus{Loc: Location{ExecID: fmt.Sprintf("e%d", m)}, Sizes: []int64{int64(m), 10}}
+		st := &MapStatus{Loc: Location{ExecID: fmt.Sprintf("e%d", m)}, Sizes: []int64{int64(m), 10}, Sums: []uint32{1, 2}}
 		if err := tr.RegisterMapOutput(1, m, st); err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +340,11 @@ func TestBytesInFlightGate(t *testing.T) {
 	const peers, block = 6, 1000
 	statuses := make([]*MapStatus, peers)
 	for i := range statuses {
-		statuses[i] = &MapStatus{Loc: Location{ExecID: fmt.Sprintf("exec-%d", i)}, Sizes: []int64{block}}
+		statuses[i] = &MapStatus{
+			Loc:   Location{ExecID: fmt.Sprintf("exec-%d", i)},
+			Sizes: []int64{block},
+			Sums:  []uint32{Checksum(make([]byte, block))}, // what gateBTS lands
+		}
 	}
 	for _, c := range []struct {
 		budget int64

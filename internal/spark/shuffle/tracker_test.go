@@ -237,7 +237,7 @@ func TestInvalidateDuringFetchLeavesNoStaleEntry(t *testing.T) {
 		stale <- ss
 	}()
 	<-g.entered // the reply is serialized, with map 1 still on e1
-	moved := &MapStatus{Loc: Location{ExecID: "e9"}, Sizes: []int64{99, 10}}
+	moved := &MapStatus{Loc: Location{ExecID: "e9"}, Sizes: []int64{99, 10}, Sums: []uint32{9, 7}}
 	if err := tr.RegisterMapOutput(1, 1, moved); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestTrackerMutatorsDropWireForm(t *testing.T) {
 	mutators := map[string]func(tr *MapOutputTracker){
 		"RegisterShuffle": func(tr *MapOutputTracker) { tr.RegisterShuffle(1, 5) },
 		"RegisterMapOutput": func(tr *MapOutputTracker) {
-			if err := tr.RegisterMapOutput(1, 2, &MapStatus{Loc: Location{ExecID: "e7"}, Sizes: []int64{1}}); err != nil {
+			if err := tr.RegisterMapOutput(1, 2, &MapStatus{Loc: Location{ExecID: "e7"}, Sizes: []int64{1, 10}, Sums: []uint32{1, 7}}); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -295,11 +295,11 @@ func TestTrackerMutatorsDropWireForm(t *testing.T) {
 }
 
 // TestSerializeOutputsExactSize: the encoder sizes its buffer exactly, holes
-// and a missing Sums included, and never hands out the cached form.
+// included, and never hands out the cached form.
 func TestSerializeOutputsExactSize(t *testing.T) {
 	tr := testTracker(t, 1, 4, 0)
 	tr.UnregisterOutputsOnExecutor("e2")
-	if err := tr.RegisterMapOutput(1, 3, &MapStatus{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1, 2, 3}}); err != nil {
+	if err := tr.RegisterMapOutput(1, 3, &MapStatus{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1, 2, 3}, Sums: []uint32{4, 5, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := tr.SerializeOutputs(1)
@@ -318,8 +318,9 @@ func TestSerializeOutputsExactSize(t *testing.T) {
 	}
 }
 
-// TestDecodersClampWireCounts: a count the payload cannot hold is refused
-// with ErrMalformedStatuses before a slice is made from it.
+// TestDecodersClampWireCounts: a count the payload cannot hold, or a status
+// whose sums do not number its partitions, is refused with
+// ErrMalformedStatuses before a slice is made from it.
 func TestDecodersClampWireCounts(t *testing.T) {
 	status := func(tail ...byte) []byte { // one present status with empty strings and no flags, then tail
 		return append([]byte{0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, tail...)
@@ -329,6 +330,7 @@ func TestDecodersClampWireCounts(t *testing.T) {
 		"entries, one over": {0, 0, 0, 3, 0, 0},
 		"sizes":             status(0x7f, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 1),
 		"sums":              status(0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0),
+		"sums, one missing": status(0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 0, 5),
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -396,7 +398,7 @@ func FuzzDeserializeOutputs(f *testing.F) {
 	f.Add(encodeOutputs([]*MapStatus{
 		{Loc: Location{ExecID: "exec-0", Addr: fabric.Addr{Node: "w0", Port: "rpc"}}, Sizes: []int64{512, 0}, Sums: []uint32{7, 0}},
 		nil,
-		{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1}},
+		{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1}, Sums: []uint32{3}},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ss, err := DeserializeOutputs(data)

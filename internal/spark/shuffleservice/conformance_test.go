@@ -154,12 +154,13 @@ func newSvcCluster(t testing.TB, transport string, n int) *svcCluster {
 func pushMapOutput(t testing.TB, p *svcPeer, shuffleID, mapID int, parts [][]byte) *shuffle.MapStatus {
 	t.Helper()
 	sizes := make([]int64, len(parts))
+	sums := make([]uint32, len(parts))
 	for r, part := range parts {
-		sizes[r] = int64(len(part))
+		sizes[r], sums[r] = int64(len(part)), shuffle.Checksum(part)
 		if len(part) == 0 {
 			continue
 		}
-		ack, _, err := p.env.PushBlock(p.svc.Addr(), shuffleID, mapID, r, part, shuffle.Checksum(part), 0)
+		ack, _, err := p.env.PushBlock(p.svc.Addr(), shuffleID, mapID, r, part, sums[r], 0)
 		if err != nil {
 			t.Fatalf("push %d/%d/%d: %v", shuffleID, mapID, r, err)
 		}
@@ -167,8 +168,7 @@ func pushMapOutput(t testing.TB, p *svcPeer, shuffleID, mapID int, parts [][]byt
 			t.Fatalf("push %d/%d/%d: ack %q, want %q", shuffleID, mapID, r, ack, shuffleservice.AckPushed)
 		}
 	}
-	loc := p.svc.Location()
-	return &shuffle.MapStatus{Loc: loc, Sizes: sizes}
+	return &shuffle.MapStatus{Loc: p.svc.Location(), Sizes: sizes, Sums: sums}
 }
 
 func fetchGuarded(t testing.TB, p *svcPeer, shuffleID, reduceID int, statuses []*shuffle.MapStatus, at vtime.Stamp) ([]shuffle.FetchResult, vtime.Stamp, error) {

@@ -160,7 +160,7 @@ func (s *Service) HandlePush(m *rpc.PushBlockRequest, vt vtime.Stamp) ([]byte, e
 // block the service already holds is idempotent: it acks AckDuplicate and
 // counts nothing, so a map-task retry cannot double-merge its output.
 func (s *Service) Push(shuffleID, mapID, reduceID int, body []byte, sum uint32, vt vtime.Stamp) ([]byte, error) {
-	if sum != 0 && shuffle.Checksum(body) != sum {
+	if shuffle.Checksum(body) != sum {
 		metrics.GetCounter(shuffle.CounterCorruptDetected).Add(1)
 		s.bus.Load().Emit(obs.Event{
 			Type: obs.EvBlockCorrupt, VT: vt,

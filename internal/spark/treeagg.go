@@ -69,7 +69,7 @@ func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]
 		op := collective.NextOpID()
 		at := c.Clock()
 		kind := "allreduce"
-		if payloadLen <= group.Config().SmallLimit {
+		if payloadLen <= collective.SmallLimit {
 			kind = "reduce"
 		}
 		var result []float64
@@ -85,7 +85,7 @@ func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]
 				}
 				in = collective.EncodeFloat64s(v)
 			}
-			if payloadLen <= group.Config().SmallLimit {
+			if payloadLen <= collective.SmallLimit {
 				out, vt, err := group.Reduce(op, rank, 0, in, collective.Float64Sum, at)
 				if err != nil {
 					return err

@@ -6,6 +6,13 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
+// The PID gains, Spark's PIDRateEstimator defaults. Its derivative gain
+// is 0, so the derivative term is left out.
+const (
+	pidProportional = 1.0
+	pidIntegral     = 0.2
+)
+
 // pidEstimator is Spark's `pid` RateEstimator
 // (PIDRateEstimator.scala) on virtual time: after each completed batch
 // it proposes a new ingest bound (events/sec) from the measured
@@ -14,23 +21,16 @@ import (
 // drained, so the rate must dip below the processing rate until it is.
 type pidEstimator struct {
 	batchIntervalSec float64
-	kp, ki, kd       float64
 	minRate          float64
 
-	first       bool
-	latestTime  vtime.Stamp
-	latestRate  float64
-	latestError float64
+	latestTime vtime.Stamp // -1 until the first measurement
+	latestRate float64
 }
 
-func newPIDEstimator(batchInterval time.Duration, kp, ki, kd, minRate float64) *pidEstimator {
+func newPIDEstimator(batchInterval time.Duration, minRate float64) *pidEstimator {
 	return &pidEstimator{
 		batchIntervalSec: batchInterval.Seconds(),
-		kp:               kp,
-		ki:               ki,
-		kd:               kd,
 		minRate:          minRate,
-		first:            true,
 		latestTime:       -1,
 	}
 }
@@ -49,34 +49,19 @@ func (p *pidEstimator) update(completedAt vtime.Stamp, events int64, proc, sched
 	if schedDelay < 0 {
 		schedDelay = 0
 	}
-
-	if p.first {
-		// Seed the controller from the first measurement: the sustainable
-		// rate is the processing rate, less the drain needed for whatever
-		// delay the first batch already accumulated.
-		histErr := time.Duration(schedDelay).Seconds() * procRate / p.batchIntervalSec
-		rate := procRate - p.ki*histErr
-		if rate < p.minRate {
-			rate = p.minRate
-		}
-		p.first = false
-		p.latestTime = completedAt
-		p.latestRate = rate
-		p.latestError = 0
-		return rate, true
-	}
-
-	delaySec := time.Duration(completedAt - p.latestTime).Seconds()
-	err := p.latestRate - procRate
 	histErr := time.Duration(schedDelay).Seconds() * procRate / p.batchIntervalSec
-	dErr := (err - p.latestError) / delaySec
 
-	rate := p.latestRate - p.kp*err - p.ki*histErr - p.kd*dErr
+	// The first measurement seeds the controller: the sustainable rate is
+	// the processing rate, less the drain needed for whatever delay the
+	// first batch already accumulated.
+	rate := procRate - pidIntegral*histErr
+	if p.latestTime >= 0 {
+		rate = p.latestRate - pidProportional*(p.latestRate-procRate) - pidIntegral*histErr
+	}
 	if rate < p.minRate {
 		rate = p.minRate
 	}
 	p.latestTime = completedAt
 	p.latestRate = rate
-	p.latestError = err
 	return rate, true
 }

@@ -13,7 +13,7 @@ const batchI = 100 * time.Millisecond
 func sec(d time.Duration) vtime.Stamp { return vtime.Stamp(d.Nanoseconds()) }
 
 func TestPIDFirstUpdateSeedsFromProcessingRate(t *testing.T) {
-	est := newPIDEstimator(batchI, 1, 0.2, 0, 10)
+	est := newPIDEstimator(batchI, 10)
 	// 1000 events in 500ms: processing rate 2000/s, no delay.
 	rate, ok := est.update(sec(500*time.Millisecond), 1000, sec(500*time.Millisecond), 0)
 	if !ok {
@@ -25,7 +25,7 @@ func TestPIDFirstUpdateSeedsFromProcessingRate(t *testing.T) {
 }
 
 func TestPIDFirstUpdateDrainsSchedulingDelay(t *testing.T) {
-	est := newPIDEstimator(batchI, 1, 0.2, 0, 10)
+	est := newPIDEstimator(batchI, 10)
 	// Same processing rate, but 200ms of accumulated delay: the integral
 	// term (2 intervals' worth of backlog at 2000/s) pulls the seed down
 	// by ki * 2 * 2000 = 800.
@@ -39,7 +39,7 @@ func TestPIDFirstUpdateDrainsSchedulingDelay(t *testing.T) {
 }
 
 func TestPIDStaysWhenStable(t *testing.T) {
-	est := newPIDEstimator(batchI, 1, 0.2, 0, 10)
+	est := newPIDEstimator(batchI, 10)
 	est.update(sec(100*time.Millisecond), 1000, sec(100*time.Millisecond), 0)
 	// Processing exactly keeps up (procRate == latestRate, no delay): the
 	// error terms are all zero, the rate must not move.
@@ -53,7 +53,7 @@ func TestPIDStaysWhenStable(t *testing.T) {
 }
 
 func TestPIDBacksOffUnderOverload(t *testing.T) {
-	est := newPIDEstimator(batchI, 1, 0.2, 0, 10)
+	est := newPIDEstimator(batchI, 10)
 	first, _ := est.update(sec(100*time.Millisecond), 10_000, sec(100*time.Millisecond), 0)
 	// Now each batch takes twice the interval and queues delay: the
 	// proposed rate must fall strictly below the processing rate.
@@ -71,7 +71,7 @@ func TestPIDBacksOffUnderOverload(t *testing.T) {
 }
 
 func TestPIDFloorsAtMinRate(t *testing.T) {
-	est := newPIDEstimator(batchI, 1, 0.2, 0, 500)
+	est := newPIDEstimator(batchI, 500)
 	est.update(sec(100*time.Millisecond), 10, sec(100*time.Millisecond), 0)
 	rate, ok := est.update(sec(300*time.Millisecond), 10, sec(200*time.Millisecond), sec(10*time.Second))
 	if !ok {
@@ -83,7 +83,7 @@ func TestPIDFloorsAtMinRate(t *testing.T) {
 }
 
 func TestPIDRejectsUnusableMeasurements(t *testing.T) {
-	est := newPIDEstimator(batchI, 1, 0.2, 0, 10)
+	est := newPIDEstimator(batchI, 10)
 	if _, ok := est.update(sec(100*time.Millisecond), 0, sec(50*time.Millisecond), 0); ok {
 		t.Fatal("accepted empty batch")
 	}

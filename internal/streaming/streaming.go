@@ -50,16 +50,17 @@ const (
 	DefaultMinRate            = 1000 // events/sec
 )
 
+// blocksPerBatch is how many blocks a receiver cuts each batch interval
+// into, one per equal sub-interval (Spark's block interval is a quarter of
+// the default batch interval); each block becomes one pinned RDD partition.
+const blocksPerBatch = 4
+
 // Config configures a StreamingContext. Durations are virtual time.
 type Config struct {
 	// BatchInterval is the micro-batch period: batch b covers virtual
-	// time [b*I, (b+1)*I) from stream start. Default 2ms.
+	// time [b*I, (b+1)*I) from stream start. It must be a multiple of
+	// blocksPerBatch nanoseconds. Default 2ms.
 	BatchInterval time.Duration
-	// BlockInterval is the receivers' block-cut period; each interval's
-	// events land in BatchInterval/BlockInterval blocks, each becoming
-	// one pinned RDD partition. Must divide BatchInterval. Default
-	// BatchInterval/4.
-	BlockInterval time.Duration
 	// Backpressure enables the PID rate controller: when a batch's
 	// processing time exceeds the interval, the next intervals' receiver
 	// ingest is capped at the estimated sustainable rate. Events beyond
@@ -73,11 +74,6 @@ type Config struct {
 	// state may accumulate lineage before it is materialized to the driver
 	// and rebuilt as pinned partitions. Default 5.
 	CheckpointInterval int
-	// ProportionalGain/IntegralGain/DerivativeGain are the PID gains;
-	// zeros take Spark's defaults (1.0, 0.2, 0).
-	ProportionalGain float64
-	IntegralGain     float64
-	DerivativeGain   float64
 }
 
 func (c *Config) validate() error {
@@ -87,8 +83,8 @@ func (c *Config) validate() error {
 	if c.BatchInterval < 0 {
 		return bad("BatchInterval", "negative batch interval")
 	}
-	if c.BlockInterval < 0 {
-		return bad("BlockInterval", "negative block interval")
+	if c.BatchInterval%blocksPerBatch != 0 {
+		return bad("BatchInterval", fmt.Sprintf("%d blocks per batch cannot tile %v", blocksPerBatch, c.BatchInterval))
 	}
 	if c.CheckpointInterval < 0 {
 		return bad("CheckpointInterval", "negative checkpoint interval")
@@ -96,29 +92,14 @@ func (c *Config) validate() error {
 	if c.MinRate < 0 {
 		return bad("MinRate", "negative rate floor")
 	}
-	if c.ProportionalGain < 0 || c.IntegralGain < 0 || c.DerivativeGain < 0 {
-		return bad("Gains", "negative PID gain")
-	}
 	if c.BatchInterval == 0 {
 		c.BatchInterval = DefaultBatchInterval
-	}
-	if c.BlockInterval == 0 {
-		c.BlockInterval = c.BatchInterval / 4
-	}
-	if c.BatchInterval%c.BlockInterval != 0 {
-		return bad("BlockInterval", "must divide BatchInterval")
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = DefaultCheckpointInterval
 	}
 	if c.MinRate == 0 {
 		c.MinRate = DefaultMinRate
-	}
-	if c.ProportionalGain == 0 {
-		c.ProportionalGain = 1.0
-	}
-	if c.IntegralGain == 0 {
-		c.IntegralGain = 0.2
 	}
 	return nil
 }
@@ -186,8 +167,7 @@ func NewContext(ctx *spark.Context, cfg Config) (*StreamingContext, error) {
 		cfg:   cfg,
 		epoch: ctx.Clock(),
 		gen:   vtime.NewResource(),
-		est: newPIDEstimator(cfg.BatchInterval, cfg.ProportionalGain,
-			cfg.IntegralGain, cfg.DerivativeGain, cfg.MinRate),
+		est:   newPIDEstimator(cfg.BatchInterval, cfg.MinRate),
 	}
 	if err := sc.serveBlockRegistry(); err != nil {
 		return nil, err

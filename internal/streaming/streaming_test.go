@@ -320,11 +320,10 @@ func TestConfigValidation(t *testing.T) {
 	cl := testCluster(t, spark.BackendVanilla)
 	bad := []streaming.Config{
 		{BatchInterval: -time.Millisecond},
-		{BlockInterval: -time.Millisecond},
-		{BatchInterval: 2 * time.Millisecond, BlockInterval: 3 * time.Millisecond}, // does not divide
+		{BatchInterval: 3},                      // shorter than one nanosecond per block
+		{BatchInterval: 2*time.Millisecond + 2}, // four blocks do not tile it
 		{CheckpointInterval: -1},
 		{MinRate: -5},
-		{ProportionalGain: -1},
 	}
 	for i, cfg := range bad {
 		_, err := streaming.NewContext(cl.Ctx, cfg)
