@@ -21,18 +21,18 @@ func MergedBlockID(shuffleID, reduceID int) storage.BlockID {
 }
 
 // ParseMergedBlockID reports whether id names a merged run and, if so, its
-// shuffle and reduce partition.
+// shuffle and reduce partition. It accepts exactly the ids MergedBlockID
+// gives non-negative arguments.
 func ParseMergedBlockID(id string) (shuffleID, reduceID int, ok bool) {
-	var s, r int
-	if n, err := fmt.Sscanf(id, mergedBlockPrefix+"_%d_%d", &s, &r); err != nil || n != 2 {
+	var n [2]int
+	if !storage.ParseNumberedID(id, mergedBlockPrefix, n[:]) {
 		return 0, 0, false
 	}
-	return s, r, true
+	return n[0], n[1], true
 }
 
-// rangedBlockPrefix names a map-range slice of a merged run. It shares no
-// Sscanf-ambiguous prefix with MergedBlockID's format: parsing a ranged id
-// with the plain merged format stops at the 'R' and fails cleanly.
+// rangedBlockPrefix names a map-range slice of a merged run. A ranged id is
+// not a merged id: after mergedBlockPrefix comes "Range", not '_'.
 const rangedBlockPrefix = "shuffleMergedRange"
 
 // RangedMergedBlockID names the subset of a merged run covering map ids in
@@ -44,13 +44,15 @@ func RangedMergedBlockID(shuffleID, reduceID, mapLo, mapHi int) storage.BlockID 
 }
 
 // ParseRangedMergedBlockID reports whether id names a ranged merged run
-// and, if so, its shuffle, reduce partition, and [lo, hi) map range.
+// and, if so, its shuffle, reduce partition, and [lo, hi) map range. It
+// accepts exactly the ids RangedMergedBlockID gives non-negative arguments
+// with 0 <= lo < hi.
 func ParseRangedMergedBlockID(id string) (shuffleID, reduceID, mapLo, mapHi int, ok bool) {
-	var s, r, lo, hi int
-	if n, err := fmt.Sscanf(id, rangedBlockPrefix+"_%d_%d_%d_%d", &s, &r, &lo, &hi); err != nil || n != 4 {
+	var n [4]int
+	if !storage.ParseNumberedID(id, rangedBlockPrefix, n[:]) || n[2] >= n[3] {
 		return 0, 0, 0, 0, false
 	}
-	return s, r, lo, hi, true
+	return n[0], n[1], n[2], n[3], true
 }
 
 // MergedEntry is one map task's contribution inside a merged run. Sum is

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -95,8 +96,10 @@ func NewManager(bm *storage.BlockManager) *Manager {
 func (m *Manager) WriteMapOutput(shuffleID, mapID int, parts [][]byte, loc Location) *MapStatus {
 	sizes := make([]int64, len(parts))
 	sums := make([]uint32, len(parts))
+	var names storage.ShuffleBlockIDs
+	names.Grow(len(parts), shuffleID, mapID, len(parts)-1)
 	for r, p := range parts {
-		m.bm.Put(storage.ShuffleBlockID(shuffleID, mapID, r), p)
+		m.bm.Put(names.ID(shuffleID, mapID, r), p)
 		sizes[r] = int64(len(p))
 		sums[r] = Checksum(p)
 	}
@@ -118,14 +121,16 @@ type FetchResult struct {
 	Release func()
 }
 
-// remoteBlock is one block of a per-peer batch. sum is the write-time
-// CRC32C from the map status.
+// remoteBlock is one block of a per-peer batch. id is its name, sum the
+// write-time CRC32C from the map status, and peer numbers its executor in
+// the order the reduce task first needs each.
 type remoteBlock struct {
-	mapID   int
-	blockID storage.BlockID
-	size    int64
-	loc     Location
-	sum     uint32
+	mapID int
+	id    string
+	size  int64
+	loc   Location
+	sum   uint32
+	peer  int
 }
 
 // FetchShuffleParts retrieves every map output destined for reduceID:
@@ -174,21 +179,26 @@ func (m *Manager) FetchShuffleRange(
 	if mapHi > len(statuses) {
 		mapHi = len(statuses)
 	}
-	// The merged run a service group asks for first: the whole partition, or
-	// for a sub-task the block that is its map range of it.
-	merged := MergedBlockID(shuffleID, reduceID)
-	if mapLo > 0 || mapHi < len(statuses) {
-		merged = RangedMergedBlockID(shuffleID, reduceID, mapLo, mapHi)
-	}
 	// Validate the metadata upfront: a nil status means the tracker's
-	// view is already missing this map output, which is a fetch failure
-	// in its own right (zero Loc — nothing to unregister). Only the
-	// requested range matters to this task.
+	// view is already missing this map output, and a status with no
+	// partition reduceID cannot be read; each is a fetch failure in its own
+	// right (zero Loc — nothing to unregister). Only the requested range
+	// matters to this task. The same pass counts the blocks to name and the
+	// remote ones, so that each is sized once.
+	named, remote := 0, 0
 	for mapID := mapLo; mapID < mapHi; mapID++ {
-		if statuses[mapID] == nil {
-			return nil, at, &FetchFailedError{
-				ShuffleID: shuffleID, MapID: mapID, ReduceID: reduceID,
-				Err: fmt.Errorf("no registered map output"),
+		st := statuses[mapID]
+		if st == nil || reduceID < 0 || reduceID >= len(st.Sizes) {
+			err := fmt.Errorf("no registered map output")
+			if st != nil {
+				err = fmt.Errorf("map output has %d partitions, none numbered %d", len(st.Sizes), reduceID)
+			}
+			return nil, at, &FetchFailedError{ShuffleID: shuffleID, MapID: mapID, ReduceID: reduceID, Err: err}
+		}
+		if st.Sizes[reduceID] != 0 {
+			named++
+			if st.Loc.ExecID != selfID {
+				remote++
 			}
 		}
 	}
@@ -231,21 +241,21 @@ func (m *Manager) FetchShuffleRange(
 		budCond.Broadcast()
 	}
 
-	// Pass 1: local reads, and remote blocks grouped by serving executor
-	// in first-appearance order (kept deterministic for the virtual-time
-	// schedule).
-	groups := make(map[string][]remoteBlock)
-	var peerOrder []string
+	// Pass 1: local reads, and the remote blocks in map order, each with its
+	// peer's index in first-appearance order (kept deterministic for the
+	// virtual-time schedule). Every non-empty block is named from one string.
+	var names storage.ShuffleBlockIDs
+	names.Grow(named, shuffleID, mapHi-1, reduceID)
+	blocks := make([]remoteBlock, 0, remote)
+	peers := make([]string, 0, 8) // executor of each peer index
+	var merged storage.BlockID
 	for mapID := mapLo; mapID < mapHi; mapID++ {
 		st := statuses[mapID]
-		if abortedNow() {
-			break
-		}
 		if st.Sizes[reduceID] == 0 {
 			results[mapID] = FetchResult{MapID: mapID, Data: nil}
 			continue
 		}
-		blockID := storage.ShuffleBlockID(shuffleID, mapID, reduceID)
+		blockID := names.ID(shuffleID, mapID, reduceID)
 		if st.Loc.ExecID == selfID {
 			// Local block: no network, only the local read cost.
 			data, ok := m.bm.Get(blockID)
@@ -262,22 +272,38 @@ func (m *Manager) FetchShuffleRange(
 			results[mapID] = FetchResult{MapID: mapID, Data: data, Local: true}
 			continue
 		}
-		if _, ok := groups[st.Loc.ExecID]; !ok {
-			peerOrder = append(peerOrder, st.Loc.ExecID)
+		peer := slices.Index(peers, st.Loc.ExecID)
+		if peer < 0 {
+			peer, peers = len(peers), append(peers, st.Loc.ExecID)
 		}
-		groups[st.Loc.ExecID] = append(groups[st.Loc.ExecID], remoteBlock{
-			mapID: mapID, blockID: blockID, size: st.Sizes[reduceID], loc: st.Loc,
-			sum: st.Sums[reduceID],
+		if st.Loc.Service && merged == "" {
+			// The merged run a service group asks for first: the whole
+			// partition, or for a sub-task the block that is its map range of it.
+			merged = MergedBlockID(shuffleID, reduceID)
+			if mapLo > 0 || mapHi < len(statuses) {
+				merged = RangedMergedBlockID(shuffleID, reduceID, mapLo, mapHi)
+			}
+		}
+		blocks = append(blocks, remoteBlock{
+			mapID: mapID, id: string(blockID), size: st.Sizes[reduceID], loc: st.Loc,
+			sum: st.Sums[reduceID], peer: peer,
 		})
+	}
+	// Group the batches in place: a stable sort by peer index puts each
+	// peer's blocks together, still in map order, and the peers in
+	// first-appearance order. Their wire form is built once, for the task.
+	slices.SortStableFunc(blocks, func(a, b remoteBlock) int { return a.peer - b.peer })
+	ids := make([]string, len(blocks))
+	for i, b := range blocks {
+		ids[i] = b.id
 	}
 
 	// Pass 2: one batched request per peer, admitted by the byte budget.
 	var wg sync.WaitGroup
-	for _, peer := range peerOrder {
-		blocks := groups[peer]
+	for lo, hi := 0, 0; lo < len(blocks); lo = hi {
 		var batchBytes int64
-		for _, b := range blocks {
-			batchBytes += b.size
+		for hi = lo; hi < len(blocks) && blocks[hi].peer == blocks[lo].peer; hi++ {
+			batchBytes += blocks[hi].size
 		}
 		mu.Lock()
 		for !aborted && inFlight > 0 && inFlight+batchBytes > budget {
@@ -291,7 +317,7 @@ func (m *Manager) FetchShuffleRange(
 		mu.Unlock()
 
 		wg.Add(1)
-		go func(blocks []remoteBlock, batchBytes int64) {
+		go func(merged storage.BlockID, blocks []remoteBlock, ids []string, batchBytes int64) {
 			defer wg.Done()
 			defer func() {
 				mu.Lock()
@@ -299,8 +325,8 @@ func (m *Manager) FetchShuffleRange(
 				mu.Unlock()
 				budCond.Broadcast()
 			}()
-			m.fetchBatch(shuffleID, reduceID, merged, blocks, bts, at, results, observe, fail, abortedNow)
-		}(blocks, batchBytes)
+			m.fetchBatch(shuffleID, reduceID, merged, blocks, ids, bts, at, results, observe, fail, abortedNow)
+		}(merged, blocks[lo:hi], ids[lo:hi], batchBytes)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -334,6 +360,7 @@ func (m *Manager) fetchBatch(
 	shuffleID, reduceID int,
 	merged storage.BlockID,
 	blocks []remoteBlock,
+	ids []string,
 	bts BlockTransferService,
 	at vtime.Stamp,
 	results []FetchResult,
@@ -352,10 +379,6 @@ func (m *Manager) fetchBatch(
 	// also serves.
 	if loc.Service && m.fetchMergedRun(shuffleID, reduceID, merged, blocks, bts, at, results, observe) {
 		return
-	}
-	ids := make([]storage.BlockID, len(blocks))
-	for i, b := range blocks {
-		ids[i] = b.blockID
 	}
 	fetchRequests.Inc()
 	fetchBatchedBlocks.Add(int64(len(blocks)))
@@ -378,7 +401,7 @@ func (m *Manager) fetchBatch(
 		attemptAt := at
 		for attempt := 1; r.Err != nil && attempt <= m.Retry.MaxRetries && !abortedNow(); attempt++ {
 			wait := m.Retry.backoff(attempt)
-			if j := m.Retry.jitter(string(blk.blockID), attempt); j > 0 {
+			if j := m.Retry.jitter(blk.id, attempt); j > 0 {
 				metrics.GetCounter(CounterRetryJitterVT).Add(int64(j))
 				wait += j
 			}
@@ -425,7 +448,7 @@ func (m *Manager) settle(shuffleID, reduceID int, blk remoteBlock, r rpc.BatchBl
 			r = rpc.BatchBlockResult{VT: r.VT, Err: err}
 		} else if d := m.Retry.FetchDeadline; d > 0 && r.VT > at.Add(d) {
 			metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-			r = rpc.BatchBlockResult{VT: at.Add(d), Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.blockID, blk.loc.ExecID, d)}
+			r = rpc.BatchBlockResult{VT: at.Add(d), Err: fmt.Errorf("fetch %s from %s exceeded deadline %v", blk.id, blk.loc.ExecID, d)}
 		}
 	}
 	switch {
@@ -475,7 +498,7 @@ func (m *Manager) fetchMergedRun(
 	observe func(vtime.Stamp),
 ) bool {
 	fetchRequests.Inc()
-	rs, _, err := bts.Fetch(blocks[0].loc, []storage.BlockID{id}, m.ChunkBytes, at)
+	rs, _, err := bts.Fetch(blocks[0].loc, []string{string(id)}, m.ChunkBytes, at)
 	if err != nil || len(rs) != 1 {
 		return false
 	}

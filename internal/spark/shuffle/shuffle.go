@@ -7,8 +7,10 @@
 package shuffle
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"mpi4spark/internal/bytebuf"
@@ -66,7 +68,9 @@ func (m *MapStatus) Encode(buf *bytebuf.Buf) {
 	}
 }
 
-// ErrMalformedStatuses marks a status payload whose counts it cannot hold.
+// ErrMalformedStatuses marks a status payload encodeOutputs cannot have
+// written: a count its bytes cannot hold, statuses that number different
+// partitions, a byte that is neither of its two values, or trailing bytes.
 var ErrMalformedStatuses = errors.New("shuffle: malformed map statuses")
 
 // readCount reads a count of items of at least min bytes each and rejects,
@@ -79,48 +83,25 @@ func readCount(buf *bytebuf.Buf, min int, what string) (uint32, error) {
 	return n, err
 }
 
-// DecodeMapStatus parses one status.
-func DecodeMapStatus(buf *bytebuf.Buf) (*MapStatus, error) {
-	var m MapStatus
-	var err error
-	if m.Loc.ExecID, err = buf.ReadString(); err != nil {
-		return nil, err
-	}
-	if m.Loc.Addr.Node, err = buf.ReadString(); err != nil {
-		return nil, err
-	}
-	if m.Loc.Addr.Port, err = buf.ReadString(); err != nil {
-		return nil, err
-	}
-	flags, err := buf.ReadByte()
+// readInterned reads a length-prefixed string and returns the equal one from
+// seen if there is one, else a new one it adds to seen: a tracker reply names
+// the same few executors, nodes and ports in every status.
+func readInterned(buf *bytebuf.Buf, seen []string) (string, []string, error) {
+	n, err := buf.ReadUint32()
 	if err != nil {
-		return nil, err
+		return "", seen, err
 	}
-	m.Loc.Service = flags&locFlagService != 0
-	n, err := readCount(buf, 8, "sizes")
+	p, err := buf.ReadSlice(int(n))
 	if err != nil {
-		return nil, err
+		return "", seen, err
 	}
-	m.Sizes = make([]int64, n)
-	for i := range m.Sizes {
-		if m.Sizes[i], err = buf.ReadInt64(); err != nil {
-			return nil, err
+	for _, s := range seen {
+		if s == string(p) {
+			return s, seen, nil
 		}
 	}
-	ns, err := readCount(buf, 4, "sums")
-	if err != nil {
-		return nil, err
-	}
-	if ns != n {
-		return nil, fmt.Errorf("%w: %d sums for %d partitions", ErrMalformedStatuses, ns, n)
-	}
-	m.Sums = make([]uint32, ns)
-	for i := range m.Sums {
-		if m.Sums[i], err = buf.ReadUint32(); err != nil {
-			return nil, err
-		}
-	}
-	return &m, nil
+	s := string(p)
+	return s, append(seen, s), nil
 }
 
 // MapOutputTracker is the driver-side registry of shuffle map outputs.
@@ -298,13 +279,29 @@ func (t *MapOutputTracker) wireOutputs(shuffleID int) []byte {
 }
 
 // DeserializeOutputs decodes a tracker RPC payload; holes come back nil.
+//
+// A reply costs a handful of allocations, however many statuses it holds:
+// the statuses are one []MapStatus, their Sizes and Sums cap-limited windows
+// of one []int64 and one []uint32 (an append to one status's slice cannot
+// reach a neighbour's), and each distinct location string is made once.
+// Every status must number the same partitions, and only what encodeOutputs
+// writes is accepted (presence and flags bytes, nothing after the last
+// entry), so an accepted reply re-encodes to the same bytes.
 func DeserializeOutputs(data []byte) ([]*MapStatus, error) {
-	buf := bytebuf.Wrap(data)
-	n, err := readCount(buf, 1, "entries") // an entry is at least its presence byte
+	var buf bytebuf.Buf
+	buf.SetBytes(data)
+	n, err := readCount(&buf, 1, "entries") // an entry is at least its presence byte
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*MapStatus, n)
+	var (
+		slab        []MapStatus
+		sizes       []int64
+		sums        []uint32
+		parts, used int
+		seen        = make([]string, 0, 8)
+	)
 	for i := range out {
 		present, err := buf.ReadByte()
 		if err != nil {
@@ -313,9 +310,58 @@ func DeserializeOutputs(data []byte) ([]*MapStatus, error) {
 		if present == 0 {
 			continue
 		}
-		if out[i], err = DecodeMapStatus(buf); err != nil {
+		if present != 1 {
+			return nil, fmt.Errorf("%w: presence byte %d", ErrMalformedStatuses, present)
+		}
+		var loc Location
+		for _, s := range [...]*string{&loc.ExecID, &loc.Addr.Node, &loc.Addr.Port} {
+			if *s, seen, err = readInterned(&buf, seen); err != nil {
+				return nil, err
+			}
+		}
+		flags, err := buf.ReadByte()
+		if err != nil {
 			return nil, err
 		}
+		if flags&^locFlagService != 0 {
+			return nil, fmt.Errorf("%w: flags %#x", ErrMalformedStatuses, flags)
+		}
+		loc.Service = flags != 0
+		np, err := readCount(&buf, 8, "sizes")
+		if err != nil {
+			return nil, err
+		}
+		rawSizes, _ := buf.ReadSlice(8 * int(np)) // readCount saw the bytes
+		ns, err := readCount(&buf, 4, "sums")
+		if err != nil {
+			return nil, err
+		}
+		if ns != np {
+			return nil, fmt.Errorf("%w: %d sums for %d partitions", ErrMalformedStatuses, ns, np)
+		}
+		rawSums, _ := buf.ReadSlice(4 * int(ns))
+		if used == 0 {
+			// The slabs hold this status and every one left, as far as the
+			// bytes left can: each takes at least 22 bytes and its 12 per
+			// partition.
+			parts = int(np)
+			k := 1 + min(len(out)-i-1, buf.ReadableBytes()/(22+12*parts))
+			slab, sizes, sums = make([]MapStatus, k), make([]int64, k*parts), make([]uint32, k*parts)
+		} else if int(np) != parts {
+			return nil, fmt.Errorf("%w: %d partitions after %d", ErrMalformedStatuses, np, parts)
+		}
+		lo, hi := used*parts, (used+1)*parts
+		st := &slab[used]
+		*st = MapStatus{Loc: loc, Sizes: sizes[lo:hi:hi], Sums: sums[lo:hi:hi]}
+		for k := range st.Sizes {
+			st.Sizes[k] = int64(binary.BigEndian.Uint64(rawSizes[8*k:]))
+			st.Sums[k] = binary.BigEndian.Uint32(rawSums[4*k:])
+		}
+		out[i] = st
+		used++
+	}
+	if buf.ReadableBytes() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the last status", ErrMalformedStatuses, buf.ReadableBytes())
 	}
 	return out, nil
 }
@@ -329,8 +375,8 @@ const TrackerEndpoint = "MapOutputTracker"
 // statuses.
 func ServeTracker(env *rpc.Env, t *MapOutputTracker) error {
 	return env.RegisterEndpoint(TrackerEndpoint, func(c *rpc.Call) {
-		var shuffleID int
-		if _, err := fmt.Sscanf(string(c.Payload), "%d", &shuffleID); err != nil {
+		shuffleID, err := strconv.Atoi(string(c.Payload))
+		if err != nil {
 			c.Reply(nil, c.VT)
 			return
 		}
@@ -406,7 +452,7 @@ func (c *TrackerClient) GetOutputs(shuffleID int, at vtime.Stamp) ([]*MapStatus,
 // fetch is the one exchange with the driver's tracker endpoint.
 func (c *TrackerClient) fetch(shuffleID int, at vtime.Stamp) ([]*MapStatus, vtime.Stamp, error) {
 	trackerAsks.Inc()
-	data, vt, err := c.env.Ask(c.driver, TrackerEndpoint, []byte(fmt.Sprint(shuffleID)), at)
+	data, vt, err := c.env.Ask(c.driver, TrackerEndpoint, []byte(strconv.Itoa(shuffleID)), at)
 	if err != nil {
 		return nil, at, err
 	}

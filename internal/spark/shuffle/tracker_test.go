@@ -299,7 +299,7 @@ func TestTrackerMutatorsDropWireForm(t *testing.T) {
 func TestSerializeOutputsExactSize(t *testing.T) {
 	tr := testTracker(t, 1, 4, 0)
 	tr.UnregisterOutputsOnExecutor("e2")
-	if err := tr.RegisterMapOutput(1, 3, &MapStatus{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1, 2, 3}, Sums: []uint32{4, 5, 6}}); err != nil {
+	if err := tr.RegisterMapOutput(1, 3, &MapStatus{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1, 2}, Sums: []uint32{4, 5}}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := tr.SerializeOutputs(1)
@@ -318,12 +318,20 @@ func TestSerializeOutputsExactSize(t *testing.T) {
 	}
 }
 
-// TestDecodersClampWireCounts: a count the payload cannot hold, or a status
-// whose sums do not number its partitions, is refused with
-// ErrMalformedStatuses before a slice is made from it.
+// TestDecodersClampWireCounts: a count the payload cannot hold, a status
+// whose sums do not number its partitions, statuses that number different
+// partitions (a reduce task would index past one's sizes), or anything else
+// encodeOutputs does not write is refused with ErrMalformedStatuses before a
+// slice is made from it.
 func TestDecodersClampWireCounts(t *testing.T) {
 	status := func(tail ...byte) []byte { // one present status with empty strings and no flags, then tail
 		return append([]byte{0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, tail...)
+	}
+	one := encodeOutputs([]*MapStatus{{Sizes: []int64{9}, Sums: []uint32{5}}})
+	with := func(at int, b byte) []byte { // one, with its byte at replaced by b
+		data := append([]byte(nil), one...)
+		data[at] = b
+		return data
 	}
 	for name, data := range map[string][]byte{
 		"entries":           {0xff, 0xff, 0xff, 0xff, 0},
@@ -331,6 +339,13 @@ func TestDecodersClampWireCounts(t *testing.T) {
 		"sizes":             status(0x7f, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 1),
 		"sums":              status(0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0),
 		"sums, one missing": status(0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 0, 5),
+		"partitions differ": encodeOutputs([]*MapStatus{
+			{Sizes: []int64{9}, Sums: []uint32{5}},
+			{Sizes: []int64{5, 6}, Sums: []uint32{1, 2}},
+		}),
+		"presence byte 2": with(4, 2),
+		"flags 2":         with(17, 2),
+		"trailing byte":   append(one, 0),
 	} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -392,13 +407,15 @@ func TestTrackerRepliesAliasOneImmutableSlice(t *testing.T) {
 
 // FuzzDeserializeOutputs feeds arbitrary bytes to the tracker payload
 // decoder. It must neither panic nor allocate beyond what the input can
-// hold, and whatever it accepts must survive encode/decode unchanged: the
-// driver caches an encoded form and every executor decodes it.
+// hold, and whatever it accepts must be exactly what encodeOutputs writes for
+// the statuses it decoded, and survive encode/decode unchanged: the driver
+// caches an encoded form and every executor decodes it. The statuses share
+// slabs, so an append to one's Sizes or Sums must leave every other as it was.
 func FuzzDeserializeOutputs(f *testing.F) {
 	f.Add(encodeOutputs([]*MapStatus{
 		{Loc: Location{ExecID: "exec-0", Addr: fabric.Addr{Node: "w0", Port: "rpc"}}, Sizes: []int64{512, 0}, Sums: []uint32{7, 0}},
 		nil,
-		{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1}, Sums: []uint32{3}},
+		{Loc: Location{ExecID: "svc", Service: true}, Sizes: []int64{1, 0}, Sums: []uint32{3, 0}},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ss, err := DeserializeOutputs(data)
@@ -407,6 +424,18 @@ func FuzzDeserializeOutputs(f *testing.F) {
 		}
 		if len(ss) > len(data) {
 			t.Fatalf("%d statuses from %d bytes", len(ss), len(data))
+		}
+		if !bytes.Equal(encodeOutputs(ss), data) {
+			t.Fatalf("accepted a payload that does not re-encode to itself (input %x)", data)
+		}
+		for _, st := range ss {
+			if st != nil {
+				_ = append(st.Sizes, -1)
+				_ = append(st.Sums, 0xffffffff)
+			}
+		}
+		if !bytes.Equal(encodeOutputs(ss), data) {
+			t.Fatalf("an append to one status's sizes or sums changed another's (input %x)", data)
 		}
 		again, err := DeserializeOutputs(encodeOutputs(ss))
 		if err != nil {

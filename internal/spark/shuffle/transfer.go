@@ -6,7 +6,6 @@ import (
 
 	"mpi4spark/internal/rdma"
 	"mpi4spark/internal/spark/rpc"
-	"mpi4spark/internal/spark/storage"
 	"mpi4spark/internal/ucr"
 	"mpi4spark/internal/vtime"
 )
@@ -21,22 +20,14 @@ type BlockTransferService interface {
 	// at most chunkBytes (transports with their own chunking, like UCR,
 	// ignore the hint). It is the only fetch there is: a single block is a
 	// batch of one, and a map-range slice of a merged run is a block with
-	// an id of its own (RangedMergedBlockID). Results are index-aligned
+	// an id of its own (RangedMergedBlockID). blockIDs are the ids' wire
+	// form, which the caller builds once per task. Results are index-aligned
 	// with blockIDs; failures are per block so one lost block does not void
 	// its landed siblings. The returned error covers only request-level
 	// failures.
-	Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error)
+	Fetch(loc Location, blockIDs []string, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error)
 	// Close releases connections.
 	Close()
-}
-
-// blockIDStrings is the wire form of a batch's ids.
-func blockIDStrings(blockIDs []storage.BlockID) []string {
-	ids := make([]string, len(blockIDs))
-	for i, id := range blockIDs {
-		ids[i] = string(id)
-	}
-	return ids
 }
 
 // NettyBTS fetches blocks with ChunkFetchRequest/ChunkFetchSuccess messages
@@ -52,8 +43,8 @@ func NewNettyBTS(env *rpc.Env) *NettyBTS { return &NettyBTS{env: env} }
 
 // Fetch implements BlockTransferService: one round-trip, chunked and
 // pipelined reply; blocks adopted by reference, chunk by chunk.
-func (b *NettyBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
-	return b.env.FetchBlockBatch(loc.Addr, blockIDStrings(blockIDs), chunkBytes, at)
+func (b *NettyBTS) Fetch(loc Location, blockIDs []string, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
+	return b.env.FetchBlockBatch(loc.Addr, blockIDs, chunkBytes, at)
 }
 
 // Close implements BlockTransferService (connections are owned by the env).
@@ -116,12 +107,12 @@ func (b *UCRBTS) client(loc Location, at vtime.Stamp) (*ucr.Client, vtime.Stamp,
 // pipelining the server's chunked service across the batch. The chunkBytes
 // hint is ignored — UCR chunks at its configured ChunkSize. UCR sits below
 // Spark and has a result type of its own, converted here.
-func (b *UCRBTS) Fetch(loc Location, blockIDs []storage.BlockID, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
+func (b *UCRBTS) Fetch(loc Location, blockIDs []string, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
 	client, vt, err := b.client(loc, at)
 	if err != nil {
 		return nil, at, err
 	}
-	rs, maxVT, err := client.FetchBlocks(blockIDStrings(blockIDs), vt)
+	rs, maxVT, err := client.FetchBlocks(blockIDs, vt)
 	if err != nil {
 		return nil, maxVT, err
 	}

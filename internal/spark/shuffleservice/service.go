@@ -8,7 +8,6 @@
 package shuffleservice
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -242,7 +241,7 @@ func (s *Service) Resolve(blockID string) ([]byte, bool) {
 		return nil, false
 	}
 	ev := obs.Event{Type: obs.EvShuffleServe, Bytes: len(data), Executor: s.id}
-	fmt.Sscanf(blockID, "shuffle_%d_%d_%d", &ev.ShuffleID, &ev.MapID, &ev.ReduceID)
+	ev.ShuffleID, ev.MapID, ev.ReduceID, _ = storage.ParseShuffleBlockID(blockID) // only pushed shuffle blocks are stored
 	metrics.GetCounter(CounterServedBytes).Add(int64(len(data)))
 	s.bus.Load().Emit(ev)
 	return data, true
