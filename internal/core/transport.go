@@ -175,7 +175,7 @@ func (st *EnvState) Poll() bool {
 			head, body, status := r.h.RecvGather(r.rank, recvTag, 0)
 			did = true
 			_, vt := st.pollEngine.Occupy(status.VT, pollRecvCost)
-			mc.ch.Pipeline().FireChannelRead(netty.WrapInbound(head, body), vt)
+			mc.ch.Pipeline().FireChannelRead(head, body, vt)
 		}
 	}
 	return did
@@ -359,15 +359,17 @@ func (h *optOutbound) Write(ctx *netty.Context, msg any) {
 		ctx.Write(msg)
 		return
 	}
-	body, tag := m.Ref().Body, mpi.AllocTag()
-	head := m.WithBody(rpc.BodyRef{BodyViaMPI: true, BodySize: len(body), BodyTag: tag})
+	// In place: a written message belongs to its traversal (rpc.BodyMessage).
+	ref := m.Ref()
+	body, tag := ref.Body, mpi.AllocTag()
+	*ref = rpc.BodyRef{BodyViaMPI: true, BodySize: len(body), BodyTag: tag}
 	if !pieced(m) {
 		r.h.Isend(r.rank, tag, body, ctx.VT())
-		ctx.Write(head)
+		ctx.Write(m)
 		return
 	}
 	vt := ctx.VT() // before the header goes out: ctx.Write advances it
-	ctx.Write(head)
+	ctx.Write(m)
 	thr := r.h.EagerThreshold()
 	n, _, _ := bytebuf.Carve(len(body), thr, 0)
 	for i := 0; i < n; i++ {

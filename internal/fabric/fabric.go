@@ -385,8 +385,7 @@ func (c *Conn) TryRecv() (Message, bool) {
 
 // Pending reports whether a message is buffered for Recv.
 func (c *Conn) Pending() bool {
-	_, ok := c.in.peek()
-	return ok
+	return c.in.pending()
 }
 
 // SetReadNotify installs fn as a readiness callback: it is invoked after

@@ -3,6 +3,8 @@ package fabric
 import (
 	"errors"
 	"sync"
+
+	"mpi4spark/internal/fifo"
 )
 
 // ErrClosed is returned by queue and connection operations after Close.
@@ -15,7 +17,7 @@ var ErrClosed = errors.New("fabric: closed")
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []Message
+	items  fifo.Queue[Message]
 	closed bool
 	notify func()
 }
@@ -34,7 +36,7 @@ func (q *queue) push(m Message) {
 		q.mu.Unlock()
 		return
 	}
-	q.items = append(q.items, m)
+	q.items.Push(m)
 	q.cond.Signal()
 	notify := q.notify
 	q.mu.Unlock()
@@ -59,15 +61,13 @@ func (q *queue) setNotify(fn func()) {
 func (q *queue) pop() (Message, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.items.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
-		return Message{}, ErrClosed
+	if m, ok := q.items.Pop(); ok {
+		return m, nil
 	}
-	m := q.items[0]
-	q.items = q.items[1:]
-	return m, nil
+	return Message{}, ErrClosed
 }
 
 // tryPop returns a buffered message without blocking. ok reports whether a
@@ -75,22 +75,14 @@ func (q *queue) pop() (Message, error) {
 func (q *queue) tryPop() (Message, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return Message{}, false
-	}
-	m := q.items[0]
-	q.items = q.items[1:]
-	return m, true
+	return q.items.Pop()
 }
 
-// peek reports whether a message is buffered without consuming it.
-func (q *queue) peek() (Message, bool) {
+// pending reports whether a message is buffered.
+func (q *queue) pending() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return Message{}, false
-	}
-	return q.items[0], true
+	return q.items.Len() > 0
 }
 
 // close marks the queue closed and wakes all waiters.

@@ -25,8 +25,11 @@ func nextChannelID() ChannelID {
 // MPI point-to-point communication.
 type Transport interface {
 	// WriteMsg ships an outbound message that has reached the pipeline
-	// head: a *bytebuf.Buf or *Frame holding one frame (see Parts). It
-	// returns the virtual time at which the caller's CPU is free.
+	// head: a *bytebuf.Buf or *Frame holding one frame (see Parts). The
+	// frame lives in the write's Context and is valid only during the call;
+	// a transport that ships or queues it keeps its bytes, which the writer
+	// does not change. It returns the virtual time at which the caller's CPU
+	// is free.
 	WriteMsg(msg any, vt vtime.Stamp) vtime.Stamp
 	// Close tears the transport down.
 	Close() error

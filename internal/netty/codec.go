@@ -12,8 +12,11 @@ import (
 // copied into Head (Netty's CompositeByteBuf, Spark's MessageWithHeader).
 // A frame with no body travels the pipeline as a plain *bytebuf.Buf.
 //
-// Body aliases the sender's slice all the way to the receiving handler:
-// whoever writes a Frame must not modify Body afterwards.
+// A frame is a view for one traversal: the frames a pipeline makes live in
+// the event's Context and die with it (see Context), and what crosses the
+// wire, and may be kept, is the bytes. Body aliases the sender's slice all
+// the way to the receiving handler: whoever writes a Frame must not modify
+// Body afterwards.
 type Frame struct {
 	Head *bytebuf.Buf
 	Body []byte
@@ -32,56 +35,31 @@ func Parts(msg any) (head *bytebuf.Buf, body []byte) {
 	panic(fmt.Sprintf("netty: a frame is a *bytebuf.Buf or a *Frame, got %T", msg))
 }
 
-// ownedFrame is a frame with its head buffer inside it, one object where a
-// Frame and a Buf would be two: what WrapInbound builds around a received
-// message with a body.
-type ownedFrame struct {
-	Frame
-	head bytebuf.Buf
-}
-
-// inlineFrame is what the frame encoder emits: an ownedFrame with room for the
-// framed head's bytes too, which every rpc header fits but that of a fetch
-// request naming several blocks.
-type inlineFrame struct {
-	ownedFrame
-	inline [64]byte
-}
-
 // FrameEncoder is an outbound handler that prepends a big-endian uint32
 // length field to each frame, Netty's LengthFieldPrepender. The length
-// covers head and body; only the head is rewritten, into a fresh frame the
-// receiver may keep (frames are never pooled: receivers alias the head), so
-// the writer can recycle its own head buffer as soon as Write returns.
-// Framing costs no virtual time.
+// covers head and body; only the head is rewritten, into fresh bytes of
+// exactly its framed size (the one allocation a frame costs, and the bytes a
+// receiver may keep: they are never reused), so the writer can recycle its
+// own head buffer as soon as Write returns. The frame around them lives in
+// the context. Framing costs no virtual time.
 type FrameEncoder struct{}
 
 // Write implements OutboundHandler.
 func (e *FrameEncoder) Write(ctx *Context, msg any) {
 	head, body := Parts(msg)
-	n := head.ReadableBytes() + len(body)
-	f := &inlineFrame{}
-	framed := f.inline[:0]
-	if size := 4 + head.ReadableBytes(); size > len(f.inline) {
-		// Exact size: append's growth would round a 4 MiB head up a class.
-		framed = make([]byte, 0, size)
-	}
-	framed = binary.BigEndian.AppendUint32(framed, uint32(n))
-	f.head.SetBytes(append(framed, head.Readable()...))
-	if body == nil {
-		ctx.Write(&f.head)
-		return
-	}
-	f.Head, f.Body = &f.head, body
-	ctx.Write(&f.Frame)
+	framed := make([]byte, 4+head.ReadableBytes())
+	binary.BigEndian.PutUint32(framed, uint32(head.ReadableBytes()+len(body)))
+	copy(framed[4:], head.Readable())
+	ctx.Write(ctx.frameOf(framed, body))
 }
 
 // FrameDecoder is an inbound handler that validates and strips the uint32
 // length field, Netty's LengthFieldBasedFrameDecoder. Because the fabric
 // preserves message boundaries, each inbound message holds exactly one
 // frame; a length mismatch indicates corruption and the frame is dropped
-// (reported through OnError if set). What it forwards has the shape of
-// what arrived: a *bytebuf.Buf, or a *Frame whose body was never touched.
+// (reported through OnError if set). What it forwards is the frame that
+// arrived, past its length field: a *bytebuf.Buf, or a *Frame whose body
+// was never touched.
 type FrameDecoder struct {
 	OnError func(error)
 }

@@ -1,6 +1,7 @@
 package netty
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync"
@@ -77,7 +78,7 @@ func TestContextStamps(t *testing.T) {
 				ch.SetTransport(&stampSink{tr: tr, cost: 11})
 				ch.Pipeline().AddLast("a", &stamper{"a", 5, tr})
 				ch.Pipeline().AddLast("b", &stamper{"b", 7, tr})
-				ch.Pipeline().FireChannelRead("m", 100)
+				ch.Pipeline().FireChannelRead([]byte("m"), nil, 100)
 				tr.add("write=%d", ch.Write("w", 10))
 			},
 			want: []string{
@@ -97,7 +98,7 @@ func TestContextStamps(t *testing.T) {
 					free := ctx.Channel().Write(msg, ctx.VT()+1)
 					tr.add("echo wrote=%d holds=%d", free, ctx.VT())
 				}))
-				ch.Pipeline().FireChannelRead("m", 100)
+				ch.Pipeline().FireChannelRead([]byte("m"), nil, 100)
 			},
 			want: []string{
 				"enc<100", "echo<103", "enc<<109", "wire@112", "enc>>123",
@@ -110,16 +111,16 @@ func TestContextStamps(t *testing.T) {
 				ch := NewChannel()
 				ch.Pipeline().AddLast("split", inboundFunc(func(ctx *Context, msg any) {
 					tr.add("split<%d", ctx.VT())
-					ctx.FireChannelRead(msg.(string) + "1")
+					ctx.FireChannelRead(text(msg) + "1")
 					ctx.SetVT(ctx.VT() + 2)
-					ctx.FireChannelRead(msg.(string) + "2")
+					ctx.FireChannelRead(text(msg) + "2")
 					tr.add("split>%d", ctx.VT())
 				}))
 				ch.Pipeline().AddLast("b", &stamper{"b", 5, tr})
 				ch.Pipeline().AddLast("rec", inboundFunc(func(ctx *Context, msg any) {
 					tr.add("rec %s@%d", msg, ctx.VT())
 				}))
-				ch.Pipeline().FireChannelRead("m", 100)
+				ch.Pipeline().FireChannelRead([]byte("m"), nil, 100)
 			},
 			want: []string{
 				"split<100", "b<100", "rec m1@105", "b>105",
@@ -137,14 +138,14 @@ func TestContextStamps(t *testing.T) {
 				ch1.Pipeline().AddLast("a", &stamper{"a", 5, tr})
 				ch1.Pipeline().AddLast("bridge", inboundFunc(func(ctx *Context, msg any) {
 					tr.add("bridge<%d", ctx.VT())
-					ch2.Pipeline().FireChannelRead(msg, ctx.VT()+1)
+					ch2.Pipeline().FireChannelRead([]byte(text(msg)), nil, ctx.VT()+1)
 					tr.add("bridge holds=%d own-channel=%t", ctx.VT(), ctx.Channel() == ch1)
 					ctx.FireChannelRead(msg)
 				}))
 				ch1.Pipeline().AddLast("rec1", inboundFunc(func(ctx *Context, msg any) {
 					tr.add("rec1@%d", ctx.VT())
 				}))
-				ch1.Pipeline().FireChannelRead("m", 100)
+				ch1.Pipeline().FireChannelRead([]byte("m"), nil, 100)
 			},
 			want: []string{
 				"a<100", "bridge<105", "c<106", "rec2@115 own-channel=true", "c>115",
@@ -168,12 +169,12 @@ func TestContextStamps(t *testing.T) {
 				}))
 				p.AddLast("b", &stamper{"b", 7, tr})
 				p.AddLast("rec", inboundFunc(func(ctx *Context, msg any) {
-					tr.add("rec %s@%d", msg, ctx.VT())
+					tr.add("rec %s@%d", text(msg), ctx.VT())
 				}))
 				// The event under way keeps the handlers it started with; the
 				// next one, and a write, see the pipeline as mutated.
-				p.FireChannelRead("m1", 100)
-				p.FireChannelRead("m2", 200)
+				p.FireChannelRead([]byte("m1"), nil, 100)
+				p.FireChannelRead([]byte("m2"), nil, 200)
 				tr.add("write=%d", ch.Write("w", 10))
 			},
 			want: []string{
@@ -208,7 +209,7 @@ func TestContextDeadAfterItsCall(t *testing.T) {
 		ctx.FireChannelRead(msg)
 	}))
 	ch.Pipeline().AddLast("rec", inboundFunc(func(ctx *Context, msg any) { reached++ }))
-	ch.Pipeline().FireChannelRead("m", 100)
+	ch.Pipeline().FireChannelRead([]byte("m"), nil, 100)
 	if reached != 1 {
 		t.Fatalf("live traversal reached the tail %d times", reached)
 	}
@@ -243,13 +244,48 @@ func TestPipelineTraversalAllocatesNothing(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ch.Pipeline().AddLast(fmt.Sprint("h", i), passThrough{})
 	}
-	var msg any = "m"
-	if n := testing.AllocsPerRun(200, func() { ch.Pipeline().FireChannelRead(msg, 1) }); n != 0 {
+	head, body := []byte("head"), []byte("body")
+	if n := testing.AllocsPerRun(200, func() { ch.Pipeline().FireChannelRead(head, body, 1) }); n != 0 {
 		t.Errorf("inbound event through four handlers: %v allocations, want 0", n)
 	}
 	ch.SetTransport(nullTransport{})
+	var msg any = "m"
 	if n := testing.AllocsPerRun(200, func() { ch.Write(msg, 1) }); n != 0 {
 		t.Errorf("outbound write through four handlers: %v allocations, want 0", n)
+	}
+}
+
+// TestFrameCodecAllocatesOnlyWireBytes: the length-field codec costs a frame
+// no object of its own, since the frame lives in the event's context. A
+// received two-part frame fired through FrameDecoder into a handler
+// allocates nothing; a frame written with WriteFrame through FrameEncoder
+// allocates only its framed head, the bytes that cross the wire.
+func TestFrameCodecAllocatesOnlyWireBytes(t *testing.T) {
+	in := NewChannel()
+	in.Pipeline().AddLast("dec", &FrameDecoder{})
+	delivered := 0
+	in.Pipeline().AddLast("sink", inboundFunc(func(ctx *Context, msg any) {
+		head, body := Parts(msg)
+		delivered += head.ReadableBytes() + len(body)
+	}))
+	head := append(binary.BigEndian.AppendUint32(nil, 3+5), "hdr"...)
+	body := []byte("bytes")
+	if n := testing.AllocsPerRun(200, func() { in.Pipeline().FireChannelRead(head, body, 1) }); n != 0 {
+		t.Errorf("a two-part frame through FrameDecoder: %v allocations, want 0", n)
+	}
+	if delivered == 0 {
+		t.Fatal("the decoder forwarded nothing")
+	}
+
+	out := NewChannel()
+	out.SetTransport(nullTransport{})
+	out.Pipeline().AddLast("enc", &FrameEncoder{})
+	out.Pipeline().AddLast("frame", outboundFunc(func(ctx *Context, msg any) {
+		ctx.WriteFrame(msg.(*bytebuf.Buf), body)
+	}))
+	hdr := bytebuf.Wrap([]byte("hdr"))
+	if n := testing.AllocsPerRun(200, func() { out.Write(hdr, 1) }); n != 1 {
+		t.Errorf("a two-part frame through FrameEncoder: %v allocations, want 1 (the framed head)", n)
 	}
 }
 

@@ -172,7 +172,7 @@ func (l *EventLoop) drainChannels() bool {
 			}
 			did = true
 			vt := m.VT.Add(l.cfg.ReadEventCost)
-			ch.pipeline.FireChannelRead(WrapInbound(m.Data, m.Body), vt)
+			ch.pipeline.FireChannelRead(m.Data, m.Body, vt)
 		}
 		if conn.Pending() {
 			l.Wakeup()

@@ -12,10 +12,11 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
-// recorder collects inbound messages for assertions.
+// recorder collects inbound messages for assertions, as text: a frame dies
+// with its traversal, so what a handler keeps is a copy of its bytes.
 type recorder struct {
 	mu   sync.Mutex
-	msgs []any
+	msgs []string
 	vts  []vtime.Stamp
 	ch   chan struct{}
 }
@@ -24,7 +25,7 @@ func newRecorder() *recorder { return &recorder{ch: make(chan struct{}, 1024)} }
 
 func (r *recorder) ChannelRead(ctx *Context, msg any) {
 	r.mu.Lock()
-	r.msgs = append(r.msgs, msg)
+	r.msgs = append(r.msgs, text(msg))
 	r.vts = append(r.vts, ctx.VT())
 	r.mu.Unlock()
 	r.ch <- struct{}{}
@@ -42,17 +43,30 @@ func (r *recorder) wait(t *testing.T, n int) {
 	}
 }
 
-func (r *recorder) snapshot() ([]any, []vtime.Stamp) {
+func (r *recorder) snapshot() ([]string, []vtime.Stamp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]any(nil), r.msgs...), append([]vtime.Stamp(nil), r.vts...)
+	return append([]string(nil), r.msgs...), append([]vtime.Stamp(nil), r.vts...)
 }
 
-// tagger is an inbound handler that tags string messages and forwards.
+// text is what a test message reads as: a copy of the readable bytes of a
+// frame (head, then body), or the string an earlier handler made of it.
+func text(msg any) string {
+	switch m := msg.(type) {
+	case *bytebuf.Buf:
+		return string(m.Readable())
+	case *Frame:
+		return string(m.Head.Readable()) + string(m.Body)
+	}
+	return msg.(string)
+}
+
+// tagger is an inbound handler that tags messages and forwards them as
+// strings.
 type tagger struct{ tag string }
 
 func (h *tagger) ChannelRead(ctx *Context, msg any) {
-	ctx.FireChannelRead(msg.(string) + h.tag)
+	ctx.FireChannelRead(text(msg) + h.tag)
 }
 
 // outTagger is an outbound handler that tags string messages and forwards.
@@ -70,10 +84,14 @@ type sinkTransport struct {
 }
 
 func (s *sinkTransport) WriteMsg(msg any, vt vtime.Stamp) vtime.Stamp {
-	// Real transports consume buffer contents before returning (the writer
-	// may release pooled buffers right after Write), so copy here too.
-	if buf, ok := msg.(*bytebuf.Buf); ok {
-		msg = bytebuf.Wrap(buf.Bytes())
+	// Real transports keep bytes, not the frame, which dies with the write's
+	// context, nor a pooled head the writer releases after Write: copy the
+	// head here too, and keep the body by reference as they do.
+	switch m := msg.(type) {
+	case *bytebuf.Buf:
+		msg = bytebuf.Wrap(m.Bytes())
+	case *Frame:
+		msg = &Frame{Head: bytebuf.Wrap(m.Head.Bytes()), Body: m.Body}
 	}
 	s.mu.Lock()
 	s.msgs = append(s.msgs, msg)
@@ -88,7 +106,7 @@ func TestPipelineInboundOrder(t *testing.T) {
 	ch.Pipeline().AddLast("a", &tagger{tag: "-A"})
 	ch.Pipeline().AddLast("b", &tagger{tag: "-B"})
 	ch.Pipeline().AddLast("rec", rec)
-	ch.Pipeline().FireChannelRead("m", 7)
+	ch.Pipeline().FireChannelRead([]byte("m"), nil, 7)
 	msgs, vts := rec.snapshot()
 	if len(msgs) != 1 || msgs[0] != "m-A-B" {
 		t.Fatalf("msgs = %v", msgs)
@@ -168,9 +186,10 @@ func TestBootstrapEcho(t *testing.T) {
 			ch.Pipeline().AddLast("dec", &FrameDecoder{})
 			ch.Pipeline().AddLast("enc", &FrameEncoder{})
 			ch.Pipeline().AddLast("echo", inboundFunc(func(ctx *Context, msg any) {
-				buf := msg.(*bytebuf.Buf)
-				serverRec.msgs = append(serverRec.msgs, string(buf.Bytes()))
-				ctx.Channel().Write(buf, ctx.VT())
+				// The frame dies with this call: echo it from inside, and
+				// keep a copy of its bytes.
+				serverRec.ChannelRead(ctx, msg)
+				ctx.Channel().Write(msg, ctx.VT())
 			}))
 		},
 	}
@@ -202,8 +221,11 @@ func TestBootstrapEcho(t *testing.T) {
 	ch.Write(payload, ready)
 	clientRec.wait(t, 1)
 	msgs, vts := clientRec.snapshot()
-	if got := string(msgs[0].(*bytebuf.Buf).Bytes()); got != "ping" {
-		t.Fatalf("echo payload = %q", got)
+	if msgs[0] != "ping" {
+		t.Fatalf("echo payload = %q", msgs[0])
+	}
+	if got, _ := serverRec.snapshot(); len(got) != 1 || got[0] != "ping" {
+		t.Fatalf("server saw %q", got)
 	}
 	if vts[0] <= ready {
 		t.Fatalf("echoed vt %v not after send time %v", vts[0], ready)
@@ -230,9 +252,9 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 		t.Fatalf("framed length = %d", framed.ReadableBytes())
 	}
 	// Feed the framed bytes back inbound.
-	ch.Pipeline().FireChannelRead(bytebuf.Wrap(framed.Bytes()), 0)
+	ch.Pipeline().FireChannelRead(framed.Bytes(), nil, 0)
 	msgs, _ := rec.snapshot()
-	if len(msgs) != 1 || string(msgs[0].(*bytebuf.Buf).Bytes()) != "abcdef" {
+	if len(msgs) != 1 || msgs[0] != "abcdef" {
 		t.Fatalf("decoded = %v", msgs)
 	}
 }
@@ -247,7 +269,7 @@ func TestFrameDecoderCorruptFrame(t *testing.T) {
 	bad := bytebuf.New(0)
 	bad.WriteUint32(99) // claims 99 bytes, provides 2
 	bad.WriteBytes([]byte{1, 2})
-	ch.Pipeline().FireChannelRead(bad, 0)
+	ch.Pipeline().FireChannelRead(bad.Bytes(), nil, 0)
 	if decodeErr == nil {
 		t.Fatal("corrupt frame not reported")
 	}
@@ -469,7 +491,7 @@ func TestPipelineAddBefore(t *testing.T) {
 	p.AddBefore("c", "b", &tagger{tag: "-B"})
 	rec := newRecorder()
 	p.AddLast("rec", rec)
-	p.FireChannelRead("m", 0)
+	p.FireChannelRead([]byte("m"), nil, 0)
 	msgs, _ := rec.snapshot()
 	if msgs[0] != "m-A-B-C" {
 		t.Fatalf("order = %v", msgs[0])
@@ -500,13 +522,20 @@ func TestFrameCodecTwoPart(t *testing.T) {
 	ch := NewChannel()
 	sink := &sinkTransport{}
 	ch.SetTransport(sink)
-	rec := newRecorder()
+	head, body := bytebuf.Wrap([]byte("hdr")), []byte("a large body")
 	var decodeErr error
+	var arrived []string
 	ch.Pipeline().AddLast("dec", &FrameDecoder{OnError: func(err error) { decodeErr = err }})
 	ch.Pipeline().AddLast("enc", &FrameEncoder{})
-	ch.Pipeline().AddLast("rec", rec)
+	ch.Pipeline().AddLast("rec", inboundFunc(func(ctx *Context, msg any) {
+		// The frame is valid during this call only: read it here.
+		f, ok := msg.(*Frame)
+		if !ok || &f.Body[0] != &body[0] {
+			t.Fatalf("a two-part frame arrived as %T, body aliased: %t", msg, ok && &f.Body[0] == &body[0])
+		}
+		arrived = append(arrived, string(f.Head.Readable()))
+	}))
 
-	head, body := bytebuf.Wrap([]byte("hdr")), []byte("a large body")
 	ch.Write(&Frame{Head: head, Body: body}, 0)
 	framed, ok := sink.msgs[0].(*Frame)
 	if !ok {
@@ -523,16 +552,14 @@ func TestFrameCodecTwoPart(t *testing.T) {
 	}
 
 	// Feed the two wire parts back inbound, as an event loop does.
-	ch.Pipeline().FireChannelRead(WrapInbound(framed.Head.Bytes(), framed.Body), 0)
-	msgs, _ := rec.snapshot()
-	got, ok := msgs[0].(*Frame)
-	if !ok || string(got.Head.Readable()) != "hdr" || &got.Body[0] != &body[0] {
-		t.Fatalf("decoded %#v", msgs[0])
+	ch.Pipeline().FireChannelRead(framed.Head.Bytes(), framed.Body, 0)
+	if len(arrived) != 1 || arrived[0] != "hdr" {
+		t.Fatalf("decoded heads %q", arrived)
 	}
 
 	// A length field that disagrees with head + body drops the frame.
-	ch.Pipeline().FireChannelRead(WrapInbound(framed.Head.Bytes(), body[:5]), 0)
-	if msgs, _ := rec.snapshot(); decodeErr == nil || len(msgs) != 1 {
-		t.Fatalf("short body: err=%v, %d messages forwarded", decodeErr, len(msgs))
+	ch.Pipeline().FireChannelRead(framed.Head.Bytes(), body[:5], 0)
+	if decodeErr == nil || len(arrived) != 1 {
+		t.Fatalf("short body: err=%v, %d messages forwarded", decodeErr, len(arrived))
 	}
 }

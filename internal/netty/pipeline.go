@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/vtime"
 )
 
@@ -21,8 +22,9 @@ import (
 // towards the application (tail of the pipeline).
 type InboundHandler interface {
 	// ChannelRead is invoked for every inbound message. Implementations
-	// forward with ctx.FireChannelRead unless they consume the message. ctx
-	// is valid only until ChannelRead returns (see Context).
+	// forward with ctx.FireChannelRead unless they consume the message. ctx,
+	// and msg when it is a frame, are valid only until ChannelRead returns
+	// (see Context).
 	ChannelRead(ctx *Context, msg any)
 }
 
@@ -30,8 +32,8 @@ type InboundHandler interface {
 // the transport (head of the pipeline).
 type OutboundHandler interface {
 	// Write is invoked for every outbound message. Implementations forward
-	// with ctx.Write unless they consume the message. ctx is valid only
-	// until Write returns (see Context).
+	// with ctx.Write unless they consume the message. ctx, and msg when it
+	// is a frame, are valid only until Write returns (see Context).
 	Write(ctx *Context, msg any)
 }
 
@@ -107,13 +109,16 @@ func (p *Pipeline) snapshot() []entry {
 	return p.entries
 }
 
-// FireChannelRead injects an inbound message at the head of the pipeline
-// with the given virtual timestamp (normally the delivery time reported by
-// the transport).
-func (p *Pipeline) FireChannelRead(msg any, vt vtime.Stamp) {
+// FireChannelRead injects the two parts of a received wire message at the
+// head of the pipeline with the given virtual timestamp (normally the
+// delivery time reported by the transport). The first handler is handed a
+// frame over those bytes, uncopied: a *bytebuf.Buf over head when body is
+// nil, a *Frame otherwise. The frame lives in the event's context and dies
+// with the traversal; a handler keeps bytes, never the frame.
+func (p *Pipeline) FireChannelRead(head, body []byte, vt vtime.Stamp) {
 	ctx := contexts.Get().(*Context)
 	*ctx = Context{pipeline: p, entries: p.snapshot(), idx: -1, vt: vt}
-	ctx.FireChannelRead(msg)
+	ctx.FireChannelRead(ctx.frameOf(head, body))
 	ctx.recycle()
 }
 
@@ -162,11 +167,20 @@ func (p *Pipeline) Write(msg any, vt vtime.Stamp) vtime.Stamp {
 // out first. A handler may start further traversals from inside the call
 // (write a reply, fire twice, fire into another pipeline); each
 // Pipeline.FireChannelRead and Pipeline.Write carries a context of its own.
+//
+// The context also holds the frame its event travels in: the inbound frame
+// Pipeline.FireChannelRead wraps around the received bytes, the two-part
+// frame WriteFrame hands on, and the framed head FrameEncoder writes. A frame
+// dies with its traversal, so what must outlive the call is bytes: a handler
+// keeps the slices a frame holds (they are the received bytes, or the bytes
+// written to the wire, and nothing reuses them), never the frame.
 type Context struct {
 	pipeline *Pipeline
 	entries  []entry
 	idx      int
 	vt       vtime.Stamp
+	head     bytebuf.Buf
+	frame    Frame
 }
 
 // contexts recycles the per-event contexts: one allocation per message and
@@ -175,12 +189,23 @@ type Context struct {
 var contexts = sync.Pool{New: func() any { return new(Context) }}
 
 // recycle hands a context whose traversal has returned back to the pool,
-// zeroed: a handler that kept it finds no pipeline, no handlers and no stamp.
-// Only the normal path gets here; a traversal that panicked leaves its
-// half-moved context to the collector.
+// zeroed: a handler that kept it finds no pipeline, no handlers, no stamp and
+// no frame. Only the normal path gets here; a traversal that panicked leaves
+// its half-moved context to the collector.
 func (c *Context) recycle() {
 	*c = Context{}
 	contexts.Put(c)
+}
+
+// frameOf points the context's frame at head and body, uncopied, and returns
+// it as a pipeline message: the head buffer alone when body is nil.
+func (c *Context) frameOf(head, body []byte) any {
+	c.head.SetBytes(head)
+	if body == nil {
+		return &c.head
+	}
+	c.frame = Frame{Head: &c.head, Body: body}
+	return &c.frame
 }
 
 // Channel returns the channel this pipeline belongs to.
@@ -223,4 +248,18 @@ func (c *Context) Write(msg any) {
 		return
 	}
 	c.vt = ch.transport.WriteMsg(msg, c.vt)
+}
+
+// WriteFrame forwards a frame of head and body to the previous outbound
+// handler, as Write does: head alone when body is nil, else a two-part Frame
+// that lives in this context. The frame, like the context, is valid until
+// WriteFrame returns; a handler it reaches may replace it with a frame of its
+// own.
+func (c *Context) WriteFrame(head *bytebuf.Buf, body []byte) {
+	if body == nil {
+		c.Write(head)
+		return
+	}
+	c.frame = Frame{Head: head, Body: body}
+	c.Write(&c.frame)
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mpi4spark/internal/fabric"
+	"mpi4spark/internal/fifo"
 	"mpi4spark/internal/vtime"
 )
 
@@ -79,7 +80,7 @@ type Completion struct {
 type CompletionQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []Completion
+	queue  fifo.Queue[Completion]
 	closed bool
 }
 
@@ -95,7 +96,7 @@ func (cq *CompletionQueue) push(c Completion) {
 	if cq.closed {
 		return
 	}
-	cq.queue = append(cq.queue, c)
+	cq.queue.Push(c)
 	cq.cond.Broadcast()
 }
 
@@ -104,15 +105,13 @@ func (cq *CompletionQueue) push(c Completion) {
 func (cq *CompletionQueue) Wait() (Completion, error) {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	for len(cq.queue) == 0 && !cq.closed {
+	for cq.queue.Len() == 0 && !cq.closed {
 		cq.cond.Wait()
 	}
-	if len(cq.queue) == 0 {
-		return Completion{}, ErrClosed
+	if c, ok := cq.queue.Pop(); ok {
+		return c, nil
 	}
-	c := cq.queue[0]
-	cq.queue = cq.queue[1:]
-	return c, nil
+	return Completion{}, ErrClosed
 }
 
 func (cq *CompletionQueue) close() {

@@ -43,7 +43,8 @@ func (e *Env) RegisterChunkResolver(fn func(blockID string) ([]byte, bool)) {
 }
 
 // batchServe is the server-side streaming state of one ChunkFetchRequest:
-// the resolved block bodies plus a cursor marking the next chunk to emit.
+// the resolved block bodies plus a cursor marking the next chunk to emit,
+// and the message every chunk is written from.
 type batchServe struct {
 	ch         *netty.Channel
 	id         int64
@@ -53,6 +54,7 @@ type batchServe struct {
 	cur        int // next block index
 	chunk      int // next chunk of the current block (bytebuf.Carve)
 	vt         vtime.Stamp
+	msg        ChunkFetchSuccess
 }
 
 // serveBatch answers a ChunkFetchRequest by streaming every requested
@@ -104,7 +106,7 @@ func (e *Env) serveBatch(ch *netty.Channel, m *ChunkFetchRequest, vt vtime.Stamp
 		e.mu.Unlock()
 		return
 	}
-	e.serveQ = append(e.serveQ, b)
+	e.serveQ.Push(b)
 	start := !e.pumping
 	if start {
 		e.pumping = true
@@ -116,33 +118,35 @@ func (e *Env) serveBatch(ch *netty.Channel, m *ChunkFetchRequest, vt vtime.Stamp
 }
 
 // servePump drains the serve queue one chunk at a time, re-queueing
-// batches that still have chunks left. It exits when the queue is empty;
-// the next serveBatch restarts it.
+// batches that still have chunks left. It exits when the queue is empty,
+// and the next serveBatch restarts it, or at its first turn after Shutdown,
+// leaving the rest of every queued batch unsent.
 func (e *Env) servePump() {
 	for {
 		e.mu.Lock()
-		if len(e.serveQ) == 0 {
+		b, ok := e.serveQ.Pop()
+		if !ok || e.closed {
 			e.pumping = false
 			e.mu.Unlock()
 			return
 		}
-		b := e.serveQ[0]
-		e.serveQ = e.serveQ[1:]
 		e.mu.Unlock()
 		if e.serveNextChunk(b) {
 			e.mu.Lock()
-			e.serveQ = append(e.serveQ, b)
+			e.serveQ.Push(b)
 			e.mu.Unlock()
 		}
 	}
 }
 
 // serveNextChunk emits batch b's next chunk and reports whether the batch
-// has more to send.
+// has more to send. Every chunk of a batch is written from the one message
+// the batch keeps, which each write owns only until it returns.
 func (e *Env) serveNextChunk(b *batchServe) bool {
 	i := b.cur
 	_, svt := e.chunkEngine.Occupy(b.vt, chunkServeCost)
-	m, n := &ChunkFetchSuccess{FetchID: b.id, Index: uint32(i), Missing: !b.found[i]}, 1
+	m, n := &b.msg, 1
+	*m = ChunkFetchSuccess{FetchID: b.id, Index: uint32(i), Missing: !b.found[i]}
 	if b.found[i] {
 		body := b.bodies[i]
 		var lo, hi int

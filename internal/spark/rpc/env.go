@@ -9,6 +9,7 @@ import (
 
 	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/fabric"
+	"mpi4spark/internal/fifo"
 	"mpi4spark/internal/netty"
 	"mpi4spark/internal/vtime"
 )
@@ -119,10 +120,10 @@ type Env struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*endpoint
-	conns     map[string]*clientConn
+	conns     map[fabric.Addr]*clientConn
 	pending   map[int64]*pendingAsk
 	batches   map[int64]*pendingBatch
-	serveQ    []*batchServe
+	serveQ    fifo.Queue[*batchServe]
 	pumping   bool
 	closed    bool
 
@@ -149,7 +150,7 @@ func NewEnv(name string, node *fabric.Node, port string, cfg EnvConfig) (*Env, e
 		node:      node,
 		cfg:       cfg,
 		endpoints: make(map[string]*endpoint),
-		conns:     make(map[string]*clientConn),
+		conns:     make(map[fabric.Addr]*clientConn),
 		pending:   make(map[int64]*pendingAsk),
 		batches:   make(map[int64]*pendingBatch),
 	}
@@ -216,19 +217,16 @@ func (h *messageEncoder) Write(ctx *netty.Context, msg any) {
 		return
 	}
 	head, body := encodeFrame(m)
-	if body == nil {
-		ctx.Write(head)
-	} else {
-		ctx.Write(&netty.Frame{Head: head, Body: body})
-	}
+	ctx.WriteFrame(head, body)
 	// The frame encoder rewrites the head behind its length field before
 	// the write returns, so the pooled header buffer can go straight back.
 	head.Release()
 }
 
-// messageDecoder parses frames back into typed Messages. A decoded body
-// aliases the frame — the attached body of a two-part frame, else the
-// frame's own bytes — which nothing recycles, so handlers may keep it.
+// messageDecoder parses frames back into typed Messages. The frame dies with
+// the traversal, but a decoded body aliases the bytes it framed — the
+// attached body of a two-part frame, else the head's own bytes — which
+// nothing recycles, so handlers may keep it.
 type messageDecoder struct{}
 
 func (h *messageDecoder) ChannelRead(ctx *netty.Context, msg any) {
@@ -377,7 +375,7 @@ type endpoint struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*Call
+	queue  fifo.Queue[*Call]
 	closed bool
 }
 
@@ -387,23 +385,21 @@ func (ep *endpoint) enqueue(c *Call) {
 	if ep.closed {
 		return
 	}
-	ep.queue = append(ep.queue, c)
+	ep.queue.Push(c)
 	ep.cond.Signal()
 }
 
 func (ep *endpoint) loop() {
 	for {
 		ep.mu.Lock()
-		for len(ep.queue) == 0 && !ep.closed {
+		for ep.queue.Len() == 0 && !ep.closed {
 			ep.cond.Wait()
 		}
-		if len(ep.queue) == 0 && ep.closed {
-			ep.mu.Unlock()
-			return
-		}
-		c := ep.queue[0]
-		ep.queue = ep.queue[1:]
+		c, ok := ep.queue.Pop()
 		ep.mu.Unlock()
+		if !ok {
+			return // closed and drained
+		}
 		_, end := ep.engine.Occupy(c.VT, dispatchCost)
 		c.VT = end
 		ep.handler(c)
@@ -455,7 +451,8 @@ func (e *Env) OnShutdown(fn func()) {
 
 // SendCollective delivers one collective chunk to the peer environment. It
 // returns the time the sender's CPU is free. Unlike Ask-style calls there
-// is no reply: matching is the collective layer's job.
+// is no reply: matching is the collective layer's job. m belongs to the
+// write (see BodyMessage): the caller does not read or reuse it afterwards.
 func (e *Env) SendCollective(peer fabric.Addr, m *CollectiveChunk, at vtime.Stamp) (vtime.Stamp, error) {
 	ch, vt, err := e.connTo(peer, at)
 	if err != nil {
@@ -470,13 +467,12 @@ func (e *Env) SendCollective(peer fabric.Addr, m *CollectiveChunk, at vtime.Stam
 
 // connTo returns a (cached) channel to the peer environment at addr.
 func (e *Env) connTo(addr fabric.Addr, at vtime.Stamp) (*netty.Channel, vtime.Stamp, error) {
-	key := addr.String()
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, at, ErrShutdown
 	}
-	if c, ok := e.conns[key]; ok && !c.ch.Conn().Closed() {
+	if c, ok := e.conns[addr]; ok && !c.ch.Conn().Closed() {
 		e.mu.Unlock()
 		return c.ch, vtime.Max(at, c.ready), nil
 	}
@@ -495,7 +491,7 @@ func (e *Env) connTo(addr fabric.Addr, at vtime.Stamp) (*netty.Channel, vtime.St
 		return nil, at, err
 	}
 	e.mu.Lock()
-	e.conns[key] = &clientConn{ch: ch, ready: ready}
+	e.conns[addr] = &clientConn{ch: ch, ready: ready}
 	e.mu.Unlock()
 	return ch, ready, nil
 }
@@ -543,7 +539,8 @@ func (e *Env) Send(peer fabric.Addr, endpointName string, payload []byte, at vti
 }
 
 // Shutdown stops the environment: the server, all connections, all
-// endpoints, and the event loops.
+// endpoints, and the event loops. The serve pump stops streaming at its next
+// turn: a chunk it is writing when Shutdown starts is the last.
 func (e *Env) Shutdown() {
 	e.mu.Lock()
 	if e.closed {
@@ -559,7 +556,6 @@ func (e *Env) Shutdown() {
 	e.onShutdown = nil
 	e.pending = make(map[int64]*pendingAsk)
 	e.batches = make(map[int64]*pendingBatch)
-	e.serveQ = nil // stop streaming; the pump exits on its next turn
 	for _, b := range batches {
 		b.failRemaining(ErrShutdown)
 	}

@@ -133,10 +133,18 @@ func normalizeMsg(m Message) Message {
 		c := *t
 		c.Payload = normBytes(c.Payload)
 		return &c
-	case BodyMessage:
-		ref := *t.Ref()
-		ref.Body = normBytes(ref.Body)
-		return t.WithBody(ref)
+	case *ChunkFetchSuccess:
+		c := *t
+		c.Body = normBytes(c.Body)
+		return &c
+	case *CollectiveChunk:
+		c := *t
+		c.Body = normBytes(c.Body)
+		return &c
+	case *PushBlockRequest:
+		c := *t
+		c.Body = normBytes(c.Body)
+		return &c
 	default:
 		return m
 	}

@@ -236,13 +236,14 @@ func (b *BodyRef) decodeBody(buf *bytebuf.Buf, attached []byte) error {
 }
 
 // BodyMessage is a MessageWithHeader: the three messages whose body a
-// transport may move apart from the header. WithBody returns a copy of the
-// message with its body descriptor replaced and every header field kept, so
-// a transport that diverts bodies needs to know no message's fields.
+// transport may move apart from the header. A transport that diverts bodies
+// rewrites the descriptor in place through Ref, and needs to know no
+// message's fields: a message written to a channel belongs to that write's
+// traversal, and its writer does not read it again, as a decoded message
+// belongs to the traversal that delivers it.
 type BodyMessage interface {
 	Message
 	Ref() *BodyRef
-	WithBody(BodyRef) BodyMessage
 }
 
 // ChunkFetchRequest asks the peer's block resolver for a batch of blocks in
@@ -302,13 +303,6 @@ func (m *ChunkFetchSuccess) Type() MsgType { return TypeChunkFetchSuccess }
 // WireSize implements Message.
 func (m *ChunkFetchSuccess) WireSize() int { return 1 + 8 + 4 + 1 + 8 + 8 + m.bodyWireSize() }
 
-// WithBody implements BodyMessage.
-func (m *ChunkFetchSuccess) WithBody(b BodyRef) BodyMessage {
-	c := *m
-	c.BodyRef = b
-	return &c
-}
-
 // Encode implements Message.
 func (m *ChunkFetchSuccess) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
 
@@ -347,13 +341,6 @@ func (m *CollectiveChunk) Type() MsgType { return TypeCollectiveChunk }
 // WireSize implements Message.
 func (m *CollectiveChunk) WireSize() int { return 1 + 8 + 4 + 4 + 8 + 8 + m.bodyWireSize() }
 
-// WithBody implements BodyMessage.
-func (m *CollectiveChunk) WithBody(b BodyRef) BodyMessage {
-	c := *m
-	c.BodyRef = b
-	return &c
-}
-
 // Encode implements Message.
 func (m *CollectiveChunk) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }
 
@@ -386,13 +373,6 @@ func (m *PushBlockRequest) Type() MsgType { return TypePushBlock }
 
 // WireSize implements Message.
 func (m *PushBlockRequest) WireSize() int { return 1 + 8 + 4 + 4 + 4 + 4 + m.bodyWireSize() }
-
-// WithBody implements BodyMessage.
-func (m *PushBlockRequest) WithBody(b BodyRef) BodyMessage {
-	c := *m
-	c.BodyRef = b
-	return &c
-}
 
 // Encode implements Message.
 func (m *PushBlockRequest) Encode(buf *bytebuf.Buf) { buf.WriteBytes(m.encodeHead(buf)) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -380,6 +381,64 @@ func TestShutdownUnblocksPendingAsk(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending ask not unblocked by shutdown")
+	}
+}
+
+// gateFirstChunk is the PipelineHooks of a serving env: an outbound handler
+// that counts the ChunkFetchSuccess messages the env writes and holds the
+// first one until released.
+type gateFirstChunk struct {
+	written atomic.Int64
+	first   chan struct{}
+	release chan struct{}
+}
+
+func (g *gateFirstChunk) Write(ctx *netty.Context, msg any) {
+	if _, ok := msg.(*ChunkFetchSuccess); ok && g.written.Add(1) == 1 {
+		close(g.first)
+		<-g.release
+	}
+	ctx.Write(msg)
+}
+
+func (g *gateFirstChunk) InstallClient(*netty.Channel, *Env) {}
+func (g *gateFirstChunk) InstallServer(ch *netty.Channel, _ *Env) {
+	ch.Pipeline().AddLast("gate", g)
+}
+
+// TestShutdownStopsServePump: Shutdown stops a batch mid-stream. The serving
+// env shuts down while the first of a block's hundred chunks is being
+// written; at most one more chunk follows it, and the serve pump exits
+// instead of streaming the rest into closed channels.
+func TestShutdownStopsServePump(t *testing.T) {
+	const chunks, chunkBytes = 100, 1024
+	gate := &gateFirstChunk{first: make(chan struct{}), release: make(chan struct{})}
+	a, b := twoEnvsServing(t, EnvConfig{Hooks: gate})
+	b.RegisterChunkResolver(func(string) ([]byte, bool) { return make([]byte, chunks*chunkBytes), true })
+	// The fetch fails once b is gone; a's cleanup unblocks it if nothing else does.
+	go a.FetchBlockBatch(b.Addr(), []string{"big"}, chunkBytes, 0)
+	select {
+	case <-gate.first:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no chunk was served")
+	}
+	b.Shutdown()
+	close(gate.release)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		pumping := b.pumping
+		b.mu.Unlock()
+		if !pumping {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("serve pump still running 5 s after Shutdown")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := gate.written.Load(); n > 2 {
+		t.Fatalf("%d chunks written after the one under way at Shutdown, want at most 1", n-1)
 	}
 }
 

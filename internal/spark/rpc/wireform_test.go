@@ -93,7 +93,7 @@ func TestDecodeFrameRejectsMisattachedBody(t *testing.T) {
 		"long body":           {headOf(chunk), []byte("fours")},
 		"stray head bytes":    {EncodeToBuf(chunk), []byte("four")},
 		"body announced over MPI": {
-			headOf(chunk.WithBody(BodyRef{BodyViaMPI: true, BodySize: 4, BodyTag: 9})), []byte("four")},
+			headOf(&ChunkFetchSuccess{FetchID: 1, Total: 4, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 4, BodyTag: 9}}), []byte("four")},
 	}
 	for name, c := range cases {
 		if m, err := DecodeFrame(c.head, c.body); err == nil {

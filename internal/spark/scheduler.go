@@ -10,6 +10,11 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
+// taskCompletions counts every task completion the driver receives: a
+// handle, so the per-task path neither locks the registry nor hashes the
+// name.
+var taskCompletions = metrics.GetCounter("scheduler.task.completions")
+
 // findShuffleDeps walks the lineage of final and returns every shuffle
 // dependency in topological order (parents before children), deduplicated.
 func findShuffleDeps(final rddBase) []*ShuffleDep {
@@ -362,7 +367,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 	for i := range tasks {
 		for {
 			comp := <-waitChans[i]
-			metrics.GetCounter("scheduler.task.completions").Inc()
+			taskCompletions.Inc()
 			_, fetchFailed := shuffle.AsFetchFailed(comp.err)
 			if comp.err != nil && !fetchFailed && attempts[i] < maxTaskAttempts-1 {
 				// Retry on a different executor, like Spark's

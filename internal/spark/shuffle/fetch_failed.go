@@ -35,8 +35,13 @@ func (e *FetchFailedError) Error() string {
 // Unwrap exposes the underlying transport error.
 func (e *FetchFailedError) Unwrap() error { return e.Err }
 
-// AsFetchFailed extracts a FetchFailedError from err's chain, if any.
+// AsFetchFailed extracts a FetchFailedError from err's chain, if any. A nil
+// err, every successful task's, costs nothing: the errors.As target escapes
+// to the heap.
 func AsFetchFailed(err error) (*FetchFailedError, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var ff *FetchFailedError
 	if errors.As(err, &ff) {
 		return ff, true

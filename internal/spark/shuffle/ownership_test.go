@@ -201,20 +201,23 @@ func TestAskAllocationBudget(t *testing.T) {
 // TestMessageAllocationBudget holds the fixed cost of a message, in heap
 // objects and not bytes: a reducer fetching 8 blocks of 512 B from one peer,
 // per block, and a 64-byte Env.Ask echo, per call, over 300 calls after 20
-// warm-ups. Measured 10.6 / 11.1 / 11.6 per block and 21 per echo on nio /
-// mpi-basic / mpi-opt, and 6.6 on UCR, which crosses no pipeline; with a
-// context per handler hop, a buffer, an array and a frame per frame and a
-// reader per block it was 22 / 26 / 27 and 37 / 43 / 43. The budgets leave
-// room for the race detector, under which make race-all runs this and
-// sync.Pool drops a share of the contexts put back (11.9 / 12.3 / 13.0, UCR
-// 6.7, and 23.0 there).
+// warm-ups. Measured 5.6 / 6.8 / 6.6 per block and 13 / 15 / 13 per echo on
+// nio / mpi-basic / mpi-opt, and 4.4 on UCR, which crosses no pipeline: per
+// message, the bytes that cross the wire (and on MPI its envelope) and the
+// decoded message. With a frame object each way, a copy of the message per
+// diverted body and queues that re-grew their arrays it was 10.6 / 11.1 /
+// 11.6, 6.6 and 21; with a context per handler hop, a buffer, an array and a
+// frame per frame and a reader per block, 22 / 26 / 27 and 37 / 43 / 43.
+// The budgets leave room for the race detector, under which make race-all
+// runs this and sync.Pool drops a share of the contexts put back (6.8 / 7.9
+// / 7.8, UCR 4.4, and 15 / 17 / 15 there).
 func TestMessageAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	const shuffleID, nMaps, blockSize, askSize = 13, 8, 512, 64
 	budgets := map[string]struct{ perBlock, perAsk float64 }{
-		"nio": {13, 24}, "mpi-basic": {13, 24}, "mpi-opt": {14, 24}, "ucr": {perBlock: 7},
+		"nio": {8, 17}, "mpi-basic": {9, 19}, "mpi-opt": {9, 17}, "ucr": {perBlock: 5},
 	}
 	forEachTransport(t, func(t *testing.T, transport string) {
 		budget := budgets[transport]
@@ -233,7 +236,7 @@ func TestMessageAllocationBudget(t *testing.T) {
 			at = vt
 		})
 		perBlock := perFetch / nMaps
-		t.Logf("fetch of %d x %d B: %.1f objects per block", nMaps, blockSize, perBlock)
+		t.Logf("%s: fetch of %d x %d B: %.1f objects per block", transport, nMaps, blockSize, perBlock)
 		if perBlock > budget.perBlock {
 			t.Errorf("a fetch of %d blocks of %d B allocates %.1f objects per block, budget %.0f", nMaps, blockSize, perBlock, budget.perBlock)
 		}
@@ -251,7 +254,7 @@ func TestMessageAllocationBudget(t *testing.T) {
 			}
 			at = vt
 		})
-		t.Logf("%d-byte Ask echo: %.1f objects", askSize, perAsk)
+		t.Logf("%s: %d-byte Ask echo: %.1f objects", transport, askSize, perAsk)
 		if perAsk > budget.perAsk {
 			t.Errorf("a %d-byte Ask echo allocates %.1f objects, budget %.0f", askSize, perAsk, budget.perAsk)
 		}

@@ -281,9 +281,17 @@ func (c *Client) FetchBlocks(blockIDs []string, at vtime.Stamp) ([]BlockResult, 
 func (c *Client) fetch(blockIDs []string, at vtime.Stamp) (results []BlockResult, maxVT vtime.Stamp, chunks int64) {
 	results = make([]BlockResult, len(blockIDs))
 	maxVT = at
+	// Every request is a window of one buffer holding all the ids.
+	size := 0
+	for _, id := range blockIDs {
+		size += len(id)
+	}
+	ids := make([]byte, 0, size)
 	posted := 0
 	for _, id := range blockIDs {
-		if _, err := c.qp.PostSend([]byte(id), at); err != nil {
+		lo := len(ids)
+		ids = append(ids, id...)
+		if _, err := c.qp.PostSend(ids[lo:len(ids):len(ids)], at); err != nil {
 			// Requests that never left fail in place; any posted ones are
 			// still drained below so the stream stays in sync.
 			for i := posted; i < len(blockIDs); i++ {
