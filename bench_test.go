@@ -234,45 +234,58 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPollInterval sweeps the Basic design's compute
-// starvation factor (the cost of the Iprobe/non-blocking-select loop) and
-// reports GroupByTest totals — why the paper abandoned the Basic design.
-func BenchmarkAblationPollInterval(b *testing.B) {
+// BenchmarkAblationSpinningSelectors sweeps what the Basic design's
+// compute starvation is derived from: a worker node's cores (the three
+// Table III systems: 28, 56 and 96) and the selectors spinning on them (the
+// worker's env and the executor's, plus the external shuffle service's when
+// it is on). A non-blocking select + Iprobe loop holds a core whether or
+// not it finds a frame, so a node of C cores and k selectors computes at
+// C / (C + k) of its speed. It reports GroupByTest totals for Basic and
+// Optimized and their ratio.
+func BenchmarkAblationSpinningSelectors(b *testing.B) {
 	o := benchOpts()
-	for _, inflation := range []float64{1.0, 1.5, 2.0, 3.0} {
-		b.Run(fmt.Sprintf("inflation=%.1f", inflation), func(b *testing.B) {
-			cfg := ohb.Config{
-				Mappers: 4, Reducers: 4,
-				PairsPerMapper: int(o.BytesPerWorker / 2 / 108),
-				ValueBytes:     100, Seed: o.Seed,
-			}
-			var total vtime.Stamp
-			for i := 0; i < b.N; i++ {
-				cl, err := harness.BuildCluster(harness.ClusterSpec{
-					System: harness.Frontera, Workers: 2, Backend: spark.BackendMPIBasic,
-					SlotsPerWorker: 2, BasicComputeInflation: inflation,
-					// Full per-record compute (no core consolidation) so the
-					// starvation factor has compute to starve.
-					CPU: spark.DefaultCPUModel(),
-				})
-				if err != nil {
-					b.Fatal(err)
+	cfg := ohb.Config{
+		Mappers: 4, Reducers: 4,
+		PairsPerMapper: int(o.BytesPerWorker / 2 / 108),
+		ValueBytes:     100, Seed: o.Seed,
+	}
+	for _, sys := range harness.Systems() {
+		for _, service := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/cores=%d/service=%v", sys.Name, sys.PaperCoresPerNode, service), func(b *testing.B) {
+				var basic, opt vtime.Stamp
+				for i := 0; i < b.N; i++ {
+					for _, backend := range []spark.Backend{spark.BackendMPIBasic, spark.BackendMPIOpt} {
+						cl, err := harness.BuildCluster(harness.ClusterSpec{
+							System: sys, Workers: 2, Backend: backend,
+							SlotsPerWorker: 2, ShuffleService: service,
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						res, err := ohb.RunGroupByTest(cl.Ctx, cfg)
+						cl.Close()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if backend == spark.BackendMPIBasic {
+							basic = res.Total
+						} else {
+							opt = res.Total
+						}
+					}
 				}
-				res, err := ohb.RunGroupByTest(cl.Ctx, cfg)
-				cl.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = res.Total
-			}
-			b.ReportMetric(float64(total.AsDuration().Microseconds())/1000, "total-vt-ms")
-		})
+				b.ReportMetric(float64(basic.AsDuration().Microseconds())/1000, "basic-vt-ms")
+				b.ReportMetric(float64(opt.AsDuration().Microseconds())/1000, "opt-vt-ms")
+				b.ReportMetric(float64(basic)/float64(opt), "basic/opt")
+			})
+		}
 	}
 }
 
-// BenchmarkAblationHeaderPath isolates the Optimized design's
-// header-over-socket choice: Basic without starvation sends everything
-// (headers included) over MPI, Optimized keeps headers on the socket.
+// BenchmarkAblationHeaderPath sets the Optimized design's header-over-socket
+// choice against Basic, which sends everything (headers included) over MPI.
+// Basic also pays its spinning selectors, 2 of Frontera's 56 cores per
+// worker node (BenchmarkAblationSpinningSelectors).
 func BenchmarkAblationHeaderPath(b *testing.B) {
 	o := benchOpts()
 	cfg := ohb.Config{
@@ -281,12 +294,11 @@ func BenchmarkAblationHeaderPath(b *testing.B) {
 		ValueBytes:     100, Seed: o.Seed,
 	}
 	cases := []struct {
-		name      string
-		backend   spark.Backend
-		inflation float64
+		name    string
+		backend spark.Backend
 	}{
-		{"headers-on-socket(optimized)", spark.BackendMPIOpt, 0},
-		{"all-over-mpi(basic,no-starvation)", spark.BackendMPIBasic, 1.0},
+		{"headers-on-socket(optimized)", spark.BackendMPIOpt},
+		{"all-over-mpi(basic)", spark.BackendMPIBasic},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -294,7 +306,7 @@ func BenchmarkAblationHeaderPath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cl, err := harness.BuildCluster(harness.ClusterSpec{
 					System: harness.Frontera, Workers: 2, Backend: c.backend,
-					SlotsPerWorker: 2, BasicComputeInflation: c.inflation,
+					SlotsPerWorker: 2,
 				})
 				if err != nil {
 					b.Fatal(err)

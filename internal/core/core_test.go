@@ -344,34 +344,59 @@ func TestShuffleChunkFollowsDesign(t *testing.T) {
 	}
 }
 
-func TestBasicInflationSlowsCompute(t *testing.T) {
-	run := func(design Design) vtime.Stamp {
+// TestBasicSpinningSelectorsStretchCompute: a Basic env's selector spins
+// on a core of its node for as long as the env lives, so a worker node of
+// two cores hosting the worker's and the executor's env gives its tasks
+// half of each core (2 + 2 threads on 2 cores), a third env (the external
+// shuffle service) 2/5 of one, and a killed executor's core back; an
+// Optimized node spins nothing.
+func TestBasicSpinningSelectorsStretchCompute(t *testing.T) {
+	run := func(design Design, service bool, want float64) vtime.Stamp {
+		t.Helper()
 		f, wn, mn, dn := newClusterFabric(2)
+		for _, n := range wn {
+			n.SetCores(2)
+		}
 		sparkCfg := spark.DefaultConfig()
+		sparkCfg.ExternalShuffleService = service
 		cl, err := LaunchMPICluster(ClusterConfig{
 			Fabric: f, WorkerNodes: wn, MasterNode: mn, DriverNode: dn,
-			SlotsPerWorker: 1, Design: design,
-			Spark:                 sparkCfg,
-			BasicComputeInflation: 3.0,
+			SlotsPerWorker: 1, Design: design, Spark: sparkCfg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
+		for _, n := range wn {
+			if got := n.ComputeStretch(); got != want {
+				t.Fatalf("%v, service %v: node %s stretches compute %.2fx, want %.2fx", design, service, n.Name(), got, want)
+			}
+		}
 		heavy := spark.Generate(cl.Ctx, 2, func(part int, tc *spark.TaskContext) []int64 {
 			tc.Charge(50 * time.Millisecond) // pure compute
 			return []int64{1}
 		})
+		start := cl.Ctx.Clock()
 		if _, err := spark.Count(heavy); err != nil {
 			t.Fatal(err)
 		}
-		return cl.Ctx.Clock()
+		took := cl.Ctx.Clock() - start
+		if design == DesignBasic {
+			cl.Executors[0].Kill()
+			if got, want := wn[0].ComputeStretch(), want-0.5; got != want {
+				t.Errorf("after its executor died node w0 stretches compute %.2fx, want %.2fx", got, want)
+			}
+		}
+		cl.Close()
+		if got := wn[1].ComputeStretch(); got != 1 {
+			t.Errorf("%v: a closed cluster's node stretches compute %.2fx, want 1", design, got)
+		}
+		return took
 	}
-	opt := run(DesignOptimized)
-	basic := run(DesignBasic)
-	ratio := float64(basic) / float64(opt)
-	if ratio < 2.0 || ratio > 4.0 {
-		t.Fatalf("basic/opt compute ratio = %.2f, want ~3 (inflation)", ratio)
+	opt := run(DesignOptimized, false, 1)
+	basic := run(DesignBasic, false, 2)
+	run(DesignBasic, true, 2.5)
+	if ratio := float64(basic) / float64(opt); ratio < 1.9 || ratio > 2.1 {
+		t.Fatalf("basic/opt compute ratio = %.2f, want ~2 (two spinning selectors on two cores)", ratio)
 	}
 }
 

@@ -8,8 +8,8 @@
 //     communicator-type bytes through PooledDirectByteBufs;
 //   - MPI4Spark-Basic: every Netty frame travels over MPI; the selector
 //     loop runs a non-blocking select plus MPI_Iprobe poll (§IV-D), which
-//     burns CPU and starves compute — modeled by a compute inflation
-//     factor on co-located executors;
+//     burns CPU and starves compute — modeled as one core per spinning
+//     selector, taken from the tasks of the node it runs on;
 //   - MPI4Spark-Optimized: only block-path bodies (ChunkFetchSuccess,
 //     PushBlockRequest, CollectiveChunk) travel over MPI; their headers stay
 //     on the socket and trigger the matching MPI_Recv in a channel handler

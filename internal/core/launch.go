@@ -32,9 +32,6 @@ type ClusterConfig struct {
 	// compute model. A zero ShuffleChunkBytes under the Optimized design
 	// becomes the MPI eager threshold (see LaunchMPICluster).
 	Spark spark.Config
-	// BasicComputeInflation scales task compute cost under the Basic
-	// design, modeling selector-poll CPU starvation (>1; default 2.5).
-	BasicComputeInflation float64
 }
 
 // MPICluster is a launched MPI4Spark cluster.
@@ -64,7 +61,6 @@ type execSeat struct {
 	idx     int
 	node    *fabric.Node
 	id      *Identity
-	inflate float64
 	svc     *shuffleservice.Service
 	attempt int
 }
@@ -148,9 +144,6 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 	if cfg.SlotsPerWorker < 1 {
 		cfg.SlotsPerWorker = 1
 	}
-	if cfg.BasicComputeInflation <= 0 {
-		cfg.BasicComputeInflation = 2.5
-	}
 	if cfg.Design == DesignOptimized && cfg.Spark.ShuffleChunkBytes == 0 {
 		// Batched-fetch reply chunks map one-to-one onto MPI messages
 		// (§IV-E). Eager chunks fly without the rendezvous RTS/CTS
@@ -196,10 +189,6 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 			return
 		}
 		cluster.addEnv(env, st)
-		inflate := 1.0
-		if cfg.Design == DesignBasic {
-			inflate = cfg.BasicComputeInflation
-		}
 		svc := cluster.serviceFor(execIdx)
 		e := spark.NewExecutor(spark.ExecutorConfig{
 			ID:             fmt.Sprintf("exec-%d", execIdx),
@@ -207,11 +196,10 @@ func LaunchMPICluster(cfg ClusterConfig) (*MPICluster, error) {
 			Env:            env,
 			Slots:          cfg.SlotsPerWorker,
 			CPU:            cfg.Spark.CPU,
-			Inflate:        inflate,
 			ShuffleService: svc,
 		})
 		cluster.mu.Lock()
-		cluster.seats[e.ID()] = &execSeat{idx: execIdx, node: node, id: id, inflate: inflate, svc: svc}
+		cluster.seats[e.ID()] = &execSeat{idx: execIdx, node: node, id: id, svc: svc}
 		cluster.mu.Unlock()
 		execCh <- e
 	}
@@ -391,7 +379,6 @@ func (c *MPICluster) respawnReplacer(cfg ClusterConfig) spark.ExecutorReplacer {
 			Env:            env,
 			Slots:          cfg.SlotsPerWorker,
 			CPU:            cfg.Spark.CPU,
-			Inflate:        seat.inflate,
 			StartVT:        startVT,
 			ShuffleService: seat.svc,
 		})

@@ -87,10 +87,10 @@ type EnvState struct {
 }
 
 // pollRecvCost is the per-frame cost charged on the Basic design's polling
-// selector (Iprobe scans across channels plus the blocking receive). It is
-// deliberately small: the dominant Basic-design penalty is compute
-// starvation (BasicComputeInflation in the launcher); this constant only
+// selector (Iprobe scans across channels plus the blocking receive): it
 // serializes reception through the single polling selector under bursts.
+// What the spin takes from compute is not a cost per frame but a core per
+// selector, charged through the node (AttachPolling).
 const pollRecvCost = 5 * time.Microsecond
 
 // NewEnvState builds the runtime for one environment.
@@ -185,11 +185,15 @@ func (st *EnvState) Poll() bool {
 // environment (Basic design) and has the process's MPI engine wake those
 // loops when a message is queued for it: the selector parks between
 // arrivals in host time, while every scan it makes costs what it did in
-// virtual time.
+// virtual time. In virtual time the selector never parks: its select is
+// non-blocking, so each loop spins on a core of the env's node until the
+// env shuts down, and the node's tasks compute that much slower
+// (fabric.Node.ComputeStretch).
 func (st *EnvState) AttachPolling(env *rpc.Env) {
 	loops := env.Group().Loops()
 	for _, l := range loops {
 		l.SetAuxPoll(st.Poll)
+		env.OnShutdown(env.Node().Spin())
 	}
 	st.id.World.NotifyArrival(func() {
 		for _, l := range loops {

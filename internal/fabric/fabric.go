@@ -145,9 +145,10 @@ func (f *Fabric) account(p Protocol, n int) {
 }
 
 // Node is one simulated host: a shared NIC (tx and rx directions are
-// separate full-duplex resources) plus a name. Processes are a concept of
-// higher layers; they share their node's NIC, which is how intra-node
-// process counts translate into network contention.
+// separate full-duplex resources), its cores, and a name. Processes are a
+// concept of higher layers; they share their node's NIC and cores, which is
+// how intra-node process counts translate into network contention and
+// spinning threads into compute starvation.
 type Node struct {
 	name   string
 	fabric *Fabric
@@ -159,6 +160,11 @@ type Node struct {
 	// lets tests distinguish an O(B) tree/ring distribution from an O(E·B)
 	// root fan-out, which the fabric-wide per-protocol totals cannot.
 	txBytes atomic.Int64
+
+	// cores is the node's physical core count (zero: CPU not modelled);
+	// spinning counts the threads that busy-poll on them.
+	cores    atomic.Int64
+	spinning atomic.Int64
 }
 
 // Name returns the node's name.
@@ -173,6 +179,32 @@ func (n *Node) TxBytes() int64 { return n.txBytes.Load() }
 
 // ResetTraffic zeroes the node's traffic counter.
 func (n *Node) ResetTraffic() { n.txBytes.Store(0) }
+
+// SetCores gives the node c physical cores, shared by the threads of every
+// process it hosts. A node whose cores were never set has no CPU model.
+func (n *Node) SetCores(c int) { n.cores.Store(int64(c)) }
+
+// Spin records a thread that busy-polls on the node and returns the func,
+// to be called once, that stops it. Such a thread never blocks: it takes a
+// core whenever the scheduler offers one, whether or not it finds work.
+func (n *Node) Spin() (stop func()) {
+	n.spinning.Add(1)
+	return func() { n.spinning.Add(-1) }
+}
+
+// ComputeStretch is the factor by which the node's spinning threads
+// lengthen task compute, (cores + spinning) / cores. The node's tasks fill
+// its cores (the paper gives Spark every core; a simulated slot stands for
+// cores/slots of them), so a fair-share scheduler hands each of the cores +
+// spinning runnable threads cores / (cores + spinning) of a core. It is 1 on
+// a node with no spinning thread or no cores set.
+func (n *Node) ComputeStretch() float64 {
+	c := n.cores.Load()
+	if c <= 0 {
+		return 1
+	}
+	return float64(c+n.spinning.Load()) / float64(c)
+}
 
 // Listener accepts connections dialed to its address.
 type Listener struct {

@@ -47,6 +47,30 @@ func TestAddNodeDuplicatePanics(t *testing.T) {
 	f.AddNode("a")
 }
 
+// TestComputeStretchCountsSpinners: k spinning threads on c cores stretch
+// compute by (c + k) / c while they spin, and not at all on a node without
+// cores.
+func TestComputeStretchCountsSpinners(t *testing.T) {
+	f := New(NewZeroModel())
+	n, bare := f.AddNode("n"), f.AddNode("bare")
+	n.SetCores(56)
+	stops := []func(){n.Spin(), n.Spin(), bare.Spin()}
+	if got, want := n.ComputeStretch(), 58.0/56; got != want {
+		t.Errorf("two spinners on 56 cores: stretch %v, want %v", got, want)
+	}
+	if got := bare.ComputeStretch(); got != 1 {
+		t.Errorf("a node without cores: stretch %v, want 1", got)
+	}
+	stops[0]()
+	if got, want := n.ComputeStretch(), 57.0/56; got != want {
+		t.Errorf("one spinner stopped: stretch %v, want %v", got, want)
+	}
+	stops[1]()
+	if got := n.ComputeStretch(); got != 1 {
+		t.Errorf("no spinner left: stretch %v, want 1", got)
+	}
+}
+
 func TestDialUnknownAddr(t *testing.T) {
 	f := testFabric(t, NewZeroModel(), "a")
 	if _, _, err := f.Node("a").Dial(Addr{Node: "a", Port: "nope"}, TCP, 0); err == nil {

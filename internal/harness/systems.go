@@ -23,7 +23,9 @@ import (
 // System is one Table III hardware profile.
 type System struct {
 	Name string
-	// PaperCoresPerNode is the paper's per-node core count (labels only).
+	// PaperCoresPerNode is the paper's per-node core count: the cores of
+	// every worker node, which its slots split between them and which the
+	// Basic design's spinning selectors take from its tasks.
 	PaperCoresPerNode int
 	// SlotsPerWorker is the scaled simulated executor slot count.
 	SlotsPerWorker int
@@ -105,8 +107,6 @@ type ClusterSpec struct {
 	CPU spark.CPUModel
 	// UCR overrides the RDMA runtime config (zero selects defaults).
 	UCR ucr.Config
-	// BasicComputeInflation overrides the Basic design's starvation factor.
-	BasicComputeInflation float64
 	// Supervise enables executor liveness supervision (heartbeats,
 	// ExecutorLost recovery, replacement) at spark.DefaultHeartbeatInterval
 	// and spark.DefaultExecutorTimeout. Benchmarks leave it off: heartbeat
@@ -159,6 +159,7 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	wn := make([]*fabric.Node, spec.Workers)
 	for i := range wn {
 		wn[i] = f.AddNode(fmt.Sprintf("w%d", i))
+		wn[i].SetCores(spec.System.PaperCoresPerNode)
 	}
 	master := f.AddNode("master")
 	driver := f.AddNode("driver")
@@ -200,14 +201,13 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 			design = core.DesignBasic
 		}
 		cl, err := core.LaunchMPICluster(core.ClusterConfig{
-			Fabric:                f,
-			WorkerNodes:           wn,
-			MasterNode:            master,
-			DriverNode:            driver,
-			SlotsPerWorker:        slots,
-			Design:                design,
-			Spark:                 sparkCfg,
-			BasicComputeInflation: spec.BasicComputeInflation,
+			Fabric:         f,
+			WorkerNodes:    wn,
+			MasterNode:     master,
+			DriverNode:     driver,
+			SlotsPerWorker: slots,
+			Design:         design,
+			Spark:          sparkCfg,
 		})
 		if err != nil {
 			return nil, err

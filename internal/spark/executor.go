@@ -101,10 +101,6 @@ type Executor struct {
 	slots   chan *slot
 	cpu     CPUModel
 
-	// inflate scales compute costs: 1, or the Basic design's polling
-	// starvation factor.
-	inflate float64
-
 	ucrServer *ucr.Server
 
 	cacheMu sync.RWMutex
@@ -139,8 +135,6 @@ type ExecutorConfig struct {
 	UCRRegistry shuffle.UCRServerRegistry
 	// UCRConfig tunes the UCR runtime (zero value selects defaults).
 	UCRConfig ucr.Config
-	// Inflate scales compute cost (zero means none).
-	Inflate float64
 	// StartVT is the virtual time the executor process came up (zero for
 	// cluster-launch executors; replacements start at their respawn time
 	// so their slots cannot run tasks before the process existed).
@@ -157,9 +151,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	if cfg.Inflate == 0 {
-		cfg.Inflate = 1
-	}
 	e := &Executor{
 		id:      cfg.ID,
 		node:    cfg.Node,
@@ -168,7 +159,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		nSlots:  cfg.Slots,
 		slots:   make(chan *slot, cfg.Slots),
 		cpu:     cfg.CPU,
-		inflate: cfg.Inflate,
 		svc:     cfg.ShuffleService,
 		cached:  make(map[cacheKey]any),
 		running: make(map[int64]struct{}),

@@ -75,15 +75,15 @@ func (tc *TaskContext) Observe(vt vtime.Stamp) {
 	}
 }
 
-// Charge adds modeled compute cost, inflated by the executor's compute
-// inflation factor (the Basic design's polling starvation).
+// Charge adds modeled compute cost, stretched by the threads that spin on
+// the executor's node (the Basic design's polling selectors).
 func (tc *TaskContext) Charge(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	f := 1.0
 	if tc.exec != nil {
-		f = tc.exec.inflate
+		f = tc.exec.node.ComputeStretch()
 	}
 	tc.vt = tc.vt.Add(time.Duration(float64(d) * f))
 }
