@@ -379,7 +379,7 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 	for ci, cand := range cands {
 		at := vtime.Max(cand.launchVT, cursor)
 		exclude := map[string]bool{comps[cand.i].execID: true}
-		free, err := c.launchTask(cand.spec, exclude, at, "speculative launch failed")
+		free, err := c.launchTask(cand.spec, exclude, launchPayload(make([]byte, taskClosureBytes), cand.spec.id), at, "speculative launch failed")
 		if err != nil {
 			// Could not place the attempt anywhere: withdraw it. The
 			// original result stands.

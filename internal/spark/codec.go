@@ -12,7 +12,6 @@ package spark
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 
 	"mpi4spark/internal/bytebuf"
@@ -154,8 +153,6 @@ type KeyOps[K any] interface {
 	Less(a, b K) bool
 }
 
-var hashSeed = maphash.MakeSeed()
-
 // Int64Key is KeyOps for int64.
 type Int64Key struct{}
 
@@ -171,8 +168,20 @@ func (Int64Key) Less(a, b int64) bool { return a < b }
 // StringKey is KeyOps for string.
 type StringKey struct{}
 
-// Hash implements KeyOps.
-func (StringKey) Hash(k string) uint64 { return maphash.String(hashSeed, k) }
+// Hash implements KeyOps: FNV-1a over the bytes, finished with splitmix64's
+// mixer so that the low bits a partitioner reduces by depend on every byte.
+// The function is fixed, so a key lands in the same partition, and a job
+// prints its output in the same order, in every process.
+func (StringKey) Hash(k string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
+		h *= 1099511628211
+	}
+	h = (h ^ h>>30) * 0xBF58476D1CE4E5B9
+	h = (h ^ h>>27) * 0x94D049BB133111EB
+	return h ^ h>>31
+}
 
 // Less implements KeyOps.
 func (StringKey) Less(a, b string) bool { return a < b }

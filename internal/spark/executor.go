@@ -290,7 +290,10 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 		MapLo:    desc.mapLo, MapHi: desc.mapHi, Coalesced: desc.coalesced,
 		Speculative: desc.speculative,
 	})
-	tc := &TaskContext{
+	task := &struct {
+		tc   TaskContext
+		comp completion
+	}{tc: TaskContext{
 		StageID:   desc.stage.id,
 		Partition: desc.part,
 		exec:      e,
@@ -301,7 +304,8 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 		mapLo:         desc.mapLo,
 		mapHi:         desc.mapHi,
 		rangedShuffle: desc.rangedShuffle,
-	}
+	}}
+	tc := &task.tc
 	result, mapStatus, err := desc.run(tc)
 	s.clock.Observe(tc.vt)
 	e.slots <- s
@@ -330,7 +334,8 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	}
 	e.ctx.bus.Emit(end)
 
-	comp := &completion{
+	comp := &task.comp
+	*comp = completion{
 		taskID:    desc.id,
 		part:      desc.part,
 		execID:    e.id,

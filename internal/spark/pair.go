@@ -31,7 +31,8 @@ func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine 
 		n := p.NumPartitions()
 		// Count, then place: one partitioner call per record and a stable
 		// permutation, not a copy: bucket i is pairs[order[ends[i-1]:ends[i]]].
-		part := make([]int32, len(pairs))
+		part := make([]int32, 2*len(pairs))
+		part, order := part[:len(pairs):len(pairs)], part[len(pairs):]
 		ends := make([]int, n)
 		for j, pr := range pairs {
 			i := p.PartitionFor(pr.K)
@@ -43,7 +44,6 @@ func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine 
 			ends[i] = at
 			at += c
 		}
-		order := make([]int32, len(pairs))
 		for j, i := range part {
 			order[ends[i]] = int32(j)
 			ends[i]++
@@ -120,16 +120,74 @@ func fetchDecode[K, V any](conf ShuffleConf[K, V], dep *ShuffleDep, reduceID int
 }
 
 // keyIndex numbers keys in first-appearance order. Output order comes from
-// it and a slice, never from ranging over a map: one seed, one order.
-type keyIndex[K comparable] map[K]int32
+// it and a slice, never from ranging over a map: one seed, one order. It
+// keeps the keys in that order and finds them through one open-addressing
+// slab of their numbers, probed linearly from the top bits of KeyOps.Hash
+// and doubled before it is half full: per size, a slab and the key slice's
+// growth, where a map costs a header, a directory and a table of wider
+// slots.
+type keyIndex[K comparable] struct {
+	ops   KeyOps[K]
+	keys  []K     // by number
+	slots []int32 // a power of two of them, each a number plus one; 0 is free
+	shift uint    // 64 - log2(len(slots))
+}
 
-func (x keyIndex[K]) of(k K) (g int32, fresh bool) {
-	g, ok := x[k]
-	if !ok {
-		g = int32(len(x))
-		x[k] = g
+// initialKeys is the room a keyed output starts with, the initial capacity
+// of Spark's AppendOnlyMap: a small one never regrows.
+const initialKeys = 64
+
+// newKeyIndex returns an index with room for initialKeys keys.
+func newKeyIndex[K comparable](ops KeyOps[K]) keyIndex[K] {
+	x := keyIndex[K]{ops: ops, keys: make([]K, 0, initialKeys)}
+	x.alloc(2 * initialKeys)
+	return x
+}
+
+// alloc replaces the slab with an empty one of size slots.
+func (x *keyIndex[K]) alloc(size int) {
+	x.slots = make([]int32, size)
+	x.shift = 64
+	for s := size; s > 1; s >>= 1 {
+		x.shift--
 	}
-	return g, !ok
+}
+
+// home is k's first probe: the top bits of its hash, mixed once more so
+// that a hash weak in its high bits still spreads.
+func (x *keyIndex[K]) home(k K) uint64 {
+	return (x.ops.Hash(k) * 0x9E3779B97F4A7C15) >> x.shift
+}
+
+func (x *keyIndex[K]) of(k K) (g int32, fresh bool) {
+	mask := uint64(len(x.slots) - 1)
+	i := x.home(k)
+	for ; x.slots[i] != 0; i = (i + 1) & mask {
+		if n := x.slots[i] - 1; x.keys[n] == k {
+			return n, false
+		}
+	}
+	g = int32(len(x.keys))
+	x.keys = append(x.keys, k)
+	if 2*len(x.keys) > len(x.slots) {
+		x.grow() // places k too
+	} else {
+		x.slots[i] = g + 1
+	}
+	return g, true
+}
+
+// grow doubles the slab and places every key again.
+func (x *keyIndex[K]) grow() {
+	x.alloc(2 * len(x.slots))
+	mask := uint64(len(x.slots) - 1)
+	for g, k := range x.keys {
+		i := x.home(k)
+		for x.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = int32(g + 1)
+	}
 }
 
 // newShuffleStage wires a wide dependency from `in` and returns it.
@@ -161,7 +219,7 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		// Count, then carve, in two decode passes and no record slice: number
 		// the keys in first-appearance order and count their values, then cut
 		// every group out of one value slice and place the values.
-		index := make(keyIndex[K])
+		index := newKeyIndex(conf.Ops)
 		group := make([]int32, 0, r.records)
 		var sizes []int32
 		var p Pair[K, V]
@@ -203,7 +261,7 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 	out.partialMerge = func(tc *TaskContext, parts [][]Pair[K, []V]) []Pair[K, []V] {
 		// Count, then carve, as above: size every key's merged group first,
 		// then cut the groups out of one value slice.
-		idx := make(keyIndex[K])
+		idx := newKeyIndex(conf.Ops)
 		var merged []Pair[K, []V]
 		var sizes []int
 		n, total := 0, 0
@@ -227,7 +285,8 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		}
 		for _, sub := range parts {
 			for _, pr := range sub {
-				m := &merged[idx[pr.K]]
+				i, _ := idx.of(pr.K)
+				m := &merged[i]
 				m.V = append(m.V, pr.V...)
 			}
 		}
@@ -243,11 +302,13 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 	if conf.Parts < 1 {
 		conf.Parts = in.nParts
 	}
-	// start returns an empty index and accumulator with room for 64 keys, the
-	// initial capacity of Spark's AppendOnlyMap: a small reduce never regrows.
-	start := func() (keyIndex[K], []Pair[K, V]) { return make(keyIndex[K], 64), make([]Pair[K, V], 0, 64) }
+	// start returns an empty index and accumulator with room for
+	// initialKeys keys.
+	start := func() (keyIndex[K], []Pair[K, V]) {
+		return newKeyIndex(conf.Ops), make([]Pair[K, V], 0, initialKeys)
+	}
 	// reduce folds p into its key's entry of acc (first-appearance order).
-	reduce := func(index keyIndex[K], acc []Pair[K, V], p Pair[K, V]) []Pair[K, V] {
+	reduce := func(index *keyIndex[K], acc []Pair[K, V], p Pair[K, V]) []Pair[K, V] {
 		if g, fresh := index.of(p.K); !fresh {
 			acc[g].V = f(acc[g].V, p.V)
 			return acc
@@ -261,7 +322,7 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 		lo := 0
 		for i, hi := range ends {
 			for _, j := range order[lo:hi] {
-				out = reduce(index, out, pairs[j])
+				out = reduce(&index, out, pairs[j])
 			}
 			tc.ChargeRecords(hi-lo, 0)
 			lo, ends[i] = hi, len(out)
@@ -271,7 +332,7 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 	dep := newShuffleStage(in, conf, HashPartitioner[K]{N: conf.Parts, Ops: conf.Ops}, combine)
 	out := newRDD(in.ctx, conf.Parts, []Dependency{dep}, func(part int, tc *TaskContext) ([]Pair[K, V], error) {
 		index, out := start()
-		n, err := foldShuffle(conf.Codec, dep, part, tc, func(p Pair[K, V]) { out = reduce(index, out, p) })
+		n, err := foldShuffle(conf.Codec, dep, part, tc, func(p Pair[K, V]) { out = reduce(&index, out, p) })
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +347,7 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 		for _, sub := range parts {
 			n += len(sub)
 			for _, pr := range sub {
-				merged = reduce(index, merged, pr)
+				merged = reduce(&index, merged, pr)
 			}
 		}
 		tc.ChargeRecords(n, 0)

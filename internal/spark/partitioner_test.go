@@ -78,3 +78,54 @@ func TestNewRangePartitionerEmptySample(t *testing.T) {
 		t.Fatalf("empty sample: PartitionFor = %d, want 0", got)
 	}
 }
+
+// TestStringKeyHashPinned holds StringKey.Hash to fixed values: a key's
+// partition, and so the order a job prints its output in, may not depend on
+// the process.
+func TestStringKeyHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		key  string
+		want uint64
+	}{
+		{"", 0xf52a15e9a9b5e89b},
+		{"a", 0x2c0bdbf481420f8},
+		{"spark", 0x9b3700ca0569136e},
+		{"mpi", 0xa0bee0f0b7dd4a32},
+		{"Spark Meets MPI", 0x2888a872f6b483dd},
+	} {
+		if got := (StringKey{}).Hash(c.key); got != c.want {
+			t.Errorf("StringKey.Hash(%q) = %#x, want %#x", c.key, got, c.want)
+		}
+	}
+}
+
+// collidingKeys hashes every key alike, so that each lookup probes past all
+// the keys before it.
+type collidingKeys struct{ Int64Key }
+
+func (collidingKeys) Hash(int64) uint64 { return 42 }
+
+// TestKeyIndexFirstAppearanceOrder numbers keys through several doublings
+// of the slab, with a real hash and with one under which every key
+// collides, against the numbering a map gives.
+func TestKeyIndexFirstAppearanceOrder(t *testing.T) {
+	for _, ops := range []KeyOps[int64]{Int64Key{}, collidingKeys{}} {
+		x := newKeyIndex(ops)
+		want := make(map[int64]int32)
+		for i := 0; i < 3000; i++ {
+			k := int64(i*7919) % 701 // repeats after 701 distinct keys
+			g, fresh := x.of(k)
+			w, seen := want[k]
+			if !seen {
+				w = int32(len(want))
+				want[k] = w
+			}
+			if g != w || fresh == seen {
+				t.Fatalf("%T: key %d numbered %d (fresh %v), want %d (fresh %v)", ops, k, g, fresh, w, !seen)
+			}
+		}
+		if len(x.keys) != len(want) || 2*len(x.keys) > len(x.slots) {
+			t.Fatalf("%T: %d keys in %d slots, want %d keys in at most half", ops, len(x.keys), len(x.slots), len(want))
+		}
+	}
+}

@@ -275,6 +275,17 @@ func (r *RDD[T]) mergePartials(tc *TaskContext, parts []any) any {
 }
 
 func (r *RDD[T]) computePartition(part int, tc *TaskContext) (any, error) {
+	out, err := r.partition(part, tc)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// partition is computePartition typed: a narrow transformation reads its
+// parent through it, so a partition is boxed once, where the scheduler
+// takes it, and not at every step of a chain.
+func (r *RDD[T]) partition(part int, tc *TaskContext) ([]T, error) {
 	// A ranged sub-task sees only a slice of the partition; caching it
 	// would poison later full reads, and a cached full partition would
 	// defeat the split. Bypass the cache entirely for ranged compute.
@@ -282,7 +293,7 @@ func (r *RDD[T]) computePartition(part int, tc *TaskContext) (any, error) {
 		if v, ok := tc.exec.getCached(r.id, part); ok {
 			// Cached read: charge a light in-memory scan.
 			tc.Charge(time.Duration(float64(r.records(v)) * tc.cpu.NsPerRecord / 4))
-			return v, nil
+			return v.([]T), nil
 		}
 	}
 	out, err := r.compute(part, tc)

@@ -25,7 +25,9 @@ var ErrConnectionLost = errors.New("rpc: connection lost")
 
 // Handler processes calls delivered to an endpoint. Handlers run on the
 // endpoint's dispatch goroutine, one call at a time (Spark's dispatcher
-// semantics); long work must be handed off.
+// semantics); long work must be handed off. The Call is the dispatcher's
+// and is valid until the handler returns: work handed off takes copies of
+// the fields it needs (the Payload slice itself may be kept).
 type Handler func(c *Call)
 
 // Call is one inbound endpoint message.
@@ -35,14 +37,25 @@ type Call struct {
 	// Payload is the opaque request body.
 	Payload []byte
 	// VT is the virtual time at which the handler runs.
-	VT    vtime.Stamp
-	reply func(payload []byte, vt vtime.Stamp)
+	VT vtime.Stamp
+	// ch and reqID address the answer to an ask; ch is nil on a one-way
+	// message.
+	ch    *netty.Channel
+	reqID int64
 }
 
 // Reply answers an ask-style call. It is a no-op for one-way messages.
 func (c *Call) Reply(payload []byte, vt vtime.Stamp) {
-	if c.reply != nil {
-		c.reply(payload, vt)
+	if c.ch != nil {
+		c.ch.Write(&RpcResponse{ReqID: c.reqID, Payload: payload}, vt)
+	}
+}
+
+// Fail answers an ask-style call with an RpcFailure: the asker's Ask
+// returns reason as its error. It is a no-op for one-way messages.
+func (c *Call) Fail(reason string, vt vtime.Stamp) {
+	if c.ch != nil {
+		c.ch.Write(&RpcFailure{ReqID: c.reqID, Error: reason}, vt)
 	}
 }
 
@@ -188,11 +201,16 @@ func (e *Env) Group() *netty.EventLoopGroup { return e.group }
 // initPipeline builds the standard Spark channel pipeline:
 // frame codec, message codec, optional transport hooks, dispatcher.
 func (e *Env) initPipeline(ch *netty.Channel, server bool) {
+	// The channel's decoder and dispatcher are allocated together.
+	tail := &struct {
+		dec  messageDecoder
+		disp dispatchHandler
+	}{messageDecoder{names: interner{env: e}}, dispatchHandler{env: e}}
 	p := ch.Pipeline()
 	p.AddLast("frameEncoder", &netty.FrameEncoder{})
 	p.AddLast("frameDecoder", &netty.FrameDecoder{})
 	p.AddLast("messageEncoder", &messageEncoder{})
-	p.AddLast("messageDecoder", &messageDecoder{})
+	p.AddLast("messageDecoder", &tail.dec)
 	if e.cfg.Hooks != nil {
 		if server {
 			e.cfg.Hooks.InstallServer(ch, e)
@@ -200,7 +218,7 @@ func (e *Env) initPipeline(ch *netty.Channel, server bool) {
 			e.cfg.Hooks.InstallClient(ch, e)
 		}
 	}
-	p.AddLast("dispatcher", &dispatchHandler{env: e})
+	p.AddLast("dispatcher", &tail.disp)
 }
 
 // messageEncoder turns typed Messages into wire frames: the header fields
@@ -226,17 +244,18 @@ func (h *messageEncoder) Write(ctx *netty.Context, msg any) {
 // messageDecoder parses frames back into typed Messages. The frame dies with
 // the traversal, but a decoded body aliases the bytes it framed — the
 // attached body of a two-part frame, else the head's own bytes — which
-// nothing recycles, so handlers may keep it.
-type messageDecoder struct{}
+// nothing recycles, so handlers may keep it. There is one per channel, and
+// its interner keeps the channel's request strings.
+type messageDecoder struct{ names interner }
 
 func (h *messageDecoder) ChannelRead(ctx *netty.Context, msg any) {
 	var m Message
 	var err error
 	switch f := msg.(type) {
 	case *bytebuf.Buf:
-		m, err = Decode(f)
+		m, err = decodeFrame(f, nil, &h.names)
 	case *netty.Frame:
-		m, err = DecodeFrame(f.Head, f.Body)
+		m, err = decodeFrame(f.Head, f.Body, &h.names)
 	default:
 		ctx.FireChannelRead(msg)
 		return
@@ -257,16 +276,9 @@ func (h *dispatchHandler) ChannelRead(ctx *netty.Context, msg any) {
 	ch := ctx.Channel()
 	switch m := msg.(type) {
 	case *RpcRequest:
-		e.deliverToEndpoint(m.Endpoint, &Call{
-			From:    m.From,
-			Payload: m.Payload,
-			VT:      vt,
-			reply: func(payload []byte, rvt vtime.Stamp) {
-				ch.Write(&RpcResponse{ReqID: m.ReqID, Payload: payload}, rvt)
-			},
-		})
+		e.deliverToEndpoint(m.Endpoint, Call{From: m.From, Payload: m.Payload, VT: vt, ch: ch, reqID: m.ReqID})
 	case *OneWayMessage:
-		e.deliverToEndpoint(m.Endpoint, &Call{From: m.From, Payload: m.Payload, VT: vt})
+		e.deliverToEndpoint(m.Endpoint, Call{From: m.From, Payload: m.Payload, VT: vt})
 	case *RpcResponse:
 		e.resolveAsk(m.ReqID, askReply{data: m.Payload, vt: vt})
 	case *RpcFailure:
@@ -295,7 +307,7 @@ func (h *dispatchHandler) ChannelInactive(ctx *netty.Context) {
 	h.env.failChannel(ctx.Channel())
 }
 
-func (e *Env) deliverToEndpoint(name string, c *Call) {
+func (e *Env) deliverToEndpoint(name string, c Call) {
 	e.mu.Lock()
 	ep := e.endpoints[name]
 	e.mu.Unlock()
@@ -375,11 +387,11 @@ type endpoint struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  fifo.Queue[*Call]
+	queue  fifo.Queue[Call]
 	closed bool
 }
 
-func (ep *endpoint) enqueue(c *Call) {
+func (ep *endpoint) enqueue(c Call) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
@@ -390,19 +402,21 @@ func (ep *endpoint) enqueue(c *Call) {
 }
 
 func (ep *endpoint) loop() {
+	var c Call // the call in hand, lent to the handler (see Handler)
 	for {
 		ep.mu.Lock()
 		for ep.queue.Len() == 0 && !ep.closed {
 			ep.cond.Wait()
 		}
-		c, ok := ep.queue.Pop()
+		next, ok := ep.queue.Pop()
 		ep.mu.Unlock()
 		if !ok {
 			return // closed and drained
 		}
+		c = next
 		_, end := ep.engine.Occupy(c.VT, dispatchCost)
 		c.VT = end
-		ep.handler(c)
+		ep.handler(&c)
 	}
 }
 

@@ -63,7 +63,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(bytebuf.Wrap(data))
+		m, err := decodeFrame(bytebuf.Wrap(data), nil, nil)
 		if err != nil {
 			if m != nil {
 				t.Fatalf("Decode returned both a message and an error: %v", err)
@@ -74,7 +74,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("Decode returned nil message without error")
 		}
 		re := EncodeToBuf(m)
-		m2, err := Decode(re)
+		m2, err := decodeFrame(re, nil, nil)
 		if err != nil {
 			t.Fatalf("re-decode of %s failed: %v (frame %x)", m.Type(), err, data)
 		}

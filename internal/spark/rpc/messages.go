@@ -6,6 +6,7 @@ package rpc
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"mpi4spark/internal/bytebuf"
 )
@@ -397,17 +398,15 @@ type headBody interface {
 	encodeHead(buf *bytebuf.Buf) (body []byte)
 }
 
-// Decode parses one message from buf, which holds one contiguous frame
-// (tag first). A decoded body aliases buf: it stays valid for as long as
-// buf's bytes do.
-func Decode(buf *bytebuf.Buf) (Message, error) { return DecodeFrame(buf, nil) }
-
-// DecodeFrame parses one message from a frame in two parts: head holds the
-// header fields and body, when non-nil, is the payload the header's length
-// field announces, attached by reference. The decoded message's body is
-// that very slice — nothing is copied.
-func DecodeFrame(head *bytebuf.Buf, body []byte) (Message, error) {
-	m, err := decode(head, body)
+// decodeFrame parses one message from a frame in one or two parts: head
+// holds the header fields and body, when non-nil, is the payload the
+// header's length field announces, attached by reference; a nil body means
+// the head is the whole frame (tag first). The decoded message's body
+// aliases that frame — nothing is copied — and stays valid for as long as
+// its bytes do. Request strings are resolved through in (nil: allocated
+// afresh).
+func decodeFrame(head *bytebuf.Buf, body []byte, in *interner) (Message, error) {
+	m, err := decode(head, body, in)
 	if err == nil && body != nil {
 		if _, ok := m.(headBody); !ok {
 			return nil, fmt.Errorf("rpc: %s frame carries a %d-byte body", m.Type(), len(body))
@@ -431,7 +430,55 @@ func readBody(buf *bytebuf.Buf, attached []byte, n int) ([]byte, error) {
 	return attached, nil
 }
 
-func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
+// interner gives the strings a channel's requests repeat without
+// allocating them again: an endpoint name is the registered endpoint's own
+// string, and the sender is the one the channel's previous message named
+// (every message of a channel comes from the same env). Names it does not
+// know are allocated as they come.
+type interner struct {
+	env  *Env
+	from atomic.Pointer[string]
+}
+
+// endpoint reads a length-prefixed endpoint name.
+func (in *interner) endpoint(buf *bytebuf.Buf) (string, error) {
+	b, err := readStringBytes(buf)
+	if err != nil || in == nil {
+		return string(b), err
+	}
+	in.env.mu.Lock()
+	ep := in.env.endpoints[string(b)]
+	in.env.mu.Unlock()
+	if ep != nil {
+		return ep.name, nil
+	}
+	return string(b), nil
+}
+
+// sender reads a length-prefixed sender name.
+func (in *interner) sender(buf *bytebuf.Buf) (string, error) {
+	b, err := readStringBytes(buf)
+	if err != nil || in == nil {
+		return string(b), err
+	}
+	if last := in.from.Load(); last != nil && *last == string(b) {
+		return *last, nil
+	}
+	from := string(b)
+	in.from.Store(&from)
+	return from, nil
+}
+
+// readStringBytes reads a length-prefixed string as a window of buf.
+func readStringBytes(buf *bytebuf.Buf) ([]byte, error) {
+	n, err := buf.ReadUint32()
+	if err != nil {
+		return nil, err
+	}
+	return buf.ReadSlice(int(n))
+}
+
+func decode(buf *bytebuf.Buf, attached []byte, in *interner) (Message, error) {
 	tb, err := buf.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("rpc: empty frame: %w", err)
@@ -442,10 +489,10 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		if m.ReqID, err = buf.ReadInt64(); err != nil {
 			return nil, err
 		}
-		if m.Endpoint, err = buf.ReadString(); err != nil {
+		if m.Endpoint, err = in.endpoint(buf); err != nil {
 			return nil, err
 		}
-		if m.From, err = buf.ReadString(); err != nil {
+		if m.From, err = in.sender(buf); err != nil {
 			return nil, err
 		}
 		n, err := buf.ReadUint32()
@@ -480,10 +527,10 @@ func decode(buf *bytebuf.Buf, attached []byte) (Message, error) {
 		return m, nil
 	case TypeOneWayMessage:
 		m := &OneWayMessage{}
-		if m.Endpoint, err = buf.ReadString(); err != nil {
+		if m.Endpoint, err = in.endpoint(buf); err != nil {
 			return nil, err
 		}
-		if m.From, err = buf.ReadString(); err != nil {
+		if m.From, err = in.sender(buf); err != nil {
 			return nil, err
 		}
 		n, err := buf.ReadUint32()

@@ -34,7 +34,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	for _, m := range msgs {
 		buf := EncodeToBuf(m)
-		got, err := Decode(buf)
+		got, err := decodeFrame(buf, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Type(), err)
 		}
@@ -48,18 +48,18 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(bytebuf.New(0)); err == nil {
+	if _, err := decodeFrame(bytebuf.New(0), nil, nil); err == nil {
 		t.Fatal("decode of empty frame succeeded")
 	}
 	bad := bytebuf.New(0)
 	bad.WriteByte(200)
-	if _, err := Decode(bad); err == nil {
+	if _, err := decodeFrame(bad, nil, nil); err == nil {
 		t.Fatal("decode of unknown type succeeded")
 	}
 	trunc := bytebuf.New(0)
 	trunc.WriteByte(byte(TypeRpcRequest))
 	trunc.WriteUint32(1) // garbage
-	if _, err := Decode(trunc); err == nil {
+	if _, err := decodeFrame(trunc, nil, nil); err == nil {
 		t.Fatal("decode of truncated request succeeded")
 	}
 }
@@ -132,8 +132,8 @@ func TestAskUnknownEndpointTimesOutGracefully(t *testing.T) {
 
 func TestOneWayDelivery(t *testing.T) {
 	a, b := twoEnvs(t)
-	got := make(chan *Call, 1)
-	if err := b.RegisterEndpoint("Sink", func(c *Call) { got <- c }); err != nil {
+	got := make(chan Call, 1)
+	if err := b.RegisterEndpoint("Sink", func(c *Call) { got <- *c }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Send(b.Addr(), "Sink", []byte("fire-and-forget"), 100); err != nil {
@@ -144,7 +144,7 @@ func TestOneWayDelivery(t *testing.T) {
 		if string(c.Payload) != "fire-and-forget" {
 			t.Fatalf("payload = %q", c.Payload)
 		}
-		if c.reply != nil {
+		if c.ch != nil {
 			t.Fatal("call should be one-way")
 		}
 		if c.From != "envA" {
@@ -473,7 +473,7 @@ func TestMsgTypeStrings(t *testing.T) {
 	for _, code := range []byte{6, 7, 9, 10} {
 		// A retired code followed by what a stream frame carried: an id.
 		frame := append([]byte{code, 0, 0, 0, 3}, "jar"...)
-		if m, err := Decode(bytebuf.Wrap(frame)); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+		if m, err := decodeFrame(bytebuf.Wrap(frame), nil, nil); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Errorf("code %d decoded as %v, %v; want an unknown message type", code, m, err)
 		}
 	}

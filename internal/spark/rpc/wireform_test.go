@@ -54,11 +54,11 @@ func TestWireFormEquivalence(t *testing.T) {
 			t.Fatalf("%s: head ‖ body\n got %x\nwant %x", name, got, want)
 		}
 
-		fromContig, err := Decode(bytebuf.Wrap(want))
+		fromContig, err := decodeFrame(bytebuf.Wrap(want), nil, nil)
 		if err != nil {
 			t.Fatalf("%s: decode contiguous: %v", name, err)
 		}
-		fromParts, err := DecodeFrame(head, body)
+		fromParts, err := decodeFrame(head, body, nil)
 		if err != nil {
 			t.Fatalf("%s: decode two-part: %v", name, err)
 		}
@@ -96,7 +96,7 @@ func TestDecodeFrameRejectsMisattachedBody(t *testing.T) {
 			headOf(&ChunkFetchSuccess{FetchID: 1, Total: 4, BodyRef: BodyRef{BodyViaMPI: true, BodySize: 4, BodyTag: 9}}), []byte("four")},
 	}
 	for name, c := range cases {
-		if m, err := DecodeFrame(c.head, c.body); err == nil {
+		if m, err := decodeFrame(c.head, c.body, nil); err == nil {
 			t.Errorf("%s: accepted as %+v", name, m)
 		}
 	}

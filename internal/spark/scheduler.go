@@ -186,27 +186,25 @@ func (c *Context) runShuffleMapStage(jobID int, dep *ShuffleDep) error {
 	}
 	c.mu.Unlock()
 
-	tasks := make([]*taskDescriptor, len(missing))
-	for i, part := range missing {
-		p := part
-		tasks[i] = &taskDescriptor{
-			stage:      stage,
-			part:       p,
-			preferred:  c.preferredExecutor(dep.parent, p),
-			resultSize: func(any) int { return 16 + 8*dep.numReduce }, // MapStatus sizes
-			run: func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
-				data, err := dep.parent.computePartition(p, tc)
-				if err != nil {
-					return nil, nil, err
-				}
-				parts := dep.write(data, tc)
-				st, err := tc.exec.writeMapOutput(tc, dep.shuffleID, p, parts)
-				if err != nil {
-					return nil, nil, err
-				}
-				return nil, st, nil
-			},
+	// One run and one result size serve the whole stage: a task reads its
+	// partition from its TaskContext.
+	run := func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
+		data, err := dep.parent.computePartition(tc.Partition, tc)
+		if err != nil {
+			return nil, nil, err
 		}
+		parts := dep.write(data, tc)
+		st, err := tc.exec.writeMapOutput(tc, dep.shuffleID, tc.Partition, parts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, st, nil
+	}
+	resultSize := func(any) int { return 16 + 8*dep.numReduce } // MapStatus sizes
+	tasks := newTasks(stage, len(missing), run, resultSize)
+	for i, part := range missing {
+		tasks[i].part = part
+		tasks[i].preferred = c.preferredExecutor(dep.parent, part)
 	}
 	comps, err := c.launchAndWait(stage, tasks)
 	if err != nil {
@@ -245,19 +243,14 @@ func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) 
 		return c.runAdaptedResultStage(jobID, stage, final, plan, resultSize, collect)
 	}
 
-	tasks := make([]*taskDescriptor, final.partitions())
-	for part := 0; part < final.partitions(); part++ {
-		p := part
-		tasks[part] = &taskDescriptor{
-			stage:      stage,
-			part:       p,
-			preferred:  c.preferredExecutor(final, p),
-			resultSize: resultSize,
-			run: func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
-				data, err := final.computePartition(p, tc)
-				return data, nil, err
-			},
-		}
+	run := func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
+		data, err := final.computePartition(tc.Partition, tc)
+		return data, nil, err
+	}
+	tasks := newTasks(stage, final.partitions(), run, resultSize)
+	for part, t := range tasks {
+		t.part = part
+		t.preferred = c.preferredExecutor(final, part)
 	}
 	comps, err := c.launchAndWait(stage, tasks)
 	if err != nil {
@@ -267,6 +260,19 @@ func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) 
 		collect(comp.part, comp.result)
 	}
 	return nil
+}
+
+// newTasks returns n descriptors of one stage, carved from one slab, that
+// share the stage's run and resultSize; the caller sets each one's part.
+func newTasks(stage *stageInfo, n int, run func(tc *TaskContext) (any, *shuffle.MapStatus, error), resultSize func(any) int) []*taskDescriptor {
+	descs := make([]taskDescriptor, n)
+	tasks := make([]*taskDescriptor, n)
+	for i := range descs {
+		d := &descs[i]
+		d.stage, d.run, d.resultSize = stage, run, resultSize
+		tasks[i] = d
+	}
+	return tasks
 }
 
 // placeTask picks the executor for a task: its cache-locality preference
@@ -301,13 +307,18 @@ func (c *Context) placeTask(t *taskDescriptor, exclude map[string]bool) *Executo
 	return e
 }
 
-// launchTask sends one task's LaunchTask message at the given time and
-// returns when the driver CPU is free again. Unreachable executors are
-// skipped, each declared lost with lossCause as the reason, up to the
-// cluster size.
-func (c *Context) launchTask(t *taskDescriptor, exclude map[string]bool, at vtime.Stamp, lossCause string) (vtime.Stamp, error) {
-	payload := make([]byte, taskClosureBytes)
-	binary.BigEndian.PutUint64(payload[:8], uint64(t.id))
+// launchPayload returns the LaunchTask message of task id: taskClosureBytes
+// whose first eight carry the id, written into dst.
+func launchPayload(dst []byte, id int64) []byte {
+	binary.BigEndian.PutUint64(dst[:8], uint64(id))
+	return dst[:taskClosureBytes:taskClosureBytes]
+}
+
+// launchTask sends one task's LaunchTask message (launchPayload) at the
+// given time and returns when the driver CPU is free again. A retry sends
+// the same payload again. Unreachable executors are skipped, each declared
+// lost with lossCause as the reason, up to the cluster size.
+func (c *Context) launchTask(t *taskDescriptor, exclude map[string]bool, payload []byte, at vtime.Stamp, lossCause string) (vtime.Stamp, error) {
 	var lastErr error
 	for tries := 0; tries <= c.executorCount(); tries++ {
 		exec := c.placeTask(t, exclude)
@@ -331,18 +342,32 @@ func (c *Context) launchTask(t *taskDescriptor, exclude map[string]bool, at vtim
 // Launch messages serialize on the driver CPU, and completions serialize
 // through the driver's scheduler endpoint — both real effects at scale.
 func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*completion, error) {
+	// Every attempt's completion arrives on one channel: a task has at most
+	// one attempt whose completion is unread, so it never fills. Task ids
+	// are consecutive, so a completion's id is its task's index.
+	completed := make(chan *completion, len(tasks))
 	c.mu.Lock()
 	start := c.clock
 	sendVT := c.clock
-	waitChans := make([]chan *completion, len(tasks))
-	for i, t := range tasks {
+	for _, t := range tasks {
 		c.taskSeq++
 		t.id = c.taskSeq
 		c.tasks[t.id] = t
-		waitChans[i] = make(chan *completion, 1)
-		c.waiters[t.id] = waitChans[i]
+		c.waiters[t.id] = completed
 	}
 	c.mu.Unlock()
+	// next returns task i's completion; those of later tasks that come first
+	// wait in early, so completions are handled in task order.
+	early := make([]*completion, len(tasks))
+	next := func(i int) *completion {
+		for early[i] == nil {
+			comp := <-completed
+			early[comp.taskID-tasks[0].id] = comp
+		}
+		comp := early[i]
+		early[i] = nil
+		return comp
+	}
 
 	c.bus.Emit(obs.Event{
 		Type: obs.EvStageSubmitted, VT: start, Job: stage.jobID,
@@ -350,10 +375,14 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 		Tasks: len(tasks),
 	})
 
+	// Every task's launch payload is a window of one slab. A task's
+	// exclusions are made on its first retry: a nil map excludes nothing.
+	closures := make([]byte, len(tasks)*taskClosureBytes)
+	payloads := make([][]byte, len(tasks))
 	exclusions := make([]map[string]bool, len(tasks))
 	for i, t := range tasks {
-		exclusions[i] = make(map[string]bool)
-		free, err := c.launchTask(t, exclusions[i], sendVT, "task launch failed")
+		payloads[i] = launchPayload(closures[i*taskClosureBytes:], t.id)
+		free, err := c.launchTask(t, nil, payloads[i], sendVT, "task launch failed")
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +395,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 	attempts := make([]int, len(tasks))
 	for i := range tasks {
 		for {
-			comp := <-waitChans[i]
+			comp := next(i)
 			taskCompletions.Inc()
 			_, fetchFailed := shuffle.AsFetchFailed(comp.err)
 			if comp.err != nil && !fetchFailed && attempts[i] < maxTaskAttempts-1 {
@@ -377,16 +406,17 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 				// output cannot succeed — the map stage must be
 				// resubmitted first, which runJob handles.
 				attempts[i]++
+				if exclusions[i] == nil {
+					exclusions[i] = make(map[string]bool)
+				}
 				exclusions[i][comp.execID] = true
 				t := tasks[i]
 				t.attempt.Store(int32(attempts[i]))
-				ch := make(chan *completion, 1)
 				c.mu.Lock()
 				c.tasks[t.id] = t
-				c.waiters[t.id] = ch
+				c.waiters[t.id] = completed
 				c.mu.Unlock()
-				waitChans[i] = ch
-				if _, err := c.launchTask(t, exclusions[i], comp.driverVT, "task launch failed"); err != nil {
+				if _, err := c.launchTask(t, exclusions[i], payloads[i], comp.driverVT, "task launch failed"); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}

@@ -201,23 +201,19 @@ func TestAskAllocationBudget(t *testing.T) {
 // TestMessageAllocationBudget holds the fixed cost of a message, in heap
 // objects and not bytes: a reducer fetching 8 blocks of 512 B from one peer,
 // per block, and a 64-byte Env.Ask echo, per call, over 300 calls after 20
-// warm-ups. Measured 5.6 / 6.8 / 6.6 per block and 13 / 15 / 13 per echo on
-// nio / mpi-basic / mpi-opt, and 4.4 on UCR, which crosses no pipeline: per
+// warm-ups. Measured 4.5 / 5.6 / 5.5 per block and 9 / 11 / 9 per echo on
+// nio / mpi-basic / mpi-opt, and 3.3 on UCR, which crosses no pipeline: per
 // message, the bytes that cross the wire (and on MPI its envelope) and the
-// decoded message. With a frame object each way, a copy of the message per
-// diverted body and queues that re-grew their arrays it was 10.6 / 11.1 /
-// 11.6, 6.6 and 21; with a context per handler hop, a buffer, an array and a
-// frame per frame and a reader per block, 22 / 26 / 27 and 37 / 43 / 43.
-// The budgets leave room for the race detector, under which make race-all
-// runs this and sync.Pool drops a share of the contexts put back (6.8 / 7.9
-// / 7.8, UCR 4.4, and 15 / 17 / 15 there).
+// decoded message. The budgets leave room for the race detector, under
+// which make race-all runs this and sync.Pool drops a share of the contexts
+// put back (5.6 / 6.8 / 6.6, UCR 3.3, and 11 / 13 / 11 there).
 func TestMessageAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	const shuffleID, nMaps, blockSize, askSize = 13, 8, 512, 64
 	budgets := map[string]struct{ perBlock, perAsk float64 }{
-		"nio": {8, 17}, "mpi-basic": {9, 19}, "mpi-opt": {9, 17}, "ucr": {perBlock: 5},
+		"nio": {7, 13}, "mpi-basic": {8, 15}, "mpi-opt": {8, 13}, "ucr": {perBlock: 4},
 	}
 	forEachTransport(t, func(t *testing.T, transport string) {
 		budget := budgets[transport]

@@ -203,43 +203,14 @@ func (m *Manager) FetchShuffleRange(
 		}
 	}
 
-	results := make([]FetchResult, len(statuses))
-	maxVT := at
-
-	var mu sync.Mutex
-	var firstErr error
-	aborted := false
-
-	observe := func(vt vtime.Stamp) {
-		mu.Lock()
-		if vt > maxVT {
-			maxVT = vt
-		}
-		mu.Unlock()
-	}
-	abortedNow := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return aborted
-	}
-
 	// Budget gate: batches launch while their declared bytes fit in
 	// MaxBytesInFlight; an oversize batch flies once nothing else does.
 	budget := m.MaxBytesInFlight
 	if budget <= 0 {
 		budget = DefaultMaxBytesInFlight
 	}
-	var inFlight int64
-	budCond := sync.NewCond(&mu)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			aborted = true
-		}
-		mu.Unlock()
-		budCond.Broadcast()
-	}
+	f := &fetchState{results: make([]FetchResult, len(statuses)), maxVT: at}
+	f.cond.L = &f.mu
 
 	// Pass 1: local reads, and the remote blocks in map order, each with its
 	// peer's index in first-appearance order (kept deterministic for the
@@ -252,7 +223,7 @@ func (m *Manager) FetchShuffleRange(
 	for mapID := mapLo; mapID < mapHi; mapID++ {
 		st := statuses[mapID]
 		if st.Sizes[reduceID] == 0 {
-			results[mapID] = FetchResult{MapID: mapID, Data: nil}
+			f.results[mapID] = FetchResult{MapID: mapID, Data: nil}
 			continue
 		}
 		blockID := names.ID(shuffleID, mapID, reduceID)
@@ -260,16 +231,16 @@ func (m *Manager) FetchShuffleRange(
 			// Local block: no network, only the local read cost.
 			data, ok := m.bm.Get(blockID)
 			if !ok {
-				fail(&FetchFailedError{
+				f.fail(&FetchFailedError{
 					ShuffleID: shuffleID, MapID: mapID, ReduceID: reduceID, Loc: st.Loc,
 					Err: fmt.Errorf("local block %s missing", blockID),
 				})
 				break
 			}
 			cost := localReadCost + time.Duration(localReadNsPerByte*float64(len(data)))
-			observe(at.Add(cost))
+			f.observe(at.Add(cost))
 			fetchBytesLocal.Add(int64(len(data)))
-			results[mapID] = FetchResult{MapID: mapID, Data: data, Local: true}
+			f.results[mapID] = FetchResult{MapID: mapID, Data: data, Local: true}
 			continue
 		}
 		peer := slices.Index(peers, st.Loc.ExecID)
@@ -299,40 +270,93 @@ func (m *Manager) FetchShuffleRange(
 	}
 
 	// Pass 2: one batched request per peer, admitted by the byte budget.
-	var wg sync.WaitGroup
 	for lo, hi := 0, 0; lo < len(blocks); lo = hi {
 		var batchBytes int64
 		for hi = lo; hi < len(blocks) && blocks[hi].peer == blocks[lo].peer; hi++ {
 			batchBytes += blocks[hi].size
 		}
-		mu.Lock()
-		for !aborted && inFlight > 0 && inFlight+batchBytes > budget {
-			budCond.Wait()
-		}
-		if aborted {
-			mu.Unlock()
+		if !f.admit(batchBytes, budget) {
 			break
 		}
-		inFlight += batchBytes
-		mu.Unlock()
-
-		wg.Add(1)
 		go func(merged storage.BlockID, blocks []remoteBlock, ids []string, batchBytes int64) {
-			defer wg.Done()
-			defer func() {
-				mu.Lock()
-				inFlight -= batchBytes
-				mu.Unlock()
-				budCond.Broadcast()
-			}()
-			m.fetchBatch(shuffleID, reduceID, merged, blocks, ids, bts, at, results, observe, fail, abortedNow)
+			defer f.release(batchBytes)
+			m.fetchBatch(f, shuffleID, reduceID, merged, blocks, ids, bts, at)
 		}(merged, blocks[lo:hi], ids[lo:hi], batchBytes)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, at, firstErr
+	f.wg.Wait()
+	if f.firstErr != nil {
+		return nil, at, f.firstErr
 	}
-	return results, maxVT, nil
+	return f.results, f.maxVT, nil
+}
+
+// fetchState is what one reduce task's batches share while they fly: the
+// results, the latest arrival, the first failure (which aborts the rest)
+// and the bytes in flight under the budget. One object per fetch.
+type fetchState struct {
+	results []FetchResult // indexed by map id
+	wg      sync.WaitGroup
+
+	mu       sync.Mutex
+	cond     sync.Cond // on mu: budget released or fetch aborted
+	maxVT    vtime.Stamp
+	firstErr error
+	aborted  bool
+	inFlight int64
+}
+
+// observe advances the fetch's completion to at least vt.
+func (f *fetchState) observe(vt vtime.Stamp) {
+	f.mu.Lock()
+	if vt > f.maxVT {
+		f.maxVT = vt
+	}
+	f.mu.Unlock()
+}
+
+// abortedNow reports whether a block has been declared lost.
+func (f *fetchState) abortedNow() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.aborted
+}
+
+// fail records err if it is the first failure, and aborts the fetch.
+func (f *fetchState) fail(err error) {
+	f.mu.Lock()
+	if f.firstErr == nil {
+		f.firstErr = err
+		f.aborted = true
+	}
+	f.mu.Unlock()
+	f.cond.Broadcast()
+}
+
+// admit waits until a batch of the given bytes fits the budget beside those
+// in flight (a batch flies alone whatever its size) and counts it in, bytes
+// and batch, until its release; it reports false, admitting nothing, once
+// the fetch has aborted.
+func (f *fetchState) admit(bytes, budget int64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for !f.aborted && f.inFlight > 0 && f.inFlight+bytes > budget {
+		f.cond.Wait()
+	}
+	if f.aborted {
+		return false
+	}
+	f.inFlight += bytes
+	f.wg.Add(1)
+	return true
+}
+
+// release ends an admitted batch: its bytes leave the budget.
+func (f *fetchState) release(bytes int64) {
+	f.mu.Lock()
+	f.inFlight -= bytes
+	f.mu.Unlock()
+	f.cond.Broadcast()
+	f.wg.Done()
 }
 
 // fetchBatch is one peer's share of a reduce task's fetch, and the whole of
@@ -357,18 +381,15 @@ func (m *Manager) FetchShuffleRange(
 // first attempt without traffic and leaves its blocks to their retries, whose
 // backoff may outlast the cooldown.
 func (m *Manager) fetchBatch(
+	f *fetchState,
 	shuffleID, reduceID int,
 	merged storage.BlockID,
 	blocks []remoteBlock,
 	ids []string,
 	bts BlockTransferService,
 	at vtime.Stamp,
-	results []FetchResult,
-	observe func(vtime.Stamp),
-	fail func(error),
-	abortedNow func() bool,
 ) {
-	if abortedNow() {
+	if f.abortedNow() {
 		return
 	}
 	loc := blocks[0].loc
@@ -377,7 +398,7 @@ func (m *Manager) fetchBatch(
 	// block batch. A miss (merging disabled, incomplete run, undecodable
 	// frame) falls through to the ordinary per-block path, which the service
 	// also serves.
-	if loc.Service && m.fetchMergedRun(shuffleID, reduceID, merged, blocks, bts, at, results, observe) {
+	if loc.Service && m.fetchMergedRun(f, shuffleID, reduceID, merged, blocks, bts, at) {
 		return
 	}
 	fetchRequests.Inc()
@@ -395,11 +416,11 @@ func (m *Manager) fetchBatch(
 			r = rs[i]
 		}
 		r = m.settle(shuffleID, reduceID, blk, r, at, false)
-		if abortedNow() {
+		if f.abortedNow() {
 			return
 		}
 		attemptAt := at
-		for attempt := 1; r.Err != nil && attempt <= m.Retry.MaxRetries && !abortedNow(); attempt++ {
+		for attempt := 1; r.Err != nil && attempt <= m.Retry.MaxRetries && !f.abortedNow(); attempt++ {
 			wait := m.Retry.backoff(attempt)
 			if j := m.Retry.jitter(blk.id, attempt); j > 0 {
 				metrics.GetCounter(CounterRetryJitterVT).Add(int64(j))
@@ -421,15 +442,15 @@ func (m *Manager) fetchBatch(
 		}
 		if r.Err != nil {
 			metrics.GetCounter("shuffle.fetch.failures").Inc()
-			fail(&FetchFailedError{
+			f.fail(&FetchFailedError{
 				ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID, Loc: blk.loc,
 				Err: r.Err,
 			})
 			return
 		}
-		observe(r.VT)
+		f.observe(r.VT)
 		fetchBytesRemote.Add(int64(len(r.Data)))
-		results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data}
+		f.results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: r.Data}
 	}
 }
 
@@ -489,13 +510,12 @@ func (m *Manager) verifyBlock(shuffleID, reduceID int, blk remoteBlock, data []b
 // opportunistic read that the per-block path backs, so it neither consults
 // nor charges the peer's breaker.
 func (m *Manager) fetchMergedRun(
+	f *fetchState,
 	shuffleID, reduceID int,
 	id storage.BlockID,
 	blocks []remoteBlock,
 	bts BlockTransferService,
 	at vtime.Stamp,
-	results []FetchResult,
-	observe func(vtime.Stamp),
 ) bool {
 	fetchRequests.Inc()
 	rs, _, err := bts.Fetch(blocks[0].loc, []string{string(id)}, m.ChunkBytes, at)
@@ -554,10 +574,10 @@ func (m *Manager) fetchMergedRun(
 	var bytes int64
 	for _, blk := range blocks {
 		data := byMap[blk.mapID].Data
-		results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: data}
+		f.results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: data}
 		bytes += int64(len(data))
 	}
-	observe(r.VT)
+	f.observe(r.VT)
 	fetchBytesRemote.Add(bytes)
 	fetchMergedRuns.Inc()
 	return true

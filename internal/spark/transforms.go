@@ -31,11 +31,10 @@ func Generate[T any](ctx *Context, numParts int, gen func(part int, tc *TaskCont
 // Map applies f to every record.
 func Map[T, U any](in *RDD[T], f func(T) U) *RDD[U] {
 	return newRDD(in.ctx, in.nParts, []Dependency{narrowDep{parent: in}}, func(part int, tc *TaskContext) ([]U, error) {
-		data, err := in.computePartition(part, tc)
+		items, err := in.partition(part, tc)
 		if err != nil {
 			return nil, err
 		}
-		items := data.([]T)
 		out := make([]U, len(items))
 		for i, v := range items {
 			out[i] = f(v)
@@ -48,11 +47,10 @@ func Map[T, U any](in *RDD[T], f func(T) U) *RDD[U] {
 // Filter keeps records satisfying pred.
 func Filter[T any](in *RDD[T], pred func(T) bool) *RDD[T] {
 	return newRDD(in.ctx, in.nParts, []Dependency{narrowDep{parent: in}}, func(part int, tc *TaskContext) ([]T, error) {
-		data, err := in.computePartition(part, tc)
+		items, err := in.partition(part, tc)
 		if err != nil {
 			return nil, err
 		}
-		items := data.([]T)
 		out := make([]T, 0, len(items))
 		for _, v := range items {
 			if pred(v) {
@@ -67,11 +65,10 @@ func Filter[T any](in *RDD[T], pred func(T) bool) *RDD[T] {
 // FlatMap applies f to every record and concatenates the results.
 func FlatMap[T, U any](in *RDD[T], f func(T) []U) *RDD[U] {
 	return newRDD(in.ctx, in.nParts, []Dependency{narrowDep{parent: in}}, func(part int, tc *TaskContext) ([]U, error) {
-		data, err := in.computePartition(part, tc)
+		items, err := in.partition(part, tc)
 		if err != nil {
 			return nil, err
 		}
-		items := data.([]T)
 		var out []U
 		for _, v := range items {
 			out = append(out, f(v)...)
@@ -85,11 +82,11 @@ func FlatMap[T, U any](in *RDD[T], f func(T) []U) *RDD[U] {
 // charging its own compute costs via tc.
 func MapPartitions[T, U any](in *RDD[T], f func(part int, tc *TaskContext, items []T) ([]U, error)) *RDD[U] {
 	return newRDD(in.ctx, in.nParts, []Dependency{narrowDep{parent: in}}, func(part int, tc *TaskContext) ([]U, error) {
-		data, err := in.computePartition(part, tc)
+		items, err := in.partition(part, tc)
 		if err != nil {
 			return nil, err
 		}
-		return f(part, tc, data.([]T))
+		return f(part, tc, items)
 	})
 }
 

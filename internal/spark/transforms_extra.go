@@ -16,11 +16,7 @@ func Union[T any](a, b *RDD[T]) *RDD[T] {
 			src = b
 			idx = part - na
 		}
-		data, err := src.computePartition(idx, tc)
-		if err != nil {
-			return nil, err
-		}
-		return data.([]T), nil
+		return src.partition(idx, tc)
 	})
 	u.prefFn = func(part int) string {
 		if part < na {

@@ -40,6 +40,7 @@ func (sc *StreamingContext) serveBlockRegistry() error {
 	seen := make(map[blockKey]bool)
 	return sc.ctx.Driver().RegisterEndpoint(BlockRegistryEndpoint, func(call *rpc.Call) {
 		if len(call.Payload) < 32 {
+			call.Fail(fmt.Sprintf("streaming: block registration of %d bytes, want 32", len(call.Payload)), call.VT)
 			return
 		}
 		k := blockKey{

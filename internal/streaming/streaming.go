@@ -3,9 +3,9 @@
 // receivers ingest generated event streams into blocks cut on a block
 // interval and registered with the driver as RDD partitions pinned to the
 // receiving executor; a job generator turns each batch interval into one
-// spark job over those blocks; windowed operators (window, incremental
-// reduce-by-key-and-window, update-state-by-key) carry state across
-// batches through the shuffle path; and a PID rate estimator (Spark's
+// spark job over those blocks; the windowed operator, reduce-by-key-and-
+// window (incremental when given an inverse), carries state across batches
+// through the shuffle path; and a PID rate estimator (Spark's
 // `pid` RateEstimator) bounds receiver ingest when processing time
 // exceeds the batch interval.
 //

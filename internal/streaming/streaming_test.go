@@ -336,3 +336,28 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("zero config rejected: %v", err)
 	}
 }
+
+// TestBlockRegistryRejectsShortRegistration asks the block registry with a
+// payload one byte short of the 32 it reads: the asker gets an error back
+// instead of waiting forever for a reply that never comes.
+func TestBlockRegistryRejectsShortRegistration(t *testing.T) {
+	cl := testCluster(t, spark.BackendVanilla)
+	if _, err := streaming.NewContext(cl.Ctx, streaming.Config{BatchInterval: testInterval}); err != nil {
+		t.Fatal(err)
+	}
+	exec := cl.Ctx.Executors()[0]
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := exec.Env().Ask(cl.Ctx.Driver().Addr(), streaming.BlockRegistryEndpoint, make([]byte, 31), cl.Ctx.Clock())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a 31-byte registration was acknowledged")
+		}
+		t.Logf("31-byte registration: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("a 31-byte registration got no reply")
+	}
+}

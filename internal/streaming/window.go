@@ -195,15 +195,20 @@ func ReduceByKeyAndWindow[K comparable, V any](
 				}
 			}
 			merged := spark.ReduceByKey(spark.UnionAll(parts...), svConf, mergeSV)
-			result = spark.FlatMap(merged, func(p spark.Pair[K, sv[V]]) []spark.Pair[K, V] {
-				if !p.V.HasAdd {
-					return nil // fully slid out
+			result = spark.MapPartitions(merged, func(_ int, tc *spark.TaskContext, items []spark.Pair[K, sv[V]]) ([]spark.Pair[K, V], error) {
+				out := make([]spark.Pair[K, V], 0, len(items))
+				for _, p := range items {
+					if !p.V.HasAdd {
+						continue // fully slid out
+					}
+					v := p.V.Add
+					if p.V.HasSub {
+						v = invF(v, p.V.Sub)
+					}
+					out = append(out, spark.Pair[K, V]{K: p.K, V: v})
 				}
-				v := p.V.Add
-				if p.V.HasSub {
-					v = invF(v, p.V.Sub)
-				}
-				return []spark.Pair[K, V]{{K: p.K, V: v}}
+				tc.ChargeRecords(len(items)+len(out), 0)
+				return out, nil
 			})
 		}
 		if keep != nil {
