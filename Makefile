@@ -59,6 +59,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeMergedRun$$' -fuzztime 5s ./internal/spark/shuffle/
 	go test -run '^$$' -fuzz '^FuzzDeserializeOutputs$$' -fuzztime 5s ./internal/spark/shuffle/
 	go test -run '^$$' -fuzz '^FuzzParseBlockID$$' -fuzztime 5s ./internal/spark/shuffle/
+	go test -run '^$$' -fuzz '^FuzzResolveBlockID$$' -fuzztime 5s ./internal/spark/storage/
 	go test -run '^$$' -fuzz '^FuzzDecodePairs$$' -fuzztime 5s ./internal/spark/
 	go test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/bytebuf/
 	go test -run '^$$' -fuzz '^FuzzChunkFold$$' -fuzztime 5s ./internal/bytebuf/

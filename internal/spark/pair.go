@@ -1,6 +1,7 @@
 package spark
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -19,7 +20,8 @@ type ShuffleConf[K, V any] struct {
 // combiner pre-combines a map task's buckets: bucket i is pairs[order[k]] for
 // k in [ends[i-1], ends[i]). It returns the combined buckets back to back,
 // each in the order it wants written, and rewrites ends to bound them.
-type combiner[K, V any] func(tc *TaskContext, pairs []Pair[K, V], order []int32, ends []int) []Pair[K, V]
+// scratch has one slot per position of order, free for the combiner's use.
+type combiner[K, V any] func(tc *TaskContext, pairs []Pair[K, V], order []int32, ends []int, scratch []int32) []Pair[K, V]
 
 // partitionWrite builds the map-side write function for a shuffle: order
 // the pairs by partition, optionally pre-combine the buckets, and serialize
@@ -50,7 +52,8 @@ func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine 
 		}
 		tc.ChargeRecords(len(pairs), 0)
 		if combine != nil {
-			pairs, order = combine(tc, pairs, order, ends), nil
+			// part is dead once order is built: the combiner's scratch.
+			pairs, order = combine(tc, pairs, order, ends, part), nil
 		}
 		out := make([][]byte, n)
 		if len(pairs) == 0 {
@@ -147,16 +150,13 @@ func newKeyIndex[K comparable](ops KeyOps[K]) keyIndex[K] {
 // alloc replaces the slab with an empty one of size slots.
 func (x *keyIndex[K]) alloc(size int) {
 	x.slots = make([]int32, size)
-	x.shift = 64
-	for s := size; s > 1; s >>= 1 {
-		x.shift--
-	}
+	x.shift = uint(65 - bits.Len(uint(size)))
 }
 
 // home is k's first probe: the top bits of its hash, mixed once more so
 // that a hash weak in its high bits still spreads.
 func (x *keyIndex[K]) home(k K) uint64 {
-	return (x.ops.Hash(k) * 0x9E3779B97F4A7C15) >> x.shift
+	return home(x.ops.Hash(k), x.shift)
 }
 
 func (x *keyIndex[K]) of(k K) (g int32, fresh bool) {
@@ -188,6 +188,74 @@ func (x *keyIndex[K]) grow() {
 		}
 		x.slots[i] = int32(g + 1)
 	}
+}
+
+// home is a first probe into a slab of 1<<(64-shift) slots: the top bits of
+// h, mixed once more.
+func home(h uint64, shift uint) uint64 {
+	return (h * 0x9E3779B97F4A7C15) >> shift
+}
+
+// combineExact is ReduceByKey's map-side combine. Buckets hold disjoint
+// keys, so each bucket's keys are numbered on their own, in first-appearance
+// order, through one open-addressing slab of record positions (a probe
+// compares against the record's own key; the slab keeps no copies), sized
+// from the task's largest bucket so that it is at most half full and never
+// grows, and cleared between buckets. A record's group number goes into
+// scratch; the combined slice is then allocated at its exact length and
+// folded in one pass over order.
+func combineExact[K comparable, V any](ops KeyOps[K], f func(a, b V) V) combiner[K, V] {
+	return func(tc *TaskContext, pairs []Pair[K, V], order []int32, ends []int, group []int32) []Pair[K, V] {
+		largest, lo := 0, 0
+		for _, hi := range ends {
+			largest, lo = max(largest, hi-lo), hi
+		}
+		slab := make([]int32, slabSize(largest))
+		groups := int32(0)
+		lo = 0
+		for i, hi := range ends {
+			slots := slab[:slabSize(hi-lo)]
+			mask, shift := uint64(len(slots)-1), uint(65-bits.Len(uint(len(slots))))
+			for k := lo; k < hi; k++ {
+				key := pairs[order[k]].K
+				s := home(ops.Hash(key), shift)
+				for slots[s] != 0 && pairs[order[slots[s]-1]].K != key {
+					s = (s + 1) & mask
+				}
+				if rep := slots[s] - 1; rep >= 0 {
+					group[k] = group[rep]
+				} else {
+					slots[s], group[k] = int32(k)+1, groups
+					groups++
+				}
+			}
+			clear(slots)
+			tc.ChargeRecords(hi-lo, 0)
+			lo, ends[i] = hi, int(groups)
+		}
+		// Groups first appear in number order: the record that reaches the
+		// next unseen number opens it.
+		out := make([]Pair[K, V], groups)
+		next := int32(0)
+		for k, j := range order {
+			if g := group[k]; g == next {
+				out[g] = pairs[j]
+				next++
+			} else {
+				out[g].V = f(out[g].V, pairs[j].V)
+			}
+		}
+		return out
+	}
+}
+
+// slabSize is the least power of two that holds n positions at most half
+// full.
+func slabSize(n int) int {
+	if n == 0 {
+		return 1
+	}
+	return 2 << bits.Len(uint(n-1))
 }
 
 // newShuffleStage wires a wide dependency from `in` and returns it.
@@ -315,21 +383,7 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 		}
 		return append(acc, p)
 	}
-	// Buckets hold disjoint keys, so one index serves a whole map task and
-	// numbers each bucket's keys contiguously, in first-appearance order.
-	combine := func(tc *TaskContext, pairs []Pair[K, V], order []int32, ends []int) []Pair[K, V] {
-		index, out := start()
-		lo := 0
-		for i, hi := range ends {
-			for _, j := range order[lo:hi] {
-				out = reduce(&index, out, pairs[j])
-			}
-			tc.ChargeRecords(hi-lo, 0)
-			lo, ends[i] = hi, len(out)
-		}
-		return out
-	}
-	dep := newShuffleStage(in, conf, HashPartitioner[K]{N: conf.Parts, Ops: conf.Ops}, combine)
+	dep := newShuffleStage(in, conf, HashPartitioner[K]{N: conf.Parts, Ops: conf.Ops}, combineExact(conf.Ops, f))
 	out := newRDD(in.ctx, conf.Parts, []Dependency{dep}, func(part int, tc *TaskContext) ([]Pair[K, V], error) {
 		index, out := start()
 		n, err := foldShuffle(conf.Codec, dep, part, tc, func(p Pair[K, V]) { out = reduce(&index, out, p) })

@@ -43,9 +43,9 @@ var (
 	integrityChecked   = metrics.GetCounter(CounterIntegrityChecked)
 )
 
-// Manager is the executor-side sort-shuffle manager: it writes map outputs
-// as per-reduce-partition blocks into the local block manager and reads
-// reduce inputs through the fetcher.
+// Manager is the executor-side sort-shuffle manager: it writes each map
+// output, its per-reduce-partition blocks, into the local block manager as
+// one entry and reads reduce inputs through the fetcher.
 type Manager struct {
 	bm *storage.BlockManager
 	// Retry bounds remote fetches (retries, backoff, per-attempt
@@ -92,17 +92,16 @@ func NewManager(bm *storage.BlockManager) *Manager {
 // (parts[r] is the block destined for reducer r) and returns the MapStatus
 // to register with the driver. loc identifies the owning executor. Every
 // partition's CRC32C is computed here, at the only moment the bytes are
-// known good, and travels with the status.
+// known good, and travels with the status. The output is one store entry,
+// which keeps parts: neither it nor its blocks may change afterwards.
 func (m *Manager) WriteMapOutput(shuffleID, mapID int, parts [][]byte, loc Location) *MapStatus {
 	sizes := make([]int64, len(parts))
 	sums := make([]uint32, len(parts))
-	var names storage.ShuffleBlockIDs
-	names.Grow(len(parts), shuffleID, mapID, len(parts)-1)
 	for r, p := range parts {
-		m.bm.Put(names.ID(shuffleID, mapID, r), p)
 		sizes[r] = int64(len(p))
 		sums[r] = Checksum(p)
 	}
+	m.bm.PutMapOutput(shuffleID, mapID, parts)
 	return &MapStatus{Loc: loc, Sizes: sizes, Sums: sums}
 }
 
@@ -183,9 +182,9 @@ func (m *Manager) FetchShuffleRange(
 	// view is already missing this map output, and a status with no
 	// partition reduceID cannot be read; each is a fetch failure in its own
 	// right (zero Loc — nothing to unregister). Only the requested range
-	// matters to this task. The same pass counts the blocks to name and the
-	// remote ones, so that each is sized once.
-	named, remote := 0, 0
+	// matters to this task. The same pass counts the remote blocks, so that
+	// their slices are sized once.
+	remote := 0
 	for mapID := mapLo; mapID < mapHi; mapID++ {
 		st := statuses[mapID]
 		if st == nil || reduceID < 0 || reduceID >= len(st.Sizes) {
@@ -195,11 +194,8 @@ func (m *Manager) FetchShuffleRange(
 			}
 			return nil, at, &FetchFailedError{ShuffleID: shuffleID, MapID: mapID, ReduceID: reduceID, Err: err}
 		}
-		if st.Sizes[reduceID] != 0 {
-			named++
-			if st.Loc.ExecID != selfID {
-				remote++
-			}
+		if st.Sizes[reduceID] != 0 && st.Loc.ExecID != selfID {
+			remote++
 		}
 	}
 
@@ -214,9 +210,10 @@ func (m *Manager) FetchShuffleRange(
 
 	// Pass 1: local reads, and the remote blocks in map order, each with its
 	// peer's index in first-appearance order (kept deterministic for the
-	// virtual-time schedule). Every non-empty block is named from one string.
+	// virtual-time schedule). A local block is looked up by its numbers;
+	// every remote one is named from one string.
 	var names storage.ShuffleBlockIDs
-	names.Grow(named, shuffleID, mapHi-1, reduceID)
+	names.Grow(remote, shuffleID, mapHi-1, reduceID)
 	blocks := make([]remoteBlock, 0, remote)
 	peers := make([]string, 0, 8) // executor of each peer index
 	var merged storage.BlockID
@@ -226,14 +223,13 @@ func (m *Manager) FetchShuffleRange(
 			f.results[mapID] = FetchResult{MapID: mapID, Data: nil}
 			continue
 		}
-		blockID := names.ID(shuffleID, mapID, reduceID)
 		if st.Loc.ExecID == selfID {
 			// Local block: no network, only the local read cost.
-			data, ok := m.bm.Get(blockID)
+			data, ok := m.bm.MapOutputBlock(shuffleID, mapID, reduceID)
 			if !ok {
 				f.fail(&FetchFailedError{
 					ShuffleID: shuffleID, MapID: mapID, ReduceID: reduceID, Loc: st.Loc,
-					Err: fmt.Errorf("local block %s missing", blockID),
+					Err: fmt.Errorf("local block %s missing", storage.ShuffleBlockID(shuffleID, mapID, reduceID)),
 				})
 				break
 			}
@@ -256,7 +252,7 @@ func (m *Manager) FetchShuffleRange(
 			}
 		}
 		blocks = append(blocks, remoteBlock{
-			mapID: mapID, id: string(blockID), size: st.Sizes[reduceID], loc: st.Loc,
+			mapID: mapID, id: string(names.ID(shuffleID, mapID, reduceID)), size: st.Sizes[reduceID], loc: st.Loc,
 			sum: st.Sums[reduceID], peer: peer,
 		})
 	}

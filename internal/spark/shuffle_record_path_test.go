@@ -75,72 +75,137 @@ func TestPartitionWriteAllocatesPerTaskNotPerBlock(t *testing.T) {
 	}
 }
 
+// sumBucket keeps a bucket's first record per key, summing the rest into it.
+func sumBucket[K comparable](bucket []Pair[K, int64]) []Pair[K, int64] {
+	var out []Pair[K, int64]
+	at := map[K]int{}
+	for _, p := range bucket {
+		if i, ok := at[p.K]; ok {
+			out[i].V += p.V
+		} else {
+			at[p.K] = len(out)
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// perBucketSum is the reference combiner: it copies each bucket out and
+// sums it alone.
+func perBucketSum[K comparable](tc *TaskContext, pairs []Pair[K, int64], order []int32, ends []int, _ []int32) []Pair[K, int64] {
+	var out []Pair[K, int64]
+	lo := 0
+	for i, hi := range ends {
+		var bucket []Pair[K, int64]
+		for _, j := range order[lo:hi] {
+			bucket = append(bucket, pairs[j])
+		}
+		out = append(out, sumBucket(bucket)...)
+		lo, ends[i] = hi, len(out)
+	}
+	return out
+}
+
+// diffCombine holds every block each write gives to EncodePairs of its
+// summed naive bucket, byte for byte: nil where the bucket is empty, and no
+// capacity past its bytes.
+func diffCombine[K comparable](t *testing.T, codec PairCodec[K, int64], p Partitioner[K], pairs []Pair[K, int64], writes map[string]func(any, *TaskContext) [][]byte) {
+	t.Helper()
+	buckets := make([][]Pair[K, int64], p.NumPartitions())
+	for _, pr := range pairs {
+		i := p.PartitionFor(pr.K)
+		buckets[i] = append(buckets[i], pr)
+	}
+	for name, write := range writes {
+		got := write(pairs, &TaskContext{})
+		for i, b := range buckets {
+			var want []byte
+			if len(b) > 0 {
+				want = EncodePairs(codec, sumBucket(b))
+			}
+			if !bytes.Equal(got[i], want) || (want == nil) != (got[i] == nil) || cap(got[i]) != len(got[i]) {
+				t.Fatalf("%s: block %d is %d bytes (cap %d), want %d", name, i, len(got[i]), cap(got[i]), len(want))
+			}
+		}
+	}
+}
+
 // TestPartitionWriteCombineDifferential is the differential test's combine
 // leg: with a combiner every block equals EncodePairs of its combined naive
-// bucket, for a reference combiner that works bucket by bucket and for
-// ReduceByKey's own, which folds a whole map task through one index.
+// bucket, for a reference combiner that copies each bucket out and for
+// ReduceByKey's own, which numbers each bucket's keys in place. The shapes:
+// hash-partitioned keys spread, few and hot; one bucket holding every record;
+// empty buckets between full ones; string keys; and a hash under which every
+// key collides.
 func TestPartitionWriteCombineDifferential(t *testing.T) {
+	add := func(a, b int64) int64 { return a + b }
 	codec := PairCodec[int64, int64]{Key: Int64Codec{}, Val: Int64Codec{}}
-	// Keep a bucket's first record per key, summing the rest into it.
-	sum := func(bucket []Pair[int64, int64]) []Pair[int64, int64] {
-		var out []Pair[int64, int64]
-		at := map[int64]int{}
-		for _, p := range bucket {
-			if i, ok := at[p.K]; ok {
-				out[i].V += p.V
-			} else {
-				at[p.K] = len(out)
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	perBucket := func(tc *TaskContext, pairs []Pair[int64, int64], order []int32, ends []int) []Pair[int64, int64] {
-		var out []Pair[int64, int64]
-		lo := 0
-		for i, hi := range ends {
-			var bucket []Pair[int64, int64]
-			for _, j := range order[lo:hi] {
-				bucket = append(bucket, pairs[j])
-			}
-			out = append(out, sum(bucket)...)
-			lo, ends[i] = hi, len(out)
-		}
-		return out
-	}
 	rng := rand.New(rand.NewSource(2022))
-	for _, keys := range []int{1, 5, 400} {
-		pairs := make([]Pair[int64, int64], 1000)
+	gen := func(records, keys int) []Pair[int64, int64] {
+		pairs := make([]Pair[int64, int64], records)
 		for i := range pairs {
 			pairs[i] = Pair[int64, int64]{K: int64(rng.Intn(keys)), V: rng.Int63n(100)}
 		}
+		return pairs
+	}
+	for _, keys := range []int{1, 5, 400} {
+		pairs := gen(1000, keys)
 		for _, n := range []int{1, 7, 64} {
-			conf := ShuffleConf[int64, int64]{Codec: codec, Ops: Int64Key{}, Parts: n}
-			p := HashPartitioner[int64]{N: n, Ops: Int64Key{}}
-			buckets := make([][]Pair[int64, int64], n)
-			for _, pr := range pairs {
-				i := p.PartitionFor(pr.K)
-				buckets[i] = append(buckets[i], pr)
-			}
-			c := newTestCluster(t, 1, 1, BackendVanilla)
-			reduced := ReduceByKey(Parallelize(c.ctx, pairs, 1), conf, func(a, b int64) int64 { return a + b })
-			for name, write := range map[string]func(any, *TaskContext) [][]byte{
-				"per-bucket":  partitionWrite(conf, p, perBucket),
-				"ReduceByKey": reduced.deps[0].(*ShuffleDep).write,
-			} {
-				got := write(pairs, &TaskContext{})
-				for i, b := range buckets {
-					var want []byte
-					if len(b) > 0 {
-						want = EncodePairs(codec, sum(b))
-					}
-					if !bytes.Equal(got[i], want) || (want == nil) != (got[i] == nil) || cap(got[i]) != len(got[i]) {
-						t.Fatalf("%s, keys=%d n=%d: block %d is %d bytes (cap %d), want %d", name, keys, n, i, len(got[i]), cap(got[i]), len(want))
-					}
-				}
-			}
+			t.Run(fmt.Sprintf("hash/keys=%d/n=%d", keys, n), func(t *testing.T) {
+				conf := ShuffleConf[int64, int64]{Codec: codec, Ops: Int64Key{}, Parts: n}
+				p := HashPartitioner[int64]{N: n, Ops: Int64Key{}}
+				c := newTestCluster(t, 1, 1, BackendVanilla)
+				reduced := ReduceByKey(Parallelize(c.ctx, pairs, 1), conf, add)
+				diffCombine(t, codec, p, pairs, map[string]func(any, *TaskContext) [][]byte{
+					"per-bucket":  partitionWrite(conf, p, perBucketSum[int64]),
+					"ReduceByKey": reduced.deps[0].(*ShuffleDep).write,
+				})
+			})
 		}
 	}
+	// Range partitioners place keys [0, 400) where a case wants them.
+	for _, c := range []struct {
+		name   string
+		bounds []int64
+	}{
+		{"one-bucket", []int64{-20, -10, 1000, 2000}},          // bucket 2 holds every record
+		{"empty-between", []int64{-5, 99, 150, 150, 150, 299}}, // buckets 0, 3 and 4 empty
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pairs := gen(1000, 400)
+			conf := ShuffleConf[int64, int64]{Codec: codec, Ops: Int64Key{}, Parts: len(c.bounds) + 1}
+			p := RangePartitioner[int64]{Bounds: c.bounds, Ops: Int64Key{}}
+			diffCombine(t, codec, p, pairs, map[string]func(any, *TaskContext) [][]byte{
+				"per-bucket":   partitionWrite(conf, p, perBucketSum[int64]),
+				"combineExact": partitionWrite(conf, p, combineExact(conf.Ops, add)),
+			})
+		})
+	}
+	t.Run("string-keys", func(t *testing.T) {
+		codec := PairCodec[string, int64]{Key: StringCodec{}, Val: Int64Codec{}}
+		pairs := make([]Pair[string, int64], 1000)
+		for i := range pairs {
+			key := rng.Intn(300)
+			pairs[i] = Pair[string, int64]{K: fmt.Sprintf("k%0*d", 1+key%9, key), V: rng.Int63n(100)}
+		}
+		conf := ShuffleConf[string, int64]{Codec: codec, Ops: StringKey{}, Parts: 7}
+		p := HashPartitioner[string]{N: 7, Ops: StringKey{}}
+		diffCombine(t, codec, p, pairs, map[string]func(any, *TaskContext) [][]byte{
+			"per-bucket":   partitionWrite(conf, p, perBucketSum[string]),
+			"combineExact": partitionWrite(conf, p, combineExact(conf.Ops, add)),
+		})
+	})
+	t.Run("colliding", func(t *testing.T) {
+		// Every key hashes alike: one bucket, and every probe walks past
+		// every key numbered before it.
+		pairs := gen(1000, 400)
+		conf := ShuffleConf[int64, int64]{Codec: codec, Ops: collidingKeys{}, Parts: 7}
+		p := HashPartitioner[int64]{N: 7, Ops: collidingKeys{}}
+		diffCombine(t, codec, p, pairs, map[string]func(any, *TaskContext) [][]byte{
+			"per-bucket":   partitionWrite(conf, p, perBucketSum[int64]),
+			"combineExact": partitionWrite(conf, p, combineExact(conf.Ops, add)),
+		})
+	})
 }
 
 // TestPairReaderWalksBlocks: one cursor over a task's blocks yields the
