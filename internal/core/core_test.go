@@ -567,3 +567,67 @@ func TestBodyMessageRoundTripOptimized(t *testing.T) {
 		}
 	}
 }
+
+// overAnnounce adds to the BodySize of every body it sees shipped to MPI.
+// Placed before optOutbound in the pipeline, it sees the header on its way
+// to the socket, after the body was diverted.
+type overAnnounce int
+
+func (o overAnnounce) Write(ctx *netty.Context, msg any) {
+	if m, ok := msg.(rpc.BodyMessage); ok && m.Ref().BodyViaMPI {
+		m.Ref().BodySize += int(o)
+	}
+	ctx.Write(msg)
+}
+
+// TestOptimizedOverAnnouncedBodyFailsChannel: a header whose BodySize
+// claims more than the body sent makes the receiver expect pieces that never
+// come. optInbound checks every piece against the size the header carves
+// for it, so the receiving channel fails with a *PieceSizeError at the
+// first piece that does not fit, for a pieced push and for a fetch reply
+// sent as one message, instead of waiting.
+func TestOptimizedOverAnnouncedBodyFailsChannel(t *testing.T) {
+	const thr = mpi.DefaultEagerThreshold
+	for _, c := range []struct {
+		msg  rpc.BodyMessage
+		size int
+		want PieceSizeError
+	}{
+		// Pieces of thr, thr, thr, thr and 3 bytes; the header carves a
+		// fifth piece of thr bytes.
+		{&rpc.PushBlockRequest{PushID: 5, ShuffleID: 1}, 4*thr + 3, PieceSizeError{BodySize: 5*thr + 3, Piece: 4, Want: thr, Got: 3}},
+		{&rpc.ChunkFetchSuccess{FetchID: 7, Total: 100}, 100, PieceSizeError{BodySize: 100 + thr, Piece: 0, Want: 100 + thr, Got: 100}},
+	} {
+		envs, states, _ := twoProcStates(t, DesignOptimized)
+		if err := envs[1].RegisterEndpoint("E", func(c *rpc.Call) { c.Reply(nil, c.VT) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := envs[0].Ask(envs[1].Addr(), "E", nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		client := onlyChannel(t, states[0])
+		client.Pipeline().AddBefore("mpiOptOut", "overAnnounce", overAnnounce(thr))
+		c.msg.Ref().Body, c.msg.Ref().BodySize = make([]byte, c.size), c.size
+		client.Write(c.msg, 0)
+
+		states[1].mu.Lock()
+		server := states[1].chans[0]
+		states[1].mu.Unlock()
+		deadline := time.Now().Add(5 * time.Second)
+		var err error
+		for err == nil && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+			server.mu.Lock()
+			err = server.err
+			server.mu.Unlock()
+		}
+		got, ok := err.(*PieceSizeError)
+		if !ok {
+			t.Fatalf("%s: receiving channel failed with %v, want a *PieceSizeError", c.msg.Type(), err)
+		}
+		c.want.Tag = got.Tag // allocated by the sender
+		if *got != c.want {
+			t.Fatalf("%s: %+v, want %+v", c.msg.Type(), *got, c.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -46,11 +47,24 @@ type mpiChannel struct {
 	recvTag  int
 	pending  []pendingWrite
 	isClient bool
+	// err is why the channel was failed (fail); nil while it is healthy.
+	err error
 }
 
 type pendingWrite struct {
 	head, body []byte
 	vt         vtime.Stamp
+}
+
+// fail records why the channel can no longer be read and closes it: what
+// rides it then fails as on a lost connection instead of hanging.
+func (mc *mpiChannel) fail(err error) {
+	mc.mu.Lock()
+	if mc.err == nil {
+		mc.err = err
+	}
+	mc.mu.Unlock()
+	mc.ch.Close()
 }
 
 func (mc *mpiChannel) snapshotRoute() (route, int, int, bool) {
@@ -397,21 +411,28 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 		return
 	}
 	size, tag := m.Ref().BodySize, m.Ref().BodyTag
-	pieces := 1
+	span := 0 // a body that is not pieced is one message
 	if pieced(m) {
-		pieces, _, _ = bytebuf.Carve(size, r.h.EagerThreshold(), 0)
+		span = r.h.EagerThreshold()
 	}
+	pieces, _, _ := bytebuf.Carve(size, span, 0)
 	// A body that arrives as one message is handed on as received, capacity
 	// and all, so a fetch reply's reassembly can adopt the next chunk behind
 	// it. Pieces arrive in the order they were sent, as consecutive windows
 	// of the sender's body, and the reassembly adopts them.
 	data, status := r.h.Recv(r.rank, tag, ctx.VT())
+	if !h.pieceFits(data, size, span, 0, tag) {
+		return
+	}
 	vt := status.VT
 	if pieces > 1 {
 		var body bytebuf.Reassembly
 		body.Add(data, uint64(size))
 		for i := 1; i < pieces; i++ {
 			piece, st := r.h.Recv(r.rank, tag, ctx.VT())
+			if !h.pieceFits(piece, size, span, i, tag) {
+				return
+			}
 			body.Add(piece, uint64(size))
 			vt = vtime.Max(vt, st.VT)
 		}
@@ -421,4 +442,30 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 	// In place: the message was decoded for this traversal and is nobody else's.
 	*m.Ref() = rpc.BodyRef{Body: data, BodySize: len(data)}
 	ctx.FireChannelRead(m)
+}
+
+// pieceFits reports whether piece i of a body is the size that
+// bytebuf.Carve gives it from the header's BodySize and the span the body
+// was cut at. A piece of another size means the header misstates its body.
+// The channel then fails with a *PieceSizeError instead of waiting for
+// pieces that never come. A header that overstates a body ending on a piece
+// boundary by whole pieces is not caught here: every piece that arrives
+// fits.
+func (h *optInbound) pieceFits(piece []byte, size, span, i, tag int) bool {
+	if _, lo, hi := bytebuf.Carve(size, span, i); len(piece) != hi-lo {
+		h.mc.fail(&PieceSizeError{Tag: tag, BodySize: size, Piece: i, Want: hi - lo, Got: len(piece)})
+		return false
+	}
+	return true
+}
+
+// PieceSizeError reports a body piece, received over MPI, whose size is not
+// the one its message header's BodySize carves for it.
+type PieceSizeError struct {
+	Tag, BodySize, Piece, Want, Got int
+}
+
+func (e *PieceSizeError) Error() string {
+	return fmt.Sprintf("core: body piece %d on tag %d is %d bytes, but a %d-byte body carves it at %d",
+		e.Piece, e.Tag, e.Got, e.BodySize, e.Want)
 }

@@ -36,9 +36,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32C of a shuffle block payload. It is computed
-// once at write/push time, carried in MapStatus.Sums, merged-run entry
-// headers and PushBlockRequest frames, and verified wherever a block
-// crosses a trust boundary (service ingest, reducer fetch).
+// once at write/push time, carried in MapStatus.Sums and PushBlockRequest
+// frames, and verified wherever a block crosses a trust boundary (service
+// ingest, reducer fetch, each block of a merged run).
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
 // CorruptBlockError reports that a fetched shuffle block failed its CRC32C

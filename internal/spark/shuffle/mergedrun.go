@@ -3,7 +3,6 @@ package shuffle
 import (
 	"fmt"
 
-	"mpi4spark/internal/bytebuf"
 	"mpi4spark/internal/spark/storage"
 )
 
@@ -55,74 +54,41 @@ func ParseRangedMergedBlockID(id string) (shuffleID, reduceID, mapLo, mapHi int,
 	return n[0], n[1], n[2], n[3], true
 }
 
-// MergedEntry is one map task's contribution inside a merged run. Sum is
-// the CRC32C of Data, verified at push time and carried in the run header
-// so reducers can verify each entry — including entries of a ranged
-// slice (RangedMergedBlockID), whose re-encoded subset keeps the per-entry
-// sums — without a second tracker round trip.
-type MergedEntry struct {
-	MapID int
-	Sum   uint32
-	Data  []byte
-}
-
-// EncodeMergedRun frames a locality-sorted merged run: an entry count
-// followed by (mapID, sum, length, bytes) quads in the order given. The
-// service sorts entries by map id before encoding so reducers consume one
-// sequential run instead of per-map random reads. The run is allocated
-// once, at its exact size.
-func EncodeMergedRun(entries []MergedEntry) []byte {
-	n := 4
-	for _, e := range entries {
-		n += 4 + 4 + 8 + len(e.Data)
+// SplitMergedRun cuts run, a merged run, into the blocks it holds: a merged
+// run, whole or ranged, is its pushed blocks back to back in map-id order,
+// with no frame of its own, so the reader splits it by the sizes it expects
+// (MapStatus.Sizes) and verifies each piece against the CRC32C its map task
+// recorded (MapStatus.Sums). Each piece aliases run, capped to itself.
+//
+// A run whose length is not the sum of sizes is a miss (ok false, no
+// pieces): it holds a block the reader does not expect, or lacks one, and
+// says nothing about its bytes. Otherwise bad is the index of the first piece
+// that does not match its sum (pieces after it are nil), or -1 when
+// every piece does. sizes and sums must have one entry per block; a
+// negative size is a miss.
+func SplitMergedRun(run []byte, sizes []int64, sums []uint32) (pieces [][]byte, bad int, ok bool) {
+	if len(sums) != len(sizes) {
+		return nil, -1, false
 	}
-	buf := bytebuf.New(n)
-	buf.WriteUint32(uint32(len(entries)))
-	for _, e := range entries {
-		buf.WriteUint32(uint32(e.MapID))
-		buf.WriteUint32(e.Sum)
-		buf.WriteUint64(uint64(len(e.Data)))
-		buf.WriteBytes(e.Data)
-	}
-	return buf.Readable() // exactly n bytes were written: the buffer never grew
-}
-
-// DecodeMergedRun parses a merged-run frame. Entry data aliases the frame
-// (each entry cap-limited to itself): the frame is immutable from here on
-// and an entry kept by the caller pins it.
-func DecodeMergedRun(data []byte) ([]MergedEntry, error) {
-	buf := bytebuf.Wrap(data)
-	count, err := buf.ReadUint32()
-	if err != nil {
-		return nil, err
-	}
-	// Each entry occupies at least its 16-byte header; reject counts the
-	// frame cannot possibly hold before allocating.
-	if int64(count)*16 > int64(buf.ReadableBytes()) {
-		return nil, fmt.Errorf("shuffle: merged run claims %d entries in %d bytes", count, buf.ReadableBytes())
-	}
-	entries := make([]MergedEntry, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var e MergedEntry
-		id, err := buf.ReadUint32()
-		if err != nil {
-			return nil, err
+	rest := int64(len(run))
+	for _, n := range sizes {
+		if n < 0 || n > rest {
+			return nil, -1, false
 		}
-		e.MapID = int(id)
-		if e.Sum, err = buf.ReadUint32(); err != nil {
-			return nil, err
-		}
-		n, err := buf.ReadUint64()
-		if err != nil {
-			return nil, err
-		}
-		if e.Data, err = buf.ReadSlice(int(n)); err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
+		rest -= n
 	}
-	if buf.ReadableBytes() != 0 {
-		return nil, fmt.Errorf("shuffle: %d trailing bytes after merged run", buf.ReadableBytes())
+	if rest != 0 {
+		return nil, -1, false
 	}
-	return entries, nil
+	pieces = make([][]byte, len(sizes))
+	off := 0
+	for i, n := range sizes {
+		end := off + int(n)
+		pieces[i] = run[off:end:end]
+		off = end
+		if Checksum(pieces[i]) != sums[i] {
+			return pieces, i, true
+		}
+	}
+	return pieces, -1, true
 }

@@ -391,9 +391,9 @@ func (m *Manager) fetchBatch(
 	loc := blocks[0].loc
 	// A group served by an external shuffle service is first tried as a
 	// single merged-run fetch — one sequential read replaces the per-map
-	// block batch. A miss (merging disabled, incomplete run, undecodable
-	// frame) falls through to the ordinary per-block path, which the service
-	// also serves.
+	// block batch. A miss (merging disabled, a run of another length, a
+	// corrupt block) falls through to the ordinary per-block path, which the
+	// service also serves.
 	if loc.Service && m.fetchMergedRun(f, shuffleID, reduceID, merged, blocks, bts, at) {
 		return
 	}
@@ -406,12 +406,23 @@ func (m *Manager) fetchBatch(
 			m.breakerFailure(loc.ExecID, at)
 		}
 	}
+	settled := 0
+	defer func() {
+		// A batch that gives up early still verifies what its first attempt
+		// landed: a corrupt body is a detection whether or not a task uses it.
+		for j := settled; j < len(rs); j++ {
+			if rs[j].Err == nil {
+				m.verifyBlock(shuffleID, reduceID, blocks[j], rs[j].Data, rs[j].VT)
+			}
+		}
+	}()
 	for i, blk := range blocks {
 		r := rpc.BatchBlockResult{VT: at, Err: err} // the request never flew
 		if err == nil {
 			r = rs[i]
 		}
 		r = m.settle(shuffleID, reduceID, blk, r, at, false)
+		settled = i + 1
 		if f.abortedNow() {
 			return
 		}
@@ -501,10 +512,11 @@ func (m *Manager) verifyBlock(shuffleID, reduceID int, blk remoteBlock, data []b
 
 // fetchMergedRun fetches the service-side merged run id, which covers every
 // block of one service group, and reports whether it satisfied the group.
-// The decoded entries must cover every requested map id; a partial run fills
-// nothing, so the caller's per-block path owns the whole group. It is an
-// opportunistic read that the per-block path backs, so it neither consults
-// nor charges the peer's breaker.
+// The run is the group's blocks back to back in map order, so it is split by
+// their sizes and each piece verified against its sum; a run that fails
+// either fills nothing, and the caller's per-block path owns the whole group.
+// It is an opportunistic read that the per-block path backs, so it neither
+// consults nor charges the peer's breaker.
 func (m *Manager) fetchMergedRun(
 	f *fetchState,
 	shuffleID, reduceID int,
@@ -526,55 +538,45 @@ func (m *Manager) fetchMergedRun(
 		metrics.GetCounter("shuffle.fetch.timeouts").Inc()
 		return false
 	}
-	// The entries alias the fetched run, which the results below keep alive.
-	entries, derr := DecodeMergedRun(r.Data)
-	// Every anomaly in a landed run — a frame that no longer decodes, a
-	// requested map id that went missing (a flipped id field), a sum header
-	// or payload that disagrees with the tracker's expectation — is a
-	// detected corruption: by reduce time every push has been acked, so a
-	// clean run decodes completely. Counting exactly one detection per
-	// landed frame keeps injected and detected counts reconciled; the
-	// per-block fallback then re-verifies each block individually.
-	anomaly := func(cause error) {
+	sizes := make([]int64, len(blocks))
+	sums := make([]uint32, len(blocks))
+	for i, blk := range blocks {
+		sizes[i], sums[i] = blk.size, blk.sum
+	}
+	// The pieces alias the fetched run, which the results below keep alive.
+	pieces, bad, ok := SplitMergedRun(r.Data, sizes, sums)
+	if !ok {
+		// A run of another length holds a block the tracker no longer
+		// points at here (a map task that pushed, failed and ran again
+		// elsewhere), or lacks one. That is a miss, not a corruption: a bit
+		// flipped in flight never changes a run's length.
+		return false
+	}
+	if bad >= 0 {
+		// Exactly one detection per landed run, however many of its blocks
+		// a flip spans, keeps injected and detected counts reconciled; the
+		// per-block fallback then re-verifies each block on its own.
+		blk := blocks[bad]
+		integrityChecked.Add(int64(bad + 1))
 		metrics.GetCounter(CounterCorruptDetected).Inc()
 		metrics.GetCounter(CounterIntegrityRefetches).Inc()
+		cause := &CorruptBlockError{
+			ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID,
+			Loc: blk.loc, Want: blk.sum, Got: Checksum(pieces[bad]),
+		}
 		m.Bus.Emit(obs.Event{
 			Type: obs.EvBlockCorrupt, VT: r.VT,
 			ShuffleID: shuffleID, ReduceID: reduceID,
-			Executor: blocks[0].loc.ExecID, Err: cause.Error(),
+			Executor: blk.loc.ExecID, Err: cause.Error(),
 		})
-	}
-	if derr != nil {
-		anomaly(derr)
 		return false
 	}
-	byMap := make(map[int]MergedEntry, len(entries))
-	for _, e := range entries {
-		byMap[e.MapID] = e
-	}
-	for _, blk := range blocks {
-		e, ok := byMap[blk.mapID]
-		if !ok {
-			anomaly(fmt.Errorf("merged run from %s missing map %d", blocks[0].loc.ExecID, blk.mapID))
-			return false
-		}
-		integrityChecked.Inc()
-		if e.Sum != blk.sum || Checksum(e.Data) != blk.sum {
-			anomaly(&CorruptBlockError{
-				ShuffleID: shuffleID, MapID: blk.mapID, ReduceID: reduceID,
-				Loc: blocks[0].loc, Want: blk.sum, Got: Checksum(e.Data),
-			})
-			return false
-		}
-	}
-	var bytes int64
-	for _, blk := range blocks {
-		data := byMap[blk.mapID].Data
-		f.results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: data}
-		bytes += int64(len(data))
+	integrityChecked.Add(int64(len(blocks)))
+	for i, blk := range blocks {
+		f.results[blk.mapID] = FetchResult{MapID: blk.mapID, Data: pieces[i]}
 	}
 	f.observe(r.VT)
-	fetchBytesRemote.Add(bytes)
+	fetchBytesRemote.Add(int64(len(r.Data)))
 	fetchMergedRuns.Inc()
 	return true
 }

@@ -245,3 +245,56 @@ func pushMapOutputTo(t testing.TB, src, dst *svcPeer, shuffleID, mapID int, part
 	}
 	return &shuffle.MapStatus{Loc: dst.svc.Location(), Sizes: sizes, Sums: sums}
 }
+
+// TestFaultConformanceStaleRunFallsBack: a service holds a push for a map
+// whose status now points at another service (the map task pushed, failed,
+// and ran again on another node). That service's merged run is then longer
+// than the blocks the reducer expects of it: the read misses on length,
+// counts no corruption, and the per-block path serves the group byte-exact.
+// A bit flipped in a run that does split still counts exactly once: every
+// injected corruption is detected, and none twice.
+func TestFaultConformanceStaleRunFallsBack(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, transport string) {
+		const shuffleID, size = 14, 2048
+		cl := newSvcCluster(t, transport, 2)
+		reducer, remote := cl.peers[0], cl.peers[1]
+		parts := func(m int) [][]byte { return [][]byte{svcBlock(m, 0, size), svcBlock(m, 1, size+m)} }
+		statuses := []*shuffle.MapStatus{
+			pushMapOutput(t, remote, shuffleID, 0, parts(0)),
+			nil, // map 1, below
+			pushMapOutput(t, remote, shuffleID, 2, parts(2)),
+		}
+		// Map 1's first attempt pushed partition 0 to the remote service and
+		// failed; its retry pushed everything to the reducer's node.
+		pushMapOutput(t, remote, shuffleID, 1, [][]byte{svcBlock(1, 0, size)})
+		statuses[1] = pushMapOutput(t, reducer, shuffleID, 1, parts(1))
+
+		snap := metrics.Snapshot()
+		results, _, err := fetchGuarded(t, reducer, shuffleID, 0, statuses, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := range statuses {
+			if !bytes.Equal(results[m].Data, svcBlock(m, 0, size)) {
+				t.Fatalf("stale run: map %d differs from its block", m)
+			}
+		}
+		if d := snap.DeltaValue(shuffle.CounterCorruptDetected); d != 0 {
+			t.Fatalf("stale run counted %d corruptions, want 0", d)
+		}
+		if d := snap.DeltaValue("shuffle.fetch.merged_runs"); d != 1 {
+			t.Fatalf("merged_runs delta = %d, want 1 (the stale run misses, the other lands)", d)
+		}
+
+		// Partition 1 holds no stale block: the remote run of maps 0 and 2
+		// splits, and a flip in it is one detection before the fallback.
+		cl.fab.SetFaultPlane(faults.NewPlane(faults.Plan{Seed: 7, Rules: []faults.LinkRule{{CorruptRate: 1}}}))
+		snap = metrics.Snapshot()
+		if _, _, err := fetchGuarded(t, reducer, shuffleID, 1, statuses, 0); err == nil {
+			t.Fatal("fetch across an always-corrupting link succeeded")
+		}
+		if injected, detected := planeCounters(t, cl).Corrupts, snap.DeltaValue(shuffle.CounterCorruptDetected); injected == 0 || detected != injected {
+			t.Fatalf("injected %d corruptions, detected %d", injected, detected)
+		}
+	})
+}

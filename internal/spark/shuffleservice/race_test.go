@@ -44,8 +44,10 @@ func TestServiceConcurrentPushers(t *testing.T) {
 			}
 		}(g)
 	}
-	// Interleave merges with the pushes: every resolve must return a
-	// well-formed run containing whatever has landed so far.
+	// Interleave merges with the pushes: every resolve must return whatever
+	// has landed so far, whole blocks in map order. Every block has its own
+	// content, so each piece names its map.
+	const unique = pushers * perPusher
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -54,9 +56,20 @@ func TestServiceConcurrentPushers(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if _, err := shuffle.DecodeMergedRun(run); err != nil {
-				t.Errorf("mid-push merged run corrupt: %v", err)
+			if len(run)%blockLen != 0 {
+				t.Errorf("mid-push merged run of %d bytes is not whole %d-byte blocks", len(run), blockLen)
 				return
+			}
+			next := 0
+			for off := 0; off < len(run); off += blockLen {
+				for next < unique && !bytes.Equal(run[off:off+blockLen], svcBlock(next, reduceID, blockLen)) {
+					next++
+				}
+				if next == unique {
+					t.Errorf("mid-push merged run: block at %d is no pushed block, or out of map order", off)
+					return
+				}
+				next++
 			}
 		}
 	}()
@@ -67,22 +80,11 @@ func TestServiceConcurrentPushers(t *testing.T) {
 	if !ok {
 		t.Fatal("no merged run after pushes")
 	}
-	entries, err := shuffle.DecodeMergedRun(run)
-	if err != nil {
-		t.Fatal(err)
+	want := make([][]byte, unique)
+	for m := range want {
+		want[m] = svcBlock(m, reduceID, blockLen)
 	}
-	const unique = pushers * perPusher
-	if len(entries) != unique {
-		t.Fatalf("merged run has %d entries, want %d", len(entries), unique)
-	}
-	for i, e := range entries {
-		if e.MapID != i {
-			t.Fatalf("entry %d has mapID %d, want %d (runs must be map-sorted)", i, e.MapID, i)
-		}
-		if !bytes.Equal(e.Data, svcBlock(i, reduceID, blockLen)) {
-			t.Fatalf("entry %d corrupted", i)
-		}
-	}
+	checkRun(t, run, want) // every block exactly once, in map order
 	if d := before.DeltaValue(shuffleservice.CounterPushedBytes); d != int64(unique*blockLen) {
 		t.Fatalf("pushed_bytes delta = %d, want %d (duplicates must not count)", d, unique*blockLen)
 	}

@@ -16,7 +16,7 @@ import (
 // push between two reads. Merge accounting must not depend on a full run
 // ever being encoded: pushed == merged == served in both counters and
 // events, each pushed byte merged exactly once, and every range's entries
-// byte-exact with their ingest-time sums.
+// byte-exact and in map order.
 func TestServiceRangedReadsReconcile(t *testing.T) {
 	const shuffleID, reduceID, nMaps, size = 21, 0, 12, 4096
 	svc := shuffleservice.New("svc-ranged", nil)
@@ -34,16 +34,11 @@ func TestServiceRangedReadsReconcile(t *testing.T) {
 		if !ok {
 			t.Fatalf("range [%d,%d) missed", lo, hi)
 		}
-		entries, err := shuffle.DecodeMergedRun(run)
-		if err != nil || len(entries) != hi-lo {
-			t.Fatalf("range [%d,%d): %d entries, %v", lo, hi, len(entries), err)
+		want := make([][]byte, 0, hi-lo)
+		for m := lo; m < hi; m++ {
+			want = append(want, svcBlock(m, reduceID, size+m))
 		}
-		for i, e := range entries {
-			want := svcBlock(lo+i, reduceID, size+lo+i)
-			if e.MapID != lo+i || e.Sum != shuffle.Checksum(want) || !bytes.Equal(e.Data, want) {
-				t.Fatalf("range [%d,%d): entry %d is map %d, corrupted or out of order", lo, hi, i, e.MapID)
-			}
-		}
+		checkRun(t, run, want)
 	}
 
 	before := metrics.Snapshot()
@@ -68,6 +63,65 @@ func TestServiceRangedReadsReconcile(t *testing.T) {
 	if byType[obs.EvShufflePush] != pushed || byType[obs.EvShuffleMerge] != merged || byType[obs.EvShuffleServe] != served {
 		t.Fatalf("event bytes push %d, merge %d, serve %d do not reconcile with the counters (%d)",
 			byType[obs.EvShufflePush], byType[obs.EvShuffleMerge], byType[obs.EvShuffleServe], pushed)
+	}
+}
+
+// checkRun splits a served run by the blocks it should hold, as a reducer
+// does with its map statuses' sizes and sums, and requires each piece to be
+// its block byte for byte: the blocks' bytes, in their order, and nothing
+// else.
+func checkRun(t *testing.T, run []byte, want [][]byte) {
+	t.Helper()
+	sizes := make([]int64, len(want))
+	sums := make([]uint32, len(want))
+	for i, b := range want {
+		sizes[i], sums[i] = int64(len(b)), shuffle.Checksum(b)
+	}
+	pieces, bad, ok := shuffle.SplitMergedRun(run, sizes, sums)
+	if !ok || bad >= 0 {
+		t.Fatalf("%d-byte run of %d blocks: split ok %v, first bad piece %d", len(run), len(want), ok, bad)
+	}
+	for i, p := range pieces {
+		if !bytes.Equal(p, want[i]) {
+			t.Fatalf("piece %d of %d differs from its block", i, len(want))
+		}
+	}
+}
+
+// TestServiceOneBlockRunIsTheBlock: a run of one block is that block. Serving
+// it, as a whole partition or as a map range, returns the pushed body itself
+// and allocates nothing; only a run of two or more blocks is copied.
+func TestServiceOneBlockRunIsTheBlock(t *testing.T) {
+	const shuffleID, size = 23, 64 << 10
+	svc := shuffleservice.New("svc-one-block", nil)
+	push := func(m, r int) []byte {
+		block := svcBlock(m, r, size)
+		if _, err := svc.Push(shuffleID, m, r, block, shuffle.Checksum(block), 0); err != nil {
+			t.Fatal(err)
+		}
+		return block
+	}
+	whole := push(3, 0) // reduce partition 0 holds one block
+	for m := 0; m < 4; m++ {
+		push(m, 1)
+	}
+	ranged := push(4, 1)
+	push(5, 1)
+	for _, c := range []struct {
+		name string
+		id   string
+		body []byte
+	}{
+		{"whole", string(shuffle.MergedBlockID(shuffleID, 0)), whole},
+		{"ranged", string(shuffle.RangedMergedBlockID(shuffleID, 1, 4, 5)), ranged},
+	} {
+		run, ok := svc.Resolve(c.id)
+		if !ok || len(run) != len(c.body) || &run[0] != &c.body[0] {
+			t.Fatalf("%s: ok %v, %d bytes; want the pushed %d-byte body itself", c.name, ok, len(run), len(c.body))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { svc.Resolve(c.id) }); allocs != 0 {
+			t.Fatalf("%s: serving a one-block run allocated %.0f times, want 0", c.name, allocs)
+		}
 	}
 }
 

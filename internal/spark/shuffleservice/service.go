@@ -9,7 +9,7 @@ package shuffleservice
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,32 +51,46 @@ type mergeKey struct {
 	reduce  int
 }
 
-// mergeState accumulates one reduce partition's pushed blocks and caches
-// the encoded merged run.
-type mergeState struct {
-	entries map[int][]byte // mapID -> block bytes
-	sums    map[int]uint32 // mapID -> ingest-verified CRC32C
-	run     []byte         // cached encoded full run; nil until a whole-partition read and after every push
-	pushed  int            // payload bytes pushed (the payload of a full run)
-	counted int            // of those, already counted as merged
+// pushedBlock is one map task's block for a reduce partition.
+type pushedBlock struct {
+	mapID int
+	body  []byte
 }
 
-// slice returns the pushed blocks with map ids in [mapLo, mapHi) as run
-// entries in map-id order, and their payload bytes. Caller holds s.mu.
-func (ms *mergeState) slice(mapLo, mapHi int) (entries []shuffle.MergedEntry, payload int) {
-	mapIDs := make([]int, 0, len(ms.entries))
-	for id := range ms.entries {
-		if id >= mapLo && id < mapHi {
-			mapIDs = append(mapIDs, id)
-		}
+// mergeState accumulates one reduce partition's pushed blocks, in map-id
+// order, and caches its full run.
+type mergeState struct {
+	blocks  []pushedBlock
+	run     []byte // cached full run; nil until a whole-partition read and after every push
+	pushed  int    // bytes pushed (the length of a full run)
+	counted int    // of those, already counted as merged
+}
+
+// search returns the index of the first pushed block whose map id is at
+// least mapID.
+func (ms *mergeState) search(mapID int) int {
+	i, _ := slices.BinarySearchFunc(ms.blocks, mapID, func(b pushedBlock, id int) int { return b.mapID - id })
+	return i
+}
+
+// concat returns the run of the pushed blocks with map ids in [mapLo,
+// mapHi): their bodies back to back in map-id order. A run of one block is
+// that block, by reference; only a run of two or more is copied, and that
+// copy is the merge. Caller holds s.mu.
+func (ms *mergeState) concat(mapLo, mapHi int) []byte {
+	span := ms.blocks[ms.search(mapLo):ms.search(mapHi)]
+	if len(span) == 1 {
+		return span[0].body
 	}
-	sort.Ints(mapIDs)
-	entries = make([]shuffle.MergedEntry, len(mapIDs))
-	for i, id := range mapIDs {
-		entries[i] = shuffle.MergedEntry{MapID: id, Sum: ms.sums[id], Data: ms.entries[id]}
-		payload += len(ms.entries[id])
+	n := 0
+	for _, b := range span {
+		n += len(b.body)
 	}
-	return entries, payload
+	run := make([]byte, 0, n)
+	for _, b := range span {
+		run = append(run, b.body...)
+	}
+	return run
 }
 
 // Service is one worker node's external shuffle service: a block store fed
@@ -182,11 +196,10 @@ func (s *Service) Push(shuffleID, mapID, reduceID int, body []byte, sum uint32, 
 	s.bm.Put(id, body)
 	ms := s.merges[key]
 	if ms == nil {
-		ms = &mergeState{entries: make(map[int][]byte), sums: make(map[int]uint32)}
+		ms = &mergeState{}
 		s.merges[key] = ms
 	}
-	ms.entries[mapID] = body
-	ms.sums[mapID] = sum
+	ms.blocks = slices.Insert(ms.blocks, ms.search(mapID), pushedBlock{mapID: mapID, body: body})
 	ms.pushed += len(body)
 	ms.run = nil
 	s.mu.Unlock()
@@ -200,23 +213,25 @@ func (s *Service) Push(shuffleID, mapID, reduceID int, body []byte, sum uint32, 
 }
 
 // Resolve is the service's block resolver: merged-run ids materialize (or
-// return the cached) locality-sorted run; anything else is looked up in
-// the pushed-block store. Every hit counts payload bytes served.
+// return the cached) locality-sorted run, the pushed blocks back to back
+// with no frame, which reducers split by the sizes their map statuses
+// carry; anything else is looked up in the pushed-block store. Every hit
+// counts the bytes served.
 func (s *Service) Resolve(blockID string) ([]byte, bool) {
 	if shuffleID, reduceID, lo, hi, ok := shuffle.ParseRangedMergedBlockID(blockID); ok {
 		if !s.mergeEnabled.Load() {
 			return nil, false
 		}
-		run, payload, ok := s.rangedRun(shuffleID, reduceID, lo, hi)
+		run, ok := s.rangedRun(shuffleID, reduceID, lo, hi)
 		if !ok {
 			return nil, false
 		}
-		metrics.GetCounter(CounterServedBytes).Add(int64(payload))
+		metrics.GetCounter(CounterServedBytes).Add(int64(len(run)))
 		s.bus.Load().Emit(obs.Event{
 			Type:      obs.EvShuffleServe,
 			ShuffleID: shuffleID, ReduceID: reduceID,
 			MapLo: lo, MapHi: hi,
-			Bytes: payload, Executor: s.id,
+			Bytes: len(run), Executor: s.id,
 		})
 		return run, true
 	}
@@ -224,15 +239,15 @@ func (s *Service) Resolve(blockID string) ([]byte, bool) {
 		if !s.mergeEnabled.Load() {
 			return nil, false
 		}
-		run, payload, ok := s.mergedRun(shuffleID, reduceID)
+		run, ok := s.mergedRun(shuffleID, reduceID)
 		if !ok {
 			return nil, false
 		}
-		metrics.GetCounter(CounterServedBytes).Add(int64(payload))
+		metrics.GetCounter(CounterServedBytes).Add(int64(len(run)))
 		s.bus.Load().Emit(obs.Event{
 			Type:      obs.EvShuffleServe,
 			ShuffleID: shuffleID, ReduceID: reduceID,
-			Bytes: payload, Executor: s.id,
+			Bytes: len(run), Executor: s.id,
 		})
 		return run, true
 	}
@@ -248,21 +263,20 @@ func (s *Service) Resolve(blockID string) ([]byte, bool) {
 }
 
 // readMerged is what every merged read of one reduce partition shares:
-// under the lock, encode picks the bytes to serve and their payload (the
-// sum of entry bytes, frame overhead excluded, which is what the serve
-// counter accounts); then the bytes pushed since the partition's last read
-// are counted as merged. Merge accounting is thus a delta of pushed bytes,
-// independent of which runs get encoded: it happens exactly once per
-// pushed byte no matter how many full or ranged reads follow, so
-// merged_bytes reconciles with pushed_bytes instead of multiplying.
-func (s *Service) readMerged(shuffleID, reduceID int, encode func(*mergeState) ([]byte, int)) (run []byte, payload int, ok bool) {
+// under the lock, pick chooses the run to serve; then the bytes pushed since
+// the partition's last read are counted as merged. Merge accounting is thus
+// a delta of pushed bytes, independent of which runs get built: it happens
+// exactly once per pushed byte no matter how many full or ranged reads
+// follow, so merged_bytes reconciles with pushed_bytes instead of
+// multiplying.
+func (s *Service) readMerged(shuffleID, reduceID int, pick func(*mergeState) []byte) (run []byte, ok bool) {
 	s.mu.Lock()
 	ms := s.merges[mergeKey{shuffle: shuffleID, reduce: reduceID}]
-	if ms == nil || len(ms.entries) == 0 {
+	if ms == nil || len(ms.blocks) == 0 {
 		s.mu.Unlock()
-		return nil, 0, false
+		return nil, false
 	}
-	run, payload = encode(ms)
+	run = pick(ms)
 	delta := ms.pushed - ms.counted
 	ms.counted = ms.pushed
 	s.mu.Unlock()
@@ -274,29 +288,27 @@ func (s *Service) readMerged(shuffleID, reduceID int, encode func(*mergeState) (
 			Bytes: delta, Executor: s.id,
 		})
 	}
-	return run, payload, true
+	return run, true
 }
 
-// mergedRun returns the encoded merged run for one reduce partition,
-// (re)building it if pushes landed since the last build.
-func (s *Service) mergedRun(shuffleID, reduceID int) (run []byte, payload int, ok bool) {
-	return s.readMerged(shuffleID, reduceID, func(ms *mergeState) ([]byte, int) {
+// mergedRun returns the merged run of one reduce partition, (re)building it
+// if pushes landed since the last build.
+func (s *Service) mergedRun(shuffleID, reduceID int) (run []byte, ok bool) {
+	return s.readMerged(shuffleID, reduceID, func(ms *mergeState) []byte {
 		if ms.run == nil {
-			entries, _ := ms.slice(0, math.MaxInt)
-			ms.run = shuffle.EncodeMergedRun(entries)
+			ms.run = ms.concat(0, math.MaxInt)
 		}
-		return ms.run, ms.pushed
+		return ms.run
 	})
 }
 
-// rangedRun encodes the [mapLo, mapHi) slice of one reduce partition's
-// merged run. The slice is encoded on demand and never cached — split
+// rangedRun returns the [mapLo, mapHi) slice of one reduce partition's
+// merged run. The slice is built on demand and never cached — split
 // fan-out makes each range typically fetched once — and the full run is
 // not built for it: a partition only ever read in ranges never
 // materializes one.
-func (s *Service) rangedRun(shuffleID, reduceID, mapLo, mapHi int) (run []byte, payload int, ok bool) {
-	return s.readMerged(shuffleID, reduceID, func(ms *mergeState) ([]byte, int) {
-		entries, payload := ms.slice(mapLo, mapHi)
-		return shuffle.EncodeMergedRun(entries), payload
+func (s *Service) rangedRun(shuffleID, reduceID, mapLo, mapHi int) (run []byte, ok bool) {
+	return s.readMerged(shuffleID, reduceID, func(ms *mergeState) []byte {
+		return ms.concat(mapLo, mapHi)
 	})
 }
