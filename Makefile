@@ -67,9 +67,11 @@ fuzz-smoke:
 
 # Tests that were order-dependent once (the MPI launcher's executor order),
 # and the calibration pins (TestCalibrationPinned*), whose exact stamps must
-# repeat: thirty consecutive passes each.
+# repeat: thirty consecutive passes each. The duplicated-push test raced the
+# fault plane's count under -race once: forty passes there.
 flake:
 	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned' ./internal/streaming/ ./internal/harness/
+	go test -race -count=40 -run TestFaultConformanceDupPushIdempotent ./internal/spark/shuffleservice/
 
 bench:
 	go test -bench=. -benchmem -benchtime=3x ./... 2>&1 | tee bench_output.txt

@@ -21,16 +21,30 @@ const (
 	CounterSpecLost          = "scheduler.speculation.lost"
 )
 
-// physTask is one physical task of an adapted result stage. The planner
-// rewrites the stage's logical partition list into these: a plain task
-// covers one partition whole, a ranged task covers the [mapLo, mapHi)
-// map-id slice of one oversized partition, and a coalesced task computes
-// several runt partitions back to back.
+// physTask is the share of a result stage that one task computes. The
+// planner rewrites the stage's logical partition list into these: a plain
+// task covers one partition whole, a split sub-task covers the
+// [mapLo, mapHi) map-id slice of shuffle for one oversized partition, and a
+// coalesced task computes several runt partitions back to back. A task of
+// an unadapted stage has the zero share.
 type physTask struct {
 	parts            []int // original partitions covered (len > 1 = coalesced)
-	ranged           bool
+	shuffle          int   // the shuffle a split sub-task reads a map range of
 	mapLo, mapHi     int
 	subIdx, subCount int // position among the partition's sub-tasks when ranged
+}
+
+// ranged reports whether the task is a split sub-task: the planner never
+// cuts an empty map range.
+func (pt physTask) ranged() bool { return pt.mapHi > pt.mapLo }
+
+// coalesced is the number of partitions a coalesced task covers, 0 for any
+// other task.
+func (pt physTask) coalesced() int {
+	if len(pt.parts) > 1 {
+		return len(pt.parts)
+	}
+	return 0
 }
 
 // adaptivePlan is the planner's rewrite of one result stage.
@@ -109,7 +123,7 @@ func (c *Context) planResultStage(final rddBase) *adaptivePlan {
 				splits++
 				for s := 0; s < nSub; s++ {
 					tasks = append(tasks, physTask{
-						parts: []int{r}, ranged: true,
+						parts: []int{r}, shuffle: splitShuffle,
 						mapLo: cuts[s], mapHi: cuts[s+1],
 						subIdx: s, subCount: nSub,
 					})
@@ -178,122 +192,37 @@ func splitCuts(sizes []int64, target int64) []int {
 	return append(cuts, len(sizes))
 }
 
-// coalescedResult carries a coalesced task's per-partition results back to
-// the driver in covered-partition order.
-type coalescedResult struct {
-	parts   []int
-	results []any
-}
+// coalescedResult is a coalesced task's result: its partitions' results in
+// covered-partition order.
+type coalescedResult []any
 
-// runAdaptedResultStage executes a result stage under an adaptive plan:
-// build one task per physical plan entry, run the stage, then reassemble —
-// collecting plain results directly, unpacking coalesced bundles, and
-// merging ranged sub-results through the RDD's partial-merge hook (charged
-// on the driver at the latest sub-task's completion time).
-func (c *Context) runAdaptedResultStage(jobID int, stage *stageInfo, final rddBase, plan *adaptivePlan, resultSize func(any) int, collect func(part int, res any)) error {
-	metrics.GetCounter(CounterAdaptiveSplits).Add(int64(plan.splits))
-	metrics.GetCounter(CounterAdaptiveCoalesces).Add(int64(plan.coalesces))
-	c.bus.Emit(obs.Event{
-		Type: obs.EvStageAdapted, VT: c.Clock(), Job: jobID,
-		Stage: stage.id, StageName: stage.name, StageKind: stage.kind,
-		ShuffleID: plan.shuffleID,
-		Splits:    plan.splits, Coalesces: plan.coalesces, Tasks: len(plan.tasks),
-	})
-
-	tasks := make([]*taskDescriptor, len(plan.tasks))
-	for i := range plan.tasks {
-		pt := plan.tasks[i]
-		t := &taskDescriptor{
-			stage:     stage,
-			part:      pt.parts[0],
-			preferred: c.preferredExecutor(final, pt.parts[0]),
+// coalescedTask returns the run and resultSize that every coalesced task of
+// a result stage over final shares: a task computes the partitions of its
+// share back to back, and its result's size is the sum of theirs.
+func coalescedTask(final rddBase, resultSize func(any) int) (func(tc *TaskContext) (any, *shuffle.MapStatus, error), func(any) int) {
+	run := func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
+		cr := make(coalescedResult, 0, len(tc.share.parts))
+		for _, p := range tc.share.parts {
+			data, err := final.computePartition(p, tc)
+			if err != nil {
+				return nil, nil, err
+			}
+			cr = append(cr, data)
 		}
-		switch {
-		case pt.ranged:
-			t.ranged = true
-			t.mapLo, t.mapHi = pt.mapLo, pt.mapHi
-			t.rangedShuffle = plan.shuffleID
-			t.resultSize = resultSize
-			t.run = func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
-				data, err := final.computePartition(pt.parts[0], tc)
-				return data, nil, err
-			}
-		case len(pt.parts) > 1:
-			t.coalesced = len(pt.parts)
-			t.resultSize = func(res any) int {
-				cr, ok := res.(*coalescedResult)
-				if !ok {
-					return 16
-				}
-				n := 0
-				for _, r := range cr.results {
-					n += resultSize(r)
-				}
-				return n
-			}
-			t.run = func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
-				cr := &coalescedResult{parts: pt.parts}
-				for _, p := range pt.parts {
-					data, err := final.computePartition(p, tc)
-					if err != nil {
-						return nil, nil, err
-					}
-					cr.results = append(cr.results, data)
-				}
-				return cr, nil, nil
-			}
-		default:
-			t.resultSize = resultSize
-			t.run = func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
-				data, err := final.computePartition(pt.parts[0], tc)
-				return data, nil, err
-			}
+		return cr, nil, nil
+	}
+	size := func(res any) int {
+		cr, ok := res.(coalescedResult)
+		if !ok {
+			return 16
 		}
-		tasks[i] = t
-	}
-
-	comps, err := c.launchAndWait(stage, tasks)
-	if err != nil {
-		return err
-	}
-
-	// Reassemble. comps is index-aligned with tasks (and so with
-	// plan.tasks) regardless of completion order or speculation.
-	subResults := make(map[int][]any)
-	subVT := make(map[int]vtime.Stamp)
-	for i, comp := range comps {
-		pt := plan.tasks[i]
-		switch {
-		case pt.ranged:
-			part := pt.parts[0]
-			if subResults[part] == nil {
-				subResults[part] = make([]any, pt.subCount)
-			}
-			subResults[part][pt.subIdx] = comp.result
-			subVT[part] = vtime.Max(subVT[part], comp.driverVT)
-		case len(pt.parts) > 1:
-			cr := comp.result.(*coalescedResult)
-			for j, p := range pt.parts {
-				collect(p, cr.results[j])
-			}
-		default:
-			collect(pt.parts[0], comp.result)
+		n := 0
+		for _, r := range cr {
+			n += resultSize(r)
 		}
+		return n
 	}
-	// Merge split partitions in partition order so the driver-side merge
-	// cost accrues deterministically.
-	splitParts := make([]int, 0, len(subResults))
-	for part := range subResults {
-		splitParts = append(splitParts, part)
-	}
-	sort.Ints(splitParts)
-	for _, part := range splitParts {
-		tc := &TaskContext{StageID: stage.id, Partition: part, vt: subVT[part], cpu: c.cfg.CPU}
-		merged := final.mergePartials(tc, subResults[part])
-		c.AdvanceClock(tc.vt)
-		collect(part, merged)
-	}
-	return nil
+	return run, size
 }
 
 // speculate is launchAndWait's straggler pass, run after a stage's first
@@ -345,16 +274,12 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 		}
 		orig := tasks[i]
 		spec := &taskDescriptor{
-			stage:         stage,
-			part:          orig.part,
-			run:           orig.run,
-			resultSize:    orig.resultSize,
-			ranged:        orig.ranged,
-			mapLo:         orig.mapLo,
-			mapHi:         orig.mapHi,
-			rangedShuffle: orig.rangedShuffle,
-			coalesced:     orig.coalesced,
-			speculative:   true,
+			stage:       stage,
+			part:        orig.part,
+			run:         orig.run,
+			resultSize:  orig.resultSize,
+			share:       orig.share,
+			speculative: true,
 		}
 		spec.attempt.Store(orig.attempt.Load() + 1)
 		cands = append(cands, candidate{i: i, spec: spec, ch: make(chan *completion, 1), launchVT: launchVT})

@@ -156,16 +156,11 @@ type taskDescriptor struct {
 	run        func(tc *TaskContext) (any, *shuffle.MapStatus, error)
 	resultSize func(any) int
 	preferred  string // preferred executor id ("" = any)
-	// Adaptive-execution identity. A ranged (split) sub-task computes only
-	// map ids [mapLo, mapHi) of shuffle rangedShuffle for its partition; a
-	// coalesced task covers `coalesced` consecutive original partitions
-	// starting at part; a speculative task is the scheduler's straggler
-	// re-launch racing the original attempt.
-	ranged        bool
-	mapLo, mapHi  int
-	rangedShuffle int
-	coalesced     int
-	speculative   bool
+	// share is the task's part of an adapted result stage (zero when the
+	// stage runs one task per partition); a speculative task is the
+	// scheduler's straggler re-launch racing the original attempt.
+	share       physTask
+	speculative bool
 	// attempt is the retry count, stored by the scheduler before each
 	// relaunch and read by the executor when stamping task events. Atomic
 	// because a dead executor's goroutine may still read it while the

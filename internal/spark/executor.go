@@ -287,7 +287,7 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 		Type: obs.EvTaskStart, VT: start, Job: desc.stage.jobID,
 		Stage: desc.stage.id, Partition: desc.part, Attempt: attempt,
 		Executor: e.id,
-		MapLo:    desc.mapLo, MapHi: desc.mapHi, Coalesced: desc.coalesced,
+		MapLo:    desc.share.mapLo, MapHi: desc.share.mapHi, Coalesced: desc.share.coalesced(),
 		Speculative: desc.speculative,
 	})
 	task := &struct {
@@ -299,11 +299,7 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 		exec:      e,
 		vt:        start,
 		cpu:       e.cpu,
-
-		ranged:        desc.ranged,
-		mapLo:         desc.mapLo,
-		mapHi:         desc.mapHi,
-		rangedShuffle: desc.rangedShuffle,
+		share:     desc.share,
 	}}
 	tc := &task.tc
 	result, mapStatus, err := desc.run(tc)
@@ -326,7 +322,7 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 		Executor: e.id, Start: start,
 		Records: tc.recordsRead, BytesLocal: tc.bytesLocal,
 		BytesRemote: tc.bytesRemote, FetchWait: tc.shuffleWaitDur,
-		MapLo: desc.mapLo, MapHi: desc.mapHi, Coalesced: desc.coalesced,
+		MapLo: desc.share.mapLo, MapHi: desc.share.mapHi, Coalesced: desc.share.coalesced(),
 		Speculative: desc.speculative,
 	}
 	if err != nil {

@@ -124,14 +124,14 @@ func fetchDecode[K, V any](conf ShuffleConf[K, V], dep *ShuffleDep, reduceID int
 
 // keyIndex numbers keys in first-appearance order. Output order comes from
 // it and a slice, never from ranging over a map: one seed, one order. It
-// keeps the keys in that order and finds them through one open-addressing
-// slab of their numbers, probed linearly from the top bits of KeyOps.Hash
-// and doubled before it is half full: per size, a slab and the key slice's
-// growth, where a map costs a header, a directory and a table of wider
-// slots.
+// keeps no keys: one open-addressing slab holds the numbers, probed linearly
+// from the top bits of KeyOps.Hash and doubled before it is half full, and a
+// probe compares against the key the caller holds at each number (an
+// output's own entry, or a record). Per size that is one slab, where a map
+// costs a header, a directory and a table of wider slots.
 type keyIndex[K comparable] struct {
 	ops   KeyOps[K]
-	keys  []K     // by number
+	n     int     // numbers filed
 	slots []int32 // a power of two of them, each a number plus one; 0 is free
 	shift uint    // 64 - log2(len(slots))
 }
@@ -142,52 +142,54 @@ const initialKeys = 64
 
 // newKeyIndex returns an index with room for initialKeys keys.
 func newKeyIndex[K comparable](ops KeyOps[K]) keyIndex[K] {
-	x := keyIndex[K]{ops: ops, keys: make([]K, 0, initialKeys)}
-	x.alloc(2 * initialKeys)
+	x := keyIndex[K]{ops: ops}
+	x.use(make([]int32, 2*initialKeys))
 	return x
 }
 
-// alloc replaces the slab with an empty one of size slots.
-func (x *keyIndex[K]) alloc(size int) {
-	x.slots = make([]int32, size)
-	x.shift = uint(65 - bits.Len(uint(size)))
+// use empties slab, a power of two of slots, and indexes into it.
+func (x *keyIndex[K]) use(slab []int32) {
+	clear(slab)
+	x.slots, x.shift, x.n = slab, uint(65-bits.Len(uint(len(slab)))), 0
 }
 
-// home is k's first probe: the top bits of its hash, mixed once more so
-// that a hash weak in its high bits still spreads.
-func (x *keyIndex[K]) home(k K) uint64 {
-	return home(x.ops.Hash(k), x.shift)
-}
-
-func (x *keyIndex[K]) of(k K) (g int32, fresh bool) {
+// numberOf returns the number x files k under, where held[g].K is the key
+// the caller holds at number g. A key not seen before is filed under next,
+// where the caller then holds it, and comes back fresh. held is a slice of
+// pairs, not a lookup function, so that a probe compares keys in place
+// rather than through a call.
+func numberOf[K comparable, X any](x *keyIndex[K], held []Pair[K, X], k K, next int32) (g int32, fresh bool) {
 	mask := uint64(len(x.slots) - 1)
-	i := x.home(k)
+	i := home(x.ops.Hash(k), x.shift)
 	for ; x.slots[i] != 0; i = (i + 1) & mask {
-		if n := x.slots[i] - 1; x.keys[n] == k {
-			return n, false
+		if g := x.slots[i] - 1; held[g].K == k {
+			return g, false
 		}
 	}
-	g = int32(len(x.keys))
-	x.keys = append(x.keys, k)
-	if 2*len(x.keys) > len(x.slots) {
-		x.grow() // places k too
-	} else {
-		x.slots[i] = g + 1
+	x.n++
+	if 2*x.n > len(x.slots) {
+		// Double the slab and file every number in it again.
+		old := x.slots
+		x.slots, x.shift = make([]int32, 2*len(old)), x.shift-1
+		for _, s := range old {
+			if s != 0 {
+				x.slots[x.free(held[s-1].K)] = s
+			}
+		}
+		i = x.free(k)
 	}
-	return g, true
+	x.slots[i] = next + 1
+	return next, true
 }
 
-// grow doubles the slab and places every key again.
-func (x *keyIndex[K]) grow() {
-	x.alloc(2 * len(x.slots))
+// free is the first free slot on k's probe path.
+func (x *keyIndex[K]) free(k K) uint64 {
 	mask := uint64(len(x.slots) - 1)
-	for g, k := range x.keys {
-		i := x.home(k)
-		for x.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		x.slots[i] = int32(g + 1)
+	i := home(x.ops.Hash(k), x.shift)
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
 	}
+	return i
 }
 
 // home is a first probe into a slab of 1<<(64-shift) slots: the top bits of
@@ -198,11 +200,11 @@ func home(h uint64, shift uint) uint64 {
 
 // combineExact is ReduceByKey's map-side combine. Buckets hold disjoint
 // keys, so each bucket's keys are numbered on their own, in first-appearance
-// order, through one open-addressing slab of record positions (a probe
-// compares against the record's own key; the slab keeps no copies), sized
-// from the task's largest bucket so that it is at most half full and never
-// grows, and cleared between buckets. A record's group number goes into
-// scratch; the combined slice is then allocated at its exact length and
+// order, through one keyIndex that files the records' own indices in pairs
+// (a probe compares against the record's key), over one slab sized from the
+// task's largest bucket so that it is at most half full and never grows,
+// emptied between buckets. A record's group number goes into scratch at its
+// index; the combined slice is then allocated at its exact length and
 // folded in one pass over order.
 func combineExact[K comparable, V any](ops KeyOps[K], f func(a, b V) V) combiner[K, V] {
 	return func(tc *TaskContext, pairs []Pair[K, V], order []int32, ends []int, group []int32) []Pair[K, V] {
@@ -211,25 +213,19 @@ func combineExact[K comparable, V any](ops KeyOps[K], f func(a, b V) V) combiner
 			largest, lo = max(largest, hi-lo), hi
 		}
 		slab := make([]int32, slabSize(largest))
+		index := keyIndex[K]{ops: ops}
 		groups := int32(0)
 		lo = 0
 		for i, hi := range ends {
-			slots := slab[:slabSize(hi-lo)]
-			mask, shift := uint64(len(slots)-1), uint(65-bits.Len(uint(len(slots))))
-			for k := lo; k < hi; k++ {
-				key := pairs[order[k]].K
-				s := home(ops.Hash(key), shift)
-				for slots[s] != 0 && pairs[order[slots[s]-1]].K != key {
-					s = (s + 1) & mask
-				}
-				if rep := slots[s] - 1; rep >= 0 {
-					group[k] = group[rep]
-				} else {
-					slots[s], group[k] = int32(k)+1, groups
+			index.use(slab[:slabSize(hi-lo)])
+			for _, j := range order[lo:hi] {
+				if rep, fresh := numberOf(&index, pairs, pairs[j].K, j); fresh {
+					group[j] = groups
 					groups++
+				} else {
+					group[j] = group[rep]
 				}
 			}
-			clear(slots)
 			tc.ChargeRecords(hi-lo, 0)
 			lo, ends[i] = hi, int(groups)
 		}
@@ -237,8 +233,8 @@ func combineExact[K comparable, V any](ops KeyOps[K], f func(a, b V) V) combiner
 		// next unseen number opens it.
 		out := make([]Pair[K, V], groups)
 		next := int32(0)
-		for k, j := range order {
-			if g := group[k]; g == next {
+		for _, j := range order {
+			if g := group[j]; g == next {
 				out[g] = pairs[j]
 				next++
 			} else {
@@ -286,41 +282,39 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		again := *r // the second pass re-reads the same blocks
 		// Count, then carve, in two decode passes and no record slice: number
 		// the keys in first-appearance order and count their values, then cut
-		// every group out of one value slice and place the values.
+		// every group out of one value slice and place the values, finding
+		// each record's group again by its key.
 		index := newKeyIndex(conf.Ops)
-		group := make([]int32, 0, r.records)
-		var sizes []int32
+		counts := make([]Pair[K, int32], 0, initialKeys)
+		n := 0
 		var p Pair[K, V]
-		for r.next(&p) {
-			g, fresh := index.of(p.K)
-			if fresh {
-				sizes = append(sizes, 0)
+		for ; r.next(&p); n++ {
+			if g, fresh := numberOf(&index, counts, p.K, int32(len(counts))); fresh {
+				counts = append(counts, Pair[K, int32]{K: p.K, V: 1})
+			} else {
+				counts[g].V++
 			}
-			group = append(group, g)
-			sizes[g]++
 		}
 		if r.err != nil {
 			return nil, r.err
 		}
-		out := make([]Pair[K, []V], len(sizes))
-		vals := make([]V, len(group))
+		out := make([]Pair[K, []V], len(counts))
+		vals := make([]V, n)
 		off := 0
-		for g, n := range sizes {
-			end := off + int(n)
-			out[g].V = vals[off:off:end]
+		for g, c := range counts {
+			end := off + int(c.V)
+			out[g] = Pair[K, []V]{K: c.K, V: vals[off:off:end]}
 			off = end
 		}
-		for _, g := range group {
-			again.next(&p)
-			o := &out[g]
-			o.K = p.K
-			o.V = append(o.V, p.V)
+		for again.next(&p) {
+			g, _ := numberOf(&index, out, p.K, int32(len(out)))
+			out[g].V = append(out[g].V, p.V)
 		}
 		if again.err != nil {
 			return nil, again.err
 		}
-		tc.ChargeRecords(len(group), r.bytes)
-		tc.ChargeRecords(len(group), 0)
+		tc.ChargeRecords(n, r.bytes)
+		tc.ChargeRecords(n, 0)
 		return out, nil
 	})
 	// Split sub-tasks each group their map-range slice; concatenating the
@@ -336,7 +330,7 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		for _, sub := range parts {
 			n += len(sub)
 			for _, pr := range sub {
-				i, fresh := idx.of(pr.K)
+				i, fresh := numberOf(&idx, merged, pr.K, int32(len(merged)))
 				if fresh {
 					merged = append(merged, Pair[K, []V]{K: pr.K})
 					sizes = append(sizes, 0)
@@ -353,7 +347,7 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		}
 		for _, sub := range parts {
 			for _, pr := range sub {
-				i, _ := idx.of(pr.K)
+				i, _ := numberOf(&idx, merged, pr.K, int32(len(merged)))
 				m := &merged[i]
 				m.V = append(m.V, pr.V...)
 			}
@@ -377,7 +371,7 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 	}
 	// reduce folds p into its key's entry of acc (first-appearance order).
 	reduce := func(index *keyIndex[K], acc []Pair[K, V], p Pair[K, V]) []Pair[K, V] {
-		if g, fresh := index.of(p.K); !fresh {
+		if g, fresh := numberOf(index, acc, p.K, int32(len(acc))); !fresh {
 			acc[g].V = f(acc[g].V, p.V)
 			return acc
 		}

@@ -111,10 +111,14 @@ func (collidingKeys) Hash(int64) uint64 { return 42 }
 func TestKeyIndexFirstAppearanceOrder(t *testing.T) {
 	for _, ops := range []KeyOps[int64]{Int64Key{}, collidingKeys{}} {
 		x := newKeyIndex(ops)
+		var held []Pair[int64, struct{}] // the caller's key at each number
 		want := make(map[int64]int32)
 		for i := 0; i < 3000; i++ {
 			k := int64(i*7919) % 701 // repeats after 701 distinct keys
-			g, fresh := x.of(k)
+			g, fresh := numberOf(&x, held, k, int32(len(held)))
+			if fresh {
+				held = append(held, Pair[int64, struct{}]{K: k})
+			}
 			w, seen := want[k]
 			if !seen {
 				w = int32(len(want))
@@ -124,8 +128,8 @@ func TestKeyIndexFirstAppearanceOrder(t *testing.T) {
 				t.Fatalf("%T: key %d numbered %d (fresh %v), want %d (fresh %v)", ops, k, g, fresh, w, !seen)
 			}
 		}
-		if len(x.keys) != len(want) || 2*len(x.keys) > len(x.slots) {
-			t.Fatalf("%T: %d keys in %d slots, want %d keys in at most half", ops, len(x.keys), len(x.slots), len(want))
+		if x.n != len(want) || 2*x.n > len(x.slots) {
+			t.Fatalf("%T: %d keys in %d slots, want %d keys in at most half", ops, x.n, len(x.slots), len(want))
 		}
 	}
 }

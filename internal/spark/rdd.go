@@ -50,14 +50,12 @@ type TaskContext struct {
 	shuffleReadVT  vtime.Stamp // vt after the last shuffle fetch completed
 	shuffleWaitDur vtime.Stamp // cumulative time spent waiting on shuffle fetches
 
-	// Ranged sub-task restriction: when ranged is set, FetchShuffle calls
-	// against rangedShuffle read only map ids [mapLo, mapHi). Set by the
-	// adaptive planner on split sub-tasks; other shuffles (a join's second
-	// side, say) are unaffected — but the planner only splits single-
-	// shuffle-dependency stages in the first place.
-	ranged        bool
-	mapLo, mapHi  int
-	rangedShuffle int
+	// share is the task's part of an adapted result stage. A split
+	// sub-task's FetchShuffle calls against share.shuffle read only map ids
+	// [share.mapLo, share.mapHi); other shuffles (a join's second side, say)
+	// are unaffected, but the planner only splits single-shuffle-dependency
+	// stages in the first place.
+	share physTask
 }
 
 // ExecutorID returns the id of the executor running this task.
@@ -122,8 +120,8 @@ func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([][]byte, error) {
 	tc.Observe(vt)
 	start := tc.vt
 	lo, hi := 0, len(statuses)
-	if tc.ranged && shuffleID == tc.rangedShuffle {
-		lo, hi = tc.mapLo, tc.mapHi
+	if tc.share.ranged() && shuffleID == tc.share.shuffle {
+		lo, hi = tc.share.mapLo, tc.share.mapHi
 	}
 	results, vt2, err := e.sm.FetchShuffleRange(shuffleID, reduceID, statuses, e.id, e.bts, tc.vt, lo, hi)
 	if err != nil {
@@ -289,7 +287,7 @@ func (r *RDD[T]) partition(part int, tc *TaskContext) ([]T, error) {
 	// A ranged sub-task sees only a slice of the partition; caching it
 	// would poison later full reads, and a cached full partition would
 	// defeat the split. Bypass the cache entirely for ranged compute.
-	if r.cached && tc.exec != nil && !tc.ranged {
+	if r.cached && tc.exec != nil && !tc.share.ranged() {
 		if v, ok := tc.exec.getCached(r.id, part); ok {
 			// Cached read: charge a light in-memory scan.
 			tc.Charge(time.Duration(float64(r.records(v)) * tc.cpu.NsPerRecord / 4))
@@ -300,7 +298,7 @@ func (r *RDD[T]) partition(part int, tc *TaskContext) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.cached && tc.exec != nil && !tc.ranged {
+	if r.cached && tc.exec != nil && !tc.share.ranged() {
 		tc.exec.putCached(r.id, part, out)
 		tc.newlyCached = append(tc.newlyCached, cacheKey{rddID: r.id, part: part})
 	}

@@ -359,14 +359,18 @@ func pushFaultKey(m *PushBlockRequest) string {
 // deliverPush serves one inbound push and, under a fault plane that says
 // so, serves it again: duplicate delivery of a push (a retransmitted request
 // whose original also landed) exercises the service's idempotent ingest: the
-// replay acks AckDuplicate and merges nothing.
+// replay acks AckDuplicate and merges nothing. The verdict is drawn before
+// the first serve writes the ack, so a pusher that holds the ack finds the
+// duplicate already counted by the plane.
 func (e *Env) deliverPush(ch *netty.Channel, m *PushBlockRequest, vt vtime.Stamp) {
-	e.servePush(ch, m, vt)
+	dup := false
 	if bf := e.node.Fabric().BodyFaults(); bf != nil {
 		local, remote := chanPeers(ch)
-		if bf.DupDeliver(remote, local, pushFaultKey(m), vt) {
-			e.servePush(ch, m, vt)
-		}
+		dup = bf.DupDeliver(remote, local, pushFaultKey(m), vt)
+	}
+	e.servePush(ch, m, vt)
+	if dup {
+		e.servePush(ch, m, vt)
 	}
 }
 

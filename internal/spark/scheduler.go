@@ -226,8 +226,10 @@ func (c *Context) runShuffleMapStage(jobID int, dep *ShuffleDep) error {
 
 // runResultStage executes the final stage of a job, consulting the
 // adaptive planner first: when the tracker's per-reducer sizes justify it,
-// the stage runs under a rewritten physical plan (split skewed partitions,
-// coalesced runts) instead of one task per partition.
+// the stage's tasks are the planner's (split skewed partitions, coalesced
+// runts) instead of one per partition. Every task shares one run that
+// computes its TaskContext's partition; coalesced tasks share another that
+// computes their partitions back to back.
 func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) int, collect func(part int, res any)) error {
 	c.mu.Lock()
 	c.stageSeq++
@@ -239,25 +241,76 @@ func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) 
 	}
 	c.mu.Unlock()
 
-	if plan := c.planResultStage(final); plan != nil {
-		return c.runAdaptedResultStage(jobID, stage, final, plan, resultSize, collect)
+	n := final.partitions()
+	plan := c.planResultStage(final)
+	if plan != nil {
+		metrics.GetCounter(CounterAdaptiveSplits).Add(int64(plan.splits))
+		metrics.GetCounter(CounterAdaptiveCoalesces).Add(int64(plan.coalesces))
+		c.bus.Emit(obs.Event{
+			Type: obs.EvStageAdapted, VT: c.Clock(), Job: jobID,
+			Stage: stage.id, StageName: stage.name, StageKind: stage.kind,
+			ShuffleID: plan.shuffleID,
+			Splits:    plan.splits, Coalesces: plan.coalesces, Tasks: len(plan.tasks),
+		})
+		n = len(plan.tasks)
 	}
-
 	run := func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
 		data, err := final.computePartition(tc.Partition, tc)
 		return data, nil, err
 	}
-	tasks := newTasks(stage, final.partitions(), run, resultSize)
-	for part, t := range tasks {
-		t.part = part
-		t.preferred = c.preferredExecutor(final, part)
+	tasks := newTasks(stage, n, run, resultSize)
+	for i, t := range tasks {
+		t.part = i
+		if plan != nil {
+			t.share = plan.tasks[i]
+			t.part = t.share.parts[0]
+		}
+		t.preferred = c.preferredExecutor(final, t.part)
+	}
+	if plan != nil && plan.coalesces > 0 {
+		runCoalesced, sizeCoalesced := coalescedTask(final, resultSize)
+		for _, t := range tasks {
+			if t.share.coalesced() > 0 {
+				t.run, t.resultSize = runCoalesced, sizeCoalesced
+			}
+		}
 	}
 	comps, err := c.launchAndWait(stage, tasks)
 	if err != nil {
 		return err
 	}
-	for _, comp := range comps {
-		collect(comp.part, comp.result)
+
+	// Reassemble in partition order. comps is index-aligned with tasks
+	// whatever the completion order or speculation, the planner lists its
+	// tasks in partition order, and a split partition's sub-tasks come
+	// consecutively, in map-range order. A split partition is merged through
+	// the RDD's partial-merge hook, charged on the driver at its latest
+	// sub-task's completion.
+	var subs []any
+	var subVT vtime.Stamp
+	for i, comp := range comps {
+		share := tasks[i].share
+		switch {
+		case share.ranged():
+			if share.subIdx == 0 {
+				subs, subVT = make([]any, share.subCount), 0
+			}
+			subs[share.subIdx] = comp.result
+			subVT = vtime.Max(subVT, comp.driverVT)
+			if share.subIdx < share.subCount-1 {
+				continue
+			}
+			tc := &TaskContext{StageID: stage.id, Partition: comp.part, vt: subVT, cpu: c.cfg.CPU}
+			merged := final.mergePartials(tc, subs)
+			c.AdvanceClock(tc.vt)
+			collect(comp.part, merged)
+		case share.coalesced() > 0:
+			for j, res := range comp.result.(coalescedResult) {
+				collect(share.parts[j], res)
+			}
+		default:
+			collect(comp.part, comp.result)
+		}
 	}
 	return nil
 }
