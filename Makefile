@@ -64,6 +64,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReassembly$$' -fuzztime 5s ./internal/bytebuf/
 	go test -run '^$$' -fuzz '^FuzzChunkFold$$' -fuzztime 5s ./internal/bytebuf/
 	go test -run '^$$' -fuzz '^FuzzDecodeChunk$$' -fuzztime 5s ./internal/ucr/
+	go test -run '^$$' -fuzz '^FuzzDecodeRegistration$$' -fuzztime 5s ./internal/streaming/
 
 # Tests that were order-dependent once (the MPI launcher's executor order),
 # and the calibration pins (TestCalibrationPinned*), whose exact stamps must

@@ -78,10 +78,12 @@ func ParseBackend(name string) (Backend, error) {
 	return 0, fmt.Errorf("spark: unknown backend %q (ipoib|vanilla, rdma, mpi-basic|basic, mpi|mpi-opt|optimized)", name)
 }
 
-// slot is one executor core's virtual clock. Tasks sharing a slot run
-// back-to-back in virtual time.
+// slot is one executor core: its virtual clock, on which the tasks sharing
+// the slot run back-to-back, and the index scratch the task holding it
+// carves its per-record arrays from (TaskContext.indices).
 type slot struct {
-	clock vtime.Clock
+	clock   vtime.Clock
+	scratch []int32
 }
 
 // Executor hosts task slots, a block manager, the shuffle machinery, and
@@ -300,6 +302,7 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 		vt:        start,
 		cpu:       e.cpu,
 		share:     desc.share,
+		slot:      s,
 	}}
 	tc := &task.tc
 	result, mapStatus, err := desc.run(tc)

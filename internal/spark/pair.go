@@ -33,7 +33,7 @@ func partitionWrite[K, V any](conf ShuffleConf[K, V], p Partitioner[K], combine 
 		n := p.NumPartitions()
 		// Count, then place: one partitioner call per record and a stable
 		// permutation, not a copy: bucket i is pairs[order[ends[i-1]:ends[i]]].
-		part := make([]int32, 2*len(pairs))
+		part := tc.indices(2 * len(pairs))
 		part, order := part[:len(pairs):len(pairs)], part[len(pairs):]
 		ends := make([]int, n)
 		for j, pr := range pairs {
@@ -212,7 +212,7 @@ func combineExact[K comparable, V any](ops KeyOps[K], f func(a, b V) V) combiner
 		for _, hi := range ends {
 			largest, lo = max(largest, hi-lo), hi
 		}
-		slab := make([]int32, slabSize(largest))
+		slab := tc.indices(slabSize(largest))
 		index := keyIndex[K]{ops: ops}
 		groups := int32(0)
 		lo = 0
@@ -278,51 +278,14 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		if err != nil {
 			return nil, err
 		}
-		r := newPairReader(conf.Codec, blocks)
-		again := *r // the second pass re-reads the same blocks
-		// Count, then carve, in two decode passes and no record slice: number
-		// the keys in first-appearance order and count their values, then cut
-		// every group out of one value slice and place the values, finding
-		// each record's group again by its key.
-		index := newKeyIndex(conf.Ops)
-		counts := make([]Pair[K, int32], 0, initialKeys)
-		n := 0
-		var p Pair[K, V]
-		for ; r.next(&p); n++ {
-			if g, fresh := numberOf(&index, counts, p.K, int32(len(counts))); fresh {
-				counts = append(counts, Pair[K, int32]{K: p.K, V: 1})
-			} else {
-				counts[g].V++
-			}
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		out := make([]Pair[K, []V], len(counts))
-		vals := make([]V, n)
-		off := 0
-		for g, c := range counts {
-			end := off + int(c.V)
-			out[g] = Pair[K, []V]{K: c.K, V: vals[off:off:end]}
-			off = end
-		}
-		for again.next(&p) {
-			g, _ := numberOf(&index, out, p.K, int32(len(out)))
-			out[g].V = append(out[g].V, p.V)
-		}
-		if again.err != nil {
-			return nil, again.err
-		}
-		tc.ChargeRecords(n, r.bytes)
-		tc.ChargeRecords(n, 0)
-		return out, nil
+		return groupBlocks(conf, blocks, tc)
 	})
 	// Split sub-tasks each group their map-range slice; concatenating the
 	// per-key value lists in map-range order rebuilds the full groups with
 	// values in the same per-map order an unsplit task would see.
 	out.partialMerge = func(tc *TaskContext, parts [][]Pair[K, []V]) []Pair[K, []V] {
-		// Count, then carve, as above: size every key's merged group first,
-		// then cut the groups out of one value slice.
+		// Count, then carve: size every key's merged group first, then cut
+		// the groups out of one value slice.
 		idx := newKeyIndex(conf.Ops)
 		var merged []Pair[K, []V]
 		var sizes []int
@@ -356,6 +319,59 @@ func GroupByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V]
 		return merged
 	}
 	return out
+}
+
+// groupBlocks is GroupByKey's reduce side over a task's fetched blocks: the
+// keys in first-appearance order, each with its values in block order. One
+// decode pass numbers each record's key and counts its values, keeping the
+// value in record order beside its group number (in the task's index
+// scratch); then one in-place cycle permutation moves every value into its
+// group's window of the same slice, keeping block order within a group.
+func groupBlocks[K comparable, V any](conf ShuffleConf[K, V], blocks [][]byte, tc *TaskContext) ([]Pair[K, []V], error) {
+	r := newPairReader(conf.Codec, blocks)
+	index := newKeyIndex(conf.Ops)
+	counts := make([]Pair[K, int32], 0, initialKeys)
+	vals := make([]V, 0, r.records)
+	group := tc.indices(r.records)[:0]
+	var p Pair[K, V]
+	for r.next(&p) {
+		g, fresh := numberOf(&index, counts, p.K, int32(len(counts)))
+		if fresh {
+			counts = append(counts, Pair[K, int32]{K: p.K})
+		}
+		counts[g].V++
+		vals = append(vals, p.V)
+		group = append(group, g)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	// A group's count becomes where its window starts, and a record's
+	// group number its place: the next free one in its group's window.
+	// Each group's count then ends up where its window ends.
+	out := make([]Pair[K, []V], len(counts))
+	at := int32(0)
+	for g, c := range counts {
+		out[g].K, counts[g].V, at = c.K, at, at+c.V
+	}
+	for i, g := range group {
+		group[i] = counts[g].V
+		counts[g].V++
+	}
+	for i := range group {
+		for to := group[i]; to != int32(i); to = group[i] {
+			vals[i], vals[to] = vals[to], vals[i]
+			group[i], group[to] = group[to], to
+		}
+	}
+	lo := int32(0)
+	for g, c := range counts {
+		out[g].V, lo = vals[lo:c.V:c.V], c.V
+	}
+	n := len(vals)
+	tc.ChargeRecords(n, r.bytes)
+	tc.ChargeRecords(n, 0)
+	return out, nil
 }
 
 // ReduceByKey merges values per key with f, combining map-side first (the

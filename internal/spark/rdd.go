@@ -56,6 +56,11 @@ type TaskContext struct {
 	// are unaffected, but the planner only splits single-shuffle-dependency
 	// stages in the first place.
 	share physTask
+
+	// slot is the executor slot the task holds (nil driver-side and in
+	// tests); carved is how much of its scratch the task has taken.
+	slot   *slot
+	carved int
 }
 
 // ExecutorID returns the id of the executor running this task.
@@ -84,6 +89,27 @@ func (tc *TaskContext) Charge(d time.Duration) {
 		f = tc.exec.node.ComputeStretch()
 	}
 	tc.vt = tc.vt.Add(time.Duration(float64(d) * f))
+}
+
+// indices returns n int32s for the task's per-record index arrays, carved
+// from its slot's scratch: the tasks a slot runs reuse one array, as Spark's
+// task threads reuse their executor's memory pages. Nothing carved may
+// outlive the task, and the contents are unspecified. A scratch too short
+// is replaced by one that holds everything the task has carved, so that the
+// slot's next such task carves without allocating; what is already carved
+// stays in the old one. A context with no slot (a driver-side merge, a
+// test) allocates.
+func (tc *TaskContext) indices(n int) []int32 {
+	s := tc.slot
+	if s == nil {
+		return make([]int32, n)
+	}
+	lo, hi := tc.carved, tc.carved+n
+	if hi > len(s.scratch) {
+		s.scratch = make([]int32, max(2*len(s.scratch), hi))
+	}
+	tc.carved = hi
+	return s.scratch[lo:hi:hi]
 }
 
 // ChargeRecords charges the standard per-record plus per-byte cost for

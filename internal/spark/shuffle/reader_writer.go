@@ -393,9 +393,13 @@ func (m *Manager) fetchBatch(
 	// single merged-run fetch — one sequential read replaces the per-map
 	// block batch. A miss (merging disabled, a run of another length, a
 	// corrupt block) falls through to the ordinary per-block path, which the
-	// service also serves.
-	if loc.Service && m.fetchMergedRun(f, shuffleID, reduceID, merged, blocks, bts, at) {
-		return
+	// service also serves, issued once the miss is known.
+	if loc.Service {
+		hit, missAt := m.fetchMergedRun(f, shuffleID, reduceID, merged, blocks, bts, at)
+		if hit {
+			return
+		}
+		at = missAt
 	}
 	fetchRequests.Inc()
 	fetchBatchedBlocks.Add(int64(len(blocks)))
@@ -511,7 +515,10 @@ func (m *Manager) verifyBlock(shuffleID, reduceID int, blk remoteBlock, data []b
 }
 
 // fetchMergedRun fetches the service-side merged run id, which covers every
-// block of one service group, and reports whether it satisfied the group.
+// block of one service group, and reports whether it satisfied the group;
+// on a miss, also the stamp at which the reducer learned of it: when the run
+// landed, when its deadline passed for a late run, or `at` for a request
+// that failed as a whole.
 // The run is the group's blocks back to back in map order, so it is split by
 // their sizes and each piece verified against its sum; a run that fails
 // either fills nothing, and the caller's per-block path owns the whole group.
@@ -524,19 +531,20 @@ func (m *Manager) fetchMergedRun(
 	blocks []remoteBlock,
 	bts BlockTransferService,
 	at vtime.Stamp,
-) bool {
+) (bool, vtime.Stamp) {
 	fetchRequests.Inc()
 	rs, _, err := bts.Fetch(blocks[0].loc, []string{string(id)}, m.ChunkBytes, at)
 	if err != nil || len(rs) != 1 {
-		return false
+		return false, at
 	}
 	r := rs[0]
+	landed := vtime.Max(at, r.VT)
 	if r.Err != nil {
-		return false
+		return false, landed
 	}
-	if m.Retry.FetchDeadline > 0 && r.VT > at.Add(m.Retry.FetchDeadline) {
+	if d := m.Retry.FetchDeadline; d > 0 && r.VT > at.Add(d) {
 		metrics.GetCounter("shuffle.fetch.timeouts").Inc()
-		return false
+		return false, at.Add(d)
 	}
 	sizes := make([]int64, len(blocks))
 	sums := make([]uint32, len(blocks))
@@ -550,7 +558,7 @@ func (m *Manager) fetchMergedRun(
 		// points at here (a map task that pushed, failed and ran again
 		// elsewhere), or lacks one. That is a miss, not a corruption: a bit
 		// flipped in flight never changes a run's length.
-		return false
+		return false, landed
 	}
 	if bad >= 0 {
 		// Exactly one detection per landed run, however many of its blocks
@@ -569,7 +577,7 @@ func (m *Manager) fetchMergedRun(
 			ShuffleID: shuffleID, ReduceID: reduceID,
 			Executor: blk.loc.ExecID, Err: cause.Error(),
 		})
-		return false
+		return false, landed
 	}
 	integrityChecked.Add(int64(len(blocks)))
 	for i, blk := range blocks {
@@ -578,5 +586,5 @@ func (m *Manager) fetchMergedRun(
 	f.observe(r.VT)
 	fetchBytesRemote.Add(int64(len(r.Data)))
 	fetchMergedRuns.Inc()
-	return true
+	return true, landed
 }

@@ -440,7 +440,8 @@ func (r *recordingBTS) Close() {}
 // TestFetchBatchesPinned pins the requests a reduce task issues, in order: one
 // per peer in the order its first non-empty block appears, that peer's blocks
 // in map order, local and empty blocks never asked for, and a service-hosted
-// group asked first for its merged run (the ranged id for a map range). A
+// group asked first for its merged run (the ranged id for a map range), its
+// per-block fallback leaving when the run's miss lands (at+1 here). A
 // one-byte budget makes every batch fly alone, so the order of the calls is
 // the order the batches launch in.
 func TestFetchBatchesPinned(t *testing.T) {
@@ -476,14 +477,14 @@ func TestFetchBatchesPinned(t *testing.T) {
 			{"e2", ids(0, 3, 8), at},
 			{"e1", ids(2, 5), at},
 			{"svc", []string{"shuffleMerged_4_1"}, at},
-			{"svc", ids(7, 10), at},
+			{"svc", ids(7, 10), at + 1},
 			{"e3", ids(11), at},
 		}},
 		{"maps [2, 9)", 2, 9, []fetchCall{
 			{"e1", ids(2, 5), at},
 			{"e2", ids(3, 8), at},
 			{"svc", []string{"shuffleMergedRange_4_1_2_9"}, at},
-			{"svc", ids(7), at},
+			{"svc", ids(7), at + 1},
 		}},
 	} {
 		bts := &recordingBTS{served: served}
@@ -503,6 +504,73 @@ func TestFetchBatchesPinned(t *testing.T) {
 			}
 			if !bytes.Equal(results[mapID].Data, want) || results[mapID].Local != (owners[mapID] == "self" && want != nil) {
 				t.Errorf("%s: map %d landed %v (local %v)", c.name, mapID, results[mapID].Data, results[mapID].Local)
+			}
+		}
+	}
+}
+
+// runBTS serves a service's merged run as the run given, landing lateBy
+// after its request, and every other id as recordingBTS does.
+type runBTS struct {
+	recordingBTS
+	run    []byte
+	lateBy vtime.Stamp
+}
+
+func (b *runBTS) Fetch(loc Location, ids []string, chunkBytes int, at vtime.Stamp) ([]rpc.BatchBlockResult, vtime.Stamp, error) {
+	if _, _, ok := ParseMergedBlockID(ids[0]); !ok {
+		return b.recordingBTS.Fetch(loc, ids, chunkBytes, at)
+	}
+	b.mu.Lock()
+	b.calls = append(b.calls, fetchCall{peer: loc.ExecID, ids: ids, at: at})
+	b.mu.Unlock()
+	return []rpc.BatchBlockResult{{Data: b.run, VT: at + b.lateBy}}, at + b.lateBy, nil
+}
+
+// TestMergedRunFallbackStartsAtMiss pins when a merged run's per-block
+// fallback leaves: when the reducer learns of the miss, which is when a
+// corrupt or wrong-length run lands and when a late run's deadline passes,
+// never at the stamp the run's request left.
+func TestMergedRunFallbackStartsAtMiss(t *testing.T) {
+	const shuffleID, reduceID, at, deadline = 5, 0, vtime.Stamp(1000), 100
+	bm := storage.NewBlockManager("svc")
+	blocks := [][]byte{[]byte("first block"), []byte("second")}
+	statuses := make([]*MapStatus, len(blocks))
+	for m, b := range blocks {
+		statuses[m] = NewManager(bm).WriteMapOutput(shuffleID, m, [][]byte{b}, Location{ExecID: "svc", Service: true})
+	}
+	whole := append(append([]byte(nil), blocks[0]...), blocks[1]...)
+	flipped := append([]byte(nil), whole...)
+	flipped[2] ^= 1
+	perBlock := []string{"shuffle_5_0_0", "shuffle_5_1_0"}
+	for _, c := range []struct {
+		name     string
+		run      []byte
+		lateBy   vtime.Stamp
+		fallback vtime.Stamp // 0: the run satisfied the group
+	}{
+		{"whole run", whole, 3, 0},
+		{"corrupt run", flipped, 7, at + 7},
+		{"short run", whole[:len(blocks[0])], 9, at + 9},
+		{"late run", whole, deadline + 5, at + deadline},
+	} {
+		bts := &runBTS{recordingBTS: recordingBTS{served: map[string]*storage.BlockManager{"svc": bm}}, run: c.run, lateBy: c.lateBy}
+		m := NewManager(storage.NewBlockManager("self"))
+		m.Retry.FetchDeadline = deadline
+		results, _, err := m.FetchShuffleRange(shuffleID, reduceID, statuses, "self", bts, at, 0, len(blocks))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := []fetchCall{{"svc", []string{"shuffleMerged_5_0"}, at}}
+		if c.fallback != 0 {
+			want = append(want, fetchCall{"svc", perBlock, c.fallback})
+		}
+		if !reflect.DeepEqual(bts.calls, want) {
+			t.Errorf("%s: requests\n%v\nwant\n%v", c.name, bts.calls, want)
+		}
+		for mapID, b := range blocks {
+			if !bytes.Equal(results[mapID].Data, b) {
+				t.Errorf("%s: map %d landed %q, want %q", c.name, mapID, results[mapID].Data, b)
 			}
 		}
 	}
