@@ -81,12 +81,16 @@ bench:
 experiments:
 	go run ./cmd/experiments -exp all -md
 
+# Every example, and both launch flows' command-line driver (the Fig. 3
+# wrapper flow under each MPI design).
 examples:
 	go run ./examples/quickstart
 	go run ./examples/terasort
 	go run ./examples/nweight
 	go run ./examples/mlpipeline
 	go run ./examples/faulttolerance
+	go run ./cmd/mpirun -np 4
+	go run ./cmd/mpirun -np 4 -design basic
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -20,6 +20,7 @@ import (
 	"mpi4spark/internal/core"
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/spark"
+	"mpi4spark/internal/spark/deploy"
 )
 
 func main() {
@@ -36,11 +37,12 @@ func main() {
 	workers := *np - 2
 
 	var d core.Design
+	var backend spark.Backend
 	switch *design {
 	case "optimized":
-		d = core.DesignOptimized
+		d, backend = core.DesignOptimized, spark.BackendMPIOpt
 	case "basic":
-		d = core.DesignBasic
+		d, backend = core.DesignBasic, spark.BackendMPIBasic
 	default:
 		fmt.Fprintf(os.Stderr, "mpirun: unknown -design %q (optimized|basic)\n", *design)
 		os.Exit(1)
@@ -63,13 +65,13 @@ func main() {
 
 	sparkCfg := spark.DefaultConfig()
 	sparkCfg.DefaultParallelism = workers * *slots
-	cl, err := core.LaunchMPICluster(core.ClusterConfig{
+	cl, err := core.LaunchMPICluster(deploy.Config{
 		Fabric:         f,
 		WorkerNodes:    wn,
 		MasterNode:     masterNode,
 		DriverNode:     driverNode,
 		SlotsPerWorker: *slots,
-		Design:         d,
+		Backend:        backend,
 		Spark:          sparkCfg,
 	})
 	if err != nil {

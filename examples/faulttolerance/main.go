@@ -29,8 +29,7 @@ func main() {
 	// Turn executor liveness supervision on: each executor heartbeats the
 	// driver every 2ms of virtual time, and an executor silent for 30ms is
 	// declared lost and replaced through the worker's launch path.
-	cfg.HeartbeatInterval = spark.DefaultHeartbeatInterval
-	cfg.ExecutorTimeout = spark.DefaultExecutorTimeout
+	cfg.Supervise = true
 	cl, err := deploy.StartCluster(deploy.Config{
 		Fabric:         f,
 		WorkerNodes:    workers,

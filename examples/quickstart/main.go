@@ -16,6 +16,7 @@ import (
 	"mpi4spark/internal/core"
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/spark"
+	"mpi4spark/internal/spark/deploy"
 )
 
 func main() {
@@ -26,13 +27,13 @@ func main() {
 
 	// 2. Launch MPI4Spark (Optimized design): mpiexec-style wrapper ranks,
 	//    DPM-spawned executors, MPI-backed Netty underneath Spark.
-	cl, err := core.LaunchMPICluster(core.ClusterConfig{
+	cl, err := core.LaunchMPICluster(deploy.Config{
 		Fabric:         f,
 		WorkerNodes:    workers,
 		MasterNode:     master,
 		DriverNode:     driver,
 		SlotsPerWorker: 2,
-		Design:         core.DesignOptimized,
+		Backend:        spark.BackendMPIOpt,
 		Spark:          spark.DefaultConfig(),
 	})
 	if err != nil {

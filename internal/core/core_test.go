@@ -13,6 +13,7 @@ import (
 	"mpi4spark/internal/mpi"
 	"mpi4spark/internal/netty"
 	"mpi4spark/internal/spark"
+	"mpi4spark/internal/spark/deploy"
 	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/vtime"
 )
@@ -26,25 +27,27 @@ func newClusterFabric(workers int) (*fabric.Fabric, []*fabric.Node, *fabric.Node
 	return f, wn, f.AddNode("master"), f.AddNode("driver")
 }
 
-func launch(t *testing.T, workers, slots int, design Design) (*MPICluster, *fabric.Fabric) {
+// launch starts an MPI cluster and returns it with the EnvState of every
+// env the launch opened.
+func launch(t *testing.T, workers, slots int, b spark.Backend) (*deploy.Cluster, []*EnvState, *fabric.Fabric) {
 	t.Helper()
 	f, wn, mn, dn := newClusterFabric(workers)
 	sparkCfg := spark.DefaultConfig()
 	sparkCfg.DefaultParallelism = workers * slots
-	cl, err := LaunchMPICluster(ClusterConfig{
+	cl, states, err := launchMPI(deploy.Config{
 		Fabric:         f,
 		WorkerNodes:    wn,
 		MasterNode:     mn,
 		DriverNode:     dn,
 		SlotsPerWorker: slots,
-		Design:         design,
+		Backend:        b,
 		Spark:          sparkCfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	return cl, f
+	return cl, states, f
 }
 
 func TestIdentityResolve(t *testing.T) {
@@ -210,7 +213,7 @@ func TestOptimizedRPCControlStaysOnSocket(t *testing.T) {
 }
 
 func TestLaunchClusterOptimized(t *testing.T) {
-	cl, f := launch(t, 2, 2, DesignOptimized)
+	cl, _, f := launch(t, 2, 2, spark.BackendMPIOpt)
 	if len(cl.Executors) != 2 {
 		t.Fatalf("executors = %d", len(cl.Executors))
 	}
@@ -248,7 +251,7 @@ func TestLaunchClusterOptimized(t *testing.T) {
 }
 
 func TestLaunchClusterBasic(t *testing.T) {
-	cl, f := launch(t, 2, 1, DesignBasic)
+	cl, states, f := launch(t, 2, 1, spark.BackendMPIBasic)
 	pairs := spark.Generate(cl.Ctx, 2, func(part int, tc *spark.TaskContext) []spark.Pair[int64, int64] {
 		out := make([]spark.Pair[int64, int64], 50)
 		for i := range out {
@@ -280,7 +283,7 @@ func TestLaunchClusterBasic(t *testing.T) {
 		t.Fatal("basic cluster moved nothing over MPI")
 	}
 	// Polling must have run.
-	if totalPolls(cl) == 0 {
+	if totalPolls(states) == 0 {
 		t.Fatal("no Iprobe polls recorded in the Basic design")
 	}
 }
@@ -293,21 +296,21 @@ func TestLaunchClusterBasic(t *testing.T) {
 func TestShuffleChunkFollowsDesign(t *testing.T) {
 	const blockBytes = 256 << 10
 	for _, tc := range []struct {
-		design     Design
+		backend    spark.Backend
 		chunkBytes int
 		rendezvous bool // every fetch chunk is one rendezvous message
 	}{
-		{DesignOptimized, 0, false},
-		{DesignOptimized, 1 << 20, true},
-		{DesignBasic, 0, true},
-		{DesignBasic, 16 << 10, false},
+		{spark.BackendMPIOpt, 0, false},
+		{spark.BackendMPIOpt, 1 << 20, true},
+		{spark.BackendMPIBasic, 0, true},
+		{spark.BackendMPIBasic, 16 << 10, false},
 	} {
 		f, wn, mn, dn := newClusterFabric(2)
 		sparkCfg := spark.DefaultConfig()
 		sparkCfg.ShuffleChunkBytes = tc.chunkBytes
-		cl, err := LaunchMPICluster(ClusterConfig{
+		cl, err := LaunchMPICluster(deploy.Config{
 			Fabric: f, WorkerNodes: wn, MasterNode: mn, DriverNode: dn,
-			SlotsPerWorker: 1, Design: tc.design, Spark: sparkCfg,
+			SlotsPerWorker: 1, Backend: tc.backend, Spark: sparkCfg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -329,17 +332,17 @@ func TestShuffleChunkFollowsDesign(t *testing.T) {
 		n, err := spark.Count(spark.GroupByKey(pairs, conf))
 		cl.Close()
 		if err != nil || n != 2 {
-			t.Fatalf("%v chunk=%d: groups = %d, %v", tc.design, tc.chunkBytes, n, err)
+			t.Fatalf("%v chunk=%d: groups = %d, %v", tc.backend, tc.chunkBytes, n, err)
 		}
 		rndv := f.Stats().MessagesFor(fabric.MPIRendezvous) - before
 		chunks := snap.DeltaValue("shuffle.fetch.chunks")
 		switch {
 		case tc.rendezvous && (chunks != 2 || rndv != chunks):
 			t.Errorf("%v chunk=%d: %d chunks as %d rendezvous messages, want 2 as 2",
-				tc.design, tc.chunkBytes, chunks, rndv)
+				tc.backend, tc.chunkBytes, chunks, rndv)
 		case !tc.rendezvous && (chunks <= 2 || rndv != 0):
 			t.Errorf("%v chunk=%d: %d chunks, %d rendezvous messages, want eager-sized chunks and no rendezvous",
-				tc.design, tc.chunkBytes, chunks, rndv)
+				tc.backend, tc.chunkBytes, chunks, rndv)
 		}
 	}
 }
@@ -351,7 +354,7 @@ func TestShuffleChunkFollowsDesign(t *testing.T) {
 // shuffle service) 2/5 of one, and a killed executor's core back; an
 // Optimized node spins nothing.
 func TestBasicSpinningSelectorsStretchCompute(t *testing.T) {
-	run := func(design Design, service bool, want float64) vtime.Stamp {
+	run := func(b spark.Backend, service bool, want float64) vtime.Stamp {
 		t.Helper()
 		f, wn, mn, dn := newClusterFabric(2)
 		for _, n := range wn {
@@ -359,16 +362,16 @@ func TestBasicSpinningSelectorsStretchCompute(t *testing.T) {
 		}
 		sparkCfg := spark.DefaultConfig()
 		sparkCfg.ExternalShuffleService = service
-		cl, err := LaunchMPICluster(ClusterConfig{
+		cl, err := LaunchMPICluster(deploy.Config{
 			Fabric: f, WorkerNodes: wn, MasterNode: mn, DriverNode: dn,
-			SlotsPerWorker: 1, Design: design, Spark: sparkCfg,
+			SlotsPerWorker: 1, Backend: b, Spark: sparkCfg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range wn {
 			if got := n.ComputeStretch(); got != want {
-				t.Fatalf("%v, service %v: node %s stretches compute %.2fx, want %.2fx", design, service, n.Name(), got, want)
+				t.Fatalf("%v, service %v: node %s stretches compute %.2fx, want %.2fx", b, service, n.Name(), got, want)
 			}
 		}
 		heavy := spark.Generate(cl.Ctx, 2, func(part int, tc *spark.TaskContext) []int64 {
@@ -380,7 +383,7 @@ func TestBasicSpinningSelectorsStretchCompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		took := cl.Ctx.Clock() - start
-		if design == DesignBasic {
+		if b == spark.BackendMPIBasic {
 			cl.Executors[0].Kill()
 			if got, want := wn[0].ComputeStretch(), want-0.5; got != want {
 				t.Errorf("after its executor died node w0 stretches compute %.2fx, want %.2fx", got, want)
@@ -388,13 +391,13 @@ func TestBasicSpinningSelectorsStretchCompute(t *testing.T) {
 		}
 		cl.Close()
 		if got := wn[1].ComputeStretch(); got != 1 {
-			t.Errorf("%v: a closed cluster's node stretches compute %.2fx, want 1", design, got)
+			t.Errorf("%v: a closed cluster's node stretches compute %.2fx, want 1", b, got)
 		}
 		return took
 	}
-	opt := run(DesignOptimized, false, 1)
-	basic := run(DesignBasic, false, 2)
-	run(DesignBasic, true, 2.5)
+	opt := run(spark.BackendMPIOpt, false, 1)
+	basic := run(spark.BackendMPIBasic, false, 2)
+	run(spark.BackendMPIBasic, true, 2.5)
 	if ratio := float64(basic) / float64(opt); ratio < 1.9 || ratio > 2.1 {
 		t.Fatalf("basic/opt compute ratio = %.2f, want ~2 (two spinning selectors on two cores)", ratio)
 	}
@@ -402,7 +405,7 @@ func TestBasicSpinningSelectorsStretchCompute(t *testing.T) {
 
 func TestLaunchNoWorkersFails(t *testing.T) {
 	f := fabric.New(fabric.NewZeroModel())
-	_, err := LaunchMPICluster(ClusterConfig{Fabric: f})
+	_, err := LaunchMPICluster(deploy.Config{Fabric: f, Backend: spark.BackendMPIOpt})
 	if err == nil {
 		t.Fatal("launch with no workers succeeded")
 	}

@@ -18,10 +18,7 @@ import (
 // mapped channel) when the MPI engine, a socket or a task wakes it, and
 // parks otherwise. These tests pin that contract.
 
-func totalPolls(cl *MPICluster) int64 {
-	cl.mu.Lock()
-	states := cl.states
-	cl.mu.Unlock()
+func totalPolls(states []*EnvState) int64 {
 	var n int64
 	for _, s := range states {
 		s.mu.Lock()
@@ -34,30 +31,30 @@ func totalPolls(cl *MPICluster) int64 {
 // TestBasicSelectorIdleMakesNoPolls: a Basic cluster that has finished a
 // job has polled, and polls no more while nothing arrives.
 func TestBasicSelectorIdleMakesNoPolls(t *testing.T) {
-	cl, _ := launch(t, 2, 1, DesignBasic)
+	cl, states, _ := launch(t, 2, 1, spark.BackendMPIBasic)
 	nums := spark.Generate(cl.Ctx, 4, func(part int, tc *spark.TaskContext) []int64 {
 		return []int64{1, 2, 3}
 	})
 	if n, err := spark.Count(nums); err != nil || n != 12 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
-	if totalPolls(cl) == 0 {
+	if totalPolls(states) == 0 {
 		t.Fatal("no Iprobe polls recorded in the Basic design")
 	}
 	// The job's last frames (acks, status updates) may still be in flight:
 	// wait for one quiet 10 ms, which a spinning selector never offers.
 	settled := false
 	for i := 0; i < 200 && !settled; i++ {
-		before := totalPolls(cl)
+		before := totalPolls(states)
 		time.Sleep(10 * time.Millisecond)
-		settled = totalPolls(cl) == before
+		settled = totalPolls(states) == before
 	}
 	if !settled {
 		t.Fatal("selectors never went quiet after the job")
 	}
-	before := totalPolls(cl)
+	before := totalPolls(states)
 	time.Sleep(50 * time.Millisecond)
-	if after := totalPolls(cl); after != before {
+	if after := totalPolls(states); after != before {
 		t.Fatalf("idle cluster polled: %d -> %d over 50ms", before, after)
 	}
 }

@@ -108,10 +108,9 @@ type ClusterSpec struct {
 	// UCR overrides the RDMA runtime config (zero selects defaults).
 	UCR ucr.Config
 	// Supervise enables executor liveness supervision (heartbeats,
-	// ExecutorLost recovery, replacement) at spark.DefaultHeartbeatInterval
-	// and spark.DefaultExecutorTimeout. Benchmarks leave it off: heartbeat
-	// volume depends on wall-clock progress, which would perturb the
-	// deterministic timings.
+	// ExecutorLost recovery, replacement; spark.Config.Supervise).
+	// Benchmarks leave it off: heartbeat volume depends on wall-clock
+	// progress, which would perturb the deterministic timings.
 	Supervise bool
 	// EventLogPath records the run's lifecycle events as JSONL
 	// (spark.Config.EventLogPath), replayable with cmd/eventlog.
@@ -134,6 +133,9 @@ type ClusterSpec struct {
 func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	if spec.Workers < 1 {
 		return nil, fmt.Errorf("harness: need at least one worker")
+	}
+	if spec.Backend == spark.BackendRDMA && !spec.System.SupportsRDMA {
+		return nil, fmt.Errorf("harness: %s does not support RDMA-Spark", spec.System.Name)
 	}
 	slots := spec.SlotsPerWorker
 	if slots < 1 {
@@ -171,49 +173,23 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	sparkCfg.EventLogPath = spec.EventLogPath
 	sparkCfg.ExternalShuffleService = spec.ShuffleService
 	sparkCfg.AdaptiveExecution = spec.Adaptive
-	if spec.Supervise {
-		sparkCfg.HeartbeatInterval = spark.DefaultHeartbeatInterval
-		sparkCfg.ExecutorTimeout = spark.DefaultExecutorTimeout
+	sparkCfg.Supervise = spec.Supervise
+	launch := deploy.StartCluster
+	if spec.Backend == spark.BackendMPIBasic || spec.Backend == spark.BackendMPIOpt {
+		launch = core.LaunchMPICluster
 	}
-
-	switch spec.Backend {
-	case spark.BackendVanilla, spark.BackendRDMA:
-		if spec.Backend == spark.BackendRDMA && !spec.System.SupportsRDMA {
-			return nil, fmt.Errorf("harness: %s does not support RDMA-Spark", spec.System.Name)
-		}
-		cl, err := deploy.StartCluster(deploy.Config{
-			Fabric:         f,
-			WorkerNodes:    wn,
-			MasterNode:     master,
-			DriverNode:     driver,
-			SlotsPerWorker: slots,
-			Backend:        spec.Backend,
-			Spark:          sparkCfg,
-			UCR:            spec.UCR,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Cluster{Ctx: cl.Ctx, Backend: spec.Backend, Fabric: f, closeFn: cl.Close}, nil
-	case spark.BackendMPIBasic, spark.BackendMPIOpt:
-		design := core.DesignOptimized
-		if spec.Backend == spark.BackendMPIBasic {
-			design = core.DesignBasic
-		}
-		cl, err := core.LaunchMPICluster(core.ClusterConfig{
-			Fabric:         f,
-			WorkerNodes:    wn,
-			MasterNode:     master,
-			DriverNode:     driver,
-			SlotsPerWorker: slots,
-			Design:         design,
-			Spark:          sparkCfg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Cluster{Ctx: cl.Ctx, Backend: spec.Backend, Fabric: f, closeFn: cl.Close}, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown backend %v", spec.Backend)
+	cl, err := launch(deploy.Config{
+		Fabric:         f,
+		WorkerNodes:    wn,
+		MasterNode:     master,
+		DriverNode:     driver,
+		SlotsPerWorker: slots,
+		Backend:        spec.Backend,
+		Spark:          sparkCfg,
+		UCR:            spec.UCR,
+	})
+	if err != nil {
+		return nil, err
 	}
+	return &Cluster{Ctx: cl.Ctx, Backend: spec.Backend, Fabric: f, closeFn: cl.Close}, nil
 }

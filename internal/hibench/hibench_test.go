@@ -14,18 +14,29 @@ import (
 
 func testCluster(t *testing.T, workers, slots int) *deploy.Cluster {
 	t.Helper()
+	return backendCluster(t, workers, slots, spark.BackendVanilla)
+}
+
+// backendCluster launches a cluster on the requested transport backend
+// through the backend's own launch flow.
+func backendCluster(t *testing.T, workers, slots int, backend spark.Backend) *deploy.Cluster {
+	t.Helper()
 	f := fabric.New(fabric.NewIBHDRModel())
 	wn := make([]*fabric.Node, workers)
 	for i := range wn {
 		wn[i] = f.AddNode(fmt.Sprintf("w%d", i))
 	}
-	cl, err := deploy.StartCluster(deploy.Config{
+	launch := deploy.StartCluster
+	if backend == spark.BackendMPIBasic || backend == spark.BackendMPIOpt {
+		launch = core.LaunchMPICluster
+	}
+	cl, err := launch(deploy.Config{
 		Fabric:         f,
 		WorkerNodes:    wn,
 		MasterNode:     f.AddNode("master"),
 		DriverNode:     f.AddNode("driver"),
 		SlotsPerWorker: slots,
-		Backend:        spark.BackendVanilla,
+		Backend:        backend,
 		Spark:          spark.DefaultConfig(),
 	})
 	if err != nil {
@@ -33,38 +44,6 @@ func testCluster(t *testing.T, workers, slots int) *deploy.Cluster {
 	}
 	t.Cleanup(cl.Close)
 	return cl
-}
-
-// backendCluster builds a cluster on the requested transport backend and
-// returns its SparkContext.
-func backendCluster(t *testing.T, workers, slots int, backend spark.Backend) *spark.Context {
-	t.Helper()
-	if backend == spark.BackendVanilla || backend == spark.BackendRDMA {
-		return testCluster(t, workers, slots).Ctx
-	}
-	f := fabric.New(fabric.NewIBHDRModel())
-	wn := make([]*fabric.Node, workers)
-	for i := range wn {
-		wn[i] = f.AddNode(fmt.Sprintf("w%d", i))
-	}
-	design := core.DesignOptimized
-	if backend == spark.BackendMPIBasic {
-		design = core.DesignBasic
-	}
-	cl, err := core.LaunchMPICluster(core.ClusterConfig{
-		Fabric:         f,
-		WorkerNodes:    wn,
-		MasterNode:     f.AddNode("master"),
-		DriverNode:     f.AddNode("driver"),
-		SlotsPerWorker: slots,
-		Design:         design,
-		Spark:          spark.DefaultConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	return cl.Ctx
 }
 
 func TestSVMConverges(t *testing.T) {
@@ -138,7 +117,7 @@ func TestMLResultsUnchangedAcrossBackends(t *testing.T) {
 	gmmCfg := GMMConfig{Parts: 4, PerPart: 200, Dim: 4, K: 2, Iterations: 3, Seed: 22}
 	var lrRef, gmmRef float64
 	for i, backend := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIBasic, spark.BackendMPIOpt} {
-		cl := backendCluster(t, 2, 2, backend)
+		cl := backendCluster(t, 2, 2, backend).Ctx
 		lr, err := RunLogisticRegression(cl, lrCfg)
 		if err != nil {
 			t.Fatalf("%v LR: %v", backend, err)

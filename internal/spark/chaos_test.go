@@ -23,6 +23,7 @@ import (
 	"mpi4spark/internal/obs"
 	"mpi4spark/internal/spark"
 	"mpi4spark/internal/spark/deploy"
+	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/spark/shuffle"
 	"mpi4spark/internal/spark/shuffleservice"
 )
@@ -50,59 +51,78 @@ func newChaosCluster(t *testing.T, backend spark.Backend) *chaosCluster {
 // supervision tests turn heartbeats on through it).
 func newChaosClusterCfg(t *testing.T, backend spark.Backend, tune func(*spark.Config)) *chaosCluster {
 	t.Helper()
+	f, wn := chaosFabric()
+	cfg := spark.DefaultConfig()
+	cfg.DefaultParallelism = 2 * chaosWorkers
+	tune(&cfg)
+	cl, err := launchChaos(f, wn, backend, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &chaosCluster{fab: f, ctx: cl.Ctx, workerNodes: wn, close: cl.Close}
+	t.Cleanup(cc.close)
+	return cc
+}
+
+// chaosFabric is a fabric with the chaos suite's worker nodes.
+func chaosFabric() (*fabric.Fabric, []*fabric.Node) {
 	f := fabric.New(fabric.NewIBHDRModel())
 	wn := make([]*fabric.Node, chaosWorkers)
 	for i := range wn {
 		wn[i] = f.AddNode(fmt.Sprintf("w%d", i))
 	}
-	master := f.AddNode("master")
-	driver := f.AddNode("driver")
+	return f, wn
+}
 
-	cfg := spark.DefaultConfig()
-	cfg.DefaultParallelism = 2 * chaosWorkers
-	tune(&cfg)
-
-	cc := &chaosCluster{fab: f, workerNodes: wn}
-	switch backend {
-	case spark.BackendVanilla, spark.BackendRDMA:
-		cl, err := deploy.StartCluster(deploy.Config{
-			Fabric:         f,
-			WorkerNodes:    wn,
-			MasterNode:     master,
-			DriverNode:     driver,
-			SlotsPerWorker: 2,
-			Backend:        backend,
-			Spark:          cfg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc.ctx = cl.Ctx
-		cc.close = cl.Close
-	case spark.BackendMPIBasic, spark.BackendMPIOpt:
-		design := core.DesignOptimized
-		if backend == spark.BackendMPIBasic {
-			design = core.DesignBasic
-		}
-		cl, err := core.LaunchMPICluster(core.ClusterConfig{
-			Fabric:         f,
-			WorkerNodes:    wn,
-			MasterNode:     master,
-			DriverNode:     driver,
-			SlotsPerWorker: 2,
-			Design:         design,
-			Spark:          cfg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc.ctx = cl.Ctx
-		cc.close = cl.Close
-	default:
-		t.Fatalf("unknown backend %v", backend)
+// launchChaos launches a cluster on f's workers wn through the backend's
+// own launch flow, adding its master and driver nodes.
+func launchChaos(f *fabric.Fabric, wn []*fabric.Node, backend spark.Backend, cfg spark.Config) (*deploy.Cluster, error) {
+	launch := deploy.StartCluster
+	if backend == spark.BackendMPIBasic || backend == spark.BackendMPIOpt {
+		launch = core.LaunchMPICluster
 	}
-	t.Cleanup(cc.close)
-	return cc
+	return launch(deploy.Config{
+		Fabric:         f,
+		WorkerNodes:    wn,
+		MasterNode:     f.AddNode("master"),
+		DriverNode:     f.AddNode("driver"),
+		SlotsPerWorker: 2,
+		Backend:        backend,
+		Spark:          cfg,
+	})
+}
+
+// TestFailedForkFailsLaunch: an executor whose fork fails (its rpc port
+// is already bound on its node) fails the launch with an error on every
+// backend, instead of the standalone flow starting a cluster short of it
+// or the MPI flow waiting forever for it.
+func TestFailedForkFailsLaunch(t *testing.T) {
+	for _, backend := range chaosBackends {
+		t.Run(backend.String(), func(t *testing.T) {
+			f, wn := chaosFabric()
+			squatter, err := rpc.NewEnv("squatter", wn[1], "exec-rpc-1", rpc.DefaultEnvConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer squatter.Shutdown()
+			done := make(chan error, 1)
+			go func() {
+				cl, err := launchChaos(f, wn, backend, spark.DefaultConfig())
+				if err == nil {
+					cl.Close()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("launch succeeded with exec-1's port taken")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("launch has not returned 5 s after exec-1's fork failed")
+			}
+		})
+	}
 }
 
 func chaosConf(parts int) spark.ShuffleConf[int64, int64] {
@@ -308,23 +328,11 @@ func TestChaosExecutorKillMidReduceWithService(t *testing.T) {
 // hang, and not a spurious success.
 func TestChaosStageAttemptsExhausted(t *testing.T) {
 	const nParts = 6
-	f := fabric.New(fabric.NewIBHDRModel())
-	wn := make([]*fabric.Node, chaosWorkers)
-	for i := range wn {
-		wn[i] = f.AddNode(fmt.Sprintf("w%d", i))
-	}
+	f, wn := chaosFabric()
 	cfg := spark.DefaultConfig()
 	cfg.DefaultParallelism = 2 * chaosWorkers
 	cfg.MaxStageAttempts = 1 // first FetchFailed is terminal
-	cl, err := deploy.StartCluster(deploy.Config{
-		Fabric:         f,
-		WorkerNodes:    wn,
-		MasterNode:     f.AddNode("master"),
-		DriverNode:     f.AddNode("driver"),
-		SlotsPerWorker: 2,
-		Backend:        spark.BackendVanilla,
-		Spark:          cfg,
-	})
+	cl, err := launchChaos(f, wn, spark.BackendVanilla, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,14 +374,12 @@ func TestChaosStageAttemptsExhausted(t *testing.T) {
 	}
 }
 
-// superviseChaos turns heartbeats on with tight virtual knobs and a
-// generous missed-beat budget (timeout/interval = 15 pump rounds), so a
-// genuinely dead executor expires within a few wall-clock milliseconds
-// while a loaded -race run has ample slack before a live executor's
-// beats count as late.
+// superviseChaos turns supervision on: its missed-beat budget of 15 pump
+// rounds expires a genuinely dead executor within a few wall-clock
+// milliseconds while a loaded -race run has ample slack before a live
+// executor's beats count as late.
 func superviseChaos(cfg *spark.Config) {
-	cfg.HeartbeatInterval = 2 * time.Millisecond
-	cfg.ExecutorTimeout = 30 * time.Millisecond
+	cfg.Supervise = true
 }
 
 // TestChaosExecutorKillNarrowJob kills an executor process mid-stage

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mpi4spark/internal/collective"
 	"mpi4spark/internal/obs"
@@ -43,19 +42,16 @@ type Config struct {
 	// service, and reducers fetch merged runs from it — so executor loss
 	// no longer forgets map outputs or resubmits completed map stages.
 	ExternalShuffleService bool
-	// HeartbeatInterval is the virtual-time period of the executor →
-	// driver liveness heartbeat (spark.executor.heartbeatInterval). <= 0
-	// disables supervision entirely: executor loss is then detected only
+	// Supervise turns executor liveness supervision on: executors heartbeat
+	// the driver (spark.executor.heartbeatInterval), and one silent for
+	// executorTimeout is declared lost and replaced through the
+	// deployment's ExecutorReplacer. Off, executor loss is detected only
 	// reactively — a LaunchTask or StatusUpdate send failing, or a fetch
 	// failure naming the executor. Heartbeat traffic shares the simulated
 	// NICs with job traffic and its volume depends on wall-clock progress,
 	// so benchmark configurations leave supervision off to keep timings
 	// bit-deterministic.
-	HeartbeatInterval time.Duration
-	// ExecutorTimeout is how long the driver lets heartbeats go missing
-	// before declaring an executor lost (spark.network.timeout flavored).
-	// Zero with supervision enabled defaults to 6*HeartbeatInterval.
-	ExecutorTimeout time.Duration
+	Supervise bool
 	// EventLogPath, when non-empty, records every lifecycle event the
 	// driver's listener bus emits (job/stage/task lifecycle with per-task
 	// shuffle metrics, executor loss/replacement, collective ops, fetch
@@ -83,15 +79,6 @@ type Config struct {
 	// the race is decided on the virtual clock.
 	Speculation bool
 }
-
-// The supervision periods every supervising caller runs with
-// (harness.ClusterSpec.Supervise, the fault-tolerance example): Spark's
-// executor heartbeat and network timeout at the simulation's virtual-time
-// magnitudes.
-const (
-	DefaultHeartbeatInterval = 2 * time.Millisecond
-	DefaultExecutorTimeout   = 30 * time.Millisecond
-)
 
 // Scheduler constants no caller varies.
 const (
@@ -258,9 +245,6 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor) (*Context, e
 	if cfg.ShuffleChunkBytes <= 0 {
 		cfg.ShuffleChunkBytes = shuffle.DefaultChunkBytes
 	}
-	if cfg.HeartbeatInterval > 0 && cfg.ExecutorTimeout <= 0 {
-		cfg.ExecutorTimeout = 6 * cfg.HeartbeatInterval
-	}
 	if len(executors) == 0 {
 		return nil, fmt.Errorf("spark: context needs at least one executor")
 	}
@@ -321,7 +305,7 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor) (*Context, e
 			return nil, err
 		}
 	}
-	if cfg.HeartbeatInterval > 0 {
+	if cfg.Supervise {
 		c.superStop = make(chan struct{})
 		c.superDone = make(chan struct{})
 		go c.superviseLoop()

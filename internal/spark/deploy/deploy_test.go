@@ -2,10 +2,12 @@ package deploy
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/spark"
+	"mpi4spark/internal/vtime"
 )
 
 func testConfig(workers int, backend spark.Backend) Config {
@@ -118,20 +120,63 @@ func TestNodeFailureReroutesTasks(t *testing.T) {
 }
 
 // TestRelaunchGetsAttemptQualifiedID is the executor ID/port collision
-// regression: asking a worker to fork a second executor must yield an
-// attempt-qualified identity (exec-0.1 on a fresh rpc port), never a
-// duplicate of the live exec-0.
+// regression: a seat's replacements are attempt-qualified (exec-0.1 on a
+// fresh rpc port, then exec-0.2), never a duplicate of exec-0.
 func TestRelaunchGetsAttemptQualifiedID(t *testing.T) {
 	cl, err := StartCluster(testConfig(2, spark.BackendVanilla))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	data, _, err := cl.MasterEnv.Ask(cl.Workers[0].Addr(), WorkerEndpoint, []byte("launch-executor"), 0)
+	e := cl.Executors[0]
+	for _, want := range [][2]string{{"exec-0", "exec-rpc-0"}, {"exec-0.1", "exec-rpc-0.1"}, {"exec-0.2", "exec-rpc-0.2"}} {
+		if got := [2]string{e.ID(), e.Env().Addr().Port}; got != want {
+			t.Fatalf("fork = %s on port %s, want %s on %s", got[0], got[1], want[0], want[1])
+		}
+		if e, _, err = cl.replace(e, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSeatRefusesDeadNode: a lost executor whose node is down is refused
+// before anything is sent.
+func TestSeatRefusesDeadNode(t *testing.T) {
+	cfg := testConfig(2, spark.BackendVanilla)
+	cl, err := StartCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := string(data); got != "launched:exec-0.1" {
-		t.Fatalf("relaunch reply = %q, want launched:exec-0.1", got)
+	defer cl.Close()
+	cfg.Fabric.FailNode("w1")
+	var sent atomic.Int64
+	cfg.Fabric.SetTransferHook(func(*fabric.Node, *fabric.Node, fabric.Protocol, int, vtime.Stamp) { sent.Add(1) })
+	if e, _, err := cl.replace(cl.Executors[1], 0); err == nil {
+		t.Fatalf("replaced exec-1 on a dead node with %s", e.ID())
+	}
+	if n := sent.Load(); n != 0 {
+		t.Fatalf("refusal sent %d messages", n)
+	}
+}
+
+// TestSeatCapsForks: a seat forks eleven executors, its first and ten
+// replacements, and refuses the twelfth.
+func TestSeatCapsForks(t *testing.T) {
+	cl, err := StartCluster(testConfig(1, spark.BackendVanilla))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	e := cl.Executors[0]
+	for k := 1; k <= 10; k++ {
+		if e, _, err = cl.replace(e, 0); err != nil {
+			t.Fatalf("replacement %d: %v", k, err)
+		}
+	}
+	if e.ID() != "exec-0.10" {
+		t.Fatalf("eleventh fork = %s, want exec-0.10", e.ID())
+	}
+	if r, _, err := cl.replace(e, 0); err == nil {
+		t.Fatalf("the seat forked a twelfth executor, %s", r.ID())
 	}
 }

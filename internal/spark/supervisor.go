@@ -24,6 +24,15 @@ const HeartbeatEndpoint = "HeartbeatReceiver"
 // costed in virtual time over rpc.Env.
 const supervisionTick = time.Millisecond
 
+// Supervision at the simulation's virtual-time magnitudes: an executor
+// silent for executorTimeout is lost (spark.network.timeout), which is
+// missedBeats consecutive pump rounds of its 2 ms heartbeat
+// (spark.executor.heartbeatInterval) going missing.
+const (
+	executorTimeout = 30 * time.Millisecond
+	missedBeats     = 15
+)
+
 // ExecutorLostError marks a task failure caused by the death of the
 // executor running it. It is retryable (unlike a FetchFailedError, which
 // requires a map-stage resubmission first): the scheduler relaunches the
@@ -142,17 +151,12 @@ func (c *Context) superviseLoop() {
 	}
 }
 
-// superviseTick runs one pump + expiry round. The missed-beat budget is
-// ExecutorTimeout/HeartbeatInterval: the virtual-time knobs set how many
-// consecutive heartbeats may go missing, exactly like Spark's
+// superviseTick runs one pump + expiry round: an executor whose last
+// missedBeats heartbeats went missing is lost, exactly like Spark's
 // spark.network.timeout tolerating spark.executor.heartbeatInterval
 // multiples.
 func (c *Context) superviseTick() {
 	seq := c.pumpSeq.Add(1)
-	limit := int64(c.cfg.ExecutorTimeout / c.cfg.HeartbeatInterval)
-	if limit < 1 {
-		limit = 1
-	}
 	c.mu.Lock()
 	execs := make([]*Executor, 0, len(c.executors))
 	for _, e := range c.executors {
@@ -176,10 +180,10 @@ func (c *Context) superviseTick() {
 			h = &execHealth{}
 			c.hb[e.id] = h
 		}
-		if seq-h.lastSeq > limit {
+		if seq-h.lastSeq > missedBeats {
 			// The loss is observed one timeout after the last heartbeat
 			// the driver saw (or after the job clock, whichever is later).
-			victims = append(victims, victim{e.id, h.lastVT.Add(c.cfg.ExecutorTimeout)})
+			victims = append(victims, victim{e.id, h.lastVT.Add(executorTimeout)})
 		}
 	}
 	c.hbMu.Unlock()
@@ -282,7 +286,7 @@ func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 		return
 	}
 	// Seed the replacement's health record at the current pump sequence so
-	// it gets a full ExecutorTimeout before it can be expired.
+	// it gets a full executorTimeout before it can be expired.
 	c.hbMu.Lock()
 	c.hb[repl.id] = &execHealth{lastSeq: c.pumpSeq.Load(), lastVT: readyVT}
 	c.hbMu.Unlock()

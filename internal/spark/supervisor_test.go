@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/metrics"
@@ -12,9 +11,9 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
-// newSupervisedCluster is newTestCluster with heartbeats on: tight
-// virtual knobs, generous missed-beat budget (timeout/interval = 15 pump
-// rounds) so loaded -race runs never expire a live executor.
+// newSupervisedCluster is newTestCluster with supervision on: its
+// missed-beat budget of 15 pump rounds leaves loaded -race runs ample
+// slack before a live executor expires.
 func newSupervisedCluster(t *testing.T, workers, slots int) *testCluster {
 	t.Helper()
 	f := fabric.New(fabric.NewIBHDRModel())
@@ -44,8 +43,7 @@ func newSupervisedCluster(t *testing.T, workers, slots int) *testCluster {
 	tc.execs = execs
 	cfg := DefaultConfig()
 	cfg.DefaultParallelism = workers * slots
-	cfg.HeartbeatInterval = 2 * time.Millisecond
-	cfg.ExecutorTimeout = 30 * time.Millisecond
+	cfg.Supervise = true
 	ctx, err := NewContext(cfg, driverEnv, execs)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package spark
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestConfigValidateRejects covers the nonsensical combinations Validate
@@ -15,8 +14,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		mut   func(*Config)
 		field string
 	}{
-		{"negative heartbeat", func(c *Config) { c.HeartbeatInterval = -time.Millisecond }, "HeartbeatInterval"},
-		{"negative executor timeout", func(c *Config) { c.ExecutorTimeout = -time.Second }, "ExecutorTimeout"},
 		{"adaptive without target", func(c *Config) {
 			c.AdaptiveExecution = true
 			c.AdaptiveTargetBytes = 0
