@@ -73,6 +73,7 @@ fuzz-smoke:
 flake:
 	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned' ./internal/streaming/ ./internal/harness/
 	go test -race -count=40 -run TestFaultConformanceDupPushIdempotent ./internal/spark/shuffleservice/
+	go test -race -count=60 -run 'TestIsendGather$$' ./internal/mpi/
 
 bench:
 	go test -bench=. -benchmem -benchtime=3x ./... 2>&1 | tee bench_output.txt

@@ -472,6 +472,9 @@ func TestIsendGather(t *testing.T) {
 	for i := range rndvBody {
 		rndvBody[i] = byte(i)
 	}
+	// A send queues its envelope at the receiver before it returns: rank 1
+	// probes for tag 2 only once rank 0 has posted it.
+	posted := make(chan struct{})
 	spmd(t, c, func(h *Handle) {
 		switch h.Rank() {
 		case 0:
@@ -479,13 +482,16 @@ func TestIsendGather(t *testing.T) {
 			if !eager.completed {
 				t.Error("a gathered message under the threshold did not go eager")
 			}
-			h.IsendGather(1, 2, head, rndvBody, 0).Wait(0)
+			rndv := h.IsendGather(1, 2, head, rndvBody, 0)
+			close(posted)
+			rndv.Wait(0)
 			h.IsendGather(1, 3, head, rndvBody, 0).Wait(0)
 		case 1:
 			gh, gb, st := h.RecvGather(0, 1, 0)
 			if &gh[0] != &head[0] || &gb[0] != &eagerBody[0] || st.Count != len(head)+len(eagerBody) {
 				t.Errorf("eager gather: parts copied, or count %d", st.Count)
 			}
+			<-posted
 			if ok, probed := h.Iprobe(0, 2, 0); !ok || probed.Count != len(head)+len(rndvBody) {
 				t.Errorf("probe of a gathered rendezvous message: %v, count %d", ok, probed.Count)
 			}

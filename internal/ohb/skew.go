@@ -65,14 +65,56 @@ func generateSkewed(ctx *spark.Context, cfg SkewConfig) (*spark.RDD[spark.Pair[i
 	return data, nil
 }
 
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // fnv64 is FNV-1a over a byte slice, for order-insensitive checksums.
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
+func fnv64(b []byte) uint64 { return fnvFold(fnvOffset, b) }
+
+// fnvFold continues an FNV-1a hash h over b.
+func fnvFold(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
+}
+
+// groupChecksum is Σ fnv64(v) over vs (mod 2^64). It hashes four values
+// per pass: one byte-serial FNV chain waits on its multiply every byte,
+// four independent chains keep the multiplier busy. Each chain runs over
+// the four values' common length, then finishes its own value's tail.
+func groupChecksum(vs [][]byte) uint64 {
+	var sum uint64
+	for ; len(vs) >= 4; vs = vs[4:] {
+		a, b, c, d := vs[0], vs[1], vs[2], vs[3]
+		n := min(len(a), len(b), len(c), len(d))
+		h0, h1, h2, h3 := fnv4(a[:n], b[:n], c[:n], d[:n])
+		sum += fnvFold(h0, a[n:]) + fnvFold(h1, b[n:]) + fnvFold(h2, c[n:]) + fnvFold(h3, d[n:])
+	}
+	for _, v := range vs {
+		sum += fnv64(v)
+	}
+	return sum
+}
+
+// fnv4 runs four FNV-1a chains in step over four slices of a's length.
+// Kept out of groupChecksum so its four hashes stay in registers.
+//
+//go:noinline
+func fnv4(a, b, c, d []byte) (h0, h1, h2, h3 uint64) {
+	h0, h1, h2, h3 = fnvOffset, fnvOffset, fnvOffset, fnvOffset
+	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+	for i := range a {
+		h0 = (h0 ^ uint64(a[i])) * fnvPrime
+		h1 = (h1 ^ uint64(b[i])) * fnvPrime
+		h2 = (h2 ^ uint64(c[i])) * fnvPrime
+		h3 = (h3 ^ uint64(d[i])) * fnvPrime
+	}
+	return h0, h1, h2, h3
 }
 
 // RunSkewedGroupBy executes GroupByTest over the skewed key distribution
@@ -96,10 +138,7 @@ func RunSkewedGroupBy(ctx *spark.Context, cfg SkewConfig) (*Result, error) {
 		func() uint64 { return 0 },
 		func(acc uint64, p spark.Pair[int64, [][]byte]) uint64 {
 			g := spark.Int64Key{}.Hash(p.K) ^ (0x9E3779B97F4A7C15 * uint64(len(p.V)))
-			for _, v := range p.V {
-				g += fnv64(v)
-			}
-			return acc + g
+			return acc + g + groupChecksum(p.V)
 		},
 		func(a, b uint64) uint64 { return a + b }, 8)
 	if err != nil {

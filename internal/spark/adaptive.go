@@ -192,14 +192,14 @@ func splitCuts(sizes []int64, target int64) []int {
 	return append(cuts, len(sizes))
 }
 
-// coalescedResult is a coalesced task's result: its partitions' results in
-// covered-partition order.
+// coalescedResult is a coalesced task's result: fn's result for each of
+// its partitions, in covered-partition order.
 type coalescedResult []any
 
 // coalescedTask returns the run and resultSize that every coalesced task of
-// a result stage over final shares: a task computes the partitions of its
-// share back to back, and its result's size is the sum of theirs.
-func coalescedTask(final rddBase, resultSize func(any) int) (func(tc *TaskContext) (any, *shuffle.MapStatus, error), func(any) int) {
+// a result stage over final shares: a task applies fn to the partitions of
+// its share back to back, and its result's size is the sum of theirs.
+func coalescedTask(final rddBase, fn partitionFunc, resultSize func(any) int) (func(tc *TaskContext) (any, *shuffle.MapStatus, error), func(any) int) {
 	run := func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
 		cr := make(coalescedResult, 0, len(tc.share.parts))
 		for _, p := range tc.share.parts {
@@ -207,7 +207,7 @@ func coalescedTask(final rddBase, resultSize func(any) int) (func(tc *TaskContex
 			if err != nil {
 				return nil, nil, err
 			}
-			cr = append(cr, data)
+			cr = append(cr, fn(p, tc, data))
 		}
 		return cr, nil, nil
 	}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"mpi4spark/internal/metrics"
 )
 
 // TestBroadcastSeedMovesOBOverDriverLink is the acceptance check for the
@@ -104,6 +107,63 @@ func TestTreeAggregateMatchesReference(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("dim=%d elem %d: got %v want %v", dim, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestTreeAggregateCommittedAttempts runs TreeAggregate with speculation
+// on and one executor 20x slower, so straggling partitions are computed
+// twice. Each partition's vector must count once, from its committed
+// attempt: the result equals the partition-order sum on the driver,
+// exactly (integer-valued floats make the sum order-independent).
+func TestTreeAggregateCommittedAttempts(t *testing.T) {
+	const parts, dim = 12, 8
+	cfg := DefaultConfig()
+	cfg.Speculation = true
+	c := newTestClusterWith(t, 3, 2, BackendVanilla, cfg)
+	slow := c.execs[1].ID()
+	data := Generate(c.ctx, parts, func(part int, tc *TaskContext) []int64 {
+		out := make([]int64, 20)
+		for i := range out {
+			out[i] = int64(part*20 + i)
+		}
+		return out
+	})
+	seq := func(part int, items []int64) []float64 {
+		v := make([]float64, dim)
+		for _, x := range items {
+			v[int(x)%dim] += float64(x * int64(part+1))
+		}
+		return v
+	}
+	snap := metrics.Snapshot()
+	got, err := TreeAggregate(data, dim, func(part int, tc *TaskContext, items []int64) []float64 {
+		compute := 500 * time.Microsecond
+		if tc.ExecutorID() == slow {
+			compute *= 20
+		}
+		tc.Charge(compute)
+		return seq(part, items)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.DeltaValue(CounterSpecLaunched) == 0 {
+		t.Fatal("no speculative attempt launched; test proves nothing")
+	}
+	want := make([]float64, dim)
+	for part := 0; part < parts; part++ {
+		items := make([]int64, 20)
+		for i := range items {
+			items[i] = int64(part*20 + i)
+		}
+		for i, x := range seq(part, items) {
+			want[i] += x
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("elem %d: got %v want %v", i, got[i], want[i])
 		}
 	}
 }

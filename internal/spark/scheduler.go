@@ -72,9 +72,20 @@ func (c *Context) preferredExecutor(r rddBase, part int) string {
 	}
 }
 
+// partitionFunc is an action's per-partition function: it maps one result
+// partition's records (a []T boxed in any) to what the task sends back.
+type partitionFunc func(part int, tc *TaskContext, data any) any
+
 // runJob executes the DAG rooted at final: all not-yet-materialized
-// shuffle map stages in topological order, then the result stage, calling
-// collect with each result partition.
+// shuffle map stages in topological order, then the result stage. As in
+// Spark's runJob(rdd, func, resultHandler), a result task applies fn to its
+// partition and returns only fn's result, which the driver hands to handle
+// with the partition's index; resultSize models that result's bytes. fn runs
+// in executor slots, concurrently, and possibly more than once per
+// partition (a retry, a speculative copy): only the committed attempt's
+// result reaches handle. The one exception is a partition the adaptive
+// planner split: its sub-tasks return their records, and the driver
+// merges them and applies fn there.
 //
 // A stage that fails with a FetchFailedError (a reduce task exhausted its
 // retries against a lost map output) does not fail the job outright: the
@@ -82,7 +93,7 @@ func (c *Context) preferredExecutor(r rddBase, part int) string {
 // affected shuffles incomplete, and re-runs the DAG — which resubmits only
 // the missing map tasks, then the consuming stage. Attempts are bounded by
 // MaxStageAttempts.
-func (c *Context) runJob(final rddBase, resultSize func(any) int, collect func(part int, res any)) error {
+func (c *Context) runJob(final rddBase, fn partitionFunc, resultSize func(any) int, handle func(part int, res any)) error {
 	c.jobMu.Lock()
 	defer c.jobMu.Unlock()
 
@@ -103,7 +114,7 @@ func (c *Context) runJob(final rddBase, resultSize func(any) int, collect func(p
 
 	deps := findShuffleDeps(final)
 	for attempt := 0; ; attempt++ {
-		err := c.tryRunJob(jobID, deps, final, resultSize, collect)
+		err := c.tryRunJob(jobID, deps, final, fn, resultSize, handle)
 		if err == nil {
 			return finish(nil)
 		}
@@ -117,7 +128,7 @@ func (c *Context) runJob(final rddBase, resultSize func(any) int, collect func(p
 
 // tryRunJob is one attempt at the DAG: every incomplete shuffle map stage
 // in topological order, then the result stage.
-func (c *Context) tryRunJob(jobID int, deps []*ShuffleDep, final rddBase, resultSize func(any) int, collect func(part int, res any)) error {
+func (c *Context) tryRunJob(jobID int, deps []*ShuffleDep, final rddBase, fn partitionFunc, resultSize func(any) int, handle func(part int, res any)) error {
 	for _, dep := range deps {
 		c.mu.Lock()
 		done := c.doneShuffles[dep.shuffleID]
@@ -129,7 +140,7 @@ func (c *Context) tryRunJob(jobID int, deps []*ShuffleDep, final rddBase, result
 			return err
 		}
 	}
-	return c.runResultStage(jobID, final, resultSize, collect)
+	return c.runResultStage(jobID, final, fn, resultSize, handle)
 }
 
 // recoverFetchFailure reacts to a lost shuffle block the way the
@@ -228,9 +239,9 @@ func (c *Context) runShuffleMapStage(jobID int, dep *ShuffleDep) error {
 // adaptive planner first: when the tracker's per-reducer sizes justify it,
 // the stage's tasks are the planner's (split skewed partitions, coalesced
 // runts) instead of one per partition. Every task shares one run that
-// computes its TaskContext's partition; coalesced tasks share another that
-// computes their partitions back to back.
-func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) int, collect func(part int, res any)) error {
+// applies fn to its TaskContext's partition; coalesced tasks share another
+// that does so for their partitions back to back.
+func (c *Context) runResultStage(jobID int, final rddBase, fn partitionFunc, resultSize func(any) int, handle func(part int, res any)) error {
 	c.mu.Lock()
 	c.stageSeq++
 	stage := &stageInfo{
@@ -256,7 +267,10 @@ func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) 
 	}
 	run := func(tc *TaskContext) (any, *shuffle.MapStatus, error) {
 		data, err := final.computePartition(tc.Partition, tc)
-		return data, nil, err
+		if err != nil || tc.share.ranged() {
+			return data, nil, err
+		}
+		return fn(tc.Partition, tc, data), nil, nil
 	}
 	tasks := newTasks(stage, n, run, resultSize)
 	for i, t := range tasks {
@@ -268,7 +282,7 @@ func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) 
 		t.preferred = c.preferredExecutor(final, t.part)
 	}
 	if plan != nil && plan.coalesces > 0 {
-		runCoalesced, sizeCoalesced := coalescedTask(final, resultSize)
+		runCoalesced, sizeCoalesced := coalescedTask(final, fn, resultSize)
 		for _, t := range tasks {
 			if t.share.coalesced() > 0 {
 				t.run, t.resultSize = runCoalesced, sizeCoalesced
@@ -280,12 +294,12 @@ func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) 
 		return err
 	}
 
-	// Reassemble in partition order. comps is index-aligned with tasks
-	// whatever the completion order or speculation, the planner lists its
-	// tasks in partition order, and a split partition's sub-tasks come
+	// Hand results over in partition order. comps is index-aligned with
+	// tasks whatever the completion order or speculation, the planner lists
+	// its tasks in partition order, and a split partition's sub-tasks come
 	// consecutively, in map-range order. A split partition is merged through
-	// the RDD's partial-merge hook, charged on the driver at its latest
-	// sub-task's completion.
+	// the RDD's partial-merge hook and fn is applied to the merge, both
+	// charged on the driver at its latest sub-task's completion.
 	var subs []any
 	var subVT vtime.Stamp
 	for i, comp := range comps {
@@ -301,15 +315,15 @@ func (c *Context) runResultStage(jobID int, final rddBase, resultSize func(any) 
 				continue
 			}
 			tc := &TaskContext{StageID: stage.id, Partition: comp.part, vt: subVT, cpu: c.cfg.CPU}
-			merged := final.mergePartials(tc, subs)
+			res := fn(comp.part, tc, final.mergePartials(tc, subs))
 			c.AdvanceClock(tc.vt)
-			collect(comp.part, merged)
+			handle(comp.part, res)
 		case share.coalesced() > 0:
 			for j, res := range comp.result.(coalescedResult) {
-				collect(share.parts[j], res)
+				handle(share.parts[j], res)
 			}
 		default:
-			collect(comp.part, comp.result)
+			handle(comp.part, comp.result)
 		}
 	}
 	return nil

@@ -1,8 +1,6 @@
 package spark
 
 import (
-	"sync"
-
 	"mpi4spark/internal/collective"
 	"mpi4spark/internal/vtime"
 )
@@ -18,43 +16,40 @@ import (
 // counterpart of Spark's RDD.treeAggregate, the aggregation path of MLlib
 // (LR, SVM, KMeans, GMM gradient/statistics summing).
 func TreeAggregate[T any](r *RDD[T], dim int, seq func(part int, tc *TaskContext, items []T) []float64) ([]float64, error) {
-	// Per-partition results are kept and folded in partition order at
-	// combine time: folding as tasks finish would make the float addition
-	// order depend on goroutine scheduling and break run-to-run
-	// determinism. A stage retry can recompute a partition; the map keeps
-	// only one result per partition.
-	var mu sync.Mutex
-	partials := make(map[int][]float64)
-	homes := make(map[int]string) // partition -> executor that computed it
-	probe := MapPartitions(r, func(part int, tc *TaskContext, items []T) ([]struct{}, error) {
-		v := seq(part, tc, items)
-		mu.Lock()
-		defer mu.Unlock()
-		if _, done := partials[part]; !done {
-			partials[part] = v
-			homes[part] = tc.ExecutorID()
-		}
-		return nil, nil
+	// Each partition's vector and the executor that computed it travel in
+	// its committed task's result (one record, 16 modelled bytes), so a
+	// retried or speculative attempt the scheduler did not commit counts
+	// nowhere. The probe is a narrow child of r, so the adaptive planner
+	// never splits its stage and every vector is computed on an executor.
+	probe := MapPartitions(r, func(part int, tc *TaskContext, items []T) ([]vectorPartial, error) {
+		return []vectorPartial{{v: seq(part, tc, items), home: tc.ExecutorID()}}, nil
 	})
-	if err := r.ctx.runJob(probe, func(any) int { return 16 }, func(int, any) {}); err != nil {
+	partials, err := Collect(probe)
+	if err != nil {
 		return nil, err
 	}
+	// Folded in partition order: folding as tasks finish would make the
+	// float addition order depend on goroutine scheduling and break
+	// run-to-run determinism.
 	accs := make(map[string][]float64)
-	for part := 0; part < r.nParts; part++ {
-		v, ok := partials[part]
-		if !ok {
-			continue
-		}
-		a := accs[homes[part]]
+	for _, p := range partials {
+		a := accs[p.home]
 		if a == nil {
 			a = make([]float64, dim)
-			accs[homes[part]] = a
+			accs[p.home] = a
 		}
-		for i := 0; i < len(v) && i < dim; i++ {
-			a[i] += v[i]
+		for i := 0; i < len(p.v) && i < dim; i++ {
+			a[i] += p.v[i]
 		}
 	}
 	return r.ctx.combineExecutorVectors(dim, accs)
+}
+
+// vectorPartial is one partition's TreeAggregate vector and the executor
+// that computed it.
+type vectorPartial struct {
+	v    []float64
+	home string
 }
 
 // combineExecutorVectors runs the collective combine of TreeAggregate: the
