@@ -71,7 +71,7 @@ fuzz-smoke:
 # repeat: thirty consecutive passes each. The duplicated-push test raced the
 # fault plane's count under -race once: forty passes there.
 flake:
-	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned' ./internal/streaming/ ./internal/harness/
+	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned|TestWindowInverseMatchesRecompute|TestWindowedResultsIdenticalAcrossTransports' ./internal/streaming/ ./internal/harness/
 	go test -race -count=40 -run TestFaultConformanceDupPushIdempotent ./internal/spark/shuffleservice/
 	go test -race -count=60 -run 'TestIsendGather$$' ./internal/mpi/
 

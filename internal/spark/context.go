@@ -346,6 +346,36 @@ func (c *Context) Executors() []*Executor {
 	return append([]*Executor(nil), c.executors...)
 }
 
+// uncache forgets where an RDD's partitions are cached and drops them from
+// every executor's cache (RDD.Unpersist).
+func (c *Context) uncache(rddID, parts int) {
+	c.mu.Lock()
+	for p := 0; p < parts; p++ {
+		delete(c.cacheLocs, cacheKey{rddID: rddID, part: p})
+	}
+	c.mu.Unlock()
+	for _, e := range c.Executors() {
+		e.cacheMu.Lock()
+		for p := 0; p < parts; p++ {
+			delete(e.cached, cacheKey{rddID: rddID, part: p})
+		}
+		e.cacheMu.Unlock()
+	}
+}
+
+// CachedPartitions returns how many RDD partitions the executors hold in
+// their caches, summed over the cluster (the numCachedPartitions of Spark's
+// storage info).
+func (c *Context) CachedPartitions() int {
+	n := 0
+	for _, e := range c.Executors() {
+		e.cacheMu.RLock()
+		n += len(e.cached)
+		e.cacheMu.RUnlock()
+	}
+	return n
+}
+
 // executorCount returns the current cluster width.
 func (c *Context) executorCount() int {
 	c.mu.Lock()

@@ -182,6 +182,18 @@ func numberOf[K comparable, X any](x *keyIndex[K], held []Pair[K, X], k K, next 
 	return next, true
 }
 
+// find returns the number x files k under, where held[g].K is the key the
+// caller holds at number g; ok is false for a key not filed.
+func find[K comparable, X any](x *keyIndex[K], held []Pair[K, X], k K) (g int32, ok bool) {
+	mask := uint64(len(x.slots) - 1)
+	for i := home(x.ops.Hash(k), x.shift); x.slots[i] != 0; i = (i + 1) & mask {
+		if g := x.slots[i] - 1; held[g].K == k {
+			return g, true
+		}
+	}
+	return 0, false
+}
+
 // free is the first free slot on k's probe path.
 func (x *keyIndex[K]) free(k K) uint64 {
 	mask := uint64(len(x.slots) - 1)
@@ -417,6 +429,38 @@ func ReduceByKey[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 		tc.ChargeRecords(n, 0)
 		return merged
 	}
+	return out
+}
+
+// MergeByKey folds partitions of pairs that share a partitioner into one,
+// key by key, in first-appearance order over add: each value of add is
+// folded into its key's with f, then each value of sub into its key's with
+// inv. A key that appears only in sub has nothing to fold into and is left
+// out. It is the task side of a keyed merge over ZipPartitions, as Spark's
+// ReducedWindowedDStream folds its cogrouped values: the previous window
+// and the partials entering it in add, the partials leaving it in sub.
+func MergeByKey[K comparable, V any](tc *TaskContext, ops KeyOps[K], add, sub [][]Pair[K, V], f, inv func(a, b V) V) []Pair[K, V] {
+	index, out := newKeyIndex(ops), make([]Pair[K, V], 0, initialKeys)
+	n := 0
+	for _, part := range add {
+		n += len(part)
+		for _, p := range part {
+			if g, fresh := numberOf(&index, out, p.K, int32(len(out))); fresh {
+				out = append(out, p)
+			} else {
+				out[g].V = f(out[g].V, p.V)
+			}
+		}
+	}
+	for _, part := range sub {
+		n += len(part)
+		for _, p := range part {
+			if g, ok := find(&index, out, p.K); ok {
+				out[g].V = inv(out[g].V, p.V)
+			}
+		}
+	}
+	tc.ChargeRecords(n+len(out), 0)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package spark
 
 import (
+	"sync/atomic"
 	"time"
 
 	"mpi4spark/internal/vtime"
@@ -174,10 +175,18 @@ type Dependency interface {
 	parentRDD() rddBase
 }
 
-// narrowDep is a one-to-one partition dependency (map, filter, flatMap).
+// narrowDep is a one-to-one partition dependency (map, filter, flatMap, each
+// input of a zip): partition p reads partition p of its parent.
 type narrowDep struct{ parent rddBase }
 
 func (d narrowDep) parentRDD() rddBase { return d.parent }
+
+// rangeDep is a union's dependency on one input: a range of the child's
+// partitions maps onto the parent's, so partition p of the child is not
+// partition p of the parent.
+type rangeDep struct{ parent rddBase }
+
+func (d rangeDep) parentRDD() rddBase { return d.parent }
 
 // ShuffleDep is a wide dependency: the child's partitions depend on all
 // parent partitions through a shuffle.
@@ -228,7 +237,8 @@ type RDD[T any] struct {
 	nParts  int
 	deps    []Dependency
 	compute func(part int, tc *TaskContext) ([]T, error)
-	cached  bool
+	// cached is read by tasks and cleared by Unpersist on the driver.
+	cached atomic.Bool
 	// partialMerge, when set, reassembles one partition from the results
 	// of map-range sub-tasks (in map order) — the hook that makes the RDD
 	// splittable by the adaptive planner.
@@ -249,14 +259,32 @@ func (r *RDD[T]) NumPartitions() int { return r.nParts }
 // partition stores it on the computing executor, and later stages schedule
 // onto those executors (locality), mirroring MEMORY_ONLY persistence.
 func (r *RDD[T]) Cache() *RDD[T] {
-	r.cached = true
+	r.cached.Store(true)
 	return r
+}
+
+// Unpersist stops caching the RDD and drops its cached partitions from
+// every executor and from the driver's record of where they live, as
+// Spark's non-blocking unpersist does (its RemoveRdd messages are not
+// modelled). A later job that needs a partition recomputes it.
+func (r *RDD[T]) Unpersist() {
+	if r.cached.Swap(false) {
+		r.ctx.uncache(r.id, r.nParts)
+	}
+}
+
+// PreferredLocation returns the executor a task computing partition part
+// would prefer: a pin or a cached partition of the RDD or of an ancestor
+// it reads one-to-one ("" when there is none). It is Spark's
+// SparkContext.getPreferredLocs.
+func (r *RDD[T]) PreferredLocation(part int) string {
+	return r.ctx.preferredExecutor(r, part)
 }
 
 func (r *RDD[T]) rddID() int                 { return r.id }
 func (r *RDD[T]) partitions() int            { return r.nParts }
 func (r *RDD[T]) dependencies() []Dependency { return r.deps }
-func (r *RDD[T]) isCached() bool             { return r.cached }
+func (r *RDD[T]) isCached() bool             { return r.cached.Load() }
 
 func (r *RDD[T]) records(data any) int {
 	if data == nil {
@@ -313,7 +341,8 @@ func (r *RDD[T]) partition(part int, tc *TaskContext) ([]T, error) {
 	// A ranged sub-task sees only a slice of the partition; caching it
 	// would poison later full reads, and a cached full partition would
 	// defeat the split. Bypass the cache entirely for ranged compute.
-	if r.cached && tc.exec != nil && !tc.share.ranged() {
+	cached := r.cached.Load() && tc.exec != nil && !tc.share.ranged()
+	if cached {
 		if v, ok := tc.exec.getCached(r.id, part); ok {
 			// Cached read: charge a light in-memory scan.
 			tc.Charge(time.Duration(float64(r.records(v)) * tc.cpu.NsPerRecord / 4))
@@ -324,7 +353,7 @@ func (r *RDD[T]) partition(part int, tc *TaskContext) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.cached && tc.exec != nil && !tc.share.ranged() {
+	if cached {
 		tc.exec.putCached(r.id, part, out)
 		tc.newlyCached = append(tc.newlyCached, cacheKey{rddID: r.id, part: part})
 	}

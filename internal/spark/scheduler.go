@@ -28,15 +28,10 @@ func findShuffleDeps(final rddBase) []*ShuffleDep {
 		}
 		seenRDD[r.rddID()] = true
 		for _, d := range r.dependencies() {
-			switch dep := d.(type) {
-			case narrowDep:
-				visit(dep.parent)
-			case *ShuffleDep:
-				visit(dep.parent)
-				if !seenDep[dep.shuffleID] {
-					seenDep[dep.shuffleID] = true
-					order = append(order, dep)
-				}
+			visit(d.parentRDD())
+			if dep, ok := d.(*ShuffleDep); ok && !seenDep[dep.shuffleID] {
+				seenDep[dep.shuffleID] = true
+				order = append(order, dep)
 			}
 		}
 	}
@@ -44,32 +39,31 @@ func findShuffleDeps(final rddBase) []*ShuffleDep {
 	return order
 }
 
-// preferredExecutor walks narrow dependencies looking for a static
-// partition pin (receiver blocks, checkpointed state) or a cached ancestor
-// partition and returns the executor holding it ("" if none).
+// preferredExecutor looks for a static partition pin (receiver blocks,
+// checkpointed state) or a cached partition on r, then on each parent r
+// reads one-to-one, in dependency order, and returns the executor holding
+// the first it finds ("" if none). A zip therefore prefers its first
+// input's executor: a window merge runs where the previous window lives.
 func (c *Context) preferredExecutor(r rddBase, part int) string {
-	for {
-		if loc := r.preferredLoc(part); loc != "" {
-			return loc
+	if loc := r.preferredLoc(part); loc != "" {
+		return loc
+	}
+	if r.isCached() {
+		c.mu.Lock()
+		exec, ok := c.cacheLocs[cacheKey{rddID: r.rddID(), part: part}]
+		c.mu.Unlock()
+		if ok {
+			return exec
 		}
-		if r.isCached() {
-			c.mu.Lock()
-			exec, ok := c.cacheLocs[cacheKey{rddID: r.rddID(), part: part}]
-			c.mu.Unlock()
-			if ok {
-				return exec
+	}
+	for _, d := range r.dependencies() {
+		if nd, ok := d.(narrowDep); ok {
+			if loc := c.preferredExecutor(nd.parent, part); loc != "" {
+				return loc
 			}
 		}
-		deps := r.dependencies()
-		if len(deps) != 1 {
-			return ""
-		}
-		nd, ok := deps[0].(narrowDep)
-		if !ok {
-			return ""
-		}
-		r = nd.parent
 	}
+	return ""
 }
 
 // partitionFunc is an action's per-partition function: it maps one result

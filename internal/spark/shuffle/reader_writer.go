@@ -182,9 +182,12 @@ func (m *Manager) FetchShuffleRange(
 	// view is already missing this map output, and a status with no
 	// partition reduceID cannot be read; each is a fetch failure in its own
 	// right (zero Loc — nothing to unregister). Only the requested range
-	// matters to this task. The same pass counts the remote blocks, so that
-	// their slices are sized once.
-	remote := 0
+	// matters to this task. The same pass numbers the peers in
+	// first-appearance order (kept deterministic for the virtual-time
+	// schedule) and counts each one's remote blocks, so that their slice is
+	// sized once and grouped as it is filled.
+	peers := make([]string, 0, 8) // executor of each peer index
+	starts := make([]int, 0, 8)   // each peer's remote blocks; then where its next one goes
 	for mapID := mapLo; mapID < mapHi; mapID++ {
 		st := statuses[mapID]
 		if st == nil || reduceID < 0 || reduceID >= len(st.Sizes) {
@@ -195,8 +198,16 @@ func (m *Manager) FetchShuffleRange(
 			return nil, at, &FetchFailedError{ShuffleID: shuffleID, MapID: mapID, ReduceID: reduceID, Err: err}
 		}
 		if st.Sizes[reduceID] != 0 && st.Loc.ExecID != selfID {
-			remote++
+			peer := slices.Index(peers, st.Loc.ExecID)
+			if peer < 0 {
+				peer, peers, starts = len(peers), append(peers, st.Loc.ExecID), append(starts, 0)
+			}
+			starts[peer]++
 		}
+	}
+	remote := 0
+	for i, n := range starts {
+		starts[i], remote = remote, remote+n
 	}
 
 	// Budget gate: batches launch while their declared bytes fit in
@@ -208,14 +219,13 @@ func (m *Manager) FetchShuffleRange(
 	f := &fetchState{results: make([]FetchResult, len(statuses)), maxVT: at}
 	f.cond.L = &f.mu
 
-	// Pass 1: local reads, and the remote blocks in map order, each with its
-	// peer's index in first-appearance order (kept deterministic for the
-	// virtual-time schedule). A local block is looked up by its numbers;
-	// every remote one is named from one string.
+	// Pass 1: local reads, and the remote blocks placed in map order after
+	// the blocks of their peer that came before, so that each peer's blocks
+	// are together and the peers in first-appearance order. A local block is
+	// looked up by its numbers; every remote one is named from one string.
 	var names storage.ShuffleBlockIDs
 	names.Grow(remote, shuffleID, mapHi-1, reduceID)
-	blocks := make([]remoteBlock, 0, remote)
-	peers := make([]string, 0, 8) // executor of each peer index
+	blocks := make([]remoteBlock, remote)
 	var merged storage.BlockID
 	for mapID := mapLo; mapID < mapHi; mapID++ {
 		st := statuses[mapID]
@@ -240,9 +250,6 @@ func (m *Manager) FetchShuffleRange(
 			continue
 		}
 		peer := slices.Index(peers, st.Loc.ExecID)
-		if peer < 0 {
-			peer, peers = len(peers), append(peers, st.Loc.ExecID)
-		}
 		if st.Loc.Service && merged == "" {
 			// The merged run a service group asks for first: the whole
 			// partition, or for a sub-task the block that is its map range of it.
@@ -251,15 +258,16 @@ func (m *Manager) FetchShuffleRange(
 				merged = RangedMergedBlockID(shuffleID, reduceID, mapLo, mapHi)
 			}
 		}
-		blocks = append(blocks, remoteBlock{
+		blocks[starts[peer]] = remoteBlock{
 			mapID: mapID, id: string(names.ID(shuffleID, mapID, reduceID)), size: st.Sizes[reduceID], loc: st.Loc,
 			sum: st.Sums[reduceID], peer: peer,
-		})
+		}
+		starts[peer]++
 	}
-	// Group the batches in place: a stable sort by peer index puts each
-	// peer's blocks together, still in map order, and the peers in
-	// first-appearance order. Their wire form is built once, for the task.
-	slices.SortStableFunc(blocks, func(a, b remoteBlock) int { return a.peer - b.peer })
+	if f.firstErr != nil {
+		return nil, at, f.firstErr // a local block is missing: fetch nothing
+	}
+	// The batches' wire form is built once, for the task.
 	ids := make([]string, len(blocks))
 	for i, b := range blocks {
 		ids[i] = b.id

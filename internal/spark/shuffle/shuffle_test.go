@@ -3,6 +3,7 @@ package shuffle
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -505,6 +506,50 @@ func TestFetchBatchesPinned(t *testing.T) {
 			if !bytes.Equal(results[mapID].Data, want) || results[mapID].Local != (owners[mapID] == "self" && want != nil) {
 				t.Errorf("%s: map %d landed %v (local %v)", c.name, mapID, results[mapID].Data, results[mapID].Local)
 			}
+		}
+	}
+}
+
+// TestFetchBatchesGroupedByPeer interleaves 300 map outputs over nine peers
+// and the reading executor: each peer's blocks go in one request, in map
+// order, and the requests leave in the order each peer's first block
+// appears.
+func TestFetchBatchesGroupedByPeer(t *testing.T) {
+	const shuffleID, reduceID, maps = 2, 0, 300
+	rng := rand.New(rand.NewSource(11))
+	served := map[string]*storage.BlockManager{}
+	statuses := make([]*MapStatus, maps)
+	var order []string
+	want := map[string][]string{}
+	for m := range statuses {
+		owner := fmt.Sprintf("e%d", rng.Intn(10))
+		if owner == "e0" {
+			owner = "self"
+		}
+		if served[owner] == nil {
+			served[owner] = storage.NewBlockManager(owner)
+		}
+		statuses[m] = NewManager(served[owner]).WriteMapOutput(shuffleID, m, [][]byte{{byte(m)}}, Location{ExecID: owner})
+		if owner == "self" {
+			continue
+		}
+		if want[owner] == nil {
+			order = append(order, owner)
+		}
+		want[owner] = append(want[owner], fmt.Sprintf("shuffle_%d_%d_%d", shuffleID, m, reduceID))
+	}
+	bts := &recordingBTS{served: served}
+	m := NewManager(served["self"])
+	m.MaxBytesInFlight = 1 // one batch at a time: calls come in launch order
+	if _, _, err := m.FetchShuffleParts(shuffleID, reduceID, statuses, "self", bts, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(bts.calls) != len(order) {
+		t.Fatalf("%d requests, want one per peer (%d)", len(bts.calls), len(order))
+	}
+	for i, call := range bts.calls {
+		if call.peer != order[i] || !reflect.DeepEqual(call.ids, want[order[i]]) {
+			t.Fatalf("request %d to %s asks %v, want %s's blocks %v", i, call.peer, call.ids, order[i], want[order[i]])
 		}
 	}
 }

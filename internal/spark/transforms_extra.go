@@ -1,11 +1,16 @@
 package spark
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Union concatenates two RDDs of the same type without a shuffle: the
 // result has the partitions of both inputs, left's first. Partition pins
 // (WithPreferred) carry through, so a union of pinned receiver blocks
 // keeps its locality.
 func Union[T any](a, b *RDD[T]) *RDD[T] {
-	deps := []Dependency{narrowDep{parent: a}, narrowDep{parent: b}}
+	deps := []Dependency{rangeDep{parent: a}, rangeDep{parent: b}}
 	na := a.nParts
 	u := newRDD(a.ctx, a.nParts+b.nParts, deps, func(part int, tc *TaskContext) ([]T, error) {
 		var src *RDD[T]
@@ -35,6 +40,43 @@ func UnionAll[T any](ins ...*RDD[T]) *RDD[T] {
 		u = Union(u, in)
 	}
 	return u
+}
+
+// ZipError reports inputs ZipPartitions cannot zip: none, or partition
+// counts that differ.
+type ZipError struct{ Counts []int }
+
+func (e *ZipError) Error() string {
+	return fmt.Sprintf("spark: cannot zip RDDs with partition counts %v", e.Counts)
+}
+
+// ZipPartitions is Spark's zipPartitions: partition p of the result is f
+// applied to partition p of every input, in input order, each read through
+// its RDD (from cache where it is cached). Every dependency is one-to-one,
+// as Spark's CoGroupedRDD makes them for parents that share its
+// partitioner, so a merge of co-partitioned inputs runs in one task per
+// partition with no shuffle; the task prefers the executor of the first
+// input that has its partition pinned or cached. Inputs whose partition
+// counts differ, or no inputs, are a *ZipError.
+func ZipPartitions[T, U any](ins []*RDD[T], f func(part int, tc *TaskContext, parts [][]T) ([]U, error)) (*RDD[U], error) {
+	counts := make([]int, len(ins))
+	deps := make([]Dependency, len(ins))
+	for i, in := range ins {
+		counts[i], deps[i] = in.nParts, narrowDep{parent: in}
+	}
+	if len(ins) == 0 || slices.ContainsFunc(counts, func(n int) bool { return n != counts[0] }) {
+		return nil, &ZipError{Counts: counts}
+	}
+	return newRDD(ins[0].ctx, counts[0], deps, func(part int, tc *TaskContext) ([]U, error) {
+		parts := make([][]T, len(ins))
+		for i, in := range ins {
+			var err error
+			if parts[i], err = in.partition(part, tc); err != nil {
+				return nil, err
+			}
+		}
+		return f(part, tc, parts)
+	}), nil
 }
 
 // FromPartitions builds an RDD over pre-materialized driver-held slices —

@@ -60,10 +60,15 @@ func (d *DStream[T]) need(batches int) {
 	}
 }
 
-// forget implements forgettable.
+// forget implements forgettable: a forgotten batch's RDD is unpersisted,
+// as Spark's DStream.clearMetadata does, so its cached partitions leave the
+// executors.
 func (d *DStream[T]) forget(olderThan int) {
 	for b := range d.done {
 		if b <= olderThan {
+			if r := d.hist[b]; r != nil {
+				r.Unpersist()
+			}
 			delete(d.done, b)
 			delete(d.hist, b)
 		}

@@ -5,7 +5,8 @@
 // receiving executor; a job generator turns each batch interval into one
 // spark job over those blocks; the windowed operator, reduce-by-key-and-
 // window (incremental when given an inverse), carries state across batches
-// through the shuffle path; and a PID rate estimator (Spark's
+// in cached partitions that one narrow merge per slide folds, with no
+// shuffle of its own; and a PID rate estimator (Spark's
 // `pid` RateEstimator) bounds receiver ingest when processing time
 // exceeds the batch interval.
 //
@@ -45,9 +46,8 @@ const (
 
 // Defaults for Config's zero values.
 const (
-	DefaultBatchInterval      = 2 * time.Millisecond
-	DefaultCheckpointInterval = 5
-	DefaultMinRate            = 1000 // events/sec
+	DefaultBatchInterval = 2 * time.Millisecond
+	DefaultMinRate       = 1000 // events/sec
 )
 
 // blocksPerBatch is how many blocks a receiver cuts each batch interval
@@ -70,10 +70,6 @@ type Config struct {
 	// MinRate floors the controller's estimate (events/sec, summed over
 	// receivers). Default 1000.
 	MinRate float64
-	// CheckpointInterval is how many slides an inverse-reduced window's
-	// state may accumulate lineage before it is materialized to the driver
-	// and rebuilt as pinned partitions. Default 5.
-	CheckpointInterval int
 }
 
 func (c *Config) validate() error {
@@ -86,17 +82,11 @@ func (c *Config) validate() error {
 	if c.BatchInterval%blocksPerBatch != 0 {
 		return bad("BatchInterval", fmt.Sprintf("%d blocks per batch cannot tile %v", blocksPerBatch, c.BatchInterval))
 	}
-	if c.CheckpointInterval < 0 {
-		return bad("CheckpointInterval", "negative checkpoint interval")
-	}
 	if c.MinRate < 0 {
 		return bad("MinRate", "negative rate floor")
 	}
 	if c.BatchInterval == 0 {
 		c.BatchInterval = DefaultBatchInterval
-	}
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = DefaultCheckpointInterval
 	}
 	if c.MinRate == 0 {
 		c.MinRate = DefaultMinRate

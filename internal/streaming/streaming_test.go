@@ -134,15 +134,13 @@ func TestPipelineMatchesExpected(t *testing.T) {
 	}
 }
 
-// windowedRun runs the two-receiver windowed count used by the harness
-// experiment at test scale and returns each output batch's sorted pairs.
-func windowedRun(t *testing.T, backend spark.Backend, invertible bool, nBatches int) map[int][]spark.Pair[int64, int64] {
+// windowedCount wires the two-receiver windowed count used by the harness
+// experiment at test scale (window 4 batches, slide 2) onto a fresh
+// cluster.
+func windowedCount(t *testing.T, backend spark.Backend, conf spark.ShuffleConf[int64, int64], invertible bool) (*harness.Cluster, *streaming.StreamingContext, *streaming.DStream[spark.Pair[int64, int64]]) {
 	t.Helper()
 	cl := testCluster(t, backend)
-	sc, err := streaming.NewContext(cl.Ctx, streaming.Config{
-		BatchInterval:      testInterval,
-		CheckpointInterval: 2, // exercise the checkpoint path mid-test
-	})
+	sc, err := streaming.NewContext(cl.Ctx, streaming.Config{BatchInterval: testInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +163,21 @@ func windowedRun(t *testing.T, backend spark.Backend, invertible bool, nBatches 
 	if invertible {
 		invF = func(a, b int64) int64 { return a - b }
 	}
-	counts, err := streaming.ReduceByKeyAndWindow(events, int64Conf(4),
+	counts, err := streaming.ReduceByKeyAndWindow(events, conf,
 		func(a, b int64) int64 { return a + b }, invF,
 		4*testInterval, 2*testInterval,
 		func(_, v int64) bool { return v != 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cl, sc, counts
+}
+
+// windowedRun runs the windowed count and returns each output batch's
+// sorted pairs.
+func windowedRun(t *testing.T, backend spark.Backend, invertible bool, nBatches int) map[int][]spark.Pair[int64, int64] {
+	t.Helper()
+	_, sc, counts := windowedCount(t, backend, int64Conf(4), invertible)
 	got := make(map[int][]spark.Pair[int64, int64])
 	streaming.Foreach(counts, func(batch int, items []spark.Pair[int64, int64]) error {
 		if items == nil {
@@ -192,8 +198,8 @@ func windowedRun(t *testing.T, backend spark.Backend, invertible bool, nBatches 
 // window must produce exactly what full recomputation produces, batch by
 // batch, including across checkpoints.
 func TestWindowInverseMatchesRecompute(t *testing.T) {
-	plain := windowedRun(t, spark.BackendVanilla, false, 12)
-	inc := windowedRun(t, spark.BackendVanilla, true, 12)
+	plain := windowedRun(t, spark.BackendVanilla, false, 24)
+	inc := windowedRun(t, spark.BackendVanilla, true, 24)
 	if len(plain) == 0 {
 		t.Fatal("no window outputs")
 	}
@@ -210,9 +216,9 @@ func TestWindowInverseMatchesRecompute(t *testing.T) {
 // TestWindowedResultsIdenticalAcrossTransports: the same stream on all
 // four backends yields bit-identical windowed outputs.
 func TestWindowedResultsIdenticalAcrossTransports(t *testing.T) {
-	ref := windowedRun(t, spark.BackendVanilla, true, 10)
+	ref := windowedRun(t, spark.BackendVanilla, true, 24)
 	for _, backend := range []spark.Backend{spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt} {
-		got := windowedRun(t, backend, true, 10)
+		got := windowedRun(t, backend, true, 24)
 		if len(got) != len(ref) {
 			t.Fatalf("%s: %d output batches, want %d", backend, len(got), len(ref))
 		}
@@ -322,7 +328,6 @@ func TestConfigValidation(t *testing.T) {
 		{BatchInterval: -time.Millisecond},
 		{BatchInterval: 3},                      // shorter than one nanosecond per block
 		{BatchInterval: 2*time.Millisecond + 2}, // four blocks do not tile it
-		{CheckpointInterval: -1},
 		{MinRate: -5},
 	}
 	for i, cfg := range bad {
