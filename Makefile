@@ -78,7 +78,8 @@ flake:
 bench:
 	go test -bench=. -benchmem -benchtime=3x ./... 2>&1 | tee bench_output.txt
 
-# Regenerate every figure/table of the paper's evaluation.
+# Regenerate every figure and table of the evaluation: every -exp but the
+# single runs (ohb, hibench), each failing on its own checks.
 experiments:
 	go run ./cmd/experiments -exp all -md
 

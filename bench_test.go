@@ -23,13 +23,15 @@ import (
 )
 
 // benchOpts keeps -bench runs laptop-quick; cmd/experiments exposes the
-// larger paper-regime scales.
+// larger paper-regime scales. Every field is set: the harness's Run*
+// functions take options as given.
 func benchOpts() harness.Options {
 	return harness.Options{
 		Workers:        4,
 		WorkerCounts:   []int{2, 4},
 		BytesPerWorker: 2 << 20,
 		TotalBytes:     8 << 20,
+		ValueBytes:     100,
 		SlotsPerWorker: 2,
 		Seed:           2022,
 	}
@@ -55,49 +57,31 @@ func BenchmarkFig8NettyPingPong(b *testing.B) {
 	}
 }
 
-// runOHBBench builds a cluster, runs one OHB benchmark, and reports the
+// benchOHBPoint times one point of Figures 9-11: harness.RunOHB, the run
+// the figure itself makes at (workers, backend, totalBytes), reporting its
 // virtual total and shuffle-read times.
-func runOHBBench(b *testing.B, backend spark.Backend, workers int, bench string) {
+func benchOHBPoint(b *testing.B, backend spark.Backend, workers int, bench string, totalBytes int64) {
 	b.Helper()
 	o := benchOpts()
-	cfg := ohb.Config{
-		Mappers:        workers * o.SlotsPerWorker,
-		Reducers:       workers * o.SlotsPerWorker,
-		PairsPerMapper: int(o.BytesPerWorker * int64(workers) / int64(workers*o.SlotsPerWorker) / 108),
-		ValueBytes:     100,
-		Seed:           o.Seed,
-	}
-	var total, read vtime.Stamp
+	spec := harness.ClusterSpec{System: harness.Frontera, Workers: workers, Backend: backend, SlotsPerWorker: o.SlotsPerWorker}
+	var res *ohb.Result
 	for i := 0; i < b.N; i++ {
-		cl, err := harness.BuildCluster(harness.ClusterSpec{
-			System: harness.Frontera, Workers: workers, Backend: backend,
-			SlotsPerWorker: o.SlotsPerWorker,
-		})
-		if err != nil {
+		var err error
+		if res, err = harness.RunOHB(o, spec, bench, totalBytes); err != nil {
 			b.Fatal(err)
 		}
-		var res *ohb.Result
-		if bench == "SortBy" {
-			res, err = ohb.RunSortByTest(cl.Ctx, cfg)
-		} else {
-			res, err = ohb.RunGroupByTest(cl.Ctx, cfg)
-		}
-		cl.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total, read = res.Total, res.ShuffleReadTime()
 	}
-	b.ReportMetric(float64(total.AsDuration().Microseconds())/1000, "total-vt-ms")
-	b.ReportMetric(float64(read.AsDuration().Microseconds())/1000, "read-vt-ms")
+	b.ReportMetric(float64(res.Total.AsDuration().Microseconds())/1000, "total-vt-ms")
+	b.ReportMetric(float64(res.ShuffleReadTime().AsDuration().Microseconds())/1000, "read-vt-ms")
 }
 
 // BenchmarkFig9BasicVsOptimized regenerates Figure 9: the two MPI4Spark
 // designs against Vanilla Spark on GroupByTest.
 func BenchmarkFig9BasicVsOptimized(b *testing.B) {
+	o := benchOpts()
 	for _, backend := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIBasic, spark.BackendMPIOpt} {
 		b.Run(backend.String(), func(b *testing.B) {
-			runOHBBench(b, backend, 2, "GroupBy")
+			benchOHBPoint(b, backend, 2, "GroupBy", o.BytesPerWorker*2)
 		})
 	}
 }
@@ -105,11 +89,12 @@ func BenchmarkFig9BasicVsOptimized(b *testing.B) {
 // BenchmarkFig10WeakScaling regenerates Figure 10: GroupBy/SortBy weak
 // scaling across backends.
 func BenchmarkFig10WeakScaling(b *testing.B) {
+	o := benchOpts()
 	for _, bench := range []string{"GroupBy", "SortBy"} {
-		for _, workers := range []int{2, 4} {
+		for _, workers := range o.WorkerCounts {
 			for _, backend := range []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIOpt} {
 				b.Run(fmt.Sprintf("%s/w=%d/%s", bench, workers, backend), func(b *testing.B) {
-					runOHBBench(b, backend, workers, bench)
+					benchOHBPoint(b, backend, workers, bench, o.BytesPerWorker*int64(workers))
 				})
 			}
 		}
@@ -123,30 +108,7 @@ func BenchmarkFig11StrongScaling(b *testing.B) {
 	for _, workers := range o.WorkerCounts {
 		for _, backend := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIOpt} {
 			b.Run(fmt.Sprintf("w=%d/%s", workers, backend), func(b *testing.B) {
-				cfg := ohb.Config{
-					Mappers:        workers * o.SlotsPerWorker,
-					Reducers:       workers * o.SlotsPerWorker,
-					PairsPerMapper: int(o.TotalBytes / int64(workers*o.SlotsPerWorker) / 108),
-					ValueBytes:     100,
-					Seed:           o.Seed,
-				}
-				var total vtime.Stamp
-				for i := 0; i < b.N; i++ {
-					cl, err := harness.BuildCluster(harness.ClusterSpec{
-						System: harness.Frontera, Workers: workers, Backend: backend,
-						SlotsPerWorker: o.SlotsPerWorker,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := ohb.RunGroupByTest(cl.Ctx, cfg)
-					cl.Close()
-					if err != nil {
-						b.Fatal(err)
-					}
-					total = res.Total
-				}
-				b.ReportMetric(float64(total.AsDuration().Microseconds())/1000, "total-vt-ms")
+				benchOHBPoint(b, backend, workers, "GroupBy", o.TotalBytes)
 			})
 		}
 	}

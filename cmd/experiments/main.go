@@ -3,6 +3,7 @@
 // cluster and prints them as text or Markdown. It also runs any single
 // point of them: one OHB benchmark or one HiBench workload on one system
 // and backend, built by the same derivation as the figure it belongs to.
+// The experiments are harness.Experiments; -h lists their names.
 //
 // Usage:
 //
@@ -31,8 +32,16 @@ import (
 )
 
 func main() {
+	var figures, oneRuns []string
+	for _, e := range harness.Experiments {
+		if e.OneRun {
+			oneRuns = append(oneRuns, e.Name)
+		} else {
+			figures = append(figures, e.Name)
+		}
+	}
 	var (
-		exp            = flag.String("exp", "all", "experiment: fig8|fig9|fig10|fig11|fig12|fig12c|headline|chaos|skew|scale|netchaos|streaming|all, or one run: ohb|hibench")
+		exp            = flag.String("exp", "all", fmt.Sprintf("experiment: %s|all, or one run: %s", strings.Join(figures, "|"), strings.Join(oneRuns, "|")))
 		eventLogDir    = flag.String("eventlog-dir", "", "chaos/skew/netchaos/streaming: also record one JSONL event log per run in this directory")
 		eventLog       = flag.String("eventlog", "", "ohb/hibench: record the run's lifecycle events as JSONL at this path (replay with cmd/eventlog)")
 		bench          = flag.String("bench", "GroupBy", "OHB benchmark: GroupBy|SortBy (fig10/fig11/ohb), Bcast|Allreduce (ohb)")
@@ -79,95 +88,52 @@ func main() {
 	check(err)
 	system, err := harness.SystemByName(*systemName)
 	check(err)
+	a := harness.Args{
+		Sizes:       intList("-sizes", *sizes, 0),
+		Bench:       *bench,
+		Workload:    *workload,
+		System:      system,
+		Backend:     backend,
+		Iters:       *iters,
+		EventLog:    *eventLog,
+		EventLogDir: *eventLogDir,
+	}
 
-	run := func(name string) {
+	ran := false
+	for _, e := range harness.Experiments {
+		if *exp != e.Name && (*exp != "all" || e.OneRun) {
+			continue
+		}
+		if *exp == "all" {
+			fmt.Fprintf(os.Stderr, "running %s...\n", e.Name)
+		}
 		// Counters are process-global and accumulate across experiments in
 		// one invocation; snapshot so each run reports only its own deltas.
 		snap := metrics.Snapshot()
-		defer func() {
-			if *showCounters {
-				emitCounterDeltas(name, snap.Delta(), *markdown)
-			}
-		}()
-		switch name {
-		case "fig8":
-			_, t, err := harness.RunFig8(intList("-sizes", *sizes, 0))
-			check(err)
+		t, err := e.Run(o, a)
+		if t != nil {
+			// Before the error: the table shows the cell an error is about.
 			emit(t, *markdown)
-		case "fig9":
-			t, err := harness.RunFig9(o)
-			check(err)
-			emit(t, *markdown)
-		case "fig10":
-			_, t, err := harness.RunFig10(o, *bench)
-			check(err)
-			emit(t, *markdown)
-		case "fig11":
-			_, t, err := harness.RunFig11(o, *bench)
-			check(err)
-			emit(t, *markdown)
-		case "fig12":
-			_, t, err := harness.RunFig12(o, harness.Frontera,
-				[]string{"LDA", "SVM", "GMM", "Repartition", "NWeight", "TeraSort"})
-			check(err)
-			emit(t, *markdown)
-		case "fig12c":
-			_, t, err := harness.RunFig12(o, harness.Stampede2,
-				[]string{"LR", "GMM", "SVM", "Repartition"})
-			check(err)
-			emit(t, *markdown)
-		case "headline":
-			_, t, err := harness.RunHeadline(o)
-			check(err)
-			emit(t, *markdown)
-		case "chaos":
-			_, t, err := harness.RunChaosKillTable(o, *eventLogDir)
-			check(err)
-			emit(t, *markdown)
-		case "skew":
-			_, t, err := harness.RunSkewTable(o, *eventLogDir)
-			check(err)
-			emit(t, *markdown)
-		case "scale":
-			// The table first: it shows the cell an error is about.
-			_, t, err := harness.RunScale(o)
-			emit(t, *markdown)
-			check(err)
-		case "netchaos":
-			_, t, err := harness.RunNetChaosTable(o, *eventLogDir)
-			check(err)
-			emit(t, *markdown)
-		case "streaming":
-			_, t, err := harness.RunStreamingTable(o, *eventLogDir)
-			check(err)
-			emit(t, *markdown)
-		case "ohb":
-			var t *metrics.Table
-			var err error
-			if *bench == "Bcast" || *bench == "Allreduce" {
-				t, err = harness.RunOSU(o, system, backend, *bench, *iters, *eventLog)
-			} else {
-				_, t, err = harness.RunOHB(o, system, backend, *bench, *eventLog)
-			}
-			check(err)
-			emit(t, *markdown)
-		case "hibench":
-			t, err := harness.RunHiBench(o, system, backend, *workload, *eventLog)
-			check(err)
-			emit(t, *markdown)
-		default:
-			fatal(fmt.Errorf("unknown experiment %q", name))
 		}
-	}
-
-	if *exp == "all" {
-		for _, name := range []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig12c", "headline"} {
-			fmt.Fprintf(os.Stderr, "running %s...\n", name)
-			run(name)
+		check(err)
+		if *showCounters {
+			deltas := snap.Delta()
+			names := make([]string, 0, len(deltas))
+			for n := range deltas {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			t := &metrics.Table{Title: "Counter deltas: " + e.Name, Columns: []string{"Counter", "Delta"}}
+			for _, n := range names {
+				t.AddRow(n, deltas[n])
+			}
+			emit(t, *markdown)
 		}
-		return
+		ran = true
 	}
-	run(*exp)
+	if !ran {
+		fatal(fmt.Errorf("unknown experiment %q", *exp))
+	}
 }
 
 // intList parses a comma-separated list of integers >= min; an empty list
@@ -185,22 +151,6 @@ func intList(flagName, list string, min int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-func emitCounterDeltas(name string, deltas map[string]int64, markdown bool) {
-	t := &metrics.Table{
-		Title:   fmt.Sprintf("Counter deltas: %s", name),
-		Columns: []string{"Counter", "Delta"},
-	}
-	names := make([]string, 0, len(deltas))
-	for n := range deltas {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		t.AddRow(n, deltas[n])
-	}
-	emit(t, markdown)
 }
 
 func emit(t *metrics.Table, markdown bool) {

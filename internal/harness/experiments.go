@@ -2,14 +2,13 @@ package harness
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpi4spark/internal/core"
 	"mpi4spark/internal/fabric"
-	"mpi4spark/internal/faults"
 	"mpi4spark/internal/hibench"
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/mpi"
@@ -17,13 +16,12 @@ import (
 	"mpi4spark/internal/ohb"
 	"mpi4spark/internal/spark"
 	"mpi4spark/internal/spark/rpc"
-	"mpi4spark/internal/spark/shuffle"
-	"mpi4spark/internal/spark/shuffleservice"
 	"mpi4spark/internal/vtime"
 )
 
 // Options scales the experiments. Zero values select laptop-friendly
-// defaults; cmd/experiments exposes them as flags.
+// defaults when an experiment runs through Experiment.Run; cmd/experiments
+// exposes them as flags. The Run* functions below take them as given.
 type Options struct {
 	// Workers is the base worker count for Fig 9/12 and the headline run.
 	Workers int
@@ -69,14 +67,80 @@ func (o *Options) defaults() {
 	}
 }
 
+// Cell is one measured run: a fresh cluster built from Spec, and Job on
+// it. A cell can run again and again, each time on a cluster of its own.
+type Cell struct {
+	Spec ClusterSpec
+	// Counters names the counters whose deltas across Job Run returns.
+	Counters []string
+	// Setup, when set, runs on the cluster before the counters are
+	// snapshotted: work the deltas must not count (a baseline job, building
+	// a pipeline).
+	Setup func(*Cluster) error
+	Job   func(*Cluster) error
+}
+
+// Run builds the cell's cluster, runs Setup, snapshots the counters, runs
+// Job and closes the cluster. The deltas come back whether or not Job
+// failed.
+func (c Cell) Run() (map[string]int64, error) {
+	cl, err := BuildCluster(c.Spec)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	if c.Setup != nil {
+		if err := c.Setup(cl); err != nil {
+			return nil, err
+		}
+	}
+	snap := metrics.Snapshot()
+	err = c.Job(cl)
+	deltas := make(map[string]int64, len(c.Counters))
+	for _, name := range c.Counters {
+		deltas[name] = snap.DeltaValue(name)
+	}
+	return deltas, err
+}
+
+// backends is every backend, in the order the tables list them.
+var backends = []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt}
+
+// sweep runs one measurement per backend of bs and mode, backends
+// outermost, in the order the tables list them. eventLog is the run's
+// event log for cmd/eventlog, <dir>/<exp>-<backend>[-<mode>].jsonl, or ""
+// when dir is empty.
+func sweep(bs []spark.Backend, dir, exp string, modes []string, run func(b spark.Backend, mode, eventLog string) error) error {
+	for _, b := range bs {
+		for _, mode := range modes {
+			name := exp + "-" + b.String()
+			if mode != "" {
+				name += "-" + mode
+			}
+			eventLog := ""
+			if dir != "" {
+				eventLog = filepath.Join(dir, name+".jsonl")
+			}
+			if err := run(b, mode, eventLog); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// int64Conf is the shuffle of int64 pairs the chaos and streaming
+// experiments aggregate with.
+func int64Conf(parts int) spark.ShuffleConf[int64, int64] {
+	return spark.ShuffleConf[int64, int64]{Parts: parts, Ops: spark.Int64Key{},
+		Codec: spark.PairCodec[int64, int64]{Key: spark.Int64Codec{}, Val: spark.Int64Codec{}}}
+}
+
 // ohbConfig derives an OHB configuration from a data volume.
 func ohbConfig(o Options, workers, slots int, totalBytes int64) ohb.Config {
 	mappers := workers * slots
 	pairBytes := int64(o.ValueBytes + 8)
-	perMapper := int(totalBytes / int64(mappers) / pairBytes)
-	if perMapper < 10 {
-		perMapper = 10
-	}
+	perMapper := max(int(totalBytes/int64(mappers)/pairBytes), 10)
 	return ohb.Config{
 		Mappers:        mappers,
 		Reducers:       mappers,
@@ -87,87 +151,92 @@ func ohbConfig(o Options, workers, slots int, totalBytes int64) ohb.Config {
 	}
 }
 
-// runOHB builds a fresh cluster for the spec and runs one OHB benchmark.
-func runOHB(spec ClusterSpec, cfg ohb.Config, bench string) (*ohb.Result, error) {
-	cl, err := BuildCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	switch bench {
-	case "GroupBy":
-		return ohb.RunGroupByTest(cl.Ctx, cfg)
-	case "SortBy":
-		return ohb.RunSortByTest(cl.Ctx, cfg)
-	default:
-		return nil, fmt.Errorf("harness: unknown OHB benchmark %q", bench)
-	}
+// frontera is the cluster of a figure point: workers Frontera workers at
+// o's slot count.
+func frontera(o Options, workers int, b spark.Backend) ClusterSpec {
+	return ClusterSpec{System: Frontera, Workers: workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker}
 }
 
-// runWeakPoint runs one OHB benchmark at one weak-scaling point:
-// BytesPerWorker on each of `workers` workers. Figure 9 and the headline
-// are made of these and RunOHB is a single one, so a single run and the
-// figure that contains it are the same job.
-func runWeakPoint(o Options, sys System, workers int, b spark.Backend, bench, eventLog string) (*ohb.Result, error) {
-	cfg := ohbConfig(o, workers, o.SlotsPerWorker, o.BytesPerWorker*int64(workers))
-	spec := ClusterSpec{System: sys, Workers: workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker, EventLogPath: eventLog}
-	return runOHB(spec, cfg, bench)
+// RunOHB runs OHB benchmark bench (GroupBy or SortBy) once on a fresh
+// cluster built from spec, sized by ohbConfig for totalBytes across its
+// workers. Every OHB run of the figures is one of these: the points of
+// Figures 9-11, the headline and a single -exp ohb run, and the root
+// benchmarks that time those points, so each is the job of the figure
+// point it names.
+func RunOHB(o Options, spec ClusterSpec, bench string, totalBytes int64) (res *ohb.Result, err error) {
+	job, ok := map[string]func(*spark.Context, ohb.Config) (*ohb.Result, error){
+		"GroupBy": ohb.RunGroupByTest, "SortBy": ohb.RunSortByTest}[bench]
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown OHB benchmark %q", bench)
+	}
+	if spec.Workers < 1 || spec.SlotsPerWorker < 1 {
+		return nil, fmt.Errorf("harness: an OHB run needs workers and slots, got %d x %d", spec.Workers, spec.SlotsPerWorker)
+	}
+	cfg := ohbConfig(o, spec.Workers, spec.SlotsPerWorker, totalBytes)
+	_, err = Cell{Spec: spec, Job: func(cl *Cluster) (err error) {
+		res, err = job(cl.Ctx, cfg)
+		return err
+	}}.Run()
+	return res, err
+}
+
+// singleSpec is the cluster of one -exp ohb or -exp hibench run: the
+// weak-scaling point's o.Workers on the system and backend a names.
+func singleSpec(o Options, a Args) ClusterSpec {
+	return ClusterSpec{System: a.System, Workers: o.Workers, Backend: a.Backend, SlotsPerWorker: o.SlotsPerWorker, EventLogPath: a.EventLog}
 }
 
 // singleRunTitle heads the table of one run of one benchmark.
-func singleRunTitle(suite, name string, o Options, sys System, b spark.Backend) string {
+func singleRunTitle(suite, name string, o Options, a Args) string {
 	return fmt.Sprintf("%s %s: %s, %d workers x %d slots, %s backend",
-		suite, name, sys.Name, o.Workers, o.SlotsPerWorker, b)
+		suite, name, a.System.Name, o.Workers, o.SlotsPerWorker, a.Backend)
 }
 
-// RunOHB runs GroupByTest or SortByTest once, on one system and backend at
-// the weak-scaling point (o.Workers, o.BytesPerWorker), and renders the
-// paper-style stage breakdown. eventLog, when non-empty, records the run's
-// lifecycle events for cmd/eventlog.
-func RunOHB(o Options, sys System, b spark.Backend, bench, eventLog string) (*ohb.Result, *metrics.Table, error) {
-	o.defaults()
-	res, err := runWeakPoint(o, sys, o.Workers, b, bench, eventLog)
+// stageTable renders one run's stages, a TOTAL row and one note; detail
+// adds OHB's Tasks and Records columns.
+func stageTable(title, note string, stages []spark.StageTiming, total vtime.Stamp, detail bool) *metrics.Table {
+	t := &metrics.Table{Title: title, Columns: []string{"Stage", "Duration", "ShuffleBytes"}, Notes: []string{note}}
+	if detail {
+		t.Columns = []string{"Stage", "Duration", "Tasks", "Records", "ShuffleBytes"}
+	}
+	for _, s := range stages {
+		row := []any{s.Name, s.Duration()}
+		if detail {
+			row = append(row, s.Tasks, s.Records)
+		}
+		t.AddRow(append(row, s.ShuffleBytes)...)
+	}
+	t.AddRow("TOTAL", total)
+	return t
+}
+
+// runSingleOHB runs GroupByTest or SortByTest once at the weak-scaling
+// point (o.Workers, o.BytesPerWorker) and renders the paper-style stage
+// breakdown.
+func runSingleOHB(o Options, a Args) (*ohb.Result, *metrics.Table, error) {
+	res, err := RunOHB(o, singleSpec(o, a), a.Bench, o.BytesPerWorker*int64(o.Workers))
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &metrics.Table{
-		Title:   singleRunTitle("OHB", res.Name, o, sys, b),
-		Columns: []string{"Stage", "Duration", "Tasks", "Records", "ShuffleBytes"},
-		Notes:   []string{fmt.Sprintf("action output: %d", res.Output)},
-	}
-	for _, s := range res.Stages {
-		t.AddRow(s.Name, s.Duration(), s.Tasks, s.Records, s.ShuffleBytes)
-	}
-	t.AddRow("TOTAL", res.Total, "", "", "")
-	return res, t, nil
+	return res, stageTable(singleRunTitle("OHB", res.Name, o, a), fmt.Sprintf("action output: %d", res.Output),
+		res.Stages, res.Total, true), nil
 }
 
-// RunOSU runs the OSU-style latency sweep of one collective (Bcast or
-// Allreduce, iters timed iterations per message size) on one system and
-// backend; eventLog as in RunOHB.
-func RunOSU(o Options, sys System, b spark.Backend, bench string, iters int, eventLog string) (*metrics.Table, error) {
-	o.defaults()
-	sweep := ohb.RunOSUBcast
-	switch bench {
-	case "Bcast":
-	case "Allreduce":
-		sweep = ohb.RunOSUAllreduce
-	default:
-		return nil, fmt.Errorf("harness: unknown OSU collective %q", bench)
+// runOSU runs the OSU-style latency sweep of one collective (Bcast or
+// Allreduce, a.Iters timed iterations per message size).
+func runOSU(o Options, a Args) (*metrics.Table, error) {
+	osu := ohb.RunOSUBcast
+	if a.Bench == "Allreduce" {
+		osu = ohb.RunOSUAllreduce
 	}
-	cl, err := BuildCluster(ClusterSpec{System: sys, Workers: o.Workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker, EventLogPath: eventLog})
-	if err != nil {
+	var res *ohb.OSUResult
+	if _, err := (Cell{Spec: singleSpec(o, a), Job: func(cl *Cluster) (err error) {
+		res, err = osu(cl.Ctx, ohb.DefaultOSUSizes(), a.Iters)
+		return err
+	}}).Run(); err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	res, err := sweep(cl.Ctx, ohb.DefaultOSUSizes(), iters)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title:   singleRunTitle("OSU", res.Name, o, sys, b),
-		Columns: []string{"Size", "Latency"},
-	}
+	t := &metrics.Table{Title: singleRunTitle("OSU", res.Name, o, a), Columns: []string{"Size", "Latency"}}
 	for _, p := range res.Points {
 		t.AddRow(p.Bytes, p.Latency)
 	}
@@ -191,34 +260,28 @@ func RunFig8(sizes []int) ([]PingPongPoint, *metrics.Table, error) {
 	}
 	measure := func(useMPI bool) (map[int]time.Duration, error) {
 		f := fabric.New(InternalCluster.NewModel())
-		n0, n1 := f.AddNode("node0"), f.AddNode("node1")
-		var envA, envB *rpc.Env
+		nodes := []*fabric.Node{f.AddNode("node0"), f.AddNode("node1")}
+		var comm *mpi.Comm
 		if useMPI {
-			w := mpi.NewWorld(f)
-			comm := w.InitWorld([]*fabric.Node{n0, n1})
-			idA := &core.Identity{Kind: core.KindParent, World: comm.Handle(0)}
-			idB := &core.Identity{Kind: core.KindParent, World: comm.Handle(1)}
-			var err error
-			envA, _, err = core.NewMPIEnv("client", n0, "rpc", idA, core.DesignBasic, rpc.EnvConfig{})
-			if err != nil {
-				return nil, err
+			comm = mpi.NewWorld(f).InitWorld(nodes)
+		}
+		newEnv := func(name string, rank int) (*rpc.Env, error) {
+			if comm == nil {
+				return rpc.NewEnv(name, nodes[rank], "rpc", rpc.DefaultEnvConfig())
 			}
-			envB, _, err = core.NewMPIEnv("server", n1, "rpc", idB, core.DesignBasic, rpc.EnvConfig{})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var err error
-			envA, err = rpc.NewEnv("client", n0, "rpc", rpc.DefaultEnvConfig())
-			if err != nil {
-				return nil, err
-			}
-			envB, err = rpc.NewEnv("server", n1, "rpc", rpc.DefaultEnvConfig())
-			if err != nil {
-				return nil, err
-			}
+			id := &core.Identity{Kind: core.KindParent, World: comm.Handle(rank)}
+			env, _, err := core.NewMPIEnv(name, nodes[rank], "rpc", id, core.DesignBasic, rpc.EnvConfig{})
+			return env, err
+		}
+		envA, err := newEnv("client", 0)
+		if err != nil {
+			return nil, err
 		}
 		defer envA.Shutdown()
+		envB, err := newEnv("server", 1)
+		if err != nil {
+			return nil, err
+		}
 		defer envB.Shutdown()
 		if err := envB.RegisterEndpoint("PingPong", func(c *rpc.Call) {
 			c.Reply(c.Payload, c.VT)
@@ -289,28 +352,19 @@ func sizeLabel(n int) string {
 // RunFig9 compares MPI4Spark-Basic against MPI4Spark-Optimized and Vanilla
 // Spark on OHB GroupBy and SortBy at two scales, reproducing Figure 9.
 func RunFig9(o Options) (*metrics.Table, error) {
-	o.defaults()
 	table := &metrics.Table{
 		Title:   "Figure 9: MPI4Spark-Basic vs MPI4Spark-Optimized (Frontera profile)",
 		Columns: []string{"Benchmark", "Workers", "Backend", "Total", "ShuffleRead"},
 		Notes:   []string{"Basic's Iprobe polling starves compute; Optimized avoids it"},
 	}
-	backends := []spark.Backend{spark.BackendVanilla, spark.BackendMPIBasic, spark.BackendMPIOpt}
 	for _, bench := range []string{"GroupBy", "SortBy"} {
-		for _, workers := range []int{o.Workers / 2, o.Workers} {
-			if workers < 1 {
-				workers = 1
-			}
-			for _, b := range backends {
-				res, err := runWeakPoint(o, Frontera, workers, b, bench, "")
+		for _, workers := range []int{max(o.Workers/2, 1), o.Workers} {
+			for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIBasic, spark.BackendMPIOpt} {
+				res, err := RunOHB(o, frontera(o, workers, b), bench, o.BytesPerWorker*int64(workers))
 				if err != nil {
 					return nil, err
 				}
-				label := b.String()
-				if b == spark.BackendMPIBasic {
-					label = "MPI-Basic"
-				}
-				table.AddRow(bench, workers, label, res.Total, res.ShuffleReadTime())
+				table.AddRow(bench, workers, b, res.Total, res.ShuffleReadTime())
 			}
 		}
 	}
@@ -327,88 +381,63 @@ type ScalingRow struct {
 	Total       vtime.Stamp
 }
 
-// runScaling executes one OHB benchmark across worker counts and backends.
-func runScaling(o Options, bench string, totalBytesFor func(workers int) int64) ([]ScalingRow, error) {
-	backends := []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIOpt}
-	var rows []ScalingRow
-	for _, workers := range o.WorkerCounts {
-		cfg := ohbConfig(o, workers, o.SlotsPerWorker, totalBytesFor(workers))
-		for _, b := range backends {
-			res, err := runOHB(ClusterSpec{System: Frontera, Workers: workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker}, cfg, bench)
-			if err != nil {
-				return nil, err
-			}
-			row := ScalingRow{
-				Workers: workers,
-				Backend: b,
-				Total:   res.Total,
-			}
-			for _, s := range res.Stages {
-				switch {
-				case s.JobID == 0:
-					row.DataGen += s.Duration()
-				case s.Kind == "ShuffleMapStage":
-					row.ShuffleMap += s.Duration()
-				case s.Kind == "ResultStage" && s.ShuffleBytes > 0:
-					row.ShuffleRead += s.Duration()
-				default:
-					// Sampling job (SortBy): fold into data generation.
-					row.DataGen += s.Duration()
-				}
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-func scalingTable(title string, rows []ScalingRow) *metrics.Table {
+// runScaling executes one OHB benchmark across worker counts and backends
+// and renders the paper's breakdown under title.
+func runScaling(o Options, bench, title string, totalBytesFor func(workers int) int64) ([]ScalingRow, *metrics.Table, error) {
 	t := &metrics.Table{
 		Title:   title,
 		Columns: []string{"Workers", "Backend", "DataGen", "ShuffleWrite", "ShuffleRead", "Total"},
 		Notes:   []string{"breakdown follows the paper: Job0-ResultStage / ShuffleMapStage / shuffle-read ResultStage"},
 	}
-	for _, r := range rows {
-		t.AddRow(r.Workers, r.Backend.String(), r.DataGen, r.ShuffleMap, r.ShuffleRead, r.Total)
+	var rows []ScalingRow
+	for _, workers := range o.WorkerCounts {
+		for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIOpt} {
+			res, err := RunOHB(o, frontera(o, workers, b), bench, totalBytesFor(workers))
+			if err != nil {
+				return nil, nil, err
+			}
+			r := ScalingRow{Workers: workers, Backend: b, Total: res.Total}
+			for _, s := range res.Stages {
+				switch {
+				case s.JobID == 0:
+					r.DataGen += s.Duration()
+				case s.Kind == "ShuffleMapStage":
+					r.ShuffleMap += s.Duration()
+				case s.Kind == "ResultStage" && s.ShuffleBytes > 0:
+					r.ShuffleRead += s.Duration()
+				default:
+					// Sampling job (SortBy): fold into data generation.
+					r.DataGen += s.Duration()
+				}
+			}
+			rows = append(rows, r)
+			t.AddRow(r.Workers, r.Backend, r.DataGen, r.ShuffleMap, r.ShuffleRead, r.Total)
+		}
 	}
-	return t
+	return rows, t, nil
 }
 
 // RunFig10 reproduces the weak-scaling breakdown (Figure 10): data grows
 // with the worker count.
 func RunFig10(o Options, bench string) ([]ScalingRow, *metrics.Table, error) {
-	o.defaults()
-	rows, err := runScaling(o, bench, func(workers int) int64 {
-		return o.BytesPerWorker * int64(workers)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	title := fmt.Sprintf("Figure 10: weak scaling %sTest breakdown (Frontera profile)", bench)
-	return rows, scalingTable(title, rows), nil
+	return runScaling(o, bench, fmt.Sprintf("Figure 10: weak scaling %sTest breakdown (Frontera profile)", bench),
+		func(workers int) int64 { return o.BytesPerWorker * int64(workers) })
 }
 
 // RunFig11 reproduces the strong-scaling breakdown (Figure 11): fixed data
 // volume across worker counts.
 func RunFig11(o Options, bench string) ([]ScalingRow, *metrics.Table, error) {
-	o.defaults()
-	rows, err := runScaling(o, bench, func(int) int64 { return o.TotalBytes })
-	if err != nil {
-		return nil, nil, err
-	}
-	title := fmt.Sprintf("Figure 11: strong scaling %sTest breakdown (Frontera profile)", bench)
-	return rows, scalingTable(title, rows), nil
+	return runScaling(o, bench, fmt.Sprintf("Figure 11: strong scaling %sTest breakdown (Frontera profile)", bench),
+		func(int) int64 { return o.TotalBytes })
 }
 
-// ScaleRow is one cell of the task-axis sweep: OHB GroupBy at one slot count
-// on one backend. Readers is the number of executors that ran a task which
-// read the shuffle; Asks, ReplyBytes, Timeouts and Resubmits are the run's
-// deltas of shuffle.tracker.asks, shuffle.tracker.reply_bytes,
+// scaleRow is one cell of the task-axis sweep: OHB GroupBy at one slot
+// count on one backend. Readers is the number of executors that ran a task
+// which read the shuffle; Asks, ReplyBytes, Timeouts and Resubmits are the
+// run's deltas of shuffle.tracker.asks, shuffle.tracker.reply_bytes,
 // shuffle.fetch.timeouts and scheduler.map_stage.resubmissions. Err is the
 // job's failure, if it failed.
-type ScaleRow struct {
-	Slots       int
-	Backend     spark.Backend
+type scaleRow struct {
 	Blocks      int
 	Read, Total vtime.Stamp
 	Asks        int64
@@ -420,44 +449,45 @@ type ScaleRow struct {
 	Err         error
 }
 
+const counterResubmits = "scheduler.map_stage.resubmissions"
+
 // scaleWorkers is the task-axis sweep's worker count: the paper's 448 cores
 // are 8 Frontera nodes of 56.
 const scaleWorkers = 8
 
 // runScaleCell runs GroupBy once at (scaleWorkers, slots, o.BytesPerWorker)
 // on a fresh cluster and counts the executors that read the shuffle.
-func runScaleCell(o Options, slots int, b spark.Backend) ScaleRow {
+func runScaleCell(o Options, slots int, b spark.Backend) scaleRow {
 	cfg := ohbConfig(o, scaleWorkers, slots, o.BytesPerWorker*scaleWorkers)
-	row := ScaleRow{Slots: slots, Backend: b, Blocks: cfg.Mappers * cfg.Reducers}
-	cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: scaleWorkers, Backend: b, SlotsPerWorker: slots})
-	if err != nil {
-		row.Err = err
-		return row
-	}
-	defer cl.Close()
 	var mu sync.Mutex
 	readers := map[string]bool{}
-	cl.Ctx.Bus().Subscribe(obs.ListenerFunc(func(e obs.Event) {
-		if e.Type == obs.EvTaskEnd && e.BytesLocal+e.BytesRemote > 0 {
-			mu.Lock()
-			readers[e.Executor] = true
-			mu.Unlock()
-		}
-	}))
-	snap := metrics.Snapshot()
-	res, err := ohb.RunGroupByTest(cl.Ctx, cfg)
-	row.Asks = snap.DeltaValue("shuffle.tracker.asks")
-	row.ReplyBytes = snap.DeltaValue("shuffle.tracker.reply_bytes")
-	row.Timeouts = snap.DeltaValue("shuffle.fetch.timeouts")
-	row.Resubmits = snap.DeltaValue("scheduler.map_stage.resubmissions")
+	var res *ohb.Result
+	d, err := Cell{
+		Spec:     ClusterSpec{System: Frontera, Workers: scaleWorkers, Backend: b, SlotsPerWorker: slots},
+		Counters: []string{"shuffle.tracker.asks", "shuffle.tracker.reply_bytes", "shuffle.fetch.timeouts", counterResubmits},
+		Job: func(cl *Cluster) (err error) {
+			cl.Ctx.Bus().Subscribe(obs.ListenerFunc(func(e obs.Event) {
+				if e.Type == obs.EvTaskEnd && e.BytesLocal+e.BytesRemote > 0 {
+					mu.Lock()
+					readers[e.Executor] = true
+					mu.Unlock()
+				}
+			}))
+			res, err = ohb.RunGroupByTest(cl.Ctx, cfg)
+			return err
+		},
+	}.Run()
+	row := scaleRow{
+		Blocks: cfg.Mappers * cfg.Reducers, Err: err,
+		Asks: d["shuffle.tracker.asks"], ReplyBytes: d["shuffle.tracker.reply_bytes"],
+		Timeouts: d["shuffle.fetch.timeouts"], Resubmits: d[counterResubmits],
+	}
 	mu.Lock()
 	row.Readers = len(readers)
 	mu.Unlock()
-	if err != nil {
-		row.Err = err
-		return row
+	if err == nil {
+		row.Read, row.Total, row.Output = res.ShuffleReadTime(), res.Total, res.Output
 	}
-	row.Read, row.Total, row.Output = res.ShuffleReadTime(), res.Total, res.Output
 	return row
 }
 
@@ -469,19 +499,16 @@ func runScaleCell(o Options, slots int, b spark.Backend) ScaleRow {
 // executors that read its one shuffle. A cell that recovered from fetch
 // failures by resubmitting the map stage is exempt and footnoted: each
 // resubmission invalidates every executor's statuses, one more Ask apiece.
-func RunScale(o Options) ([]ScaleRow, *metrics.Table, error) {
-	o.defaults()
+func RunScale(o Options) (*metrics.Table, error) {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Task axis: GroupBy, %d workers, %d MiB/worker (Frontera profile), one run per cell",
 			scaleWorkers, o.BytesPerWorker>>20),
 		Columns: []string{"Slots", "Blocks", "Backend", "Read", "Total", "TrackerAsks", "Tracker MB", "FetchTimeouts"},
 	}
-	var rows []ScaleRow
 	var wrong []string
 	for _, slots := range []int{2, 14, 56} {
-		for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt} {
+		for _, b := range backends {
 			r := runScaleCell(o, slots, b)
-			rows = append(rows, r)
 			read, total, asks := any(r.Read), any(r.Total), any(r.Asks)
 			switch {
 			case r.Err != nil:
@@ -498,9 +525,9 @@ func RunScale(o Options) ([]ScaleRow, *metrics.Table, error) {
 		}
 	}
 	if len(wrong) > 0 {
-		return rows, t, fmt.Errorf("scale: tracker asks != executors: %s", strings.Join(wrong, "; "))
+		return t, fmt.Errorf("scale: tracker asks != executors: %s", strings.Join(wrong, "; "))
 	}
-	return rows, t, nil
+	return t, nil
 }
 
 // HiBenchRow is one Figure 12 measurement.
@@ -513,26 +540,16 @@ type HiBenchRow struct {
 // hibenchWorkloads returns the runnable workload set, scaled by workers.
 func hibenchWorkloads(o Options, workers, slots int) map[string]func(*spark.Context) (*hibench.Result, error) {
 	parts := workers * slots
-	perPart := int(o.BytesPerWorker * int64(workers) / int64(parts) / 400)
-	if perPart < 50 {
-		perPart = 50
-	}
+	perPart := max(int(o.BytesPerWorker*int64(workers)/int64(parts)/400), 50)
+	ml := hibench.MLConfig{Parts: parts, PerPart: perPart, Dim: 32, Iterations: 3, Seed: o.Seed}
 	return map[string]func(*spark.Context) (*hibench.Result, error){
 		"LDA": func(ctx *spark.Context) (*hibench.Result, error) {
 			return hibench.RunLDA(ctx, hibench.LDAConfig{
 				Parts: parts, DocsPer: perPart / 10, Vocab: 2000, WordsPer: 40, K: 8, Iterations: 3, Seed: o.Seed,
 			})
 		},
-		"SVM": func(ctx *spark.Context) (*hibench.Result, error) {
-			return hibench.RunSVM(ctx, hibench.MLConfig{
-				Parts: parts, PerPart: perPart, Dim: 32, Iterations: 3, Seed: o.Seed,
-			})
-		},
-		"LR": func(ctx *spark.Context) (*hibench.Result, error) {
-			return hibench.RunLogisticRegression(ctx, hibench.MLConfig{
-				Parts: parts, PerPart: perPart, Dim: 32, Iterations: 3, Seed: o.Seed,
-			})
-		},
+		"SVM": func(ctx *spark.Context) (*hibench.Result, error) { return hibench.RunSVM(ctx, ml) },
+		"LR":  func(ctx *spark.Context) (*hibench.Result, error) { return hibench.RunLogisticRegression(ctx, ml) },
 		"GMM": func(ctx *spark.Context) (*hibench.Result, error) {
 			return hibench.RunGMM(ctx, hibench.GMMConfig{
 				Parts: parts, PerPart: perPart / 2, Dim: 16, K: 4, Iterations: 3, Seed: o.Seed,
@@ -556,53 +573,30 @@ func hibenchWorkloads(o Options, workers, slots int) map[string]func(*spark.Cont
 	}
 }
 
-// runHiBench runs one HiBench workload on a fresh cluster, sized by
-// hibenchWorkloads at (o.Workers, o.BytesPerWorker). Figure 12 is made of
-// these and RunHiBench is a single one.
-func runHiBench(o Options, sys System, b spark.Backend, workload, eventLog string) (*hibench.Result, error) {
-	runner, ok := hibenchWorkloads(o, o.Workers, o.SlotsPerWorker)[workload]
+// runHiBench runs one HiBench workload on a fresh cluster built from spec,
+// sized by hibenchWorkloads at (spec.Workers, o.BytesPerWorker). Figure 12
+// is made of these and a single -exp hibench run is one.
+func runHiBench(o Options, spec ClusterSpec, workload string) (res *hibench.Result, err error) {
+	job, ok := hibenchWorkloads(o, spec.Workers, spec.SlotsPerWorker)[workload]
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", workload)
 	}
-	cl, err := BuildCluster(ClusterSpec{System: sys, Workers: o.Workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker, EventLogPath: eventLog})
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	return runner(cl.Ctx)
-}
-
-// RunHiBench runs one HiBench workload once, on one system and backend,
-// and renders its stage table. eventLog, when non-empty, records the run's
-// lifecycle events for cmd/eventlog.
-func RunHiBench(o Options, sys System, b spark.Backend, workload, eventLog string) (*metrics.Table, error) {
-	o.defaults()
-	res, err := runHiBench(o, sys, b, workload, eventLog)
-	if err != nil {
-		return nil, err
-	}
-	t := &metrics.Table{
-		Title:   singleRunTitle("HiBench", res.Name, o, sys, b),
-		Columns: []string{"Stage", "Duration", "ShuffleBytes"},
-		Notes:   []string{fmt.Sprintf("workload metric: %g", res.Metric)},
-	}
-	for _, s := range res.Stages {
-		t.AddRow(s.Name, s.Duration(), s.ShuffleBytes)
-	}
-	t.AddRow("TOTAL", res.Total, "")
-	return t, nil
+	_, err = Cell{Spec: spec, Job: func(cl *Cluster) (err error) {
+		res, err = job(cl.Ctx)
+		return err
+	}}.Run()
+	return res, err
 }
 
 // RunFig12 reproduces the HiBench comparison for one system profile:
 // Figure 12(a,b) on Frontera (with RDMA-Spark), Figure 12(c) on Stampede2
 // (no RDMA baseline there).
 func RunFig12(o Options, sys System, workloads []string) ([]HiBenchRow, *metrics.Table, error) {
-	o.defaults()
-	backends := []spark.Backend{spark.BackendVanilla}
+	bs := []spark.Backend{spark.BackendVanilla}
 	if sys.SupportsRDMA {
-		backends = append(backends, spark.BackendRDMA)
+		bs = append(bs, spark.BackendRDMA)
 	}
-	backends = append(backends, spark.BackendMPIOpt)
+	bs = append(bs, spark.BackendMPIOpt)
 
 	table := &metrics.Table{
 		Title:   fmt.Sprintf("Figure 12: Intel HiBench on %s profile (%d workers)", sys.Name, o.Workers),
@@ -610,13 +604,14 @@ func RunFig12(o Options, sys System, workloads []string) ([]HiBenchRow, *metrics
 	}
 	var rows []HiBenchRow
 	for _, wl := range workloads {
-		for _, b := range backends {
-			res, err := runHiBench(o, sys, b, wl, "")
+		for _, b := range bs {
+			spec := ClusterSpec{System: sys, Workers: o.Workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker}
+			res, err := runHiBench(o, spec, wl)
 			if err != nil {
 				return nil, nil, err
 			}
 			rows = append(rows, HiBenchRow{Workload: wl, Backend: b, Total: res.Total})
-			table.AddRow(wl, b.String(), res.Total)
+			table.AddRow(wl, b, res.Total)
 		}
 	}
 	return rows, table, nil
@@ -625,7 +620,6 @@ func RunFig12(o Options, sys System, workloads []string) ([]HiBenchRow, *metrics
 // HeadlineResult is the §VII-E summary: end-to-end and shuffle-read
 // speedups of MPI4Spark over Vanilla and RDMA-Spark for GroupByTest.
 type HeadlineResult struct {
-	Workers                   int
 	TotalVanilla              vtime.Stamp
 	TotalRDMA                 vtime.Stamp
 	TotalMPI                  vtime.Stamp
@@ -640,25 +634,16 @@ type HeadlineResult struct {
 // Spark workers (448 cores on Frontera), MPI4Spark vs Vanilla vs RDMA.
 // The paper reports 4.23x/2.04x end-to-end and 13.08x/5.56x shuffle read.
 func RunHeadline(o Options) (*HeadlineResult, *metrics.Table, error) {
-	o.defaults()
-	workers := 8
-	run := func(b spark.Backend) (*ohb.Result, error) {
-		return runWeakPoint(o, Frontera, workers, b, "GroupBy", "")
+	const workers = 8
+	var res [3]*ohb.Result
+	for i, b := range []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIOpt} {
+		var err error
+		if res[i], err = RunOHB(o, frontera(o, workers, b), "GroupBy", o.BytesPerWorker*workers); err != nil {
+			return nil, nil, err
+		}
 	}
-	v, err := run(spark.BackendVanilla)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := run(spark.BackendRDMA)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := run(spark.BackendMPIOpt)
-	if err != nil {
-		return nil, nil, err
-	}
+	v, r, m := res[0], res[1], res[2]
 	h := &HeadlineResult{
-		Workers:       workers,
 		TotalVanilla:  v.Total,
 		TotalRDMA:     r.Total,
 		TotalMPI:      m.Total,
@@ -682,502 +667,72 @@ func RunHeadline(o Options) (*HeadlineResult, *metrics.Table, error) {
 	return h, t, nil
 }
 
-// ChaosKillRow is one chaos-kill recovery measurement: the virtual cost
-// of re-running a shuffle job after an executor process died mid-reduce,
-// with the external shuffle service off (map outputs die with the
-// executor) or on (outputs survive on the per-worker services).
-type ChaosKillRow struct {
-	Backend       spark.Backend
-	Service       bool
-	BaselineTime  vtime.Stamp // the same job with no failure
-	RecoveryTime  vtime.Stamp // the job that absorbed the kill
-	Resubmissions int64       // scheduler.map_stage.resubmissions delta
-	FetchFails    int64       // scheduler.fetch_failed delta
-	ServedBytes   int64       // shuffle.service.served_bytes delta
+// Args picks what one experiment runs beside Options' sizes; each field
+// is one cmd/experiments flag, read only by the experiments named beside it.
+type Args struct {
+	Sizes       []int         // fig8: message sizes (nil: the paper's sweep)
+	Bench       string        // fig10, fig11, ohb: GroupBy|SortBy; ohb also Bcast|Allreduce
+	Workload    string        // hibench
+	System      System        // ohb, hibench
+	Backend     spark.Backend // ohb, hibench
+	Iters       int           // ohb Bcast|Allreduce: timed iterations per size
+	EventLog    string        // ohb, hibench: the run's JSONL event log
+	EventLogDir string        // chaos, skew, netchaos, streaming: one event log per run
 }
 
-// RunChaosKill measures one backend/service configuration: job 1
-// materializes a shuffle and sets the no-failure baseline, then an
-// executor process is killed the moment its first reduce task of job 2
-// starts, and job 2's recovery is timed. When eventLog is non-empty the
-// run's lifecycle events are recorded there for cmd/eventlog replay.
-func RunChaosKill(o Options, backend spark.Backend, service bool, eventLog string) (*ChaosKillRow, error) {
+// Experiment is one -exp name of cmd/experiments: a figure or table of the
+// evaluation, or a single run of one point of it.
+type Experiment struct {
+	Name string
+	// OneRun marks a single run (ohb, hibench): -exp all runs every
+	// experiment but these.
+	OneRun bool
+	run    func(Options, Args) (*metrics.Table, error)
+}
+
+// Run runs the experiment at o, its zero fields defaulted. A failed
+// experiment returns a table only where the table shows the cell the error
+// is about (scale).
+func (e Experiment) Run(o Options, a Args) (*metrics.Table, error) {
 	o.defaults()
-	const workers = 3
-	spec := ClusterSpec{
-		System:         Frontera,
-		Workers:        workers,
-		Backend:        backend,
-		SlotsPerWorker: o.SlotsPerWorker,
-		Supervise:      true,
-		ShuffleService: service,
-		EventLogPath:   eventLog,
-	}
-	cl, err := BuildCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-
-	nParts := workers * o.SlotsPerWorker
-	pairBytes := int64(o.ValueBytes + 8)
-	perPart := int(o.BytesPerWorker * int64(workers) / int64(nParts) / pairBytes)
-	if perPart < 10 {
-		perPart = 10
-	}
-	valueBytes := o.ValueBytes
-	pairs := spark.Generate(cl.Ctx, nParts, func(part int, tc *spark.TaskContext) []spark.Pair[int64, int64] {
-		out := make([]spark.Pair[int64, int64], perPart)
-		for i := range out {
-			out[i] = spark.Pair[int64, int64]{K: int64(i % 64), V: int64(part + 1)}
-		}
-		tc.ChargeRecords(len(out), (valueBytes+8)*len(out))
-		return out
-	})
-	conf := spark.ShuffleConf[int64, int64]{
-		Codec: spark.PairCodec[int64, int64]{Key: spark.Int64Codec{}, Val: spark.Int64Codec{}},
-		Ops:   spark.Int64Key{},
-		Parts: nParts,
-	}
-	summed := spark.ReduceByKey(pairs, conf, func(a, b int64) int64 { return a + b })
-
-	row := &ChaosKillRow{Backend: backend, Service: service}
-	start := cl.Ctx.Clock()
-	if _, err := spark.Collect(summed); err != nil {
-		return nil, fmt.Errorf("baseline job: %w", err)
-	}
-	row.BaselineTime = cl.Ctx.Clock() - start
-
-	// Arm the kill: the first reduce task of the next job to start on the
-	// victim takes its executor process down synchronously.
-	victim := cl.Ctx.Executors()[1]
-	var mu sync.Mutex
-	kinds := map[int]string{}
-	var killOnce sync.Once
-	cl.Ctx.Bus().Subscribe(obs.ListenerFunc(func(e obs.Event) {
-		switch e.Type {
-		case obs.EvStageSubmitted:
-			mu.Lock()
-			kinds[e.Stage] = e.StageKind
-			mu.Unlock()
-		case obs.EvTaskStart:
-			mu.Lock()
-			kind := kinds[e.Stage]
-			mu.Unlock()
-			if kind == "ResultStage" && e.Executor == victim.ID() {
-				killOnce.Do(victim.Kill)
-			}
-		}
-	}))
-
-	snap := metrics.Snapshot()
-	start = cl.Ctx.Clock()
-	if _, err := spark.Collect(summed); err != nil {
-		return nil, fmt.Errorf("recovery job: %w", err)
-	}
-	row.RecoveryTime = cl.Ctx.Clock() - start
-	row.Resubmissions = snap.DeltaValue("scheduler.map_stage.resubmissions")
-	row.FetchFails = snap.DeltaValue("scheduler.fetch_failed")
-	row.ServedBytes = snap.DeltaValue(shuffleservice.CounterServedBytes)
-	return row, nil
+	return e.run(o, a)
 }
 
-// RunChaosKillTable runs the chaos-kill recovery matrix — every backend,
-// service off then on — and renders the recovery-cost comparison.
-// eventLogDir, when non-empty, receives one JSONL log per run (named
-// chaos-<backend>-<off|on>.jsonl) for cmd/eventlog replay.
-func RunChaosKillTable(o Options, eventLogDir string) ([]ChaosKillRow, *metrics.Table, error) {
-	var rows []ChaosKillRow
-	for _, backend := range []spark.Backend{
-		spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt,
-	} {
-		for _, service := range []bool{false, true} {
-			logPath := ""
-			if eventLogDir != "" {
-				mode := "off"
-				if service {
-					mode = "on"
-				}
-				logPath = fmt.Sprintf("%s/chaos-%s-%s.jsonl", eventLogDir, backend, mode)
-			}
-			row, err := RunChaosKill(o, backend, service, logPath)
-			if err != nil {
-				return nil, nil, fmt.Errorf("chaos %s service=%v: %w", backend, service, err)
-			}
-			rows = append(rows, *row)
-		}
-	}
-	t := &metrics.Table{
-		Title:   "Chaos kill: executor death mid-reduce, recovery cost (virtual time)",
-		Columns: []string{"Backend", "Service", "Baseline", "Recovery", "Overhead%", "MapResubmits", "FetchFails"},
-		Notes: []string{
-			"service off: map outputs die with the executor -> FetchFailed + map-stage resubmission",
-			"service on: outputs survive on per-worker services -> reduce-only retry, zero resubmissions",
-		},
-	}
-	for _, r := range rows {
-		mode := "off"
-		if r.Service {
-			mode = "on"
-		}
-		overhead := 0.0
-		if r.BaselineTime > 0 {
-			overhead = 100 * float64(r.RecoveryTime-r.BaselineTime) / float64(r.BaselineTime)
-		}
-		t.AddRow(r.Backend, mode, r.BaselineTime, r.RecoveryTime,
-			fmt.Sprintf("%.1f", overhead), r.Resubmissions, r.FetchFails)
-	}
-	return rows, t, nil
-}
+// tableOf drops the rows a Run* function returns beside its table.
+func tableOf[R any](_ R, t *metrics.Table, err error) (*metrics.Table, error) { return t, err }
 
-// SkewRow is one skewed-GroupBy measurement: the OHB GroupBy pattern with
-// half the shuffle volume on a single hot key, run with adaptive execution
-// (and speculation) off or on. Checksum is the run's order-insensitive
-// group checksum — it must be identical across backends and modes, or the
-// adaptive rewrite changed the job's answer.
-type SkewRow struct {
-	Backend      spark.Backend
-	Adaptive     bool
-	Total        vtime.Stamp
-	ReduceStage  vtime.Stamp // the shuffle-read ResultStage's duration
-	Splits       int64       // scheduler.adaptive.splits delta
-	Coalesces    int64       // scheduler.adaptive.coalesces delta
-	SpecLaunched int64       // scheduler.speculation.launched delta
-	SpecWon      int64       // scheduler.speculation.won delta
-	Checksum     int64
-}
-
-// RunSkew measures one backend/adaptive configuration of the skewed
-// GroupBy. The external shuffle service is on, so split sub-tasks exercise
-// the ranged merged-run path. Speculation stays off in both modes: it is a
-// separate mechanism (proven by its own tests), and speculative attempts
-// on the uniform early stages would perturb the slot clocks and muddy the
-// adaptive comparison. The cluster shape is pinned (4 workers x 4 slots)
-// like the chaos experiment, so the hot partition can fan out across 16
-// map-range sub-tasks. The CPU model is the unscaled default (one slot =
-// one core) rather than the core-consolidation-scaled profile: skew
-// splitting targets workloads whose hot partition is bound by reduce-side
-// compute (a UDF-heavy aggregation), and the consolidation factor would
-// shrink per-record compute ~14x, leaving every backend bound by shuffle
-// fetch — a regime where no reduce-side re-partitioning can help, since
-// the same bytes cross the same wires either way. When eventLog is
-// non-empty the run's lifecycle events are recorded there for
-// cmd/eventlog replay (split sub-tasks and per-stage skew show up in its
-// timeline).
-func RunSkew(o Options, backend spark.Backend, adaptive bool, eventLog string) (*SkewRow, error) {
-	o.defaults()
-	const workers, slots = 4, 4
-	spec := ClusterSpec{
-		System:         Frontera,
-		Workers:        workers,
-		Backend:        backend,
-		SlotsPerWorker: slots,
-		CPU:            spark.DefaultCPUModel(),
-		ShuffleService: true,
-		EventLogPath:   eventLog,
-		Adaptive:       adaptive,
-	}
-	cl, err := BuildCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	cfg := ohb.SkewConfig{
-		Config: ohbConfig(o, workers, slots, o.BytesPerWorker*int64(workers)),
-	}
-	snap := metrics.Snapshot()
-	res, err := ohb.RunSkewedGroupBy(cl.Ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SkewRow{
-		Backend:      backend,
-		Adaptive:     adaptive,
-		Total:        res.Total,
-		ReduceStage:  res.ShuffleReadTime(),
-		Splits:       snap.DeltaValue(spark.CounterAdaptiveSplits),
-		Coalesces:    snap.DeltaValue(spark.CounterAdaptiveCoalesces),
-		SpecLaunched: snap.DeltaValue(spark.CounterSpecLaunched),
-		SpecWon:      snap.DeltaValue(spark.CounterSpecWon),
-		Checksum:     res.Output,
-	}, nil
-}
-
-// RunSkewTable runs the skewed-GroupBy matrix — every backend, adaptive
-// off then on — verifies every run produced the identical checksum, and
-// renders the reduce-stage comparison. eventLogDir, when non-empty,
-// receives one JSONL log per run (skew-<backend>-<off|on>.jsonl).
-func RunSkewTable(o Options, eventLogDir string) ([]SkewRow, *metrics.Table, error) {
-	var rows []SkewRow
-	for _, backend := range []spark.Backend{
-		spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt,
-	} {
-		for _, adaptive := range []bool{false, true} {
-			logPath := ""
-			if eventLogDir != "" {
-				mode := "off"
-				if adaptive {
-					mode = "on"
-				}
-				logPath = fmt.Sprintf("%s/skew-%s-%s.jsonl", eventLogDir, backend, mode)
-			}
-			row, err := RunSkew(o, backend, adaptive, logPath)
-			if err != nil {
-				return nil, nil, fmt.Errorf("skew %s adaptive=%v: %w", backend, adaptive, err)
-			}
-			rows = append(rows, *row)
+// Experiments lists every -exp name, in the order -exp all runs them.
+var Experiments = []Experiment{
+	{Name: "fig8", run: func(_ Options, a Args) (*metrics.Table, error) { return tableOf(RunFig8(a.Sizes)) }},
+	{Name: "fig9", run: func(o Options, _ Args) (*metrics.Table, error) { return RunFig9(o) }},
+	{Name: "fig10", run: func(o Options, a Args) (*metrics.Table, error) { return tableOf(RunFig10(o, a.Bench)) }},
+	{Name: "fig11", run: func(o Options, a Args) (*metrics.Table, error) { return tableOf(RunFig11(o, a.Bench)) }},
+	{Name: "fig12", run: func(o Options, _ Args) (*metrics.Table, error) {
+		return tableOf(RunFig12(o, Frontera, []string{"LDA", "SVM", "GMM", "Repartition", "NWeight", "TeraSort"}))
+	}},
+	{Name: "fig12c", run: func(o Options, _ Args) (*metrics.Table, error) {
+		return tableOf(RunFig12(o, Stampede2, []string{"LR", "GMM", "SVM", "Repartition"}))
+	}},
+	{Name: "headline", run: func(o Options, _ Args) (*metrics.Table, error) { return tableOf(RunHeadline(o)) }},
+	{Name: "chaos", run: func(o Options, a Args) (*metrics.Table, error) { return runChaosKill(o, a.EventLogDir) }},
+	{Name: "skew", run: func(o Options, a Args) (*metrics.Table, error) { return runSkew(o, a.EventLogDir) }},
+	{Name: "scale", run: func(o Options, _ Args) (*metrics.Table, error) { return RunScale(o) }},
+	{Name: "netchaos", run: func(o Options, a Args) (*metrics.Table, error) {
+		return tableOf(runNetChaos(o, backends, a.EventLogDir))
+	}},
+	{Name: "streaming", run: func(o Options, a Args) (*metrics.Table, error) { return runStreaming(o, a.EventLogDir) }},
+	{Name: "ohb", OneRun: true, run: func(o Options, a Args) (*metrics.Table, error) {
+		if a.Bench == "Bcast" || a.Bench == "Allreduce" {
+			return runOSU(o, a)
 		}
-	}
-	for _, r := range rows[1:] {
-		if r.Checksum != rows[0].Checksum {
-			return nil, nil, fmt.Errorf("skew: checksum diverged: %s adaptive=%v got %x, want %x",
-				r.Backend, r.Adaptive, r.Checksum, rows[0].Checksum)
-		}
-	}
-	t := &metrics.Table{
-		Title:   "Skewed GroupBy (hot key = 50% of data): adaptive execution off vs on",
-		Columns: []string{"Backend", "Adaptive", "ReduceStage", "E2E", "Splits", "Coalesces", "SpecLaunched", "ReduceSpeedup"},
-		Notes: []string{
-			"identical group checksums across all runs (bit-identical results)",
-			"speedup = reduce-stage duration off / on, per backend",
-		},
-	}
-	for i := 0; i < len(rows); i += 2 {
-		off, on := rows[i], rows[i+1]
-		speedup := 0.0
-		if on.ReduceStage > 0 {
-			speedup = float64(off.ReduceStage) / float64(on.ReduceStage)
-		}
-		t.AddRow(off.Backend, "off", off.ReduceStage, off.Total, off.Splits, off.Coalesces, off.SpecLaunched, "")
-		t.AddRow(on.Backend, "on", on.ReduceStage, on.Total, on.Splits, on.Coalesces, on.SpecLaunched,
-			fmt.Sprintf("%.2fx", speedup))
-	}
-	return rows, t, nil
-}
-
-// NetChaosRow is one network-chaos measurement: the OHB GroupByTest run
-// clean, then re-run on a fresh cluster under a seeded deterministic fault
-// schedule. Two schedules run per backend: "paper" is the issue's exact
-// mix (1% drop, 0.1% corruption, duplicate delivery, one mid-reduce
-// partition-and-heal) and "stress" raises the corruption and duplication
-// rates (5% / 3%) so every backend demonstrably lands corrupt frames. In
-// both, the row reconciles the fault plane's injection counters against
-// the integrity pipeline: every corrupted payload must be caught exactly
-// once — at service ingest or at reduce fetch — and the faulty run's
-// output must be bit-identical to the clean run's. Note the corruption
-// population is cross-node block serves only: pushes go to the node-local
-// service and never cross a link, so at 0.1% the paper schedule often
-// draws zero corruptions — the invariant "injected == detected" is
-// enforced either way, and the stress schedule supplies the non-trivial
-// witnesses.
-type NetChaosRow struct {
-	Backend   spark.Backend
-	Schedule  string // "paper" or "stress"
-	CleanTime vtime.Stamp
-	FaultTime vtime.Stamp
-	// Injection counts from the fault plane.
-	Drops     int64
-	Dups      int64
-	Corrupts  int64
-	Delays    int64
-	LinkDowns int64
-	// Detected is the shuffle.integrity.corrupt_detected delta; Events is
-	// the number of BlockCorrupt observability events seen on the bus.
-	// Both must equal Corrupts.
-	Detected int64
-	Events   int64
-	// Refetches counts verification-triggered refetches (per-block
-	// fallback from a poisoned merged run, or corrupt-block retries).
-	Refetches int64
-	// Checked is the number of CRC32C verifications performed.
-	Checked     int64
-	CleanOutput int64
-	FaultOutput int64
-}
-
-// netChaosPlan builds one seeded fault schedule. The partition window is
-// anchored a quarter into the clean run's shuffle-read stage and kept
-// shorter than the fetch retry policy's total exponential backoff
-// (200+400+800 µs), so reducers that lose a fetch to the partition are
-// still retrying when it heals.
-func netChaosPlan(seed int64, stress bool, reduceStart, reduceDur vtime.Stamp) faults.Plan {
-	rule := faults.LinkRule{
-		From:            "w*",
-		To:              "w*",
-		DropRate:        0.01,
-		RetransmitDelay: 300 * time.Microsecond,
-		DupRate:         0.01,
-		CorruptRate:     0.001,
-		JitterMax:       20 * time.Microsecond,
-	}
-	if stress {
-		rule.DupRate = 0.03
-		rule.CorruptRate = 0.05
-	}
-	partAt := reduceStart + reduceDur/4
-	return faults.Plan{
-		Seed:  uint64(seed),
-		Rules: []faults.LinkRule{rule},
-		Partitions: []faults.Partition{{
-			A:      []string{"w1"},
-			B:      []string{"w2"},
-			Window: faults.Window{Start: partAt, End: partAt.Add(600 * time.Microsecond)},
-		}},
-	}
-}
-
-// netChaosFaulty runs the faulted leg of one netchaos measurement and
-// fills in the row, enforcing the bit-identical and injected==detected
-// invariants against the clean leg already recorded in the row.
-func netChaosFaulty(spec ClusterSpec, cfg ohb.Config, plan faults.Plan, eventLog string, row *NetChaosRow) error {
-	spec.Faults = &plan
-	spec.EventLogPath = eventLog
-	faulty, err := BuildCluster(spec)
-	if err != nil {
-		return err
-	}
-	defer faulty.Close()
-	var corruptEvents atomic.Int64
-	faulty.Ctx.Bus().Subscribe(obs.ListenerFunc(func(e obs.Event) {
-		if e.Type == obs.EvBlockCorrupt {
-			corruptEvents.Add(1)
-		}
-	}))
-	snap := metrics.Snapshot()
-	fres, err := ohb.RunGroupByTest(faulty.Ctx, cfg)
-	if err != nil {
-		return fmt.Errorf("faulty run: %w", err)
-	}
-	row.FaultTime = fres.Total
-	row.FaultOutput = fres.Output
-	row.Detected = snap.DeltaValue(shuffle.CounterCorruptDetected)
-	row.Refetches = snap.DeltaValue(shuffle.CounterIntegrityRefetches)
-	row.Checked = snap.DeltaValue(shuffle.CounterIntegrityChecked)
-	row.Events = corruptEvents.Load()
-	plane, ok := faulty.Fabric.FaultPlane().(*faults.Plane)
-	if !ok {
-		return fmt.Errorf("fault plane not installed")
-	}
-	c := plane.Counters()
-	row.Drops, row.Dups, row.Corrupts, row.Delays, row.LinkDowns =
-		c.Drops, c.Dups, c.Corrupts, c.Delays, c.LinkDowns
-
-	if row.FaultOutput != row.CleanOutput {
-		return fmt.Errorf("output diverged under faults: clean %d, faulty %d",
-			row.CleanOutput, row.FaultOutput)
-	}
-	if row.Detected != row.Corrupts {
-		return fmt.Errorf("%d corruptions injected but %d detected", row.Corrupts, row.Detected)
-	}
-	if row.Events != row.Detected {
-		return fmt.Errorf("%d detections but %d BlockCorrupt events", row.Detected, row.Events)
-	}
-	return nil
-}
-
-// RunNetChaos measures one backend: a clean GroupByTest run, then the same
-// job on fresh clusters under the paper and stress schedules. The external
-// shuffle service is on, so corruption lands on merged-run serves and the
-// degradation chain (refetch, merged-run → per-block fallback) does the
-// repair. When eventLogDir is non-empty each faulty run's lifecycle events
-// are recorded there (netchaos-<backend>-<schedule>.jsonl).
-func RunNetChaos(o Options, backend spark.Backend, eventLogDir string) ([]NetChaosRow, error) {
-	o.defaults()
-	// Pinned shape: 4 workers x 4 slots, 32 shuffle partitions — a wide
-	// fan-out (1024 blocks pushed and fetched per run) so the fault rates
-	// have a realistic population to draw from.
-	const workers, slots, parts = 4, 4, 32
-	spec := ClusterSpec{
-		System:         Frontera,
-		Workers:        workers,
-		Backend:        backend,
-		SlotsPerWorker: slots,
-		ShuffleService: true,
-	}
-	cfg := ohbConfig(o, 1, parts, o.BytesPerWorker*int64(workers))
-
-	// Clean run: baseline time, output checksum, and the shuffle-read
-	// stage's span for anchoring the partition window. A fresh cluster's
-	// virtual clock starts at zero, so its stage stamps transfer to the
-	// faulted runs.
-	clean, err := BuildCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ohb.RunGroupByTest(clean.Ctx, cfg)
-	clean.Close()
-	if err != nil {
-		return nil, fmt.Errorf("clean run: %w", err)
-	}
-	var reduceStart, reduceDur vtime.Stamp
-	for i := len(res.Stages) - 1; i >= 0; i-- {
-		if res.Stages[i].Kind == "ResultStage" && res.Stages[i].ShuffleBytes > 0 {
-			reduceStart = res.Stages[i].Start
-			reduceDur = res.Stages[i].Duration()
-			break
-		}
-	}
-
-	var rows []NetChaosRow
-	for _, schedule := range []string{"paper", "stress"} {
-		row := NetChaosRow{
-			Backend:     backend,
-			Schedule:    schedule,
-			CleanTime:   res.Total,
-			CleanOutput: res.Output,
-		}
-		logPath := ""
-		if eventLogDir != "" {
-			logPath = fmt.Sprintf("%s/netchaos-%s-%s.jsonl", eventLogDir, backend, schedule)
-		}
-		plan := netChaosPlan(o.Seed, schedule == "stress", reduceStart, reduceDur)
-		if err := netChaosFaulty(spec, cfg, plan, logPath, &row); err != nil {
-			return nil, fmt.Errorf("netchaos %s %s: %w", backend, schedule, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RunNetChaosTable runs the network-chaos matrix — every backend, paper
-// then stress schedule — and renders the injection/detection
-// reconciliation. Each row has already been verified bit-identical to its
-// clean run and fully reconciled (injected == detected == events); the
-// table is the evidence trail. The stress rows additionally assert the
-// conformance requirement that a schedule which lands corrupt frames is
-// never silently clean (detected > 0).
-func RunNetChaosTable(o Options, eventLogDir string) ([]NetChaosRow, *metrics.Table, error) {
-	var rows []NetChaosRow
-	for _, backend := range []spark.Backend{
-		spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt,
-	} {
-		brs, err := RunNetChaos(o, backend, eventLogDir)
+		return tableOf(runSingleOHB(o, a))
+	}},
+	{Name: "hibench", OneRun: true, run: func(o Options, a Args) (*metrics.Table, error) {
+		res, err := runHiBench(o, singleSpec(o, a), a.Workload)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		for _, r := range brs {
-			if r.Schedule == "stress" && r.Detected == 0 {
-				return nil, nil, fmt.Errorf("netchaos %s stress: no corruptions detected — seam dead?", backend)
-			}
-		}
-		rows = append(rows, brs...)
-	}
-	t := &metrics.Table{
-		Title:   "Network chaos: seeded drop/dup/corrupt/partition, integrity reconciliation",
-		Columns: []string{"Backend", "Schedule", "Clean", "Faulty", "Overhead%", "Drops", "Dups", "Corrupt(inj)", "Detected", "Events", "Refetches", "Checked"},
-		Notes: []string{
-			"paper: 1% drop (300us retransmit), 1% dup, 0.1% corrupt, 20us jitter, one 600us w1|w2 partition mid-reduce",
-			"stress: same, with 3% dup and 5% corrupt (non-trivial detection witnesses on every backend)",
-			"every row: faulty output bit-identical to clean; injected == detected == BlockCorrupt events",
-		},
-	}
-	for _, r := range rows {
-		overhead := 0.0
-		if r.CleanTime > 0 {
-			overhead = 100 * float64(r.FaultTime-r.CleanTime) / float64(r.CleanTime)
-		}
-		t.AddRow(r.Backend, r.Schedule, r.CleanTime, r.FaultTime, fmt.Sprintf("%.1f", overhead),
-			r.Drops, r.Dups, r.Corrupts, r.Detected, r.Events, r.Refetches, r.Checked)
-	}
-	return rows, t, nil
+		return stageTable(singleRunTitle("HiBench", res.Name, o, a), fmt.Sprintf("workload metric: %g", res.Metric),
+			res.Stages, res.Total, false), nil
+	}},
 }

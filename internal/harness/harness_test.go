@@ -61,11 +61,11 @@ func TestSingleRunIsTheFigureJob(t *testing.T) {
 		{1 << 10, ohb.Config{Mappers: 16, Reducers: 16, PairsPerMapper: 10, ValueBytes: 100, KeyRange: 16*10/4 + 1, Seed: 7}},
 	} {
 		o := Options{Workers: 8, SlotsPerWorker: 2, BytesPerWorker: tc.bytesPerWorker, Seed: 7}
-		res, _, err := RunOHB(o, Frontera, spark.BackendMPIOpt, "GroupBy", "")
+		o.defaults()
+		res, _, err := runSingleOHB(o, Args{System: Frontera, Backend: spark.BackendMPIOpt, Bench: "GroupBy"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.defaults()
 		if headline := ohbConfig(o, 8, o.SlotsPerWorker, o.BytesPerWorker*8); res.Config != headline || res.Config != tc.want {
 			t.Errorf("%d B/worker: single run %+v, headline derivation %+v, want %+v",
 				tc.bytesPerWorker, res.Config, headline, tc.want)
@@ -175,6 +175,7 @@ func TestHeadlineShape(t *testing.T) {
 		t.Skip("cluster-scale experiment")
 	}
 	o := Options{BytesPerWorker: 16 << 20, SlotsPerWorker: 2, Seed: 1}
+	o.defaults()
 	h, table, err := RunHeadline(o)
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +215,7 @@ func TestFig12StampedeExcludesRDMA(t *testing.T) {
 		t.Skip("cluster-scale experiment")
 	}
 	o := Options{Workers: 2, BytesPerWorker: 256 << 10, Seed: 3}
+	o.defaults()
 	rows, _, err := RunFig12(o, Stampede2, []string{"Repartition"})
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +293,7 @@ func TestWeakScalingShape(t *testing.T) {
 		t.Skip("cluster-scale experiment")
 	}
 	o := Options{WorkerCounts: []int{2, 4}, BytesPerWorker: 2 << 20, SlotsPerWorker: 2, Seed: 2}
+	o.defaults()
 	rows, _, err := RunFig10(o, "GroupBy")
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +325,7 @@ func TestFig9And11Smoke(t *testing.T) {
 		t.Skip("cluster-scale experiment")
 	}
 	o := Options{Workers: 2, WorkerCounts: []int{2}, BytesPerWorker: 256 << 10, TotalBytes: 512 << 10, SlotsPerWorker: 2, Seed: 4}
+	o.defaults()
 	t9, err := RunFig9(o)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +362,7 @@ func TestFig9And11Smoke(t *testing.T) {
 func TestTrackerAsksOncePerExecutor(t *testing.T) {
 	o := Options{BytesPerWorker: 1 << 20}
 	o.defaults()
-	for _, b := range allBackends {
+	for _, b := range backends {
 		for run := 0; run < 10; run++ {
 			r := runScaleCell(o, 14, b)
 			if r.Err != nil {

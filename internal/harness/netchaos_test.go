@@ -9,7 +9,7 @@ import (
 // TestNetChaosConformance is the end-to-end chaos gate for all four
 // backends: GroupByTest under the seeded paper schedule (1% drop, 0.1%
 // corruption, duplicate delivery, one mid-reduce partition-and-heal) and
-// under the stress schedule (5% corruption, 3% duplication). RunNetChaos
+// under the stress schedule (5% corruption, 3% duplication). runNetChaos
 // itself enforces the hard invariants — faulty output bit-identical to the
 // clean run, injected corruptions == detected == BlockCorrupt events — so
 // this test asserts on top that the stress schedule produced non-trivial
@@ -17,12 +17,11 @@ import (
 // duplicate deliveries actually fired and were absorbed.
 func TestNetChaosConformance(t *testing.T) {
 	o := Options{BytesPerWorker: 4 << 20}
-	for _, backend := range []spark.Backend{
-		spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt,
-	} {
+	o.defaults()
+	for _, backend := range backends {
 		backend := backend
 		t.Run(backend.String(), func(t *testing.T) {
-			rows, err := RunNetChaos(o, backend, "")
+			rows, _, err := runNetChaos(o, []spark.Backend{backend}, "")
 			if err != nil {
 				t.Fatal(err)
 			}

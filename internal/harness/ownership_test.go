@@ -17,8 +17,6 @@ import (
 	"mpi4spark/internal/spark"
 )
 
-var allBackends = []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt}
-
 // ownedValue is the n-byte value of record seq: the sequence number, then a
 // byte stream it alone determines, so that a value can be verified from its
 // own first bytes wherever it ends up.
@@ -67,7 +65,7 @@ func TestDecodedValuesOutliveTheirTask(t *testing.T) {
 		{"single-chunk", false, 64, 512},    // ~16 KiB blocks: under every transport's chunk size
 		{"multi-chunk", true, 40, 64 << 10}, // ~1.25 MiB blocks: over the 1 MiB rpc chunk, UCR's 128 KiB and the MPI eager threshold
 	}
-	for _, backend := range allBackends {
+	for _, backend := range backends {
 		for _, shape := range shapes {
 			backend, shape := backend, shape
 			t.Run(backend.String()+"/"+shape.name, func(t *testing.T) {
@@ -160,7 +158,7 @@ func TestGroupByAllocationBudget(t *testing.T) {
 		{"GroupBy", ohb.RunGroupByTest, 2.6},
 		{"SortBy", ohb.RunSortByTest, 2.1},
 	} {
-		for _, backend := range allBackends {
+		for _, backend := range backends {
 			cl, err := BuildCluster(ClusterSpec{System: Frontera, Workers: 4, Backend: backend, SlotsPerWorker: 2})
 			if err != nil {
 				t.Fatal(err)

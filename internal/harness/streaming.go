@@ -49,9 +49,9 @@ type streamTrial struct {
 	stats    []streaming.BatchStat
 	checksum uint64
 	// Counter deltas for the run.
-	offered, ingested, deferred, limited int64
-	finalLimit                           float64
-	backlog                              int64 // events still queued at receivers
+	offered, ingested, limited int64
+	finalLimit                 float64
+	backlog                    int64 // events still queued at receivers
 }
 
 // p95Proc is the trial's 95th-percentile batch processing time.
@@ -61,89 +61,80 @@ func (t *streamTrial) p95Proc() vtime.Stamp {
 		procs[i] = b.Proc()
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-	idx := int(math.Ceil(0.95*float64(len(procs)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return procs[idx]
+	return procs[max(int(math.Ceil(0.95*float64(len(procs))))-1, 0)]
 }
 
 // runStreamingTrial builds a fresh cluster and runs the windowed-count
 // pipeline for nBatches at a total offered rate (split across receivers).
 func runStreamingTrial(spec ClusterSpec, rate float64, backpressure bool, nBatches int) (*streamTrial, error) {
-	cl, err := BuildCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-
-	sc, err := streaming.NewContext(cl.Ctx, streaming.Config{
-		BatchInterval: streamInterval,
-		Backpressure:  backpressure,
-		MinRate:       streamMinRate,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	conf := spark.ShuffleConf[int64, int64]{
-		Codec: spark.PairCodec[int64, int64]{Key: spark.Int64Codec{}, Val: spark.Int64Codec{}},
-		Ops:   spark.Int64Key{},
-		Parts: spec.Workers * spec.SlotsPerWorker,
-	}
-
-	var handles []streaming.ReceiverHandle
-	var ins []*streaming.DStream[spark.Pair[int64, int64]]
-	for i := 0; i < streamReceivers; i++ {
-		idx := int64(i)
-		in, h, err := streaming.Receive(sc, streaming.ReceiverConfig[spark.Pair[int64, int64]]{
-			Name:       fmt.Sprintf("gen-%d", i),
-			Rate:       rate / streamReceivers,
-			EventBytes: 16,
-			Gen: func(seq int64) spark.Pair[int64, int64] {
-				// Interleave the receivers' sequence spaces so their key
-				// streams differ but stay a pure function of (receiver, seq).
-				return spark.Pair[int64, int64]{K: streamMix(seq*streamReceivers+idx) % streamKeyRange, V: 1}
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		handles = append(handles, h)
-		ins = append(ins, in)
-	}
-	events := streaming.Union(ins[0], ins[1])
-
-	counts, err := streaming.ReduceByKeyAndWindow(events, conf,
-		func(a, b int64) int64 { return a + b },
-		func(a, b int64) int64 { return a - b },
-		4*streamInterval, 2*streamInterval,
-		func(_, v int64) bool { return v != 0 })
-	if err != nil {
-		return nil, err
-	}
-
 	trial := &streamTrial{}
-	streaming.Foreach(counts, func(batch int, items []spark.Pair[int64, int64]) error {
-		for _, p := range items {
-			trial.checksum ^= streamSig(batch, p.K, p.V)
-		}
-		return nil
-	})
-
-	snap := metrics.Snapshot()
-	if err := sc.Run(nBatches); err != nil {
+	var sc *streaming.StreamingContext
+	var handles []streaming.ReceiverHandle
+	d, err := Cell{
+		Spec:     spec,
+		Counters: []string{streaming.CounterEventsOffered, streaming.CounterEventsIngested, streaming.CounterBackpressureLimits},
+		Setup: func(cl *Cluster) (err error) {
+			sc, err = streaming.NewContext(cl.Ctx, streaming.Config{
+				BatchInterval: streamInterval,
+				Backpressure:  backpressure,
+				MinRate:       streamMinRate,
+			})
+			if err != nil {
+				return err
+			}
+			var ins []*streaming.DStream[spark.Pair[int64, int64]]
+			for i := 0; i < streamReceivers; i++ {
+				idx := int64(i)
+				in, h, err := streaming.Receive(sc, streaming.ReceiverConfig[spark.Pair[int64, int64]]{
+					Name:       fmt.Sprintf("gen-%d", i),
+					Rate:       rate / streamReceivers,
+					EventBytes: 16,
+					Gen: func(seq int64) spark.Pair[int64, int64] {
+						// Interleave the receivers' sequence spaces so their key
+						// streams differ but stay a pure function of (receiver, seq).
+						return spark.Pair[int64, int64]{K: streamMix(seq*streamReceivers+idx) % streamKeyRange, V: 1}
+					},
+				})
+				if err != nil {
+					return err
+				}
+				handles = append(handles, h)
+				ins = append(ins, in)
+			}
+			counts, err := streaming.ReduceByKeyAndWindow(streaming.Union(ins[0], ins[1]), int64Conf(spec.Workers*spec.SlotsPerWorker),
+				func(a, b int64) int64 { return a + b },
+				func(a, b int64) int64 { return a - b },
+				4*streamInterval, 2*streamInterval,
+				func(_, v int64) bool { return v != 0 })
+			if err != nil {
+				return err
+			}
+			streaming.Foreach(counts, func(batch int, items []spark.Pair[int64, int64]) error {
+				for _, p := range items {
+					trial.checksum ^= streamSig(batch, p.K, p.V)
+				}
+				return nil
+			})
+			return nil
+		},
+		Job: func(*Cluster) error {
+			if err := sc.Run(nBatches); err != nil {
+				return err
+			}
+			trial.stats = sc.Stats()
+			trial.finalLimit = sc.RateLimit()
+			for _, h := range handles {
+				trial.backlog += h.Backlog()
+			}
+			return nil
+		},
+	}.Run()
+	if err != nil {
 		return nil, err
 	}
-	trial.stats = sc.Stats()
-	trial.offered = snap.DeltaValue(streaming.CounterEventsOffered)
-	trial.ingested = snap.DeltaValue(streaming.CounterEventsIngested)
-	trial.deferred = snap.DeltaValue(streaming.CounterEventsDeferred)
-	trial.limited = snap.DeltaValue(streaming.CounterBackpressureLimits)
-	trial.finalLimit = sc.RateLimit()
-	for _, h := range handles {
-		trial.backlog += h.Backlog()
-	}
+	trial.offered = d[streaming.CounterEventsOffered]
+	trial.ingested = d[streaming.CounterEventsIngested]
+	trial.limited = d[streaming.CounterBackpressureLimits]
 
 	// Reconcile the driver-side ingest counter against the batch records:
 	// every admitted event must be registered exactly once.
@@ -161,25 +152,6 @@ func runStreamingTrial(spec ClusterSpec, rate float64, backpressure bool, nBatch
 	return trial, nil
 }
 
-// StreamingRow is one backend's streaming measurement: the highest rate
-// in the ladder the backend sustains (p95 batch processing time within
-// the batch interval), the fixed-rate probe's output checksum (compared
-// bit-identical across backends and across a replay), and the overload
-// leg's counter-verified backpressure evidence.
-type StreamingRow struct {
-	Backend       spark.Backend
-	SustainedRate int64       // events/sec, highest sustained rung
-	SustainedP95  vtime.Stamp // p95 batch proc time at that rung
-	Checksum      uint64      // probe-leg windowed output signature
-	// Overload leg (backpressure on, offered rate 4x sustained).
-	OverloadRate int64
-	Offered      int64
-	Ingested     int64
-	Limited      int64 // intervals the PID cap bound admission
-	FinalLimit   float64
-	OverloadP95  vtime.Stamp
-}
-
 // Streaming sweep shape. The ladder starts at streamBaseRate total
 // events/sec and doubles until p95 batch time exceeds the interval; the
 // probe leg re-runs every backend at the base rate so outputs are
@@ -191,111 +163,16 @@ const (
 	streamProbeBatches = 16
 )
 
-// RunStreaming measures one backend: the sustained-throughput ladder,
-// the fixed-rate determinism probe (run twice — the replay must be
-// bit-identical, stats and all), and the overload leg demonstrating
-// backpressure. eventLogDir, when non-empty, receives the probe run's
-// batch timeline (streaming-<backend>.jsonl).
-func RunStreaming(o Options, backend spark.Backend, eventLogDir string) (*StreamingRow, error) {
-	o.defaults()
-	spec := ClusterSpec{
-		System:         Frontera,
-		Workers:        o.Workers,
-		Backend:        backend,
-		SlotsPerWorker: o.SlotsPerWorker,
-	}
-	row := &StreamingRow{Backend: backend}
-
-	// Ladder: double the offered rate until the backend falls behind.
-	for rung := 0; rung < streamLadderRungs; rung++ {
-		rate := float64(int64(streamBaseRate) << rung)
-		trial, err := runStreamingTrial(spec, rate, false, streamLadderBatch)
-		if err != nil {
-			return nil, fmt.Errorf("streaming %s ladder %.0f ev/s: %w", backend, rate, err)
-		}
-		p95 := trial.p95Proc()
-		if p95 > vtime.Duration(streamInterval) {
-			break
-		}
-		row.SustainedRate = int64(rate)
-		row.SustainedP95 = p95
-	}
-	if row.SustainedRate == 0 {
-		return nil, fmt.Errorf("streaming %s: base rate %d ev/s not sustained", backend, streamBaseRate)
-	}
-
-	// Probe: fixed base rate on every backend, run twice; the replay must
-	// reproduce the run exactly.
-	probeSpec := spec
-	if eventLogDir != "" {
-		probeSpec.EventLogPath = fmt.Sprintf("%s/streaming-%s.jsonl", eventLogDir, backend)
-	}
-	probe, err := runStreamingTrial(probeSpec, streamBaseRate, false, streamProbeBatches)
-	if err != nil {
-		return nil, fmt.Errorf("streaming %s probe: %w", backend, err)
-	}
-	replay, err := runStreamingTrial(spec, streamBaseRate, false, streamProbeBatches)
-	if err != nil {
-		return nil, fmt.Errorf("streaming %s replay: %w", backend, err)
-	}
-	if replay.checksum != probe.checksum {
-		return nil, fmt.Errorf("streaming %s: replay checksum %x != %x", backend, replay.checksum, probe.checksum)
-	}
-	if len(replay.stats) != len(probe.stats) {
-		return nil, fmt.Errorf("streaming %s: replay ran %d batches, probe %d", backend, len(replay.stats), len(probe.stats))
-	}
-	// Results and the ingest schedule are exactly reproducible; processing
-	// stamps wobble by microseconds with task-goroutine interleaving (as
-	// everywhere in the engine), so they are not compared.
-	for i := range probe.stats {
-		if replay.stats[i].Events != probe.stats[i].Events || replay.stats[i].Blocks != probe.stats[i].Blocks {
-			return nil, fmt.Errorf("streaming %s: replay batch %d ingest diverged: %+v != %+v",
-				backend, i+1, replay.stats[i], probe.stats[i])
-		}
-	}
-	row.Checksum = probe.checksum
-
-	// Overload: 4x the sustained rate with backpressure on. The PID cap
-	// must engage (Limited > 0) and hold ingest below offer.
-	row.OverloadRate = 4 * row.SustainedRate
-	over, err := runStreamingTrial(spec, float64(row.OverloadRate), true, streamProbeBatches)
-	if err != nil {
-		return nil, fmt.Errorf("streaming %s overload: %w", backend, err)
-	}
-	if over.limited == 0 {
-		return nil, fmt.Errorf("streaming %s overload: backpressure never limited ingest", backend)
-	}
-	if over.ingested >= over.offered {
-		return nil, fmt.Errorf("streaming %s overload: ingested %d not below offered %d", backend, over.ingested, over.offered)
-	}
-	row.Offered = over.offered
-	row.Ingested = over.ingested
-	row.Limited = over.limited
-	row.FinalLimit = over.finalLimit
-	row.OverloadP95 = over.p95Proc()
-	return row, nil
-}
-
-// RunStreamingTable runs the streaming matrix over every backend,
-// verifies the probe checksums are bit-identical across transports, and
-// renders the sustained-throughput / backpressure table.
-func RunStreamingTable(o Options, eventLogDir string) ([]StreamingRow, *metrics.Table, error) {
-	var rows []StreamingRow
-	for _, backend := range []spark.Backend{
-		spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt,
-	} {
-		row, err := RunStreaming(o, backend, eventLogDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, *row)
-	}
-	for _, r := range rows[1:] {
-		if r.Checksum != rows[0].Checksum {
-			return nil, nil, fmt.Errorf("streaming: probe checksum diverged: %s got %x, want %x",
-				r.Backend, r.Checksum, rows[0].Checksum)
-		}
-	}
+// runStreaming measures every backend and renders the
+// sustained-throughput / backpressure table. Per backend: the
+// sustained-throughput ladder (the highest rate the backend sustains, p95
+// batch processing time within the batch interval), the fixed-rate
+// determinism probe (run twice — the replay must be bit-identical, stats
+// and all — and its output checksum must match every other backend's), and
+// the overload leg's counter-verified backpressure evidence. dir, when
+// non-empty, receives each probe run's batch timeline
+// (streaming-<backend>.jsonl).
+func runStreaming(o Options, dir string) (*metrics.Table, error) {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Streaming micro-batches (%v interval, windowed count, %d receivers): sustained rate and backpressure",
 			streamInterval, streamReceivers),
@@ -307,10 +184,80 @@ func RunStreamingTable(o Options, eventLogDir string) ([]StreamingRow, *metrics.
 			"ingest counter reconciled per run: offered == ingested + receiver backlog",
 		},
 	}
-	for _, r := range rows {
-		t.AddRow(r.Backend, fmt.Sprintf("%d/s", r.SustainedRate), r.SustainedP95,
-			fmt.Sprintf("%d/s", r.OverloadRate), r.Offered, r.Ingested, r.Limited,
-			fmt.Sprintf("%.0f/s", r.FinalLimit), r.OverloadP95)
+	var first *streamTrial
+	err := sweep(backends, dir, "streaming", []string{""}, func(b spark.Backend, _, eventLog string) error {
+		spec := ClusterSpec{System: Frontera, Workers: o.Workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker}
+
+		// Ladder: double the offered rate until the backend falls behind.
+		var sustained int64
+		var sustainedP95 vtime.Stamp
+		for rung := 0; rung < streamLadderRungs; rung++ {
+			rate := float64(int64(streamBaseRate) << rung)
+			trial, err := runStreamingTrial(spec, rate, false, streamLadderBatch)
+			if err != nil {
+				return fmt.Errorf("ladder %.0f ev/s: %w", rate, err)
+			}
+			p95 := trial.p95Proc()
+			if p95 > vtime.Duration(streamInterval) {
+				break
+			}
+			sustained, sustainedP95 = int64(rate), p95
+		}
+		if sustained == 0 {
+			return fmt.Errorf("base rate %d ev/s not sustained", streamBaseRate)
+		}
+
+		// Probe: fixed base rate on every backend, run twice; the replay must
+		// reproduce the run exactly.
+		probeSpec := spec
+		probeSpec.EventLogPath = eventLog
+		probe, err := runStreamingTrial(probeSpec, streamBaseRate, false, streamProbeBatches)
+		if err != nil {
+			return fmt.Errorf("probe: %w", err)
+		}
+		replay, err := runStreamingTrial(spec, streamBaseRate, false, streamProbeBatches)
+		if err != nil {
+			return fmt.Errorf("replay: %w", err)
+		}
+		if replay.checksum != probe.checksum {
+			return fmt.Errorf("replay checksum %x != %x", replay.checksum, probe.checksum)
+		}
+		if len(replay.stats) != len(probe.stats) {
+			return fmt.Errorf("replay ran %d batches, probe %d", len(replay.stats), len(probe.stats))
+		}
+		// Results and the ingest schedule are exactly reproducible; processing
+		// stamps wobble by microseconds with task-goroutine interleaving (as
+		// everywhere in the engine), so they are not compared.
+		for i := range probe.stats {
+			if replay.stats[i].Events != probe.stats[i].Events || replay.stats[i].Blocks != probe.stats[i].Blocks {
+				return fmt.Errorf("replay batch %d ingest diverged: %+v != %+v", i+1, replay.stats[i], probe.stats[i])
+			}
+		}
+		if first == nil {
+			first = probe
+		} else if probe.checksum != first.checksum {
+			return fmt.Errorf("probe checksum diverged: got %x, want %x", probe.checksum, first.checksum)
+		}
+
+		// Overload: 4x the sustained rate with backpressure on. The PID cap
+		// must engage (Limited > 0) and hold ingest below offer.
+		overloadRate := 4 * sustained
+		over, err := runStreamingTrial(spec, float64(overloadRate), true, streamProbeBatches)
+		if err != nil {
+			return fmt.Errorf("overload: %w", err)
+		}
+		if over.limited == 0 {
+			return fmt.Errorf("overload: backpressure never limited ingest")
+		}
+		if over.ingested >= over.offered {
+			return fmt.Errorf("overload: ingested %d not below offered %d", over.ingested, over.offered)
+		}
+		t.AddRow(b, fmt.Sprintf("%d/s", sustained), sustainedP95, fmt.Sprintf("%d/s", overloadRate),
+			over.offered, over.ingested, over.limited, fmt.Sprintf("%.0f/s", over.finalLimit), over.p95Proc())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rows, t, nil
+	return t, nil
 }

@@ -84,7 +84,6 @@ func SystemByName(name string) (System, error) {
 // Cluster is a unified handle over standalone and MPI-launched clusters.
 type Cluster struct {
 	Ctx     *spark.Context
-	Backend spark.Backend
 	Fabric  *fabric.Fabric
 	closeFn func()
 }
@@ -191,5 +190,5 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{Ctx: cl.Ctx, Backend: spec.Backend, Fabric: f, closeFn: cl.Close}, nil
+	return &Cluster{Ctx: cl.Ctx, Fabric: f, closeFn: cl.Close}, nil
 }

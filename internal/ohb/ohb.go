@@ -61,16 +61,19 @@ type Result struct {
 	Output int64
 }
 
-// ShuffleReadTime returns the duration of the final ResultStage (the
-// shuffle-read stage in the paper's breakdown).
-func (r *Result) ShuffleReadTime() vtime.Stamp {
+// ShuffleReadStage returns the final ResultStage that read a shuffle (the
+// shuffle-read stage in the paper's breakdown), or a zero timing.
+func (r *Result) ShuffleReadStage() spark.StageTiming {
 	for i := len(r.Stages) - 1; i >= 0; i-- {
-		if r.Stages[i].Kind == "ResultStage" && r.Stages[i].ShuffleBytes > 0 {
-			return r.Stages[i].Duration()
+		if s := r.Stages[i]; s.Kind == "ResultStage" && s.ShuffleBytes > 0 {
+			return s
 		}
 	}
-	return 0
+	return spark.StageTiming{}
 }
+
+// ShuffleReadTime returns the shuffle-read stage's duration.
+func (r *Result) ShuffleReadTime() vtime.Stamp { return r.ShuffleReadStage().Duration() }
 
 // generate builds the cached input RDD and runs the data-generation job
 // (Job0-ResultStage in the paper's breakdown).

@@ -3,7 +3,6 @@ package spark
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,9 +119,6 @@ type Executor struct {
 	// hbClock stamps outgoing heartbeats; it tracks the executor's task
 	// activity so heartbeat traffic never lags behind job traffic.
 	hbClock vtime.Clock
-
-	runningMu sync.Mutex
-	running   map[int64]struct{} // task ids currently executing
 }
 
 // ExecutorConfig configures NewExecutor.
@@ -154,16 +150,15 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		cfg.Slots = 1
 	}
 	e := &Executor{
-		id:      cfg.ID,
-		node:    cfg.Node,
-		env:     cfg.Env,
-		bm:      storage.NewBlockManager(cfg.ID),
-		nSlots:  cfg.Slots,
-		slots:   make(chan *slot, cfg.Slots),
-		cpu:     cfg.CPU,
-		svc:     cfg.ShuffleService,
-		cached:  make(map[cacheKey]any),
-		running: make(map[int64]struct{}),
+		id:     cfg.ID,
+		node:   cfg.Node,
+		env:    cfg.Env,
+		bm:     storage.NewBlockManager(cfg.ID),
+		nSlots: cfg.Slots,
+		slots:  make(chan *slot, cfg.Slots),
+		cpu:    cfg.CPU,
+		svc:    cfg.ShuffleService,
+		cached: make(map[cacheKey]any),
 	}
 	e.sm = shuffle.NewManager(e.bm)
 	e.loc = shuffle.Location{ExecID: cfg.ID, Addr: cfg.Env.Addr()}
@@ -279,9 +274,6 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 		e.slots <- s
 		return
 	}
-	e.runningMu.Lock()
-	e.running[desc.id] = struct{}{}
-	e.runningMu.Unlock()
 	e.hbClock.Observe(launchVT)
 	start := vtime.Max(s.clock.Now(), launchVT)
 	attempt := int(desc.attempt.Load())
@@ -308,9 +300,6 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	result, mapStatus, err := desc.run(tc)
 	s.clock.Observe(tc.vt)
 	e.slots <- s
-	e.runningMu.Lock()
-	delete(e.running, desc.id)
-	e.runningMu.Unlock()
 	e.hbClock.Observe(tc.vt)
 	if e.dead.Load() {
 		// The process died mid-task: nothing it computed escapes — no
@@ -376,8 +365,7 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	}
 }
 
-// pumpHeartbeat emits one liveness heartbeat to the driver, carrying slot
-// occupancy and the running task ids. The supervisor drives the pump in
+// pumpHeartbeat emits one liveness heartbeat to the driver. The supervisor drives the pump in
 // wall-clock time; the heartbeat itself is stamped and costed in virtual
 // time like any other control message. A killed executor pumps nothing —
 // that silence is the loss signal.
@@ -385,19 +373,7 @@ func (e *Executor) pumpHeartbeat(seq int64) {
 	if e.dead.Load() || e.ctx == nil {
 		return
 	}
-	e.runningMu.Lock()
-	ids := make([]int64, 0, len(e.running))
-	for id := range e.running {
-		ids = append(ids, id)
-	}
-	e.runningMu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	payload := encodeHeartbeat(heartbeat{
-		ExecID:    e.id,
-		Seq:       seq,
-		FreeSlots: len(e.slots),
-		Running:   ids,
-	})
+	payload := encodeHeartbeat(heartbeat{ExecID: e.id, Seq: seq})
 	if _, err := e.env.Send(e.ctx.driver.Addr(), HeartbeatEndpoint, payload, e.hbClock.Now()); err != nil {
 		return // unreachable driver: the missing beat is the signal
 	}

@@ -68,49 +68,31 @@ type execHealth struct {
 	lastVT  vtime.Stamp // virtual send time of that heartbeat
 }
 
-// heartbeat is the decoded executor → driver liveness message.
+// heartbeat is the decoded executor → driver liveness message. Its
+// arrival is the whole signal: the driver reads who sent it and in which
+// pump round, nothing about the executor's slots or tasks.
 type heartbeat struct {
-	ExecID    string
-	Seq       int64
-	FreeSlots int
-	Running   []int64
+	ExecID string
+	Seq    int64
 }
 
 // encodeHeartbeat serializes a heartbeat as a control-plane string
-// payload, matching the deploy control plane's idiom.
+// payload, matching the deploy control plane's idiom: hb:<exec>:<seq>.
 func encodeHeartbeat(hb heartbeat) []byte {
-	ids := make([]string, len(hb.Running))
-	for i, id := range hb.Running {
-		ids[i] = strconv.FormatInt(id, 10)
-	}
-	return []byte(fmt.Sprintf("hb:%s:%d:%d:%s", hb.ExecID, hb.Seq, hb.FreeSlots, strings.Join(ids, ",")))
+	return []byte(fmt.Sprintf("hb:%s:%d", hb.ExecID, hb.Seq))
 }
 
 // decodeHeartbeat parses an encoded heartbeat.
 func decodeHeartbeat(payload []byte) (heartbeat, error) {
 	parts := strings.Split(string(payload), ":")
-	if len(parts) != 5 || parts[0] != "hb" || parts[1] == "" {
+	if len(parts) != 3 || parts[0] != "hb" || parts[1] == "" {
 		return heartbeat{}, fmt.Errorf("spark: malformed heartbeat %q", payload)
 	}
 	seq, err := strconv.ParseInt(parts[2], 10, 64)
 	if err != nil {
 		return heartbeat{}, fmt.Errorf("spark: heartbeat seq: %w", err)
 	}
-	free, err := strconv.Atoi(parts[3])
-	if err != nil {
-		return heartbeat{}, fmt.Errorf("spark: heartbeat slots: %w", err)
-	}
-	hb := heartbeat{ExecID: parts[1], Seq: seq, FreeSlots: free}
-	if parts[4] != "" {
-		for _, f := range strings.Split(parts[4], ",") {
-			id, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return heartbeat{}, fmt.Errorf("spark: heartbeat task id: %w", err)
-			}
-			hb.Running = append(hb.Running, id)
-		}
-	}
-	return hb, nil
+	return heartbeat{ExecID: parts[1], Seq: seq}, nil
 }
 
 // receiveHeartbeat is the HeartbeatReceiver endpoint handler.

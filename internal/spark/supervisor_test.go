@@ -57,28 +57,17 @@ func newSupervisedCluster(t *testing.T, workers, slots int) *testCluster {
 }
 
 func TestHeartbeatCodecRoundTrip(t *testing.T) {
-	cases := []heartbeat{
-		{ExecID: "exec-0", Seq: 7, FreeSlots: 2, Running: []int64{3, 11, 42}},
-		{ExecID: "exec-1.2", Seq: 1, FreeSlots: 0, Running: nil},
-	}
-	for _, hb := range cases {
+	for _, hb := range []heartbeat{{ExecID: "exec-0", Seq: 7}, {ExecID: "exec-1.2", Seq: 1}} {
 		got, err := decodeHeartbeat(encodeHeartbeat(hb))
 		if err != nil {
 			t.Fatalf("round trip %+v: %v", hb, err)
 		}
-		if got.ExecID != hb.ExecID || got.Seq != hb.Seq || got.FreeSlots != hb.FreeSlots {
+		if got != hb {
 			t.Fatalf("round trip = %+v, want %+v", got, hb)
 		}
-		if len(got.Running) != len(hb.Running) {
-			t.Fatalf("running = %v, want %v", got.Running, hb.Running)
-		}
-		for i := range hb.Running {
-			if got.Running[i] != hb.Running[i] {
-				t.Fatalf("running = %v, want %v", got.Running, hb.Running)
-			}
-		}
 	}
-	for _, bad := range []string{"", "hb", "hb::1:2:", "hb:e:x:2:", "hb:e:1:x:", "hb:e:1:2:a,b", "nope:e:1:2:"} {
+	// The last entry is the old five-field form (slots and task ids).
+	for _, bad := range []string{"", "hb", "hb::1", "hb:e:x", "nope:e:1", "hb:e:1:2:"} {
 		if _, err := decodeHeartbeat([]byte(bad)); err == nil {
 			t.Fatalf("decode(%q) succeeded", bad)
 		}
@@ -89,16 +78,16 @@ func TestReceiveHeartbeatMonotonic(t *testing.T) {
 	tc := newTestCluster(t, 1, 1, BackendVanilla)
 	c := tc.ctx
 
-	send := func(seq int64, vt vtime.Stamp, free int, running []int64) {
+	send := func(seq int64, vt vtime.Stamp) {
 		c.receiveHeartbeat(&rpc.Call{
 			From:    "exec-0",
-			Payload: encodeHeartbeat(heartbeat{ExecID: "exec-0", Seq: seq, FreeSlots: free, Running: running}),
+			Payload: encodeHeartbeat(heartbeat{ExecID: "exec-0", Seq: seq}),
 			VT:      vt,
 		})
 	}
-	send(3, 100, 1, []int64{9, 2})
+	send(3, 100)
 	// A stale heartbeat (lower seq, earlier VT) must not roll seq/VT back.
-	send(1, 50, 0, nil)
+	send(1, 50)
 	c.hbMu.Lock()
 	h := c.hb["exec-0"]
 	seq, vt := h.lastSeq, h.lastVT
