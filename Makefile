@@ -79,9 +79,10 @@ bench:
 	go test -bench=. -benchmem -benchtime=3x ./... 2>&1 | tee bench_output.txt
 
 # Regenerate every figure and table of the evaluation: every -exp but the
-# single runs (ohb, hibench), each failing on its own checks.
+# single runs (ohb, hibench), each failing on its own checks, and Table III.
 experiments:
 	go run ./cmd/experiments -exp all -md
+	go run ./cmd/experiments -list-systems
 
 # Every example, and both launch flows' command-line driver (the Fig. 3
 # wrapper flow under each MPI design).

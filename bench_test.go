@@ -196,6 +196,13 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 	}
 }
 
+// ablationConfig is the ablations' GroupBy: 4 mappers and 4 reducers over
+// o.BytesPerWorker of 108-byte pairs, half as many keys as pairs.
+func ablationConfig(o harness.Options) ohb.Config {
+	perMapper := int(o.BytesPerWorker / 2 / 108)
+	return ohb.Config{Mappers: 4, Reducers: 4, PairsPerMapper: perMapper, ValueBytes: 100, KeyRange: int64(4*perMapper) / 2, Seed: o.Seed}
+}
+
 // BenchmarkAblationSpinningSelectors sweeps what the Basic design's
 // compute starvation is derived from: a worker node's cores (the three
 // Table III systems: 28, 56 and 96) and the selectors spinning on them (the
@@ -205,12 +212,7 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 // C / (C + k) of its speed. It reports GroupByTest totals for Basic and
 // Optimized and their ratio.
 func BenchmarkAblationSpinningSelectors(b *testing.B) {
-	o := benchOpts()
-	cfg := ohb.Config{
-		Mappers: 4, Reducers: 4,
-		PairsPerMapper: int(o.BytesPerWorker / 2 / 108),
-		ValueBytes:     100, Seed: o.Seed,
-	}
+	cfg := ablationConfig(benchOpts())
 	for _, sys := range harness.Systems() {
 		for _, service := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/cores=%d/service=%v", sys.Name, sys.PaperCoresPerNode, service), func(b *testing.B) {
@@ -249,12 +251,7 @@ func BenchmarkAblationSpinningSelectors(b *testing.B) {
 // Basic also pays its spinning selectors, 2 of Frontera's 56 cores per
 // worker node (BenchmarkAblationSpinningSelectors).
 func BenchmarkAblationHeaderPath(b *testing.B) {
-	o := benchOpts()
-	cfg := ohb.Config{
-		Mappers: 4, Reducers: 4,
-		PairsPerMapper: int(o.BytesPerWorker / 2 / 108),
-		ValueBytes:     100, Seed: o.Seed,
-	}
+	cfg := ablationConfig(benchOpts())
 	cases := []struct {
 		name    string
 		backend spark.Backend
@@ -289,12 +286,7 @@ func BenchmarkAblationHeaderPath(b *testing.B) {
 // config (every other UCR cost as the figures run it), showing why
 // RDMA-Spark's chunked protocol trails MPI's single rendezvous per block.
 func BenchmarkAblationChunkSize(b *testing.B) {
-	o := benchOpts()
-	cfg := ohb.Config{
-		Mappers: 4, Reducers: 4,
-		PairsPerMapper: int(o.BytesPerWorker / 2 / 108),
-		ValueBytes:     100, Seed: o.Seed,
-	}
+	cfg := ablationConfig(benchOpts())
 	for _, chunk := range []int{32 << 10, 128 << 10, 512 << 10} {
 		b.Run(fmt.Sprintf("chunk=%dKiB", chunk>>10), func(b *testing.B) {
 			ucrCfg := ucr.DefaultConfig()
@@ -332,7 +324,7 @@ func BenchmarkHiBenchWorkloadsRaw(b *testing.B) {
 	defer cl.Close()
 	b.Run("SVM", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hibench.RunSVM(cl.Ctx, hibench.MLConfig{Parts: 4, PerPart: 500, Dim: 16, Iterations: 2, Seed: 1}); err != nil {
+			if _, err := hibench.RunSVM(cl.Ctx, hibench.MLConfig{Parts: 4, PerPart: 500, Dim: 16, Iterations: 2, StepSize: 0.1, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -31,7 +31,18 @@ import (
 	"mpi4spark/internal/spark"
 )
 
-func main() {
+// command is one invocation: the experiment to run, its Options and Args,
+// and what to print.
+type command struct {
+	exp, backend, system, sizes, workerCounts string
+	o                                         harness.Options
+	a                                         harness.Args
+	markdown, listSystems, counters           bool
+}
+
+// flags defines every flag on a new FlagSet, each writing into c. The
+// Options flags default to harness.DefaultOptions().
+func flags(c *command) *flag.FlagSet {
 	var figures, oneRuns []string
 	for _, e := range harness.Experiments {
 		if e.OneRun {
@@ -40,30 +51,35 @@ func main() {
 			figures = append(figures, e.Name)
 		}
 	}
-	var (
-		exp            = flag.String("exp", "all", fmt.Sprintf("experiment: %s|all, or one run: %s", strings.Join(figures, "|"), strings.Join(oneRuns, "|")))
-		eventLogDir    = flag.String("eventlog-dir", "", "chaos/skew/netchaos/streaming: also record one JSONL event log per run in this directory")
-		eventLog       = flag.String("eventlog", "", "ohb/hibench: record the run's lifecycle events as JSONL at this path (replay with cmd/eventlog)")
-		bench          = flag.String("bench", "GroupBy", "OHB benchmark: GroupBy|SortBy (fig10/fig11/ohb), Bcast|Allreduce (ohb)")
-		workload       = flag.String("workload", "LDA", "hibench: LDA|SVM|LR|GMM|Repartition|TeraSort|NWeight")
-		backendName    = flag.String("backend", "mpi", "ohb/hibench: vanilla|rdma|mpi-basic|mpi (or the names the tables print)")
-		systemName     = flag.String("system", "Frontera", "ohb/hibench: Frontera|Stampede2|InternalCluster")
-		iters          = flag.Int("iters", 10, "ohb Bcast/Allreduce: timed iterations per size")
-		sizes          = flag.String("sizes", "", "fig8: comma-separated message sizes in bytes (default: the paper's sweep)")
-		workers        = flag.Int("workers", 4, "worker count (fig9/fig12/ohb/hibench)")
-		workerCounts   = flag.String("worker-counts", "2,4,8", "scaling sweep worker counts (fig10/fig11)")
-		bytesPerWorker = flag.Int64("bytes-per-worker", 8<<20, "weak-scaling data per worker (bytes)")
-		totalBytes     = flag.Int64("total-bytes", 32<<20, "strong-scaling fixed data volume (bytes)")
-		slots          = flag.Int("slots", 2, "task slots per worker")
-		valueBytes     = flag.Int("value-bytes", 100, "OHB record payload size")
-		seed           = flag.Int64("seed", 2022, "deterministic data seed")
-		markdown       = flag.Bool("md", false, "emit Markdown instead of aligned text")
-		listSystems    = flag.Bool("list-systems", false, "print the Table III system profiles and exit")
-		showCounters   = flag.Bool("counters", false, "print per-run counter deltas after each experiment")
-	)
-	flag.Parse()
+	c.o = harness.DefaultOptions()
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&c.exp, "exp", "all", fmt.Sprintf("experiment: %s|all, or one run: %s", strings.Join(figures, "|"), strings.Join(oneRuns, "|")))
+	fs.StringVar(&c.a.EventLogDir, "eventlog-dir", "", "chaos/skew/netchaos/streaming: also record one JSONL event log per run in this directory")
+	fs.StringVar(&c.a.EventLog, "eventlog", "", "ohb/hibench: record the run's lifecycle events as JSONL at this path (replay with cmd/eventlog)")
+	fs.StringVar(&c.a.Bench, "bench", "GroupBy", "OHB benchmark: GroupBy|SortBy (fig10/fig11/ohb), Bcast|Allreduce (ohb)")
+	fs.StringVar(&c.a.Workload, "workload", "LDA", "hibench: LDA|SVM|LR|GMM|Repartition|TeraSort|NWeight")
+	fs.StringVar(&c.backend, "backend", "mpi", "ohb/hibench: vanilla|rdma|mpi-basic|mpi (or the names the tables print)")
+	fs.StringVar(&c.system, "system", "Frontera", "ohb/hibench: Frontera|Stampede2|InternalCluster")
+	fs.IntVar(&c.a.Iters, "iters", 10, "ohb Bcast/Allreduce: timed iterations per size")
+	fs.StringVar(&c.sizes, "sizes", "", "fig8: comma-separated message sizes in bytes (default: the paper's sweep)")
+	fs.IntVar(&c.o.Workers, "workers", c.o.Workers, "worker count (fig9/fig12/ohb/hibench)")
+	fs.StringVar(&c.workerCounts, "worker-counts", joinInts(c.o.WorkerCounts), "scaling sweep worker counts (fig10/fig11)")
+	fs.Int64Var(&c.o.BytesPerWorker, "bytes-per-worker", c.o.BytesPerWorker, "weak-scaling data per worker (bytes)")
+	fs.Int64Var(&c.o.TotalBytes, "total-bytes", c.o.TotalBytes, "strong-scaling fixed data volume (bytes)")
+	fs.IntVar(&c.o.SlotsPerWorker, "slots", c.o.SlotsPerWorker, "task slots per worker")
+	fs.IntVar(&c.o.ValueBytes, "value-bytes", c.o.ValueBytes, "OHB record payload size")
+	fs.Int64Var(&c.o.Seed, "seed", c.o.Seed, "deterministic data seed")
+	fs.BoolVar(&c.markdown, "md", false, "emit Markdown instead of aligned text")
+	fs.BoolVar(&c.listSystems, "list-systems", false, "print the Table III system profiles and exit")
+	fs.BoolVar(&c.counters, "counters", false, "print per-run counter deltas after each experiment")
+	return fs
+}
 
-	if *listSystems {
+func main() {
+	var c command
+	_ = flags(&c).Parse(os.Args[1:]) // ExitOnError: Parse exits on a bad flag
+
+	if c.listSystems {
 		t := &metrics.Table{
 			Title:   "Table III: system profiles",
 			Columns: []string{"System", "PaperCores/Node", "ScaledSlots", "Fabric", "RDMA-Spark"},
@@ -71,52 +87,36 @@ func main() {
 		for _, s := range harness.Systems() {
 			t.AddRow(s.Name, s.PaperCoresPerNode, s.SlotsPerWorker, s.NewModel().Name, s.SupportsRDMA)
 		}
-		emit(t, *markdown)
+		emit(t, c.markdown)
 		return
 	}
 
-	o := harness.Options{
-		Workers:        *workers,
-		WorkerCounts:   intList("-worker-counts", *workerCounts, 1),
-		BytesPerWorker: *bytesPerWorker,
-		TotalBytes:     *totalBytes,
-		ValueBytes:     *valueBytes,
-		SlotsPerWorker: *slots,
-		Seed:           *seed,
-	}
-	backend, err := spark.ParseBackend(*backendName)
+	c.o.WorkerCounts = intList("-worker-counts", c.workerCounts, 1)
+	c.a.Sizes = intList("-sizes", c.sizes, 0)
+	var err error
+	c.a.Backend, err = spark.ParseBackend(c.backend)
 	check(err)
-	system, err := harness.SystemByName(*systemName)
+	c.a.System, err = harness.SystemByName(c.system)
 	check(err)
-	a := harness.Args{
-		Sizes:       intList("-sizes", *sizes, 0),
-		Bench:       *bench,
-		Workload:    *workload,
-		System:      system,
-		Backend:     backend,
-		Iters:       *iters,
-		EventLog:    *eventLog,
-		EventLogDir: *eventLogDir,
-	}
 
 	ran := false
 	for _, e := range harness.Experiments {
-		if *exp != e.Name && (*exp != "all" || e.OneRun) {
+		if c.exp != e.Name && (c.exp != "all" || e.OneRun) {
 			continue
 		}
-		if *exp == "all" {
+		if c.exp == "all" {
 			fmt.Fprintf(os.Stderr, "running %s...\n", e.Name)
 		}
 		// Counters are process-global and accumulate across experiments in
 		// one invocation; snapshot so each run reports only its own deltas.
 		snap := metrics.Snapshot()
-		t, err := e.Run(o, a)
+		t, err := e.Run(c.o, c.a)
 		if t != nil {
 			// Before the error: the table shows the cell an error is about.
-			emit(t, *markdown)
+			emit(t, c.markdown)
 		}
 		check(err)
-		if *showCounters {
+		if c.counters {
 			deltas := snap.Delta()
 			names := make([]string, 0, len(deltas))
 			for n := range deltas {
@@ -127,12 +127,12 @@ func main() {
 			for _, n := range names {
 				t.AddRow(n, deltas[n])
 			}
-			emit(t, *markdown)
+			emit(t, c.markdown)
 		}
 		ran = true
 	}
 	if !ran {
-		fatal(fmt.Errorf("unknown experiment %q", *exp))
+		fatal(fmt.Errorf("unknown experiment %q", c.exp))
 	}
 }
 
@@ -151,6 +151,15 @@ func intList(flagName, list string, min int) []int {
 		out = append(out, n)
 	}
 	return out
+}
+
+// joinInts is intList's inverse.
+func joinInts(ns []int) string {
+	s := make([]string, len(ns))
+	for i, n := range ns {
+		s[i] = strconv.Itoa(n)
+	}
+	return strings.Join(s, ",")
 }
 
 func emit(t *metrics.Table, markdown bool) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"regexp"
@@ -36,5 +37,32 @@ func TestReadmeListsEveryExperiment(t *testing.T) {
 	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("README runs -exp %q, want %q", got, want)
+	}
+}
+
+// TestFlagDefaultsAreDefaultOptions: every Options field has a flag, and
+// the default -h prints for it is harness.DefaultOptions()'s value.
+func TestFlagDefaultsAreDefaultOptions(t *testing.T) {
+	fs := flags(new(command))
+	d := harness.DefaultOptions()
+	want := map[string]any{
+		"workers":          d.Workers,
+		"worker-counts":    strings.Trim(strings.ReplaceAll(fmt.Sprint(d.WorkerCounts), " ", ","), "[]"),
+		"bytes-per-worker": d.BytesPerWorker,
+		"total-bytes":      d.TotalBytes,
+		"slots":            d.SlotsPerWorker,
+		"value-bytes":      d.ValueBytes,
+		"seed":             d.Seed,
+	}
+	if n := reflect.TypeOf(d).NumField(); n != len(want) {
+		t.Fatalf("Options has %d fields, %d flags are checked", n, len(want))
+	}
+	for name, v := range want {
+		f := fs.Lookup(name)
+		if f == nil {
+			t.Errorf("no -%s flag", name)
+		} else if f.DefValue != fmt.Sprint(v) {
+			t.Errorf("-%s defaults to %q, DefaultOptions() has %v", name, f.DefValue, v)
+		}
 	}
 }

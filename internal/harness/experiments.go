@@ -19,9 +19,10 @@ import (
 	"mpi4spark/internal/vtime"
 )
 
-// Options scales the experiments. Zero values select laptop-friendly
-// defaults when an experiment runs through Experiment.Run; cmd/experiments
-// exposes them as flags. The Run* functions below take them as given.
+// Options scales the experiments. Zero fields take DefaultOptions' values
+// when an experiment runs through Experiment.Run; cmd/experiments exposes
+// them as flags whose defaults are DefaultOptions'. The Run* functions
+// below take them as given.
 type Options struct {
 	// Workers is the base worker count for Fig 9/12 and the headline run.
 	Workers int
@@ -43,27 +44,40 @@ type Options struct {
 	Seed int64
 }
 
+// DefaultOptions is the laptop-scale evaluation: the one source of every
+// Options default.
+func DefaultOptions() Options {
+	return Options{
+		Workers:        4,
+		WorkerCounts:   []int{2, 4, 8},
+		BytesPerWorker: 8 << 20,
+		TotalBytes:     32 << 20,
+		ValueBytes:     100,
+		SlotsPerWorker: 2,
+		Seed:           2022,
+	}
+}
+
+// defaults fills o's zero fields (sizes below one) from DefaultOptions.
 func (o *Options) defaults() {
-	if o.Workers < 1 {
-		o.Workers = 4
-	}
-	if o.SlotsPerWorker < 1 {
-		o.SlotsPerWorker = 2
-	}
+	d := DefaultOptions()
+	atLeastOne(&o.Workers, d.Workers)
+	atLeastOne(&o.SlotsPerWorker, d.SlotsPerWorker)
+	atLeastOne(&o.BytesPerWorker, d.BytesPerWorker)
+	atLeastOne(&o.TotalBytes, d.TotalBytes)
+	atLeastOne(&o.ValueBytes, d.ValueBytes)
 	if len(o.WorkerCounts) == 0 {
-		o.WorkerCounts = []int{2, 4, 8}
-	}
-	if o.BytesPerWorker <= 0 {
-		o.BytesPerWorker = 8 << 20
-	}
-	if o.TotalBytes <= 0 {
-		o.TotalBytes = 32 << 20
-	}
-	if o.ValueBytes <= 0 {
-		o.ValueBytes = 100
+		o.WorkerCounts = d.WorkerCounts
 	}
 	if o.Seed == 0 {
-		o.Seed = 2022
+		o.Seed = d.Seed
+	}
+}
+
+// atLeastOne sets *v to d when *v is below one.
+func atLeastOne[T int | int64](v *T, d T) {
+	if *v < 1 {
+		*v = d
 	}
 }
 
@@ -541,7 +555,7 @@ type HiBenchRow struct {
 func hibenchWorkloads(o Options, workers, slots int) map[string]func(*spark.Context) (*hibench.Result, error) {
 	parts := workers * slots
 	perPart := max(int(o.BytesPerWorker*int64(workers)/int64(parts)/400), 50)
-	ml := hibench.MLConfig{Parts: parts, PerPart: perPart, Dim: 32, Iterations: 3, Seed: o.Seed}
+	ml := hibench.MLConfig{Parts: parts, PerPart: perPart, Dim: 32, Iterations: 3, StepSize: 0.1, Seed: o.Seed}
 	return map[string]func(*spark.Context) (*hibench.Result, error){
 		"LDA": func(ctx *spark.Context) (*hibench.Result, error) {
 			return hibench.RunLDA(ctx, hibench.LDAConfig{

@@ -95,6 +95,15 @@ func TestMPIExecutorOrderIsSeatOrder(t *testing.T) {
 	}
 }
 
+// TestBuildClusterRejectsSpecWithoutSystem: a spec with no system profile
+// has no fabric model to build; it is an error, not a nil dereference.
+func TestBuildClusterRejectsSpecWithoutSystem(t *testing.T) {
+	if cl, err := BuildCluster(ClusterSpec{Workers: 1}); err == nil {
+		cl.Close()
+		t.Fatal("spec without a system profile built a cluster")
+	}
+}
+
 func TestBuildClusterRejectsRDMAOnStampede2(t *testing.T) {
 	if _, err := BuildCluster(ClusterSpec{System: Stampede2, Workers: 1, Backend: spark.BackendRDMA}); err == nil {
 		t.Fatal("RDMA on Stampede2 accepted")
@@ -256,9 +265,9 @@ func TestModelRobustnessUnderDilation(t *testing.T) {
 			m.TimeDilation = dilation
 			return m
 		}
-		cfg := ohb.Config{
-			Mappers: 8, Reducers: 8, PairsPerMapper: 4000, ValueBytes: 100, Seed: 5,
-		}
+		o := DefaultOptions()
+		o.Seed = 5
+		cfg := ohbConfig(o, 4, 2, 8*4000*108) // the figures' job: 8 mappers of 4,000 pairs
 		speeds := map[spark.Backend]float64{}
 		for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIOpt} {
 			cl, err := BuildCluster(ClusterSpec{System: sys, Workers: 4, Backend: b, SlotsPerWorker: 2})
@@ -276,6 +285,7 @@ func TestModelRobustnessUnderDilation(t *testing.T) {
 	}
 	base := run(1.0)
 	dilated := run(2.0)
+	t.Logf("IPoIB / MPI end-to-end: %.3f at 1x, %.3f at 2x dilation", base, dilated)
 	if base <= 1 {
 		t.Fatalf("MPI did not win at base dilation: %.2f", base)
 	}

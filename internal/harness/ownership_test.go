@@ -143,10 +143,12 @@ func TestGroupByAllocationBudget(t *testing.T) {
 		t.Skip("allocation budgets are measured without the race detector")
 	}
 	const parts, valueBytes, payload = 16, 100, 8 << 20
+	const perMapper = payload / parts / (valueBytes + 8)
 	cfg := ohb.Config{
 		Mappers: parts, Reducers: parts,
-		PairsPerMapper: payload / parts / (valueBytes + 8),
+		PairsPerMapper: perMapper,
 		ValueBytes:     valueBytes,
+		KeyRange:       parts * perMapper / 2,
 		Seed:           2022,
 	}
 	records := float64(cfg.Mappers * cfg.PairsPerMapper)

@@ -132,16 +132,16 @@ func runChaosKill(o Options, dir string) (*metrics.Table, error) {
 // JSONL log per run (skew-<backend>-<off|on>.jsonl) for cmd/eventlog
 // replay (split sub-tasks and per-stage skew show up in its timeline).
 func runSkew(o Options, dir string) (*metrics.Table, error) {
+	const workers, slots = 4, 4
+	cfg := ohb.SkewConfig{Config: ohbConfig(o, workers, slots, o.BytesPerWorker*workers), HotKeyFraction: 0.5, ZipfS: 1.2}
 	t := &metrics.Table{
-		Title:   "Skewed GroupBy (hot key = 50% of data): adaptive execution off vs on",
+		Title:   fmt.Sprintf("Skewed GroupBy (hot key = %.0f%% of data): adaptive execution off vs on", 100*cfg.HotKeyFraction),
 		Columns: []string{"Backend", "Adaptive", "ReduceStage", "E2E", "Splits", "Coalesces", "SpecLaunched", "ReduceSpeedup"},
 		Notes: []string{
 			"identical group checksums across all runs (bit-identical results)",
 			"speedup = reduce-stage duration off / on, per backend",
 		},
 	}
-	const workers, slots = 4, 4
-	cfg := ohb.SkewConfig{Config: ohbConfig(o, workers, slots, o.BytesPerWorker*workers)}
 	var first *ohb.Result
 	var off vtime.Stamp // this backend's reduce stage with adaptive execution off
 	err := sweep(backends, dir, "skew", []string{"off", "on"}, func(b spark.Backend, mode, eventLog string) error {

@@ -133,6 +133,9 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	if spec.Workers < 1 {
 		return nil, fmt.Errorf("harness: need at least one worker")
 	}
+	if spec.System.NewModel == nil {
+		return nil, fmt.Errorf("harness: spec names no system profile")
+	}
 	if spec.Backend == spark.BackendRDMA && !spec.System.SupportsRDMA {
 		return nil, fmt.Errorf("harness: %s does not support RDMA-Spark", spec.System.Name)
 	}

@@ -44,19 +44,10 @@ type NWeightConfig struct {
 	Seed int64
 }
 
-func (c *NWeightConfig) defaults() {
-	if c.Parts < 1 {
-		c.Parts = 4
-	}
-	if c.Vertices < 1 {
-		c.Vertices = 1000
-	}
-	if c.Degree < 1 {
-		c.Degree = 8
-	}
-	if c.Hops < 1 {
-		c.Hops = 2
-	}
+// valid also asks for a vertex in every partition: Vertices / Parts must
+// not round to none.
+func (c NWeightConfig) valid() bool {
+	return c.Parts >= 1 && c.Vertices >= int64(c.Parts) && c.Degree >= 1 && c.Hops >= 1
 }
 
 // RunNWeight computes n-hop association weights: starting from unit
@@ -65,8 +56,7 @@ func (c *NWeightConfig) defaults() {
 // per destination — two shuffles per hop, HiBench's graph-processing
 // pattern. The metric is the total association mass after n hops.
 func RunNWeight(ctx *spark.Context, cfg NWeightConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "NWeight", func() (float64, error) {
+	return run(ctx, "NWeight", cfg, func() (float64, error) {
 		edges := spark.Generate(ctx, cfg.Parts, func(part int, tc *spark.TaskContext) []spark.Pair[int64, Edge] {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(part)))
 			perPart := int(cfg.Vertices) / cfg.Parts

@@ -6,6 +6,7 @@
 package hibench
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -26,8 +27,17 @@ type Result struct {
 	Metric float64
 }
 
-// run wraps a workload body with stage capture and timing.
-func run(ctx *spark.Context, name string, body func() (float64, error)) (*Result, error) {
+// config is a workload's configuration. It is a complete description of
+// the job: no field is filled in, so valid reports whether every one is set
+// and in range.
+type config interface{ valid() bool }
+
+// run rejects an invalid cfg, then runs a workload body with stage capture
+// and timing.
+func run(ctx *spark.Context, name string, cfg config, body func() (float64, error)) (*Result, error) {
+	if !cfg.valid() {
+		return nil, fmt.Errorf("hibench: %s: a config field is missing or out of range: %+v", name, cfg)
+	}
 	ctx.ResetStages()
 	start := ctx.Clock()
 	metric, err := body()

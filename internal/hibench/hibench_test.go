@@ -3,6 +3,7 @@ package hibench
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"mpi4spark/internal/core"
@@ -48,7 +49,7 @@ func backendCluster(t *testing.T, workers, slots int, backend spark.Backend) *de
 
 func TestSVMConverges(t *testing.T) {
 	cl := testCluster(t, 2, 2)
-	res, err := RunSVM(cl.Ctx, MLConfig{Parts: 4, PerPart: 300, Dim: 10, Iterations: 4, Seed: 1})
+	res, err := RunSVM(cl.Ctx, MLConfig{Parts: 4, PerPart: 300, Dim: 10, Iterations: 4, StepSize: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestLDAAggregatesViaCollective(t *testing.T) {
 // that LR and GMM produce identical model metrics on the collective
 // aggregation path regardless of the transport underneath it.
 func TestMLResultsUnchangedAcrossBackends(t *testing.T) {
-	lrCfg := MLConfig{Parts: 4, PerPart: 200, Dim: 8, Iterations: 3, Seed: 21}
+	lrCfg := MLConfig{Parts: 4, PerPart: 200, Dim: 8, Iterations: 3, StepSize: 0.1, Seed: 21}
 	gmmCfg := GMMConfig{Parts: 4, PerPart: 200, Dim: 4, K: 2, Iterations: 3, Seed: 22}
 	var lrRef, gmmRef float64
 	for i, backend := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIBasic, spark.BackendMPIOpt} {
@@ -192,7 +193,7 @@ func TestNWeightConservesMassStructure(t *testing.T) {
 }
 
 func TestWorkloadsDeterministic(t *testing.T) {
-	cfg := MLConfig{Parts: 2, PerPart: 100, Dim: 5, Iterations: 2, Seed: 42}
+	cfg := MLConfig{Parts: 2, PerPart: 100, Dim: 5, Iterations: 2, StepSize: 0.1, Seed: 42}
 	a, err := RunSVM(testCluster(t, 2, 1).Ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,5 +204,36 @@ func TestWorkloadsDeterministic(t *testing.T) {
 	}
 	if a.Metric != b.Metric {
 		t.Fatalf("nondeterministic SVM: %v vs %v", a.Metric, b.Metric)
+	}
+}
+
+// TestRunRejectsZeroSize: every Run* rejects a config with any one field
+// but its seed zeroed, before it runs anything: no default workload, and
+// no division by a zero Parts.
+func TestRunRejectsZeroSize(t *testing.T) {
+	ctx := testCluster(t, 2, 1).Ctx
+	eachZeroed(t, "SVM", MLConfig{Parts: 2, PerPart: 10, Dim: 2, Iterations: 1, StepSize: 0.1}, func(c MLConfig) (*Result, error) { return RunSVM(ctx, c) })
+	eachZeroed(t, "LR", MLConfig{Parts: 2, PerPart: 10, Dim: 2, Iterations: 1, StepSize: 0.1}, func(c MLConfig) (*Result, error) { return RunLogisticRegression(ctx, c) })
+	eachZeroed(t, "GMM", GMMConfig{Parts: 2, PerPart: 10, Dim: 2, K: 2, Iterations: 1}, func(c GMMConfig) (*Result, error) { return RunGMM(ctx, c) })
+	eachZeroed(t, "LDA", LDAConfig{Parts: 2, DocsPer: 2, Vocab: 10, WordsPer: 2, K: 2, Iterations: 1}, func(c LDAConfig) (*Result, error) { return RunLDA(ctx, c) })
+	eachZeroed(t, "TeraSort", TeraSortConfig{Parts: 2, RowsPer: 10}, func(c TeraSortConfig) (*Result, error) { return RunTeraSort(ctx, c) })
+	eachZeroed(t, "Repartition", RepartitionConfig{Parts: 2, RowsPer: 10, ValueSize: 8, OutParts: 2}, func(c RepartitionConfig) (*Result, error) { return RunRepartition(ctx, c) })
+	eachZeroed(t, "NWeight", NWeightConfig{Parts: 2, Vertices: 10, Degree: 2, Hops: 1}, func(c NWeightConfig) (*Result, error) { return RunNWeight(ctx, c) })
+}
+
+// eachZeroed runs valid with each field but Seed zeroed in turn and fails
+// the test where run returns no error.
+func eachZeroed[C any](t *testing.T, workload string, valid C, run func(C) (*Result, error)) {
+	t.Helper()
+	typ := reflect.TypeOf(valid)
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Name == "Seed" {
+			continue
+		}
+		c := valid
+		reflect.ValueOf(&c).Elem().Field(i).SetZero()
+		if res, err := run(c); err == nil {
+			t.Errorf("%s with %s = 0 ran (metric %v), want an error", workload, typ.Field(i).Name, res.Metric)
+		}
 	}
 }

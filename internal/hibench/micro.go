@@ -9,33 +9,27 @@ import (
 
 // TeraSortConfig parameterizes the TeraSort micro benchmark.
 type TeraSortConfig struct {
-	Parts     int
-	RowsPer   int
-	ValueSize int
-	Seed      int64
+	Parts   int
+	RowsPer int
+	Seed    int64
 }
 
-func (c *TeraSortConfig) defaults() {
-	if c.Parts < 1 {
-		c.Parts = 4
-	}
-	if c.RowsPer < 1 {
-		c.RowsPer = 1000
-	}
-	if c.ValueSize < 1 {
-		c.ValueSize = 90 // TeraSort's 10-byte key + 90-byte payload
-	}
+// teraValueBytes is the payload of TeraSort's 100-byte record, after its
+// 10-byte key.
+const teraValueBytes = 90
+
+func (c TeraSortConfig) valid() bool {
+	return c.Parts >= 1 && c.RowsPer >= 1
 }
 
 // RunTeraSort generates 100-byte records (10-byte keys) and sorts them
 // globally. The metric is the sorted record count.
 func RunTeraSort(ctx *spark.Context, cfg TeraSortConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "TeraSort", func() (float64, error) {
+	return run(ctx, "TeraSort", cfg, func() (float64, error) {
 		rows := spark.Generate(ctx, cfg.Parts, func(part int, tc *spark.TaskContext) []spark.Pair[string, []byte] {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(part)))
 			out := make([]spark.Pair[string, []byte], cfg.RowsPer)
-			val := make([]byte, cfg.ValueSize)
+			val := make([]byte, teraValueBytes)
 			rng.Read(val)
 			key := make([]byte, 10)
 			for i := range out {
@@ -44,7 +38,7 @@ func RunTeraSort(ctx *spark.Context, cfg TeraSortConfig) (*Result, error) {
 				}
 				out[i] = spark.Pair[string, []byte]{K: string(key), V: val}
 			}
-			tc.ChargeRecords(cfg.RowsPer, cfg.RowsPer*(10+cfg.ValueSize))
+			tc.ChargeRecords(cfg.RowsPer, cfg.RowsPer*(10+teraValueBytes))
 			return out
 		}).Cache()
 		if _, err := spark.Count(rows); err != nil {
@@ -82,26 +76,14 @@ type RepartitionConfig struct {
 	Seed      int64
 }
 
-func (c *RepartitionConfig) defaults() {
-	if c.Parts < 1 {
-		c.Parts = 4
-	}
-	if c.RowsPer < 1 {
-		c.RowsPer = 1000
-	}
-	if c.ValueSize < 1 {
-		c.ValueSize = 100
-	}
-	if c.OutParts < 1 {
-		c.OutParts = c.Parts
-	}
+func (c RepartitionConfig) valid() bool {
+	return c.Parts >= 1 && c.RowsPer >= 1 && c.ValueSize >= 1 && c.OutParts >= 1
 }
 
 // RunRepartition shuffles the whole dataset into OutParts partitions. The
 // metric is the record count after redistribution.
 func RunRepartition(ctx *spark.Context, cfg RepartitionConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "Repartition", func() (float64, error) {
+	return run(ctx, "Repartition", cfg, func() (float64, error) {
 		rows := spark.Generate(ctx, cfg.Parts, func(part int, tc *spark.TaskContext) []spark.Pair[int64, []byte] {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(part)))
 			out := make([]spark.Pair[int64, []byte], cfg.RowsPer)

@@ -17,29 +17,14 @@ type MLConfig struct {
 	Seed       int64
 }
 
-func (c *MLConfig) defaults() {
-	if c.Parts < 1 {
-		c.Parts = 4
-	}
-	if c.PerPart < 1 {
-		c.PerPart = 1000
-	}
-	if c.Dim < 1 {
-		c.Dim = 20
-	}
-	if c.Iterations < 1 {
-		c.Iterations = 3
-	}
-	if c.StepSize <= 0 {
-		c.StepSize = 0.1
-	}
+func (c MLConfig) valid() bool {
+	return c.Parts >= 1 && c.PerPart >= 1 && c.Dim >= 1 && c.Iterations >= 1 && c.StepSize > 0
 }
 
 // RunSVM trains a linear SVM with hinge-loss gradient descent
 // (HiBench's SVM workload). The returned metric is the final hinge loss.
 func RunSVM(ctx *spark.Context, cfg MLConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "SVM", func() (float64, error) {
+	return run(ctx, "SVM", cfg, func() (float64, error) {
 		points := pointsRDD(ctx, cfg.Parts, cfg.PerPart, cfg.Dim, cfg.Seed)
 		if _, err := spark.Count(points); err != nil { // materialize cache
 			return 0, err
@@ -84,8 +69,7 @@ func RunSVM(ctx *spark.Context, cfg MLConfig) (*Result, error) {
 // RunLogisticRegression trains a binary logistic regression with gradient
 // descent (HiBench's LR workload). The metric is the final log-loss.
 func RunLogisticRegression(ctx *spark.Context, cfg MLConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "LR", func() (float64, error) {
+	return run(ctx, "LR", cfg, func() (float64, error) {
 		points := pointsRDD(ctx, cfg.Parts, cfg.PerPart, cfg.Dim, cfg.Seed)
 		if _, err := spark.Count(points); err != nil {
 			return 0, err
@@ -133,29 +117,14 @@ type GMMConfig struct {
 	Seed       int64
 }
 
-func (c *GMMConfig) defaults() {
-	if c.Parts < 1 {
-		c.Parts = 4
-	}
-	if c.PerPart < 1 {
-		c.PerPart = 1000
-	}
-	if c.Dim < 1 {
-		c.Dim = 10
-	}
-	if c.K < 1 {
-		c.K = 4
-	}
-	if c.Iterations < 1 {
-		c.Iterations = 3
-	}
+func (c GMMConfig) valid() bool {
+	return c.Parts >= 1 && c.PerPart >= 1 && c.Dim >= 1 && c.K >= 1 && c.Iterations >= 1
 }
 
 // RunGMM fits a diagonal-covariance Gaussian mixture with EM (HiBench's
 // GMM workload). The metric is the final mean log-likelihood.
 func RunGMM(ctx *spark.Context, cfg GMMConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "GMM", func() (float64, error) {
+	return run(ctx, "GMM", cfg, func() (float64, error) {
 		points := pointsRDD(ctx, cfg.Parts, cfg.PerPart, cfg.Dim, cfg.Seed)
 		if _, err := spark.Count(points); err != nil {
 			return 0, err
@@ -260,25 +229,8 @@ type LDAConfig struct {
 	Seed       int64
 }
 
-func (c *LDAConfig) defaults() {
-	if c.Parts < 1 {
-		c.Parts = 4
-	}
-	if c.DocsPer < 1 {
-		c.DocsPer = 100
-	}
-	if c.Vocab < 1 {
-		c.Vocab = 1000
-	}
-	if c.WordsPer < 1 {
-		c.WordsPer = 50
-	}
-	if c.K < 1 {
-		c.K = 8
-	}
-	if c.Iterations < 1 {
-		c.Iterations = 3
-	}
+func (c LDAConfig) valid() bool {
+	return c.Parts >= 1 && c.DocsPer >= 1 && c.Vocab >= 1 && c.WordsPer >= 1 && c.K >= 1 && c.Iterations >= 1
 }
 
 // doc is one document: distinct word ids and their counts.
@@ -295,8 +247,7 @@ type doc struct {
 // topic-word matrix itself — the pattern where the paper's MPI designs
 // show the largest ML-suite gains. The metric is a pseudo log-likelihood.
 func RunLDA(ctx *spark.Context, cfg LDAConfig) (*Result, error) {
-	cfg.defaults()
-	return run(ctx, "LDA", func() (float64, error) {
+	return run(ctx, "LDA", cfg, func() (float64, error) {
 		docs := spark.Generate(ctx, cfg.Parts, func(part int, tc *spark.TaskContext) []doc {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(part)))
 			out := make([]doc, cfg.DocsPer)

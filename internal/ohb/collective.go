@@ -39,7 +39,7 @@ func DefaultOSUSizes() []int {
 func osuSweep(ctx *spark.Context, name string, sizes []int, iters int,
 	runOp func(g *collective.Group, size int, at vtime.Stamp) (vtime.Stamp, error)) (*OSUResult, error) {
 	if iters < 1 {
-		iters = 1
+		return nil, fmt.Errorf("ohb: %s needs at least one timed iteration, got %d", name, iters)
 	}
 	g, _ := ctx.CollectiveGroup()
 	if g.Size() < 2 {

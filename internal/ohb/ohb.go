@@ -29,8 +29,9 @@ type Config struct {
 	Seed int64
 }
 
-// Validate fills defaults and checks bounds.
-func (c *Config) Validate() error {
+// Validate checks that every field is in range. It fills none: a config
+// is a complete description of the job.
+func (c Config) Validate() error {
 	if c.Mappers < 1 || c.Reducers < 1 {
 		return fmt.Errorf("ohb: mappers/reducers must be >= 1")
 	}
@@ -38,13 +39,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("ohb: need at least one pair per mapper")
 	}
 	if c.ValueBytes < 1 {
-		c.ValueBytes = 100
+		return fmt.Errorf("ohb: ValueBytes must be >= 1, got %d", c.ValueBytes)
 	}
 	if c.KeyRange < 1 {
-		c.KeyRange = int64(c.Mappers*c.PairsPerMapper) / 2
-		if c.KeyRange < 1 {
-			c.KeyRange = 1
-		}
+		return fmt.Errorf("ohb: KeyRange must be >= 1, got %d", c.KeyRange)
 	}
 	return nil
 }

@@ -32,17 +32,27 @@ func testCluster(t *testing.T, workers, slots int) *deploy.Cluster {
 	return cl
 }
 
+// TestConfigValidate: a config is a complete description. Validate
+// accepts a full one as it is and rejects one with any field out of range,
+// filling nothing.
 func TestConfigValidate(t *testing.T) {
-	c := Config{Mappers: 2, Reducers: 2, PairsPerMapper: 100}
-	if err := c.Validate(); err != nil {
+	full := Config{Mappers: 2, Reducers: 2, PairsPerMapper: 100, ValueBytes: 100, KeyRange: 51, Seed: 1}
+	if err := full.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.ValueBytes != 100 || c.KeyRange != 100 {
-		t.Fatalf("defaults: %+v", c)
-	}
-	bad := Config{}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero config validated")
+	for name, bad := range map[string]func(*Config){
+		"zero":           func(c *Config) { *c = Config{} },
+		"Mappers":        func(c *Config) { c.Mappers = 0 },
+		"Reducers":       func(c *Config) { c.Reducers = -1 },
+		"PairsPerMapper": func(c *Config) { c.PairsPerMapper = 0 },
+		"ValueBytes":     func(c *Config) { c.ValueBytes = 0 },
+		"KeyRange":       func(c *Config) { c.KeyRange = 0 },
+	} {
+		c := full
+		bad(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: %+v validated", name, c)
+		}
 	}
 }
 

@@ -24,6 +24,15 @@ func osuCluster(t *testing.T, backend spark.Backend) *harness.Cluster {
 	return cl
 }
 
+// TestOSURejectsZeroIters: a sweep of no timed iterations is an error,
+// not a sweep of one.
+func TestOSURejectsZeroIters(t *testing.T) {
+	cl := osuCluster(t, spark.BackendVanilla)
+	if res, err := ohb.RunOSUBcast(cl.Ctx, []int{64}, 0); err == nil {
+		t.Fatalf("iters 0 ran: %+v", res.Points)
+	}
+}
+
 // TestOSUCollectiveLatencyOrdering is the acceptance check for the OSU
 // collective suite: at 4 MiB the MPI-Optimized design must be at least as
 // fast as MPI-Basic (eager chunks pipeline; rendezvous chunks handshake),

@@ -14,24 +14,23 @@ import (
 type SkewConfig struct {
 	Config
 	// HotKeyFraction is the fraction of all pairs carrying the single
-	// hottest key (key 0, which hashes to reduce partition 0). The
-	// default 0.5 puts half the shuffle volume in one partition.
+	// hottest key (key 0, which hashes to reduce partition 0), in (0, 1).
 	HotKeyFraction float64
 	// ZipfS is the Zipf exponent (> 1) shaping the non-hot keys across
-	// [1, KeyRange). Default 1.2.
+	// [1, KeyRange).
 	ZipfS float64
 }
 
-// Validate fills defaults and checks bounds.
-func (c *SkewConfig) Validate() error {
+// Validate checks that every field is in range; it fills none.
+func (c SkewConfig) Validate() error {
 	if err := c.Config.Validate(); err != nil {
 		return err
 	}
 	if c.HotKeyFraction <= 0 || c.HotKeyFraction >= 1 {
-		c.HotKeyFraction = 0.5
+		return fmt.Errorf("ohb: HotKeyFraction must be in (0, 1), got %g", c.HotKeyFraction)
 	}
 	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
+		return fmt.Errorf("ohb: ZipfS must be > 1, got %g", c.ZipfS)
 	}
 	if c.KeyRange < 2 {
 		return fmt.Errorf("ohb: skewed workload needs KeyRange >= 2")

@@ -5,6 +5,32 @@ import (
 	"testing"
 )
 
+// TestSkewConfigValidate: an out-of-range skew is an error, not a run of
+// some other skew (HotKeyFraction 1.0 used to run at 0.5, ZipfS 0.5 at 1.2).
+func TestSkewConfigValidate(t *testing.T) {
+	base := Config{Mappers: 2, Reducers: 2, PairsPerMapper: 100, ValueBytes: 100, KeyRange: 51, Seed: 1}
+	for _, tc := range []struct {
+		hot, s float64
+		keys   int64
+		ok     bool
+	}{
+		{0.5, 1.2, 51, true},
+		{1.0, 1.2, 51, false},
+		{0, 1.2, 51, false},
+		{-0.1, 1.2, 51, false},
+		{0.5, 0.5, 51, false},
+		{0.5, 1, 51, false},
+		{0.5, 0, 51, false},
+		{0.5, 1.2, 1, false},
+	} {
+		c := SkewConfig{Config: base, HotKeyFraction: tc.hot, ZipfS: tc.s}
+		c.KeyRange = tc.keys
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("HotKeyFraction %g, ZipfS %g, KeyRange %d: Validate() = %v, want ok=%v", tc.hot, tc.s, tc.keys, err, tc.ok)
+		}
+	}
+}
+
 // TestGroupChecksumMatchesScalar holds the four-lane kernel to the scalar
 // sum Σ fnv64(v) for groups of 0-9 values of 0-200 bytes, equal-length and
 // mixed-length, so every lane tail and every leftover value count (the
