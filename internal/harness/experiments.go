@@ -236,16 +236,16 @@ func runSingleOHB(o Options, a Args) (*ohb.Result, *metrics.Table, error) {
 		res.Stages, res.Total, true), nil
 }
 
-// runOSU runs the OSU-style latency sweep of one collective (Bcast or
-// Allreduce, a.Iters timed iterations per message size).
+// runOSU runs the OSU-style latency sweep of one collective (Bcast from
+// 4 B or Allreduce from 8 B, a.Iters timed iterations per message size).
 func runOSU(o Options, a Args) (*metrics.Table, error) {
-	osu := ohb.RunOSUBcast
+	osu, sizes := ohb.RunOSUBcast, ohb.DefaultOSUSizes()
 	if a.Bench == "Allreduce" {
-		osu = ohb.RunOSUAllreduce
+		osu, sizes = ohb.RunOSUAllreduce, ohb.AllreduceOSUSizes()
 	}
 	var res *ohb.OSUResult
 	if _, err := (Cell{Spec: singleSpec(o, a), Job: func(cl *Cluster) (err error) {
-		res, err = osu(cl.Ctx, ohb.DefaultOSUSizes(), a.Iters)
+		res, err = osu(cl.Ctx, sizes, a.Iters)
 		return err
 	}}).Run(); err != nil {
 		return nil, err

@@ -41,6 +41,8 @@ func TestExperimentTableShapes(t *testing.T) {
 	for _, s := range []string{"4", "16", "64", "256", "1024", "4096", "16384", "65536", "262144", "1048576", "4194304"} {
 		sizes = append(sizes, []string{s})
 	}
+	// osu_allreduce starts at one float64.
+	floatSizes := append([][]string{{"8"}}, sizes[1:]...)
 	for _, tc := range []struct {
 		name    string
 		run     func() (*metrics.Table, error)
@@ -101,7 +103,7 @@ func TestExperimentTableShapes(t *testing.T) {
 			},
 			title:   "OSU osu_allreduce: Frontera, 4 workers x 2 slots, MPI-Basic backend",
 			columns: []string{"Size", "Latency"},
-			labels:  sizes,
+			labels:  floatSizes,
 		},
 		{
 			name: "hibench",

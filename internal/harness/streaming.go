@@ -16,7 +16,7 @@ import (
 // pipeline is an incremental windowed count (ReduceByKeyAndWindow with
 // inverse subtraction, window 4 intervals, slide 2) — the canonical
 // Spark Streaming stateful workload, driving both the shuffle path and
-// the lineage-checkpoint path every run.
+// the in-place local checkpoint every fifth slide.
 const (
 	streamInterval  = 8 * time.Millisecond
 	streamReceivers = 2

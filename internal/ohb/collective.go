@@ -33,6 +33,14 @@ func DefaultOSUSizes() []int {
 	return sizes
 }
 
+// AllreduceOSUSizes is DefaultOSUSizes for osu_allreduce: it starts at one
+// float64 (8 B), as osu_allreduce starts at its datatype's size.
+func AllreduceOSUSizes() []int {
+	sizes := DefaultOSUSizes()
+	sizes[0] = 8
+	return sizes
+}
+
 // osuSweep times one collective op per size for iters iterations. runOp
 // executes the operation across the whole group starting at `at` and
 // returns the completion time of its slowest rank.
@@ -102,14 +110,16 @@ func RunOSUBcast(ctx *spark.Context, sizes []int, iters int) (*OSUResult, error)
 }
 
 // RunOSUAllreduce measures allreduce (float64 sum) latency per message
-// size — the osu_allreduce benchmark.
+// size — the osu_allreduce benchmark. Every size must be a positive
+// multiple of 8 B, whole float64s.
 func RunOSUAllreduce(ctx *spark.Context, sizes []int, iters int) (*OSUResult, error) {
+	for _, size := range sizes {
+		if size < 8 || size%8 != 0 {
+			return nil, fmt.Errorf("ohb: osu_allreduce sums float64s: size %d B is not a positive multiple of 8", size)
+		}
+	}
 	return osuSweep(ctx, "osu_allreduce", sizes, iters,
 		func(g *collective.Group, size int, at vtime.Stamp) (vtime.Stamp, error) {
-			if size < 8 {
-				size = 8
-			}
-			size -= size % 8
 			data := make([]byte, size)
 			op := collective.NextOpID()
 			var mu sync.Mutex

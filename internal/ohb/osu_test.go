@@ -96,11 +96,32 @@ func TestOSUSweepRunsAllSizes(t *testing.T) {
 		}
 		prev = p.Latency
 	}
-	ar, err := ohb.RunOSUAllreduce(cl.Ctx, sizes, 1)
+	arSizes := ohb.AllreduceOSUSizes()
+	ar, err := ohb.RunOSUAllreduce(cl.Ctx, arSizes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ar.Points) != len(sizes) {
-		t.Fatalf("allreduce points = %d, want %d", len(ar.Points), len(sizes))
+	if len(ar.Points) != len(arSizes) {
+		t.Fatalf("allreduce points = %d, want %d", len(ar.Points), len(arSizes))
+	}
+}
+
+// TestOSUAllreduceSizesAreWholeFloats: an allreduce sums float64s, so a
+// size that is not a positive multiple of 8 B is an error, not a silently
+// rounded row; the allreduce sweep starts at 8 B, the broadcast's at 4 B.
+func TestOSUAllreduceSizesAreWholeFloats(t *testing.T) {
+	cl := osuCluster(t, spark.BackendVanilla)
+	for _, size := range []int{0, 4, 12} {
+		if res, err := ohb.RunOSUAllreduce(cl.Ctx, []int{size}, 1); err == nil {
+			t.Fatalf("allreduce of %d B ran: %+v", size, res.Points)
+		}
+	}
+	bc, err := ohb.RunOSUBcast(cl.Ctx, ohb.DefaultOSUSizes()[:1], 1)
+	if err != nil || bc.Points[0].Bytes != 4 {
+		t.Fatalf("bcast sweep starts at %+v, %v; want 4 B", bc, err)
+	}
+	ar, err := ohb.RunOSUAllreduce(cl.Ctx, ohb.AllreduceOSUSizes()[:1], 1)
+	if err != nil || ar.Points[0].Bytes != 8 {
+		t.Fatalf("allreduce sweep starts at %+v, %v; want 8 B", ar, err)
 	}
 }

@@ -10,6 +10,7 @@
 package spark_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -487,6 +488,62 @@ func TestChaosExecutorKillNarrowJob(t *testing.T) {
 				t.Fatalf("post-recovery shuffle job: %v", err)
 			}
 			verifySums(t, out, nParts)
+		})
+	}
+}
+
+// TestChaosExecutorKillLosesLocalCheckpoint kills the executor that holds
+// a partition of a local checkpoint, on every backend, then runs a job
+// that reads the checkpoint. Its lineage is cut, so the partition cannot
+// be recomputed: the job must fail with a *spark.CheckpointLostError
+// naming the partition and the dead executor, within the scheduler's task
+// retry limit, and must not hang.
+func TestChaosExecutorKillLosesLocalCheckpoint(t *testing.T) {
+	const nParts = 2 * chaosWorkers
+	for _, backend := range chaosBackends {
+		t.Run(backend.String(), func(t *testing.T) {
+			cc := newChaosClusterCfg(t, backend, superviseChaos)
+			var mu sync.Mutex
+			holder := make(map[int]string) // partition -> executor that computed it
+			ck := spark.Generate(cc.ctx, nParts, func(part int, tc *spark.TaskContext) []int64 {
+				mu.Lock()
+				holder[part] = tc.ExecutorID()
+				mu.Unlock()
+				return []int64{int64(part)}
+			}).LocalCheckpoint()
+			if n, err := spark.Count(ck); err != nil || n != nParts {
+				t.Fatalf("materializing job: count = %d, %v", n, err)
+			}
+			victim := cc.ctx.Executors()[1]
+			part := -1
+			for p := 0; p < nParts && part < 0; p++ {
+				if holder[p] == victim.ID() {
+					part = p
+				}
+			}
+			if part < 0 {
+				t.Fatalf("no checkpointed partition on %s: %v", victim.ID(), holder)
+			}
+			victim.Kill()
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := spark.Count(ck)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("job reading a lost checkpoint partition hung")
+			}
+			var lost *spark.CheckpointLostError
+			if !errors.As(err, &lost) {
+				t.Fatalf("got %v, want *spark.CheckpointLostError", err)
+			}
+			if lost.Executor != victim.ID() || holder[lost.Partition] != victim.ID() {
+				t.Fatalf("lost partition %d on %q, want a partition of %s (%v)", lost.Partition, lost.Executor, victim.ID(), holder)
+			}
 		})
 	}
 }

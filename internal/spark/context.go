@@ -206,6 +206,7 @@ type Context struct {
 	clock        vtime.Stamp
 	stages       []StageTiming
 	cacheLocs    map[cacheKey]string
+	checkpoints  []localCheckpoint // local checkpoints awaiting their lineage cut
 	doneShuffles map[int]bool
 	rrNext       int
 	bcast        *broadcastState

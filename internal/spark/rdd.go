@@ -222,19 +222,20 @@ type rddBase interface {
 	// given in map-range order. Charged against tc.
 	mergePartials(tc *TaskContext, parts []any) any
 	// preferredLoc reports the executor a partition is pinned to ("" =
-	// no static preference). Streaming receiver blocks and checkpointed
-	// state set it so tasks run where the data already lives; the
-	// scheduler still falls back to any executor when the pinned one is
-	// excluded or lost.
+	// no static preference). Streaming receiver blocks set it so tasks
+	// run where the data already lives; the scheduler still falls back to
+	// any executor when the pinned one is excluded or lost.
 	preferredLoc(part int) string
 }
 
 // RDD is a resilient distributed dataset of T: a lazy, partitioned
 // collection defined by its lineage.
 type RDD[T any] struct {
-	ctx     *Context
-	id      int
-	nParts  int
+	ctx    *Context
+	id     int
+	nParts int
+	// deps is read on the driver only, and a local checkpoint's lineage
+	// cut clears it (checkpoint.go).
 	deps    []Dependency
 	compute func(part int, tc *TaskContext) ([]T, error)
 	// cached is read by tasks and cleared by Unpersist on the driver.
@@ -266,19 +267,12 @@ func (r *RDD[T]) Cache() *RDD[T] {
 // Unpersist stops caching the RDD and drops its cached partitions from
 // every executor and from the driver's record of where they live, as
 // Spark's non-blocking unpersist does (its RemoveRdd messages are not
-// modelled). A later job that needs a partition recomputes it.
+// modelled). A later job that needs a partition recomputes it, unless
+// the RDD is a local checkpoint whose lineage is cut (LocalCheckpoint).
 func (r *RDD[T]) Unpersist() {
 	if r.cached.Swap(false) {
 		r.ctx.uncache(r.id, r.nParts)
 	}
-}
-
-// PreferredLocation returns the executor a task computing partition part
-// would prefer: a pin or a cached partition of the RDD or of an ancestor
-// it reads one-to-one ("" when there is none). It is Spark's
-// SparkContext.getPreferredLocs.
-func (r *RDD[T]) PreferredLocation(part int) string {
-	return r.ctx.preferredExecutor(r, part)
 }
 
 func (r *RDD[T]) rddID() int                 { return r.id }

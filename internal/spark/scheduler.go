@@ -39,10 +39,10 @@ func findShuffleDeps(final rddBase) []*ShuffleDep {
 	return order
 }
 
-// preferredExecutor looks for a static partition pin (receiver blocks,
-// checkpointed state) or a cached partition on r, then on each parent r
-// reads one-to-one, in dependency order, and returns the executor holding
-// the first it finds ("" if none). A zip therefore prefers its first
+// preferredExecutor looks for a static partition pin (receiver blocks) or
+// a cached partition on r, then on each parent r reads one-to-one, in
+// dependency order, and returns the executor holding the first it finds
+// ("" if none). A zip therefore prefers its first
 // input's executor: a window merge runs where the previous window lives.
 func (c *Context) preferredExecutor(r rddBase, part int) string {
 	if loc := r.preferredLoc(part); loc != "" {
@@ -110,6 +110,7 @@ func (c *Context) runJob(final rddBase, fn partitionFunc, resultSize func(any) i
 	for attempt := 0; ; attempt++ {
 		err := c.tryRunJob(jobID, deps, final, fn, resultSize, handle)
 		if err == nil {
+			c.cutCheckpoints()
 			return finish(nil)
 		}
 		ff, ok := shuffle.AsFetchFailed(err)

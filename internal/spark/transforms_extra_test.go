@@ -100,7 +100,7 @@ func TestZipMergesCoPartitionedPairs(t *testing.T) {
 		c.ctx.mu.Lock()
 		want := c.ctx.cacheLocs[cacheKey{rddID: prev.id, part: p}]
 		c.ctx.mu.Unlock()
-		if got := merged.PreferredLocation(p); got != want {
+		if got := c.ctx.preferredExecutor(merged, p); got != want {
 			t.Errorf("partition %d prefers %q, want %q where the first input is cached", p, got, want)
 		}
 	}

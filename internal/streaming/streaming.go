@@ -6,7 +6,8 @@
 // spark job over those blocks; the windowed operator, reduce-by-key-and-
 // window (incremental when given an inverse), carries state across batches
 // in cached partitions that one narrow merge per slide folds, with no
-// shuffle of its own; and a PID rate estimator (Spark's
+// shuffle of its own, and that every fifth slide checkpoints in place
+// (spark.RDD.LocalCheckpoint, no driver round trip); and a PID rate estimator (Spark's
 // `pid` RateEstimator) bounds receiver ingest when processing time
 // exceeds the batch interval.
 //

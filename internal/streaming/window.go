@@ -2,7 +2,7 @@ package streaming
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mpi4spark/internal/spark"
@@ -27,8 +27,8 @@ func (sc *StreamingContext) windowBatches(window, slide time.Duration) (wb, sb i
 }
 
 // checkpointEvery is how many slides an inverse-reduced window's state
-// may accumulate lineage before it is materialized to the driver and
-// rebuilt as pinned partitions.
+// may accumulate lineage before it is checkpointed in place
+// (RDD.LocalCheckpoint).
 const checkpointEvery = 5
 
 // ReduceByKeyAndWindow reduces pairs over a sliding window. With invF
@@ -46,8 +46,11 @@ const checkpointEvery = 5
 // partitioner. The partials are persisted: each is reduced once, when it
 // enters the window, and read from cache when it leaves. The incremental
 // path carries state across batches, so every checkpointEvery slides the
-// window is materialized to the driver and rebuilt as pinned partitions,
-// cutting the lineage chain.
+// window's merge also sorts each partition by key, and the window is
+// local-checkpointed: its partitions stay cached where they were merged,
+// and the job that materializes them (the output operation's) cuts the
+// lineage chain. A checkpointed partition lost with its executor cannot be
+// recomputed: the next slide's job fails with a *spark.CheckpointLostError.
 func ReduceByKeyAndWindow[K comparable, V any](
 	in *DStream[spark.Pair[K, V]],
 	conf spark.ShuffleConf[K, V],
@@ -103,8 +106,15 @@ func ReduceByKeyAndWindow[K comparable, V any](
 		if err != nil || len(ins) == 0 {
 			return nil, err
 		}
+		checkpoint := invF != nil && (b+1)/sb%checkpointEvery == 0
 		result, err := spark.ZipPartitions(ins, func(_ int, tc *spark.TaskContext, parts [][]spark.Pair[K, V]) ([]spark.Pair[K, V], error) {
-			return spark.MergeByKey(tc, conf.Ops, parts[:added], parts[added:], f, invF), nil
+			out := spark.MergeByKey(tc, conf.Ops, parts[:added], parts[added:], f, invF)
+			if checkpoint {
+				// A checkpoint's order is canonical, whichever path built it.
+				slices.SortFunc(out, func(a, b spark.Pair[K, V]) int { return compareKeys(conf.Ops, a.K, b.K) })
+				tc.ChargeSort(len(out))
+			}
+			return out, nil
 		})
 		if err != nil {
 			return nil, err
@@ -112,8 +122,8 @@ func ReduceByKeyAndWindow[K comparable, V any](
 		if keep != nil {
 			result = spark.Filter(result, func(p spark.Pair[K, V]) bool { return keep(p.K, p.V) })
 		}
-		if slideNo := (b + 1) / sb; invF != nil && slideNo%checkpointEvery == 0 {
-			return checkpointPairs(sc.ctx, result, conf)
+		if checkpoint {
+			return result.LocalCheckpoint(), nil
 		}
 		return result.Cache(), nil
 	})
@@ -121,33 +131,13 @@ func ReduceByKeyAndWindow[K comparable, V any](
 	return out, nil
 }
 
-// checkpointPairs materializes a pair RDD to the driver and rebuilds it
-// as freshly-pinned cached partitions — the streaming checkpoint. The
-// rebuilt RDD has no lineage into earlier batches, so forgotten history
-// can never be re-demanded, and its partitioning/order is canonical
-// (hash partitioned, key-sorted) regardless of which path produced it. A
-// partition stays on the executor that computed it, where the partials it
-// merged are cached.
-func checkpointPairs[K comparable, V any](ctx *spark.Context, r *spark.RDD[spark.Pair[K, V]], conf spark.ShuffleConf[K, V]) (*spark.RDD[spark.Pair[K, V]], error) {
-	rows, err := spark.Collect(r)
-	if err != nil {
-		return nil, err
+// compareKeys orders two keys by ops.Less, as slices.SortFunc wants.
+func compareKeys[K any](ops spark.KeyOps[K], a, b K) int {
+	switch {
+	case ops.Less(a, b):
+		return -1
+	case ops.Less(b, a):
+		return 1
 	}
-	part := spark.HashPartitioner[K]{N: conf.Parts, Ops: conf.Ops}
-	parts := make([][]spark.Pair[K, V], conf.Parts)
-	for _, p := range rows {
-		i := part.PartitionFor(p.K)
-		parts[i] = append(parts[i], p)
-	}
-	for _, ps := range parts {
-		sort.Slice(ps, func(i, j int) bool { return conf.Ops.Less(ps[i].K, ps[j].K) })
-	}
-	execs := ctx.Executors()
-	prefs := make([]string, conf.Parts)
-	for i := range prefs {
-		if prefs[i] = r.PreferredLocation(i); prefs[i] == "" {
-			prefs[i] = execs[i%len(execs)].ID()
-		}
-	}
-	return spark.FromPartitions(ctx, parts, 16).WithPreferred(prefs).Cache(), nil
+	return 0
 }

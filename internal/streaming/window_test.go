@@ -75,7 +75,8 @@ func countStages(cl *harness.Cluster) *stageCounter {
 // TestWindowSlideRunsNoShuffle: an incremental slide merges the previous
 // window and the partials in place, so a window job submits no shuffle map
 // stage beyond its entering partials' (two per slide), and the run submits
-// exactly one per batch: each batch's partial reduce.
+// exactly one per batch: each batch's partial reduce. A checkpoint slide
+// is checkpointed in place by its output job, so every slide runs one job.
 func TestWindowSlideRunsNoShuffle(t *testing.T) {
 	cl, sc, counts := windowedCount(t, spark.BackendVanilla, int64Conf(4), true)
 	stages := countStages(cl)
@@ -92,6 +93,9 @@ func TestWindowSlideRunsNoShuffle(t *testing.T) {
 	}
 	if total != windowBatches {
 		t.Errorf("%d shuffle map stages over %d jobs, want one per batch (%d)", total, stages.jobs, windowBatches)
+	}
+	if slides := windowBatches / 2; stages.jobs != slides {
+		t.Errorf("%d jobs for %d slides, want one job per slide", stages.jobs, slides)
 	}
 }
 
