@@ -1,6 +1,6 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet fmt-check test deadcode bench-test bench-smoke race-all fuzz-smoke flake bench experiments examples clean
+.PHONY: all build vet fmt-check test deadcode waits bench-test bench-smoke race-all fuzz-smoke flake bench experiments examples clean
 
 all: build vet fmt-check test
 
@@ -22,6 +22,13 @@ test: bench-test
 # prints each unreached declaration and the current allowlist.
 deadcode:
 	go test -count=1 -run TestNoUnreachableCode -v ./internal/deadcode/
+
+# The hand-rolled waits (make(chan, select, sync.Cond, sync.WaitGroup, go)
+# left outside internal/vtime must match internal/vtime/waits.txt, one line
+# per file and kind with a reason. make test runs it too; this target runs it
+# alone and verbosely, so the survivors and their totals are printed.
+waits:
+	go test -count=1 -run 'TestWaitCensus|TestWaitSitesOnFixture' -v ./internal/vtime/
 
 # bench/ is a Go module of its own (the repository benchmark); the root
 # module's ./... does not reach its tests.

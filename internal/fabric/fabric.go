@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,9 @@ import (
 
 	"mpi4spark/internal/vtime"
 )
+
+// ErrClosed is returned by listener and connection operations after Close.
+var ErrClosed = errors.New("fabric: closed")
 
 // Addr names a listening endpoint: a node plus a port string.
 type Addr struct {
@@ -206,12 +210,15 @@ func (n *Node) ComputeStretch() float64 {
 	return float64(c+n.spinning.Load()) / float64(c)
 }
 
+// maxBacklog is how many dialed connections a listener holds un-accepted;
+// a dial past it is refused, as a kernel refuses past listen(2)'s backlog.
+const maxBacklog = 128
+
 // Listener accepts connections dialed to its address.
 type Listener struct {
 	addr    Addr
 	node    *Node
-	backlog chan *Conn
-	closed  atomic.Bool
+	backlog vtime.Mailbox[*Conn]
 }
 
 // Listen opens a listener on the node at the given port. It returns an
@@ -224,7 +231,7 @@ func (n *Node) Listen(port string) (*Listener, error) {
 	if _, ok := f.listeners[addr]; ok {
 		return nil, fmt.Errorf("fabric: address %s already bound", addr)
 	}
-	l := &Listener{addr: addr, node: n, backlog: make(chan *Conn, 128)}
+	l := &Listener{addr: addr, node: n}
 	f.listeners[addr] = l
 	return l, nil
 }
@@ -234,7 +241,7 @@ func (l *Listener) Addr() Addr { return l.addr }
 
 // Accept blocks until a connection arrives or the listener is closed.
 func (l *Listener) Accept() (*Conn, error) {
-	c, ok := <-l.backlog
+	c, ok := l.backlog.Recv()
 	if !ok {
 		return nil, ErrClosed
 	}
@@ -242,16 +249,16 @@ func (l *Listener) Accept() (*Conn, error) {
 }
 
 // Close unbinds the listener. Pending un-accepted connections are closed.
+// It is idempotent.
 func (l *Listener) Close() error {
-	if !l.closed.CompareAndSwap(false, true) {
-		return nil
-	}
 	f := l.node.fabric
 	f.mu.Lock()
-	delete(f.listeners, l.addr)
+	if f.listeners[l.addr] == l {
+		delete(f.listeners, l.addr)
+	}
 	f.mu.Unlock()
-	close(l.backlog)
-	for c := range l.backlog {
+	l.backlog.Close()
+	for c, ok := l.backlog.TryRecv(); ok; c, ok = l.backlog.TryRecv() {
 		c.Close()
 	}
 	return nil
@@ -266,7 +273,7 @@ func (n *Node) Dial(addr Addr, proto Protocol, at vtime.Stamp) (*Conn, vtime.Sta
 	l, ok := f.listeners[addr]
 	remote := f.nodes[addr.Node]
 	f.mu.Unlock()
-	if !ok || l.closed.Load() {
+	if !ok {
 		return nil, at, fmt.Errorf("fabric: connection refused: %s", addr)
 	}
 	if remote == nil {
@@ -284,11 +291,23 @@ func (n *Node) Dial(addr Addr, proto Protocol, at vtime.Stamp) (*Conn, vtime.Sta
 		return nil, at, fmt.Errorf("fabric: link down dialing %s", addr)
 	}
 
-	a2b, b2a := newQueue(), newQueue()
+	a2b, b2a := new(vtime.Mailbox[Message]), new(vtime.Mailbox[Message])
 	dialSide := &Conn{local: n, remote: remote, proto: proto, out: a2b, in: b2a}
 	acceptSide := &Conn{local: remote, remote: n, proto: proto, out: b2a, in: a2b}
 	dialSide.peer, acceptSide.peer = acceptSide, dialSide
+	// The backlog check, the push and the registration are one step under
+	// the fabric lock: dials cannot overfill the backlog between them, a
+	// Close that drains the backlog finds the connection registered, and a
+	// refused dial leaves nothing behind.
 	f.mu.Lock()
+	if l.backlog.Len() >= maxBacklog {
+		f.mu.Unlock()
+		return nil, at, fmt.Errorf("fabric: backlog full dialing %s", addr)
+	}
+	if !l.backlog.Push(acceptSide) {
+		f.mu.Unlock()
+		return nil, at, fmt.Errorf("fabric: connection refused: %s", addr)
+	}
 	f.conns[dialSide] = struct{}{}
 	f.mu.Unlock()
 
@@ -300,13 +319,6 @@ func (n *Node) Dial(addr Addr, proto Protocol, at vtime.Stamp) (*Conn, vtime.Sta
 		rtt = 2 * f.model.loopback(0)
 	}
 	ready := at.Add(rtt)
-
-	select {
-	case l.backlog <- acceptSide:
-	default:
-		// Backlog overflow: refuse, as a kernel would.
-		return nil, at, fmt.Errorf("fabric: backlog full dialing %s", addr)
-	}
 	return dialSide, ready, nil
 }
 
@@ -317,8 +329,8 @@ type Conn struct {
 	remote *Node
 	peer   *Conn
 	proto  Protocol
-	out    *queue
-	in     *queue
+	out    *vtime.Mailbox[Message]
+	in     *vtime.Mailbox[Message]
 	closed atomic.Bool
 }
 
@@ -360,7 +372,7 @@ func (c *Conn) send(data, body []byte, at vtime.Stamp) (vtime.Stamp, error) {
 		return at, ErrClosed
 	}
 	cpuFree, deliver := f.Transfer(c.local, c.remote, c.proto, len(data)+len(body), at)
-	c.out.push(Message{Data: data, Body: body, VT: deliver})
+	c.out.Push(Message{Data: data, Body: body, VT: deliver})
 	return cpuFree, nil
 }
 
@@ -403,21 +415,26 @@ func (f *Fabric) Transfer(from, to *Node, proto Protocol, n int, at vtime.Stamp)
 }
 
 // Recv blocks until a message arrives and returns its payload and virtual
-// arrival time.
+// arrival time. A closed connection first hands out what was delivered
+// before it closed, then reports ErrClosed.
 func (c *Conn) Recv() (Message, error) {
-	return c.in.pop()
+	m, ok := c.in.Recv()
+	if !ok {
+		return Message{}, ErrClosed
+	}
+	return m, nil
 }
 
 // TryRecv returns a buffered message without blocking; ok reports whether
 // one was available. This is the primitive behind non-blocking selector
 // polls.
 func (c *Conn) TryRecv() (Message, bool) {
-	return c.in.tryPop()
+	return c.in.TryRecv()
 }
 
 // Pending reports whether a message is buffered for Recv.
 func (c *Conn) Pending() bool {
-	return c.in.pending()
+	return c.in.Len() > 0
 }
 
 // SetReadNotify installs fn as a readiness callback: it is invoked after
@@ -425,7 +442,7 @@ func (c *Conn) Pending() bool {
 // invoked once immediately upon installation so no prior delivery is
 // missed. Event-loop selectors use this as their epoll-style wakeup.
 func (c *Conn) SetReadNotify(fn func()) {
-	c.in.setNotify(fn)
+	c.in.SetNotify(fn)
 }
 
 // Close tears down both directions of the connection. It is idempotent.
@@ -433,8 +450,8 @@ func (c *Conn) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.in.close()
-	c.out.close()
+	c.in.Close()
+	c.out.Close()
 	if p := c.peer; p != nil {
 		p.closed.Store(true)
 	}

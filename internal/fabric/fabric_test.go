@@ -318,6 +318,78 @@ func TestListenerClose(t *testing.T) {
 	}
 }
 
+// TestDialRacingListenerClose: dials that race a listener's Close either
+// succeed, and the Close then closes their connections, or are refused; no
+// dial panics, and nothing is left registered on the fabric either way.
+func TestDialRacingListenerClose(t *testing.T) {
+	f := testFabric(t, NewZeroModel(), "a", "b")
+	const dials = 4
+	for i := 0; i < 2000; i++ {
+		l, err := f.Node("b").Listen("svc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		conns := make([]*Conn, dials)
+		var wg sync.WaitGroup
+		for d := 0; d < dials; d++ {
+			wg.Add(1)
+			go func(d int) {
+				defer wg.Done()
+				<-start
+				conns[d], _, _ = f.Node("a").Dial(l.Addr(), TCP, 0)
+			}(d)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			l.Close()
+		}()
+		close(start)
+		wg.Wait()
+		for d, c := range conns {
+			if c != nil && !c.Closed() {
+				t.Fatalf("round %d: dial %d succeeded and its connection outlived the listener's Close", i, d)
+			}
+		}
+		f.mu.Lock()
+		left := len(f.conns)
+		f.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("round %d: %d connections left registered after the listener closed", i, left)
+		}
+	}
+}
+
+// TestBacklogFullRefusesCleanly: a listener holds maxBacklog un-accepted
+// connections; the next dial is refused and registers nothing.
+func TestBacklogFullRefusesCleanly(t *testing.T) {
+	f := testFabric(t, NewZeroModel(), "a", "b")
+	l, err := f.Node("b").Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxBacklog; i++ {
+		if _, _, err := f.Node("a").Dial(l.Addr(), TCP, 0); err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+	}
+	if c, _, err := f.Node("a").Dial(l.Addr(), TCP, 0); err == nil || c != nil {
+		t.Fatalf("dial past the backlog = %v, %v; want a refusal", c, err)
+	}
+	f.mu.Lock()
+	n := len(f.conns)
+	f.mu.Unlock()
+	if n != maxBacklog {
+		t.Fatalf("%d connections registered, want the %d in the backlog", n, maxBacklog)
+	}
+	l.Close()
+	if len(f.conns) != 0 {
+		t.Fatalf("%d connections registered after Close drained the backlog", len(f.conns))
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	f := testFabric(t, NewZeroModel(), "a", "b")
 	dc, _ := dialPair(t, f, "a", "b", RDMA)

@@ -1,9 +1,10 @@
-// Package fifo is a first-in first-out queue that keeps its array: the
-// message queues of the fabric, the RDMA completion queues and the rpc
-// environment's dispatch and serve queues all push at the back and pop at
-// the front, and a slice popped with q = q[1:] and grown by append drops its
-// head and reallocates every few messages under a steady one-in, one-out
-// load.
+// Package fifo is a first-in first-out queue that keeps its array. Its users
+// push at the back and pop at the front: vtime.Mailbox, the blocking queue
+// under the fabric's connections and listener backlogs, the RDMA
+// completion queues and the rpc endpoints' dispatch, and the rpc
+// environment's serve queue. A slice popped with q = q[1:] and grown by
+// append drops its head and reallocates every few messages under a steady
+// one-in, one-out load.
 package fifo
 
 // Queue is a FIFO of T over one slice. Its zero value is an empty queue. It

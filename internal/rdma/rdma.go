@@ -1,6 +1,6 @@
 // Package rdma is a verbs-like kernel-bypass communication layer over the
 // simulated fabric: devices, registered memory regions, queue pairs with
-// two-sided SEND/RECV, one-sided RDMA READ, and completion queues.
+// two-sided SEND/RECV, and completion queues.
 //
 // It is the substrate for internal/ucr, the Unified Communication Runtime
 // that RDMA-Spark (the paper's strongest baseline) builds its
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mpi4spark/internal/fabric"
-	"mpi4spark/internal/fifo"
 	"mpi4spark/internal/vtime"
 )
 
@@ -63,62 +62,30 @@ func (d *Device) RegisterMemory(buf []byte, at vtime.Stamp) (*MemoryRegion, vtim
 // Len returns the region's size.
 func (mr *MemoryRegion) Len() int { return len(mr.buf) }
 
-// Completion is one completion-queue entry.
+// Completion is one receive completion: a SEND from the peer has landed.
 type Completion struct {
-	// Op is "send" or "recv".
-	Op string
-	// Data is the received payload for recv completions; Body, when
-	// non-nil, is the second part of a PostSendGather that follows it.
-	// Both alias the sender's slices.
+	// Data is the received payload; Body, when non-nil, is the second part
+	// of a PostSendGather that follows it. Both alias the sender's slices.
 	Data []byte
 	Body []byte
 	// VT is the virtual completion time.
 	VT vtime.Stamp
 }
 
-// CompletionQueue collects work completions for polling.
+// CompletionQueue collects a queue pair's receive completions. A SEND
+// posts no completion on its own side: nothing in the stack reads one.
 type CompletionQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  fifo.Queue[Completion]
-	closed bool
-}
-
-func newCQ() *CompletionQueue {
-	cq := &CompletionQueue{}
-	cq.cond = sync.NewCond(&cq.mu)
-	return cq
-}
-
-func (cq *CompletionQueue) push(c Completion) {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	if cq.closed {
-		return
-	}
-	cq.queue.Push(c)
-	cq.cond.Broadcast()
+	q vtime.Mailbox[Completion]
 }
 
 // Wait blocks until at least one completion is available (or the CQ is
-// closed) and returns it.
+// closed) and returns it. A closed CQ first hands out what it holds.
 func (cq *CompletionQueue) Wait() (Completion, error) {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	for cq.queue.Len() == 0 && !cq.closed {
-		cq.cond.Wait()
+	c, ok := cq.q.Recv()
+	if !ok {
+		return Completion{}, ErrClosed
 	}
-	if c, ok := cq.queue.Pop(); ok {
-		return c, nil
-	}
-	return Completion{}, ErrClosed
-}
-
-func (cq *CompletionQueue) close() {
-	cq.mu.Lock()
-	defer cq.mu.Unlock()
-	cq.closed = true
-	cq.cond.Broadcast()
+	return c, nil
 }
 
 // QueuePair is one endpoint of a reliable-connected RDMA channel.
@@ -135,8 +102,8 @@ type QueuePair struct {
 // both endpoints (local first). Queue-pair exchange costs one RDMA round
 // trip, reflected in the returned ready time.
 func ConnectQP(a, b *Device, at vtime.Stamp) (qpA, qpB *QueuePair, ready vtime.Stamp) {
-	qpA = &QueuePair{local: a, remote: b, cq: newCQ()}
-	qpB = &QueuePair{local: b, remote: a, cq: newCQ()}
+	qpA = &QueuePair{local: a, remote: b, cq: new(CompletionQueue)}
+	qpB = &QueuePair{local: b, remote: a, cq: new(CompletionQueue)}
 	qpA.peer, qpB.peer = qpB, qpA
 	cost := a.fab.Model().Costs[fabric.RDMA]
 	ready = at.Add(2 * (cost.Latency + cost.SendOverhead + cost.RecvOverhead))
@@ -159,15 +126,15 @@ func (qp *QueuePair) nodeFailed() bool {
 }
 
 // PostSend ships data to the peer (two-sided SEND). The payload surfaces
-// in the peer CQ as a recv completion; the local CQ receives a send
-// completion. It returns the time the caller's CPU is free.
+// in the peer CQ as a completion. It returns the time the caller's CPU is
+// free.
 func (qp *QueuePair) PostSend(data []byte, at vtime.Stamp) (vtime.Stamp, error) {
 	return qp.PostSendGather(data, nil, at)
 }
 
 // PostSendGather is PostSend with a two-entry scatter/gather list: head and
 // body travel as one SEND of len(head)+len(body) bytes, neither copied, and
-// surface as Data and Body of the peer's recv completion.
+// surface as Data and Body of the peer's completion.
 func (qp *QueuePair) PostSendGather(head, body []byte, at vtime.Stamp) (vtime.Stamp, error) {
 	qp.mu.Lock()
 	closed := qp.closed
@@ -182,8 +149,7 @@ func (qp *QueuePair) PostSendGather(head, body []byte, at vtime.Stamp) (vtime.St
 		return at, fmt.Errorf("rdma: post to failed node %s: %w", qp.remote.node.Name(), ErrClosed)
 	}
 	cpuFree, deliver := qp.local.fab.Transfer(qp.local.node, qp.remote.node, fabric.RDMA, len(head)+len(body), at)
-	qp.cq.push(Completion{Op: "send", VT: cpuFree})
-	qp.peer.cq.push(Completion{Op: "recv", Data: head, Body: body, VT: deliver})
+	qp.peer.cq.q.Push(Completion{Data: head, Body: body, VT: deliver})
 	return cpuFree, nil
 }
 
@@ -196,14 +162,11 @@ func (qp *QueuePair) Close() {
 	}
 	qp.closed = true
 	qp.mu.Unlock()
-	qp.cq.close()
+	qp.cq.q.Close()
 	if qp.peer != nil {
 		qp.peer.mu.Lock()
-		wasClosed := qp.peer.closed
 		qp.peer.closed = true
 		qp.peer.mu.Unlock()
-		if !wasClosed {
-			qp.peer.cq.close()
-		}
+		qp.peer.cq.q.Close()
 	}
 }

@@ -38,14 +38,14 @@ func TestPostSendRecvCompletion(t *testing.T) {
 	if cpuFree <= ready {
 		t.Fatalf("cpuFree = %v", cpuFree)
 	}
-	if sc, err := qpA.CQ().Wait(); err != nil || sc.Op != "send" {
-		t.Fatalf("send completion = %+v, %v", sc, err)
+	if n := qpA.CQ().q.Len(); n != 0 {
+		t.Fatalf("sender's CQ holds %d completions; a SEND posts none on its own side", n)
 	}
 	rc, err := qpB.CQ().Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Op != "recv" || !bytes.Equal(rc.Data, payload) {
+	if !bytes.Equal(rc.Data, payload) {
 		t.Fatalf("recv completion = %+v", rc)
 	}
 	if rc.VT <= cpuFree {
@@ -104,7 +104,7 @@ func TestPostSendGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Op != "recv" || &rc.Data[0] != &head[0] || &rc.Body[0] != &body[0] {
+	if &rc.Data[0] != &head[0] || &rc.Body[0] != &body[0] {
 		t.Fatalf("recv completion copied its parts: %d + %d bytes", len(rc.Data), len(rc.Body))
 	}
 	if s := f.Stats(); s.MessagesFor(fabric.RDMA) != 1 || s.BytesFor(fabric.RDMA) != int64(len(head)+len(body)) {

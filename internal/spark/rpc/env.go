@@ -314,7 +314,7 @@ func (e *Env) deliverToEndpoint(name string, c Call) {
 	if ep == nil {
 		return
 	}
-	ep.enqueue(c)
+	ep.queue.Push(c)
 }
 
 func (e *Env) resolveAsk(id int64, r askReply) {
@@ -384,47 +384,17 @@ type endpoint struct {
 	name    string
 	handler Handler
 	engine  vtime.Resource
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  fifo.Queue[Call]
-	closed bool
-}
-
-func (ep *endpoint) enqueue(c Call) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.closed {
-		return
-	}
-	ep.queue.Push(c)
-	ep.cond.Signal()
+	queue   vtime.Mailbox[Call]
 }
 
 func (ep *endpoint) loop() {
 	var c Call // the call in hand, lent to the handler (see Handler)
-	for {
-		ep.mu.Lock()
-		for ep.queue.Len() == 0 && !ep.closed {
-			ep.cond.Wait()
-		}
-		next, ok := ep.queue.Pop()
-		ep.mu.Unlock()
-		if !ok {
-			return // closed and drained
-		}
-		c = next
+	var ok bool
+	for c, ok = ep.queue.Recv(); ok; c, ok = ep.queue.Recv() {
 		_, end := ep.engine.Occupy(c.VT, dispatchCost)
 		c.VT = end
 		ep.handler(&c)
 	}
-}
-
-func (ep *endpoint) close() {
-	ep.mu.Lock()
-	ep.closed = true
-	ep.cond.Broadcast()
-	ep.mu.Unlock()
 }
 
 // RegisterEndpoint installs a named endpoint. Calls are dispatched
@@ -439,7 +409,6 @@ func (e *Env) RegisterEndpoint(name string, h Handler) error {
 		return fmt.Errorf("rpc: endpoint %q already registered", name)
 	}
 	ep := &endpoint{name: name, handler: h}
-	ep.cond = sync.NewCond(&ep.mu)
 	e.endpoints[name] = ep
 	go ep.loop()
 	return nil
@@ -585,7 +554,7 @@ func (e *Env) Shutdown() {
 		fn()
 	}
 	for _, ep := range eps {
-		ep.close()
+		ep.queue.Close()
 	}
 	for _, c := range conns {
 		c.ch.Close()

@@ -139,9 +139,6 @@ func (s *Server) serve(sc *serverConn) {
 		if err != nil {
 			return
 		}
-		if comp.Op != "recv" {
-			continue
-		}
 		blockID := string(comp.Data)
 		vt := comp.VT
 
@@ -314,9 +311,6 @@ func (c *Client) fetch(blockIDs []string, at vtime.Stamp) (results []BlockResult
 					results[j] = BlockResult{VT: vt, Err: err}
 				}
 				return results, vtime.Max(maxVT, vt), chunks
-			}
-			if comp.Op != "recv" {
-				continue
 			}
 			chunks++
 			vt = vtime.Max(vt, comp.VT)

@@ -231,9 +231,6 @@ func TestFetchRejectsShrunkTotal(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if comp.Op != "recv" {
-				continue
-			}
 			serverQP.PostSendGather(encodeChunkHeader(300, 0, 100), block[:100], comp.VT)
 			serverQP.PostSendGather(encodeChunkHeader(150, 100, 50), block[100:150], comp.VT)
 		}

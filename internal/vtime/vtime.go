@@ -12,6 +12,12 @@
 //     timestamp;
 //   - receiving a message advances the receiver's clock to at least the
 //     message timestamp (causality), never backwards.
+//
+// Mailbox is the one blocking queue between the simulation's layers: a
+// fabric connection's two directions and a listener's backlog, an RDMA
+// completion queue, an rpc endpoint's dispatch. The waits that are not yet
+// primitives of this package are listed, each with a reason, in waits.txt,
+// which TestWaitCensus holds to the code.
 package vtime
 
 import (
