@@ -40,12 +40,13 @@ bench-test:
 # service, ranged reads, refetches) and the short back-to-back jobs whose
 # wall_ms a perf claim rests on. Each fails unless its last line (the JSON
 # summary) reports every job's output correct, then prints its allocation
-# metrics from that line, so a CI log shows their trajectory.
+# metrics and its modelled times (vt_ms, vt_read_ms) from that line, so a CI
+# log shows their trajectory.
 bench-smoke:
 	for w in groupby-bulk groupby-small groupby-faulty stream-microbatch; do \
 		bash bench/run.sh --workload $$w --seconds 3 --trace 0 > bench_output.txt && \
 		tail -n 1 bench_output.txt | grep -q '"correct":true' || exit 1; \
-		echo "$$w:" $$(tail -n 1 bench_output.txt | grep -o '"alloc[a-z_]*":{"value":[0-9.e+-]*' | sed 's/"//g; s/:{value:/=/'); \
+		echo "$$w:" $$(tail -n 1 bench_output.txt | grep -oE '"(alloc[a-z_]*|vt_ms|vt_read_ms)":\{"value":[0-9.e+-]*' | sed 's/"//g; s/:{value:/=/'); \
 	done
 
 # The whole suite, twice in one process, under the race detector: packages,

@@ -162,8 +162,10 @@ type Node struct {
 
 	// txBytes counts what this node's NIC sent (loopback excluded). It
 	// lets tests distinguish an O(B) tree/ring distribution from an O(E·B)
-	// root fan-out, which the fabric-wide per-protocol totals cannot.
+	// root fan-out, which the fabric-wide per-protocol totals cannot; dials
+	// counts the connections this node opened, which tells who dialed whom.
 	txBytes atomic.Int64
+	dials   atomic.Int64
 
 	// cores is the node's physical core count (zero: CPU not modelled);
 	// spinning counts the threads that busy-poll on them.
@@ -181,8 +183,15 @@ func (n *Node) Fabric() *Fabric { return n.fabric }
 // transfers are not counted).
 func (n *Node) TxBytes() int64 { return n.txBytes.Load() }
 
-// ResetTraffic zeroes the node's traffic counter.
-func (n *Node) ResetTraffic() { n.txBytes.Store(0) }
+// Dials returns the connections this node has opened (Dial calls that
+// succeeded, under any protocol). Establishing one moves no counted bytes.
+func (n *Node) Dials() int64 { return n.dials.Load() }
+
+// ResetTraffic zeroes the node's traffic counters.
+func (n *Node) ResetTraffic() {
+	n.txBytes.Store(0)
+	n.dials.Store(0)
+}
 
 // SetCores gives the node c physical cores, shared by the threads of every
 // process it hosts. A node whose cores were never set has no CPU model.
@@ -310,6 +319,7 @@ func (n *Node) Dial(addr Addr, proto Protocol, at vtime.Stamp) (*Conn, vtime.Sta
 	}
 	f.conns[dialSide] = struct{}{}
 	f.mu.Unlock()
+	n.dials.Add(1)
 
 	// Connection establishment costs one round trip of the protocol's
 	// latency (SYN/SYN-ACK or queue-pair exchange).

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -543,6 +544,74 @@ func TestChaosExecutorKillLosesLocalCheckpoint(t *testing.T) {
 			}
 			if lost.Executor != victim.ID() || holder[lost.Partition] != victim.ID() {
 				t.Fatalf("lost partition %d on %q, want a partition of %s (%v)", lost.Partition, lost.Executor, victim.ID(), holder)
+			}
+		})
+	}
+}
+
+// TestReplacementReceivesTasksOverItsRegistration: an executor's
+// registration connection dies with its process, so the driver's next
+// launch to a killed executor fails into the executor-loss funnel; the
+// replacement its seat forks registers at its fork stamp, and the driver
+// launches its tasks over that registration's connection. On every backend
+// the driver dials nothing across the loss and the replacement.
+func TestReplacementReceivesTasksOverItsRegistration(t *testing.T) {
+	const nParts = 2 * chaosWorkers
+	for _, backend := range chaosBackends {
+		t.Run(backend.String(), func(t *testing.T) {
+			snap := metrics.Snapshot()
+			cc := newChaosCluster(t, backend)
+			driver := cc.fab.Node("driver")
+			driver.ResetTraffic()
+			var mu sync.Mutex
+			var causes []string
+			cc.ctx.Bus().Subscribe(obs.ListenerFunc(func(e obs.Event) {
+				if e.Type == obs.EvExecutorLost {
+					mu.Lock()
+					causes = append(causes, e.Cause)
+					mu.Unlock()
+				}
+			}))
+			ran := make(map[string]bool)
+			probe := spark.Generate(cc.ctx, nParts, func(part int, tc *spark.TaskContext) []int64 {
+				mu.Lock()
+				ran[tc.ExecutorID()] = true
+				mu.Unlock()
+				return []int64{1}
+			})
+
+			victim := cc.ctx.Executors()[1]
+			victim.Kill()
+			if n, err := spark.Count(probe); err != nil || n != nParts {
+				t.Fatalf("job after the kill: count = %d, %v", n, err)
+			}
+			mu.Lock()
+			if len(causes) != 1 || !strings.HasPrefix(causes[0], "task launch failed") {
+				t.Fatalf("executor losses %q, want one found by a failed launch", causes)
+			}
+			mu.Unlock()
+			if d := snap.DeltaValue("scheduler.executor.replaced"); d != 1 {
+				t.Fatalf("scheduler.executor.replaced delta = %d, want 1", d)
+			}
+			repl := cc.ctx.Executors()[1]
+			if repl == victim {
+				t.Fatalf("%s was not replaced", victim.ID())
+			}
+
+			// Round robin over the restored width reaches the replacement.
+			mu.Lock()
+			clear(ran)
+			mu.Unlock()
+			if n, err := spark.Count(probe); err != nil || n != nParts {
+				t.Fatalf("job on the restored cluster: count = %d, %v", n, err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !ran[repl.ID()] {
+				t.Fatalf("replacement %s ran no task (tasks ran on %v)", repl.ID(), ran)
+			}
+			if d := driver.Dials(); d != 0 {
+				t.Fatalf("driver opened %d connections across the replacement, want 0", d)
 			}
 		})
 	}

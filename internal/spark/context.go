@@ -231,9 +231,11 @@ type Context struct {
 }
 
 // NewContext creates a SparkContext over a driver environment and a set of
-// executors, registering the scheduler and tracker endpoints and attaching
-// every executor.
-func NewContext(cfg Config, driver *rpc.Env, executors []*Executor) (*Context, error) {
+// executors, registering the driver's endpoints and attaching every
+// executor, which registers with the driver at virtual time at (when the
+// deployment launched it). The context's clock starts at the last
+// registration reply: jobs begin once every executor has registered.
+func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Stamp) (*Context, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -300,11 +302,30 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor) (*Context, e
 	if err := driver.RegisterEndpoint(HeartbeatEndpoint, c.receiveHeartbeat); err != nil {
 		return nil, err
 	}
+	// RegisterExecutor: the connection the ask arrived on becomes the
+	// driver's route to the executor's address.
+	err = driver.RegisterEndpoint(RegistrationEndpoint, func(call *rpc.Call) {
+		addr, err := decodeRegistration(call.Payload)
+		if err == nil {
+			err = driver.BindRoute(call, addr)
+		}
+		if err != nil {
+			call.Fail(err.Error(), call.VT)
+			return
+		}
+		call.Reply(nil, call.VT)
+	})
+	if err != nil {
+		return nil, err
+	}
 	c.collDriver = collective.NewStation(driver)
+	c.clock = at
 	for _, e := range executors {
-		if err := e.Attach(c); err != nil {
+		vt, err := e.Attach(c, at)
+		if err != nil {
 			return nil, err
 		}
+		c.clock = vtime.Max(c.clock, vt)
 	}
 	if cfg.Supervise {
 		c.superStop = make(chan struct{})
@@ -392,10 +413,11 @@ func (c *Context) Clock() vtime.Stamp {
 	return c.clock
 }
 
-// AdvanceClock moves the job clock forward to at least vt. Cluster
-// launchers call it with the deployment's completion time so job traffic
-// never races cluster-launch traffic on the simulated NICs (virtual time
-// is global, and NIC occupancy is monotonic).
+// AdvanceClock moves the job clock forward to at least vt. Work the driver
+// does outside a stage's tasks (merging a split partition's results, a
+// broadcast, a tree aggregate's merge, a streaming batch's submission, an
+// OHB collective) calls it with the time that work ended, so what the
+// driver does next does not start before it.
 func (c *Context) AdvanceClock(vt vtime.Stamp) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -89,15 +89,15 @@ func (c *Cluster) AddEnv(env *rpc.Env) {
 }
 
 // Start builds the SparkContext over the launched executors, with the
-// cluster's seats as its executor replacer, and moves its clock to the
-// virtual time the launch completed: jobs begin after deployment.
+// cluster's seats as its executor replacer. Every executor registers with
+// the driver at the virtual time the launch completed, and the context's
+// clock starts at the last registration: jobs begin after deployment.
 func (c *Cluster) Start(driver *rpc.Env, execs []*spark.Executor, launched vtime.Stamp) error {
-	ctx, err := spark.NewContext(c.cfg.Spark, driver, execs)
+	ctx, err := spark.NewContext(c.cfg.Spark, driver, execs, launched)
 	if err != nil {
 		return err
 	}
 	ctx.SetExecutorReplacer(c.replace)
-	ctx.AdvanceClock(launched)
 	c.Ctx, c.Executors = ctx, execs
 	return nil
 }

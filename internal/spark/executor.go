@@ -28,6 +28,29 @@ const ExecutorEndpoint = "Executor"
 // messages.
 const SchedulerEndpoint = "TaskScheduler"
 
+// RegistrationEndpoint is the driver-side endpoint receiving RegisterExecutor
+// asks. The connection an executor registers over is the driver's route to
+// it from then on: LaunchTask and every other driver-to-executor message go
+// back over it, so the driver never dials an executor.
+const RegistrationEndpoint = "RegisterExecutor"
+
+// encodeRegistration is the RegisterExecutor payload: the address the
+// executor listens on, node and port, one per line. The executor's id needs
+// no field: it is the sender's name (rpc.Call.From).
+func encodeRegistration(addr fabric.Addr) []byte {
+	return []byte(addr.Node + "\n" + addr.Port)
+}
+
+// decodeRegistration returns the address a RegisterExecutor payload
+// announces.
+func decodeRegistration(payload []byte) (fabric.Addr, error) {
+	node, port, ok := strings.Cut(string(payload), "\n")
+	if !ok || node == "" || port == "" || strings.Contains(port, "\n") {
+		return fabric.Addr{}, fmt.Errorf("spark: malformed executor registration %q", payload)
+	}
+	return fabric.Addr{Node: node, Port: port}, nil
+}
+
 // Backend selects the cluster's communication design.
 type Backend int
 
@@ -205,9 +228,11 @@ func (e *Executor) Slots() int { return e.nSlots }
 func (e *Executor) UCRServer() *ucr.Server { return e.ucrServer }
 
 // Attach wires the executor to a SparkContext: it learns the driver
-// address, creates the tracker client, and registers the Executor endpoint
-// that launches tasks.
-func (e *Executor) Attach(ctx *Context) error {
+// address, creates the tracker client, registers the Executor endpoint that
+// launches tasks, and then registers with the driver at virtual time at,
+// over the connection every later message between the two rides. It returns
+// the time the registration reply arrived.
+func (e *Executor) Attach(ctx *Context, at vtime.Stamp) (vtime.Stamp, error) {
 	e.ctx = ctx
 	e.tracker = shuffle.NewTrackerClient(e.env, ctx.driver.Addr())
 	e.sm.ChunkBytes = ctx.cfg.ShuffleChunkBytes
@@ -222,9 +247,9 @@ func (e *Executor) Attach(ctx *Context) error {
 		e.bm.Remove(storage.BlockID(c.Payload))
 		c.Reply([]byte{1}, c.VT.Add(broadcastDropCost))
 	}); err != nil {
-		return err
+		return at, err
 	}
-	return e.env.RegisterEndpoint(ExecutorEndpoint, func(c *rpc.Call) {
+	if err := e.env.RegisterEndpoint(ExecutorEndpoint, func(c *rpc.Call) {
 		if len(c.Payload) < 8 {
 			return
 		}
@@ -235,7 +260,14 @@ func (e *Executor) Attach(ctx *Context) error {
 		}
 		// Run the task on a slot without blocking the dispatch loop.
 		go e.runTask(desc, c.VT)
-	})
+	}); err != nil {
+		return at, err
+	}
+	_, vt, err := e.env.Ask(ctx.driver.Addr(), RegistrationEndpoint, encodeRegistration(e.env.Addr()), at)
+	if err != nil {
+		return at, fmt.Errorf("spark: registering executor %s: %w", e.id, err)
+	}
+	return vt, nil
 }
 
 // writeMapOutput commits one map task's partitioned output: blocks land in

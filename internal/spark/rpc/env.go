@@ -107,14 +107,19 @@ type pendingAsk struct {
 	reply chan askReply
 }
 
-type clientConn struct {
+// peerRoute is the route to one peer address: a channel this env dialed,
+// or the inbound channel a handler bound (Env.BindRoute), and the virtual
+// time it can carry a first message. mu is held by the one dial in flight,
+// so concurrent first sends to a peer share its channel and ready stamp.
+type peerRoute struct {
+	mu    sync.Mutex
 	ch    *netty.Channel
 	ready vtime.Stamp
 }
 
 // Env is a process's RPC environment (Spark's RpcEnv): a netty server, a
-// set of named endpoints, outbound connections, and the block transfer
-// service surface.
+// set of named endpoints, a route per peer (a channel it dialed, or one a
+// peer opened and a handler bound), and the block transfer service surface.
 //
 // Bodies cross the wire by reference on every transport, as mpi.Send
 // documents for MPI: a payload handed to Ask, Send, Call.Reply, PushBlock
@@ -133,7 +138,7 @@ type Env struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*endpoint
-	conns     map[fabric.Addr]*clientConn
+	conns     map[fabric.Addr]*peerRoute
 	pending   map[int64]*pendingAsk
 	batches   map[int64]*pendingBatch
 	serveQ    fifo.Queue[*batchServe]
@@ -163,7 +168,7 @@ func NewEnv(name string, node *fabric.Node, port string, cfg EnvConfig) (*Env, e
 		node:      node,
 		cfg:       cfg,
 		endpoints: make(map[string]*endpoint),
-		conns:     make(map[fabric.Addr]*clientConn),
+		conns:     make(map[fabric.Addr]*peerRoute),
 		pending:   make(map[int64]*pendingAsk),
 		batches:   make(map[int64]*pendingBatch),
 	}
@@ -448,35 +453,78 @@ func (e *Env) SendCollective(peer fabric.Addr, m *CollectiveChunk, at vtime.Stam
 	return free, nil
 }
 
-// connTo returns a (cached) channel to the peer environment at addr.
+// connTo returns the channel to the peer environment at addr: its bound or
+// earlier-dialed route while that channel lives, else one fresh dial, which
+// concurrent callers wait for and share.
 func (e *Env) connTo(addr fabric.Addr, at vtime.Stamp) (*netty.Channel, vtime.Stamp, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, at, ErrShutdown
-	}
-	if c, ok := e.conns[addr]; ok && !c.ch.Conn().Closed() {
-		e.mu.Unlock()
-		return c.ch, vtime.Max(at, c.ready), nil
-	}
-	e.mu.Unlock()
-
-	b := &netty.Bootstrap{
-		Group:    e.group,
-		Protocol: fabric.TCP,
-		Factory:  e.cfg.TransportFactory,
-		Initializer: func(ch *netty.Channel) {
-			e.initPipeline(ch, false)
-		},
-	}
-	ch, ready, err := b.Connect(e.node, addr, at)
+	c, err := e.route(addr)
 	if err != nil {
 		return nil, at, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ch == nil || c.ch.Conn().Closed() {
+		b := &netty.Bootstrap{
+			Group:    e.group,
+			Protocol: fabric.TCP,
+			Factory:  e.cfg.TransportFactory,
+			Initializer: func(ch *netty.Channel) {
+				e.initPipeline(ch, false)
+			},
+		}
+		ch, ready, err := b.Connect(e.node, addr, at)
+		if err != nil {
+			return nil, at, err
+		}
+		e.mu.Lock()
+		closed := e.closed
+		e.mu.Unlock()
+		if closed {
+			// Shutdown began during the dial and may have passed this
+			// route already: nothing else would close the channel.
+			ch.Close()
+			return nil, at, ErrShutdown
+		}
+		c.ch, c.ready = ch, ready
+	}
+	return c.ch, vtime.Max(at, c.ready), nil
+}
+
+// route returns addr's entry in the route table, adding an empty one.
+func (e *Env) route(addr fabric.Addr) (*peerRoute, error) {
 	e.mu.Lock()
-	e.conns[addr] = &clientConn{ch: ch, ready: ready}
-	e.mu.Unlock()
-	return ch, ready, nil
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, ErrShutdown
+	}
+	c := e.conns[addr]
+	if c == nil {
+		c = &peerRoute{}
+		e.conns[addr] = c
+	}
+	return c, nil
+}
+
+// BindRoute makes the channel call arrived on the route to addr, usable from
+// the call's virtual time: later sends to addr ride it instead of dialing.
+// A peer that registers over its own connection is reached that way (Spark's
+// RegisterExecutor). A route that is still alive is kept, and a dead bound
+// channel is replaced by a dial at the next send. A one-way call carries no
+// channel to bind: it is an error.
+func (e *Env) BindRoute(call *Call, addr fabric.Addr) error {
+	if call.ch == nil {
+		return fmt.Errorf("rpc: a one-way call from %s has no channel to bind to %s", call.From, addr)
+	}
+	c, err := e.route(addr)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ch == nil || c.ch.Conn().Closed() {
+		c.ch, c.ready = call.ch, call.VT
+	}
+	return nil
 }
 
 // roundTrip sends one request that an RpcResponse or RpcFailure carrying id
@@ -557,7 +605,14 @@ func (e *Env) Shutdown() {
 		ep.queue.Close()
 	}
 	for _, c := range conns {
-		c.ch.Close()
+		// Taking c.mu waits out a dial in flight, so its channel is closed
+		// here too; a dial that starts later sees closed and closes its own.
+		c.mu.Lock()
+		ch := c.ch
+		c.mu.Unlock()
+		if ch != nil {
+			ch.Close()
+		}
 	}
 	e.server.Close()
 	e.group.Shutdown()

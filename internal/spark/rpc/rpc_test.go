@@ -314,6 +314,143 @@ func TestConnectionReuse(t *testing.T) {
 	}
 }
 
+// dialedChannels records every channel an env dials.
+type dialedChannels struct {
+	mu  sync.Mutex
+	chs []*netty.Channel
+}
+
+func (d *dialedChannels) InstallClient(ch *netty.Channel, _ *Env) {
+	d.mu.Lock()
+	d.chs = append(d.chs, ch)
+	d.mu.Unlock()
+}
+
+func (d *dialedChannels) InstallServer(*netty.Channel, *Env) {}
+
+// TestConcurrentFirstSendsDialOnce: eight first sends to one peer at once
+// share one dial and its ready stamp, and Shutdown closes every channel the
+// env opened (a second, losing dial would be neither shared nor closed).
+func TestConcurrentFirstSendsDialOnce(t *testing.T) {
+	const senders = 8
+	f := fabric.New(fabric.NewIBHDRModel())
+	dialed := &dialedChannels{}
+	nA := f.AddNode("n0")
+	a, err := NewEnv("envA", nA, "rpc", EnvConfig{Hooks: dialed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewEnv("envB", f.AddNode("n1"), "rpc", DefaultEnvConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Shutdown()
+	var got sync.WaitGroup
+	got.Add(senders)
+	if err := b.RegisterEndpoint("Sink", func(*Call) { got.Done() }); err != nil {
+		t.Fatal(err)
+	}
+	var sent sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < senders; i++ {
+		sent.Add(1)
+		go func() {
+			defer sent.Done()
+			<-start
+			if _, err := a.Send(b.Addr(), "Sink", []byte("x"), 0); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	sent.Wait()
+	got.Wait()
+	if d := nA.Dials(); d != 1 {
+		t.Fatalf("%d concurrent first sends made %d dials, want 1", senders, d)
+	}
+	a.Shutdown()
+	dialed.mu.Lock()
+	defer dialed.mu.Unlock()
+	if len(dialed.chs) != 1 {
+		t.Fatalf("env dialed %d channels, want 1", len(dialed.chs))
+	}
+	for _, ch := range dialed.chs {
+		if !ch.Conn().Closed() {
+			t.Fatalf("channel %s open after Shutdown", ch.ID())
+		}
+	}
+}
+
+// TestBoundRouteCarriesSends: a handler binds the channel a peer's ask
+// arrived on as the route to that peer's address. Sends to the address
+// then ride it with no dial; once the channel dies the next send dials.
+func TestBoundRouteCarriesSends(t *testing.T) {
+	f := fabric.New(fabric.NewIBHDRModel())
+	nA, nB := f.AddNode("n0"), f.AddNode("n1")
+	a, err := NewEnv("envA", nA, "rpc", DefaultEnvConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewEnv("envB", nB, "rpc", DefaultEnvConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Shutdown(); b.Shutdown() })
+	var boundAt vtime.Stamp
+	if err := b.RegisterEndpoint("Register", func(c *Call) {
+		boundAt = c.VT
+		if err := b.BindRoute(c, a.Addr()); err != nil {
+			t.Error(err)
+		}
+		c.Reply(nil, c.VT)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan Call, 2)
+	if err := a.RegisterEndpoint("Sink", func(c *Call) { got <- *c }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.Ask(b.Addr(), "Register", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Send(a.Addr(), "Sink", []byte("over the bound route"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if c := <-got; string(c.Payload) != "over the bound route" || c.VT < boundAt {
+		t.Fatalf("got %q at %v, route bound at %v", c.Payload, c.VT, boundAt)
+	}
+	if d := nB.Dials(); d != 0 {
+		t.Fatalf("env with a bound route dialed %d times, want 0", d)
+	}
+
+	// The route dies with its connection: the next send dials afresh.
+	a.mu.Lock()
+	registered := a.conns[b.Addr()].ch
+	a.mu.Unlock()
+	registered.Close()
+	if _, err := b.Send(a.Addr(), "Sink", []byte("redialed"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if c := <-got; string(c.Payload) != "redialed" {
+		t.Fatalf("got %q", c.Payload)
+	}
+	if d := nB.Dials(); d != 1 {
+		t.Fatalf("send over a dead bound route dialed %d times, want 1", d)
+	}
+
+	// A one-way message carries no channel to bind: BindRoute refuses it.
+	bindErr := make(chan error, 1)
+	if err := b.RegisterEndpoint("RegisterOneWay", func(c *Call) { bindErr <- b.BindRoute(c, a.Addr()) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Send(b.Addr(), "RegisterOneWay", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-bindErr; err == nil {
+		t.Fatal("BindRoute bound a one-way call")
+	}
+}
+
 func TestBidirectionalEnvs(t *testing.T) {
 	a, b := twoEnvs(t)
 	if err := a.RegisterEndpoint("PingA", func(c *Call) { c.Reply([]byte("fromA"), c.VT) }); err != nil {

@@ -87,7 +87,7 @@ func newTestClusterWith(t *testing.T, workers, slots int, backend Backend, cfg C
 		execs = append(execs, e)
 	}
 	tc.execs = execs
-	ctx, err := NewContext(cfg, driverEnv, execs)
+	ctx, err := NewContext(cfg, driverEnv, execs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

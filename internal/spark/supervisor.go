@@ -264,7 +264,9 @@ func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 	if err != nil || repl == nil {
 		return
 	}
-	if err := repl.Attach(c); err != nil {
+	// The replacement registers at the time it came up; the driver's
+	// launches to it ride that registration's connection.
+	if _, err := repl.Attach(c, readyVT); err != nil {
 		return
 	}
 	// Seed the replacement's health record at the current pump sequence so

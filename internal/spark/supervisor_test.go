@@ -44,7 +44,7 @@ func newSupervisedCluster(t *testing.T, workers, slots int) *testCluster {
 	cfg := DefaultConfig()
 	cfg.DefaultParallelism = workers * slots
 	cfg.Supervise = true
-	ctx, err := NewContext(cfg, driverEnv, execs)
+	ctx, err := NewContext(cfg, driverEnv, execs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
