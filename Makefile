@@ -1,6 +1,6 @@
 # MPI4Spark (Go reproduction) — common targets.
 
-.PHONY: all build vet fmt-check test deadcode waits bench-test bench-smoke race-all fuzz-smoke flake bench experiments examples clean
+.PHONY: all build vet fmt-check test deadcode waits durable bench-test bench-smoke race-all fuzz-smoke flake bench experiments examples clean
 
 all: build vet fmt-check test
 
@@ -23,12 +23,20 @@ test: bench-test
 deadcode:
 	go test -count=1 -run TestNoUnreachableCode -v ./internal/deadcode/
 
-# The hand-rolled waits (make(chan, select, sync.Cond, sync.WaitGroup, go)
-# left outside internal/vtime must match internal/vtime/waits.txt, one line
-# per file and kind with a reason. make test runs it too; this target runs it
-# alone and verbosely, so the survivors and their totals are printed.
+# The hand-rolled waits left outside internal/vtime (make(chan, select,
+# sync.Cond and go; no sync.WaitGroup is left, and a new one fails too) must
+# match internal/vtime/waits.txt, one line per file and kind with a reason.
+# make test runs it too; this target runs it alone and verbosely, so the
+# survivors and their totals are printed.
 waits:
 	go test -count=1 -run 'TestWaitCensus|TestWaitSitesOnFixture' -v ./internal/vtime/
+
+# internal/vtime's waits (Mailbox.Recv, Reply.Wait, Group.Wait) are durable
+# under testing/synctest: a goroutine blocked in one lets synctest.Wait
+# return, and the primitive's own signal wakes it. go1.24 ships synctest
+# behind GOEXPERIMENT=synctest, so a plain go test does not build this test.
+durable:
+	GOEXPERIMENT=synctest go test -count=1 -run Durable -v ./internal/vtime/
 
 # bench/ is a Go module of its own (the repository benchmark); the root
 # module's ./... does not reach its tests.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -150,28 +149,19 @@ func (g *Group) Abort(op int64, err error) {
 // every rank, and any rank's failure aborts the op on all members so no
 // sibling blocks forever on chunks a failed rank will never send. kind
 // and bytes describe the op for the group's observer (see OpInfo); they
-// do not affect execution. Run returns the first error.
+// do not affect execution. Run returns the lowest failing rank's error.
 func (g *Group) Run(op int64, kind string, bytes int, fn func(rank int) error) error {
-	errs := make([]error, len(g.members))
-	var wg sync.WaitGroup
+	var ranks vtime.Group
 	for r := range g.members {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if err := fn(r); err != nil {
-				errs[r] = err
+		ranks.Go(func() error {
+			err := fn(r)
+			if err != nil {
 				g.Abort(op, err)
 			}
-		}(r)
+			return err
+		})
 	}
-	wg.Wait()
-	var first error
-	for _, err := range errs {
-		if err != nil {
-			first = err
-			break
-		}
-	}
+	first := ranks.Wait()
 	if g.observer != nil {
 		g.observer(OpInfo{Op: op, Kind: kind, Bytes: bytes, Ranks: len(g.members), Err: first})
 	}

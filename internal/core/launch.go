@@ -102,9 +102,8 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 
 	services := make([]*shuffleservice.Service, w) // worker rank -> its external shuffle service
 	execs := make([]*spark.Executor, w)            // by seat, so Executors[i] is exec-i on every run
-	forked := make(chan error, w)                  // one report per spawned executor
-	masterReady := make(chan *rpc.Env, 1)
-	errCh := make(chan error, w+2)
+	forked := make([]vtime.Reply[error], w)        // by seat: each spawned executor's fork
+	var master vtime.Reply[*rpc.Env]               // the master's env once its endpoint serves
 	var driver *rpc.Env
 
 	// executorMain is the program DPM spawns (Fig. 3 Step C): executor rank
@@ -124,15 +123,14 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 		})
 		var err error
 		execs[i], err = fork(seat, id, 0)
-		forked <- err
+		forked[i].Put(err)
 	}
 
-	var wg sync.WaitGroup
-	// Step A: W+2 wrapper processes launched under mpiexec.
-	for r := 0; r < w+2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
+	// Step A: W+2 wrapper processes launched under mpiexec. The launch fails
+	// with the lowest failing rank's error.
+	var ranks vtime.Group
+	for rank := 0; rank < w+2; rank++ {
+		ranks.Go(func() error {
 			h := worldComm.Handle(rank)
 			id := &Identity{Kind: KindParent, World: h}
 			vt := h.Barrier(0) // wrappers synchronize before forking roles
@@ -143,8 +141,7 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 				node := cfg.WorkerNodes[rank]
 				env, err := newEnv(fmt.Sprintf("worker-%d", rank), node, "worker-rpc", id)
 				if err != nil {
-					errCh <- err
-					return
+					return err
 				}
 				// External shuffle service: its own rpc.Env on the worker
 				// node, sharing the worker's Identity (channels match by
@@ -154,8 +151,7 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 				if cfg.Spark.ExternalShuffleService {
 					sEnv, err := newEnv(fmt.Sprintf("shuffle-svc-%d", rank), node, "shuffle-svc-rpc", id)
 					if err != nil {
-						errCh <- fmt.Errorf("core: worker %d shuffle service env: %w", rank, err)
-						return
+						return fmt.Errorf("core: worker %d shuffle service env: %w", rank, err)
 					}
 					services[rank] = shuffleservice.New(fmt.Sprintf("shuffle-svc-%d", rank), sEnv)
 				}
@@ -176,13 +172,10 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 				inter, vt2 := h.SpawnMultiple(specs, 0, vt)
 				id.Inter = inter
 				// Register with the master over Spark RPC.
-				master := <-masterReady
-				masterReady <- master
-				_, regVT, err := env.Ask(master.Addr(), MasterEndpoint,
+				_, regVT, err := env.Ask(master.Wait().Addr(), MasterEndpoint,
 					[]byte(fmt.Sprintf("register-worker:%d", rank)), vt2)
 				if err != nil {
-					errCh <- fmt.Errorf("core: worker %d registration: %w", rank, err)
-					return
+					return fmt.Errorf("core: worker %d registration: %w", rank, err)
 				}
 				mu.Lock()
 				launchVT = vtime.Max(launchVT, regVT)
@@ -190,22 +183,19 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 			case rank == masterRank:
 				env, err := newEnv("master", cfg.MasterNode, "master-rpc", id)
 				if err != nil {
-					errCh <- err
-					return
+					return err
 				}
 				if err := env.RegisterEndpoint(MasterEndpoint, func(c *rpc.Call) {
 					c.Reply([]byte("ack"), c.VT.Add(time.Microsecond))
 				}); err != nil {
-					errCh <- err
-					return
+					return err
 				}
-				masterReady <- env
+				master.Put(env)
 				id.Inter, _ = h.SpawnMultiple(nil, 0, vt)
 			case rank == driverRank:
 				env, err := newEnv("driver", cfg.DriverNode, "driver-rpc", id)
 				if err != nil {
-					errCh <- err
-					return
+					return err
 				}
 				inter, spawnVT := h.SpawnMultiple(nil, 0, vt)
 				id.Inter = inter
@@ -213,27 +203,24 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 				launchVT = vtime.Max(launchVT, spawnVT)
 				mu.Unlock()
 				// Every spawned executor reports, forked or not; the
-				// first failure fails the launch.
+				// lowest failing seat fails the launch.
 				var first error
-				for i := 0; i < w; i++ {
-					if err := <-forked; err != nil && first == nil {
+				for i := range forked {
+					if err := forked[i].Wait(); err != nil && first == nil {
 						first = err
 					}
 				}
 				if first != nil {
-					errCh <- first
-					return
+					return first
 				}
 				driver = env
 			}
-		}(r)
+			return nil
+		})
 	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	if err := ranks.Wait(); err != nil {
 		cl.Close()
 		return nil, nil, err
-	default:
 	}
 	if err := cl.Start(driver, execs, launchVT); err != nil {
 		cl.Close()

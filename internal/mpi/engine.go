@@ -35,8 +35,8 @@ type rndvState struct {
 	fab         *fabric.Fabric
 	from, to    *fabric.Node
 	size        int
-	senderReady vtime.Stamp      // sender CPU time after posting the RTS
-	done        chan vtime.Stamp // receives the sender's completion time
+	senderReady vtime.Stamp              // sender CPU time after posting the RTS
+	done        vtime.Reply[vtime.Stamp] // the sender's completion time
 }
 
 // complete runs the CTS handshake and the bulk transfer in virtual time.
@@ -54,7 +54,7 @@ func (m *message) complete(matchVT vtime.Stamp) vtime.Stamp {
 	cpuFree, deliver := r.fab.Transfer(r.from, r.to, fabric.MPIRendezvous, r.size, dataStart)
 	m.vt = deliver
 	m.rndv = nil
-	r.done <- cpuFree
+	r.done.Put(cpuFree)
 	return deliver
 }
 
@@ -64,7 +64,7 @@ type postedRecv struct {
 	src    int
 	tag    int
 	postVT vtime.Stamp
-	done   chan *message
+	done   vtime.Reply[*message]
 }
 
 func (pr *postedRecv) matches(m *message) bool {
@@ -97,7 +97,7 @@ func (e *engine) deliver(m *message) {
 			e.posted = append(e.posted[:i], e.posted[i+1:]...)
 			e.mu.Unlock()
 			m.complete(pr.postVT)
-			pr.done <- m
+			pr.done.Put(m)
 			return
 		}
 	}
@@ -130,7 +130,7 @@ func (e *engine) postOrMatch(comm int64, src, tag int, postVT vtime.Stamp) (*mes
 		e.mu.Unlock()
 		return m, nil
 	}
-	pr := &postedRecv{comm: comm, src: src, tag: tag, postVT: postVT, done: make(chan *message, 1)}
+	pr := &postedRecv{comm: comm, src: src, tag: tag, postVT: postVT}
 	e.posted = append(e.posted, pr)
 	e.mu.Unlock()
 	return nil, pr

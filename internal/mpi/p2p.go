@@ -52,24 +52,23 @@ func (h *Handle) isend(req *SendRequest, dest, tag int, head, body []byte, at vt
 		req.cpuFree, req.completed = cpuFree, true
 		return
 	}
-	done := make(chan vtime.Stamp, 1)
 	cpuFree, rtsArrive := w.fabric.Transfer(src.node, dst.node, fabric.MPIEager, rtsBytes, at)
 	m.vt = rtsArrive
-	m.rndv = &rndvState{
+	req.rndv = &rndvState{
 		fab:         w.fabric,
 		from:        src.node,
 		to:          dst.node,
 		size:        m.size(),
 		senderReady: cpuFree,
-		done:        done,
 	}
+	m.rndv = req.rndv
 	dst.engine.deliver(m)
-	req.done = done
 }
 
-// SendRequest tracks a non-blocking send.
+// SendRequest tracks a non-blocking send: an eager send completes at once,
+// a rendezvous send when its receiver matches (rndv.done).
 type SendRequest struct {
-	done      chan vtime.Stamp
+	rndv      *rndvState
 	cpuFree   vtime.Stamp
 	completed bool
 }
@@ -78,7 +77,7 @@ type SendRequest struct {
 // which the sender may proceed (no earlier than `at`).
 func (r *SendRequest) Wait(at vtime.Stamp) vtime.Stamp {
 	if !r.completed {
-		r.cpuFree = <-r.done
+		r.cpuFree = r.rndv.done.Wait()
 		r.completed = true
 	}
 	return vtime.Max(at, r.cpuFree)
@@ -134,7 +133,7 @@ func (r *RecvRequest) Wait(at vtime.Stamp) ([]byte, Status) {
 // WaitGather is Wait returning the message's two parts as sent.
 func (r *RecvRequest) WaitGather(at vtime.Stamp) (head, body []byte, st Status) {
 	if r.msg == nil {
-		r.msg = <-r.pr.done
+		r.msg = r.pr.done.Wait()
 	}
 	m := r.msg
 	return m.data, m.body, Status{Source: m.src, Tag: m.tag, Count: m.size(), VT: vtime.Max(at, m.vt)}

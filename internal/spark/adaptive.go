@@ -258,7 +258,7 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 	type candidate struct {
 		i        int
 		spec     *taskDescriptor
-		ch       chan *completion
+		done     *vtime.Mailbox[*completion]
 		launchVT vtime.Stamp
 	}
 	var cands []candidate
@@ -282,7 +282,7 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 			speculative: true,
 		}
 		spec.attempt.Store(orig.attempt.Load() + 1)
-		cands = append(cands, candidate{i: i, spec: spec, ch: make(chan *completion, 1), launchVT: launchVT})
+		cands = append(cands, candidate{i: i, spec: spec, done: new(vtime.Mailbox[*completion]), launchVT: launchVT})
 	}
 	if len(cands) == 0 {
 		return false
@@ -293,7 +293,7 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 		c.taskSeq++
 		cand.spec.id = c.taskSeq
 		c.tasks[cand.spec.id] = cand.spec
-		c.waiters[cand.spec.id] = cand.ch
+		c.waiters[cand.spec.id] = cand.done
 	}
 	c.mu.Unlock()
 
@@ -324,7 +324,7 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 		if !launched[ci] {
 			continue
 		}
-		comp2 := <-cand.ch
+		comp2, _ := cand.done.Recv()
 		won := comp2.err == nil && comp2.driverVT < comps[cand.i].driverVT
 		if won {
 			metrics.GetCounter(CounterSpecWon).Inc()

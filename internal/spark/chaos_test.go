@@ -97,31 +97,41 @@ func launchChaos(f *fabric.Fabric, wn []*fabric.Node, backend spark.Backend, cfg
 // TestFailedForkFailsLaunch: an executor whose fork fails (its rpc port
 // is already bound on its node) fails the launch with an error on every
 // backend, instead of the standalone flow starting a cluster short of it
-// or the MPI flow waiting forever for it.
+// or the MPI flow waiting forever for it. With two seats taken the error is
+// the lower seat's, exec-1's, whichever fork the host ran first.
 func TestFailedForkFailsLaunch(t *testing.T) {
 	for _, backend := range chaosBackends {
 		t.Run(backend.String(), func(t *testing.T) {
-			f, wn := chaosFabric()
-			squatter, err := rpc.NewEnv("squatter", wn[1], "exec-rpc-1", rpc.DefaultEnvConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer squatter.Shutdown()
-			done := make(chan error, 1)
-			go func() {
-				cl, err := launchChaos(f, wn, backend, spark.DefaultConfig())
-				if err == nil {
-					cl.Close()
-				}
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err == nil {
-					t.Fatal("launch succeeded with exec-1's port taken")
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("launch has not returned 5 s after exec-1's fork failed")
+			for _, taken := range [][]int{{1}, {1, 2}} {
+				t.Run(fmt.Sprintf("seats%v", taken), func(t *testing.T) {
+					f, wn := chaosFabric()
+					for _, seat := range taken {
+						squatter, err := rpc.NewEnv("squatter", wn[seat], fmt.Sprintf("exec-rpc-%d", seat), rpc.DefaultEnvConfig())
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer squatter.Shutdown()
+					}
+					done := make(chan error, 1)
+					go func() {
+						cl, err := launchChaos(f, wn, backend, spark.DefaultConfig())
+						if err == nil {
+							cl.Close()
+						}
+						done <- err
+					}()
+					select {
+					case err := <-done:
+						if err == nil {
+							t.Fatalf("launch succeeded with seats %v taken", taken)
+						}
+						if msg := err.Error(); !strings.Contains(msg, "exec-1") || strings.Contains(msg, "exec-2") {
+							t.Fatalf("launch failed with %q, want exec-1's fork error", msg)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("launch has not returned 5 s after the forks on seats %v failed", taken)
+					}
+				})
 			}
 		})
 	}

@@ -202,7 +202,7 @@ type Context struct {
 	taskSeq      int64
 	tasks        map[int64]*taskDescriptor
 	comps        map[int64]*completion
-	waiters      map[int64]chan *completion
+	waiters      map[int64]*vtime.Mailbox[*completion]
 	clock        vtime.Stamp
 	stages       []StageTiming
 	cacheLocs    map[cacheKey]string
@@ -258,7 +258,7 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 		tracker:      shuffle.NewMapOutputTracker(),
 		tasks:        make(map[int64]*taskDescriptor),
 		comps:        make(map[int64]*completion),
-		waiters:      make(map[int64]chan *completion),
+		waiters:      make(map[int64]*vtime.Mailbox[*completion]),
 		cacheLocs:    make(map[cacheKey]string),
 		doneShuffles: make(map[int]bool),
 		unhealthy:    make(map[string]bool),
@@ -294,7 +294,7 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 			return
 		}
 		comp.driverVT = call.VT
-		w <- comp
+		w.Push(comp)
 	})
 	if err != nil {
 		return nil, err

@@ -179,11 +179,11 @@ type pendingBatch struct {
 	ids       []string
 	blocks    []batchBlock
 	remaining int
-	done      chan struct{}
+	done      vtime.Reply[struct{}] // put once no block is left in flight
 }
 
-// failRemaining marks every not-yet-landed block failed. Caller holds
-// e.mu and closes b.done after unlocking.
+// failRemaining marks every not-yet-landed block failed and completes the
+// batch. Caller holds e.mu and has unregistered the batch.
 func (b *pendingBatch) failRemaining(err error) {
 	for i := range b.blocks {
 		blk := &b.blocks[i]
@@ -193,6 +193,7 @@ func (b *pendingBatch) failRemaining(err error) {
 			b.remaining--
 		}
 	}
+	b.done.Put(struct{}{})
 }
 
 // resolveBatchChunk folds one inbound chunk into its batch, then — under an
@@ -216,11 +217,10 @@ func (e *Env) resolveBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to s
 // it (bytebuf.Reassembly.Fold), and a chunk it rejects fails only its block.
 func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to string, allowDup bool) (dup bool) {
 	fetchChunks.Inc()
-	var doneCh chan struct{}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	b := e.batches[m.FetchID]
 	if b == nil || int(m.Index) >= len(b.blocks) {
-		e.mu.Unlock()
 		return false // stale chunk of an aborted batch
 	}
 	if allowDup {
@@ -231,7 +231,6 @@ func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to stri
 	}
 	blk := &b.blocks[m.Index]
 	if blk.done {
-		e.mu.Unlock()
 		return dup
 	}
 	// A replay (the Offset of a chunk already folded) is dropped by the fold;
@@ -250,11 +249,7 @@ func (e *Env) foldBatchChunk(m *ChunkFetchSuccess, vt vtime.Stamp, from, to stri
 	}
 	if b.remaining == 0 {
 		delete(e.batches, m.FetchID)
-		doneCh = b.done
-	}
-	e.mu.Unlock()
-	if doneCh != nil {
-		close(doneCh)
+		b.done.Put(struct{}{})
 	}
 	return dup
 }
@@ -299,7 +294,6 @@ func (e *Env) FetchBlockBatch(peer fabric.Addr, blockIDs []string, chunkBytes in
 		ids:       blockIDs,
 		blocks:    make([]batchBlock, len(blockIDs)),
 		remaining: len(blockIDs),
-		done:      make(chan struct{}),
 	}
 	e.mu.Lock()
 	if e.closed {
@@ -310,8 +304,8 @@ func (e *Env) FetchBlockBatch(peer fabric.Addr, blockIDs []string, chunkBytes in
 	e.mu.Unlock()
 	ch.Write(&ChunkFetchRequest{FetchID: id, ChunkBytes: uint32(chunkBytes), BlockIDs: blockIDs}, vt)
 	e.checkChannelAlive(ch)
-	<-b.done
-	// After done closes the batch is unregistered: no goroutine mutates it.
+	b.done.Wait()
+	// Once done is put the batch is unregistered: no goroutine mutates it.
 	out := make([]BatchBlockResult, len(blockIDs))
 	maxVT := at
 	for i := range b.blocks {

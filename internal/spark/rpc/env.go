@@ -99,12 +99,12 @@ type askReply struct {
 	err  error
 }
 
-// pendingAsk tracks one outstanding request: the reply channel plus the
-// netty channel the request went out on, so a channel death can fail
-// exactly the asks riding it.
+// pendingAsk tracks one outstanding request: its reply plus the netty
+// channel the request went out on, so a channel death can fail exactly the
+// asks riding it.
 type pendingAsk struct {
 	ch    *netty.Channel
-	reply chan askReply
+	reply vtime.Reply[askReply]
 }
 
 // peerRoute is the route to one peer address: a channel this env dialed,
@@ -328,7 +328,7 @@ func (e *Env) resolveAsk(id int64, r askReply) {
 	delete(e.pending, id)
 	e.mu.Unlock()
 	if p != nil {
-		p.reply <- r
+		p.reply.Put(r)
 	}
 }
 
@@ -340,13 +340,12 @@ func (e *Env) resolveAsk(id int64, r askReply) {
 // keep their establishment socket, so a node failure still closes it).
 func (e *Env) failChannel(ch *netty.Channel) {
 	err := fmt.Errorf("%w: channel %s", ErrConnectionLost, ch.ID())
-	var victims []chan askReply
-	var batchDone []chan struct{}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for id, p := range e.pending {
 		if p.ch == ch {
 			delete(e.pending, id)
-			victims = append(victims, p.reply)
+			p.reply.Put(askReply{err: err})
 		}
 	}
 	// A dead channel fails only the batch blocks still in flight on it;
@@ -356,15 +355,7 @@ func (e *Env) failChannel(ch *netty.Channel) {
 		if b.ch == ch {
 			delete(e.batches, id)
 			b.failRemaining(err)
-			batchDone = append(batchDone, b.done)
 		}
-	}
-	e.mu.Unlock()
-	for _, v := range victims {
-		v <- askReply{err: err}
-	}
-	for _, d := range batchDone {
-		close(d)
 	}
 }
 
@@ -536,17 +527,17 @@ func (e *Env) roundTrip(peer fabric.Addr, id int64, req Message, at vtime.Stamp)
 	if err != nil {
 		return nil, at, err
 	}
-	reply := make(chan askReply, 1)
+	p := &pendingAsk{ch: ch}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return nil, at, ErrShutdown
 	}
-	e.pending[id] = &pendingAsk{ch: ch, reply: reply}
+	e.pending[id] = p
 	e.mu.Unlock()
 	ch.Write(req, vt)
 	e.checkChannelAlive(ch)
-	r := <-reply
+	r := p.reply.Wait()
 	return r.data, vtime.Max(r.vt, at), r.err
 }
 
@@ -581,23 +572,18 @@ func (e *Env) Shutdown() {
 	e.closed = true
 	eps := e.endpoints
 	conns := e.conns
-	pending := e.pending
-	batches := e.batches
 	shutdownFns := e.onShutdown
 	e.onShutdown = nil
-	e.pending = make(map[int64]*pendingAsk)
-	e.batches = make(map[int64]*pendingBatch)
-	for _, b := range batches {
+	for _, p := range e.pending {
+		p.reply.Put(askReply{err: ErrShutdown})
+	}
+	for _, b := range e.batches {
 		b.failRemaining(ErrShutdown)
 	}
+	e.pending = make(map[int64]*pendingAsk)
+	e.batches = make(map[int64]*pendingBatch)
 	e.mu.Unlock()
 
-	for _, p := range pending {
-		p.reply <- askReply{err: ErrShutdown}
-	}
-	for _, b := range batches {
-		close(b.done)
-	}
 	for _, fn := range shutdownFns {
 		fn()
 	}

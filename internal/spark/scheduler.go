@@ -404,10 +404,9 @@ func (c *Context) launchTask(t *taskDescriptor, exclude map[string]bool, payload
 // Launch messages serialize on the driver CPU, and completions serialize
 // through the driver's scheduler endpoint — both real effects at scale.
 func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*completion, error) {
-	// Every attempt's completion arrives on one channel: a task has at most
-	// one attempt whose completion is unread, so it never fills. Task ids
-	// are consecutive, so a completion's id is its task's index.
-	completed := make(chan *completion, len(tasks))
+	// Every attempt's completion arrives in one mailbox. Task ids are
+	// consecutive, so a completion's id is its task's index.
+	completed := new(vtime.Mailbox[*completion])
 	c.mu.Lock()
 	start := c.clock
 	sendVT := c.clock
@@ -423,7 +422,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 	early := make([]*completion, len(tasks))
 	next := func(i int) *completion {
 		for early[i] == nil {
-			comp := <-completed
+			comp, _ := completed.Recv()
 			early[comp.taskID-tasks[0].id] = comp
 		}
 		comp := early[i]

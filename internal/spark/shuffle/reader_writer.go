@@ -282,12 +282,14 @@ func (m *Manager) FetchShuffleRange(
 		if !f.admit(batchBytes, budget) {
 			break
 		}
-		go func(merged storage.BlockID, blocks []remoteBlock, ids []string, batchBytes int64) {
+		batch, batchIDs := blocks[lo:hi], ids[lo:hi]
+		f.fetchers.Go(func() error {
 			defer f.release(batchBytes)
-			m.fetchBatch(f, shuffleID, reduceID, merged, blocks, ids, bts, at)
-		}(merged, blocks[lo:hi], ids[lo:hi], batchBytes)
+			m.fetchBatch(f, shuffleID, reduceID, merged, batch, batchIDs, bts, at)
+			return nil
+		})
 	}
-	f.wg.Wait()
+	f.fetchers.Wait()
 	if f.firstErr != nil {
 		return nil, at, f.firstErr
 	}
@@ -298,8 +300,8 @@ func (m *Manager) FetchShuffleRange(
 // results, the latest arrival, the first failure (which aborts the rest)
 // and the bytes in flight under the budget. One object per fetch.
 type fetchState struct {
-	results []FetchResult // indexed by map id
-	wg      sync.WaitGroup
+	results  []FetchResult // indexed by map id
+	fetchers vtime.Group   // one per admitted batch; each fails the fetch itself
 
 	mu       sync.Mutex
 	cond     sync.Cond // on mu: budget released or fetch aborted
@@ -337,9 +339,9 @@ func (f *fetchState) fail(err error) {
 }
 
 // admit waits until a batch of the given bytes fits the budget beside those
-// in flight (a batch flies alone whatever its size) and counts it in, bytes
-// and batch, until its release; it reports false, admitting nothing, once
-// the fetch has aborted.
+// in flight (a batch flies alone whatever its size) and counts its bytes in
+// until its release; it reports false, admitting nothing, once the fetch has
+// aborted.
 func (f *fetchState) admit(bytes, budget int64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -350,7 +352,6 @@ func (f *fetchState) admit(bytes, budget int64) bool {
 		return false
 	}
 	f.inFlight += bytes
-	f.wg.Add(1)
 	return true
 }
 
@@ -360,7 +361,6 @@ func (f *fetchState) release(bytes int64) {
 	f.inFlight -= bytes
 	f.mu.Unlock()
 	f.cond.Broadcast()
-	f.wg.Done()
 }
 
 // fetchBatch is one peer's share of a reduce task's fetch, and the whole of

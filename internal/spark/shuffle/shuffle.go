@@ -395,9 +395,9 @@ type TrackerClient struct {
 }
 
 // trackerFetch is one Ask for a shuffle's statuses, sent at issued and
-// answered at ready; done closes once the other fields are final.
+// answered at ready; done is put once the other fields are final.
 type trackerFetch struct {
-	done          chan struct{}
+	done          vtime.Reply[struct{}]
 	statuses      []*MapStatus
 	issued, ready vtime.Stamp
 	err           error
@@ -422,7 +422,7 @@ func (c *TrackerClient) GetOutputs(shuffleID int, at vtime.Stamp) ([]*MapStatus,
 	c.mu.Lock()
 	f, joined := c.fetches[shuffleID]
 	if !joined {
-		f = &trackerFetch{done: make(chan struct{}), issued: at}
+		f = &trackerFetch{issued: at}
 		c.fetches[shuffleID] = f
 	}
 	c.mu.Unlock()
@@ -435,9 +435,9 @@ func (c *TrackerClient) GetOutputs(shuffleID int, at vtime.Stamp) ([]*MapStatus,
 			}
 			c.mu.Unlock()
 		}
-		close(f.done)
+		f.done.Put(struct{}{})
 	}
-	<-f.done
+	f.done.Wait()
 	if f.err != nil {
 		return nil, at, f.err
 	}

@@ -105,10 +105,10 @@ func (g *gatedTracker) joinFetch(n int, call func(i int)) {
 // TestGetOutputsStampArms pins the stamp a caller leaves GetOutputs with
 // against a fetch issued at 100 and answered at 250.
 func TestGetOutputsStampArms(t *testing.T) {
-	done := make(chan struct{})
-	close(done)
 	c := NewTrackerClient(nil, fabric.Addr{})
-	c.fetches[1] = &trackerFetch{done: done, statuses: []*MapStatus{{}}, issued: 100, ready: 250}
+	f := &trackerFetch{statuses: []*MapStatus{{}}, issued: 100, ready: 250}
+	f.done.Put(struct{}{})
+	c.fetches[1] = f
 	for _, tc := range []struct {
 		name     string
 		at, want vtime.Stamp

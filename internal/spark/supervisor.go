@@ -302,7 +302,7 @@ func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 // finds no waiter and is dropped.
 func (c *Context) failRunningTasks(execID string, vt vtime.Stamp, cause string) {
 	type failure struct {
-		w    chan *completion
+		w    *vtime.Mailbox[*completion]
 		comp *completion
 	}
 	var failures []failure
@@ -342,6 +342,6 @@ func (c *Context) failRunningTasks(execID string, vt vtime.Stamp, cause string) 
 				Start: vt, Err: f.comp.err.Error(),
 			})
 		}
-		f.w <- f.comp
+		f.w.Push(f.comp)
 	}
 }

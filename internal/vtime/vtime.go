@@ -13,11 +13,17 @@
 //   - receiving a message advances the receiver's clock to at least the
 //     message timestamp (causality), never backwards.
 //
-// Mailbox is the one blocking queue between the simulation's layers: a
-// fabric connection's two directions and a listener's backlog, an RDMA
-// completion queue, an rpc endpoint's dispatch. The waits that are not yet
-// primitives of this package are listed, each with a reason, in waits.txt,
-// which TestWaitCensus holds to the code.
+// The simulation blocks only in this package's waits. Mailbox is the one
+// blocking queue between the simulation's layers: a fabric connection's two
+// directions and a listener's backlog, an RDMA completion queue, an rpc
+// endpoint's dispatch, a stage's task completions. Reply is the one-shot
+// value a request completes with: an MPI receive or rendezvous send, an
+// Ask's reply, a block batch, the tracker's single-flight fetch, a launch's
+// per-seat fork report. Group is the one join of a fan-out (a collective's
+// ranks, the Fig. 3 launch's ranks, a reduce task's fetchers); its error is
+// the earliest Go call's that failed, not the first the host ran. The
+// waits that are not yet primitives of this package are listed, each with
+// a reason, in waits.txt, which TestWaitCensus holds to the code.
 package vtime
 
 import (
