@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -327,5 +328,47 @@ func TestStationCloseFailsBlockedRecv(t *testing.T) {
 	fx.envs[1].Shutdown()
 	if err := <-errCh; !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
+// TestStationReleasesParkedRecv parks a receive on a slot that no chunk
+// reaches and releases it, once by aborting its op and once by closing the
+// station; each returns its own error. Run under -race.
+func TestStationReleasesParkedRecv(t *testing.T) {
+	boom := errors.New("op aborted")
+	cases := []struct {
+		name    string
+		release func(st *Station, op int64)
+		want    error
+	}{
+		{"AbortOp", func(st *Station, op int64) { st.AbortOp(op, boom) }, boom},
+		{"Close", func(st *Station, op int64) { st.Close() }, ErrClosed},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := makeFixture(t, 2, fabric.NewZeroModel())
+			st := fx.group.members[1]
+			op := NextOpID()
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := st.recv(op, 7)
+				errCh <- err
+			}()
+			// The slot exists once recv has looked into it; from then on
+			// it is parked on the slot's signal or about to be.
+			for {
+				st.mu.Lock()
+				s := st.slots[slotKey{op: op, tag: 7}]
+				st.mu.Unlock()
+				if s != nil {
+					break
+				}
+				runtime.Gosched()
+			}
+			tc.release(st, op)
+			if err := <-errCh; !errors.Is(err, tc.want) {
+				t.Fatalf("recv returned %v, want %v", err, tc.want)
+			}
+		})
 	}
 }

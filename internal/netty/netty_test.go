@@ -563,3 +563,29 @@ func TestFrameCodecTwoPart(t *testing.T) {
 		t.Fatalf("short body: err=%v, %d messages forwarded", decodeErr, len(arrived))
 	}
 }
+
+// TestShutdownRacesWakeupAndSetAuxPoll shuts a loop down while other
+// goroutines keep waking it and swapping its poll hook: Shutdown returns,
+// neither call blocks or panics after it, and a second Shutdown returns at
+// once. Run under -race.
+func TestShutdownRacesWakeupAndSetAuxPoll(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		l := NewEventLoop(LoopConfig{})
+		poll := func() bool { return false }
+		var wg sync.WaitGroup
+		for _, fn := range []func(){l.Wakeup, func() { l.SetAuxPoll(poll) }} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 100; j++ {
+					fn()
+				}
+			}()
+		}
+		l.Shutdown()
+		wg.Wait()
+		l.Wakeup()
+		l.SetAuxPoll(nil)
+		l.Shutdown()
+	}
+}

@@ -111,6 +111,37 @@ func TestTreeAggregateMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTreeAggregateFallbackOrder makes TreeAggregate's collective combine
+// fail (the driver's station is closed) so that the driver sums the
+// executors' vectors itself, with magnitudes whose float sum depends on the
+// order: 1e16, 1 and -1e16 give 0 in that order and 1 in another. Every
+// combine must give the same bits, the sum in the collective's executor
+// order.
+func TestTreeAggregateFallbackOrder(t *testing.T) {
+	c := newTestCluster(t, 3, 1, BackendVanilla)
+	c.ctx.collDriver.Close()
+	_, execs := c.ctx.collectiveGroup()
+	if len(execs) != 3 {
+		t.Fatalf("%d executors in the collective, want 3", len(execs))
+	}
+	values := []float64{1e16, 1, -1e16}
+	accs := make(map[string][]float64)
+	want := 0.0
+	for i, e := range execs {
+		accs[e.id] = []float64{values[i]}
+		want += values[i]
+	}
+	for run := 0; run < 50; run++ {
+		got, err := c.ctx.combineExecutorVectors(1, accs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want {
+			t.Fatalf("combine %d = %v, want %v (the executor-order sum)", run, got[0], want)
+		}
+	}
+}
+
 // TestTreeAggregateCommittedAttempts runs TreeAggregate with speculation
 // on and one executor 20x slower, so straggling partitions are computed
 // twice. Each partition's vector must count once, from its committed

@@ -122,7 +122,7 @@ type Executor struct {
 	loc     shuffle.Location
 	svc     *shuffleservice.Service
 	nSlots  int
-	slots   chan *slot
+	slots   vtime.Mailbox[*slot] // the free task slots
 	cpu     CPUModel
 
 	ucrServer *ucr.Server
@@ -178,7 +178,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		env:    cfg.Env,
 		bm:     storage.NewBlockManager(cfg.ID),
 		nSlots: cfg.Slots,
-		slots:  make(chan *slot, cfg.Slots),
 		cpu:    cfg.CPU,
 		svc:    cfg.ShuffleService,
 		cached: make(map[cacheKey]any),
@@ -189,7 +188,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	for i := 0; i < cfg.Slots; i++ {
 		s := &slot{}
 		s.clock.Observe(cfg.StartVT)
-		e.slots <- s
+		e.slots.Push(s)
 	}
 	e.env.RegisterChunkResolver(func(id string) ([]byte, bool) {
 		return e.bm.Get(storage.BlockID(id))
@@ -299,11 +298,11 @@ func (e *Executor) writeMapOutput(tc *TaskContext, shuffleID, mapID int, parts [
 // runTask executes one task on a free slot and reports the status update
 // back to the driver.
 func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
-	s := <-e.slots
+	s, _ := e.slots.Recv()
 	if e.dead.Load() {
 		// The process died before the task started; the driver learns of
 		// the loss from the heartbeat expiry (or the failed launch send).
-		e.slots <- s
+		e.slots.Push(s)
 		return
 	}
 	e.hbClock.Observe(launchVT)
@@ -331,7 +330,7 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	tc := &task.tc
 	result, mapStatus, err := desc.run(tc)
 	s.clock.Observe(tc.vt)
-	e.slots <- s
+	e.slots.Push(s)
 	e.hbClock.Observe(tc.vt)
 	if e.dead.Load() {
 		// The process died mid-task: nothing it computed escapes — no

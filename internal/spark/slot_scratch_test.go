@@ -40,11 +40,12 @@ func slotScratch(c *testCluster, f func(s *slot)) {
 	for _, e := range c.execs {
 		held := make([]*slot, 0, e.nSlots)
 		for range e.nSlots {
-			held = append(held, <-e.slots)
+			s, _ := e.slots.Recv()
+			held = append(held, s)
 		}
 		for _, s := range held {
 			f(s)
-			e.slots <- s
+			e.slots.Push(s)
 		}
 	}
 }

@@ -33,6 +33,10 @@ func TestDurableWaits(t *testing.T) {
 			var r Reply[int]
 			return func() { r.Wait() }, func() { r.Put(1) }
 		}},
+		{"Signal.Park", func() (func(), func()) {
+			var s Signal
+			return func() { s.Park(true) }, s.Wake
+		}},
 		{"Group.Wait", func() (func(), func()) {
 			var g Group
 			var release Mailbox[struct{}]
