@@ -25,16 +25,18 @@ deadcode:
 
 # The hand-rolled waits left outside internal/vtime (make(chan, select,
 # sync.Cond and go; no sync.WaitGroup is left, and a new one fails too) must
-# match internal/vtime/waits.txt, one line per file and kind with a reason.
-# make test runs it too; this target runs it alone and verbosely, so the
-# survivors and their totals are printed.
+# match internal/vtime/waits.txt, one line per file and kind with a reason
+# (a wake-up is a vtime.Signal, a queue a vtime.Mailbox, a joined thread or
+# fan-out a vtime.Group). make test runs it too; this target runs it alone
+# and verbosely, so the survivors and their totals are printed.
 waits:
 	go test -count=1 -run 'TestWaitCensus|TestWaitSitesOnFixture' -v ./internal/vtime/
 
-# internal/vtime's waits (Mailbox.Recv, Reply.Wait, Group.Wait) are durable
-# under testing/synctest: a goroutine blocked in one lets synctest.Wait
-# return, and the primitive's own signal wakes it. go1.24 ships synctest
-# behind GOEXPERIMENT=synctest, so a plain go test does not build this test.
+# internal/vtime's waits (Mailbox.Recv, Reply.Wait, Signal.Park and
+# Group.Wait) are durable under testing/synctest: a goroutine blocked in one
+# lets synctest.Wait return, and the primitive's own signal wakes it. go1.24
+# ships synctest behind GOEXPERIMENT=synctest, so a plain go test does not
+# build this test.
 durable:
 	GOEXPERIMENT=synctest go test -count=1 -run Durable -v ./internal/vtime/
 

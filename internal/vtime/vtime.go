@@ -16,14 +16,18 @@
 // The simulation blocks only in this package's waits. Mailbox is the one
 // blocking queue between the simulation's layers: a fabric connection's two
 // directions and a listener's backlog, an RDMA completion queue, an rpc
-// endpoint's dispatch, a stage's task completions. Reply is the one-shot
-// value a request completes with: an MPI receive or rendezvous send, an
-// Ask's reply, a block batch, the tracker's single-flight fetch, a launch's
-// per-seat fork report. Group is the one join of a fan-out (a collective's
-// ranks, the Fig. 3 launch's ranks, a reduce task's fetchers); its error is
-// the earliest Go call's that failed, not the first the host ran. The
-// waits that are not yet primitives of this package are listed, each with
-// a reason, in waits.txt, which TestWaitCensus holds to the code.
+// endpoint's dispatch, a stage's task completions, an executor's free task
+// slots. Reply is the one-shot value a request completes with: an MPI
+// receive or rendezvous send, an Ask's reply, a block batch, the tracker's
+// single-flight fetch, a launch's per-seat fork report. Signal is the one
+// coalescing wake-up with a close: an event loop's selector token and a
+// collective station slot's. Group is the one join of a fan-out (a
+// collective's ranks, the Fig. 3 launch's ranks, a reduce task's fetchers)
+// and the one owner of a long-lived thread that someone joins (an event
+// loop's selector, a server's accept loop, the driver's supervision loop);
+// its error is the earliest Go call's that failed, not the first the host
+// ran. The waits that are not yet primitives of this package are listed,
+// each with a reason, in waits.txt, which TestWaitCensus holds to the code.
 package vtime
 
 import (
