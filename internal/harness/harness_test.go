@@ -276,16 +276,20 @@ func TestModelRobustnessUnderDilation(t *testing.T) {
 		cfg := ohbConfig(o, 4, 2, 8*4000*108) // the figures' job: 8 mappers of 4,000 pairs
 		speeds := map[spark.Backend]float64{}
 		for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendMPIOpt} {
-			cl, err := BuildCluster(ClusterSpec{System: sys, Workers: 4, Backend: b, SlotsPerWorker: 2})
+			// A Cell, like every experiment, so that it runs on one P.
+			_, err := Cell{
+				Spec: ClusterSpec{System: sys, Workers: 4, Backend: b, SlotsPerWorker: 2},
+				Job: func(cl *Cluster) error {
+					res, err := ohb.RunGroupByTest(cl.Ctx, cfg)
+					if err == nil {
+						speeds[b] = float64(res.Total)
+					}
+					return err
+				},
+			}.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ohb.RunGroupByTest(cl.Ctx, cfg)
-			cl.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			speeds[b] = float64(res.Total)
 		}
 		return speeds[spark.BackendVanilla] / speeds[spark.BackendMPIOpt]
 	}
