@@ -23,11 +23,12 @@ test: bench-test
 deadcode:
 	go test -count=1 -run TestNoUnreachableCode -v ./internal/deadcode/
 
-# The hand-rolled waits left outside internal/vtime (make(chan, select,
-# sync.Cond and go; no sync.WaitGroup is left, and a new one fails too) must
+# The hand-rolled waits left outside internal/vtime (make(chan, select and
+# go; no sync.Cond or sync.WaitGroup is left, and a new one fails too) must
 # match internal/vtime/waits.txt, one line per file and kind with a reason
 # (a wake-up is a vtime.Signal, a queue a vtime.Mailbox, a joined thread or
-# fan-out a vtime.Group). make test runs it too; this target runs it alone
+# fan-out a vtime.Group; that every owner joins its threads is
+# harness.TestClosedClusterLeavesNoGoroutine, in make flake). make test runs it too; this target runs it alone
 # and verbosely, so the survivors and their totals are printed.
 waits:
 	go test -count=1 -run 'TestWaitCensus|TestWaitSitesOnFixture' -v ./internal/vtime/
@@ -85,11 +86,12 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeRegistration$$' -fuzztime 5s ./internal/streaming/
 
 # Tests that were order-dependent once (the MPI launcher's executor order),
-# and the calibration pins (TestCalibrationPinned*), whose exact stamps must
-# repeat: thirty consecutive passes each. The duplicated-push test raced the
+# the calibration pins (TestCalibrationPinned*), whose exact stamps must
+# repeat, and the shutdown join (TestClosedClusterLeavesNoGoroutine: a closed
+# cluster leaves no goroutine behind): thirty consecutive passes each. The duplicated-push test raced the
 # fault plane's count under -race once: forty passes there.
 flake:
-	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned|TestWindowInverseMatchesRecompute|TestWindowedResultsIdenticalAcrossTransports' ./internal/streaming/ ./internal/harness/
+	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned|TestWindowInverseMatchesRecompute|TestWindowedResultsIdenticalAcrossTransports|TestClosedClusterLeavesNoGoroutine' ./internal/streaming/ ./internal/harness/
 	go test -race -count=40 -run TestFaultConformanceDupPushIdempotent ./internal/spark/shuffleservice/
 	go test -race -count=60 -run 'TestIsendGather$$' ./internal/mpi/
 

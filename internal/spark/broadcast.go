@@ -3,7 +3,6 @@ package spark
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpi4spark/internal/collective"
@@ -36,12 +35,11 @@ type Broadcast[T any] struct {
 	size  int
 }
 
-var broadcastSeq atomic.Int64
-
 // broadcastState is the per-context registry of serialized broadcast blobs
 // (driver side) and per-executor fetch caches.
 type broadcastState struct {
 	mu    sync.Mutex
+	seq   int64 // the last broadcast's id: a context's first is broadcast_1
 	blobs map[string][]byte
 	// fetched[execID][blockID] records the executor-local cache arrival
 	// time; later reads on that executor are free.
@@ -95,10 +93,11 @@ func NewBroadcast[T any](ctx *Context, value T, serializedSize int) *Broadcast[T
 	if serializedSize <= 0 {
 		serializedSize = 1 << 10
 	}
-	b := &Broadcast[T]{id: broadcastSeq.Add(1), ctx: ctx, value: value, size: serializedSize}
 	st := ctx.broadcasts()
 	blob := make([]byte, serializedSize)
 	st.mu.Lock()
+	st.seq++
+	b := &Broadcast[T]{id: st.seq, ctx: ctx, value: value, size: serializedSize}
 	st.blobs[b.blockID()] = blob
 	st.mu.Unlock()
 	ctx.seedBroadcast(b.blockID(), blob)

@@ -70,6 +70,23 @@ func TestBroadcastDestroyFreesExecutorCopies(t *testing.T) {
 	b.Value(&TaskContext{})
 }
 
+// TestBroadcastIDsCountPerContext: a broadcast's id names its block, whose
+// length goes on the wire, so it must not depend on what other contexts in
+// the process broadcast. Two contexts both name their first broadcast
+// broadcast_1, and their second broadcast_2.
+func TestBroadcastIDsCountPerContext(t *testing.T) {
+	for run := 0; run < 2; run++ {
+		c := newTestCluster(t, 2, 1, BackendVanilla)
+		for want := 1; want <= 2; want++ {
+			b := NewBroadcast(c.ctx, want, 0)
+			if id := b.blockID(); id != fmt.Sprintf("broadcast_%d", want) {
+				t.Fatalf("context %d names broadcast %d %s", run, want, id)
+			}
+			b.Destroy()
+		}
+	}
+}
+
 func TestTreeAggregateMatchesReference(t *testing.T) {
 	// Small (binomial reduce) and large (ring allreduce) vector paths;
 	// integer-valued floats make the sum order-independent and exact.
@@ -138,6 +155,42 @@ func TestTreeAggregateFallbackOrder(t *testing.T) {
 		}
 		if got[0] != want {
 			t.Fatalf("combine %d = %v, want %v (the executor-order sum)", run, got[0], want)
+		}
+	}
+}
+
+// TestTreeAggregateCountsExecutorsOutsideTheGroup: an executor that died
+// after its tasks committed is outside the collective, and its vector still
+// counts. Three executors' vectors of ones combine to threes, through the
+// small-vector reduce and the large-vector allreduce alike, with one of the
+// three dead: the driver contributes its vector to the collective.
+func TestTreeAggregateCountsExecutorsOutsideTheGroup(t *testing.T) {
+	c := newTestCluster(t, 3, 1, BackendVanilla)
+	execs := c.ctx.Executors()
+	accs := make(map[string][]float64)
+	execs[1].Kill()
+	if _, live := c.ctx.collectiveGroup(); len(live) != 2 {
+		t.Fatalf("%d executors in the collective, want 2", len(live))
+	}
+	for _, dim := range []int{1, 12000} {
+		for _, e := range execs {
+			accs[e.id] = make([]float64, dim)
+			for i := range accs[e.id] {
+				accs[e.id][i] = 1
+			}
+		}
+		before := c.ctx.Clock()
+		got, err := c.ctx.combineExecutorVectors(dim, accs)
+		if err != nil {
+			t.Fatalf("dim=%d: %v", dim, err)
+		}
+		if c.ctx.Clock() <= before {
+			t.Fatalf("dim=%d: the clock stood still: the combine fell back instead of running the collective", dim)
+		}
+		for i, x := range got {
+			if x != 3 {
+				t.Fatalf("dim=%d elem %d: %v, want 3", dim, i, x)
+			}
 		}
 	}
 }

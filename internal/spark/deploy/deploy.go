@@ -102,7 +102,7 @@ func (c *Cluster) Start(driver *rpc.Env, execs []*spark.Executor, launched vtime
 	return nil
 }
 
-// Close shuts everything down.
+// Close shuts everything down and returns once every thread it started has.
 func (c *Cluster) Close() {
 	if c.Ctx != nil {
 		c.Ctx.Close()
@@ -118,6 +118,9 @@ func (c *Cluster) Close() {
 	}
 	for _, env := range envs {
 		env.Shutdown()
+	}
+	for _, e := range forked {
+		e.Wait()
 	}
 }
 

@@ -123,6 +123,7 @@ type Executor struct {
 	svc     *shuffleservice.Service
 	nSlots  int
 	slots   vtime.Mailbox[*slot] // the free task slots
+	tasks   vtime.Group          // one per launched task, joined by Wait
 	cpu     CPUModel
 
 	ucrServer *ucr.Server
@@ -257,8 +258,13 @@ func (e *Executor) Attach(ctx *Context, at vtime.Stamp) (vtime.Stamp, error) {
 		if desc == nil {
 			return
 		}
-		// Run the task on a slot without blocking the dispatch loop.
-		go e.runTask(desc, c.VT)
+		// Run the task on a slot without blocking the dispatch loop. Shutdown
+		// joins this loop before anyone waits for the tasks: no Go follows Wait.
+		vt := c.VT
+		e.tasks.Go(func() error {
+			e.runTask(desc, vt)
+			return nil
+		})
 	}); err != nil {
 		return at, err
 	}
@@ -438,6 +444,12 @@ func (e *Executor) putCached(rddID, part int, v any) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	e.cached[cacheKey{rddID: rddID, part: part}] = v
+}
+
+// Wait returns once every task the executor launched has. It follows the
+// env's Shutdown, which stops launches and fails what a running task sends.
+func (e *Executor) Wait() {
+	e.tasks.Wait()
 }
 
 // Close releases the executor's resources (the env is owned by the deploy

@@ -107,14 +107,14 @@ func (e *Env) serveBatch(ch *netty.Channel, m *ChunkFetchRequest, vt vtime.Stamp
 		return
 	}
 	e.serveQ.Push(b)
-	start := !e.pumping
-	if start {
+	if !e.pumping {
 		e.pumping = true
+		e.threads.Go(func() error {
+			e.servePump()
+			return nil
+		})
 	}
 	e.mu.Unlock()
-	if start {
-		go e.servePump()
-	}
 }
 
 // servePump drains the serve queue one chunk at a time, re-queueing

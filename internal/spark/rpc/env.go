@@ -144,6 +144,9 @@ type Env struct {
 	serveQ    fifo.Queue[*batchServe]
 	pumping   bool
 	closed    bool
+	// threads runs the dispatch loops and the serve pump, each started under
+	// mu while !closed: no Go follows Shutdown's Wait.
+	threads vtime.Group
 
 	reqSeq atomic.Int64
 
@@ -406,7 +409,10 @@ func (e *Env) RegisterEndpoint(name string, h Handler) error {
 	}
 	ep := &endpoint{name: name, handler: h}
 	e.endpoints[name] = ep
-	go ep.loop()
+	e.threads.Go(func() error {
+		ep.loop()
+		return nil
+	})
 	return nil
 }
 
@@ -562,7 +568,8 @@ func (e *Env) Send(peer fabric.Addr, endpointName string, payload []byte, at vti
 
 // Shutdown stops the environment: the server, all connections, all
 // endpoints, and the event loops. The serve pump stops streaming at its next
-// turn: a chunk it is writing when Shutdown starts is the last.
+// turn: a chunk it is writing when Shutdown starts is the last. It joins
+// both, and every dispatch loop, so a handler must not call it.
 func (e *Env) Shutdown() {
 	e.mu.Lock()
 	if e.closed {
@@ -602,4 +609,5 @@ func (e *Env) Shutdown() {
 	}
 	e.server.Close()
 	e.group.Shutdown()
+	e.threads.Wait()
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -545,8 +546,9 @@ func (g *gateFirstChunk) InstallServer(ch *netty.Channel, _ *Env) {
 
 // TestShutdownStopsServePump: Shutdown stops a batch mid-stream. The serving
 // env shuts down while the first of a block's hundred chunks is being
-// written; at most one more chunk follows it, and the serve pump exits
-// instead of streaming the rest into closed channels.
+// written; at most one more chunk follows it, the serve pump exits instead
+// of streaming the rest into closed channels, and Shutdown returns only once
+// it has.
 func TestShutdownStopsServePump(t *testing.T) {
 	const chunks, chunkBytes = 100, 1024
 	gate := &gateFirstChunk{first: make(chan struct{}), release: make(chan struct{})}
@@ -559,20 +561,25 @@ func TestShutdownStopsServePump(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no chunk was served")
 	}
-	b.Shutdown()
-	close(gate.release)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	done := make(chan struct{})
+	go func() {
+		b.Shutdown()
+		close(done)
+	}()
+	for closed := false; !closed; {
 		b.mu.Lock()
-		pumping := b.pumping
+		closed = b.closed
 		b.mu.Unlock()
-		if !pumping {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("serve pump still running 5 s after Shutdown")
-		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
+	}
+	close(gate.release)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown still waiting 5 s after the chunk under way was written")
+	}
+	if b.pumping {
+		t.Fatal("serve pump still running after Shutdown returned")
 	}
 	if n := gate.written.Load(); n > 2 {
 		t.Fatalf("%d chunks written after the one under way at Shutdown, want at most 1", n-1)

@@ -24,11 +24,6 @@ const (
 	localReadNsPerByte = 0.15
 )
 
-// DefaultMaxBytesInFlight bounds the total declared size of batched
-// requests in flight per reduce task, mirroring Spark's
-// spark.reducer.maxBytesInFlight default of 48 MiB.
-const DefaultMaxBytesInFlight = 48 << 20
-
 // The counters every fetched block bumps, as handles: looked up by name they
 // cost the registry's lock and a hash per block. The failure, retry and
 // breaker paths look theirs up where they count.
@@ -53,11 +48,6 @@ type Manager struct {
 	Retry RetryPolicy
 	// ChunkBytes bounds one reply chunk of a batched fetch.
 	ChunkBytes int
-	// MaxBytesInFlight bounds the declared bytes of outstanding batched
-	// requests per reduce task (a single batch larger than the budget is
-	// still allowed to fly alone). Nothing configures it; it is a field so
-	// that a test can make the gate bind (TestBytesInFlightGate).
-	MaxBytesInFlight int64
 	// BreakerThreshold trips the per-peer circuit breaker after that many
 	// consecutive failed attempts against one peer (0 disables the
 	// threshold).
@@ -83,7 +73,6 @@ func NewManager(bm *storage.BlockManager) *Manager {
 		bm:               bm,
 		Retry:            DefaultRetryPolicy(),
 		ChunkBytes:       DefaultChunkBytes,
-		MaxBytesInFlight: DefaultMaxBytesInFlight,
 		BreakerThreshold: DefaultBreakerThreshold,
 	}
 }
@@ -139,14 +128,14 @@ type remoteBlock struct {
 // read time that dominates the paper's Job1-ResultStage.
 //
 // Remote blocks are grouped by serving executor and fetched as one batched
-// request per peer (Spark's OpenBlocks/FetchShuffleBlocks coalescing),
-// launched under the MaxBytesInFlight budget. Within a batch, failures are
-// per block: a failed block falls back to individually retried fetches per
-// RetryPolicy while its landed siblings keep their data. Once any block is
-// declared lost the fetch aborts early: no new batches launch, in-flight
-// work skips its remaining retries, and the first failure — a
-// *FetchFailedError naming the lost map output — is returned after every
-// outstanding goroutine has drained (no goroutine outlives the call).
+// request per peer (Spark's OpenBlocks/FetchShuffleBlocks coalescing), all
+// issued at `at`. Within a batch, failures are per block: a failed block
+// falls back to individually retried fetches per RetryPolicy while its
+// landed siblings keep their data. Once any block is declared lost the fetch
+// aborts early: batches not yet begun send nothing, in-flight work skips its
+// remaining retries, and the first failure — a *FetchFailedError naming the
+// lost map output — is returned after every outstanding goroutine has
+// drained (no goroutine outlives the call).
 func (m *Manager) FetchShuffleParts(
 	shuffleID, reduceID int,
 	statuses []*MapStatus,
@@ -210,14 +199,7 @@ func (m *Manager) FetchShuffleRange(
 		starts[i], remote = remote, remote+n
 	}
 
-	// Budget gate: batches launch while their declared bytes fit in
-	// MaxBytesInFlight; an oversize batch flies once nothing else does.
-	budget := m.MaxBytesInFlight
-	if budget <= 0 {
-		budget = DefaultMaxBytesInFlight
-	}
 	f := &fetchState{results: make([]FetchResult, len(statuses)), maxVT: at}
-	f.cond.L = &f.mu
 
 	// Pass 1: local reads, and the remote blocks placed in map order after
 	// the blocks of their peer that came before, so that each peer's blocks
@@ -273,18 +255,13 @@ func (m *Manager) FetchShuffleRange(
 		ids[i] = b.id
 	}
 
-	// Pass 2: one batched request per peer, admitted by the byte budget.
+	// Pass 2: one batched request per peer.
 	for lo, hi := 0, 0; lo < len(blocks); lo = hi {
-		var batchBytes int64
-		for hi = lo; hi < len(blocks) && blocks[hi].peer == blocks[lo].peer; hi++ {
-			batchBytes += blocks[hi].size
-		}
-		if !f.admit(batchBytes, budget) {
-			break
+		for hi = lo + 1; hi < len(blocks) && blocks[hi].peer == blocks[lo].peer; {
+			hi++
 		}
 		batch, batchIDs := blocks[lo:hi], ids[lo:hi]
 		f.fetchers.Go(func() error {
-			defer f.release(batchBytes)
 			m.fetchBatch(f, shuffleID, reduceID, merged, batch, batchIDs, bts, at)
 			return nil
 		})
@@ -297,18 +274,15 @@ func (m *Manager) FetchShuffleRange(
 }
 
 // fetchState is what one reduce task's batches share while they fly: the
-// results, the latest arrival, the first failure (which aborts the rest)
-// and the bytes in flight under the budget. One object per fetch.
+// results, the latest arrival and the first failure (which aborts the rest).
+// One object per fetch.
 type fetchState struct {
 	results  []FetchResult // indexed by map id
-	fetchers vtime.Group   // one per admitted batch; each fails the fetch itself
+	fetchers vtime.Group   // one per batch; each fails the fetch itself
 
 	mu       sync.Mutex
-	cond     sync.Cond // on mu: budget released or fetch aborted
 	maxVT    vtime.Stamp
 	firstErr error
-	aborted  bool
-	inFlight int64
 }
 
 // observe advances the fetch's completion to at least vt.
@@ -324,7 +298,7 @@ func (f *fetchState) observe(vt vtime.Stamp) {
 func (f *fetchState) abortedNow() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.aborted
+	return f.firstErr != nil
 }
 
 // fail records err if it is the first failure, and aborts the fetch.
@@ -332,35 +306,8 @@ func (f *fetchState) fail(err error) {
 	f.mu.Lock()
 	if f.firstErr == nil {
 		f.firstErr = err
-		f.aborted = true
 	}
 	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// admit waits until a batch of the given bytes fits the budget beside those
-// in flight (a batch flies alone whatever its size) and counts its bytes in
-// until its release; it reports false, admitting nothing, once the fetch has
-// aborted.
-func (f *fetchState) admit(bytes, budget int64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.aborted && f.inFlight > 0 && f.inFlight+bytes > budget {
-		f.cond.Wait()
-	}
-	if f.aborted {
-		return false
-	}
-	f.inFlight += bytes
-	return true
-}
-
-// release ends an admitted batch: its bytes leave the budget.
-func (f *fetchState) release(bytes int64) {
-	f.mu.Lock()
-	f.inFlight -= bytes
-	f.mu.Unlock()
-	f.cond.Broadcast()
 }
 
 // fetchBatch is one peer's share of a reduce task's fetch, and the whole of

@@ -56,12 +56,32 @@ type vectorPartial struct {
 }
 
 // combineExecutorVectors runs the collective combine of TreeAggregate: the
-// driver (rank 0, contributing zeros) and every live executor reduce their
-// vectors. If the collective fails (an executor died mid-op), the combine
-// falls back to a driver-local sum — the numbers stay right and only the
-// communication modeling of this one combine is lost.
+// driver (rank 0) and every live executor reduce their vectors. The driver
+// contributes the vectors of executors outside the group (one that died
+// after its tasks committed), summed in id order. If the collective fails
+// (an executor died mid-op), the combine falls back to a driver-local sum of
+// that and the group's vectors in its executor order — the numbers stay
+// right and only the communication modeling of this one combine is lost.
+// Either way the floats are added in one order, not in map order, which
+// would differ in the last bit from run to run.
 func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]float64, error) {
 	group, execs := c.collectiveGroup()
+	var outside []string
+	for id := range accs {
+		if !slices.ContainsFunc(execs, func(e *Executor) bool { return e.id == id }) {
+			outside = append(outside, id)
+		}
+	}
+	sort.Strings(outside)
+	sum := make([]float64, dim)
+	add := func(v []float64) {
+		for i := 0; i < len(v) && i < dim; i++ {
+			sum[i] += v[i]
+		}
+	}
+	for _, id := range outside {
+		add(accs[id])
+	}
 	payloadLen := 8 * dim
 	if group.Size() >= 2 {
 		op := collective.NextOpID()
@@ -73,16 +93,13 @@ func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]
 		var result []float64
 		var driverDone vtime.Stamp
 		err := group.Run(op, kind, payloadLen, func(rank int) error {
-			var in []byte
-			if rank == 0 {
-				in = make([]byte, payloadLen) // driver contributes zeros
-			} else {
-				v := accs[execs[rank-1].id]
-				if v == nil {
+			v := sum
+			if rank > 0 {
+				if v = accs[execs[rank-1].id]; v == nil {
 					v = make([]float64, dim)
 				}
-				in = collective.EncodeFloat64s(v)
 			}
+			in := collective.EncodeFloat64s(v)
 			var out []byte
 			var vt vtime.Stamp
 			var err error
@@ -101,26 +118,9 @@ func (c *Context) combineExecutorVectors(dim int, accs map[string][]float64) ([]
 			return result, nil
 		}
 	}
-	// Driver-local fallback (single-executor context or failed collective),
-	// summed in the collective's executor order, then any other executor's
-	// vector by id: in map order the floats' last bit would differ from run
-	// to run.
-	order := make([]string, len(execs), len(execs)+len(accs))
-	for i, e := range execs {
-		order[i] = e.id
+	// Driver-local fallback (single-executor context or failed collective).
+	for _, e := range execs {
+		add(accs[e.id])
 	}
-	for id := range accs {
-		if !slices.Contains(order[:len(execs)], id) {
-			order = append(order, id)
-		}
-	}
-	sort.Strings(order[len(execs):])
-	out := make([]float64, dim)
-	for _, id := range order {
-		v := accs[id]
-		for i := 0; i < len(v) && i < dim; i++ {
-			out[i] += v[i]
-		}
-	}
-	return out, nil
+	return sum, nil
 }

@@ -81,6 +81,9 @@ type Server struct {
 	mu     sync.Mutex
 	conns  []*serverConn
 	closed bool
+	// serving runs one serve loop per connection, started under mu while
+	// closed is false and joined by Close.
+	serving vtime.Group
 }
 
 // NewServer creates a UCR block server on the given device.
@@ -99,24 +102,25 @@ type serverConn struct {
 // client handle plus the virtual time the connection is ready.
 func (s *Server) Connect(clientDev *rdma.Device, at vtime.Stamp) (*Client, vtime.Stamp, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, at, rdma.ErrClosed
 	}
-	s.mu.Unlock()
 	if fab := s.dev.Node().Fabric(); fab.Failed(s.dev.Node().Name()) || fab.Failed(clientDev.Node().Name()) {
 		return nil, at, fmt.Errorf("ucr: connect to failed node %s: %w", s.dev.Node().Name(), rdma.ErrClosed)
 	}
 	clientQP, serverQP, ready := rdma.ConnectQP(clientDev, s.dev, at)
 	sc := &serverConn{qp: serverQP}
-	s.mu.Lock()
 	s.conns = append(s.conns, sc)
-	s.mu.Unlock()
-	go s.serve(sc)
+	s.serving.Go(func() error {
+		s.serve(sc)
+		return nil
+	})
 	return &Client{qp: clientQP}, ready, nil
 }
 
-// Close shuts the server and all its connections down.
+// Close shuts the server and all its connections down, and returns once
+// every connection's serve loop has.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -129,6 +133,7 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		c.qp.Close()
 	}
+	s.serving.Wait()
 }
 
 // serve handles one connection's fetch requests sequentially — UCR's

@@ -23,11 +23,11 @@
 // coalescing wake-up with a close: an event loop's selector token and a
 // collective station slot's. Group is the one join of a fan-out (a
 // collective's ranks, the Fig. 3 launch's ranks, a reduce task's fetchers)
-// and the one owner of a long-lived thread that someone joins (an event
-// loop's selector, a server's accept loop, the driver's supervision loop);
-// its error is the earliest Go call's that failed, not the first the host
-// ran. The waits that are not yet primitives of this package are listed,
-// each with a reason, in waits.txt, which TestWaitCensus holds to the code.
+// and of every long-lived thread, which its owner joins on close (event
+// loops, accept loops, the supervision loop, rpc dispatch loops and serve
+// pumps, UCR serve loops, executor tasks); its error is the earliest Go
+// call's that failed, not the first the host ran. Waits not yet primitives
+// are listed with a reason in waits.txt, which TestWaitCensus holds true.
 package vtime
 
 import (
