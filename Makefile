@@ -23,13 +23,14 @@ test: bench-test
 deadcode:
 	go test -count=1 -run TestNoUnreachableCode -v ./internal/deadcode/
 
-# The hand-rolled waits left outside internal/vtime (make(chan, select and
-# go; no sync.Cond or sync.WaitGroup is left, and a new one fails too) must
+# The hand-rolled waits left outside internal/vtime (one go, DPM's spawned
+# main; a new make(chan, select, go, sync.Cond or sync.WaitGroup fails) must
 # match internal/vtime/waits.txt, one line per file and kind with a reason
 # (a wake-up is a vtime.Signal, a queue a vtime.Mailbox, a joined thread or
 # fan-out a vtime.Group; that every owner joins its threads is
-# harness.TestClosedClusterLeavesNoGoroutine, in make flake). make test runs it too; this target runs it alone
-# and verbosely, so the survivors and their totals are printed.
+# harness.TestClosedClusterLeavesNoGoroutine, in make flake). make test runs
+# it too; this target runs it alone and verbosely, so the survivors and
+# their totals are printed.
 waits:
 	go test -count=1 -run 'TestWaitCensus|TestWaitSitesOnFixture' -v ./internal/vtime/
 

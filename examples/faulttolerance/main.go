@@ -1,12 +1,12 @@
 // Fault-tolerance example: first a worker node dies mid-application and
 // the scheduler reroutes its tasks to the survivors; then an executor
-// process on a healthy node is killed and the driver's supervision layer
-// (heartbeats → ExecutorLost → replacement) detects the silent death and
-// has the worker fork a replacement — the extension built on the
+// process on a healthy node is killed, the driver declares it lost one
+// executor timeout after its last activity (ExecutorLost → replacement),
+// and the worker forks a replacement — the extension built on the
 // MPI_Comm_connect/accept direction the paper names as future work
 // (task retry with executor blacklisting, FetchFailed-driven map-stage
-// resubmission for lost shuffle outputs, and executor liveness
-// supervision; see DESIGN.md §6).
+// resubmission for lost shuffle outputs, and executor loss and
+// replacement; see DESIGN.md §6).
 //
 //	go run ./examples/faulttolerance
 package main
@@ -14,10 +14,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/metrics"
+	"mpi4spark/internal/obs"
 	"mpi4spark/internal/spark"
 	"mpi4spark/internal/spark/deploy"
 )
@@ -26,10 +26,6 @@ func main() {
 	f := fabric.New(fabric.NewIBHDRModel())
 	workers := []*fabric.Node{f.AddNode("w0"), f.AddNode("w1"), f.AddNode("w2")}
 	cfg := spark.DefaultConfig()
-	// Turn executor liveness supervision on: each executor heartbeats the
-	// driver every 2ms of virtual time, and an executor silent for 30ms is
-	// declared lost and replaced through the worker's launch path.
-	cfg.Supervise = true
 	cl, err := deploy.StartCluster(deploy.Config{
 		Fabric:         f,
 		WorkerNodes:    workers,
@@ -100,9 +96,10 @@ func main() {
 		len(groups), metrics.CounterValue("scheduler.map_stage.resubmissions"))
 
 	// --- Act 2: executor process death on a healthy node. The process
-	// dies silently — no failed fetch, no status update — so the only
-	// signal is its heartbeat going quiet. Supervision expires it and the
-	// owning worker forks an attempt-qualified replacement (exec-2.1).
+	// dies silently — no failed fetch, no status update — so the driver
+	// declares it lost 30ms of virtual time after its last activity
+	// (spark.network.timeout), and the owning worker forks an
+	// attempt-qualified replacement (exec-2.1).
 	var victim *spark.Executor
 	for _, e := range cl.Ctx.Executors() {
 		if e.ID() == "exec-2" {
@@ -110,14 +107,17 @@ func main() {
 		}
 	}
 	fmt.Println("injecting failure: executor process exec-2 killed (node w2 stays up)")
-	expired := metrics.CounterValue("heartbeat.expired")
+	replaced := make(chan struct{})
+	cl.Ctx.Bus().Subscribe(obs.ListenerFunc(func(e obs.Event) {
+		if e.Type == obs.EvExecutorReplaced {
+			close(replaced)
+		}
+	}))
 	victim.Kill()
 
-	// The cluster is idle, so detection comes purely from the heartbeat
-	// pump: wait for the driver to expire the silent executor.
-	for metrics.CounterValue("heartbeat.expired") == expired {
-		time.Sleep(time.Millisecond)
-	}
+	// The cluster is idle, so the kill's own report is the only loss
+	// signal: wait for the replacement before the next job.
+	<-replaced
 
 	sum3, err := spark.Reduce(data, func(a, b int64) int64 { return a + b })
 	if err != nil {
@@ -129,8 +129,7 @@ func main() {
 		ids[i] = e.ID()
 	}
 	fmt.Printf("after kill:     sum = %d (identical), executors now %v\n", sum3, ids)
-	fmt.Printf("supervision:    %d heartbeat(s) sent, %d expired, %d executor(s) lost, %d replaced\n",
-		metrics.CounterValue("heartbeat.sent"), metrics.CounterValue("heartbeat.expired"),
+	fmt.Printf("executor loss:  %d executor(s) lost, %d replaced\n",
 		metrics.CounterValue("scheduler.executor.lost"), metrics.CounterValue("scheduler.executor.replaced"))
 	for _, s := range cl.Ctx.Stages() {
 		fmt.Printf("  %-22s %v\n", s.Name, s.Duration().AsDuration())

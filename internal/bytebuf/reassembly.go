@@ -19,8 +19,8 @@ var ErrMalformedChunk = errors.New("malformed chunk")
 // last one ended only lengthens the slice. Nothing is copied and the result
 // aliases the sent body, as a single-part body always has. A part from
 // anywhere else (a fault plane's corrupted copy) moves the body into a
-// buffer of its own, exactly the body's size; memory behind an adopted part
-// is never written. The zero value is ready for use.
+// buffer of its own; memory behind an adopted part is never written. The
+// zero value is ready for use.
 type Reassembly struct {
 	data    []byte
 	owned   bool   // data is this value's own buffer, not an adopted window
@@ -28,8 +28,10 @@ type Reassembly struct {
 	started bool   // a chunk has been folded
 }
 
-// Add appends the body's next part. total is the size of the whole body.
-func (r *Reassembly) Add(chunk []byte, total uint64) {
+// Add appends the body's next part. A buffer of the body's own starts at the
+// bytes the parts so far hold, not at the size the wire announces for the
+// body, and grows as append grows it.
+func (r *Reassembly) Add(chunk []byte) {
 	n, m := len(r.data), len(chunk)
 	switch {
 	case n == 0 && !r.owned:
@@ -38,7 +40,7 @@ func (r *Reassembly) Add(chunk []byte, total uint64) {
 		r.data = r.data[:n+m]
 	default:
 		if !r.owned {
-			r.data, r.owned = append(make([]byte, 0, total), r.data...), true
+			r.data, r.owned = append(make([]byte, 0, n+m), r.data...), true
 		}
 		r.data = append(r.data, chunk...)
 	}
@@ -61,7 +63,7 @@ func (r *Reassembly) Fold(offset, total uint64, chunk []byte) (done bool, err er
 	if offset != uint64(len(r.data)) {
 		return false, nil
 	}
-	r.Add(chunk, total)
+	r.Add(chunk)
 	r.total, r.started = total, true
 	return uint64(len(r.data)) == total, nil
 }

@@ -24,7 +24,7 @@ func TestReassemblyAdoptsConsecutiveWindows(t *testing.T) {
 		var r Reassembly
 		for off := 0; off < len(block); off += 100 {
 			end := min(off+100, len(block))
-			r.Add(block[off:end], uint64(len(block)))
+			r.Add(block[off:end])
 		}
 		out = r.Bytes()
 	})
@@ -43,7 +43,7 @@ func TestReassemblyAdoptsConsecutiveWindows(t *testing.T) {
 }
 
 // A chunk that is not the next window (a fault plane's copy) moves the
-// block into its own exact-size buffer; the served block is not written,
+// block into a buffer of its own; the served block is not written,
 // although the adopted first window had room behind it.
 func TestReassemblyCopiesAroundAForeignChunk(t *testing.T) {
 	served := pattern(300)
@@ -51,9 +51,9 @@ func TestReassemblyCopiesAroundAForeignChunk(t *testing.T) {
 	foreign := bytes.Repeat([]byte{0xEE}, 100)
 
 	var r Reassembly
-	r.Add(served[0:100], 300)
-	r.Add(foreign, 300)         // replaces served[100:200] in flight
-	r.Add(served[200:300], 300) // adjacent to nothing the block owns now
+	r.Add(served[0:100])
+	r.Add(foreign)         // replaces served[100:200] in flight
+	r.Add(served[200:300]) // adjacent to nothing the block owns now
 	out := r.Bytes()
 
 	if !bytes.Equal(served, want) {
@@ -68,9 +68,30 @@ func TestReassemblyCopiesAroundAForeignChunk(t *testing.T) {
 	}
 }
 
+// A block's announced total is wire data and sizes no buffer: a first chunk
+// that claims a terabyte block, followed by one chunk that is not its next
+// window, costs a buffer of the two chunks' bytes.
+func TestReassemblyIgnoresAnnouncedTotal(t *testing.T) {
+	const total = 1 << 40
+	first, second := pattern(100), pattern(50)
+	var r Reassembly
+	if done, err := r.Fold(0, total, first); done || err != nil {
+		t.Fatalf("first chunk: done=%v err=%v", done, err)
+	}
+	if done, err := r.Fold(100, total, second); done || err != nil {
+		t.Fatalf("second chunk: done=%v err=%v", done, err)
+	}
+	if !r.owned || cap(r.data) > 150 {
+		t.Fatalf("copied into a buffer of cap %d (owned=%v), want at most the 150 bytes folded", cap(r.data), r.owned)
+	}
+	if got := r.Bytes(); !bytes.Equal(got, append(append([]byte(nil), first...), second...)) {
+		t.Fatal("folded bytes differ from the chunks in order")
+	}
+}
+
 func TestReassemblyEmptyBlock(t *testing.T) {
 	var r Reassembly
-	r.Add(nil, 0)
+	r.Add(nil)
 	if got := r.Bytes(); len(got) != 0 {
 		t.Fatalf("empty block has %d bytes", len(got))
 	}

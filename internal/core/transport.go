@@ -427,13 +427,13 @@ func (h *optInbound) ChannelRead(ctx *netty.Context, msg any) {
 	vt := status.VT
 	if pieces > 1 {
 		var body bytebuf.Reassembly
-		body.Add(data, uint64(size))
+		body.Add(data)
 		for i := 1; i < pieces; i++ {
 			piece, st := r.h.Recv(r.rank, tag, ctx.VT())
 			if !h.pieceFits(piece, size, span, i, tag) {
 				return
 			}
-			body.Add(piece, uint64(size))
+			body.Add(piece)
 			vt = vtime.Max(vt, st.VT)
 		}
 		data = body.Bytes()

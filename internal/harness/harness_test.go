@@ -25,14 +25,12 @@ func TestSystemsProfiles(t *testing.T) {
 }
 
 // TestBuildClusterAllBackends: every backend comes up from a bare spec, and
-// each feature switch works alone (Adaptive needs no byte target beside it,
-// Supervise no periods).
+// the Adaptive switch works alone (it needs no byte target beside it).
 func TestBuildClusterAllBackends(t *testing.T) {
 	for _, b := range []spark.Backend{spark.BackendVanilla, spark.BackendRDMA, spark.BackendMPIBasic, spark.BackendMPIOpt} {
 		for name, spec := range map[string]ClusterSpec{
-			"bare":      {},
-			"adaptive":  {Adaptive: true},
-			"supervise": {Supervise: true},
+			"bare":     {},
+			"adaptive": {Adaptive: true},
 		} {
 			spec.System, spec.Workers, spec.Backend = Frontera, 2, b
 			cl, err := BuildCluster(spec)

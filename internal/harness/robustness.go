@@ -48,7 +48,7 @@ func runChaosKill(o Options, dir string) (*metrics.Table, error) {
 		var baseline, recovery vtime.Stamp
 		d, err := Cell{
 			Spec: ClusterSpec{System: Frontera, Workers: workers, Backend: b, SlotsPerWorker: o.SlotsPerWorker,
-				Supervise: true, ShuffleService: mode == "on", EventLogPath: eventLog},
+				ShuffleService: mode == "on", EventLogPath: eventLog},
 			Counters: []string{counterResubmits, "scheduler.fetch_failed"},
 			Setup: func(cl *Cluster) error {
 				pairs := spark.Generate(cl.Ctx, cfg.Mappers, func(part int, tc *spark.TaskContext) []spark.Pair[int64, int64] {

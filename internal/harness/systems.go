@@ -106,11 +106,6 @@ type ClusterSpec struct {
 	CPU spark.CPUModel
 	// UCR overrides the RDMA runtime config (zero selects defaults).
 	UCR ucr.Config
-	// Supervise enables executor liveness supervision (heartbeats,
-	// ExecutorLost recovery, replacement; spark.Config.Supervise).
-	// Benchmarks leave it off: heartbeat volume depends on wall-clock
-	// progress, which would perturb the deterministic timings.
-	Supervise bool
 	// EventLogPath records the run's lifecycle events as JSONL
 	// (spark.Config.EventLogPath), replayable with cmd/eventlog.
 	EventLogPath string
@@ -175,7 +170,6 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 	sparkCfg.EventLogPath = spec.EventLogPath
 	sparkCfg.ExternalShuffleService = spec.ShuffleService
 	sparkCfg.AdaptiveExecution = spec.Adaptive
-	sparkCfg.Supervise = spec.Supervise
 	launch := deploy.StartCluster
 	if spec.Backend == spark.BackendMPIBasic || spec.Backend == spark.BackendMPIOpt {
 		launch = core.LaunchMPICluster

@@ -8,7 +8,7 @@
 // stamp for correlating with logs from outside the simulation. Emission
 // is wired into the scheduler (job/stage lifecycle), the executors
 // (per-task metrics: records, shuffle bytes split by locality, fetch-wait
-// virtual time, retry count), the supervisor's loss funnel, and the
+// virtual time, retry count), the driver's executor-loss funnel, and the
 // collective layer, so a recorded run can be decomposed into per-stage
 // shuffle-wait vs. compute after the fact instead of reporting only an
 // end-to-end job time.
@@ -121,7 +121,7 @@ type Event struct {
 
 // Listener receives every event posted to a Bus. Listeners are invoked
 // synchronously on the emitting goroutine (executor task goroutines,
-// the scheduler, the supervision pump) and must be internally
+// the scheduler, a killed executor's loss report) and must be internally
 // synchronized and fast.
 type Listener interface {
 	OnEvent(Event)

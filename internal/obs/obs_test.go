@@ -165,7 +165,7 @@ func syntheticRun() []Event {
 		{Type: EvTaskEnd, VT: 1400, Job: 0, Stage: 0, Partition: 0, Executor: "exec-0",
 			Start: 1000, Records: 50, BytesLocal: 0, BytesRemote: 0},
 		// Partition 1 attempt 0 dies with the executor; attempt 1 succeeds.
-		{Type: EvExecutorLost, VT: 1300, Executor: "exec-1", Cause: "heartbeat timeout"},
+		{Type: EvExecutorLost, VT: 1300, Executor: "exec-1", Cause: "executor timeout"},
 		{Type: EvTaskEnd, VT: 1300, Job: 0, Stage: 0, Partition: 1, Executor: "exec-1",
 			Start: 1000, Err: "executor lost"},
 		{Type: EvExecutorReplaced, VT: 1350, Executor: "exec-1", Replacement: "exec-1b"},

@@ -20,7 +20,7 @@ func TestBroadcastLateJoinerPullsOverChunkFetch(t *testing.T) {
 	const blob = 256 << 10
 	for _, backend := range chaosBackends {
 		t.Run(backend.String(), func(t *testing.T) {
-			cc := newChaosClusterCfg(t, backend, superviseChaos)
+			cc := newChaosCluster(t, backend)
 			b := spark.NewBroadcast(cc.ctx, int64(42), blob)
 			late := replaceExecutor(t, cc, 1)
 			base := late.BlockManager().StoredBytes()

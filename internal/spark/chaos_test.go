@@ -49,8 +49,7 @@ func newChaosCluster(t *testing.T, backend spark.Backend) *chaosCluster {
 	return newChaosClusterCfg(t, backend, func(*spark.Config) {})
 }
 
-// newChaosClusterCfg is newChaosCluster with a config hook (the
-// supervision tests turn heartbeats on through it).
+// newChaosClusterCfg is newChaosCluster with a config hook.
 func newChaosClusterCfg(t *testing.T, backend spark.Backend, tune func(*spark.Config)) *chaosCluster {
 	t.Helper()
 	f, wn := chaosFabric()
@@ -248,7 +247,6 @@ func TestChaosExecutorKillMidReduceWithService(t *testing.T) {
 	for _, backend := range chaosBackends {
 		t.Run(backend.String(), func(t *testing.T) {
 			cc := newChaosClusterCfg(t, backend, func(cfg *spark.Config) {
-				superviseChaos(cfg)
 				cfg.ExternalShuffleService = true
 			})
 			victim := cc.ctx.Executors()[1]
@@ -386,19 +384,12 @@ func TestChaosStageAttemptsExhausted(t *testing.T) {
 	}
 }
 
-// superviseChaos turns supervision on: its missed-beat budget of 15 pump
-// rounds expires a genuinely dead executor within a few wall-clock
-// milliseconds while a loaded -race run has ample slack before a live
-// executor's beats count as late.
-func superviseChaos(cfg *spark.Config) {
-	cfg.Supervise = true
-}
-
 // TestChaosExecutorKillNarrowJob kills an executor process mid-stage
 // during a narrow-only (no shuffle) job on every backend. Nothing ever
 // fetches from the victim and a dead process sends no status update, so
-// the only loss signal is its heartbeat going silent: the driver must
-// expire it, fail its in-flight tasks over to the survivors, respawn a
+// the only loss signal is the kill's own report, one executor timeout
+// after the victim's last activity: the driver must declare it lost, fail
+// its in-flight tasks over to the survivors, respawn a
 // replacement through the backend's own launch path (worker re-fork in
 // standalone, DPM seat respawn under the MPI launcher), and schedule
 // follow-up work across the restored cluster width.
@@ -408,7 +399,7 @@ func TestChaosExecutorKillNarrowJob(t *testing.T) {
 		t.Run(backend.String(), func(t *testing.T) {
 			snap := metrics.Snapshot()
 
-			cc := newChaosClusterCfg(t, backend, superviseChaos)
+			cc := newChaosCluster(t, backend)
 			victim := cc.ctx.Executors()[1]
 
 			// The victim dies only once one of its tasks is actually on a
@@ -443,17 +434,11 @@ func TestChaosExecutorKillNarrowJob(t *testing.T) {
 				t.Fatalf("sum = %d, want %d", sum, want)
 			}
 
-			if d := snap.DeltaValue("scheduler.executor.lost"); d < 1 {
-				t.Fatalf("scheduler.executor.lost delta = %d, want >= 1", d)
+			if d := snap.DeltaValue("scheduler.executor.lost"); d != 1 {
+				t.Fatalf("scheduler.executor.lost delta = %d, want 1", d)
 			}
-			if d := snap.DeltaValue("scheduler.executor.replaced"); d < 1 {
-				t.Fatalf("scheduler.executor.replaced delta = %d, want >= 1", d)
-			}
-			if d := snap.DeltaValue("heartbeat.sent"); d < 1 {
-				t.Fatalf("heartbeat.sent delta = %d, want >= 1", d)
-			}
-			if d := snap.DeltaValue("heartbeat.expired"); d < 1 {
-				t.Fatalf("heartbeat.expired delta = %d, want >= 1", d)
+			if d := snap.DeltaValue("scheduler.executor.replaced"); d != 1 {
+				t.Fatalf("scheduler.executor.replaced delta = %d, want 1", d)
 			}
 
 			// Replacement restored the cluster width in place.
@@ -513,7 +498,7 @@ func TestChaosExecutorKillLosesLocalCheckpoint(t *testing.T) {
 	const nParts = 2 * chaosWorkers
 	for _, backend := range chaosBackends {
 		t.Run(backend.String(), func(t *testing.T) {
-			cc := newChaosClusterCfg(t, backend, superviseChaos)
+			cc := newChaosCluster(t, backend)
 			var mu sync.Mutex
 			holder := make(map[int]string) // partition -> executor that computed it
 			ck := spark.Generate(cc.ctx, nParts, func(part int, tc *spark.TaskContext) []int64 {

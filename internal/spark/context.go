@@ -42,16 +42,6 @@ type Config struct {
 	// service, and reducers fetch merged runs from it — so executor loss
 	// no longer forgets map outputs or resubmits completed map stages.
 	ExternalShuffleService bool
-	// Supervise turns executor liveness supervision on: executors heartbeat
-	// the driver (spark.executor.heartbeatInterval), and one silent for
-	// executorTimeout is declared lost and replaced through the
-	// deployment's ExecutorReplacer. Off, executor loss is detected only
-	// reactively — a LaunchTask or StatusUpdate send failing, or a fetch
-	// failure naming the executor. Heartbeat traffic shares the simulated
-	// NICs with job traffic and its volume depends on wall-clock progress,
-	// so benchmark configurations leave supervision off to keep timings
-	// bit-deterministic.
-	Supervise bool
 	// EventLogPath, when non-empty, records every lifecycle event the
 	// driver's listener bus emits (job/stage/task lifecycle with per-task
 	// shuffle metrics, executor loss/replacement, collective ops, fetch
@@ -221,13 +211,11 @@ type Context struct {
 	bus      *obs.Bus
 	eventLog *obs.LogWriter
 
-	// Supervision state (heartbeats + expiry); see supervisor.go.
-	hbMu      sync.Mutex
-	hb        map[string]*execHealth
-	pumpSeq   atomic.Int64
-	superStop chan struct{}
-	superLoop vtime.Group // the supervision loop's thread, joined by Close
-	closeOnce sync.Once
+	// lossReports runs the loss reports of killed executors (reportSilent);
+	// closed, under mu, stops new ones once Close has begun joining it.
+	lossReports vtime.Group
+	closed      bool
+	closeOnce   sync.Once
 }
 
 // NewContext creates a SparkContext over a driver environment and a set of
@@ -264,7 +252,6 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 		unhealthy:    make(map[string]bool),
 		runningOn:    make(map[int64]string),
 		lostExecs:    make(map[string]bool),
-		hb:           make(map[string]*execHealth),
 		bus:          obs.NewBus(),
 	}
 	if cfg.EventLogPath != "" {
@@ -299,9 +286,6 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 	if err != nil {
 		return nil, err
 	}
-	if err := driver.RegisterEndpoint(HeartbeatEndpoint, c.receiveHeartbeat); err != nil {
-		return nil, err
-	}
 	// RegisterExecutor: the connection the ask arrived on becomes the
 	// driver's route to the executor's address.
 	err = driver.RegisterEndpoint(RegistrationEndpoint, func(call *rpc.Call) {
@@ -327,23 +311,19 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 		}
 		c.clock = vtime.Max(c.clock, vt)
 	}
-	if cfg.Supervise {
-		c.superStop = make(chan struct{})
-		c.superLoop.Go(c.superviseLoop)
-	}
 	return c, nil
 }
 
-// Close stops the driver-side supervision loop (a no-op when supervision
-// is disabled) and flushes the event log if one was configured. The
+// Close joins the loss reports of killed executors (a Kill after Close
+// reports nothing) and flushes the event log if one was configured. The
 // deploy layers call it from their cluster Close; it does not shut the
 // executors or RPC environments down.
 func (c *Context) Close() {
 	c.closeOnce.Do(func() {
-		if c.superStop != nil {
-			close(c.superStop)
-			c.superLoop.Wait()
-		}
+		c.mu.Lock()
+		c.closed = true
+		c.mu.Unlock()
+		c.lossReports.Wait()
 		if c.eventLog != nil {
 			c.eventLog.Close()
 		}

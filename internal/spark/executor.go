@@ -9,7 +9,6 @@ import (
 
 	"mpi4spark/internal/collective"
 	"mpi4spark/internal/fabric"
-	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/obs"
 	"mpi4spark/internal/rdma"
 	"mpi4spark/internal/spark/rpc"
@@ -137,12 +136,12 @@ type Executor struct {
 
 	ctx *Context
 
-	// dead marks the executor process as killed: it stops heartbeating and
-	// nothing it computes escapes (see Kill).
+	// dead marks the executor process as killed: nothing it computes
+	// escapes (see Kill).
 	dead atomic.Bool
-	// hbClock stamps outgoing heartbeats; it tracks the executor's task
-	// activity so heartbeat traffic never lags behind job traffic.
-	hbClock vtime.Clock
+	// activity is the executor's last stamped activity: its task launches
+	// and ends. A killed executor is lost executorTimeout after it.
+	activity vtime.Clock
 }
 
 // ExecutorConfig configures NewExecutor.
@@ -185,7 +184,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	}
 	e.sm = shuffle.NewManager(e.bm)
 	e.loc = shuffle.Location{ExecID: cfg.ID, Addr: cfg.Env.Addr()}
-	e.hbClock.Observe(cfg.StartVT)
+	e.activity.Observe(cfg.StartVT)
 	for i := 0; i < cfg.Slots; i++ {
 		s := &slot{}
 		s.clock.Observe(cfg.StartVT)
@@ -307,11 +306,11 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	s, _ := e.slots.Recv()
 	if e.dead.Load() {
 		// The process died before the task started; the driver learns of
-		// the loss from the heartbeat expiry (or the failed launch send).
+		// the loss from Kill's report (or the failed launch send).
 		e.slots.Push(s)
 		return
 	}
-	e.hbClock.Observe(launchVT)
+	e.activity.Observe(launchVT)
 	start := vtime.Max(s.clock.Now(), launchVT)
 	attempt := int(desc.attempt.Load())
 	e.ctx.bus.Emit(obs.Event{
@@ -337,11 +336,11 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	result, mapStatus, err := desc.run(tc)
 	s.clock.Observe(tc.vt)
 	e.slots.Push(s)
-	e.hbClock.Observe(tc.vt)
+	e.activity.Observe(tc.vt)
 	if e.dead.Load() {
 		// The process died mid-task: nothing it computed escapes — no
-		// completion, no TaskEnd. The supervisor's heartbeat expiry fails
-		// the task driver-side and emits the synthetic TaskEnd.
+		// completion, no TaskEnd. The driver's loss funnel fails the task
+		// and emits the synthetic TaskEnd.
 		return
 	}
 
@@ -402,27 +401,14 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	}
 }
 
-// pumpHeartbeat emits one liveness heartbeat to the driver. The supervisor drives the pump in
-// wall-clock time; the heartbeat itself is stamped and costed in virtual
-// time like any other control message. A killed executor pumps nothing —
-// that silence is the loss signal.
-func (e *Executor) pumpHeartbeat(seq int64) {
-	if e.dead.Load() || e.ctx == nil {
-		return
-	}
-	payload := encodeHeartbeat(heartbeat{ExecID: e.id, Seq: seq})
-	if _, err := e.env.Send(e.ctx.driver.Addr(), HeartbeatEndpoint, payload, e.hbClock.Now()); err != nil {
-		return // unreachable driver: the missing beat is the signal
-	}
-	metrics.GetCounter("heartbeat.sent").Inc()
-}
-
-// Kill models the executor process dying (a JVM crash or OOM-kill): it
-// stops heartbeating, in-flight tasks die with it and never report, and
-// its RPC environment — including the shuffle blocks it was serving —
-// goes away. The node and its worker stay up, so the deployment can fork
-// a replacement there. This is the process-death counterpart to
-// fabric.FailNode, which takes the whole node down.
+// Kill models the executor process dying (a JVM crash or OOM-kill): its
+// in-flight tasks die with it and never report, and its RPC environment —
+// including the shuffle blocks it was serving — goes away. The node and its
+// worker stay up, so the deployment can fork a replacement there. This is
+// the process-death counterpart to fabric.FailNode, which takes the whole
+// node down. The driver declares the executor lost executorTimeout after
+// its last stamped activity (spark.network.timeout), unless a failed send
+// or fetch has reported it first.
 func (e *Executor) Kill() {
 	if !e.dead.CompareAndSwap(false, true) {
 		return
@@ -430,6 +416,9 @@ func (e *Executor) Kill() {
 	e.env.Shutdown()
 	if e.ucrServer != nil {
 		e.ucrServer.Close()
+	}
+	if e.ctx != nil {
+		e.ctx.reportSilent(e.id, e.activity.Now().Add(executorTimeout))
 	}
 }
 

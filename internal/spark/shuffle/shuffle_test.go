@@ -50,7 +50,7 @@ func TestMapStatusRoundTrip(t *testing.T) {
 // flag in the tracker wire format: a mix of service-hosted outputs,
 // executor-hosted outputs, and holes must round-trip with the flag intact.
 // Losing it would send reducers back to executor fetch semantics, and the
-// supervisor's UnregisterOutputsOnExecutor would start forgetting outputs
+// driver's UnregisterOutputsOnExecutor would start forgetting outputs
 // that actually survived the executor.
 func TestServiceLocationSurvivesHoles(t *testing.T) {
 	tr := NewMapOutputTracker()

@@ -33,6 +33,9 @@ type testCluster struct {
 }
 
 func (tc *testCluster) close() {
+	if tc.ctx != nil {
+		tc.ctx.Close() // joins a killed executor's loss report
+	}
 	for _, e := range tc.execs {
 		e.Close()
 	}

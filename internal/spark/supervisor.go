@@ -2,36 +2,19 @@ package spark
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/obs"
-	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/vtime"
 )
 
-// HeartbeatEndpoint is the driver-side endpoint receiving executor
-// liveness heartbeats (Spark's HeartbeatReceiver).
-const HeartbeatEndpoint = "HeartbeatReceiver"
-
-// supervisionTick is the wall-clock period of the driver's supervision
-// pump. Virtual time only advances when something runs, so a purely
-// virtual heartbeat could never expire while the driver sits blocked on a
-// dead executor's tasks; the pump provides the missing liveness in real
-// time while every heartbeat it emits is still stamped, shipped, and
-// costed in virtual time over rpc.Env.
-const supervisionTick = time.Millisecond
-
-// Supervision at the simulation's virtual-time magnitudes: an executor
-// silent for executorTimeout is lost (spark.network.timeout), which is
-// missedBeats consecutive pump rounds of its 2 ms heartbeat
-// (spark.executor.heartbeatInterval) going missing.
-const (
-	executorTimeout = 30 * time.Millisecond
-	missedBeats     = 15
-)
+// executorTimeout is how long an executor stays silent before the driver
+// declares it lost (spark.network.timeout, at the simulation's virtual-time
+// magnitudes): a killed executor is reported one timeout after its last
+// stamped activity (Executor.Kill).
+const executorTimeout = 30 * time.Millisecond
 
 // ExecutorLostError marks a task failure caused by the death of the
 // executor running it. It is retryable (unlike a FetchFailedError, which
@@ -62,126 +45,31 @@ func (c *Context) SetExecutorReplacer(r ExecutorReplacer) {
 	c.replacer = r
 }
 
-// execHealth is the driver's per-executor liveness record.
-type execHealth struct {
-	lastSeq int64       // pump sequence of the newest heartbeat received
-	lastVT  vtime.Stamp // virtual send time of that heartbeat
-}
-
-// heartbeat is the decoded executor → driver liveness message. Its
-// arrival is the whole signal: the driver reads who sent it and in which
-// pump round, nothing about the executor's slots or tasks.
-type heartbeat struct {
-	ExecID string
-	Seq    int64
-}
-
-// encodeHeartbeat serializes a heartbeat as a control-plane string
-// payload, matching the deploy control plane's idiom: hb:<exec>:<seq>.
-func encodeHeartbeat(hb heartbeat) []byte {
-	return []byte(fmt.Sprintf("hb:%s:%d", hb.ExecID, hb.Seq))
-}
-
-// decodeHeartbeat parses an encoded heartbeat.
-func decodeHeartbeat(payload []byte) (heartbeat, error) {
-	parts := strings.Split(string(payload), ":")
-	if len(parts) != 3 || parts[0] != "hb" || parts[1] == "" {
-		return heartbeat{}, fmt.Errorf("spark: malformed heartbeat %q", payload)
-	}
-	seq, err := strconv.ParseInt(parts[2], 10, 64)
-	if err != nil {
-		return heartbeat{}, fmt.Errorf("spark: heartbeat seq: %w", err)
-	}
-	return heartbeat{ExecID: parts[1], Seq: seq}, nil
-}
-
-// receiveHeartbeat is the HeartbeatReceiver endpoint handler.
-func (c *Context) receiveHeartbeat(call *rpc.Call) {
-	hb, err := decodeHeartbeat(call.Payload)
-	if err != nil {
+// reportSilent hands the loss of a killed executor, silent since vt minus
+// executorTimeout, to a thread the context owns: the loss funnel emits
+// events and forks a replacement, and Kill is called from inside Bus.Emit
+// and from task bodies. Close joins that thread; after Close nothing is
+// reported.
+func (c *Context) reportSilent(execID string, vt vtime.Stamp) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
 		return
 	}
-	c.hbMu.Lock()
-	h := c.hb[hb.ExecID]
-	if h == nil {
-		h = &execHealth{}
-		c.hb[hb.ExecID] = h
-	}
-	if hb.Seq > h.lastSeq {
-		h.lastSeq = hb.Seq
-	}
-	if call.VT > h.lastVT {
-		h.lastVT = call.VT
-	}
-	c.hbMu.Unlock()
-}
-
-// superviseLoop is the driver's supervision goroutine: each wall-clock
-// tick it pumps one heartbeat out of every live executor and expires the
-// ones whose heartbeats stopped arriving, until Close stops it.
-func (c *Context) superviseLoop() error {
-	t := time.NewTicker(supervisionTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.superStop:
-			return nil
-		case <-t.C:
-			c.superviseTick()
-		}
-	}
-}
-
-// superviseTick runs one pump + expiry round: an executor whose last
-// missedBeats heartbeats went missing is lost, exactly like Spark's
-// spark.network.timeout tolerating spark.executor.heartbeatInterval
-// multiples.
-func (c *Context) superviseTick() {
-	seq := c.pumpSeq.Add(1)
-	c.mu.Lock()
-	execs := make([]*Executor, 0, len(c.executors))
-	for _, e := range c.executors {
-		if !c.lostExecs[e.id] {
-			execs = append(execs, e)
-		}
-	}
-	c.mu.Unlock()
-	for _, e := range execs {
-		e.pumpHeartbeat(seq)
-	}
-	type victim struct {
-		id string
-		vt vtime.Stamp
-	}
-	var victims []victim
-	c.hbMu.Lock()
-	for _, e := range execs {
-		h := c.hb[e.id]
-		if h == nil {
-			h = &execHealth{}
-			c.hb[e.id] = h
-		}
-		if seq-h.lastSeq > missedBeats {
-			// The loss is observed one timeout after the last heartbeat
-			// the driver saw (or after the job clock, whichever is later).
-			victims = append(victims, victim{e.id, h.lastVT.Add(executorTimeout)})
-		}
-	}
-	c.hbMu.Unlock()
-	for _, v := range victims {
-		metrics.GetCounter("heartbeat.expired").Inc()
-		c.handleExecutorLost(v.id, vtime.Max(v.vt, c.Clock()), "heartbeat timeout")
-	}
+	c.lossReports.Go(func() error {
+		c.handleExecutorLost(execID, vt, "executor timeout")
+		return nil
+	})
 }
 
 // handleExecutorLost is the single funnel for every executor-loss signal:
-// heartbeat expiry, a failed LaunchTask send, a failed StatusUpdate, or a
-// fetch failure naming the executor. It blacklists the executor, forgets
-// its map outputs (marking the affected shuffles incomplete so the next
-// job attempt resubmits exactly the missing map tasks), asks the
-// deployment to fork a replacement, and fails the executor's in-flight
-// tasks so the stage retries them elsewhere. Repeated reports of the same
-// loss fold into the first.
+// a killed executor's timeout, a failed LaunchTask send, a failed
+// StatusUpdate, or a fetch failure naming the executor. It blacklists the
+// executor, forgets its map outputs (marking the affected shuffles
+// incomplete so the next job attempt resubmits exactly the missing map
+// tasks), asks the deployment to fork a replacement, and fails the
+// executor's in-flight tasks so the stage retries them elsewhere. Repeated
+// reports of the same loss fold into the first.
 func (c *Context) handleExecutorLost(execID string, vt vtime.Stamp, cause string) {
 	c.mu.Lock()
 	if c.lostExecs[execID] {
@@ -268,11 +156,6 @@ func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 	if _, err := repl.Attach(c, readyVT); err != nil {
 		return
 	}
-	// Seed the replacement's health record at the current pump sequence so
-	// it gets a full executorTimeout before it can be expired.
-	c.hbMu.Lock()
-	c.hb[repl.id] = &execHealth{lastSeq: c.pumpSeq.Load(), lastVT: readyVT}
-	c.hbMu.Unlock()
 	c.mu.Lock()
 	swapped := false
 	for i, e := range c.executors {
@@ -295,10 +178,10 @@ func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 }
 
 // failRunningTasks synthesizes an ExecutorLostError completion for every
-// task in flight on the lost executor, waking the stage's waiters so the
-// retry machinery relaunches the tasks elsewhere. A real completion that
-// already claimed the waiter wins; a late one after the synthetic failure
-// finds no waiter and is dropped.
+// task in flight on the lost executor, in task-id order, waking the stage's
+// waiters so the retry machinery relaunches the tasks elsewhere. A real
+// completion that already claimed the waiter wins; a late one after the
+// synthetic failure finds no waiter and is dropped.
 func (c *Context) failRunningTasks(execID string, vt vtime.Stamp, cause string) {
 	type failure struct {
 		w    *vtime.Mailbox[*completion]
@@ -306,10 +189,14 @@ func (c *Context) failRunningTasks(execID string, vt vtime.Stamp, cause string) 
 	}
 	var failures []failure
 	c.mu.Lock()
+	var running []int64
 	for taskID, owner := range c.runningOn {
-		if owner != execID {
-			continue
+		if owner == execID {
+			running = append(running, taskID)
 		}
+	}
+	slices.Sort(running)
+	for _, taskID := range running {
 		delete(c.runningOn, taskID)
 		desc := c.tasks[taskID]
 		w := c.waiters[taskID]

@@ -5,113 +5,22 @@ import (
 	"sync"
 	"testing"
 
-	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/metrics"
+	"mpi4spark/internal/obs"
 	"mpi4spark/internal/spark/rpc"
 	"mpi4spark/internal/vtime"
 )
 
-// newSupervisedCluster is newTestCluster with supervision on: its
-// missed-beat budget of 15 pump rounds leaves loaded -race runs ample
-// slack before a live executor expires.
-func newSupervisedCluster(t *testing.T, workers, slots int) *testCluster {
-	t.Helper()
-	f := fabric.New(fabric.NewIBHDRModel())
-	driverNode := f.AddNode("driver-node")
-	driverEnv, err := rpc.NewEnv("driver", driverNode, "rpc", rpc.DefaultEnvConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := &testCluster{fab: f, envs: []*rpc.Env{driverEnv}}
-
-	var execs []*Executor
-	for w := 0; w < workers; w++ {
-		node := f.AddNode(fmt.Sprintf("worker%d", w))
-		env, err := rpc.NewEnv(fmt.Sprintf("exec-%d", w), node, "rpc", rpc.DefaultEnvConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.envs = append(tc.envs, env)
-		execs = append(execs, NewExecutor(ExecutorConfig{
-			ID:    fmt.Sprintf("exec-%d", w),
-			Node:  node,
-			Env:   env,
-			Slots: slots,
-			CPU:   DefaultCPUModel(),
-		}))
-	}
-	tc.execs = execs
-	cfg := DefaultConfig()
-	cfg.DefaultParallelism = workers * slots
-	cfg.Supervise = true
-	ctx, err := NewContext(cfg, driverEnv, execs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.ctx = ctx
-	t.Cleanup(func() {
-		ctx.Close()
-		tc.close()
-	})
-	return tc
-}
-
-func TestHeartbeatCodecRoundTrip(t *testing.T) {
-	for _, hb := range []heartbeat{{ExecID: "exec-0", Seq: 7}, {ExecID: "exec-1.2", Seq: 1}} {
-		got, err := decodeHeartbeat(encodeHeartbeat(hb))
-		if err != nil {
-			t.Fatalf("round trip %+v: %v", hb, err)
-		}
-		if got != hb {
-			t.Fatalf("round trip = %+v, want %+v", got, hb)
-		}
-	}
-	// The last entry is the old five-field form (slots and task ids).
-	for _, bad := range []string{"", "hb", "hb::1", "hb:e:x", "nope:e:1", "hb:e:1:2:"} {
-		if _, err := decodeHeartbeat([]byte(bad)); err == nil {
-			t.Fatalf("decode(%q) succeeded", bad)
-		}
-	}
-}
-
-func TestReceiveHeartbeatMonotonic(t *testing.T) {
-	tc := newTestCluster(t, 1, 1, BackendVanilla)
-	c := tc.ctx
-
-	send := func(seq int64, vt vtime.Stamp) {
-		c.receiveHeartbeat(&rpc.Call{
-			From:    "exec-0",
-			Payload: encodeHeartbeat(heartbeat{ExecID: "exec-0", Seq: seq}),
-			VT:      vt,
-		})
-	}
-	send(3, 100)
-	// A stale heartbeat (lower seq, earlier VT) must not roll seq/VT back.
-	send(1, 50)
-	c.hbMu.Lock()
-	h := c.hb["exec-0"]
-	seq, vt := h.lastSeq, h.lastVT
-	c.hbMu.Unlock()
-	if seq != 3 || vt != 100 {
-		t.Fatalf("stale heartbeat rolled back seq/vt to %d/%v", seq, vt)
-	}
-	// A malformed payload is dropped without touching state.
-	c.receiveHeartbeat(&rpc.Call{From: "exec-0", Payload: []byte("garbage"), VT: 999})
-	c.hbMu.Lock()
-	vt = c.hb["exec-0"].lastVT
-	c.hbMu.Unlock()
-	if vt != 100 {
-		t.Fatalf("malformed heartbeat advanced vt to %v", vt)
-	}
-}
-
 // TestSupervisionDetectsKill kills an executor mid-task with no replacer
-// installed: heartbeat expiry must declare it lost, fail its in-flight
-// task over to the survivor, and the job must still finish — at reduced
-// width, with the victim blacklisted.
+// installed: the kill's report must declare it lost one executorTimeout
+// after its task launched, fail its in-flight task over to the survivor,
+// and the job must still finish — at reduced width, with the victim
+// blacklisted.
 func TestSupervisionDetectsKill(t *testing.T) {
-	tc := newSupervisedCluster(t, 2, 1)
+	tc := newTestCluster(t, 2, 1, BackendVanilla)
 	victim := tc.execs[1]
+	events := &obs.Collector{}
+	tc.ctx.Bus().Subscribe(events)
 
 	snap := metrics.Snapshot()
 
@@ -141,8 +50,25 @@ func TestSupervisionDetectsKill(t *testing.T) {
 	if d := snap.DeltaValue("scheduler.executor.lost"); d != 1 {
 		t.Fatalf("scheduler.executor.lost delta = %d, want 1", d)
 	}
-	if d := snap.DeltaValue("heartbeat.expired"); d < 1 {
-		t.Fatalf("heartbeat.expired delta = %d, want >= 1", d)
+	if d := snap.DeltaValue("scheduler.executor.replaced"); d != 0 {
+		t.Fatalf("scheduler.executor.replaced delta = %d with no replacer, want 0", d)
+	}
+	// The victim's one started task launched at its last activity; the loss
+	// is stamped one timeout later.
+	var starts, losses []obs.Event
+	for _, e := range events.Events() {
+		switch {
+		case e.Type == obs.EvTaskStart && e.Executor == victim.ID():
+			starts = append(starts, e)
+		case e.Type == obs.EvExecutorLost:
+			losses = append(losses, e)
+		}
+	}
+	if len(starts) != 1 || len(losses) != 1 {
+		t.Fatalf("%d task starts on the victim and %d losses, want 1 and 1", len(starts), len(losses))
+	}
+	if want := starts[0].VT.Add(executorTimeout); losses[0].VT != want || losses[0].Executor != victim.ID() {
+		t.Fatalf("loss of %s at %v, want %s at %v", losses[0].Executor, losses[0].VT, victim.ID(), want)
 	}
 	tc.ctx.mu.Lock()
 	lost, unhealthy := tc.ctx.lostExecs[victim.ID()], tc.ctx.unhealthy[victim.ID()]
@@ -166,7 +92,7 @@ func TestSupervisionDetectsKill(t *testing.T) {
 // the driver swaps the replacement into the lost executor's scheduling
 // seat.
 func TestReplacerRestoresWidth(t *testing.T) {
-	tc := newSupervisedCluster(t, 2, 1)
+	tc := newTestCluster(t, 2, 1, BackendVanilla)
 	victim := tc.execs[1]
 
 	snap := metrics.Snapshot()
@@ -211,11 +137,11 @@ func TestReplacerRestoresWidth(t *testing.T) {
 	if sum != 6 {
 		t.Fatalf("sum = %d, want 6", sum)
 	}
+	if d := snap.DeltaValue("scheduler.executor.lost"); d != 1 {
+		t.Fatalf("scheduler.executor.lost delta = %d, want 1", d)
+	}
 	if d := snap.DeltaValue("scheduler.executor.replaced"); d != 1 {
 		t.Fatalf("scheduler.executor.replaced delta = %d, want 1", d)
-	}
-	if snap.DeltaValue("heartbeat.sent") < 1 {
-		t.Fatal("no heartbeats recorded")
 	}
 
 	execs := tc.ctx.Executors()
@@ -245,6 +171,23 @@ func TestReplacerRestoresWidth(t *testing.T) {
 	}
 }
 
+// TestCloseJoinsKillReport: Close returns only once a killed executor's
+// loss report has run, and a Kill after Close reports nothing.
+func TestCloseJoinsKillReport(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, BackendVanilla)
+	snap := metrics.Snapshot()
+	tc.execs[1].Kill()
+	tc.ctx.Close()
+	if d := snap.DeltaValue("scheduler.executor.lost"); d != 1 {
+		t.Fatalf("scheduler.executor.lost delta = %d when Close returned, want 1", d)
+	}
+	tc.execs[0].Kill()
+	tc.ctx.lossReports.Wait()
+	if d := snap.DeltaValue("scheduler.executor.lost"); d != 1 {
+		t.Fatalf("scheduler.executor.lost delta = %d after a Kill after Close, want 1", d)
+	}
+}
+
 // TestExecutorLostIdempotent folds repeated loss reports for the same
 // executor into the first.
 func TestExecutorLostIdempotent(t *testing.T) {
@@ -254,5 +197,64 @@ func TestExecutorLostIdempotent(t *testing.T) {
 	tc.ctx.handleExecutorLost("exec-1", 20, "test again")
 	if d := snap.DeltaValue("scheduler.executor.lost"); d != 1 {
 		t.Fatalf("scheduler.executor.lost delta = %d, want 1", d)
+	}
+}
+
+// TestLostExecutorFailsTasksInIDOrder: the tasks in flight on a lost
+// executor fail in ascending task id, both the synthetic TaskEnd events and
+// the completions pushed to the stage's mailbox, whatever order the running
+// set is held in. Tasks on another executor are left running. Ten rounds:
+// map order is ascending by chance now and then, ten times in a row almost
+// never.
+func TestLostExecutorFailsTasksInIDOrder(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, BackendVanilla)
+	c := tc.ctx
+	events := &obs.Collector{}
+	c.Bus().Subscribe(events)
+	stage := &stageInfo{id: 7, jobID: 3}
+	for round := 0; round < 10; round++ {
+		lost := fmt.Sprintf("exec-lost-%d", round)
+		completed := new(vtime.Mailbox[*completion])
+		c.mu.Lock()
+		for id := int64(1); id <= 16; id++ {
+			id := id + int64(100*round)
+			c.tasks[id] = &taskDescriptor{id: id, stage: stage, part: int(id % 100)}
+			c.waiters[id] = completed
+			c.runningOn[id] = lost
+			if id%2 == 0 {
+				c.runningOn[id] = "exec-0"
+			}
+		}
+		c.mu.Unlock()
+		skip := len(events.Events())
+		c.failRunningTasks(lost, 1000, "test")
+
+		var ends []int
+		for _, e := range events.Events()[skip:] {
+			if e.Type == obs.EvTaskEnd {
+				ends = append(ends, e.Partition)
+			}
+		}
+		var comps []int64
+		for completed.Len() > 0 {
+			comp, _ := completed.TryRecv()
+			comps = append(comps, comp.taskID)
+		}
+		if len(ends) != 8 || len(comps) != 8 {
+			t.Fatalf("round %d: %d TaskEnds and %d completions, want 8 each", round, len(ends), len(comps))
+		}
+		for i := range comps {
+			want := int64(100*round + 2*i + 1)
+			if comps[i] != want || ends[i] != int(want%100) {
+				t.Fatalf("round %d: failed tasks %v (TaskEnd partitions %v), want ascending odd ids from %d",
+					round, comps, ends, 100*round+1)
+			}
+		}
+		c.mu.Lock()
+		left := len(c.runningOn)
+		c.mu.Unlock()
+		if want := 8 * (round + 1); left != want {
+			t.Fatalf("round %d: %d tasks left running, want %d", round, left, want)
+		}
 	}
 }

@@ -24,8 +24,8 @@
 // collective station slot's. Group is the one join of a fan-out (a
 // collective's ranks, the Fig. 3 launch's ranks, a reduce task's fetchers)
 // and of every long-lived thread, which its owner joins on close (event
-// loops, accept loops, the supervision loop, rpc dispatch loops and serve
-// pumps, UCR serve loops, executor tasks); its error is the earliest Go
+// loops, accept loops, rpc dispatch loops and serve pumps, UCR serve loops,
+// executor tasks, a killed executor's loss report); its error is the earliest Go
 // call's that failed, not the first the host ran. Waits not yet primitives
 // are listed with a reason in waits.txt, which TestWaitCensus holds true.
 package vtime
