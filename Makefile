@@ -90,9 +90,13 @@ fuzz-smoke:
 # the calibration pins (TestCalibrationPinned*), whose exact stamps must
 # repeat, and the shutdown join (TestClosedClusterLeavesNoGoroutine: a closed
 # cluster leaves no goroutine behind): thirty consecutive passes each. The duplicated-push test raced the
-# fault plane's count under -race once: forty passes there.
+# fault plane's count under -race once: forty passes there. The executor-loss
+# ordering tests (a superseded attempt's late report, the replacement's first
+# tasks, the loss's failure order): thirty passes, and twenty under -race.
 flake:
 	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned|TestWindowInverseMatchesRecompute|TestWindowedResultsIdenticalAcrossTransports|TestClosedClusterLeavesNoGoroutine' ./internal/streaming/ ./internal/harness/
+	go test -count=30 -run 'TestSupersededAttemptReportIsDropped|TestReplacementReceivesTasksOverItsRegistration|TestLostExecutorFailsTasksInIDOrder' ./internal/spark/
+	go test -race -count=20 -run 'TestSupersededAttemptReportIsDropped|TestReplacementReceivesTasksOverItsRegistration|TestLostExecutorFailsTasksInIDOrder' ./internal/spark/
 	go test -race -count=40 -run TestFaultConformanceDupPushIdempotent ./internal/spark/shuffleservice/
 	go test -race -count=60 -run 'TestIsendGather$$' ./internal/mpi/
 

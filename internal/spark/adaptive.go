@@ -238,7 +238,7 @@ func coalescedTask(final rddBase, fn partitionFunc, resultSize func(any) int) (f
 // wins only if its completion stamp beats the original's. comps entries
 // for won races are replaced in place; the caller recomputes the stage
 // end. Returns whether any speculative attempt won.
-func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*completion) bool {
+func (c *Context) speculate(comps []*completion) bool {
 	n := len(comps)
 	durs := make([]vtime.Stamp, n)
 	ends := make([]vtime.Stamp, n)
@@ -256,13 +256,11 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 	threshold := vtime.Stamp(DefaultSpeculationMultiplier * float64(med))
 
 	type candidate struct {
-		i        int
-		spec     *taskDescriptor
-		done     *vtime.Mailbox[*completion]
+		spec     *attempt
 		launchVT vtime.Stamp
 	}
 	var cands []candidate
-	for i, comp := range comps {
+	for _, comp := range comps {
 		if comp.execVT-comp.startVT <= threshold {
 			continue
 		}
@@ -272,76 +270,49 @@ func (c *Context) speculate(stage *stageInfo, tasks []*taskDescriptor, comps []*
 			// nothing left to race.
 			continue
 		}
-		orig := tasks[i]
-		spec := &taskDescriptor{
-			stage:       stage,
-			part:        orig.part,
-			run:         orig.run,
-			resultSize:  orig.resultSize,
-			share:       orig.share,
-			speculative: true,
-		}
-		spec.attempt.Store(orig.attempt.Load() + 1)
-		cands = append(cands, candidate{i: i, spec: spec, done: new(vtime.Mailbox[*completion]), launchVT: launchVT})
+		orig := comp.attempt
+		cands = append(cands, candidate{spec: &attempt{
+			task: orig.task, index: orig.index, number: orig.number + 1,
+			speculative: true, done: new(vtime.Mailbox[*completion]),
+		}, launchVT: launchVT})
 	}
-	if len(cands) == 0 {
-		return false
-	}
-
-	c.mu.Lock()
-	for _, cand := range cands {
-		c.taskSeq++
-		cand.spec.id = c.taskSeq
-		c.tasks[cand.spec.id] = cand.spec
-		c.waiters[cand.spec.id] = cand.done
-	}
-	c.mu.Unlock()
 
 	// Launch serially like the primary attempts: the driver CPU is one
 	// resource, so each send starts no earlier than the previous freed it.
 	var cursor vtime.Stamp
-	launched := make([]bool, len(cands))
-	for ci, cand := range cands {
+	var launched []*attempt
+	for _, cand := range cands {
 		at := vtime.Max(cand.launchVT, cursor)
-		exclude := map[string]bool{comps[cand.i].execID: true}
-		free, err := c.launchTask(cand.spec, exclude, launchPayload(make([]byte, taskClosureBytes), cand.spec.id), at, "speculative launch failed")
+		exclude := map[string]bool{comps[cand.spec.index].execID: true}
+		free, err := c.launchTask(cand.spec, exclude, make([]byte, taskClosureBytes), at, "speculative launch failed")
 		if err != nil {
-			// Could not place the attempt anywhere: withdraw it. The
-			// original result stands.
-			c.mu.Lock()
-			delete(c.tasks, cand.spec.id)
-			delete(c.waiters, cand.spec.id)
-			c.mu.Unlock()
+			// Could not place the attempt anywhere: the original result
+			// stands.
 			continue
 		}
 		cursor = free
-		launched[ci] = true
+		launched = append(launched, cand.spec)
 		metrics.GetCounter(CounterSpecLaunched).Inc()
 	}
 
 	anyWon := false
-	for ci, cand := range cands {
-		if !launched[ci] {
-			continue
-		}
-		comp2, _ := cand.done.Recv()
-		won := comp2.err == nil && comp2.driverVT < comps[cand.i].driverVT
+	for _, spec := range launched {
+		comp2, _ := spec.done.Recv()
+		won := comp2.err == nil && comp2.driverVT < comps[spec.index].driverVT
 		if won {
 			metrics.GetCounter(CounterSpecWon).Inc()
-			comps[cand.i] = comp2
+			comps[spec.index] = comp2
 			anyWon = true
 		} else {
 			metrics.GetCounter(CounterSpecLost).Inc()
 		}
+		stage := spec.task.stage
 		c.bus.Emit(obs.Event{
 			Type: obs.EvTaskSpeculated, VT: comp2.driverVT, Job: stage.jobID,
-			Stage: stage.id, Partition: cand.spec.part,
-			Attempt: int(cand.spec.attempt.Load()), Executor: comp2.execID,
+			Stage: stage.id, Partition: spec.task.part,
+			Attempt: spec.number, Executor: comp2.execID,
 			Speculative: true, Won: won,
 		})
-		c.mu.Lock()
-		delete(c.tasks, cand.spec.id)
-		c.mu.Unlock()
 	}
 	return anyWon
 }

@@ -546,10 +546,11 @@ func TestChaosExecutorKillLosesLocalCheckpoint(t *testing.T) {
 
 // TestReplacementReceivesTasksOverItsRegistration: an executor's
 // registration connection dies with its process, so the driver's next
-// launch to a killed executor fails into the executor-loss funnel; the
-// replacement its seat forks registers at its fork stamp, and the driver
-// launches its tasks over that registration's connection. On every backend
-// the driver dials nothing across the loss and the replacement.
+// launch to it fails into the executor-loss funnel; the replacement its
+// seat forks registers at its fork stamp, and the driver launches its tasks
+// over that registration's connection. On every backend the driver dials
+// nothing across the loss and the replacement. The victim's env goes down
+// without Kill, whose own loss report would race the launch to be first.
 func TestReplacementReceivesTasksOverItsRegistration(t *testing.T) {
 	const nParts = 2 * chaosWorkers
 	for _, backend := range chaosBackends {
@@ -576,7 +577,7 @@ func TestReplacementReceivesTasksOverItsRegistration(t *testing.T) {
 			})
 
 			victim := cc.ctx.Executors()[1]
-			victim.Kill()
+			victim.Env().Shutdown()
 			if n, err := spark.Count(probe); err != nil || n != nParts {
 				t.Fatalf("job after the kill: count = %d, %v", n, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"mpi4spark/internal/collective"
 	"mpi4spark/internal/obs"
@@ -110,9 +109,9 @@ type taskMetrics struct {
 	ShuffleWaitVT vtime.Stamp
 }
 
-// completion is a finished task's in-process result record.
+// completion is a finished attempt's in-process result record.
 type completion struct {
-	taskID    int64
+	attempt   *attempt
 	part      int
 	execID    string
 	result    any
@@ -127,22 +126,31 @@ type completion struct {
 
 // taskDescriptor is one schedulable task.
 type taskDescriptor struct {
-	id         int64
 	stage      *stageInfo
 	part       int
 	run        func(tc *TaskContext) (any, *shuffle.MapStatus, error)
 	resultSize func(any) int
 	preferred  string // preferred executor id ("" = any)
 	// share is the task's part of an adapted result stage (zero when the
-	// stage runs one task per partition); a speculative task is the
-	// scheduler's straggler re-launch racing the original attempt.
-	share       physTask
-	speculative bool
-	// attempt is the retry count, stored by the scheduler before each
-	// relaunch and read by the executor when stamping task events. Atomic
-	// because a dead executor's goroutine may still read it while the
-	// driver relaunches.
-	attempt atomic.Int32
+	// stage runs one task per partition).
+	share physTask
+}
+
+// attempt is one launch of a task (its first try, a retry or a speculative
+// copy) under an id of its own, Spark's task id. It sits in the driver's
+// attempt table from its launch until its completion is handed to done, by
+// the scheduler endpoint on its StatusUpdate or by the loss funnel when its
+// executor is lost, or until a failed launch gives it up. A StatusUpdate
+// that finds no record is a superseded attempt's and is dropped.
+type attempt struct {
+	id          int64
+	task        *taskDescriptor
+	index       int  // the task's index in its stage
+	number      int  // 0 for the first try, one more than the attempt it follows
+	speculative bool // the scheduler's straggler re-launch racing the original
+	done        *vtime.Mailbox[*completion]
+	execID      string      // the executor it was sent to, under Context.mu
+	comp        *completion // stored by the executor before its StatusUpdate, under Context.mu
 }
 
 // stageInfo describes a stage for scheduling and metrics.
@@ -190,9 +198,7 @@ type Context struct {
 	stageSeq     int
 	jobSeq       int
 	taskSeq      int64
-	tasks        map[int64]*taskDescriptor
-	comps        map[int64]*completion
-	waiters      map[int64]*vtime.Mailbox[*completion]
+	attempts     map[int64]*attempt // attempts in flight, by id
 	clock        vtime.Stamp
 	stages       []StageTiming
 	cacheLocs    map[cacheKey]string
@@ -201,9 +207,7 @@ type Context struct {
 	rrNext       int
 	bcast        *broadcastState
 	collDriver   *collective.Station
-	unhealthy    map[string]bool  // executors excluded from placement
-	runningOn    map[int64]string // task id -> executor currently running it
-	lostExecs    map[string]bool  // executors already declared lost
+	lostExecs    map[string]bool  // executors declared lost, excluded from placement
 	replacer     ExecutorReplacer // deployment hook forking replacements
 
 	// bus carries lifecycle events (see internal/obs); eventLog is the
@@ -244,13 +248,9 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 		driver:       driver,
 		executors:    executors,
 		tracker:      shuffle.NewMapOutputTracker(),
-		tasks:        make(map[int64]*taskDescriptor),
-		comps:        make(map[int64]*completion),
-		waiters:      make(map[int64]*vtime.Mailbox[*completion]),
+		attempts:     make(map[int64]*attempt),
 		cacheLocs:    make(map[cacheKey]string),
 		doneShuffles: make(map[int]bool),
-		unhealthy:    make(map[string]bool),
-		runningOn:    make(map[int64]string),
 		lostExecs:    make(map[string]bool),
 		bus:          obs.NewBus(),
 	}
@@ -269,19 +269,16 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 		if len(call.Payload) < 8 {
 			return
 		}
-		taskID := int64(binary.BigEndian.Uint64(call.Payload[:8]))
+		id := int64(binary.BigEndian.Uint64(call.Payload[:8]))
 		c.mu.Lock()
-		comp := c.comps[taskID]
-		w := c.waiters[taskID]
-		delete(c.comps, taskID)
-		delete(c.waiters, taskID)
-		delete(c.runningOn, taskID)
+		a := c.attempts[id]
+		delete(c.attempts, id)
 		c.mu.Unlock()
-		if comp == nil || w == nil {
+		if a == nil || a.comp == nil {
 			return
 		}
-		comp.driverVT = call.VT
-		w.Push(comp)
+		a.comp.driverVT = call.VT
+		a.done.Push(a.comp)
 	})
 	if err != nil {
 		return nil, err
@@ -446,30 +443,4 @@ func (c *Context) nextShuffleID() int {
 	defer c.mu.Unlock()
 	c.shuffleSeq++
 	return c.shuffleSeq
-}
-
-func (c *Context) lookupTask(id int64) *taskDescriptor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tasks[id]
-}
-
-func (c *Context) storeCompletion(comp *completion) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.comps[comp.taskID] = comp
-}
-
-// noteTaskRunning records which executor a task was launched on, so an
-// executor-loss event can fail exactly its in-flight tasks.
-func (c *Context) noteTaskRunning(taskID int64, execID string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.runningOn[taskID] = execID
-}
-
-func (c *Context) clearTaskRunning(taskID int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.runningOn, taskID)
 }

@@ -252,16 +252,17 @@ func (e *Executor) Attach(ctx *Context, at vtime.Stamp) (vtime.Stamp, error) {
 		if len(c.Payload) < 8 {
 			return
 		}
-		taskID := int64(binary.BigEndian.Uint64(c.Payload[:8]))
-		desc := ctx.lookupTask(taskID)
-		if desc == nil {
+		ctx.mu.Lock()
+		a := ctx.attempts[int64(binary.BigEndian.Uint64(c.Payload[:8]))]
+		ctx.mu.Unlock()
+		if a == nil {
 			return
 		}
 		// Run the task on a slot without blocking the dispatch loop. Shutdown
 		// joins this loop before anyone waits for the tasks: no Go follows Wait.
 		vt := c.VT
 		e.tasks.Go(func() error {
-			e.runTask(desc, vt)
+			e.runTask(a, vt)
 			return nil
 		})
 	}); err != nil {
@@ -300,9 +301,9 @@ func (e *Executor) writeMapOutput(tc *TaskContext, shuffleID, mapID int, parts [
 	return &shuffle.MapStatus{Loc: e.svc.Location(), Sizes: st.Sizes, Sums: st.Sums}, nil
 }
 
-// runTask executes one task on a free slot and reports the status update
-// back to the driver.
-func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
+// runTask executes one attempt of a task on a free slot and reports the
+// status update back to the driver.
+func (e *Executor) runTask(a *attempt, launchVT vtime.Stamp) {
 	s, _ := e.slots.Recv()
 	if e.dead.Load() {
 		// The process died before the task started; the driver learns of
@@ -312,13 +313,13 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 	}
 	e.activity.Observe(launchVT)
 	start := vtime.Max(s.clock.Now(), launchVT)
-	attempt := int(desc.attempt.Load())
+	desc := a.task
 	e.ctx.bus.Emit(obs.Event{
 		Type: obs.EvTaskStart, VT: start, Job: desc.stage.jobID,
-		Stage: desc.stage.id, Partition: desc.part, Attempt: attempt,
+		Stage: desc.stage.id, Partition: desc.part, Attempt: a.number,
 		Executor: e.id,
 		MapLo:    desc.share.mapLo, MapHi: desc.share.mapHi, Coalesced: desc.share.coalesced(),
-		Speculative: desc.speculative,
+		Speculative: a.speculative,
 	})
 	task := &struct {
 		tc   TaskContext
@@ -346,12 +347,12 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 
 	end := obs.Event{
 		Type: obs.EvTaskEnd, VT: tc.vt, Job: desc.stage.jobID,
-		Stage: desc.stage.id, Partition: desc.part, Attempt: attempt,
+		Stage: desc.stage.id, Partition: desc.part, Attempt: a.number,
 		Executor: e.id, Start: start,
 		Records: tc.recordsRead, BytesLocal: tc.bytesLocal,
 		BytesRemote: tc.bytesRemote, FetchWait: tc.shuffleWaitDur,
 		MapLo: desc.share.mapLo, MapHi: desc.share.mapHi, Coalesced: desc.share.coalesced(),
-		Speculative: desc.speculative,
+		Speculative: a.speculative,
 	}
 	if err != nil {
 		end.Err = err.Error()
@@ -360,7 +361,7 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 
 	comp := &task.comp
 	*comp = completion{
-		taskID:    desc.id,
+		attempt:   a,
 		part:      desc.part,
 		execID:    e.id,
 		result:    result,
@@ -377,13 +378,15 @@ func (e *Executor) runTask(desc *taskDescriptor, launchVT vtime.Stamp) {
 			ShuffleWaitVT: tc.shuffleWaitDur,
 		},
 	}
-	e.ctx.storeCompletion(comp)
+	e.ctx.mu.Lock()
+	a.comp = comp
+	e.ctx.mu.Unlock()
 
-	// StatusUpdate control message: task id plus the (modeled) serialized
-	// result.
+	// StatusUpdate control message: attempt id plus the (modeled)
+	// serialized result.
 	size := 16 + desc.resultSize(result)
 	payload := make([]byte, 8, size)
-	binary.BigEndian.PutUint64(payload[:8], uint64(desc.id))
+	binary.BigEndian.PutUint64(payload[:8], uint64(a.id))
 	payload = payload[:size]
 	if _, err := e.env.Send(e.ctx.driver.Addr(), SchedulerEndpoint, payload, tc.vt); err != nil {
 		if e.dead.Load() {

@@ -298,7 +298,7 @@ func (r *RDD[T]) preferredLoc(part int) string {
 
 // WithPreferred pins each partition to an executor id: task placement
 // prefers locs[part] (falling back to round-robin when that executor is
-// excluded or unhealthy). Partitions beyond len(locs) keep no preference.
+// excluded or lost). Partitions beyond len(locs) keep no preference.
 // It returns the receiver for chaining.
 func (r *RDD[T]) WithPreferred(locs []string) *RDD[T] {
 	r.prefFn = func(part int) string {

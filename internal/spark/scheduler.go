@@ -157,7 +157,7 @@ func (c *Context) recoverFetchFailure(ff *shuffle.FetchFailedError) {
 		c.handleExecutorLost(ff.Loc.ExecID, c.Clock(),
 			fmt.Sprintf("fetch failed against shuffle %d", ff.ShuffleID))
 	}
-	c.markShufflesIncomplete(map[int]bool{ff.ShuffleID: true})
+	c.markShufflesIncomplete([]int{ff.ShuffleID})
 }
 
 // runShuffleMapStage executes the map side of one shuffle. On a first run
@@ -218,7 +218,7 @@ func (c *Context) runShuffleMapStage(jobID int, dep *ShuffleDep) error {
 	}
 	for _, comp := range comps {
 		if comp.mapStatus == nil {
-			return fmt.Errorf("spark: map task %d returned no status", comp.taskID)
+			return fmt.Errorf("spark: map task %d returned no status", comp.attempt.id)
 		}
 		if err := c.tracker.RegisterMapOutput(dep.shuffleID, comp.part, comp.mapStatus); err != nil {
 			return err
@@ -339,7 +339,7 @@ func newTasks(stage *stageInfo, n int, run func(tc *TaskContext) (any, *shuffle.
 
 // placeTask picks the executor for a task: its cache-locality preference
 // when available, round-robin otherwise. Executors in `exclude` (previous
-// failed attempts of this task) and executors marked unhealthy are skipped
+// failed attempts of this task) and executors declared lost are skipped
 // when any alternative exists. The blacklist is per-process, not per-seat:
 // a replacement swapped in for a lost executor arrives under a fresh id
 // and is placed like any healthy executor.
@@ -347,9 +347,9 @@ func (c *Context) placeTask(t *taskDescriptor, exclude map[string]bool) *Executo
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	usable := func(e *Executor) bool {
-		return !exclude[e.id] && !c.unhealthy[e.id]
+		return !exclude[e.id] && !c.lostExecs[e.id]
 	}
-	if t.preferred != "" && !exclude[t.preferred] && !c.unhealthy[t.preferred] {
+	if t.preferred != "" && !exclude[t.preferred] && !c.lostExecs[t.preferred] {
 		for _, e := range c.executors {
 			if e.id == t.preferred {
 				return e
@@ -369,34 +369,48 @@ func (c *Context) placeTask(t *taskDescriptor, exclude map[string]bool) *Executo
 	return e
 }
 
-// launchPayload returns the LaunchTask message of task id: taskClosureBytes
-// whose first eight carry the id, written into dst.
+// launchPayload returns the LaunchTask message of attempt id:
+// taskClosureBytes whose first eight carry the id, written into dst.
 func launchPayload(dst []byte, id int64) []byte {
 	binary.BigEndian.PutUint64(dst[:8], uint64(id))
 	return dst[:taskClosureBytes:taskClosureBytes]
 }
 
-// launchTask sends one task's LaunchTask message (launchPayload) at the
-// given time and returns when the driver CPU is free again. A retry sends
-// the same payload again. Unreachable executors are skipped, each declared
-// lost with lossCause as the reason, up to the cluster size.
-func (c *Context) launchTask(t *taskDescriptor, exclude map[string]bool, payload []byte, at vtime.Stamp, lossCause string) (vtime.Stamp, error) {
+// launchTask enters attempt a into the attempt table under a fresh id and
+// sends its LaunchTask message (launchPayload, written into dst) at the
+// given time, returning when the driver CPU is free again. Unreachable
+// executors are skipped, each declared lost with lossCause as the reason,
+// up to the cluster size; if none takes the attempt it leaves the table.
+func (c *Context) launchTask(a *attempt, exclude map[string]bool, dst []byte, at vtime.Stamp, lossCause string) (vtime.Stamp, error) {
+	c.mu.Lock()
+	c.taskSeq++
+	a.id = c.taskSeq
+	c.attempts[a.id] = a
+	c.mu.Unlock()
+	payload := launchPayload(dst, a.id)
 	var lastErr error
 	for tries := 0; tries <= c.executorCount(); tries++ {
-		exec := c.placeTask(t, exclude)
+		exec := c.placeTask(a.task, exclude)
 		// Record the owner before sending: were the executor declared
 		// lost between a successful send and the bookkeeping, the loss
-		// handler could otherwise miss this task and strand its waiter.
-		c.noteTaskRunning(t.id, exec.id)
+		// handler could otherwise miss this attempt and strand its stage.
+		c.mu.Lock()
+		a.execID = exec.id
+		c.mu.Unlock()
 		free, err := c.driver.Send(exec.env.Addr(), ExecutorEndpoint, payload, at)
 		if err == nil {
 			return free, nil
 		}
-		c.clearTaskRunning(t.id)
+		c.mu.Lock()
+		a.execID = ""
+		c.mu.Unlock()
 		lastErr = err
 		c.handleExecutorLost(exec.id, at, fmt.Sprintf("%s: %v", lossCause, err))
 	}
-	return at, fmt.Errorf("spark: launching task %d: %w", t.id, lastErr)
+	c.mu.Lock()
+	delete(c.attempts, a.id)
+	c.mu.Unlock()
+	return at, fmt.Errorf("spark: launching task %d: %w", a.id, lastErr)
 }
 
 // launchAndWait sends LaunchTask messages for every task, waits for all
@@ -404,26 +418,17 @@ func (c *Context) launchTask(t *taskDescriptor, exclude map[string]bool, payload
 // Launch messages serialize on the driver CPU, and completions serialize
 // through the driver's scheduler endpoint — both real effects at scale.
 func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*completion, error) {
-	// Every attempt's completion arrives in one mailbox. Task ids are
-	// consecutive, so a completion's id is its task's index.
+	// Every attempt's completion arrives in one mailbox.
 	completed := new(vtime.Mailbox[*completion])
-	c.mu.Lock()
-	start := c.clock
-	sendVT := c.clock
-	for _, t := range tasks {
-		c.taskSeq++
-		t.id = c.taskSeq
-		c.tasks[t.id] = t
-		c.waiters[t.id] = completed
-	}
-	c.mu.Unlock()
+	start := c.Clock()
+	sendVT := start
 	// next returns task i's completion; those of later tasks that come first
 	// wait in early, so completions are handled in task order.
 	early := make([]*completion, len(tasks))
 	next := func(i int) *completion {
 		for early[i] == nil {
 			comp, _ := completed.Recv()
-			early[comp.taskID-tasks[0].id] = comp
+			early[comp.attempt.index] = comp
 		}
 		comp := early[i]
 		early[i] = nil
@@ -436,15 +441,24 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 		Tasks: len(tasks),
 	})
 
-	// Every task's launch payload is a window of one slab. A task's
-	// exclusions are made on its first retry: a nil map excludes nothing.
+	// The first attempts' records are one slab and their launch payloads
+	// windows of another. A retry's payload is its own: the attempt it
+	// replaces may still be in flight. A task's exclusions are made on its
+	// first retry: a nil map excludes nothing.
+	firsts := make([]attempt, len(tasks))
 	closures := make([]byte, len(tasks)*taskClosureBytes)
-	payloads := make([][]byte, len(tasks))
 	exclusions := make([]map[string]bool, len(tasks))
 	for i, t := range tasks {
-		payloads[i] = launchPayload(closures[i*taskClosureBytes:], t.id)
-		free, err := c.launchTask(t, nil, payloads[i], sendVT, "task launch failed")
+		firsts[i] = attempt{task: t, index: i, done: completed}
+		free, err := c.launchTask(&firsts[i], nil, closures[i*taskClosureBytes:], sendVT, "task launch failed")
 		if err != nil {
+			// The stage fails: the attempts already sent leave the table,
+			// so what they report is dropped.
+			c.mu.Lock()
+			for _, a := range firsts[:i] {
+				delete(c.attempts, a.id)
+			}
+			c.mu.Unlock()
 			return nil, err
 		}
 		sendVT = free
@@ -453,31 +467,24 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 	comps := make([]*completion, 0, len(tasks))
 	end := sendVT
 	var firstErr error
-	attempts := make([]int, len(tasks))
-	for i := range tasks {
+	for i, t := range tasks {
 		for {
 			comp := next(i)
 			taskCompletions.Inc()
 			_, fetchFailed := shuffle.AsFetchFailed(comp.err)
-			if comp.err != nil && !fetchFailed && attempts[i] < maxTaskAttempts-1 {
+			if n := comp.attempt.number; comp.err != nil && !fetchFailed && n < maxTaskAttempts-1 {
 				// Retry on a different executor, like Spark's
 				// spark.task.maxFailures. The retry relaunches at the
 				// failure's driver-side time. Fetch failures are exempt:
 				// re-running the reduce task against the same lost map
 				// output cannot succeed — the map stage must be
 				// resubmitted first, which runJob handles.
-				attempts[i]++
 				if exclusions[i] == nil {
 					exclusions[i] = make(map[string]bool)
 				}
 				exclusions[i][comp.execID] = true
-				t := tasks[i]
-				t.attempt.Store(int32(attempts[i]))
-				c.mu.Lock()
-				c.tasks[t.id] = t
-				c.waiters[t.id] = completed
-				c.mu.Unlock()
-				if _, err := c.launchTask(t, exclusions[i], payloads[i], comp.driverVT, "task launch failed"); err != nil {
+				retry := &attempt{task: t, index: i, number: n + 1, done: completed}
+				if _, err := c.launchTask(retry, exclusions[i], make([]byte, taskClosureBytes), comp.driverVT, "task launch failed"); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
@@ -487,7 +494,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 			}
 			if comp.err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("spark: task %d (partition %d) failed after %d attempts: %w",
-					comp.taskID, comp.part, attempts[i]+1, comp.err)
+					comp.attempt.id, comp.part, comp.attempt.number+1, comp.err)
 			}
 			if comp.driverVT > end {
 				end = comp.driverVT
@@ -502,7 +509,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 	// finished first in virtual time. A won race can pull the stage end
 	// back below the straggler's completion — that is the payoff.
 	if c.cfg.Speculation && firstErr == nil && len(comps) >= 2 {
-		if c.speculate(stage, tasks, comps) {
+		if c.speculate(comps) {
 			end = sendVT
 			for _, comp := range comps {
 				if comp.driverVT > end {
@@ -512,7 +519,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 		}
 	}
 
-	// Cleanup task table and record cache locations + metrics.
+	// Record cache locations and metrics.
 	timing := StageTiming{
 		JobID: stage.jobID,
 		Name:  stage.name,
@@ -522,10 +529,6 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 		Tasks: len(tasks),
 	}
 	c.mu.Lock()
-	for _, t := range tasks {
-		delete(c.tasks, t.id)
-		delete(c.runningOn, t.id)
-	}
 	for _, comp := range comps {
 		for _, ck := range comp.cached {
 			c.cacheLocs[ck] = comp.execID

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -193,21 +194,24 @@ func (t *MapOutputTracker) SizesByReduce(shuffleID int) (totals []int64, perMap 
 
 // UnregisterOutputsOnExecutor forgets every map output registered on the
 // given executor, across all shuffles — the DAGScheduler's response to an
-// executor loss. It returns shuffleID -> the map ids that were dropped,
-// so the scheduler knows which map stages to (partially) resubmit.
-func (t *MapOutputTracker) UnregisterOutputsOnExecutor(execID string) map[int][]int {
+// executor loss. It returns the ids of the shuffles that lost an output,
+// sorted, so the scheduler knows which map stages to (partially) resubmit.
+func (t *MapOutputTracker) UnregisterOutputsOnExecutor(execID string) []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	lost := make(map[int][]int)
+	var lost []int
 	for shuffleID, ss := range t.statuses {
 		for mapID, st := range ss {
 			if st != nil && st.Loc.ExecID == execID {
 				delete(t.wire, shuffleID)
 				ss[mapID] = nil
-				lost[shuffleID] = append(lost[shuffleID], mapID)
+				if len(lost) == 0 || lost[len(lost)-1] != shuffleID {
+					lost = append(lost, shuffleID)
+				}
 			}
 		}
 	}
+	slices.Sort(lost)
 	return lost
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,7 +270,7 @@ func TestTrackerMutatorsDropWireForm(t *testing.T) {
 			}
 		},
 		"UnregisterOutputsOnExecutor": func(tr *MapOutputTracker) {
-			if lost := tr.UnregisterOutputsOnExecutor("e1"); len(lost[1]) != 1 {
+			if lost := tr.UnregisterOutputsOnExecutor("e1"); !slices.Equal(lost, []int{1}) {
 				t.Fatalf("lost = %v", lost)
 			}
 		},

@@ -621,7 +621,7 @@ func TestCacheLocalityPrefersUnhealthyFallback(t *testing.T) {
 		t.Fatal("no cache location recorded")
 	}
 	c.ctx.mu.Lock()
-	c.ctx.unhealthy[holder] = true
+	c.ctx.lostExecs[holder] = true
 	c.ctx.mu.Unlock()
 	if n, err := Count(data); err != nil || n != 2 {
 		t.Fatalf("count after blacklist = %d, %v", n, err)

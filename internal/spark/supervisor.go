@@ -1,6 +1,7 @@
 package spark
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -77,7 +78,6 @@ func (c *Context) handleExecutorLost(execID string, vt vtime.Stamp, cause string
 		return
 	}
 	c.lostExecs[execID] = true
-	c.unhealthy[execID] = true
 	var lost *Executor
 	for _, e := range c.executors {
 		if e.id == execID {
@@ -104,25 +104,19 @@ func (c *Context) handleExecutorLost(execID string, vt vtime.Stamp, cause string
 // forgetExecutorOutputs unregisters every map output held on execID and
 // marks the shuffles that lost outputs incomplete.
 func (c *Context) forgetExecutorOutputs(execID string) {
-	affected := make(map[int]bool)
-	for shuffleID, lost := range c.tracker.UnregisterOutputsOnExecutor(execID) {
-		if len(lost) > 0 {
-			affected[shuffleID] = true
-		}
-	}
-	c.markShufflesIncomplete(affected)
+	c.markShufflesIncomplete(c.tracker.UnregisterOutputsOnExecutor(execID))
 }
 
 // markShufflesIncomplete flags materialized shuffles for map-stage
 // resubmission and invalidates every executor's cached view of their
 // output locations (Spark bumps the tracker epoch; in-process
 // invalidation is our stand-in).
-func (c *Context) markShufflesIncomplete(affected map[int]bool) {
+func (c *Context) markShufflesIncomplete(affected []int) {
 	if len(affected) == 0 {
 		return
 	}
 	c.mu.Lock()
-	for shuffleID := range affected {
+	for _, shuffleID := range affected {
 		if c.doneShuffles[shuffleID] {
 			c.doneShuffles[shuffleID] = false
 			metrics.GetCounter("scheduler.map_stage.resubmissions").Inc()
@@ -131,15 +125,15 @@ func (c *Context) markShufflesIncomplete(affected map[int]bool) {
 	execs := append([]*Executor(nil), c.executors...)
 	c.mu.Unlock()
 	for _, e := range execs {
-		for shuffleID := range affected {
+		for _, shuffleID := range affected {
 			e.tracker.Invalidate(shuffleID)
 		}
 	}
 }
 
 // replaceLost asks the deployment to fork a replacement and swaps it into
-// the lost executor's scheduling position, clearing the way for placeTask
-// to use it — the blacklist is per-process, not per-seat.
+// the lost executor's scheduling position, where placeTask uses it: the
+// blacklist is per-process, not per-seat, and the replacement's id is new.
 func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 	c.mu.Lock()
 	replacer := c.replacer
@@ -168,7 +162,6 @@ func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 	if !swapped {
 		c.executors = append(c.executors, repl)
 	}
-	delete(c.unhealthy, repl.id)
 	c.mu.Unlock()
 	metrics.GetCounter("scheduler.executor.replaced").Inc()
 	c.bus.Emit(obs.Event{
@@ -177,57 +170,33 @@ func (c *Context) replaceLost(lost *Executor, vt vtime.Stamp) {
 	})
 }
 
-// failRunningTasks synthesizes an ExecutorLostError completion for every
-// task in flight on the lost executor, in task-id order, waking the stage's
-// waiters so the retry machinery relaunches the tasks elsewhere. A real
-// completion that already claimed the waiter wins; a late one after the
-// synthetic failure finds no waiter and is dropped.
+// failRunningTasks fails every attempt in flight on the lost executor, in
+// attempt-id order: each leaves the attempt table, and a synthetic
+// ExecutorLostError completion wakes its stage so the retry machinery
+// relaunches the task elsewhere. A real completion that got there first
+// wins; a late one finds no record and is dropped.
 func (c *Context) failRunningTasks(execID string, vt vtime.Stamp, cause string) {
-	type failure struct {
-		w    *vtime.Mailbox[*completion]
-		comp *completion
-	}
-	var failures []failure
+	var running []*attempt
 	c.mu.Lock()
-	var running []int64
-	for taskID, owner := range c.runningOn {
-		if owner == execID {
-			running = append(running, taskID)
+	for id, a := range c.attempts {
+		if a.execID == execID {
+			running = append(running, a)
+			delete(c.attempts, id)
 		}
-	}
-	slices.Sort(running)
-	for _, taskID := range running {
-		delete(c.runningOn, taskID)
-		desc := c.tasks[taskID]
-		w := c.waiters[taskID]
-		delete(c.waiters, taskID)
-		delete(c.comps, taskID)
-		if desc == nil || w == nil {
-			continue
-		}
-		failures = append(failures, failure{w, &completion{
-			taskID:   taskID,
-			part:     desc.part,
-			execID:   execID,
-			err:      &ExecutorLostError{ExecID: execID, Cause: cause},
-			execVT:   vt,
-			driverVT: vt,
-		}})
 	}
 	c.mu.Unlock()
-	for _, f := range failures {
+	slices.SortFunc(running, func(a, b *attempt) int { return cmp.Compare(a.id, b.id) })
+	for _, a := range running {
+		err := &ExecutorLostError{ExecID: execID, Cause: cause}
 		// A killed executor emits no TaskEnd of its own (nothing it
 		// computed escapes); the synthetic completion's event keeps the
 		// log complete so replay sees every attempt resolve.
-		desc := c.lookupTask(f.comp.taskID)
-		if desc != nil {
-			c.bus.Emit(obs.Event{
-				Type: obs.EvTaskEnd, VT: vt, Job: desc.stage.jobID,
-				Stage: desc.stage.id, Partition: desc.part,
-				Attempt: int(desc.attempt.Load()), Executor: execID,
-				Start: vt, Err: f.comp.err.Error(),
-			})
-		}
-		f.w.Push(f.comp)
+		c.bus.Emit(obs.Event{
+			Type: obs.EvTaskEnd, VT: vt, Job: a.task.stage.jobID,
+			Stage: a.task.stage.id, Partition: a.task.part,
+			Attempt: a.number, Executor: execID,
+			Start: vt, Err: err.Error(),
+		})
+		a.done.Push(&completion{attempt: a, part: a.task.part, execID: execID, err: err, execVT: vt, driverVT: vt})
 	}
 }

@@ -1,10 +1,14 @@
 package spark
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"mpi4spark/internal/fabric"
 	"mpi4spark/internal/metrics"
 	"mpi4spark/internal/obs"
 	"mpi4spark/internal/spark/rpc"
@@ -71,10 +75,10 @@ func TestSupervisionDetectsKill(t *testing.T) {
 		t.Fatalf("loss of %s at %v, want %s at %v", losses[0].Executor, losses[0].VT, victim.ID(), want)
 	}
 	tc.ctx.mu.Lock()
-	lost, unhealthy := tc.ctx.lostExecs[victim.ID()], tc.ctx.unhealthy[victim.ID()]
+	lost := tc.ctx.lostExecs[victim.ID()]
 	tc.ctx.mu.Unlock()
-	if !lost || !unhealthy {
-		t.Fatalf("victim not blacklisted: lost=%v unhealthy=%v", lost, unhealthy)
+	if !lost {
+		t.Fatal("victim not blacklisted")
 	}
 	// Without a replacer the cluster keeps running on the survivor.
 	n, err := Count(Generate(tc.ctx, 3, func(part int, taskCtx *TaskContext) []int64 {
@@ -200,12 +204,12 @@ func TestExecutorLostIdempotent(t *testing.T) {
 	}
 }
 
-// TestLostExecutorFailsTasksInIDOrder: the tasks in flight on a lost
-// executor fail in ascending task id, both the synthetic TaskEnd events and
-// the completions pushed to the stage's mailbox, whatever order the running
-// set is held in. Tasks on another executor are left running. Ten rounds:
-// map order is ascending by chance now and then, ten times in a row almost
-// never.
+// TestLostExecutorFailsTasksInIDOrder: the attempts in flight on a lost
+// executor fail in ascending attempt id, both the synthetic TaskEnd events
+// and the completions pushed to the stage's mailbox, whatever order the
+// attempt table is held in. Attempts on another executor are left running.
+// Ten rounds: map order is ascending by chance now and then, ten times in a
+// row almost never.
 func TestLostExecutorFailsTasksInIDOrder(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, BackendVanilla)
 	c := tc.ctx
@@ -218,12 +222,11 @@ func TestLostExecutorFailsTasksInIDOrder(t *testing.T) {
 		c.mu.Lock()
 		for id := int64(1); id <= 16; id++ {
 			id := id + int64(100*round)
-			c.tasks[id] = &taskDescriptor{id: id, stage: stage, part: int(id % 100)}
-			c.waiters[id] = completed
-			c.runningOn[id] = lost
+			a := &attempt{id: id, task: &taskDescriptor{stage: stage, part: int(id % 100)}, done: completed, execID: lost}
 			if id%2 == 0 {
-				c.runningOn[id] = "exec-0"
+				a.execID = "exec-0"
 			}
+			c.attempts[id] = a
 		}
 		c.mu.Unlock()
 		skip := len(events.Events())
@@ -238,7 +241,7 @@ func TestLostExecutorFailsTasksInIDOrder(t *testing.T) {
 		var comps []int64
 		for completed.Len() > 0 {
 			comp, _ := completed.TryRecv()
-			comps = append(comps, comp.taskID)
+			comps = append(comps, comp.attempt.id)
 		}
 		if len(ends) != 8 || len(comps) != 8 {
 			t.Fatalf("round %d: %d TaskEnds and %d completions, want 8 each", round, len(ends), len(comps))
@@ -251,10 +254,110 @@ func TestLostExecutorFailsTasksInIDOrder(t *testing.T) {
 			}
 		}
 		c.mu.Lock()
-		left := len(c.runningOn)
+		left := len(c.attempts)
 		c.mu.Unlock()
 		if want := 8 * (round + 1); left != want {
 			t.Fatalf("round %d: %d tasks left running, want %d", round, left, want)
 		}
+	}
+}
+
+// TestSupersededAttemptReportIsDropped: a task body reports its own, still
+// running executor lost and keeps running. The loss fails the attempt over
+// to the other executor, and the retry's result is the one committed: the
+// superseded attempt's StatusUpdate, handled by the driver while the retry
+// runs, finds no attempt record and is dropped.
+func TestSupersededAttemptReportIsDropped(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, BackendVanilla)
+	c := tc.ctx
+	// probe is a record of the test's own. A StatusUpdate naming it, sent
+	// on the victim's connection after the victim's own, reaches its
+	// mailbox once the driver has handled the victim's.
+	probe := &attempt{id: -1, done: new(vtime.Mailbox[*completion]), comp: &completion{}}
+	c.mu.Lock()
+	c.attempts[probe.id] = probe
+	c.mu.Unlock()
+
+	var victim atomic.Pointer[Executor]
+	retrying := make(chan struct{})
+	rdd := Generate(c, 1, func(part int, taskCtx *TaskContext) []string {
+		e := taskCtx.exec
+		if victim.CompareAndSwap(nil, e) {
+			// The first attempt: its executor is declared lost under it,
+			// and it finishes once the retry runs.
+			c.handleExecutorLost(e.id, taskCtx.vt, "test")
+			<-retrying
+			return []string{e.id}
+		}
+		close(retrying)
+		// The victim runs no other task: once it has none left, its
+		// attempt's StatusUpdate is sent, and the probe follows it.
+		v := victim.Load()
+		v.Wait()
+		payload := binary.BigEndian.AppendUint64(nil, uint64(probe.id))
+		if _, err := v.env.Send(c.driver.Addr(), SchedulerEndpoint, payload, taskCtx.vt); err != nil {
+			t.Error(err)
+			return nil
+		}
+		probe.done.Recv()
+		return []string{e.id}
+	})
+
+	done := make(chan error, 1)
+	var got []string
+	go func() {
+		var err error
+		got, err = Collect(rdd)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("job did not finish")
+	}
+	v := victim.Load()
+	if len(got) != 1 || got[0] == v.id {
+		t.Fatalf("committed %v, want the retry's result, not %s's", got, v.id)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.attempts); n != 0 {
+		t.Fatalf("%d attempts left in the table, want 0", n)
+	}
+}
+
+// TestFailedFirstLaunchLeavesNoAttempt: a stage whose first launch of a
+// later task fails on every executor returns the error and takes the
+// attempts it already sent out of the attempt table. Both executors are
+// declared lost beforehand, so the failed sends fold into those losses and
+// fail nothing; the first LaunchTask takes both workers down.
+func TestFailedFirstLaunchLeavesNoAttempt(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, BackendVanilla)
+	c := tc.ctx
+	c.mu.Lock()
+	for _, e := range tc.execs {
+		c.lostExecs[e.id] = true
+	}
+	c.mu.Unlock()
+	var once sync.Once
+	tc.fab.SetTransferHook(func(from, _ *fabric.Node, _ fabric.Protocol, _ int, _ vtime.Stamp) {
+		if from.Name() == "driver-node" {
+			once.Do(func() {
+				for _, e := range tc.execs {
+					tc.fab.FailNode(e.node.Name())
+				}
+			})
+		}
+	})
+	if _, err := Count(Generate(c, 2, func(int, *TaskContext) []int64 { return []int64{1} })); err == nil {
+		t.Fatal("a job ran with every worker down")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.attempts); n != 0 {
+		t.Fatalf("%d attempts left in the table after the failed launch, want 0", n)
 	}
 }
