@@ -23,14 +23,13 @@ test: bench-test
 deadcode:
 	go test -count=1 -run TestNoUnreachableCode -v ./internal/deadcode/
 
-# The hand-rolled waits left outside internal/vtime (one go, DPM's spawned
-# main; a new make(chan, select, go, sync.Cond or sync.WaitGroup fails) must
-# match internal/vtime/waits.txt, one line per file and kind with a reason
-# (a wake-up is a vtime.Signal, a queue a vtime.Mailbox, a joined thread or
-# fan-out a vtime.Group; that every owner joins its threads is
-# harness.TestClosedClusterLeavesNoGoroutine, in make flake). make test runs
-# it too; this target runs it alone and verbosely, so the survivors and
-# their totals are printed.
+# Hand-rolled waits outside internal/vtime must match internal/vtime/waits.txt,
+# one line per file and kind with a reason. None is left, so any make(chan,
+# select, go, sync.Cond or sync.WaitGroup fails (a wake-up is a vtime.Signal,
+# a queue a vtime.Mailbox, a joined thread or fan-out a vtime.Group; that
+# every owner joins its threads is harness.TestClosedClusterLeavesNoGoroutine,
+# in make flake). make test runs it too; this target runs it alone and
+# verbosely, so the totals and waits.txt are printed.
 waits:
 	go test -count=1 -run 'TestWaitCensus|TestWaitSitesOnFixture' -v ./internal/vtime/
 

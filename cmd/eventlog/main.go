@@ -61,8 +61,6 @@ func main() {
 		t.AddRow("adapted stages", report.AdaptedStages)
 		t.AddRow("partitions split", report.Splits)
 		t.AddRow("coalesce groups", report.Coalesces)
-		t.AddRow("speculative attempts", report.Speculated)
-		t.AddRow("speculative wins", report.SpecWon)
 		t.AddRow("executors lost", report.Lost)
 		t.AddRow("executors replaced", report.Replaced)
 		t.AddRow("fetch failures", report.FetchFails)

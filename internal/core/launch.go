@@ -102,7 +102,6 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 
 	services := make([]*shuffleservice.Service, w) // worker rank -> its external shuffle service
 	execs := make([]*spark.Executor, w)            // by seat, so Executors[i] is exec-i on every run
-	forked := make([]vtime.Reply[error], w)        // by seat: each spawned executor's fork
 	var master vtime.Reply[*rpc.Env]               // the master's env once its endpoint serves
 	var driver *rpc.Env
 
@@ -113,7 +112,7 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 	// fresh singleton spawn would be unreachable at the old rank. Channel
 	// handshakes allocate fresh tags, so messages queued for the dead
 	// process never match the replacement.
-	executorMain := func(child *mpi.ChildContext) {
+	executorMain := func(child *mpi.ChildContext) error {
 		i := child.World.Rank()
 		id := &Identity{Kind: KindChild, World: child.World, Inter: child.Parent}
 		seat := cl.NewSeat(i, cfg.WorkerNodes[i], services[i], func(s *deploy.Seat, at vtime.Stamp) (*spark.Executor, vtime.Stamp, error) {
@@ -123,7 +122,7 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 		})
 		var err error
 		execs[i], err = fork(seat, id, 0)
-		forked[i].Put(err)
+		return err
 	}
 
 	// Step A: W+2 wrapper processes launched under mpiexec. The launch fails
@@ -202,23 +201,19 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 				mu.Lock()
 				launchVT = vtime.Max(launchVT, spawnVT)
 				mu.Unlock()
-				// Every spawned executor reports, forked or not; the
-				// lowest failing seat fails the launch.
-				var first error
-				for i := range forked {
-					if err := forked[i].Wait(); err != nil && first == nil {
-						first = err
-					}
-				}
-				if first != nil {
-					return first
-				}
 				driver = env
 			}
 			return nil
 		})
 	}
-	if err := ranks.Wait(); err != nil {
+	// The spawned executors are joined once the ranks are: the launch fails
+	// with the lowest failing rank's error, else with the lowest failing
+	// seat's (SpawnMultiple starts them in seat order).
+	err := ranks.Wait()
+	if forkErr := world.WaitSpawned(); err == nil {
+		err = forkErr
+	}
+	if err != nil {
 		cl.Close()
 		return nil, nil, err
 	}

@@ -117,10 +117,7 @@ func runChaosKill(o Options, dir string) (*metrics.Table, error) {
 // order-insensitive group checksum (or the adaptive rewrite changed the
 // job's answer), and renders the reduce-stage comparison. The external
 // shuffle service is on, so split sub-tasks exercise the ranged merged-run
-// path. Speculation stays off in both modes: it is a separate mechanism
-// (proven by its own tests), and speculative attempts on the uniform early
-// stages would perturb the slot clocks and muddy the adaptive comparison.
-// The cluster shape is pinned (4 workers x 4 slots) like the chaos
+// path. The cluster shape is pinned (4 workers x 4 slots) like the chaos
 // experiment, so the hot partition can fan out across 16 map-range
 // sub-tasks. The CPU model is the unscaled default (one slot = one core)
 // rather than the core-consolidation-scaled profile: skew splitting
@@ -136,7 +133,7 @@ func runSkew(o Options, dir string) (*metrics.Table, error) {
 	cfg := ohb.SkewConfig{Config: ohbConfig(o, workers, slots, o.BytesPerWorker*workers), HotKeyFraction: 0.5, ZipfS: 1.2}
 	t := &metrics.Table{
 		Title:   fmt.Sprintf("Skewed GroupBy (hot key = %.0f%% of data): adaptive execution off vs on", 100*cfg.HotKeyFraction),
-		Columns: []string{"Backend", "Adaptive", "ReduceStage", "E2E", "Splits", "Coalesces", "SpecLaunched", "ReduceSpeedup"},
+		Columns: []string{"Backend", "Adaptive", "ReduceStage", "E2E", "Splits", "Coalesces", "ReduceSpeedup"},
 		Notes: []string{
 			"identical group checksums across all runs (bit-identical results)",
 			"speedup = reduce-stage duration off / on, per backend",
@@ -149,7 +146,7 @@ func runSkew(o Options, dir string) (*metrics.Table, error) {
 		d, err := Cell{
 			Spec: ClusterSpec{System: Frontera, Workers: workers, Backend: b, SlotsPerWorker: slots,
 				CPU: spark.DefaultCPUModel(), ShuffleService: true, EventLogPath: eventLog, Adaptive: mode == "on"},
-			Counters: []string{spark.CounterAdaptiveSplits, spark.CounterAdaptiveCoalesces, spark.CounterSpecLaunched},
+			Counters: []string{spark.CounterAdaptiveSplits, spark.CounterAdaptiveCoalesces},
 			Job: func(cl *Cluster) (err error) {
 				res, err = ohb.RunSkewedGroupBy(cl.Ctx, cfg)
 				return err
@@ -170,7 +167,7 @@ func runSkew(o Options, dir string) (*metrics.Table, error) {
 			speedup = fmt.Sprintf("%.2fx", metrics.Speedup(off, res.ShuffleReadTime()))
 		}
 		t.AddRow(b, mode, res.ShuffleReadTime(), res.Total, d[spark.CounterAdaptiveSplits],
-			d[spark.CounterAdaptiveCoalesces], d[spark.CounterSpecLaunched], speedup)
+			d[spark.CounterAdaptiveCoalesces], speedup)
 		return nil
 	})
 	if err != nil {

@@ -70,7 +70,7 @@ func TestExperimentTableShapes(t *testing.T) {
 				return run("skew", Args{})
 			},
 			title:   "Skewed GroupBy (hot key = 50% of data): adaptive execution off vs on",
-			columns: []string{"Backend", "Adaptive", "ReduceStage", "E2E", "Splits", "Coalesces", "SpecLaunched", "ReduceSpeedup"},
+			columns: []string{"Backend", "Adaptive", "ReduceStage", "E2E", "Splits", "Coalesces", "ReduceSpeedup"},
 			labels:  backendModes("off", "on"),
 			notes: []string{
 				"identical group checksums across all runs (bit-identical results)",

@@ -27,8 +27,9 @@ type SpawnSpec struct {
 	// Allgather before the spawn, as the paper describes.
 	Args []byte
 	// Main is the program the spawned processes run. It receives the
-	// child's context. It runs on its own goroutine.
-	Main func(ctx *ChildContext)
+	// child's context and runs on its own goroutine, which the world joins
+	// in WaitSpawned.
+	Main func(ctx *ChildContext) error
 }
 
 // ChildContext is what a spawned process starts with: its own world
@@ -52,7 +53,7 @@ type ChildContext struct {
 // each parent's handle on the new intercommunicator. Only root's specs are
 // consulted, matching MPI semantics; the launch arguments inside are first
 // allgathered across the parents (the paper's mechanism for making every
-// worker know all executor commands).
+// worker know all executor commands). The children start in spec order.
 func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Handle, vtime.Stamp) {
 	c := h.comm
 	seq := int64(c.nextCollBlock(h.rank)) // doubles as the spawn instance key
@@ -68,7 +69,7 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 		w := c.world
 		var children []*Proc
 		var childArgs [][]byte
-		var mains []func(ctx *ChildContext)
+		var mains []func(ctx *ChildContext) error
 		for _, s := range specs {
 			count := s.Count
 			if count <= 0 {
@@ -98,7 +99,7 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 				StartVT: startVT,
 			}
 			if main := mains[i]; main != nil {
-				go main(ctx)
+				w.spawned.Go(func() error { return main(ctx) })
 			}
 		}
 	}
@@ -115,6 +116,11 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 	}
 	return parentView.Handle(h.rank), vt
 }
+
+// WaitSpawned returns once the main of every process SpawnMultiple started
+// in the world has, with the error of the earliest started one that failed,
+// or nil. It must not run concurrently with a SpawnMultiple.
+func (w *World) WaitSpawned() error { return w.spawned.Wait() }
 
 // newIntercommPair builds the two mirror views of an intercommunicator
 // joining groups a and b. Both views share one context id so point-to-point

@@ -43,6 +43,7 @@ type World struct {
 	mu      sync.Mutex
 	procs   []*Proc
 	commSeq int64
+	spawned vtime.Group // the mains of the processes SpawnMultiple started
 
 	// EagerThreshold is the eager/rendezvous switch point in bytes.
 	EagerThreshold int

@@ -330,13 +330,14 @@ func TestSpawnMultiple(t *testing.T) {
 	w := NewWorld(f)
 	parents := w.InitWorld([]*fabric.Node{nA, nB})
 
-	childEcho := func(ctx *ChildContext) {
+	childEcho := func(ctx *ChildContext) error {
 		// Each child reports its world rank to parent rank 0 over the
 		// intercommunicator.
 		msg := []byte{byte(ctx.World.Rank())}
 		ctx.Parent.Send(0, 99, msg, ctx.StartVT)
 		// And participates in a child-world barrier (DPM_COMM traffic).
 		ctx.World.Barrier(ctx.StartVT)
+		return nil
 	}
 
 	var inter0 *Handle

@@ -23,11 +23,10 @@ type TaskSummary struct {
 
 	// Adaptive execution: a split sub-task reads only map outputs
 	// [MapLo, MapHi) of its partition; Coalesced > 0 marks a task running
-	// that many runt partitions; Speculative marks a straggler re-launch.
-	MapLo       int
-	MapHi       int
-	Coalesced   int
-	Speculative bool
+	// that many runt partitions.
+	MapLo     int
+	MapHi     int
+	Coalesced int
 }
 
 // Duration is the task's virtual running time.
@@ -38,9 +37,8 @@ func (t TaskSummary) Duration() vtime.Stamp { return t.End - t.Start }
 func (t TaskSummary) Ranged() bool { return t.MapHi > t.MapLo }
 
 // Label renders the attempt for timeline and critical-path displays:
-// "p3.0", with the map range for split sub-tasks ("p0.0[4,8)"), "+N" for
-// a task covering N coalesced partitions, and a "spec" suffix for
-// speculative attempts.
+// "p3.0", with the map range for split sub-tasks ("p0.0[4,8)") and "+N"
+// for a task covering N coalesced partitions.
 func (t TaskSummary) Label() string {
 	l := fmt.Sprintf("p%d.%d", t.Partition, t.Attempt)
 	if t.Ranged() {
@@ -48,9 +46,6 @@ func (t TaskSummary) Label() string {
 	}
 	if t.Coalesced > 1 {
 		l += fmt.Sprintf("+%d", t.Coalesced-1)
-	}
-	if t.Speculative {
-		l += " spec"
 	}
 	return l
 }
@@ -77,9 +72,6 @@ type StageSummary struct {
 	// Adaptive execution (from the stage's StageAdapted event).
 	Splits    int // reduce partitions split into map-range sub-tasks
 	Coalesces int // groups of runt partitions merged into one task
-	// Speculation (from TaskSpeculated events).
-	Speculated int // speculative attempts launched
-	SpecWon    int // speculative attempts that beat the original
 }
 
 // Duration is the stage's virtual wall time, submission to completion.
@@ -160,15 +152,11 @@ type Report struct {
 	FetchFails int // FetchFailed events
 	Collective int // CollectiveOp events
 
-	// Adaptive execution and speculation. The split/coalesce totals must
-	// match the scheduler.adaptive.{splits,coalesces} counter deltas, the
-	// speculation totals the scheduler.speculation.{launched,won,lost}
-	// deltas, for the run.
+	// Adaptive execution. The split/coalesce totals must match the
+	// scheduler.adaptive.{splits,coalesces} counter deltas for the run.
 	AdaptedStages int // StageAdapted events
 	Splits        int // partitions split, summed over StageAdapted
 	Coalesces     int // coalesce groups, summed over StageAdapted
-	Speculated    int // TaskSpeculated events
-	SpecWon       int // TaskSpeculated events with Won set
 
 	// External shuffle service activity (zero when the service is off).
 	// Byte totals must match the shuffle.service.{pushed,merged,served}_bytes
@@ -254,7 +242,6 @@ func Analyze(events []Event) *Report {
 				Records: e.Records, BytesLocal: e.BytesLocal, BytesRemote: e.BytesRemote,
 				Err:   e.Err,
 				MapLo: e.MapLo, MapHi: e.MapHi, Coalesced: e.Coalesced,
-				Speculative: e.Speculative,
 			}
 			s.Tasks = append(s.Tasks, t)
 			if e.Attempt > 0 {
@@ -274,17 +261,6 @@ func Analyze(events []Event) *Report {
 			if s := stages[e.Stage]; s != nil {
 				s.Splits += e.Splits
 				s.Coalesces += e.Coalesces
-			}
-		case EvTaskSpeculated:
-			r.Speculated++
-			if e.Won {
-				r.SpecWon++
-			}
-			if s := stages[e.Stage]; s != nil {
-				s.Speculated++
-				if e.Won {
-					s.SpecWon++
-				}
 			}
 		case EvExecutorLost:
 			r.Lost++
@@ -335,7 +311,7 @@ func Analyze(events []Event) *Report {
 
 // TimelineTable renders the stage timeline: each stage's submission and
 // completion in virtual time, its width, how many attempts ran, the
-// task-time p50/max skew, and any adaptive re-planning or speculation.
+// task-time p50/max skew, and any adaptive re-planning.
 func (r *Report) TimelineTable() *metrics.Table {
 	t := &metrics.Table{
 		Title:   "Stage timeline (virtual time)",
@@ -348,21 +324,15 @@ func (r *Report) TimelineTable() *metrics.Table {
 			if s.Splits > 0 || s.Coalesces > 0 {
 				adapted = fmt.Sprintf("%d split / %d coalesced", s.Splits, s.Coalesces)
 			}
-			if s.Speculated > 0 {
-				if adapted != "" {
-					adapted += ", "
-				}
-				adapted += fmt.Sprintf("%d spec (%d won)", s.Speculated, s.SpecWon)
-			}
 			t.AddRow(j.Job, s.Stage, s.Kind, s.Name,
 				s.Submitted, s.Completed, s.Duration(), s.Width, len(s.Tasks),
 				p50, max, fmt.Sprintf("%.2f", skew), adapted)
 		}
 	}
-	if r.AdaptedStages+r.Speculated > 0 {
+	if r.AdaptedStages > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"adaptive: %d stages re-planned (%d partitions split, %d coalesce groups); speculation: %d attempts, %d won",
-			r.AdaptedStages, r.Splits, r.Coalesces, r.Speculated, r.SpecWon))
+			"adaptive: %d stages re-planned (%d partitions split, %d coalesce groups)",
+			r.AdaptedStages, r.Splits, r.Coalesces))
 	}
 	if r.Lost+r.Replaced+r.FetchFails > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(

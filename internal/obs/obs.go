@@ -38,7 +38,6 @@ const (
 	EvShuffleMerge     = "ShuffleMerge"
 	EvShuffleServe     = "ShuffleServe"
 	EvStageAdapted     = "StageAdapted"
-	EvTaskSpeculated   = "TaskSpeculated"
 	EvBlockCorrupt     = "BlockCorrupt"
 	EvBatchSubmitted   = "BatchSubmitted"
 	EvBatchCompleted   = "BatchCompleted"
@@ -100,11 +99,10 @@ type Event struct {
 	MapHi     int `json:"mapHi,omitempty"`
 	Coalesced int `json:"coalesced,omitempty"`
 
-	// Speculation (TaskSpeculated marks the extra attempt's launch;
-	// TaskEnd carries Speculative for the attempt itself and Won on the
-	// attempt whose result was committed when a speculative race ran).
+	// Speculative is always false: the scheduler launches no speculative
+	// attempts. The field exists for bench/, which keys task spans by it; a
+	// later benchmark PR may drop it.
 	Speculative bool `json:"speculative,omitempty"`
-	Won         bool `json:"won,omitempty"`
 
 	// Streaming micro-batches. Batch numbers are 1-based so omitempty
 	// keeps non-streaming events clean. BatchSubmitted stamps VT with the

@@ -87,45 +87,28 @@ func runActions(t *testing.T, grouped *spark.RDD[spark.Pair[int64, []int64]]) ac
 
 // TestActionsAgreeAcrossPlans runs every action over the skewed GroupBy
 // with adaptive execution off and on (a split hot partition and coalesced
-// runts), each with speculation off and on against a 20x-slower worker.
-// The actions' partition functions run in coalesced tasks, in speculative
-// copies and, for the split partition, on the driver after the merge:
-// every action must give the same result in all four configurations. Run
-// under -race, it also checks that the functions are safe to run in
-// concurrent slot goroutines.
+// runts). The actions' partition functions run in coalesced tasks and, for
+// the split partition, on the driver after the merge: every action must
+// give the same result in both configurations. Run under -race, it also
+// checks that the functions are safe to run in concurrent slot goroutines.
 func TestActionsAgreeAcrossPlans(t *testing.T) {
 	var want *actionResults
-	for _, c := range []struct {
-		adaptive, speculation bool
-	}{{false, false}, {true, false}, {false, true}, {true, true}} {
-		name := fmt.Sprintf("adaptive=%v/speculation=%v", c.adaptive, c.speculation)
-		t.Run(name, func(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adaptive=%v", adaptive), func(t *testing.T) {
 			snap := metrics.Snapshot()
 			cc := newChaosClusterCfg(t, spark.BackendVanilla, func(cfg *spark.Config) {
-				cfg.AdaptiveExecution = c.adaptive
+				cfg.AdaptiveExecution = adaptive
 				cfg.AdaptiveTargetBytes = 2 << 10
-				cfg.Speculation = c.speculation
 			})
-			if c.speculation {
-				slow := cc.workerNodes[1]
-				slow.SetCores(1)
-				for i := 0; i < 19; i++ {
-					t.Cleanup(slow.Spin())
-				}
-			}
 			got := runActions(t, spark.GroupByKey(skewedPairs(cc.ctx), chaosConf(skewParts)))
 			cc.close()
 
 			splits := snap.DeltaValue(spark.CounterAdaptiveSplits)
 			coalesces := snap.DeltaValue(spark.CounterAdaptiveCoalesces)
-			if c.adaptive && (splits == 0 || coalesces == 0) {
+			if adaptive && (splits == 0 || coalesces == 0) {
 				t.Fatalf("adaptive plan made %d splits and %d coalesces, want both; test proves nothing", splits, coalesces)
 			}
-			launched := snap.DeltaValue(spark.CounterSpecLaunched)
-			if c.speculation && launched == 0 {
-				t.Fatal("no speculative attempt launched; test proves nothing")
-			}
-			t.Logf("%d splits, %d coalesces, %d speculative attempts", splits, coalesces, launched)
+			t.Logf("%d splits, %d coalesces", splits, coalesces)
 			if want == nil {
 				want = &got
 				return

@@ -48,8 +48,7 @@ func Count[T any](r *RDD[T]) (int64, error) {
 // Reduce combines all records with f (associative and commutative): each
 // task folds its partition, and the driver folds the partitions' results
 // in partition order. f runs inside tasks, concurrently and possibly more
-// than once per partition (a retry, a speculative copy), so it must be
-// pure.
+// than once per partition (a retry), so it must be pure.
 func Reduce[T any](r *RDD[T], f func(a, b T) T) (T, error) {
 	partials := make([]*T, r.nParts)
 	err := r.ctx.runJob(r, func(_ int, _ *TaskContext, data any) any {
@@ -92,7 +91,7 @@ func Reduce[T any](r *RDD[T], f func(a, b T) T) (T, error) {
 // and merges the accumulators on the driver with combOp, in partition
 // order. zero must return a fresh accumulator value. zero and seqOp run
 // inside tasks, concurrently and possibly more than once per partition (a
-// retry, a speculative copy), so they must be pure. resultBytes sizes the
+// retry), so they must be pure. resultBytes sizes the
 // per-partition result for transfer accounting (pass 0 for a small
 // default).
 func Aggregate[T, A any](r *RDD[T], zero func() A, seqOp func(A, T) A, combOp func(A, A) A, resultBytes int) (A, error) {
@@ -123,7 +122,7 @@ func Aggregate[T, A any](r *RDD[T], zero func() A, seqOp func(A, T) A, combOp fu
 // Top returns the n largest records under less: each task sorts a copy of
 // its partition and keeps its n largest, and the driver merges them. less
 // runs inside tasks, concurrently and possibly more than once per
-// partition (a retry, a speculative copy), so it must be pure.
+// partition (a retry), so it must be pure.
 func Top[T any](r *RDD[T], n int, less func(a, b T) bool) ([]T, error) {
 	if n < 1 {
 		return nil, nil

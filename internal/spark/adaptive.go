@@ -3,22 +3,14 @@ package spark
 import (
 	"sort"
 
-	"mpi4spark/internal/metrics"
-	"mpi4spark/internal/obs"
 	"mpi4spark/internal/spark/shuffle"
-	"mpi4spark/internal/vtime"
 )
 
-// Adaptive-execution and speculation counters. Each reconciles exactly
-// with the event stream: splits/coalesces sum the StageAdapted events'
-// fields, launched counts TaskSpeculated events, won counts those with
-// Won set, and lost is launched minus won.
+// Adaptive-execution counters. Each reconciles exactly with the event
+// stream: they sum the StageAdapted events' fields.
 const (
 	CounterAdaptiveSplits    = "scheduler.adaptive.splits"
 	CounterAdaptiveCoalesces = "scheduler.adaptive.coalesces"
-	CounterSpecLaunched      = "scheduler.speculation.launched"
-	CounterSpecWon           = "scheduler.speculation.won"
-	CounterSpecLost          = "scheduler.speculation.lost"
 )
 
 // physTask is the share of a result stage that one task computes. The
@@ -223,96 +215,4 @@ func coalescedTask(final rddBase, fn partitionFunc, resultSize func(any) int) (f
 		return n
 	}
 	return run, size
-}
-
-// speculate is launchAndWait's straggler pass, run after a stage's first
-// attempts all completed. It estimates the stage's median task duration,
-// re-launches every task whose duration exceeded
-// DefaultSpeculationMultiplier times that median on a different executor,
-// and commits whichever attempt finished first in virtual time (ties keep
-// the original). The race is
-// decided entirely on the virtual clock, so a run is bit-reproducible:
-// the speculative attempt launches at the driver's deterministic decision
-// time — no earlier than the median completion (when enough evidence
-// exists) and no earlier than the straggler crossing the threshold — and
-// wins only if its completion stamp beats the original's. comps entries
-// for won races are replaced in place; the caller recomputes the stage
-// end. Returns whether any speculative attempt won.
-func (c *Context) speculate(comps []*completion) bool {
-	n := len(comps)
-	durs := make([]vtime.Stamp, n)
-	ends := make([]vtime.Stamp, n)
-	for i, comp := range comps {
-		durs[i] = comp.execVT - comp.startVT
-		ends[i] = comp.driverVT
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
-	med := durs[n/2]
-	if med <= 0 {
-		return false
-	}
-	decideVT := ends[n/2]
-	threshold := vtime.Stamp(DefaultSpeculationMultiplier * float64(med))
-
-	type candidate struct {
-		spec     *attempt
-		launchVT vtime.Stamp
-	}
-	var cands []candidate
-	for _, comp := range comps {
-		if comp.execVT-comp.startVT <= threshold {
-			continue
-		}
-		launchVT := vtime.Max(decideVT, comp.startVT+threshold)
-		if launchVT >= comp.driverVT {
-			// The original beat the driver's decision point: there is
-			// nothing left to race.
-			continue
-		}
-		orig := comp.attempt
-		cands = append(cands, candidate{spec: &attempt{
-			task: orig.task, index: orig.index, number: orig.number + 1,
-			speculative: true, done: new(vtime.Mailbox[*completion]),
-		}, launchVT: launchVT})
-	}
-
-	// Launch serially like the primary attempts: the driver CPU is one
-	// resource, so each send starts no earlier than the previous freed it.
-	var cursor vtime.Stamp
-	var launched []*attempt
-	for _, cand := range cands {
-		at := vtime.Max(cand.launchVT, cursor)
-		exclude := map[string]bool{comps[cand.spec.index].execID: true}
-		free, err := c.launchTask(cand.spec, exclude, make([]byte, taskClosureBytes), at, "speculative launch failed")
-		if err != nil {
-			// Could not place the attempt anywhere: the original result
-			// stands.
-			continue
-		}
-		cursor = free
-		launched = append(launched, cand.spec)
-		metrics.GetCounter(CounterSpecLaunched).Inc()
-	}
-
-	anyWon := false
-	for _, spec := range launched {
-		comp2, _ := spec.done.Recv()
-		won := comp2.err == nil && comp2.driverVT < comps[spec.index].driverVT
-		if won {
-			metrics.GetCounter(CounterSpecWon).Inc()
-			comps[spec.index] = comp2
-			anyWon = true
-		} else {
-			metrics.GetCounter(CounterSpecLost).Inc()
-		}
-		stage := spec.task.stage
-		c.bus.Emit(obs.Event{
-			Type: obs.EvTaskSpeculated, VT: comp2.driverVT, Job: stage.jobID,
-			Stage: stage.id, Partition: spec.task.part,
-			Attempt: spec.number, Executor: comp2.execID,
-			Speculative: true, Won: won,
-		})
-	}
-	return anyWon
 }

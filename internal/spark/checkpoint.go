@@ -37,8 +37,8 @@ type localCheckpoint struct {
 // must be called before any job computes the RDD.
 func (r *RDD[T]) LocalCheckpoint() *RDD[T] {
 	// Tasks read the lineage through an atomic pointer, so the driver can
-	// drop it while an abandoned attempt (a speculative loser, a task on a
-	// killed executor) still runs.
+	// drop it while an abandoned attempt (a task on a killed executor)
+	// still runs.
 	compute := r.compute
 	var lineage atomic.Pointer[func(int, *TaskContext) ([]T, error)]
 	lineage.Store(&compute)

@@ -3,10 +3,12 @@ package spark
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mpi4spark/internal/metrics"
+	"mpi4spark/internal/obs"
 )
 
 // TestBroadcastSeedMovesOBOverDriverLink is the acceptance check for the
@@ -195,17 +197,19 @@ func TestTreeAggregateCountsExecutorsOutsideTheGroup(t *testing.T) {
 	}
 }
 
-// TestTreeAggregateCommittedAttempts runs TreeAggregate with speculation
-// on and one executor 20x slower, so straggling partitions are computed
-// twice. Each partition's vector must count once, from its committed
-// attempt: the result equals the partition-order sum on the driver,
-// exactly (integer-valued floats make the sum order-independent).
+// TestTreeAggregateCommittedAttempts runs TreeAggregate while one executor
+// is killed inside one of its own tasks, so the partitions it was running
+// are computed twice: once by attempts whose results die with it, once by
+// their retries. Each partition's vector must count once, from its
+// committed attempt: the result equals the partition-order sum on the
+// driver, exactly (integer-valued floats make the sum order-independent).
 func TestTreeAggregateCommittedAttempts(t *testing.T) {
 	const parts, dim = 12, 8
-	cfg := DefaultConfig()
-	cfg.Speculation = true
-	c := newTestClusterWith(t, 3, 2, BackendVanilla, cfg)
-	slow := c.execs[1].ID()
+	c := newTestClusterWith(t, 3, 2, BackendVanilla, DefaultConfig())
+	events := &obs.Collector{}
+	c.ctx.Bus().Subscribe(events)
+	victim := c.execs[1]
+	var killed atomic.Bool
 	data := Generate(c.ctx, parts, func(part int, tc *TaskContext) []int64 {
 		out := make([]int64, 20)
 		for i := range out {
@@ -222,18 +226,26 @@ func TestTreeAggregateCommittedAttempts(t *testing.T) {
 	}
 	snap := metrics.Snapshot()
 	got, err := TreeAggregate(data, dim, func(part int, tc *TaskContext, items []int64) []float64 {
-		compute := 500 * time.Microsecond
-		if tc.ExecutorID() == slow {
-			compute *= 20
+		if tc.exec == victim && killed.CompareAndSwap(false, true) {
+			// The attempt computes its vector, but nothing it computed
+			// escapes the dead process.
+			victim.Kill()
 		}
-		tc.Charge(compute)
+		tc.Charge(500 * time.Microsecond)
 		return seq(part, items)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.DeltaValue(CounterSpecLaunched) == 0 {
-		t.Fatal("no speculative attempt launched; test proves nothing")
+	if d := snap.DeltaValue("scheduler.executor.lost"); d != 1 {
+		t.Fatalf("scheduler.executor.lost delta = %d, want 1; test proves nothing", d)
+	}
+	retried := false
+	for _, e := range events.Events() {
+		retried = retried || e.Type == obs.EvTaskEnd && e.Attempt >= 1
+	}
+	if !retried {
+		t.Fatal("no TaskEnd of a retry; test proves nothing")
 	}
 	want := make([]float64, dim)
 	for part := 0; part < parts; part++ {

@@ -60,13 +60,6 @@ type Config struct {
 	// their sum would pass it. DefaultConfig sets
 	// DefaultAdaptiveTargetBytes; adaptive execution needs it positive.
 	AdaptiveTargetBytes int64
-	// Speculation enables speculative re-launch of stragglers
-	// (spark.speculation): after a stage's attempts complete, any task
-	// whose running time exceeded DefaultSpeculationMultiplier times the
-	// stage median gets a second attempt on a different executor, and the
-	// attempt finishing first in virtual time wins. Deterministic because
-	// the race is decided on the virtual clock.
-	Speculation bool
 }
 
 // Scheduler constants no caller varies.
@@ -84,9 +77,6 @@ const (
 	DefaultAdaptiveSkewThreshold = 2.0
 	// DefaultAdaptiveTargetBytes is DefaultConfig's AdaptiveTargetBytes.
 	DefaultAdaptiveTargetBytes = 256 << 10
-	// DefaultSpeculationMultiplier is the straggler threshold relative to
-	// the stage's median task duration (spark.speculation.multiplier).
-	DefaultSpeculationMultiplier = 1.5
 )
 
 // DefaultConfig returns a reasonable configuration.
@@ -118,8 +108,6 @@ type completion struct {
 	mapStatus *shuffle.MapStatus
 	cached    []cacheKey
 	err       error
-	startVT   vtime.Stamp // when the task began running on its slot
-	execVT    vtime.Stamp
 	driverVT  vtime.Stamp
 	metrics   taskMetrics
 }
@@ -136,21 +124,19 @@ type taskDescriptor struct {
 	share physTask
 }
 
-// attempt is one launch of a task (its first try, a retry or a speculative
-// copy) under an id of its own, Spark's task id. It sits in the driver's
-// attempt table from its launch until its completion is handed to done, by
-// the scheduler endpoint on its StatusUpdate or by the loss funnel when its
+// attempt is one launch of a task (its first try or a retry) under an id of
+// its own, Spark's task id. It sits in the driver's attempt table from its
+// launch until its completion is handed to its stage's done mailbox, by the
+// scheduler endpoint on its StatusUpdate or by the loss funnel when its
 // executor is lost, or until a failed launch gives it up. A StatusUpdate
 // that finds no record is a superseded attempt's and is dropped.
 type attempt struct {
-	id          int64
-	task        *taskDescriptor
-	index       int  // the task's index in its stage
-	number      int  // 0 for the first try, one more than the attempt it follows
-	speculative bool // the scheduler's straggler re-launch racing the original
-	done        *vtime.Mailbox[*completion]
-	execID      string      // the executor it was sent to, under Context.mu
-	comp        *completion // stored by the executor before its StatusUpdate, under Context.mu
+	id     int64
+	task   *taskDescriptor
+	index  int         // the task's index in its stage
+	number int         // 0 for the first try, one more than the attempt it follows
+	execID string      // the executor it was sent to, under Context.mu
+	comp   *completion // stored by the executor before its StatusUpdate, under Context.mu
 }
 
 // stageInfo describes a stage for scheduling and metrics.
@@ -159,6 +145,8 @@ type stageInfo struct {
 	jobID int
 	name  string
 	kind  string
+	// done receives the completion of every attempt of the stage's tasks.
+	done vtime.Mailbox[*completion]
 }
 
 // StageTiming is the per-stage record behind the paper's breakdown plots.
@@ -278,7 +266,7 @@ func NewContext(cfg Config, driver *rpc.Env, executors []*Executor, at vtime.Sta
 			return
 		}
 		a.comp.driverVT = call.VT
-		a.done.Push(a.comp)
+		a.task.stage.done.Push(a.comp)
 	})
 	if err != nil {
 		return nil, err

@@ -319,7 +319,6 @@ func (e *Executor) runTask(a *attempt, launchVT vtime.Stamp) {
 		Stage: desc.stage.id, Partition: desc.part, Attempt: a.number,
 		Executor: e.id,
 		MapLo:    desc.share.mapLo, MapHi: desc.share.mapHi, Coalesced: desc.share.coalesced(),
-		Speculative: a.speculative,
 	})
 	task := &struct {
 		tc   TaskContext
@@ -352,7 +351,6 @@ func (e *Executor) runTask(a *attempt, launchVT vtime.Stamp) {
 		Records: tc.recordsRead, BytesLocal: tc.bytesLocal,
 		BytesRemote: tc.bytesRemote, FetchWait: tc.shuffleWaitDur,
 		MapLo: desc.share.mapLo, MapHi: desc.share.mapHi, Coalesced: desc.share.coalesced(),
-		Speculative: a.speculative,
 	}
 	if err != nil {
 		end.Err = err.Error()
@@ -368,8 +366,6 @@ func (e *Executor) runTask(a *attempt, launchVT vtime.Stamp) {
 		mapStatus: mapStatus,
 		cached:    tc.newlyCached,
 		err:       err,
-		startVT:   start,
-		execVT:    tc.vt,
 		metrics: taskMetrics{
 			Records:       tc.recordsRead,
 			ShuffleBytes:  tc.bytesShuffled,

@@ -559,8 +559,8 @@ func Repartition[K comparable, V any](in *RDD[Pair[K, V]], conf ShuffleConf[K, V
 // paper's benchmarks, exercising multi-parent stages). Join deliberately
 // sets no partialMerge: a map-range slice reads the SAME range of both
 // sides, so records pushed by a left map in-range would never meet their
-// right-side matches pushed by out-of-range maps. Coalescing and
-// speculation still apply to join stages; only splitting is off.
+// right-side matches pushed by out-of-range maps. Coalescing still applies
+// to join stages; only splitting is off.
 func Join[K comparable, V, W any](left *RDD[Pair[K, V]], lconf ShuffleConf[K, V], right *RDD[Pair[K, W]], rconf ShuffleConf[K, W]) *RDD[Pair[K, Pair[V, W]]] {
 	parts := lconf.Parts
 	if parts < 1 {

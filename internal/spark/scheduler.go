@@ -76,10 +76,10 @@ type partitionFunc func(part int, tc *TaskContext, data any) any
 // partition and returns only fn's result, which the driver hands to handle
 // with the partition's index; resultSize models that result's bytes. fn runs
 // in executor slots, concurrently, and possibly more than once per
-// partition (a retry, a speculative copy): only the committed attempt's
-// result reaches handle. The one exception is a partition the adaptive
-// planner split: its sub-tasks return their records, and the driver
-// merges them and applies fn there.
+// partition (a retry): only the committed attempt's result reaches handle.
+// The one exception is a partition the adaptive planner split: its
+// sub-tasks return their records, and the driver merges them and applies
+// fn there.
 //
 // A stage that fails with a FetchFailedError (a reduce task exhausted its
 // retries against a lost map output) does not fail the job outright: the
@@ -290,8 +290,8 @@ func (c *Context) runResultStage(jobID int, final rddBase, fn partitionFunc, res
 	}
 
 	// Hand results over in partition order. comps is index-aligned with
-	// tasks whatever the completion order or speculation, the planner lists
-	// its tasks in partition order, and a split partition's sub-tasks come
+	// tasks whatever the completion order, the planner lists its tasks in
+	// partition order, and a split partition's sub-tasks come
 	// consecutively, in map-range order. A split partition is merged through
 	// the RDD's partial-merge hook and fn is applied to the merge, both
 	// charged on the driver at its latest sub-task's completion.
@@ -379,9 +379,9 @@ func launchPayload(dst []byte, id int64) []byte {
 // launchTask enters attempt a into the attempt table under a fresh id and
 // sends its LaunchTask message (launchPayload, written into dst) at the
 // given time, returning when the driver CPU is free again. Unreachable
-// executors are skipped, each declared lost with lossCause as the reason,
-// up to the cluster size; if none takes the attempt it leaves the table.
-func (c *Context) launchTask(a *attempt, exclude map[string]bool, dst []byte, at vtime.Stamp, lossCause string) (vtime.Stamp, error) {
+// executors are skipped, each declared lost, up to the cluster size; if
+// none takes the attempt it leaves the table.
+func (c *Context) launchTask(a *attempt, exclude map[string]bool, dst []byte, at vtime.Stamp) (vtime.Stamp, error) {
 	c.mu.Lock()
 	c.taskSeq++
 	a.id = c.taskSeq
@@ -405,7 +405,7 @@ func (c *Context) launchTask(a *attempt, exclude map[string]bool, dst []byte, at
 		a.execID = ""
 		c.mu.Unlock()
 		lastErr = err
-		c.handleExecutorLost(exec.id, at, fmt.Sprintf("%s: %v", lossCause, err))
+		c.handleExecutorLost(exec.id, at, fmt.Sprintf("task launch failed: %v", err))
 	}
 	c.mu.Lock()
 	delete(c.attempts, a.id)
@@ -417,9 +417,10 @@ func (c *Context) launchTask(a *attempt, exclude map[string]bool, dst []byte, at
 // status updates, records the stage timing, and returns the completions.
 // Launch messages serialize on the driver CPU, and completions serialize
 // through the driver's scheduler endpoint — both real effects at scale.
+// Whether it succeeds or fails, the stage ends in one StageCompleted at the
+// driver time it ended, with the job clock advanced to it; a stage whose
+// launch fails ends at its last send.
 func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*completion, error) {
-	// Every attempt's completion arrives in one mailbox.
-	completed := new(vtime.Mailbox[*completion])
 	start := c.Clock()
 	sendVT := start
 	// next returns task i's completion; those of later tasks that come first
@@ -427,7 +428,7 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 	early := make([]*completion, len(tasks))
 	next := func(i int) *completion {
 		for early[i] == nil {
-			comp, _ := completed.Recv()
+			comp, _ := stage.done.Recv()
 			early[comp.attempt.index] = comp
 		}
 		comp := early[i]
@@ -448,26 +449,29 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 	firsts := make([]attempt, len(tasks))
 	closures := make([]byte, len(tasks)*taskClosureBytes)
 	exclusions := make([]map[string]bool, len(tasks))
+	waiting := tasks // the tasks whose completions the stage waits for
+	var firstErr error
 	for i, t := range tasks {
-		firsts[i] = attempt{task: t, index: i, done: completed}
-		free, err := c.launchTask(&firsts[i], nil, closures[i*taskClosureBytes:], sendVT, "task launch failed")
+		firsts[i] = attempt{task: t, index: i}
+		free, err := c.launchTask(&firsts[i], nil, closures[i*taskClosureBytes:], sendVT)
 		if err != nil {
-			// The stage fails: the attempts already sent leave the table,
-			// so what they report is dropped.
+			// The stage fails at its last send: the attempts already sent
+			// leave the table, so what they report is dropped, and no task
+			// is waited for.
 			c.mu.Lock()
 			for _, a := range firsts[:i] {
 				delete(c.attempts, a.id)
 			}
 			c.mu.Unlock()
-			return nil, err
+			firstErr, waiting = err, nil
+			break
 		}
 		sendVT = free
 	}
 
 	comps := make([]*completion, 0, len(tasks))
 	end := sendVT
-	var firstErr error
-	for i, t := range tasks {
+	for i, t := range waiting {
 		for {
 			comp := next(i)
 			taskCompletions.Inc()
@@ -483,8 +487,8 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 					exclusions[i] = make(map[string]bool)
 				}
 				exclusions[i][comp.execID] = true
-				retry := &attempt{task: t, index: i, number: n + 1, done: completed}
-				if _, err := c.launchTask(retry, exclusions[i], make([]byte, taskClosureBytes), comp.driverVT, "task launch failed"); err != nil {
+				retry := &attempt{task: t, index: i, number: n + 1}
+				if _, err := c.launchTask(retry, exclusions[i], make([]byte, taskClosureBytes), comp.driverVT); err != nil {
 					if firstErr == nil {
 						firstErr = err
 					}
@@ -501,21 +505,6 @@ func (c *Context) launchAndWait(stage *stageInfo, tasks []*taskDescriptor) ([]*c
 			}
 			comps = append(comps, comp)
 			break
-		}
-	}
-
-	// Straggler pass: with speculation on and the stage healthy, re-launch
-	// tasks that ran far past the stage median and commit whichever attempt
-	// finished first in virtual time. A won race can pull the stage end
-	// back below the straggler's completion — that is the payoff.
-	if c.cfg.Speculation && firstErr == nil && len(comps) >= 2 {
-		if c.speculate(comps) {
-			end = sendVT
-			for _, comp := range comps {
-				if comp.driverVT > end {
-					end = comp.driverVT
-				}
-			}
 		}
 	}
 

@@ -197,6 +197,6 @@ func (c *Context) failRunningTasks(execID string, vt vtime.Stamp, cause string) 
 			Attempt: a.number, Executor: execID,
 			Start: vt, Err: err.Error(),
 		})
-		a.done.Push(&completion{attempt: a, part: a.task.part, execID: execID, err: err, execVT: vt, driverVT: vt})
+		a.task.stage.done.Push(&completion{attempt: a, part: a.task.part, execID: execID, err: err, driverVT: vt})
 	}
 }

@@ -218,11 +218,10 @@ func TestLostExecutorFailsTasksInIDOrder(t *testing.T) {
 	stage := &stageInfo{id: 7, jobID: 3}
 	for round := 0; round < 10; round++ {
 		lost := fmt.Sprintf("exec-lost-%d", round)
-		completed := new(vtime.Mailbox[*completion])
 		c.mu.Lock()
 		for id := int64(1); id <= 16; id++ {
 			id := id + int64(100*round)
-			a := &attempt{id: id, task: &taskDescriptor{stage: stage, part: int(id % 100)}, done: completed, execID: lost}
+			a := &attempt{id: id, task: &taskDescriptor{stage: stage, part: int(id % 100)}, execID: lost}
 			if id%2 == 0 {
 				a.execID = "exec-0"
 			}
@@ -239,8 +238,8 @@ func TestLostExecutorFailsTasksInIDOrder(t *testing.T) {
 			}
 		}
 		var comps []int64
-		for completed.Len() > 0 {
-			comp, _ := completed.TryRecv()
+		for stage.done.Len() > 0 {
+			comp, _ := stage.done.TryRecv()
 			comps = append(comps, comp.attempt.id)
 		}
 		if len(ends) != 8 || len(comps) != 8 {
@@ -273,7 +272,7 @@ func TestSupersededAttemptReportIsDropped(t *testing.T) {
 	// probe is a record of the test's own. A StatusUpdate naming it, sent
 	// on the victim's connection after the victim's own, reaches its
 	// mailbox once the driver has handled the victim's.
-	probe := &attempt{id: -1, done: new(vtime.Mailbox[*completion]), comp: &completion{}}
+	probe := &attempt{id: -1, task: &taskDescriptor{stage: &stageInfo{}}, comp: &completion{}}
 	c.mu.Lock()
 	c.attempts[probe.id] = probe
 	c.mu.Unlock()
@@ -299,7 +298,7 @@ func TestSupersededAttemptReportIsDropped(t *testing.T) {
 			t.Error(err)
 			return nil
 		}
-		probe.done.Recv()
+		probe.task.stage.done.Recv()
 		return []string{e.id}
 	})
 
@@ -359,5 +358,42 @@ func TestFailedFirstLaunchLeavesNoAttempt(t *testing.T) {
 	defer c.mu.Unlock()
 	if n := len(c.attempts); n != 0 {
 		t.Fatalf("%d attempts left in the table after the failed launch, want 0", n)
+	}
+}
+
+// TestFailedLaunchEndsItsStage: with every worker node down before the
+// job, the stage's first launch fails, and the stage still ends once, in a
+// StageCompleted that carries the error, no later than the job's end.
+func TestFailedLaunchEndsItsStage(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, BackendVanilla)
+	c := tc.ctx
+	events := &obs.Collector{}
+	c.Bus().Subscribe(events)
+	for _, e := range tc.execs {
+		tc.fab.FailNode(e.node.Name())
+	}
+	if _, err := Count(Generate(c, 2, func(int, *TaskContext) []int64 { return []int64{1} })); err == nil {
+		t.Fatal("a job ran with every worker down")
+	}
+	count := map[string]int{}
+	var stageEnd, jobEnd obs.Event
+	for _, e := range events.Events() {
+		count[e.Type]++
+		switch e.Type {
+		case obs.EvStageCompleted:
+			stageEnd = e
+		case obs.EvJobEnd:
+			jobEnd = e
+		}
+	}
+	if count[obs.EvStageSubmitted] != 1 || count[obs.EvStageCompleted] != 1 || count[obs.EvJobEnd] != 1 {
+		t.Fatalf("%d StageSubmitted, %d StageCompleted, %d JobEnd; want 1 each",
+			count[obs.EvStageSubmitted], count[obs.EvStageCompleted], count[obs.EvJobEnd])
+	}
+	if stageEnd.Err == "" {
+		t.Fatal("StageCompleted carries no error")
+	}
+	if stageEnd.VT > jobEnd.VT {
+		t.Fatalf("StageCompleted at %v, after JobEnd at %v", stageEnd.VT, jobEnd.VT)
 	}
 }

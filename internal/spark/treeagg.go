@@ -20,8 +20,8 @@ import (
 // (LR, SVM, KMeans, GMM gradient/statistics summing).
 func TreeAggregate[T any](r *RDD[T], dim int, seq func(part int, tc *TaskContext, items []T) []float64) ([]float64, error) {
 	// Each partition's vector and the executor that computed it travel in
-	// its committed task's result (one record, 16 modelled bytes), so a
-	// retried or speculative attempt the scheduler did not commit counts
+	// its committed task's result (one record, 16 modelled bytes), so an
+	// attempt the scheduler did not commit (one on a lost executor) counts
 	// nowhere. The probe is a narrow child of r, so the adaptive planner
 	// never splits its stage and every vector is computed on an executor.
 	probe := MapPartitions(r, func(part int, tc *TaskContext, items []T) ([]vectorPartial, error) {

@@ -19,15 +19,16 @@
 // endpoint's dispatch, a stage's task completions, an executor's free task
 // slots. Reply is the one-shot value a request completes with: an MPI
 // receive or rendezvous send, an Ask's reply, a block batch, the tracker's
-// single-flight fetch, a launch's per-seat fork report. Signal is the one
+// single-flight fetch, the MPI launch's master env. Signal is the one
 // coalescing wake-up with a close: an event loop's selector token and a
 // collective station slot's. Group is the one join of a fan-out (a
-// collective's ranks, the Fig. 3 launch's ranks, a reduce task's fetchers)
-// and of every long-lived thread, which its owner joins on close (event
-// loops, accept loops, rpc dispatch loops and serve pumps, UCR serve loops,
-// executor tasks, a killed executor's loss report); its error is the earliest Go
-// call's that failed, not the first the host ran. Waits not yet primitives
-// are listed with a reason in waits.txt, which TestWaitCensus holds true.
+// collective's ranks, the Fig. 3 launch's ranks and the executor mains DPM
+// spawns, a reduce task's fetchers) and of every long-lived thread, which
+// its owner joins on close (event loops, accept loops, rpc dispatch loops
+// and serve pumps, UCR serve loops, executor tasks, a killed executor's loss
+// report); its error is the earliest Go call's that failed, not the first
+// the host ran. A wait outside this package would be listed with a reason
+// in waits.txt, which TestWaitCensus holds true; none is.
 package vtime
 
 import (
