@@ -91,8 +91,13 @@ fuzz-smoke:
 # cluster leaves no goroutine behind): thirty consecutive passes each. The duplicated-push test raced the
 # fault plane's count under -race once: forty passes there. The executor-loss
 # ordering tests (a superseded attempt's late report, the replacement's first
-# tasks, the loss's failure order): thirty passes, and twenty under -race.
+# tasks, the loss's failure order): thirty passes, and twenty under -race. The
+# read-overlap tests (a join's and a zip's two shuffle reads in flight
+# together): thirty passes on one P, each printing the same fetch waits for
+# each of the eight backend cases.
 flake:
+	out="$$(GOMAXPROCS=1 go test -count=30 -v -run 'TestJoinReadsOverlap|TestZipReadsOverlap' ./internal/spark/)" || { echo "$$out"; exit 1; }; \
+	test "$$(echo "$$out" | grep -o 'Test[A-Za-z/-]* fetch wait: .*' | sort | uniq -c | awk '$$1 == 30' | wc -l)" -eq 8
 	go test -count=30 -run 'TestReceiverLinkFlapHealsWithoutLossOrDuplication|TestMPIExecutorOrderIsSeatOrder|TestCalibrationPinned|TestWindowInverseMatchesRecompute|TestWindowedResultsIdenticalAcrossTransports|TestClosedClusterLeavesNoGoroutine' ./internal/streaming/ ./internal/harness/
 	go test -count=30 -run 'TestSupersededAttemptReportIsDropped|TestReplacementReceivesTasksOverItsRegistration|TestLostExecutorFailsTasksInIDOrder' ./internal/spark/
 	go test -race -count=20 -run 'TestSupersededAttemptReportIsDropped|TestReplacementReceivesTasksOverItsRegistration|TestLostExecutorFailsTasksInIDOrder' ./internal/spark/

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -631,6 +632,37 @@ func TestOptimizedOverAnnouncedBodyFailsChannel(t *testing.T) {
 		c.want.Tag = got.Tag // allocated by the sender
 		if *got != c.want {
 			t.Fatalf("%s: %+v, want %+v", c.msg.Type(), *got, c.want)
+		}
+	}
+}
+
+// TestRankFailureFailsLaunch: a rank whose env cannot bind its port fails
+// before the collective spawn. It aborts the MPI world, so the other ranks
+// leave the spawn's collectives and the launch returns its error; the test
+// needs no deadline, since a rank left waiting would hang it.
+func TestRankFailureFailsLaunch(t *testing.T) {
+	for _, b := range []spark.Backend{spark.BackendMPIBasic, spark.BackendMPIOpt} {
+		for _, port := range []string{"worker-rpc", "master-rpc", "driver-rpc"} {
+			t.Run(fmt.Sprintf("%v/%s", b, port), func(t *testing.T) {
+				f, wn, mn, dn := newClusterFabric(3)
+				node := map[string]*fabric.Node{"worker-rpc": wn[1], "master-rpc": mn, "driver-rpc": dn}[port]
+				squatter, err := rpc.NewEnv("squatter", node, port, rpc.DefaultEnvConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer squatter.Shutdown()
+				cl, err := LaunchMPICluster(deploy.Config{
+					Fabric: f, WorkerNodes: wn, MasterNode: mn, DriverNode: dn,
+					SlotsPerWorker: 1, Backend: b, Spark: spark.DefaultConfig(),
+				})
+				if err == nil {
+					cl.Close()
+					t.Fatalf("launch succeeded with %s on %s taken", port, node.Name())
+				}
+				if !strings.Contains(err.Error(), port) {
+					t.Fatalf("launch failed with %q, want the bind error of %s", err, port)
+				}
+			})
 		}
 	}
 }

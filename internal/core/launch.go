@@ -125,14 +125,25 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 		return err
 	}
 
-	// Step A: W+2 wrapper processes launched under mpiexec. The launch fails
-	// with the lowest failing rank's error.
+	// Step A: W+2 wrapper processes launched under mpiexec. A failing rank
+	// aborts the world (MPI_Abort), so no rank waits on it in a collective;
+	// the launch fails with the lowest failing rank's error, which wraps the
+	// first failure's. A worker waits for the master's env only past the
+	// spawn, which the master enters once the env is out.
 	var ranks vtime.Group
 	for rank := 0; rank < w+2; rank++ {
-		ranks.Go(func() error {
+		ranks.Go(func() (err error) {
+			defer func() {
+				if err != nil {
+					world.Abort(err)
+				}
+			}()
 			h := worldComm.Handle(rank)
 			id := &Identity{Kind: KindParent, World: h}
-			vt := h.Barrier(0) // wrappers synchronize before forking roles
+			vt, err := h.Barrier(0) // wrappers synchronize before forking roles
+			if err != nil {
+				return err
+			}
 
 			// Step B: fork the Spark role for this rank.
 			switch {
@@ -168,7 +179,10 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 				}
 				// Step C: collective spawn (includes the Allgather of
 				// executor arguments inside SpawnMultiple).
-				inter, vt2 := h.SpawnMultiple(specs, 0, vt)
+				inter, vt2, err := h.SpawnMultiple(specs, 0, vt)
+				if err != nil {
+					return err
+				}
 				id.Inter = inter
 				// Register with the master over Spark RPC.
 				_, regVT, err := env.Ask(master.Wait().Addr(), MasterEndpoint,
@@ -190,13 +204,18 @@ func launchMPI(cfg deploy.Config) (*deploy.Cluster, []*EnvState, error) {
 					return err
 				}
 				master.Put(env)
-				id.Inter, _ = h.SpawnMultiple(nil, 0, vt)
+				if id.Inter, _, err = h.SpawnMultiple(nil, 0, vt); err != nil {
+					return err
+				}
 			case rank == driverRank:
 				env, err := newEnv("driver", cfg.DriverNode, "driver-rpc", id)
 				if err != nil {
 					return err
 				}
-				inter, spawnVT := h.SpawnMultiple(nil, 0, vt)
+				inter, spawnVT, err := h.SpawnMultiple(nil, 0, vt)
+				if err != nil {
+					return err
+				}
 				id.Inter = inter
 				mu.Lock()
 				launchVT = vtime.Max(launchVT, spawnVT)

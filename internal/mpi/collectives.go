@@ -28,11 +28,12 @@ func (c *Comm) nextCollBlock(rank int) int {
 }
 
 // Barrier blocks until every rank in the communicator has entered it, using
-// the dissemination algorithm. It returns the caller's exit time.
-func (h *Handle) Barrier(at vtime.Stamp) vtime.Stamp {
+// the dissemination algorithm. It returns the caller's exit time, or the
+// world's abort error (see World.Abort).
+func (h *Handle) Barrier(at vtime.Stamp) (vtime.Stamp, error) {
 	n := h.Size()
 	if n == 1 {
-		return at
+		return at, h.comm.world.aborted()
 	}
 	base := h.comm.nextCollBlock(h.rank)
 	vt := at
@@ -42,21 +43,25 @@ func (h *Handle) Barrier(at vtime.Stamp) vtime.Stamp {
 		src := (h.rank - k + n) % n
 		sreq := h.Isend(dst, base+round, nil, vt)
 		_, st := h.Recv(src, base+round, vt)
+		if err := h.comm.world.aborted(); err != nil {
+			return vt, err
+		}
 		vt = vtime.Max(sreq.Wait(vt), st.VT)
 		round++
 	}
-	return vt
+	return vt, nil
 }
 
 // Allgather collects every rank's contribution at every rank using the ring
 // algorithm (n-1 steps, each shifting the newest block to the right
-// neighbour). The launcher uses it to exchange executor launch arguments.
-func (h *Handle) Allgather(data []byte, at vtime.Stamp) ([][]byte, vtime.Stamp) {
+// neighbour), or returns the world's abort error (see World.Abort). The
+// launcher uses it to exchange executor launch arguments.
+func (h *Handle) Allgather(data []byte, at vtime.Stamp) ([][]byte, vtime.Stamp, error) {
 	n := h.Size()
 	out := make([][]byte, n)
 	out[h.rank] = data
 	if n == 1 {
-		return out, at
+		return out, at, h.comm.world.aborted()
 	}
 	base := h.comm.nextCollBlock(h.rank)
 	vt := at
@@ -66,10 +71,13 @@ func (h *Handle) Allgather(data []byte, at vtime.Stamp) ([][]byte, vtime.Stamp) 
 		src := (h.rank - 1 + n) % n
 		sreq := h.Isend(dst, base+step, cur, vt)
 		d, st := h.Recv(src, base+step, vt)
+		if err := h.comm.world.aborted(); err != nil {
+			return nil, vt, err
+		}
 		idx := (h.rank - step + n) % n
 		out[idx] = d
 		cur = d
 		vt = vtime.Max(sreq.Wait(vt), st.VT)
 	}
-	return out, vt
+	return out, vt, nil
 }

@@ -53,8 +53,9 @@ type ChildContext struct {
 // each parent's handle on the new intercommunicator. Only root's specs are
 // consulted, matching MPI semantics; the launch arguments inside are first
 // allgathered across the parents (the paper's mechanism for making every
-// worker know all executor commands). The children start in spec order.
-func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Handle, vtime.Stamp) {
+// worker know all executor commands). The children start in spec order. In
+// an aborted world it returns the abort's error (see World.Abort).
+func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Handle, vtime.Stamp, error) {
 	c := h.comm
 	seq := int64(c.nextCollBlock(h.rank)) // doubles as the spawn instance key
 
@@ -63,7 +64,10 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 	for _, s := range specs {
 		argBlob = append(argBlob, s.Args...)
 	}
-	_, vt := h.Allgather(argBlob, at)
+	_, vt, err := h.Allgather(argBlob, at)
+	if err != nil {
+		return nil, vt, err
+	}
 
 	if h.rank == root {
 		w := c.world
@@ -105,7 +109,9 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 	}
 
 	// All parents synchronize; after the barrier the result is visible.
-	vt = h.Barrier(vt)
+	if vt, err = h.Barrier(vt); err != nil {
+		return nil, vt, err
+	}
 	vt = vt.Add(DefaultSpawnLatency)
 
 	c.spawnMu.Lock()
@@ -114,7 +120,7 @@ func (h *Handle) SpawnMultiple(specs []SpawnSpec, root int, at vtime.Stamp) (*Ha
 	if parentView == nil {
 		panic(fmt.Sprintf("mpi: spawn result missing for seq %d (root did not spawn?)", seq))
 	}
-	return parentView.Handle(h.rank), vt
+	return parentView.Handle(h.rank), vt, nil
 }
 
 // WaitSpawned returns once the main of every process SpawnMultiple started

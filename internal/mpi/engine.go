@@ -82,6 +82,37 @@ type engine struct {
 	// notifiers are called, outside the lock, each time a message joins
 	// the unexpected queue (Handle.NotifyArrival). Append-only.
 	notifiers []func()
+	// aborted is set by World.Abort: a collective receive then matches
+	// abortedMsg unless a message is already queued for it.
+	aborted bool
+}
+
+// abortedMsg is what a collective receive gets in an aborted world; the
+// collective then returns the abort's error.
+var abortedMsg = &message{}
+
+// isColl reports whether tag is in the collectives' tag space.
+func isColl(tag int) bool { return tag >= collTagBase }
+
+// abort marks the engine aborted and releases its posted collective
+// receives.
+func (e *engine) abort() {
+	e.mu.Lock()
+	e.aborted = true
+	var released []*postedRecv
+	kept := e.posted[:0]
+	for _, pr := range e.posted {
+		if isColl(pr.tag) {
+			released = append(released, pr)
+		} else {
+			kept = append(kept, pr)
+		}
+	}
+	e.posted = kept
+	e.mu.Unlock()
+	for _, pr := range released {
+		pr.done.Put(abortedMsg)
+	}
 }
 
 // deliver hands an arriving message to the engine: it matches the oldest
@@ -129,6 +160,10 @@ func (e *engine) postOrMatch(comm int64, src, tag int, postVT vtime.Stamp) (*mes
 	if m := e.matchUnexpectedLocked(comm, src, tag); m != nil {
 		e.mu.Unlock()
 		return m, nil
+	}
+	if e.aborted && isColl(tag) {
+		e.mu.Unlock()
+		return abortedMsg, nil
 	}
 	pr := &postedRecv{comm: comm, src: src, tag: tag, postVT: postVT}
 	e.posted = append(e.posted, pr)

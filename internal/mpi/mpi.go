@@ -40,10 +40,11 @@ const DefaultEagerThreshold = 64 << 10
 type World struct {
 	fabric *fabric.Fabric
 
-	mu      sync.Mutex
-	procs   []*Proc
-	commSeq int64
-	spawned vtime.Group // the mains of the processes SpawnMultiple started
+	mu       sync.Mutex
+	procs    []*Proc
+	commSeq  int64
+	abortErr error       // set once by Abort
+	spawned  vtime.Group // the mains of the processes SpawnMultiple started
 
 	// EagerThreshold is the eager/rendezvous switch point in bytes.
 	EagerThreshold int
@@ -54,6 +55,33 @@ func NewWorld(f *fabric.Fabric) *World {
 	return &World{fabric: f, EagerThreshold: DefaultEagerThreshold}
 }
 
+// Abort is MPI_Abort: a failing process ends the job. Every collective in
+// the world fails with an error wrapping err: a rank blocked in one of its
+// receives returns at once, and so does every later one. The first abort's
+// error wins. A rendezvous-size send to a rank that left is not released;
+// the launcher's collectives carry eager-size payloads. Point-to-point
+// traffic is left alone; whoever aborts closes its own transports.
+func (w *World) Abort(err error) {
+	w.mu.Lock()
+	if w.abortErr != nil {
+		w.mu.Unlock()
+		return
+	}
+	w.abortErr = fmt.Errorf("mpi: aborted: %w", err)
+	procs := append([]*Proc(nil), w.procs...)
+	w.mu.Unlock()
+	for _, p := range procs {
+		p.engine.abort()
+	}
+}
+
+// aborted returns the error of the world's abort, or nil.
+func (w *World) aborted() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.abortErr
+}
+
 // NewProc creates a simulated MPI process on the given node.
 func (w *World) NewProc(node *fabric.Node) *Proc {
 	w.mu.Lock()
@@ -61,7 +89,7 @@ func (w *World) NewProc(node *fabric.Node) *Proc {
 	p := &Proc{
 		world:  w,
 		node:   node,
-		engine: &engine{},
+		engine: &engine{aborted: w.abortErr != nil},
 	}
 	w.procs = append(w.procs, p)
 	return p

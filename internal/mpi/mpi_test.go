@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -281,7 +283,10 @@ func TestBarrierSynchronizes(t *testing.T) {
 	exits := make([]vtime.Stamp, 5)
 	spmd(t, c, func(h *Handle) {
 		start := vtime.Stamp(int64(h.Rank()) * 1e6) // staggered entry
-		exits[h.Rank()] = h.Barrier(start)
+		var err error
+		if exits[h.Rank()], err = h.Barrier(start); err != nil {
+			t.Error(err)
+		}
 	})
 	// Every exit must be at or after the latest entry.
 	latest := vtime.Stamp(4e6)
@@ -296,7 +301,11 @@ func TestAllgather(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
 		c := newTestComm(t, n, fabric.NewIBHDRModel())
 		spmd(t, c, func(h *Handle) {
-			out, _ := h.Allgather([]byte{byte(h.Rank() * 2)}, 0)
+			out, _, err := h.Allgather([]byte{byte(h.Rank() * 2)}, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			if len(out) != n {
 				t.Errorf("n=%d len=%d", n, len(out))
 				return
@@ -314,8 +323,12 @@ func TestCollectivesBackToBack(t *testing.T) {
 	// Two consecutive collectives on one communicator must not cross-match.
 	c := newTestComm(t, 4, fabric.NewZeroModel())
 	spmd(t, c, func(h *Handle) {
-		a, _ := h.Allgather([]byte{1}, 0)
-		b, _ := h.Allgather([]byte{2}, 0)
+		a, _, errA := h.Allgather([]byte{1}, 0)
+		b, _, errB := h.Allgather([]byte{2}, 0)
+		if errA != nil || errB != nil {
+			t.Error(errA, errB)
+			return
+		}
 		for i := range a {
 			if a[i][0] != 1 || b[i][0] != 2 {
 				t.Errorf("collective instances crossed: %v %v", a[i], b[i])
@@ -336,8 +349,8 @@ func TestSpawnMultiple(t *testing.T) {
 		msg := []byte{byte(ctx.World.Rank())}
 		ctx.Parent.Send(0, 99, msg, ctx.StartVT)
 		// And participates in a child-world barrier (DPM_COMM traffic).
-		ctx.World.Barrier(ctx.StartVT)
-		return nil
+		_, err := ctx.World.Barrier(ctx.StartVT)
+		return err
 	}
 
 	var inter0 *Handle
@@ -346,7 +359,11 @@ func TestSpawnMultiple(t *testing.T) {
 			{Node: nA, Count: 1, Args: []byte("exec-args-a"), Main: childEcho},
 			{Node: nB, Count: 1, Args: []byte("exec-args-b"), Main: childEcho},
 		}
-		inter, vt := h.SpawnMultiple(specs, 0, 0)
+		inter, vt, err := h.SpawnMultiple(specs, 0, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		if vt <= 0 {
 			t.Errorf("spawn vt = %v", vt)
 		}
@@ -549,5 +566,50 @@ func TestNotifyArrival(t *testing.T) {
 	}
 	if n := len(receiver.Proc().engine.unexpected); n != 3 {
 		t.Fatalf("unexpected queue holds %d messages, want 3", n)
+	}
+}
+
+// TestAbortReleasesCollectives: ranks in a Barrier or an Allgather return
+// the abort's error once another rank aborts the world, a later collective
+// fails at once, and point-to-point traffic still flows.
+func TestAbortReleasesCollectives(t *testing.T) {
+	cause := errors.New("rank 0 failed")
+	c := newTestComm(t, 4, fabric.NewIBHDRModel())
+	var ranks vtime.Group
+	errs := make([]error, 4)
+	for r := 1; r < 4; r++ {
+		ranks.Go(func() error {
+			h := c.Handle(r)
+			if r == 1 {
+				_, errs[r] = h.Barrier(0)
+			} else {
+				_, _, errs[r] = h.Allgather([]byte{byte(r)}, 0)
+			}
+			return nil
+		})
+	}
+	// Rank 1 waits in the barrier for rank 0, which never enters it: the
+	// abort must release a posted receive, not only refuse later ones.
+	for posted := 0; posted == 0; runtime.Gosched() {
+		e := c.procs[1].engine
+		e.mu.Lock()
+		posted = len(e.posted)
+		e.mu.Unlock()
+	}
+	c.world.Abort(cause)
+	c.world.Abort(errors.New("a second abort"))
+	ranks.Wait()
+	for r := 1; r < 4; r++ {
+		if !errors.Is(errs[r], cause) {
+			t.Errorf("rank %d: collective returned %v, want the abort of %v", r, errs[r], cause)
+		}
+	}
+	if _, err := c.Handle(0).Barrier(0); !errors.Is(err, cause) {
+		t.Errorf("barrier after the abort returned %v", err)
+	}
+	h0, h1 := c.Handle(0), c.Handle(1)
+	h0.Send(1, 7, []byte("after"), 0)
+	if data, _ := h1.Recv(0, 7, 0); string(data) != "after" {
+		t.Errorf("point-to-point after the abort received %q", data)
 	}
 }

@@ -66,7 +66,11 @@ type Event struct {
 	Records     int64       `json:"records,omitempty"`     // records read
 	BytesLocal  int64       `json:"bytesLocal,omitempty"`  // shuffle bytes read locally
 	BytesRemote int64       `json:"bytesRemote,omitempty"` // shuffle bytes fetched remotely
-	FetchWait   vtime.Stamp `json:"fetchWait,omitempty"`   // VT spent blocked on shuffle fetch
+	// FetchWait is the VT the task clock stalled on shuffle fetches past
+	// their tracker replies (TaskEnd). Reads in flight together stall it
+	// once, so it never exceeds VT - Start and the stage breakdown's
+	// Compute column (duration minus FetchWait) stays non-negative.
+	FetchWait vtime.Stamp `json:"fetchWait,omitempty"`
 
 	// Shuffle fetch failure (FetchFailed) and external shuffle service
 	// traffic (ShufflePush/ShuffleMerge/ShuffleServe, which also set

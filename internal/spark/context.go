@@ -94,8 +94,6 @@ func DefaultConfig() Config {
 type taskMetrics struct {
 	Records       int64
 	ShuffleBytes  int64
-	BytesLocal    int64 // shuffle bytes read from the local block manager
-	BytesRemote   int64 // shuffle bytes fetched over the network
 	ShuffleWaitVT vtime.Stamp
 }
 

@@ -324,13 +324,15 @@ func (e *Executor) runTask(a *attempt, launchVT vtime.Stamp) {
 		tc   TaskContext
 		comp completion
 	}{tc: TaskContext{
-		StageID:   desc.stage.id,
-		Partition: desc.part,
-		exec:      e,
-		vt:        start,
-		cpu:       e.cpu,
-		share:     desc.share,
-		slot:      s,
+		StageID:     desc.stage.id,
+		Partition:   desc.part,
+		exec:        e,
+		vt:          start,
+		cpu:         e.cpu,
+		share:       desc.share,
+		slot:        s,
+		issueVT:     start,
+		prevShuffle: -1,
 	}}
 	tc := &task.tc
 	result, mapStatus, err := desc.run(tc)
@@ -368,9 +370,7 @@ func (e *Executor) runTask(a *attempt, launchVT vtime.Stamp) {
 		err:       err,
 		metrics: taskMetrics{
 			Records:       tc.recordsRead,
-			ShuffleBytes:  tc.bytesShuffled,
-			BytesLocal:    tc.bytesLocal,
-			BytesRemote:   tc.bytesRemote,
+			ShuffleBytes:  tc.bytesLocal + tc.bytesRemote,
 			ShuffleWaitVT: tc.shuffleWaitDur,
 		},
 	}

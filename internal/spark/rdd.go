@@ -44,12 +44,21 @@ type TaskContext struct {
 	cpu  CPUModel
 
 	recordsRead    int64
-	bytesShuffled  int64
 	bytesLocal     int64 // shuffle bytes read from the local block manager
 	bytesRemote    int64 // shuffle bytes fetched over the network
 	newlyCached    []cacheKey
-	shuffleReadVT  vtime.Stamp // vt after the last shuffle fetch completed
-	shuffleWaitDur vtime.Stamp // cumulative time spent waiting on shuffle fetches
+	shuffleWaitDur vtime.Stamp // cumulative time the task clock stalled on shuffle fetches
+
+	// issueVT is when the task's next read of a new shuffle is issued: the
+	// task's start, then each such read's tracker reply in turn. Spark
+	// creates every shuffle reader of a task (a join's sides, a zip's
+	// inputs) before it consumes a record, each creation blocking on its
+	// tracker ask, and a reader sends its fetches when it is created.
+	// prevShuffle is the shuffle of the task's previous read, -1 before
+	// the first: a coalesced task's next partition of the same shuffle is
+	// read when the task gets to it.
+	issueVT     vtime.Stamp
+	prevShuffle int
 
 	// share is the task's part of an adapted result stage. A split
 	// sub-task's FetchShuffle calls against share.shuffle read only map ids
@@ -133,34 +142,41 @@ func (tc *TaskContext) ChargeSort(n int) {
 }
 
 // FetchShuffle retrieves every map output block destined for reduceID in
-// the given shuffle, advancing the task clock to the arrival of the last
-// block. It returns the raw serialized batches in map-id order. The blocks
-// are immutable, garbage-collected slices, valid for as long as they are
-// referenced; values decoded from them are read-only and may pin their
-// block (see Codec).
+// the given shuffle. A read of a shuffle other than the task's previous
+// read was issued when the task started (see issueVT); a read of the same
+// shuffle again is issued now. The task clock observes the last block's
+// landing, and the time it stalls for that landing, past the tracker
+// reply, counts as fetch wait. It returns the raw serialized batches in
+// map-id order. The blocks are immutable, garbage-collected slices, valid
+// for as long as they are referenced; values decoded from them are
+// read-only and may pin their block (see Codec).
 func (tc *TaskContext) FetchShuffle(shuffleID, reduceID int) ([][]byte, error) {
 	e := tc.exec
-	statuses, vt, err := e.tracker.GetOutputs(shuffleID, tc.vt)
+	at, early := tc.vt, shuffleID != tc.prevShuffle
+	if early {
+		at = tc.issueVT
+	}
+	statuses, asked, err := e.tracker.GetOutputs(shuffleID, at)
 	if err != nil {
 		return nil, err
 	}
-	tc.Observe(vt)
-	start := tc.vt
+	if early {
+		tc.issueVT, tc.prevShuffle = asked, shuffleID
+	}
+	tc.Observe(asked)
 	lo, hi := 0, len(statuses)
 	if tc.share.ranged() && shuffleID == tc.share.shuffle {
 		lo, hi = tc.share.mapLo, tc.share.mapHi
 	}
-	results, vt2, err := e.sm.FetchShuffleRange(shuffleID, reduceID, statuses, e.id, e.bts, tc.vt, lo, hi)
+	results, landed, err := e.sm.FetchShuffleRange(shuffleID, reduceID, statuses, e.id, e.bts, asked, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	tc.Observe(vt2)
-	tc.shuffleReadVT = tc.vt
-	tc.shuffleWaitDur += tc.vt - start
+	tc.shuffleWaitDur += max(landed-tc.vt, 0)
+	tc.Observe(landed)
 	out := make([][]byte, len(results))
 	for i, r := range results {
 		out[i] = r.Data
-		tc.bytesShuffled += int64(len(r.Data))
 		if r.Local {
 			tc.bytesLocal += int64(len(r.Data))
 		} else {
